@@ -488,7 +488,7 @@ fn serving(args: &Args) -> Outcome {
 /// The traced serving pass. Each operation serves its batch twice, on the
 /// plain federation and on one whose sources are wrapped in
 /// [`TimedSource`], then replays each distinct session request through the
-/// traced driver to attribute per-session engine time.
+/// traced replay to attribute per-session engine time.
 fn serving_traced(
     args: &Args,
     setup: &ServeSetup,

@@ -12,9 +12,9 @@
 //! [`SETUP_REPS`] times and its median reported. The timed loop then runs
 //! whole passes over the inputs until `--seconds` have elapsed. Times are
 //! scaled against a calibration kernel run between operations (see
-//! [`clock`]). The last
-//! stdout line is one JSON object: `correct`, `attempted`, `failed` and the
-//! metrics (end-to-end with `--trace 0`, per-layer with `--trace 1`).
+//! [`clock`]). The last stdout line is one JSON object: `correct`,
+//! `attempted`, `failed` and the metrics (end-to-end with `--trace 0`,
+//! per-layer with `--trace 1`).
 
 mod clock;
 mod inputs;

@@ -1,6 +1,8 @@
 //! The relevance-guided federated query engine.
 //!
-//! [`FederatedEngine::run`] is *incremental*: relevance verdicts are cached
+//! [`FederatedEngine::run`] is the sequential driver of the shared
+//! [`MergeLoop`]: it calls its one source inline, one access per batch. The
+//! loop is *incremental*: relevance verdicts are cached
 //! per candidate access together with the exact set of `(relation, value)`
 //! pairs the decision procedure consulted (see
 //! [`accrel_schema::ReadSet`]), and are evicted only when a committed
@@ -16,16 +18,13 @@
 //! cached and uncached runs can be compared for equality (the correctness
 //! criterion for the invalidation scheme).
 
-use std::collections::BTreeSet;
+use accrel_access::Access;
+use accrel_query::Query;
+use accrel_schema::{Configuration, TrailOps, Tuple};
 
-use accrel_access::enumerate::EnumerationOptions;
-use accrel_access::frontier::AccessFrontier;
-use accrel_access::{apply_access_in_place, Access};
-use accrel_query::{certain, Query};
-use accrel_schema::{Configuration, TrailOps, Tuple, Value};
-
+use crate::merge::MergeLoop;
 use crate::options::RunOptions;
-use crate::relevance::{RelevanceOracle, VerdictRecord};
+use crate::relevance::VerdictRecord;
 use crate::source::{DeepWebSource, SourceStats};
 
 /// Access-selection strategies.
@@ -65,9 +64,9 @@ impl Strategy {
     }
 }
 
-/// Statistics about batched execution. Zero for the sequential engine; the
-/// schedulers of `accrel-federation` — threaded `BatchScheduler` and async
-/// `AsyncBatchScheduler` alike, which share one merge loop — fill them in.
+/// Statistics about batched execution, filled in by the [`MergeLoop`] every
+/// executor drives. The sequential engine is its batch-1 driver: one batch
+/// per source call, one worker, nothing prefetched or wasted.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BatchStats {
     /// Number of batches issued to the sources.
@@ -197,7 +196,8 @@ pub struct RunReport {
     /// Source traffic attributable to this run (successful calls, retries,
     /// ultimate failures, tuples returned).
     pub source_stats: SourceStats,
-    /// Batched-execution statistics (all zero for the sequential engine).
+    /// Batched-execution statistics (one batch per source call for the
+    /// sequential engine).
     pub batch_stats: BatchStats,
     /// Resilience statistics (churn events, failovers, breaker activity)
     /// attributable to this run. All zero unless the run executed against a
@@ -251,132 +251,27 @@ impl<'a> FederatedEngine<'a> {
     /// Runs the engine from `initial` until the query is certain, no
     /// candidate access remains, or the access limit is hit.
     ///
-    /// Candidate enumeration is incremental: an [`AccessFrontier`] emits
-    /// only the accesses unlocked by newly-added active-domain values, and
-    /// the engine keeps them in a sorted pending set whose iteration order
-    /// coincides with full re-enumeration, so the executed access sequences
-    /// are byte-for-byte those of the historical re-enumerating loop.
+    /// This is the batch-1 driver of the shared [`MergeLoop`]: the selected
+    /// access is called on the source inline, so the source sees exactly the
+    /// accesses the run executes and nothing is prefetched. The batching
+    /// knobs of the options are ignored.
     pub fn run(&self, initial: &Configuration) -> RunReport {
-        let methods = self.source.methods();
-        let mut conf = initial.snapshot();
-        // The loop owns its working copy outright: detaching the (small)
-        // initial shards now means trail-backed relevance probes never pay
-        // a lazy copy-on-write detach mid-speculation.
-        conf.own_all_shards();
-        // Committed inserts queue invalidation events for the oracle;
-        // speculative (trailed) inserts roll back without queueing.
-        conf.set_event_capture(true);
-        let copies_before = conf.shard_copies();
-        let trail_before = conf.trail_ops();
-        let mut accesses_made = 0usize;
-        let mut accesses_skipped = 0usize;
-        let mut tuples_retrieved = 0usize;
-        let mut rounds = 0usize;
-        let mut access_sequence: Vec<Access> = Vec::new();
-        let mut oracle = RelevanceOracle::new(&self.query, methods, &self.options);
-        let stats_before = self.source.stats();
-
-        let enum_options = EnumerationOptions {
-            guessable_values: self.guessable_pool(initial),
-            max_accesses: usize::MAX,
+        let options = RunOptions {
+            batch_size: 1,
+            workers: 1,
+            ..self.options.clone()
         };
-        let mut frontier = AccessFrontier::new(methods, enum_options);
-        // Emitted-but-not-executed accesses, in enumeration order (sorted
-        // (method, binding) order equals the odometer order of full
-        // re-enumeration).
-        let mut pending: BTreeSet<Access> = BTreeSet::new();
-
-        loop {
-            rounds += 1;
-            if self.options.stop_when_certain
-                && self.query.is_boolean()
-                && certain::is_certain(&self.query, &conf)
-            {
-                break;
-            }
-            if accesses_made >= self.options.max_accesses {
-                break;
-            }
-            pending.extend(frontier.refresh(&conf, methods));
-            if pending.is_empty() {
-                break;
-            }
-            let selected = {
-                let candidates: Vec<&Access> = pending.iter().collect();
-                // The engine owns `conf`, so relevance checks speculate on
-                // the live store under trail marks — zero shard copies per
-                // tentative-response probe.
-                oracle.select_trailed(self.strategy, &candidates, &mut conf, &mut accesses_skipped)
-            };
-            let Some(access) = selected else {
-                break;
-            };
-            pending.remove(&access);
-            let Ok(response) = self.source.call(&access) else {
-                continue;
-            };
-            tuples_retrieved += response.len();
-            accesses_made += 1;
-            access_sequence.push(access.clone());
-            let before = conf.len();
-            // The loop exclusively owns `conf` (shards detached up front),
-            // so responses grow it in place — no per-round snapshot that is
-            // immediately dropped.
-            let _ = apply_access_in_place(&mut conf, &access, &response, methods);
-            if conf.len() > before {
-                // The response grew exactly one relation (its method's);
-                // drain its insert events and drop the verdicts they touch.
-                if let Ok(m) = methods.get(access.method()) {
-                    oracle.observe_growth(&mut conf, m.relation());
-                }
-            } else {
-                // A fully-duplicate response inserted nothing, queued no
-                // events, and must evict nothing.
-                debug_assert_eq!(conf.pending_events(), 0);
-            }
-        }
-
-        RunReport {
-            strategy: self.strategy,
-            certain: certain::is_certain(&self.query, &conf),
-            answers: certain::certain_answers(&self.query, &conf),
-            accesses_made,
-            accesses_skipped,
-            tuples_retrieved,
-            rounds,
-            relevance_cache_hits: oracle.hits(),
-            relevance_cache_misses: oracle.misses(),
-            relevance_shared_hits: oracle.shared_hits(),
-            reads_tracked: oracle.reads_tracked(),
-            evictions: oracle.evictions(),
-            events_drained: oracle.events_drained(),
-            access_sequence,
-            relevance_verdicts: oracle.take_log(),
-            source_stats: self.source.stats().since(&stats_before),
-            batch_stats: BatchStats::default(),
-            chaos: ChaosStats::default(),
-            shard_copies: conf.shard_copies() - copies_before,
-            trail_ops: conf.trail_ops().since(trail_before),
-            final_configuration: conf,
-        }
-    }
-
-    /// The pool of guessable values for independent accesses: caller-provided
-    /// values plus the query constants (which the paper assumes are known).
-    fn guessable_pool(&self, initial: &Configuration) -> Vec<Value> {
-        let mut pool = self.options.guessable_values.clone();
-        for c in self.query.constants() {
-            if !pool.contains(&c) {
-                pool.push(c);
-            }
-        }
-        for v in initial.all_values() {
-            if !pool.contains(&v) {
-                pool.push(v);
-            }
-        }
-        pool.sort();
-        pool
+        let stats_before = self.source.stats();
+        let merge = MergeLoop::new(
+            &self.query,
+            self.strategy,
+            &options,
+            self.source.methods(),
+            initial,
+        );
+        let mut report = merge.run(|batch| batch.iter().map(|a| self.source.call(a)).collect());
+        report.source_stats = self.source.stats().since(&stats_before);
+        report
     }
 }
 
@@ -387,6 +282,7 @@ mod tests {
     use crate::scenarios;
     use crate::source::ResponsePolicy;
     use accrel_core::SearchBudget;
+    use accrel_query::certain;
 
     #[test]
     fn exhaustive_engine_answers_the_bank_query() {

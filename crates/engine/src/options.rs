@@ -13,11 +13,6 @@
 //! degenerate values are clamped. Executors that have no use for a knob
 //! simply ignore it — the sequential engine reads none of the batching
 //! fields.
-//!
-//! The old names survive as `#[deprecated]` type aliases at the crate roots
-//! (`accrel_engine::EngineOptions`, `accrel_federation::BatchOptions` /
-//! `AsyncBatchOptions`) so downstream code migrates on its own schedule;
-//! nothing inside the workspace uses them.
 
 use accrel_core::SearchBudget;
 use accrel_schema::Value;
@@ -185,18 +180,5 @@ mod tests {
         // No work still yields a well-defined single worker.
         assert_eq!(RunOptions::clamp_workers(4, 0), 1);
         assert_eq!(RunOptions::clamp_workers(0, 0), 1);
-    }
-
-    #[test]
-    fn deprecated_alias_still_constructs() {
-        // The alias lives at the crate root (the one place allowed to carry
-        // it); this is deliberately the only use site in the crate.
-        #[allow(deprecated)]
-        let options = crate::EngineOptions {
-            max_accesses: 12,
-            ..Default::default()
-        };
-        assert_eq!(options.max_accesses, 12);
-        assert_eq!(options.batch_size, 8);
     }
 }

@@ -3,23 +3,18 @@
 //! [`RelevanceOracle`] bundles the incremental relevance-verdict cache with
 //! the strategy-driven access selection. It is the single implementation of
 //! "which access would the engine execute next, and what did deciding that
-//! cost" used by both the sequential [`crate::FederatedEngine`] and the
-//! batch scheduler of `accrel-federation` — sharing it is what makes the
-//! batched engine's verdicts *provably* the sequential engine's verdicts
-//! rather than merely similar ones.
+//! cost" inside the [`crate::MergeLoop`] every executor drives.
 //!
 //! Every cache miss (an actual invocation of a decision procedure) is
 //! recorded in an ordered [`VerdictRecord`] log, surfaced through
-//! [`crate::RunReport::relevance_verdicts`]; the scheduler-equivalence tests
+//! [`crate::RunReport::relevance_verdicts`]; the executor-equivalence tests
 //! compare these logs between sequential and batched runs.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 
 use accrel_access::{Access, AccessMethods, AccessMode};
-use accrel_core::{
-    is_immediately_relevant, is_long_term_relevant, is_long_term_relevant_trailed, SearchBudget,
-};
+use accrel_core::{is_immediately_relevant, is_long_term_relevant_trailed, SearchBudget};
 use accrel_query::Query;
 use accrel_schema::{
     AdomPrecision, Configuration, InsertEvent, ReadSet, RelationId, ValueInterner,
@@ -83,8 +78,8 @@ impl DepSet {
 /// One cached verdict: the answer, its coarse relation-level dependency-set
 /// index, and — when the verdict was computed under a read recorder — the
 /// exact [`ReadSet`] its decision procedure consulted. Verdicts without a
-/// read set (shared-cache hits, checks over a borrowed configuration) fall
-/// back to the coarse dep set under exact invalidation.
+/// read set (relation-level mode, shared-cache entries published without
+/// one) fall back to the coarse dep set under exact invalidation.
 #[derive(Debug, Clone)]
 struct CachedVerdict {
     verdict: bool,
@@ -331,89 +326,6 @@ impl SharedVerdictCache {
     }
 }
 
-/// How a relevance check reaches the configuration it decides over.
-///
-/// `Shared` is the original read-only path: the dependent-access witness
-/// search snapshots the configuration internally before replaying tentative
-/// responses. `Owned` is the trail-backed path for callers that hold the
-/// configuration mutably (the sequential engine loop, the batch scheduler's
-/// eager predictor): tentative responses are applied to the live store under
-/// a trail mark and undone in place, so a speculative probe performs zero
-/// shard copies. Both paths compute identical verdicts — only the mutation
-/// mechanics differ — so they share one caching body in
-/// [`RelevanceOracle::check_at`].
-enum ConfAccess<'c> {
-    Shared(&'c Configuration),
-    Owned(&'c mut Configuration),
-}
-
-impl ConfAccess<'_> {
-    fn as_ref(&self) -> &Configuration {
-        match self {
-            ConfAccess::Shared(c) => c,
-            ConfAccess::Owned(c) => c,
-        }
-    }
-
-    fn run(
-        &mut self,
-        kind: RelevanceKind,
-        query: &Query,
-        methods: &AccessMethods,
-        budget: &SearchBudget,
-        access: &Access,
-    ) -> bool {
-        match (kind, self) {
-            // Immediate relevance never mutates: both paths are the same
-            // read-only witness search.
-            (RelevanceKind::Immediate, conf) => {
-                is_immediately_relevant(query, conf.as_ref(), access, methods)
-            }
-            (RelevanceKind::LongTerm, ConfAccess::Shared(conf)) => {
-                is_long_term_relevant(query, conf, access, methods, budget)
-            }
-            (RelevanceKind::LongTerm, ConfAccess::Owned(conf)) => {
-                is_long_term_relevant_trailed(query, conf, access, methods, budget)
-            }
-        }
-    }
-
-    /// Runs the decision procedure like [`ConfAccess::run`], additionally
-    /// recording the store reads it performs when `track` carries an
-    /// [`AdomPrecision`] and the caller owns the configuration (`Coarse`
-    /// records every active-domain walk as a global read — exact mode;
-    /// `Precise` records walks per domain/visited prefix). Returns the
-    /// verdict together with the recorded [`ReadSet`] (`None` when tracking
-    /// was off or impossible — the `Shared` path holds the configuration
-    /// immutably and cannot install a recorder, so its verdicts keep the
-    /// coarse dependency set).
-    fn run_recorded(
-        &mut self,
-        kind: RelevanceKind,
-        query: &Query,
-        methods: &AccessMethods,
-        budget: &SearchBudget,
-        access: &Access,
-        track: Option<AdomPrecision>,
-    ) -> (bool, Option<ReadSet>) {
-        let track = match self {
-            ConfAccess::Owned(_) => track,
-            ConfAccess::Shared(_) => None,
-        };
-        if let Some(precision) = track {
-            if let ConfAccess::Owned(conf) = self {
-                conf.begin_read_tracking_with(precision);
-            }
-        }
-        let verdict = self.run(kind, query, methods, budget, access);
-        let reads = match self {
-            ConfAccess::Owned(conf) if track.is_some() => Some(conf.take_read_set()),
-            _ => None,
-        };
-        (verdict, reads)
-    }
-}
-
 /// The relevance-decision engine of one run: answers "is this access
 /// relevant at this configuration" through the incremental cache, applies
 /// the [`Strategy`] selection rules, and logs every decision-procedure
@@ -523,17 +435,50 @@ impl<'a> RelevanceOracle<'a> {
         }
     }
 
-    fn check(&mut self, kind: RelevanceKind, access: &Access, conf: &Configuration) -> bool {
-        self.check_at(kind, access, ConfAccess::Shared(conf))
+    /// Runs the decision procedure for `kind`. Long-term relevance replays
+    /// tentative responses on the live store under a trail mark and undoes
+    /// them in place, so a speculative probe performs zero shard copies and
+    /// leaves `conf` byte-for-byte unchanged.
+    fn decide(&self, kind: RelevanceKind, access: &Access, conf: &mut Configuration) -> bool {
+        let (query, methods) = (self.query, self.methods);
+        match kind {
+            RelevanceKind::Immediate => is_immediately_relevant(query, conf, access, methods),
+            RelevanceKind::LongTerm => {
+                is_long_term_relevant_trailed(query, conf, access, methods, &self.budget)
+            }
+        }
     }
 
-    /// The one caching body behind every check variant: per-run cache probe,
+    /// Runs [`Self::decide`] under the read recorder the invalidation mode
+    /// asks for (coarse adom recording for exact mode, per-domain/prefix
+    /// recording for precise mode, none for relation-level), returning the
+    /// verdict with the recorded [`ReadSet`].
+    fn decide_recorded(
+        &mut self,
+        kind: RelevanceKind,
+        access: &Access,
+        conf: &mut Configuration,
+    ) -> (bool, Option<ReadSet>) {
+        let track = match self.invalidation {
+            InvalidationMode::Exact => Some(AdomPrecision::Coarse),
+            InvalidationMode::Precise => Some(AdomPrecision::Precise),
+            InvalidationMode::RelationLevel => None,
+        };
+        if let Some(precision) = track {
+            conf.begin_read_tracking_with(precision);
+        }
+        let verdict = self.decide(kind, access, conf);
+        let reads = track.map(|_| conf.take_read_set());
+        self.reads_tracked += reads.as_ref().map_or(0, ReadSet::len);
+        (verdict, reads)
+    }
+
+    /// The one caching body behind every check: per-run cache probe,
     /// shared-cache probe, decision-procedure invocation, publication, and
-    /// logging. The [`ConfAccess`] argument decides only *how* the procedure
-    /// touches the configuration (snapshot-replay vs trail-speculate).
-    fn check_at(&mut self, kind: RelevanceKind, access: &Access, mut conf: ConfAccess<'_>) -> bool {
+    /// logging.
+    fn check_at(&mut self, kind: RelevanceKind, access: &Access, conf: &mut Configuration) -> bool {
         if !self.use_cache {
-            return conf.run(kind, self.query, self.methods, &self.budget, access);
+            return self.decide(kind, access, conf);
         }
         let map = match kind {
             RelevanceKind::Immediate => &self.cache.immediate,
@@ -548,19 +493,10 @@ impl<'a> RelevanceOracle<'a> {
             RelevanceKind::Immediate => self.ir_dep(),
             RelevanceKind::LongTerm => self.ltr_dep(),
         };
-        // Read-set invalidation records the store reads of every procedure
-        // run over an owned configuration (coarse adom recording for exact
-        // mode, per-domain/prefix recording for precise mode); the dep-count
-        // stamps below are read *before* the recorder is installed, so
-        // version probing never pollutes the read set.
-        let track = match self.invalidation {
-            InvalidationMode::Exact => Some(AdomPrecision::Coarse),
-            InvalidationMode::Precise => Some(AdomPrecision::Precise),
-            InvalidationMode::RelationLevel => None,
-        }
-        .filter(|_| matches!(conf, ConfAccess::Owned(_)));
+        // The dep-count stamps are read *before* the read recorder is
+        // installed, so version probing never pollutes the read set.
         let (verdict, reads) = if let Some((class, shared)) = self.shared.clone() {
-            let counts = self.dep_counts(dep, conf.as_ref());
+            let counts = self.dep_counts(dep, conf);
             if let Some((verdict, reads)) = shared.lookup(class, kind, access, &counts) {
                 self.shared_hits += 1;
                 // The publishing run's read set rides along with the
@@ -568,17 +504,12 @@ impl<'a> RelevanceOracle<'a> {
                 // same growth points the publisher would have.
                 (verdict, reads)
             } else {
-                let (verdict, reads) =
-                    conf.run_recorded(kind, self.query, self.methods, &self.budget, access, track);
-                self.reads_tracked += reads.as_ref().map_or(0, ReadSet::len);
+                let (verdict, reads) = self.decide_recorded(kind, access, conf);
                 shared.publish(class, kind, access.clone(), counts, verdict, reads.clone());
                 (verdict, reads)
             }
         } else {
-            let (verdict, reads) =
-                conf.run_recorded(kind, self.query, self.methods, &self.budget, access, track);
-            self.reads_tracked += reads.as_ref().map_or(0, ReadSet::len);
-            (verdict, reads)
+            self.decide_recorded(kind, access, conf)
         };
         let map = match kind {
             RelevanceKind::Immediate => &mut self.cache.immediate,
@@ -616,35 +547,21 @@ impl<'a> RelevanceOracle<'a> {
         map.get(access).map(|c| c.verdict)
     }
 
-    /// Immediate-relevance check, via the cache when enabled.
-    pub fn check_ir(&mut self, access: &Access, conf: &Configuration) -> bool {
-        self.check(RelevanceKind::Immediate, access, conf)
-    }
-
-    /// Long-term-relevance check, via the cache when enabled. Dependent-
-    /// access LTR verdicts consult the global active domain and so depend on
-    /// every relation; all-independent Boolean verdicts depend only on the
-    /// query's relations (see the crate-private `DepSet`).
-    pub fn check_ltr(&mut self, access: &Access, conf: &Configuration) -> bool {
-        self.check(RelevanceKind::LongTerm, access, conf)
-    }
-
-    /// Trail-backed [`Self::check_ir`] for callers that own the
-    /// configuration mutably. Immediate relevance is read-only, so this is
-    /// behaviourally identical to `check_ir`; it exists so trailed call
-    /// sites read uniformly.
+    /// Immediate-relevance check, via the cache when enabled. The witness
+    /// search only reads `conf`; it is borrowed mutably to record the reads.
     pub fn check_ir_trailed(&mut self, access: &Access, conf: &mut Configuration) -> bool {
-        self.check_at(RelevanceKind::Immediate, access, ConfAccess::Owned(conf))
+        self.check_at(RelevanceKind::Immediate, access, conf)
     }
 
-    /// Trail-backed [`Self::check_ltr`]: the dependent-access witness search
-    /// replays tentative responses on the live store under a trail mark
-    /// instead of snapshotting it, and restores `conf` byte-for-byte before
-    /// returning. Caching, shared-cache probing, and verdict logging are the
-    /// exact same code path as `check_ltr` — the verdicts (and the verdict
-    /// log) are identical.
+    /// Long-term-relevance check, via the cache when enabled: the
+    /// dependent-access witness search replays tentative responses on the
+    /// live store under a trail mark and restores `conf` byte-for-byte
+    /// before returning. Dependent-access LTR verdicts consult the global
+    /// active domain and so depend on every relation; all-independent
+    /// Boolean verdicts depend only on the query's relations (see the
+    /// crate-private `DepSet`).
     pub fn check_ltr_trailed(&mut self, access: &Access, conf: &mut Configuration) -> bool {
-        self.check_at(RelevanceKind::LongTerm, access, ConfAccess::Owned(conf))
+        self.check_at(RelevanceKind::LongTerm, access, conf)
     }
 
     /// Drops every cached verdict whose *coarse* dependency set contains
@@ -713,8 +630,7 @@ impl<'a> RelevanceOracle<'a> {
     }
 
     /// Total `(relation, value)`-grade read-set entries recorded across the
-    /// verdicts computed so far. Zero under relation-level invalidation or
-    /// when every check ran over a borrowed configuration.
+    /// verdicts computed so far. Zero under relation-level invalidation.
     pub fn reads_tracked(&self) -> usize {
         self.reads_tracked
     }
@@ -765,23 +681,9 @@ impl<'a> RelevanceOracle<'a> {
 
     /// Picks the next access to execute from `candidates` (in candidate
     /// order) according to `strategy`, counting rejected candidates into
-    /// `skipped` exactly as the sequential engine reports them.
-    pub fn select(
-        &mut self,
-        strategy: Strategy,
-        candidates: &[&Access],
-        conf: &Configuration,
-        skipped: &mut usize,
-    ) -> Option<Access> {
-        self.select_with(strategy, candidates, skipped, |oracle, kind, a| {
-            oracle.check_at(kind, a, ConfAccess::Shared(conf))
-        })
-    }
-
-    /// Trail-backed [`Self::select`]: identical selection rules and skip
-    /// accounting, but relevance checks speculate on the live `conf` under
-    /// trail marks instead of snapshotting it — the selection performs zero
-    /// shard copies and leaves `conf` byte-for-byte unchanged.
+    /// `skipped`. Relevance checks speculate on the live `conf` under trail
+    /// marks instead of snapshotting it — the selection performs zero shard
+    /// copies and leaves `conf` byte-for-byte unchanged.
     pub fn select_trailed(
         &mut self,
         strategy: Strategy,
@@ -789,29 +691,12 @@ impl<'a> RelevanceOracle<'a> {
         conf: &mut Configuration,
         skipped: &mut usize,
     ) -> Option<Access> {
-        self.select_with(strategy, candidates, skipped, |oracle, kind, a| {
-            oracle.check_at(kind, a, ConfAccess::Owned(&mut *conf))
-        })
-    }
-
-    /// The one selection body behind [`Self::select`] and
-    /// [`Self::select_trailed`]: `check` closes over how the configuration
-    /// is reached.
-    fn select_with<F>(
-        &mut self,
-        strategy: Strategy,
-        candidates: &[&Access],
-        skipped: &mut usize,
-        mut check: F,
-    ) -> Option<Access>
-    where
-        F: FnMut(&mut Self, RelevanceKind, &Access) -> bool,
-    {
+        let mut check = |kind, a: &Access| self.check_at(kind, a, conf);
         match strategy {
             Strategy::Exhaustive => candidates.first().map(|a| (*a).clone()),
             Strategy::IrGuided => {
                 for a in candidates {
-                    if check(self, RelevanceKind::Immediate, a) {
+                    if check(RelevanceKind::Immediate, a) {
                         return Some((*a).clone());
                     }
                     *skipped += 1;
@@ -820,7 +705,7 @@ impl<'a> RelevanceOracle<'a> {
             }
             Strategy::LtrGuided => {
                 for a in candidates {
-                    if check(self, RelevanceKind::LongTerm, a) {
+                    if check(RelevanceKind::LongTerm, a) {
                         return Some((*a).clone());
                     }
                     *skipped += 1;
@@ -829,12 +714,12 @@ impl<'a> RelevanceOracle<'a> {
             }
             Strategy::Hybrid => {
                 for a in candidates {
-                    if check(self, RelevanceKind::Immediate, a) {
+                    if check(RelevanceKind::Immediate, a) {
                         return Some((*a).clone());
                     }
                 }
                 for a in candidates {
-                    if check(self, RelevanceKind::LongTerm, a) {
+                    if check(RelevanceKind::LongTerm, a) {
                         return Some((*a).clone());
                     }
                     *skipped += 1;
@@ -899,38 +784,37 @@ mod tests {
         let options = RunOptions::default();
         let mut oracle = RelevanceOracle::new(&query, &methods, &options);
         assert!(!oracle.ltr_dep_is_global());
-        let first = oracle.check_ltr(&access, &conf);
+        let first = oracle.check_ltr_trailed(&access, &mut conf);
         assert_eq!(oracle.misses(), 1);
         // A response growing S (not mentioned by the query) must not flush
         // the verdict: the re-check is a cache hit with the same answer.
         conf.insert_named("S", ["unrelated"]).unwrap();
         oracle.invalidate(s);
-        assert_eq!(oracle.check_ltr(&access, &conf), first);
+        assert_eq!(oracle.check_ltr_trailed(&access, &mut conf), first);
         assert_eq!(oracle.hits(), 1);
         assert_eq!(oracle.misses(), 1);
         // Growth of the query's own relation still invalidates.
         conf.insert_named("R", ["k2", "w"]).unwrap();
         oracle.invalidate(r);
-        let _ = oracle.check_ltr(&access, &conf);
+        let _ = oracle.check_ltr_trailed(&access, &mut conf);
         assert_eq!(oracle.misses(), 2);
     }
 
     #[test]
     fn dependent_ltr_verdicts_stay_globally_invalidated() {
-        let (_, methods, query, conf, access, _, s) = setup(false);
+        let (_, methods, query, mut conf, access, _, s) = setup(false);
         let options = RunOptions::default();
         let mut oracle = RelevanceOracle::new(&query, &methods, &options);
         assert!(oracle.ltr_dep_is_global());
         // Make the access well-formed for the dependent mode check.
-        let mut conf = conf;
         conf.insert_named("R", ["k", "x"]).unwrap();
-        let _ = oracle.check_ltr(&access, &conf);
+        let _ = oracle.check_ltr_trailed(&access, &mut conf);
         assert_eq!(oracle.misses(), 1);
         // Any growth — the dependent witness search reads the global active
         // domain — flushes the verdict.
         conf.insert_named("S", ["unlocks-something"]).unwrap();
         oracle.invalidate(s);
-        let _ = oracle.check_ltr(&access, &conf);
+        let _ = oracle.check_ltr_trailed(&access, &mut conf);
         assert_eq!(oracle.misses(), 2);
         assert_eq!(oracle.hits(), 0);
     }
@@ -946,13 +830,13 @@ mod tests {
         let bindings = ["k", "seed", "zz"];
         let mut oracle = RelevanceOracle::new(&query, &methods, &options);
         for b in bindings {
-            let _ = oracle.check_ltr(&Access::new(r_acc, binding([b])), &conf);
+            let _ = oracle.check_ltr_trailed(&Access::new(r_acc, binding([b])), &mut conf);
         }
         conf.insert_named("S", ["later"]).unwrap();
         oracle.invalidate(s);
         for b in bindings {
             let access = Access::new(r_acc, binding([b]));
-            let cached = oracle.check_ltr(&access, &conf);
+            let cached = oracle.check_ltr_trailed(&access, &mut conf);
             let fresh = accrel_core::is_long_term_relevant(
                 &query,
                 &conf,
@@ -967,13 +851,13 @@ mod tests {
 
     #[test]
     fn shared_cache_answers_a_second_oracle_without_reprocedure() {
-        let (_, methods, query, conf, access, _, _) = setup(true);
+        let (_, methods, query, mut conf, access, _, _) = setup(true);
         let options = RunOptions::default();
         let shared = SharedVerdictCache::new();
         assert!(shared.is_empty());
         let mut first =
             RelevanceOracle::new(&query, &methods, &options).with_shared_cache(42, shared.clone());
-        let verdict = first.check_ltr(&access, &conf);
+        let verdict = first.check_ltr_trailed(&access, &mut conf);
         assert_eq!(first.shared_hits(), 0);
         assert_eq!((shared.len(), shared.hits(), shared.misses()), (1, 0, 1));
         // A fresh oracle of the same class at the same configuration gets
@@ -982,7 +866,7 @@ mod tests {
         // entry is identical to the first oracle's.
         let mut second =
             RelevanceOracle::new(&query, &methods, &options).with_shared_cache(42, shared.clone());
-        assert_eq!(second.check_ltr(&access, &conf), verdict);
+        assert_eq!(second.check_ltr_trailed(&access, &mut conf), verdict);
         assert_eq!(second.misses(), 1);
         assert_eq!(second.shared_hits(), 1);
         assert_eq!(shared.hits(), 1);
@@ -990,51 +874,46 @@ mod tests {
         // A different class never shares.
         let mut other =
             RelevanceOracle::new(&query, &methods, &options).with_shared_cache(7, shared.clone());
-        let _ = other.check_ltr(&access, &conf);
+        let _ = other.check_ltr_trailed(&access, &mut conf);
         assert_eq!(other.shared_hits(), 0);
         assert_eq!(shared.len(), 2);
     }
 
     #[test]
-    fn trailed_checks_match_snapshot_checks_and_leave_no_trace() {
+    fn trailed_checks_match_snapshot_procedures_and_leave_no_trace() {
         // Dependent methods force the mutating LTR witness search — the
         // interesting case for trail-backed speculation.
-        let (_, methods, query, conf, access, _, _) = setup(false);
+        let (_, methods, query, mut conf, access, _, _) = setup(false);
         let options = RunOptions::default();
-        let mut conf = conf;
         conf.insert_named("R", ["k", "x"]).unwrap();
-        let mut snapshot_oracle = RelevanceOracle::new(&query, &methods, &options);
-        let mut trailed_oracle = RelevanceOracle::new(&query, &methods, &options);
-        let expected_ir = snapshot_oracle.check_ir(&access, &conf);
-        let expected_ltr = snapshot_oracle.check_ltr(&access, &conf);
+        let expected_ir = is_immediately_relevant(&query, &conf, &access, &methods);
+        let expected_ltr =
+            accrel_core::is_long_term_relevant(&query, &conf, &access, &methods, &options.budget);
+        let mut oracle = RelevanceOracle::new(&query, &methods, &options);
         let before = conf.sorted_facts();
         let copies_before = conf.shard_copies();
-        assert_eq!(
-            trailed_oracle.check_ir_trailed(&access, &mut conf),
-            expected_ir
-        );
-        assert_eq!(
-            trailed_oracle.check_ltr_trailed(&access, &mut conf),
-            expected_ltr
-        );
-        // Same verdict log, restored store, and — the point — no shard
-        // copies spent on the speculation.
-        assert_eq!(snapshot_oracle.take_log(), trailed_oracle.take_log());
+        assert_eq!(oracle.check_ir_trailed(&access, &mut conf), expected_ir);
+        assert_eq!(oracle.check_ltr_trailed(&access, &mut conf), expected_ltr);
+        // Both procedures logged, the store restored, and — the point — no
+        // shard copies spent on the speculation.
+        assert_eq!(oracle.take_log().len(), 2);
         assert_eq!(conf.sorted_facts(), before);
         assert_eq!(conf.shard_copies(), copies_before);
-        // Selection agrees too, strategy by strategy.
-        for strategy in Strategy::all() {
-            let candidates = [&access];
-            let (mut s1, mut s2) = (0usize, 0usize);
-            let picked = snapshot_oracle
-                .scratch()
-                .select(strategy, &candidates, &conf, &mut s1);
-            let picked_trailed =
-                trailed_oracle
+        // Trailed selection follows the snapshot verdicts, strategy by
+        // strategy.
+        for (strategy, relevant) in [
+            (Strategy::Exhaustive, true),
+            (Strategy::IrGuided, expected_ir),
+            (Strategy::LtrGuided, expected_ltr),
+            (Strategy::Hybrid, expected_ir || expected_ltr),
+        ] {
+            let mut skipped = 0usize;
+            let picked =
+                oracle
                     .scratch()
-                    .select_trailed(strategy, &candidates, &mut conf, &mut s2);
-            assert_eq!(picked, picked_trailed, "strategy {strategy:?}");
-            assert_eq!(s1, s2, "strategy {strategy:?}");
+                    .select_trailed(strategy, &[&access], &mut conf, &mut skipped);
+            assert_eq!(picked.is_some(), relevant, "strategy {strategy:?}");
+            assert_eq!(skipped, usize::from(!relevant), "strategy {strategy:?}");
         }
         assert_eq!(conf.sorted_facts(), before);
         assert_eq!(conf.shard_copies(), copies_before);
@@ -1047,7 +926,7 @@ mod tests {
         let shared = SharedVerdictCache::new();
         let mut oracle =
             RelevanceOracle::new(&query, &methods, &options).with_shared_cache(1, shared.clone());
-        let _ = oracle.check_ltr(&access, &conf);
+        let _ = oracle.check_ltr_trailed(&access, &mut conf);
         assert_eq!(shared.len(), 1);
         // Growing the query's relation changes the version stamp: a fresh
         // same-class oracle misses the shared cache and publishes under the
@@ -1055,7 +934,7 @@ mod tests {
         conf.insert_named("R", ["k9", "w9"]).unwrap();
         let mut regrown =
             RelevanceOracle::new(&query, &methods, &options).with_shared_cache(1, shared.clone());
-        let _ = regrown.check_ltr(&access, &conf);
+        let _ = regrown.check_ltr_trailed(&access, &mut conf);
         assert_eq!(regrown.shared_hits(), 0);
         assert_eq!(shared.len(), 2);
     }

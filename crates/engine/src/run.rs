@@ -79,8 +79,9 @@ pub trait Executor {
     fn reset_stats(&self);
 }
 
-/// The sequential executor: one access at a time against a single
-/// [`DeepWebSource`], via [`FederatedEngine`]. The semantic baseline every
+/// The sequential executor: the batch-1 driver of the shared
+/// [`crate::MergeLoop`], one access at a time against a single
+/// [`DeepWebSource`] (via [`FederatedEngine`]). The semantic baseline every
 /// other executor is tested against.
 #[derive(Debug, Clone, Copy)]
 pub struct Sequential<'a> {

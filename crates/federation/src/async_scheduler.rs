@@ -5,11 +5,11 @@
 //!
 //! # Determinism invariant, inherited
 //!
-//! [`AsyncBatchScheduler::run`] executes the *same*
-//! [`MergePlan`](crate::scheduler) merge loop as the threaded scheduler —
-//! not equivalent code, the same function. Concurrency enters only inside
-//! the `fetch` callback: a predicted batch's accesses are spawned as tasks
-//! on a fresh [`Executor`] over the federation's shared
+//! [`AsyncBatchScheduler::run`] drives the *same*
+//! [`accrel_engine::MergeLoop`] as the threaded scheduler and the sequential
+//! engine — not equivalent code, the same state machine. Concurrency enters
+//! only inside the `fetch` callback: a predicted batch's accesses are
+//! spawned as tasks on a fresh [`Executor`] over the federation's shared
 //! [`VirtualClock`](crate::VirtualClock), gated by a FIFO [`Semaphore`] of
 //! `workers` permits (the in-flight cap),
 //! and driven to completion before the merge loop consumes a single
@@ -28,14 +28,13 @@
 //! The F2 harness sweep reports this throughput-vs-in-flight curve.
 
 use accrel_access::{Access, Response};
-use accrel_engine::{RunOptions, RunReport, RunRequest, Strategy};
+use accrel_engine::{MergeLoop, RunOptions, RunReport, RunRequest, Strategy};
 use accrel_query::Query;
 use accrel_schema::Configuration;
 
 use crate::async_federation::AsyncFederation;
 use crate::error::SourceError;
 use crate::executor::{Executor, Semaphore};
-use crate::scheduler::MergePlan;
 
 /// A federated engine executing relevance-verified batches as concurrently
 /// awaited futures while preserving the sequential engine's semantics (see
@@ -79,15 +78,15 @@ impl<'a> AsyncBatchScheduler<'a> {
         let stats_before = self.federation.stats();
         let chaos_before = self.federation.chaos().map(|c| c.stats());
         let options = self.options.normalize();
-        let plan = MergePlan {
-            query: &self.query,
-            strategy: self.strategy,
-            options: &options,
-            shared: None,
-        };
-        let mut report = plan.run(self.federation.methods(), initial, |batch| {
-            fetch_batch_async(self.federation, batch, options.workers)
-        });
+        let merge = MergeLoop::new(
+            &self.query,
+            self.strategy,
+            &options,
+            self.federation.methods(),
+            initial,
+        );
+        let mut report =
+            merge.run(|batch| fetch_batch_async(self.federation, batch, options.workers));
         report.source_stats = self.federation.stats().since(&stats_before).source;
         if let (Some(chaos), Some(before)) = (self.federation.chaos(), chaos_before) {
             report.chaos = chaos.stats().since(&before);
@@ -130,8 +129,8 @@ impl accrel_engine::Executor for Async<'_> {
 /// fresh mini-executor over the federation's clock, at most `in_flight`
 /// awaiting a source at once (FIFO semaphore, so the admission order is the
 /// batch order). The result vector is aligned with `batch` — task
-/// completion order never shows, exactly like the threaded `fetch_batch`.
-pub(crate) fn fetch_batch_async(
+/// completion order never shows, exactly like the threaded scheduler's.
+fn fetch_batch_async(
     federation: &AsyncFederation,
     batch: &[Access],
     in_flight: usize,

@@ -12,11 +12,12 @@
 //!   policies.
 //! * [`Federation`] — the registry mapping access methods to the sources
 //!   that serve them, with per-source and aggregate [`BackendStats`].
-//! * [`BatchScheduler`] — executes relevance-verified batches of accesses
-//!   concurrently through `std::thread::scope` while reporting exactly the
-//!   sequential engine's `access_sequence`, relevance verdicts, certain
-//!   answers and final configuration (see the [`scheduler`] module docs for
-//!   the determinism invariant).
+//! * [`BatchScheduler`] — drives the engine crate's
+//!   [`accrel_engine::MergeLoop`], executing its relevance-verified batches
+//!   of accesses concurrently through `std::thread::scope` while reporting
+//!   exactly the sequential engine's `access_sequence`, relevance verdicts,
+//!   certain answers and final configuration (see the loop's docs for the
+//!   determinism invariant).
 //! * [`parallel_relevance_sweep`] — fan-out evaluation of the (pure)
 //!   relevance decision procedures across worker threads, each holding an
 //!   O(relations) copy-on-write snapshot of the configuration
@@ -40,7 +41,7 @@
 //! * [`AsyncFederation`] — the routing registry over async sources, owning
 //!   the shared virtual clock.
 //! * [`AsyncBatchScheduler`] — the *same* merge loop as [`BatchScheduler`]
-//!   (shared, not copied), with batches realised as concurrently-polled
+//!   and the sequential engine, with batches realised as concurrently-polled
 //!   futures capped by a FIFO [`Semaphore`] of `workers` permits; its
 //!   sequential equivalence is pinned by the async grid in
 //!   `tests/federation_equivalence.rs`, and `clock().now_micros()` measures
@@ -107,18 +108,3 @@ pub use sweep::{parallel_relevance_sweep, parallel_relevance_sweep_report, Sweep
 /// `accrel_federation::SpeculationMode` imports keep compiling now that the
 /// speculation knob lives on [`accrel_engine::RunOptions`].
 pub use accrel_engine::{InvalidationMode, SpeculationMode};
-
-/// The historical name of the threaded scheduler's options; the `engine`
-/// nesting is gone — the engine fields live directly on
-/// [`accrel_engine::RunOptions`].
-#[deprecated(since = "0.1.0", note = "renamed to `RunOptions` (now flat)")]
-pub type BatchOptions = accrel_engine::RunOptions;
-
-/// The historical name of the async scheduler's options; the `engine`
-/// nesting is gone and the `in_flight` knob is
-/// [`accrel_engine::RunOptions::workers`].
-#[deprecated(
-    since = "0.1.0",
-    note = "renamed to `RunOptions` (in_flight is now `workers`)"
-)]
-pub type AsyncBatchOptions = accrel_engine::RunOptions;

@@ -47,13 +47,12 @@ use std::task::{Context, Poll, Waker};
 
 use accrel_access::{Access, Response};
 use accrel_engine::relevance::SharedVerdictCache;
-use accrel_engine::{ChaosStats, RunReport, RunRequest, SourceStats};
+use accrel_engine::{ChaosStats, MergeLoop, MergeStep, RunReport, RunRequest, SourceStats};
 use accrel_schema::Configuration;
 
 use crate::async_federation::AsyncFederation;
 use crate::error::SourceError;
 use crate::executor::{yield_now, Executor, Semaphore};
-use crate::scheduler::{MergeLoop, MergeStep};
 use crate::source::BackendStats;
 
 /// Knobs of the serving layer.
@@ -270,8 +269,10 @@ impl<'a> QuerySessionRegistry<'a> {
                     &request.options,
                     methods,
                     initial,
-                    shared,
                 );
+                if let Some((class, cache)) = shared {
+                    merge = merge.with_shared_cache(class, cache);
+                }
                 while let MergeStep::Fetch(batch) = merge.step() {
                     let responses =
                         fetch_deduped(federation, &access_gate, dedup.as_ref(), &batch, &mut stats)

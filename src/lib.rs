@@ -90,10 +90,6 @@ pub mod prelude {
     };
     /// Ready-made scenarios, including the paper's §1 bank/loan example.
     pub use accrel_engine::scenarios::{bank_scenario, bank_scenario_negative, Scenario};
-    /// The deprecated name of [`RunOptions`] (kept so downstream code
-    /// migrates on its own schedule).
-    #[deprecated(since = "0.1.0", note = "renamed to `RunOptions`")]
-    pub type EngineOptions = accrel_engine::RunOptions;
     /// The sequential engine and the unified run API: build a
     /// [`RunRequest`], hand it to any [`Executor`] ([`Sequential`] here;
     /// [`Threaded`] / [`Async`] / [`Serving`] below), get a `RunReport` —
@@ -111,17 +107,6 @@ pub mod prelude {
         BatchScheduler, BlockingSource, Federation, FlakyModel, LatencyModel, PolicySource,
         SimulatedSource, Source, Threaded,
     };
-    /// The deprecated name of [`RunOptions`] used by the threaded scheduler
-    /// before the options were unified.
-    #[deprecated(since = "0.1.0", note = "renamed to `RunOptions` (now flat)")]
-    pub type BatchOptions = accrel_engine::RunOptions;
-    /// The deprecated name of [`RunOptions`] used by the async scheduler
-    /// before the options were unified.
-    #[deprecated(
-        since = "0.1.0",
-        note = "renamed to `RunOptions` (in_flight is now `workers`)"
-    )]
-    pub type AsyncBatchOptions = accrel_engine::RunOptions;
     /// The chaos layer: deterministic churn scripts, per-source circuit
     /// breakers and replica failover over either federation runtime, plus
     /// the replayable run journal.
@@ -162,6 +147,9 @@ pub mod prelude {
         };
         /// Per-run statistics types surfaced inside `RunReport`.
         pub use accrel_engine::{BatchStats, ChaosStats, SourceStats};
+        /// The run loop every executor drives: a sans-IO state machine that
+        /// asks its driver to fetch predicted batches.
+        pub use accrel_engine::{MergeLoop, MergeStep};
         /// The single-threaded virtual-clock mini-executor the async
         /// runtime and the serving layer run on. (`Executor` here is the
         /// task runtime — the *run API* trait of the same name lives in the

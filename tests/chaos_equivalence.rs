@@ -308,8 +308,11 @@ fn a_torn_journal_tail_still_warm_starts_across_processes() {
 #[test]
 fn eager_speculation_probes_never_leak_into_the_shared_cache() {
     let scenario = bank_scenario();
+    // A shallow budget keeps the speculative LTR probes cheap; they still
+    // run on scratch oracles, which is all the leak needs.
     let eager = RunOptions {
         speculation: SpeculationMode::Eager,
+        budget: SearchBudget::shallow(),
         ..RunOptions::default()
     };
     let request = vec![RunRequest::new(scenario.query.clone()).with_options(eager)];

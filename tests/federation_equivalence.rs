@@ -100,6 +100,13 @@ fn assert_equivalent(scenario: &Scenario, policy: &ResponsePolicy, batch_size: u
         sequential_exec.reset_stats();
         let sequential = sequential_exec.execute(&request, &scenario.initial_configuration);
         let mut batch_structure: Vec<(usize, usize)> = Vec::new();
+        if batch_size == 1 {
+            // The sequential executor is the batch-1 driver of the same loop.
+            batch_structure.push((
+                sequential.batch_stats.batches,
+                sequential.batch_stats.batched_calls,
+            ));
+        }
         for executor in &executors {
             executor.reset_stats();
             let report = executor.execute(&request, &scenario.initial_configuration);
@@ -123,6 +130,7 @@ fn assert_equivalent(scenario: &Scenario, policy: &ResponsePolicy, batch_size: u
                 report.accesses_made, sequential.accesses_made,
                 "accesses made: {cell}"
             );
+            assert_eq!(report.rounds, sequential.rounds, "rounds: {cell}");
             assert!(
                 report
                     .final_configuration
@@ -131,8 +139,8 @@ fn assert_equivalent(scenario: &Scenario, policy: &ResponsePolicy, batch_size: u
             );
             batch_structure.push((report.batch_stats.batches, report.batch_stats.batched_calls));
         }
-        // The concurrent executors share one merge loop, so their batch
-        // structure agrees too (the sequential engine has no batches).
+        // Every executor drives one merge loop, so their batch structure
+        // agrees too (the sequential one only at batch size 1).
         assert!(
             batch_structure.windows(2).all(|w| w[0] == w[1]),
             "batch structure diverged across executors: {batch_structure:?} \

@@ -677,8 +677,8 @@ fn duplicate_only_rounds_evict_nothing_and_leave_the_verdict_cache_intact() {
         let candidates =
             well_formed_accesses(&conf, &workload.methods, &EnumerationOptions::default());
         for access in candidates.iter().take(8) {
-            let _ = oracle.check_ir(access, &conf);
-            let _ = oracle.check_ltr(access, &conf);
+            let _ = oracle.check_ir_trailed(access, &mut conf);
+            let _ = oracle.check_ltr_trailed(access, &mut conf);
         }
 
         // Find an access whose exact response actually grows the
@@ -705,8 +705,8 @@ fn duplicate_only_rounds_evict_nothing_and_leave_the_verdict_cache_intact() {
 
         // Re-warm so the cache holds verdicts again after the growth round.
         for access in candidates.iter().take(8) {
-            let _ = oracle.check_ir(access, &conf);
-            let _ = oracle.check_ltr(access, &conf);
+            let _ = oracle.check_ir_trailed(access, &mut conf);
+            let _ = oracle.check_ltr_trailed(access, &mut conf);
         }
         let evictions_before = oracle.evictions();
         let drained_before = oracle.events_drained();
@@ -737,8 +737,8 @@ fn duplicate_only_rounds_evict_nothing_and_leave_the_verdict_cache_intact() {
 
         // Cache survival: the same checks are now pure hits.
         for access in candidates.iter().take(8) {
-            let _ = oracle.check_ir(access, &conf);
-            let _ = oracle.check_ltr(access, &conf);
+            let _ = oracle.check_ir_trailed(access, &mut conf);
+            let _ = oracle.check_ltr_trailed(access, &mut conf);
         }
         assert_eq!(
             oracle.misses(),

@@ -5,7 +5,7 @@
 use std::time::Duration;
 
 use accrel_bench::fixtures;
-use accrel_engine::{DeepWebSource, FederatedEngine, ResponsePolicy, Strategy};
+use accrel_engine::{DeepWebSource, Executor, ResponsePolicy, RunRequest, Sequential, Strategy};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn bench(c: &mut Criterion) {
@@ -21,14 +21,12 @@ fn bench(c: &mut Criterion) {
             ResponsePolicy::Exact,
         );
         for strategy in [Strategy::Exhaustive, Strategy::LtrGuided, Strategy::Hybrid] {
+            let request = RunRequest::new(scenario.query.clone()).with_strategy(strategy);
             group.bench_with_input(
                 BenchmarkId::new(strategy.name(), &scenario.name),
                 &scenario,
                 |b, s| {
-                    b.iter(|| {
-                        FederatedEngine::new(&source, s.query.clone(), strategy)
-                            .run(&s.initial_configuration)
-                    })
+                    b.iter(|| Sequential::new(&source).execute(&request, &s.initial_configuration))
                 },
             );
         }

@@ -759,20 +759,21 @@ mod tests {
             assert!(fixture.federation.source_for(id).is_some());
         }
         // A capped exhaustive batched run executes and retrieves tuples.
-        let report = accrel_federation::BatchScheduler::new(
-            &fixture.federation,
-            fixture.query.clone(),
-            accrel_engine::Strategy::Exhaustive,
-        )
-        .with_options(accrel_engine::RunOptions {
-            max_accesses: 8,
-            stop_when_certain: false,
-            batch_size: 4,
-            workers: 2,
-            speculation: accrel_federation::SpeculationMode::CachedOnly,
-            ..accrel_engine::RunOptions::default()
-        })
-        .run(&fixture.initial);
+        let request = accrel_engine::RunRequest::new(fixture.query.clone())
+            .with_strategy(accrel_engine::Strategy::Exhaustive)
+            .with_options(accrel_engine::RunOptions {
+                max_accesses: 8,
+                stop_when_certain: false,
+                batch_size: 4,
+                workers: 2,
+                speculation: accrel_engine::SpeculationMode::CachedOnly,
+                ..accrel_engine::RunOptions::default()
+            });
+        let report = accrel_engine::Executor::execute(
+            &accrel_federation::Threaded::new(&fixture.federation),
+            &request,
+            &fixture.initial,
+        );
         assert_eq!(report.accesses_made, 8);
         assert!(report.tuples_retrieved > 0);
         assert!(report.batch_stats.mean_batch() > 1.0);

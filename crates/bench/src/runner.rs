@@ -12,8 +12,8 @@ use accrel_engine::{
     RunOptions, RunRequest, Sequential, SpeculationMode, Strategy,
 };
 use accrel_federation::{
-    parallel_relevance_sweep_report, AsyncBatchScheduler, BatchScheduler, ChurnScript, FlakyModel,
-    QuerySessionRegistry, ServingOptions,
+    parallel_relevance_sweep_report, Async, ChurnScript, FlakyModel, QuerySessionRegistry,
+    ServingOptions, Threaded,
 };
 use accrel_workloads::encodings::encoding_stats;
 use accrel_workloads::tiling::checkerboard;
@@ -348,7 +348,7 @@ pub fn e7_engine_ablation() -> Table {
 
 /// S1 — speculative store mutation: an insert-k-then-discard probe (the
 /// shape of every tentative-response replay in the relevance procedures and
-/// the scheduler's eager look-ahead) paid for two ways. `snapshot
+/// the merge loop's eager look-ahead) paid for two ways. `snapshot
 /// speculate` clones the store and inserts into the clone — every probe
 /// copies the touched relation's full shard, which at 10⁶ rows dwarfs the
 /// probe itself. `trail speculate` inserts under a trail mark on the live
@@ -530,11 +530,11 @@ pub fn f1_federation_sweep(
             speculation: SpeculationMode::CachedOnly,
             ..RunOptions::default()
         };
+        let request = RunRequest::new(slept.query.clone())
+            .with_strategy(Strategy::Exhaustive)
+            .with_options(options);
         let start = Instant::now();
-        let report =
-            BatchScheduler::new(&slept.federation, slept.query.clone(), Strategy::Exhaustive)
-                .with_options(options)
-                .run(&slept.initial);
+        let report = Threaded::new(&slept.federation).execute(&request, &slept.initial);
         let wall = start.elapsed().as_secs_f64() * 1e6;
         let series = "E5 federation (exhaustive)";
         rows.push(Row::new(
@@ -589,11 +589,11 @@ pub fn f1_federation_sweep(
             budget: accrel_core::SearchBudget::shallow(),
             ..RunOptions::default()
         };
+        let request = RunRequest::new(slept.query.clone())
+            .with_strategy(Strategy::LtrGuided)
+            .with_options(options);
         let start = Instant::now();
-        let report =
-            BatchScheduler::new(&slept.federation, slept.query.clone(), Strategy::LtrGuided)
-                .with_options(options)
-                .run(&slept.initial);
+        let report = Threaded::new(&slept.federation).execute(&request, &slept.initial);
         let wall = start.elapsed().as_secs_f64() * 1e6;
         let series = "E5 federation (ltr-guided, eager)";
         rows.push(Row::new(
@@ -654,10 +654,11 @@ pub fn f1_federation_sweep(
             budget: accrel_core::SearchBudget::shallow(),
             ..RunOptions::default()
         };
+        let request = RunRequest::new(slept.query.clone())
+            .with_strategy(Strategy::Hybrid)
+            .with_options(options);
         let start = Instant::now();
-        let report = BatchScheduler::new(&slept.federation, slept.query.clone(), Strategy::Hybrid)
-            .with_options(options)
-            .run(&slept.initial);
+        let report = Threaded::new(&slept.federation).execute(&request, &slept.initial);
         let wall = start.elapsed().as_secs_f64() * 1e6;
         let series = format!("E5 federation (invalidation, {mode_label})");
         rows.push(Row::new(
@@ -730,12 +731,12 @@ pub fn f1_federation_sweep(
 }
 
 /// F2 — the async federation sweep: the same exhaustive E5 federation run
-/// as F1, executed by the `AsyncBatchScheduler` on the hand-rolled
+/// as F1, executed by the `Async` executor on the hand-rolled
 /// mini-executor, swept over the **in-flight limit** at a fixed batch size.
 /// Latencies elapse on the shared virtual clock, so the headline metric is
 /// `virtual µs/access` — the simulated makespan per access, which shrinks
 /// as the in-flight limit lets more round trips overlap — measured with
-/// zero real sleeps (the `wall µs/access` row shows the scheduler's true
+/// zero real sleeps (the `wall µs/access` row shows the executor's true
 /// CPU cost stays flat).
 pub fn f2_async_sweep(
     world: &fixtures::FederationWorld,
@@ -757,14 +758,11 @@ pub fn f2_async_sweep(
             speculation: SpeculationMode::CachedOnly,
             ..RunOptions::default()
         };
+        let request = RunRequest::new(fixture.query.clone())
+            .with_strategy(Strategy::Exhaustive)
+            .with_options(options);
         let start = Instant::now();
-        let report = AsyncBatchScheduler::new(
-            &fixture.federation,
-            fixture.query.clone(),
-            Strategy::Exhaustive,
-        )
-        .with_options(options)
-        .run(&fixture.initial);
+        let report = Async::new(&fixture.federation).execute(&request, &fixture.initial);
         let wall = start.elapsed().as_secs_f64() * 1e6;
         let virtual_elapsed = fixture.federation.clock().now_micros() - virtual_before;
         let series = "E5 async federation (exhaustive)";
@@ -960,18 +958,12 @@ pub fn f4_chaos_sweep(world: &fixtures::FederationWorld, max_accesses: usize) ->
             speculation: SpeculationMode::CachedOnly,
             ..RunOptions::default()
         };
-        let start = Instant::now();
-        let report = BatchScheduler::new(
-            &fixture.federation,
-            fixture.query.clone(),
-            Strategy::Exhaustive,
-        )
-        .with_options(options.clone())
-        .run(&fixture.initial);
-        let wall = start.elapsed().as_secs_f64() * 1e6;
         let request = RunRequest::new(fixture.query.clone())
             .with_strategy(Strategy::Exhaustive)
             .with_options(options);
+        let start = Instant::now();
+        let report = Threaded::new(&fixture.federation).execute(&request, &fixture.initial);
+        let wall = start.elapsed().as_secs_f64() * 1e6;
         let oracle = Sequential::new(&oracle_source).execute(&request, &fixture.initial);
         let unchanged = report.access_sequence == oracle.access_sequence
             && report.answers == oracle.answers
@@ -1119,15 +1111,14 @@ pub fn check_invalidation_savings() -> Result<InvalidationSavings, String> {
     );
     let mut bank = Vec::new();
     for invalidation in [InvalidationMode::Exact, InvalidationMode::RelationLevel] {
-        let options = RunOptions {
-            stop_when_certain: false,
-            invalidation,
-            ..RunOptions::default()
-        };
-        let report =
-            accrel_engine::FederatedEngine::new(&source, scenario.query.clone(), Strategy::Hybrid)
-                .with_options(options)
-                .run(&scenario.initial_configuration);
+        let request = RunRequest::new(scenario.query.clone())
+            .with_strategy(Strategy::Hybrid)
+            .with_options(RunOptions {
+                stop_when_certain: false,
+                invalidation,
+                ..RunOptions::default()
+            });
+        let report = Sequential::new(&source).execute(&request, &scenario.initial_configuration);
         bank.push(report.relevance_cache_misses);
     }
     let flood = fixtures::adom_flooding_chain(64, 12);
@@ -1142,20 +1133,16 @@ pub fn check_invalidation_savings() -> Result<InvalidationSavings, String> {
         InvalidationMode::Exact,
         InvalidationMode::RelationLevel,
     ] {
-        let options = RunOptions {
-            max_accesses: 60,
-            stop_when_certain: false,
-            invalidation,
-            budget: accrel_core::SearchBudget::shallow().with_max_valuations(600),
-            ..RunOptions::default()
-        };
-        let report = accrel_engine::FederatedEngine::new(
-            &flood_source,
-            flood.query.clone(),
-            Strategy::Hybrid,
-        )
-        .with_options(options)
-        .run(&flood.initial);
+        let request = RunRequest::new(flood.query.clone())
+            .with_strategy(Strategy::Hybrid)
+            .with_options(RunOptions {
+                max_accesses: 60,
+                stop_when_certain: false,
+                invalidation,
+                budget: accrel_core::SearchBudget::shallow().with_max_valuations(600),
+                ..RunOptions::default()
+            });
+        let report = Sequential::new(&flood_source).execute(&request, &flood.initial);
         chain.push(report.relevance_cache_misses);
     }
     let savings = InvalidationSavings {

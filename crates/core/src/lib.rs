@@ -75,8 +75,8 @@ pub fn is_long_term_relevant(
 }
 
 /// The trail-backed variant of [`is_long_term_relevant`] for callers that
-/// own their configuration mutably (the engine loop, the batch scheduler's
-/// eager predictor): the dependent-access witness search speculates on the
+/// own their configuration mutably (the engine loop and its eager batch
+/// predictor): the dependent-access witness search speculates on the
 /// live store under a trail mark instead of snapshotting it, and `conf` is
 /// restored byte-for-byte before returning. The independent-access
 /// procedure is read-only and dispatches unchanged.

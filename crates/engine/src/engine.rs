@@ -1,31 +1,26 @@
-//! The relevance-guided federated query engine.
+//! What a run selects by and what it reports: the access-selection
+//! [`Strategy`] and the [`RunReport`] every executor returns.
 //!
-//! [`FederatedEngine::run`] is the sequential driver of the shared
-//! [`MergeLoop`]: it calls its one source inline, one access per batch. The
-//! loop is *incremental*: relevance verdicts are cached
-//! per candidate access together with the exact set of `(relation, value)`
-//! pairs the decision procedure consulted (see
-//! [`accrel_schema::ReadSet`]), and are evicted only when a committed
-//! insert event touches a pair the verdict read — or, under
-//! [`crate::InvalidationMode::RelationLevel`], when a response adds facts
-//! to a relation in the verdict's coarse dependency set. Rounds whose
-//! responses were empty (Boolean probes that missed, exhausted accesses) or
-//! merely duplicated known facts re-use every verdict from the previous
-//! round instead of re-running the decision procedures. Cache
+//! A run is *incremental*: relevance verdicts are cached per candidate
+//! access together with the exact set of `(relation, value)` pairs the
+//! decision procedure consulted (see [`accrel_schema::ReadSet`]), and are
+//! evicted only when a committed insert event touches a pair the verdict
+//! read — or, under [`crate::InvalidationMode::RelationLevel`], when a
+//! response adds facts to a relation in the verdict's coarse dependency set.
+//! Rounds whose responses were empty (Boolean probes that missed, exhausted
+//! accesses) or merely duplicated known facts re-use every verdict from the
+//! previous round instead of re-running the decision procedures. Cache
 //! traffic is reported in [`RunReport::relevance_cache_hits`] /
-//! [`RunReport::relevance_cache_misses`], and
-//! [`RunReport::access_sequence`] records the executed accesses in order so
-//! cached and uncached runs can be compared for equality (the correctness
-//! criterion for the invalidation scheme).
+//! [`RunReport::relevance_cache_misses`], and [`RunReport::access_sequence`]
+//! records the executed accesses in order so cached and uncached runs can be
+//! compared for equality (the correctness criterion for the invalidation
+//! scheme).
 
 use accrel_access::Access;
-use accrel_query::Query;
 use accrel_schema::{Configuration, TrailOps, Tuple};
 
-use crate::merge::MergeLoop;
-use crate::options::RunOptions;
 use crate::relevance::VerdictRecord;
-use crate::source::{DeepWebSource, SourceStats};
+use crate::source::SourceStats;
 
 /// Access-selection strategies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -64,9 +59,9 @@ impl Strategy {
     }
 }
 
-/// Statistics about batched execution, filled in by the [`MergeLoop`] every
-/// executor drives. The sequential engine is its batch-1 driver: one batch
-/// per source call, one worker, nothing prefetched or wasted.
+/// Statistics about batched execution, filled in by the [`crate::MergeLoop`]
+/// every executor drives. The sequential executor is its batch-1 driver: one
+/// batch per source call, one worker, nothing prefetched or wasted.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BatchStats {
     /// Number of batches issued to the sources.
@@ -79,10 +74,10 @@ pub struct BatchStats {
     /// Prefetched responses never consumed by the merge loop (speculation
     /// waste).
     pub speculative_wasted: usize,
-    /// The scheduler's per-batch concurrency limit: worker threads for the
-    /// threaded scheduler, the in-flight future cap for the async one.
+    /// The per-batch concurrency limit: worker threads for the threaded
+    /// executor, the in-flight future cap for the async one.
     pub workers: usize,
-    /// Copy-on-write shard copies performed *inside* the scheduler's
+    /// Copy-on-write shard copies performed *inside* the merge loop's
     /// speculative prediction regions (eager look-ahead). With trail-backed
     /// speculation this is zero: tentative responses mutate the live store
     /// under a trail mark and are undone in place instead of being replayed
@@ -104,7 +99,7 @@ impl BatchStats {
 /// Resilience statistics of a run executed against a federation with a
 /// chaos controller attached (source churn, circuit breakers, replica
 /// failover — see `accrel-federation`'s `chaos` module). All zero for the
-/// sequential engine and for federations without chaos: answers never
+/// sequential executor and for federations without chaos: answers never
 /// depend on these counters, only the cost/robustness accounting does.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ChaosStats {
@@ -197,7 +192,7 @@ pub struct RunReport {
     /// ultimate failures, tuples returned).
     pub source_stats: SourceStats,
     /// Batched-execution statistics (one batch per source call for the
-    /// sequential engine).
+    /// sequential executor).
     pub batch_stats: BatchStats,
     /// Resilience statistics (churn events, failovers, breaker activity)
     /// attributable to this run. All zero unless the run executed against a
@@ -212,77 +207,35 @@ pub struct RunReport {
     pub shard_copies: u64,
     /// Trail activity of the run's configuration handle: undo entries pushed
     /// by speculative probes (tentative-response replays in relevance
-    /// checks, the batch scheduler's eager look-ahead) and entries undone
-    /// when those probes rolled back. Every speculation that would
-    /// historically have cloned shards shows up here instead of in
+    /// checks, the merge loop's eager look-ahead) and entries undone when
+    /// those probes rolled back. Speculation shows up here, never in
     /// [`RunReport::shard_copies`].
     pub trail_ops: TrailOps,
     /// The final configuration.
     pub final_configuration: Configuration,
 }
 
-/// A federated query engine answering one query against one simulated
-/// deep-Web source.
-#[derive(Debug)]
-pub struct FederatedEngine<'a> {
-    source: &'a DeepWebSource,
-    query: Query,
-    strategy: Strategy,
-    options: RunOptions,
-}
-
-impl<'a> FederatedEngine<'a> {
-    /// Creates an engine for `query` over `source` using `strategy`.
-    pub fn new(source: &'a DeepWebSource, query: Query, strategy: Strategy) -> Self {
-        Self {
-            source,
-            query,
-            strategy,
-            options: RunOptions::default(),
-        }
-    }
-
-    /// Replaces the run options.
-    pub fn with_options(mut self, options: RunOptions) -> Self {
-        self.options = options;
-        self
-    }
-
-    /// Runs the engine from `initial` until the query is certain, no
-    /// candidate access remains, or the access limit is hit.
-    ///
-    /// This is the batch-1 driver of the shared [`MergeLoop`]: the selected
-    /// access is called on the source inline, so the source sees exactly the
-    /// accesses the run executes and nothing is prefetched. The batching
-    /// knobs of the options are ignored.
-    pub fn run(&self, initial: &Configuration) -> RunReport {
-        let options = RunOptions {
-            batch_size: 1,
-            workers: 1,
-            ..self.options.clone()
-        };
-        let stats_before = self.source.stats();
-        let merge = MergeLoop::new(
-            &self.query,
-            self.strategy,
-            &options,
-            self.source.methods(),
-            initial,
-        );
-        let mut report = merge.run(|batch| batch.iter().map(|a| self.source.call(a)).collect());
-        report.source_stats = self.source.stats().since(&stats_before);
-        report
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run::{compare_strategies, RunRequest, Sequential};
-    use crate::scenarios;
-    use crate::source::ResponsePolicy;
+    use crate::options::RunOptions;
+    use crate::run::{compare_strategies, Executor, RunRequest, Sequential};
+    use crate::scenarios::{self, Scenario};
+    use crate::source::{DeepWebSource, ResponsePolicy};
     use accrel_core::SearchBudget;
     use accrel_query::certain;
+
+    fn run(
+        source: &DeepWebSource,
+        scenario: &Scenario,
+        strategy: Strategy,
+        options: RunOptions,
+    ) -> RunReport {
+        let request = RunRequest::new(scenario.query.clone())
+            .with_strategy(strategy)
+            .with_options(options);
+        Sequential::new(source).execute(&request, &scenario.initial_configuration)
+    }
 
     #[test]
     fn exhaustive_engine_answers_the_bank_query() {
@@ -292,8 +245,12 @@ mod tests {
             scenario.methods.clone(),
             ResponsePolicy::Exact,
         );
-        let engine = FederatedEngine::new(&source, scenario.query.clone(), Strategy::Exhaustive);
-        let report = engine.run(&scenario.initial_configuration);
+        let report = run(
+            &source,
+            &scenario,
+            Strategy::Exhaustive,
+            RunOptions::default(),
+        );
         assert!(report.certain);
         assert!(report.accesses_made > 0);
         assert_eq!(report.strategy, Strategy::Exhaustive);
@@ -397,8 +354,7 @@ mod tests {
             scenario.methods.clone(),
             ResponsePolicy::Exact,
         );
-        let engine = FederatedEngine::new(&source, scenario.query.clone(), Strategy::Hybrid);
-        let report = engine.run(&scenario.initial_configuration);
+        let report = run(&source, &scenario, Strategy::Hybrid, RunOptions::default());
         assert!(report.certain);
         // Every candidate was checked at least once...
         assert!(report.relevance_cache_misses > 0);
@@ -418,9 +374,7 @@ mod tests {
             max_accesses: 1,
             ..RunOptions::default()
         };
-        let engine = FederatedEngine::new(&source, scenario.query.clone(), Strategy::Exhaustive)
-            .with_options(options);
-        let report = engine.run(&scenario.initial_configuration);
+        let report = run(&source, &scenario, Strategy::Exhaustive, options);
         assert_eq!(report.accesses_made, 1);
         assert!(!report.certain);
     }
@@ -437,8 +391,12 @@ mod tests {
             scenario.methods.clone(),
             ResponsePolicy::Exact,
         );
-        let engine = FederatedEngine::new(&source, scenario.query.clone(), Strategy::IrGuided);
-        let report = engine.run(&scenario.initial_configuration);
+        let report = run(
+            &source,
+            &scenario,
+            Strategy::IrGuided,
+            RunOptions::default(),
+        );
         assert!(!report.certain);
         assert_eq!(report.accesses_made, 0);
         assert!(report.accesses_skipped > 0);
@@ -455,8 +413,12 @@ mod tests {
                 seed: 7,
             },
         );
-        let engine = FederatedEngine::new(&source, scenario.query.clone(), Strategy::Exhaustive);
-        let report = engine.run(&scenario.initial_configuration);
+        let report = run(
+            &source,
+            &scenario,
+            Strategy::Exhaustive,
+            RunOptions::default(),
+        );
         // Whatever was learnt is consistent with the hidden instance.
         assert!(source
             .hidden_instance()

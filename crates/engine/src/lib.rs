@@ -15,9 +15,9 @@
 //! * [`MergeLoop`] — the one run loop: a sans-IO state machine that grows a
 //!   configuration by selecting and executing accesses until the query
 //!   becomes certain (or nothing relevant remains). Every executor drives
-//!   it — [`Sequential`] (through [`FederatedEngine`]) one access at a time,
-//!   the executors of `accrel-federation` in speculative batches — under a
-//!   pluggable [`Strategy`]:
+//!   it — [`Sequential`] one access at a time, the executors of
+//!   `accrel-federation` in speculative batches — under a pluggable
+//!   [`Strategy`]:
 //!   - [`Strategy::Exhaustive`] — the dynamic strategy of Li \[18\] that the
 //!     paper contrasts with ("no check is made for the relevance of an
 //!     access"): every well-formed access is executed;
@@ -43,7 +43,7 @@ pub mod run;
 pub mod scenarios;
 mod source;
 
-pub use engine::{BatchStats, ChaosStats, FederatedEngine, RunReport, Strategy};
+pub use engine::{BatchStats, ChaosStats, RunReport, Strategy};
 pub use merge::{MergeLoop, MergeStep};
 pub use options::{InvalidationMode, RunOptions, SpeculationMode};
 pub use relevance::{RelevanceKind, RelevanceOracle, SharedVerdictCache, VerdictRecord};

@@ -431,7 +431,7 @@ mod tests {
         (source, scenario)
     }
 
-    /// The sequential engine is the batch-1 driver: one batch per source
+    /// The sequential executor is the batch-1 driver: one batch per source
     /// call, nothing prefetched, whatever batching the options ask for.
     #[test]
     fn the_sequential_engine_reports_batch_one_structure() {

@@ -1,23 +1,16 @@
-//! The unified run options.
+//! The run options.
 //!
-//! Historically every execution layer grew its own option struct: the
-//! sequential engine had `EngineOptions`, the threaded batch scheduler
-//! nested it inside `BatchOptions { engine, batch_size, workers, .. }`, and
-//! the async scheduler nested it again inside `AsyncBatchOptions` with the
-//! worker knob renamed `in_flight`. The three overlapped almost entirely and
-//! clamped degenerate values (`workers == 0`, `batch_size == 0`)
-//! inconsistently at their call sites. [`RunOptions`] replaces all three:
-//! one flat struct carrying both the semantic knobs (access cap, budget,
-//! relevance cache) and the execution knobs (batch size, concurrency,
-//! speculation), with [`RunOptions::normalize`] as the single place
-//! degenerate values are clamped. Executors that have no use for a knob
-//! simply ignore it — the sequential engine reads none of the batching
-//! fields.
+//! [`RunOptions`] is one flat struct carrying both the semantic knobs
+//! (access cap, budget, relevance cache, invalidation) and the execution
+//! knobs (batch size, concurrency, speculation) of every executor, with
+//! [`RunOptions::normalize`] as the single place degenerate values are
+//! clamped. Executors that have no use for a knob ignore it: the sequential
+//! executor reads none of the batching fields.
 
 use accrel_core::SearchBudget;
 use accrel_schema::Value;
 
-/// How a scheduler predicts the follow-up accesses of a batch.
+/// How the merge loop predicts the follow-up accesses of a batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SpeculationMode {
     /// Predict only from verdicts already in the relevance cache: free (no
@@ -66,8 +59,8 @@ pub enum InvalidationMode {
 }
 
 /// Options controlling a run, shared by every [`crate::Executor`]
-/// implementation (sequential engine, threaded and async batch schedulers,
-/// and the serving layer of `accrel-federation`).
+/// implementation (the sequential executor, and the threaded, async and
+/// serving executors of `accrel-federation`).
 #[derive(Debug, Clone)]
 pub struct RunOptions {
     /// Maximum number of accesses the engine may execute before giving up.
@@ -87,14 +80,14 @@ pub struct RunOptions {
     /// sequences executed must not change).
     pub use_relevance_cache: bool,
     /// Maximum accesses prefetched per batch (1 disables speculation).
-    /// Ignored by the sequential engine.
+    /// Ignored by the sequential executor.
     pub batch_size: usize,
-    /// Per-batch concurrency: worker threads for the threaded scheduler, the
+    /// Per-batch concurrency: worker threads for the threaded executor, the
     /// in-flight future cap for the async one and the serving layer. Ignored
-    /// by the sequential engine.
+    /// by the sequential executor.
     pub workers: usize,
     /// How follow-up accesses are predicted. Ignored by the sequential
-    /// engine.
+    /// executor.
     pub speculation: SpeculationMode,
     /// How cached verdicts are invalidated on growth. Only meaningful while
     /// `use_relevance_cache` is on.
@@ -121,12 +114,10 @@ impl RunOptions {
     /// A copy with every degenerate execution knob clamped to its smallest
     /// meaningful value: `workers == 0` and `batch_size == 0` both become 1.
     ///
-    /// This is the **single** clamping point — schedulers and sweeps used to
-    /// each promote zero workers differently (`max(1)` here,
-    /// `clamp(1, n)` there); every execution layer now normalizes through
-    /// this method (or [`RunOptions::clamp_workers`] when a task count
-    /// bounds the useful concurrency) so the promotion is pinned in one
-    /// place.
+    /// This is the **single** clamping point: every execution layer
+    /// normalizes through this method (or [`RunOptions::clamp_workers`] when
+    /// a task count bounds the useful concurrency), so the promotion is
+    /// pinned in one place.
     pub fn normalize(&self) -> RunOptions {
         RunOptions {
             batch_size: self.batch_size.max(1),
@@ -148,7 +139,7 @@ mod tests {
     use super::*;
 
     /// Satellite regression: the `workers == 0` promotion (and the
-    /// `batch_size == 0` one) is centralized here — schedulers and sweeps
+    /// `batch_size == 0` one) is centralized here — executors and sweeps
     /// must all see the same clamp.
     #[test]
     fn normalize_promotes_zero_knobs_to_one() {

@@ -535,7 +535,7 @@ impl<'a> RelevanceOracle<'a> {
 
     /// The cached verdict for `kind` of `access`, if one is present. Never
     /// runs a decision procedure and never touches the hit/miss counters —
-    /// this is the speculation-safe read the batch scheduler predicts with.
+    /// this is the speculation-safe read the merge loop predicts batches with.
     pub fn peek(&self, kind: RelevanceKind, access: &Access) -> Option<bool> {
         if !self.use_cache {
             return None;

@@ -1,22 +1,18 @@
-//! The unified run API: [`RunRequest`] in, [`RunReport`] out.
+//! The run API: [`RunRequest`] in, [`RunReport`] out.
 //!
-//! Every execution layer used to have its own hand-wired entry point —
-//! `FederatedEngine::new(..).with_options(..).run(..)` for sequential runs,
-//! `BatchScheduler::new(..)` for threaded ones, `AsyncBatchScheduler` for
-//! the virtual-clock runtime — each with a slightly different option struct
-//! and its own static `compare_strategies`. The serving layer needs to treat
-//! those uniformly (a session is just a request handed to *some* executor),
-//! so the entry shape is now a single [`RunRequest`] (query + strategy +
-//! [`RunOptions`]) executed by any [`Executor`] implementation, all
-//! returning the same [`RunReport`]. The equivalence test-grid iterates
-//! executors instead of duplicating call sites, and
-//! [`compare_strategies`] is one free function over requests rather than
-//! three inherent methods.
+//! A [`RunRequest`] (query + strategy + [`RunOptions`]) is the one way to
+//! describe a run, and an [`Executor`] is the one way to execute it: the
+//! sequential executor here, the threaded, async and serving executors of
+//! `accrel-federation`. Every executor returns the same [`RunReport`], so
+//! the equivalence grids iterate executors, the serving layer treats a
+//! session as a request handed to an executor, and [`compare_strategies`]
+//! sweeps strategies over any of them.
 
 use accrel_query::Query;
 use accrel_schema::Configuration;
 
-use crate::engine::{FederatedEngine, RunReport, Strategy};
+use crate::engine::{RunReport, Strategy};
+use crate::merge::MergeLoop;
 use crate::options::RunOptions;
 use crate::source::DeepWebSource;
 
@@ -59,8 +55,8 @@ impl RunRequest {
 }
 
 /// Something that can execute a [`RunRequest`] from an initial
-/// configuration: the sequential engine, the threaded and async batch
-/// schedulers of `accrel-federation`, or its multi-tenant serving layer.
+/// configuration: the [`Sequential`] executor, or the `Threaded`, `Async`
+/// and `Serving` executors of `accrel-federation`.
 ///
 /// The contract every implementation upholds (and the equivalence grid
 /// pins): for the same request, initial configuration and source contents,
@@ -79,10 +75,9 @@ pub trait Executor {
     fn reset_stats(&self);
 }
 
-/// The sequential executor: the batch-1 driver of the shared
-/// [`crate::MergeLoop`], one access at a time against a single
-/// [`DeepWebSource`] (via [`FederatedEngine`]). The semantic baseline every
-/// other executor is tested against.
+/// The sequential executor: the batch-1 driver of the shared [`MergeLoop`],
+/// one access at a time against a single [`DeepWebSource`]. The semantic
+/// baseline every other executor is tested against.
 #[derive(Debug, Clone, Copy)]
 pub struct Sequential<'a> {
     source: &'a DeepWebSource,
@@ -100,10 +95,27 @@ impl Executor for Sequential<'_> {
         "sequential"
     }
 
+    /// Runs until the query is certain, no candidate access remains, or the
+    /// access limit is hit. The selected access is called on the source
+    /// inline, so the source sees exactly the accesses the run executes and
+    /// nothing is prefetched: the batching knobs of the options are ignored.
     fn execute(&self, request: &RunRequest, initial: &Configuration) -> RunReport {
-        FederatedEngine::new(self.source, request.query.clone(), request.strategy)
-            .with_options(request.options.clone())
-            .run(initial)
+        let options = RunOptions {
+            batch_size: 1,
+            workers: 1,
+            ..request.options.clone()
+        };
+        let stats_before = self.source.stats();
+        let merge = MergeLoop::new(
+            &request.query,
+            request.strategy,
+            &options,
+            self.source.methods(),
+            initial,
+        );
+        let mut report = merge.run(|batch| batch.iter().map(|a| self.source.call(a)).collect());
+        report.source_stats = self.source.stats().since(&stats_before);
+        report
     }
 
     fn reset_stats(&self) {
@@ -115,10 +127,6 @@ impl Executor for Sequential<'_> {
 /// configuration and returns the reports in [`Strategy::all`] order,
 /// resetting the executor's source statistics between runs so each report
 /// carries only its own traffic.
-///
-/// This replaces the former `FederatedEngine::compare_strategies`,
-/// `BatchScheduler::compare_strategies` and
-/// `AsyncBatchScheduler::compare_strategies`: one function, any executor.
 pub fn compare_strategies<E: Executor + ?Sized>(
     executor: &E,
     request: &RunRequest,
@@ -141,7 +149,7 @@ mod tests {
     use crate::source::ResponsePolicy;
 
     #[test]
-    fn sequential_executor_matches_direct_engine_call() {
+    fn sequential_executor_reports_each_runs_own_traffic() {
         let scenario = scenarios::bank_scenario();
         let source = DeepWebSource::new(
             scenario.instance.clone(),
@@ -151,14 +159,17 @@ mod tests {
         let request = RunRequest::new(scenario.query.clone()).with_strategy(Strategy::Exhaustive);
         let executor = Sequential::new(&source);
         assert_eq!(executor.name(), "sequential");
-        let via_executor = executor.execute(&request, &scenario.initial_configuration);
-        source.reset_stats();
-        let direct = FederatedEngine::new(&source, scenario.query.clone(), Strategy::Exhaustive)
-            .run(&scenario.initial_configuration);
-        assert_eq!(via_executor.access_sequence, direct.access_sequence);
-        assert_eq!(via_executor.certain, direct.certain);
-        assert_eq!(via_executor.answers, direct.answers);
-        assert_eq!(via_executor.relevance_shared_hits, 0);
+        let first = executor.execute(&request, &scenario.initial_configuration);
+        // Without a reset in between, the second run still reports only its
+        // own source traffic, and replays the first run exactly.
+        let second = executor.execute(&request, &scenario.initial_configuration);
+        assert_eq!(second.access_sequence, first.access_sequence);
+        assert_eq!(second.certain, first.certain);
+        assert_eq!(second.answers, first.answers);
+        assert_eq!(second.source_stats, first.source_stats);
+        assert_eq!(second.source_stats.calls, second.accesses_made);
+        assert_eq!(source.stats().calls, 2 * first.accesses_made);
+        assert_eq!(second.relevance_shared_hits, 0);
     }
 
     #[test]

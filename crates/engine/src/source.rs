@@ -26,8 +26,8 @@ pub enum ResponsePolicy {
     /// access is a deterministic function of the access alone — the same
     /// subset comes back no matter when, how often, or on which thread the
     /// access is executed. That order-insensitivity is what admits
-    /// `SoundSample` into the batch scheduler's sequential-equivalence
-    /// guarantee (see `accrel-federation`'s scheduler docs).
+    /// `SoundSample` into the executors' sequential-equivalence guarantee
+    /// (see [`crate::MergeLoop`]).
     SoundSample {
         /// Probability of including each matching tuple.
         probability: f64,
@@ -258,7 +258,7 @@ mod tests {
     fn sound_sample_is_order_insensitive_per_access() {
         // The sample is hash-seeded per access: interleaving other calls
         // (or repeating the access) never changes its response — the
-        // precondition for sampled runs entering the batch scheduler's
+        // precondition for sampled runs entering the executors'
         // sequential-equivalence guarantee.
         let policy = ResponsePolicy::SoundSample {
             probability: 0.5,

@@ -2,9 +2,9 @@
 //! [`AsyncSource`]s, sharing one [`VirtualClock`].
 //!
 //! The registry owns the virtual clock its simulated sources draw latencies
-//! from; the async batch scheduler creates its executors over the same
-//! clock, so `clock().now_micros()` before and after a run measures the
-//! run's *simulated* makespan — the metric the F2 throughput sweep reports
+//! from; the `Async` executor runs its batches over the same clock, so
+//! `clock().now_micros()` before and after a run measures the run's
+//! *simulated* makespan — the metric the F2 throughput sweep reports
 //! without a single real sleep.
 
 use std::sync::Arc;
@@ -13,9 +13,10 @@ use accrel_access::{Access, AccessMethodId, AccessMethods};
 use accrel_schema::Schema;
 
 use crate::async_source::{AsyncSimulatedSource, AsyncSource, SourceFuture};
-use crate::chaos::{ChaosController, ChaosOptions, Gate, ModelSwap};
-use crate::error::{FederationError, SourceError};
+use crate::chaos::{ChaosController, ChaosOptions};
+use crate::error::FederationError;
 use crate::executor::VirtualClock;
+use crate::routing::{Routes, RoutesBuilder, WalkStep};
 use crate::source::{BackendStats, SimulatedSource};
 
 /// A registry of autonomous *async* sources sharing one access-method
@@ -26,53 +27,27 @@ use crate::source::{BackendStats, SimulatedSource};
 /// instead of blocking a worker thread. An attached [`ChaosController`]
 /// fires its churn script against the federation's own virtual clock, so
 /// chaotic async runs are fully deterministic (no pace heuristic needed).
+#[derive(Debug)]
 pub struct AsyncFederation {
-    methods: AccessMethods,
+    routes: Routes<dyn AsyncSource>,
     clock: VirtualClock,
-    sources: Vec<Box<dyn AsyncSource>>,
-    /// Method index → ordered replica set (source indices, primary first).
-    route: Vec<Vec<usize>>,
-    chaos: Option<ChaosController>,
-}
-
-impl std::fmt::Debug for AsyncFederation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AsyncFederation")
-            .field("methods", &self.methods.len())
-            .field(
-                "sources",
-                &self.sources.iter().map(|s| s.name()).collect::<Vec<_>>(),
-            )
-            .field("route", &self.route)
-            .field("clock", &self.clock)
-            .finish()
-    }
 }
 
 impl AsyncFederation {
     /// Starts assembling an async federation over `methods`, with a fresh
     /// virtual clock at time zero.
     pub fn builder(methods: AccessMethods) -> AsyncFederationBuilder {
-        let method_count = methods.len();
         AsyncFederationBuilder {
-            methods,
+            routes: RoutesBuilder::new(methods),
             clock: VirtualClock::new(),
-            sources: Vec::new(),
-            route: vec![Vec::new(); method_count],
-            chaos: None,
         }
     }
 
     /// The common case of one async source serving every method.
     pub fn single(source: impl AsyncSource + 'static) -> Self {
-        let methods = source.methods().clone();
-        let method_count = methods.len();
         AsyncFederation {
-            methods,
+            routes: Routes::single(Box::new(source)),
             clock: VirtualClock::new(),
-            sources: vec![Box::new(source)],
-            route: vec![vec![0]; method_count],
-            chaos: None,
         }
     }
 
@@ -80,14 +55,9 @@ impl AsyncFederation {
     /// [`AsyncSimulatedSource`] over the federation's clock.
     pub fn single_simulated(source: SimulatedSource) -> Self {
         let clock = VirtualClock::new();
-        let methods = crate::source::Source::methods(&source).clone();
-        let method_count = methods.len();
         AsyncFederation {
-            methods,
-            sources: vec![Box::new(AsyncSimulatedSource::new(source, clock.clone()))],
+            routes: Routes::single(Box::new(AsyncSimulatedSource::new(source, clock.clone()))),
             clock,
-            route: vec![vec![0]; method_count],
-            chaos: None,
         }
     }
 
@@ -98,137 +68,73 @@ impl AsyncFederation {
 
     /// The shared access-method registry.
     pub fn methods(&self) -> &AccessMethods {
-        &self.methods
+        self.routes.methods()
     }
 
     /// The schema the federation ranges over.
     pub fn schema(&self) -> &Arc<Schema> {
-        self.methods.schema()
+        self.routes.methods().schema()
     }
 
     /// Number of registered sources.
     pub fn source_count(&self) -> usize {
-        self.sources.len()
+        self.routes.source_count()
     }
 
     /// The primary source serving `method`.
     pub fn source_for(&self, method: AccessMethodId) -> Option<&dyn AsyncSource> {
-        self.route
-            .get(method.index())
-            .and_then(|r| r.first())
-            .map(|&i| self.sources[i].as_ref())
+        self.routes.replicas(method).next()
     }
 
     /// The chaos controller, when one is attached.
     pub fn chaos(&self) -> Option<&ChaosController> {
-        self.chaos.as_ref()
+        self.routes.chaos()
     }
 
     /// Routes an access along its replica set and starts it; the returned
     /// future resolves once the serving source's simulated round trips
-    /// elapse on the shared clock. With a chaos controller attached the
-    /// future walks the route exactly like [`crate::Federation::call`]
-    /// (tick due churn events, skip dead / open-circuit replicas, feed
-    /// breaker outcomes, count failovers), awaiting each attempted replica
-    /// in order.
+    /// elapse on the shared clock. Without a chaos controller this is the
+    /// primary's own future. With one, the future walks the route exactly
+    /// like [`crate::Federation::call`] (tick due churn events, skip dead /
+    /// open-circuit replicas, feed breaker outcomes, count failovers),
+    /// awaiting each attempted replica in order.
     pub fn call(&self, access: Access) -> SourceFuture<'_> {
-        let Some(route) = self
-            .route
-            .get(access.method().index())
-            .filter(|r| !r.is_empty())
-        else {
-            let err = SourceError::Unavailable {
-                source: "<federation>".to_string(),
-                reason: format!("no source serves {}", access.method()),
-            };
-            return Box::pin(async move { Err(err) });
-        };
-        let Some(chaos) = &self.chaos else {
-            return self.sources[route[0]].call(access);
-        };
+        if let Some(primary) = self.routes.direct(access.method()) {
+            return primary.call(access);
+        }
         Box::pin(async move {
-            for (idx, swap) in chaos.on_call() {
-                match swap {
-                    ModelSwap::Latency(l) => self.sources[idx].set_latency(l),
-                    ModelSwap::Flaky(f) => self.sources[idx].set_flaky(f),
+            let mut walk = self.routes.walk(access.method());
+            loop {
+                match walk.step() {
+                    WalkStep::Call(source) => walk.supply(source.call(access.clone()).await),
+                    WalkStep::Done(result) => return result,
                 }
             }
-            let mut last_err: Option<SourceError> = None;
-            for (position, &source_idx) in route.iter().enumerate() {
-                match chaos.gate(source_idx) {
-                    Gate::Dead | Gate::Open => continue,
-                    Gate::Allow => {}
-                }
-                match self.sources[source_idx].call(access.clone()).await {
-                    Ok(response) => {
-                        chaos.record(source_idx, true);
-                        if position > 0 {
-                            chaos.note_failover();
-                        }
-                        return Ok(response);
-                    }
-                    Err(SourceError::Access(e)) => return Err(SourceError::Access(e)),
-                    Err(err) => {
-                        chaos.record(source_idx, false);
-                        last_err = Some(err);
-                    }
-                }
-            }
-            Err(last_err.unwrap_or_else(|| SourceError::Unavailable {
-                source: "<federation>".to_string(),
-                reason: format!(
-                    "every replica of {} is dead or open-circuit",
-                    access.method()
-                ),
-            }))
         })
     }
 
     /// Aggregate statistics across every source.
     pub fn stats(&self) -> BackendStats {
-        self.sources
-            .iter()
-            .fold(BackendStats::default(), |acc, s| acc.merged(&s.stats()))
+        self.routes.stats()
     }
 
-    /// Per-source statistics, in registration order (the async counterpart
-    /// of [`crate::Federation::per_source_stats`] — the failure-injection
-    /// tests pin the two against each other).
+    /// Per-source statistics, in registration order, with the same breaker
+    /// accounting as [`crate::Federation::per_source_stats`].
     pub fn per_source_stats(&self) -> Vec<(String, BackendStats)> {
-        self.sources
-            .iter()
-            .map(|s| (s.name().to_string(), s.stats()))
-            .collect()
+        self.routes.per_source_stats()
     }
 
     /// Resets every source's statistics.
     pub fn reset_stats(&self) {
-        for s in &self.sources {
-            s.reset_stats();
-        }
+        self.routes.reset_stats()
     }
 }
 
 /// Builder for [`AsyncFederation`].
+#[derive(Debug)]
 pub struct AsyncFederationBuilder {
-    methods: AccessMethods,
+    routes: RoutesBuilder<dyn AsyncSource>,
     clock: VirtualClock,
-    sources: Vec<Box<dyn AsyncSource>>,
-    route: Vec<Vec<usize>>,
-    chaos: Option<ChaosOptions>,
-}
-
-impl std::fmt::Debug for AsyncFederationBuilder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AsyncFederationBuilder")
-            .field("methods", &self.methods.len())
-            .field(
-                "sources",
-                &self.sources.iter().map(|s| s.name()).collect::<Vec<_>>(),
-            )
-            .field("route", &self.route)
-            .finish()
-    }
 }
 
 impl AsyncFederationBuilder {
@@ -239,32 +145,15 @@ impl AsyncFederationBuilder {
     }
 
     fn register(
-        mut self,
+        self,
         source: Box<dyn AsyncSource>,
         method_names: &[&str],
         primary: bool,
     ) -> Result<Self, FederationError> {
-        if !Arc::ptr_eq(source.methods().schema(), self.methods.schema()) {
-            return Err(FederationError::SchemaMismatch {
-                source: source.name().to_string(),
-            });
-        }
-        let index = self.sources.len();
-        for name in method_names {
-            let id = self
-                .methods
-                .by_name(name)
-                .map_err(|_| FederationError::UnknownMethod((*name).to_string()))?;
-            let slot = &mut self.route[id.index()];
-            if primary && !slot.is_empty() {
-                return Err(FederationError::DuplicateRoute {
-                    method: (*name).to_string(),
-                });
-            }
-            slot.push(index);
-        }
-        self.sources.push(source);
-        Ok(self)
+        Ok(AsyncFederationBuilder {
+            routes: self.routes.register(source, method_names, primary)?,
+            clock: self.clock,
+        })
     }
 
     /// Registers `source` as the primary server of the named methods. The
@@ -318,42 +207,19 @@ impl AsyncFederationBuilder {
     /// events fire when virtual time genuinely reaches them, not on a
     /// per-call pace heuristic (that heuristic exists only for the sync
     /// [`crate::Federation`], which has no executor clock).
-    pub fn with_chaos(mut self, mut options: ChaosOptions) -> Self {
+    pub fn with_chaos(self, mut options: ChaosOptions) -> Self {
         options.pace_micros_per_call = 0;
-        self.chaos = Some(options);
-        self
+        AsyncFederationBuilder {
+            routes: self.routes.with_chaos(options),
+            clock: self.clock,
+        }
     }
 
     /// Finalises the federation; every method must have a serving source.
     pub fn build(self) -> Result<AsyncFederation, FederationError> {
-        let unrouted: Vec<String> = self
-            .route
-            .iter()
-            .enumerate()
-            .filter(|(_, slot)| slot.is_empty())
-            .map(|(i, _)| {
-                self.methods
-                    .get(AccessMethodId(i as u32))
-                    .map(|m| m.name().to_string())
-                    .unwrap_or_else(|_| format!("#{i}"))
-            })
-            .collect();
-        if !unrouted.is_empty() {
-            return Err(FederationError::UnroutedMethods(unrouted));
-        }
-        let chaos = match self.chaos {
-            Some(options) => {
-                let names: Vec<&str> = self.sources.iter().map(|s| s.name()).collect();
-                Some(ChaosController::new(&options, &names, self.clock.clone())?)
-            }
-            None => None,
-        };
         Ok(AsyncFederation {
-            methods: self.methods,
+            routes: self.routes.build(self.clock.clone())?,
             clock: self.clock,
-            sources: self.sources,
-            route: self.route,
-            chaos,
         })
     }
 }
@@ -480,6 +346,8 @@ mod tests {
         let per_source = federation.per_source_stats();
         assert_eq!(per_source[0].0, "primary");
         assert_eq!(per_source[0].1.source.failures, 2);
+        assert_eq!(per_source[0].1.breaker_trips, 2);
+        assert_eq!(per_source[0].1.short_circuited, 1);
         let stats = chaos.stats();
         assert_eq!(stats.short_circuited, 1);
         assert_eq!(stats.breaker_trips, 2); // initial trip + failed probe
@@ -499,46 +367,5 @@ mod tests {
         }
         assert_eq!(federation.schema().relation_count(), 2);
         assert_eq!(federation.clock().now_micros(), 0);
-    }
-
-    #[test]
-    fn builder_rejects_bad_registrations() {
-        let (methods, inst) = setup();
-        let err = AsyncFederation::builder(methods.clone())
-            .simulated(
-                SimulatedSource::exact("s", inst.clone(), methods.clone()),
-                &["Nope"],
-            )
-            .unwrap_err();
-        assert!(matches!(err, FederationError::UnknownMethod(_)));
-        let err = AsyncFederation::builder(methods.clone())
-            .simulated(
-                SimulatedSource::exact("a", inst.clone(), methods.clone()),
-                &["RAcc"],
-            )
-            .unwrap()
-            .simulated(
-                SimulatedSource::exact("b", inst.clone(), methods.clone()),
-                &["RAcc"],
-            )
-            .unwrap_err();
-        assert!(matches!(err, FederationError::DuplicateRoute { .. }));
-        let err = AsyncFederation::builder(methods.clone())
-            .simulated(
-                SimulatedSource::exact("a", inst.clone(), methods.clone()),
-                &["RAcc"],
-            )
-            .unwrap()
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, FederationError::UnroutedMethods(_)));
-        let (other_methods, other_inst) = setup();
-        let err = AsyncFederation::builder(methods)
-            .simulated(
-                SimulatedSource::exact("other", other_inst, other_methods),
-                &["RAcc"],
-            )
-            .unwrap_err();
-        assert!(matches!(err, FederationError::SchemaMismatch { .. }));
     }
 }

@@ -1,24 +1,22 @@
-//! The async batch scheduler: the threaded
-//! [`BatchScheduler`](crate::BatchScheduler)'s merge loop, with batches
+//! The async executor: the threaded executor's merge loop, with batches
 //! realised as concurrently-polled futures on the hand-rolled mini-executor
 //! instead of scoped worker threads.
 //!
 //! # Determinism invariant, inherited
 //!
-//! [`AsyncBatchScheduler::run`] drives the *same*
-//! [`accrel_engine::MergeLoop`] as the threaded scheduler and the sequential
-//! engine — not equivalent code, the same state machine. Concurrency enters
-//! only inside the `fetch` callback: a predicted batch's accesses are
-//! spawned as tasks on a fresh [`Executor`] over the federation's shared
-//! [`VirtualClock`](crate::VirtualClock), gated by a FIFO [`Semaphore`] of
-//! `workers` permits (the in-flight cap),
+//! [`Async`] drives the *same* [`accrel_engine::MergeLoop`] as the
+//! threaded and sequential executors — not equivalent code, the same state
+//! machine. Concurrency enters only inside the `fetch` callback: a
+//! predicted batch's accesses are spawned as tasks on a fresh [`Executor`]
+//! over the federation's shared [`VirtualClock`](crate::VirtualClock),
+//! gated by a FIFO [`Semaphore`] of `workers` permits (the in-flight cap),
 //! and driven to completion before the merge loop consumes a single
 //! response. Responses are collected by *batch position*, never completion
 //! order, so for sources whose response is a deterministic function of the
 //! access — every adapter in this crate — an async run reports the same
 //! `access_sequence`, relevance-verdict log, answers and final
-//! configuration as the threaded scheduler and the sequential engine
-//! (pinned by the executor grid in `tests/federation_equivalence.rs`).
+//! configuration as the threaded and sequential executors (pinned by the
+//! executor grid in `tests/federation_equivalence.rs`).
 //!
 //! What changes is the *cost model*: simulated round trips are awaited on
 //! the virtual clock, so a batch's virtual makespan is its critical path
@@ -28,75 +26,17 @@
 //! The F2 harness sweep reports this throughput-vs-in-flight curve.
 
 use accrel_access::{Access, Response};
-use accrel_engine::{MergeLoop, RunOptions, RunReport, RunRequest, Strategy};
-use accrel_query::Query;
+use accrel_engine::{MergeLoop, RunReport, RunRequest};
 use accrel_schema::Configuration;
 
 use crate::async_federation::AsyncFederation;
 use crate::error::SourceError;
 use crate::executor::{Executor, Semaphore};
 
-/// A federated engine executing relevance-verified batches as concurrently
-/// awaited futures while preserving the sequential engine's semantics (see
+/// The async executor: runs a [`RunRequest`] over an [`AsyncFederation`],
+/// awaiting each relevance-verified batch as concurrent futures on the
+/// virtual clock while preserving the sequential executor's semantics (see
 /// the module documentation).
-///
-/// The API is construction-only: build with [`AsyncBatchScheduler::new`] /
-/// [`AsyncBatchScheduler::with_options`], then [`AsyncBatchScheduler::run`].
-/// For running the same request under every strategy use
-/// [`accrel_engine::compare_strategies`] with the [`Async`] executor.
-#[derive(Debug)]
-pub struct AsyncBatchScheduler<'a> {
-    federation: &'a AsyncFederation,
-    query: Query,
-    strategy: Strategy,
-    options: RunOptions,
-}
-
-impl<'a> AsyncBatchScheduler<'a> {
-    /// Creates a scheduler for `query` over `federation` using `strategy`.
-    pub fn new(federation: &'a AsyncFederation, query: Query, strategy: Strategy) -> Self {
-        Self {
-            federation,
-            query,
-            strategy,
-            options: RunOptions::default(),
-        }
-    }
-
-    /// Replaces the run options.
-    pub fn with_options(mut self, options: RunOptions) -> Self {
-        self.options = options;
-        self
-    }
-
-    /// Runs the batched engine from `initial`. Everything in the report
-    /// matches the threaded [`crate::BatchScheduler`] (and therefore the
-    /// sequential engine) against sources returning the same responses;
-    /// only the wall clock and the federation's *virtual* clock tell the
-    /// runs apart.
-    pub fn run(&self, initial: &Configuration) -> RunReport {
-        let stats_before = self.federation.stats();
-        let chaos_before = self.federation.chaos().map(|c| c.stats());
-        let options = self.options.normalize();
-        let merge = MergeLoop::new(
-            &self.query,
-            self.strategy,
-            &options,
-            self.federation.methods(),
-            initial,
-        );
-        let mut report =
-            merge.run(|batch| fetch_batch_async(self.federation, batch, options.workers));
-        report.source_stats = self.federation.stats().since(&stats_before).source;
-        if let (Some(chaos), Some(before)) = (self.federation.chaos(), chaos_before) {
-            report.chaos = chaos.stats().since(&before);
-        }
-        report
-    }
-}
-
-/// The async batch executor: a [`RunRequest`] handed to an
-/// [`AsyncBatchScheduler`] over an [`AsyncFederation`] on the virtual clock.
 #[derive(Debug, Clone, Copy)]
 pub struct Async<'a> {
     federation: &'a AsyncFederation,
@@ -114,10 +54,28 @@ impl accrel_engine::Executor for Async<'_> {
         "async"
     }
 
+    /// Runs the batched loop from `initial`. Everything in the report
+    /// matches the threaded executor (and therefore the sequential one)
+    /// against sources returning the same responses; only the wall clock
+    /// and the federation's *virtual* clock tell the runs apart.
     fn execute(&self, request: &RunRequest, initial: &Configuration) -> RunReport {
-        AsyncBatchScheduler::new(self.federation, request.query.clone(), request.strategy)
-            .with_options(request.options.clone())
-            .run(initial)
+        let stats_before = self.federation.stats();
+        let chaos_before = self.federation.chaos().map(|c| c.stats());
+        let options = request.options.normalize();
+        let merge = MergeLoop::new(
+            &request.query,
+            request.strategy,
+            &options,
+            self.federation.methods(),
+            initial,
+        );
+        let mut report =
+            merge.run(|batch| fetch_batch_async(self.federation, batch, options.workers));
+        report.source_stats = self.federation.stats().since(&stats_before).source;
+        if let (Some(chaos), Some(before)) = (self.federation.chaos(), chaos_before) {
+            report.chaos = chaos.stats().since(&before);
+        }
+        report
     }
 
     fn reset_stats(&self) {
@@ -129,7 +87,7 @@ impl accrel_engine::Executor for Async<'_> {
 /// fresh mini-executor over the federation's clock, at most `in_flight`
 /// awaiting a source at once (FIFO semaphore, so the admission order is the
 /// batch order). The result vector is aligned with `batch` — task
-/// completion order never shows, exactly like the threaded scheduler's.
+/// completion order never shows, exactly like the threaded executor's.
 fn fetch_batch_async(
     federation: &AsyncFederation,
     batch: &[Access],
@@ -166,14 +124,25 @@ fn fetch_batch_async(
 mod tests {
     use super::*;
     use crate::async_source::BlockingSource;
-    use crate::scheduler::BatchScheduler;
     use crate::source::{FlakyModel, LatencyModel, SimulatedSource};
-    use crate::Federation;
+    use crate::{Federation, Threaded};
     use accrel_core::SearchBudget;
-    use accrel_engine::scenarios::bank_scenario;
-    use accrel_engine::{DeepWebSource, FederatedEngine, ResponsePolicy};
+    use accrel_engine::scenarios::{bank_scenario, Scenario};
+    use accrel_engine::{DeepWebSource, ResponsePolicy, RunOptions, Sequential, Strategy};
 
-    fn bank_source(scenario: &accrel_engine::scenarios::Scenario) -> SimulatedSource {
+    fn run(
+        executor: &dyn accrel_engine::Executor,
+        scenario: &Scenario,
+        strategy: Strategy,
+        options: RunOptions,
+    ) -> RunReport {
+        let request = RunRequest::new(scenario.query.clone())
+            .with_strategy(strategy)
+            .with_options(options);
+        executor.execute(&request, &scenario.initial_configuration)
+    }
+
+    fn bank_source(scenario: &Scenario) -> SimulatedSource {
         SimulatedSource::exact("bank", scenario.instance.clone(), scenario.methods.clone())
             .with_latency(LatencyModel {
                 base_micros: 100,
@@ -194,17 +163,23 @@ mod tests {
         );
         let federation = AsyncFederation::single_simulated(bank_source(&scenario));
         for strategy in Strategy::all() {
-            let sequential =
-                FederatedEngine::new(&sequential_source, scenario.query.clone(), strategy)
-                    .run(&scenario.initial_configuration);
+            let sequential = run(
+                &Sequential::new(&sequential_source),
+                &scenario,
+                strategy,
+                RunOptions::default(),
+            );
             federation.reset_stats();
-            let batched = AsyncBatchScheduler::new(&federation, scenario.query.clone(), strategy)
-                .with_options(RunOptions {
+            let batched = run(
+                &Async::new(&federation),
+                &scenario,
+                strategy,
+                RunOptions {
                     batch_size: 4,
                     workers: 3,
                     ..RunOptions::default()
-                })
-                .run(&scenario.initial_configuration);
+                },
+            );
             assert_eq!(batched.access_sequence, sequential.access_sequence);
             assert_eq!(batched.certain, sequential.certain);
             assert_eq!(batched.answers, sequential.answers);
@@ -224,14 +199,16 @@ mod tests {
         for in_flight in [1usize, 4] {
             let federation = AsyncFederation::single_simulated(bank_source(&scenario));
             let before = federation.clock().now_micros();
-            let report =
-                AsyncBatchScheduler::new(&federation, scenario.query.clone(), Strategy::Exhaustive)
-                    .with_options(RunOptions {
-                        batch_size: 8,
-                        workers: in_flight,
-                        ..RunOptions::default()
-                    })
-                    .run(&scenario.initial_configuration);
+            let report = run(
+                &Async::new(&federation),
+                &scenario,
+                Strategy::Exhaustive,
+                RunOptions {
+                    batch_size: 8,
+                    workers: in_flight,
+                    ..RunOptions::default()
+                },
+            );
             assert!(report.certain);
             elapsed.push((report, federation.clock().now_micros() - before));
         }
@@ -268,19 +245,24 @@ mod tests {
         );
         let federation = AsyncFederation::single_simulated(bank_source(&scenario));
         for strategy in [Strategy::LtrGuided, Strategy::Hybrid] {
-            let sequential =
-                FederatedEngine::new(&sequential_source, scenario.query.clone(), strategy)
-                    .with_options(engine_options.clone())
-                    .run(&scenario.initial_configuration);
+            let sequential = run(
+                &Sequential::new(&sequential_source),
+                &scenario,
+                strategy,
+                engine_options.clone(),
+            );
             federation.reset_stats();
-            let batched = AsyncBatchScheduler::new(&federation, scenario.query.clone(), strategy)
-                .with_options(RunOptions {
+            let batched = run(
+                &Async::new(&federation),
+                &scenario,
+                strategy,
+                RunOptions {
                     batch_size: 3,
                     workers: 2,
                     speculation: accrel_engine::SpeculationMode::Eager,
                     ..engine_options.clone()
-                })
-                .run(&scenario.initial_configuration);
+                },
+            );
             assert_eq!(batched.access_sequence, sequential.access_sequence);
             assert_eq!(batched.relevance_verdicts, sequential.relevance_verdicts);
             assert!(batched
@@ -311,31 +293,25 @@ mod tests {
             .with_latency(LatencyModel::recorded(50))
             .with_flaky(flaky.clone())
         };
+        let options = RunOptions {
+            batch_size: 4,
+            workers: 2,
+            ..RunOptions::default()
+        };
         let threaded_federation = Federation::single(build());
-        let threaded = BatchScheduler::new(
-            &threaded_federation,
-            scenario.query.clone(),
+        let threaded = run(
+            &Threaded::new(&threaded_federation),
+            &scenario,
             Strategy::Exhaustive,
-        )
-        .with_options(RunOptions {
-            batch_size: 4,
-            workers: 2,
-            ..RunOptions::default()
-        })
-        .run(&scenario.initial_configuration);
-
+            options.clone(),
+        );
         let async_federation = AsyncFederation::single_simulated(build());
-        let asynced = AsyncBatchScheduler::new(
-            &async_federation,
-            scenario.query.clone(),
+        let asynced = run(
+            &Async::new(&async_federation),
+            &scenario,
             Strategy::Exhaustive,
-        )
-        .with_options(RunOptions {
-            batch_size: 4,
-            workers: 2,
-            ..RunOptions::default()
-        })
-        .run(&scenario.initial_configuration);
+            options,
+        );
 
         // Every call failed on both paths, and the split is identical.
         assert_eq!(threaded.source_stats, asynced.source_stats);
@@ -368,16 +344,19 @@ mod tests {
             })
         };
         let threaded_federation = Federation::single(build());
-        let threaded = BatchScheduler::new(
-            &threaded_federation,
-            scenario.query.clone(),
+        let threaded = run(
+            &Threaded::new(&threaded_federation),
+            &scenario,
             Strategy::Hybrid,
-        )
-        .run(&scenario.initial_configuration);
+            RunOptions::default(),
+        );
         let async_federation = AsyncFederation::single_simulated(build());
-        let asynced =
-            AsyncBatchScheduler::new(&async_federation, scenario.query.clone(), Strategy::Hybrid)
-                .run(&scenario.initial_configuration);
+        let asynced = run(
+            &Async::new(&async_federation),
+            &scenario,
+            Strategy::Hybrid,
+            RunOptions::default(),
+        );
         assert!(threaded.certain && asynced.certain);
         assert_eq!(threaded.source_stats, asynced.source_stats);
         assert_eq!(
@@ -388,8 +367,8 @@ mod tests {
         assert!(asynced.source_stats.retries > 0);
     }
 
-    /// Satellite: dropping the executor mid-batch (what dropping a
-    /// scheduler mid-run amounts to — the batch futures die with it) leaks
+    /// Satellite: dropping the executor mid-batch (what dropping a run
+    /// mid-batch amounts to — the batch futures die with it) leaks
     /// no tasks or timers and leaves the federation consistent for the next
     /// run.
     #[test]
@@ -434,11 +413,18 @@ mod tests {
             scenario.methods.clone(),
             ResponsePolicy::Exact,
         );
-        let sequential =
-            FederatedEngine::new(&sequential_source, scenario.query.clone(), Strategy::Hybrid)
-                .run(&scenario.initial_configuration);
-        let rerun = AsyncBatchScheduler::new(&federation, scenario.query.clone(), Strategy::Hybrid)
-            .run(&scenario.initial_configuration);
+        let sequential = run(
+            &Sequential::new(&sequential_source),
+            &scenario,
+            Strategy::Hybrid,
+            RunOptions::default(),
+        );
+        let rerun = run(
+            &Async::new(&federation),
+            &scenario,
+            Strategy::Hybrid,
+            RunOptions::default(),
+        );
         assert_eq!(rerun.access_sequence, sequential.access_sequence);
         assert!(rerun
             .final_configuration
@@ -453,9 +439,12 @@ mod tests {
             scenario.instance.clone(),
             scenario.methods.clone(),
         )));
-        let report =
-            AsyncBatchScheduler::new(&federation, scenario.query.clone(), Strategy::Exhaustive)
-                .run(&scenario.initial_configuration);
+        let report = run(
+            &Async::new(&federation),
+            &scenario,
+            Strategy::Exhaustive,
+            RunOptions::default(),
+        );
         assert!(report.certain);
         assert_eq!(federation.clock().now_micros(), 0);
         assert!(report.source_stats.calls >= report.accesses_made);

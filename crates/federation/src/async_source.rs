@@ -18,12 +18,10 @@
 //!   happens differs (virtual awaits instead of a `thread::sleep`). The
 //!   `LatencyModel::sleep` flag is ignored here: the async runtime never
 //!   sleeps for real.
-//! * [`BlockingSource`] lifts any synchronous [`Source`] (notably
-//!   [`PolicySource`](crate::PolicySource), and with it every
-//!   `accrel_engine::ResponsePolicy`) into an `AsyncSource` whose futures
-//!   complete on their first poll without advancing the virtual clock —
-//!   correct for sources whose cost model is "instant", and the bridge that
-//!   lets the async equivalence grid reuse the engine's policies verbatim.
+//! * [`BlockingSource`] lifts any synchronous [`Source`] into an
+//!   `AsyncSource` whose futures complete on their first poll without
+//!   advancing the virtual clock — correct for sources whose cost model is
+//!   "instant" (optionally with one injected virtual round trip per call).
 
 use std::future::Future;
 use std::pin::Pin;
@@ -45,7 +43,7 @@ pub type SourceFuture<'a> = Pin<Box<dyn Future<Output = Result<Response, SourceE
 /// only by awaiting [`AsyncSource::call`]. The contract mirrors [`Source`]
 /// member for member; implementations whose response is a deterministic
 /// function of the access alone (every adapter in this crate) inherit the
-/// batch scheduler's sequential-equivalence guarantee.
+/// executors' sequential-equivalence guarantee.
 ///
 /// **Suspension contract:** the runtime driving these futures is the
 /// single-threaded mini-executor, which advances the shared
@@ -54,7 +52,7 @@ pub type SourceFuture<'a> = Pin<Box<dyn Future<Output = Result<Response, SourceE
 /// (directly or transitively through [`VirtualClock::sleep`] /
 /// [`crate::Semaphore`]) or resolve without suspending — a future woken
 /// from another thread (real I/O, a channel) is reported as stuck by
-/// [`crate::Executor::run`] and fails the async scheduler's run with a
+/// [`crate::Executor::run`] and fails the `Async` executor's run with a
 /// panic. Bridging genuinely external work needs a reactor behind this
 /// trait (see the ROADMAP's "real async I/O" item); until then, wrap
 /// blocking sources in [`BlockingSource`].
@@ -239,9 +237,9 @@ impl<S: Source> AsyncSource for BlockingSource<S> {
 mod tests {
     use super::*;
     use crate::executor::Executor;
-    use crate::source::{FlakyModel, LatencyModel, PolicySource};
+    use crate::source::{FlakyModel, LatencyModel};
     use accrel_access::{binding, AccessMode};
-    use accrel_engine::{DeepWebSource, ResponsePolicy};
+    use accrel_engine::ResponsePolicy;
     use accrel_schema::{Instance, Schema};
 
     fn setup() -> (Instance, AccessMethods, Access) {
@@ -324,10 +322,8 @@ mod tests {
     #[test]
     fn blocking_source_bridges_policy_sources_without_time() {
         let (inst, methods, access) = setup();
-        let inner = PolicySource::new(
-            "policy",
-            DeepWebSource::new(inst, methods, ResponsePolicy::FirstK(4)),
-        );
+        let inner =
+            SimulatedSource::exact("policy", inst, methods).with_policy(ResponsePolicy::FirstK(4));
         let bridged = BlockingSource::new(inner);
         assert_eq!(bridged.name(), "policy");
         let clock = VirtualClock::new();
@@ -342,10 +338,7 @@ mod tests {
     #[test]
     fn blocking_source_with_virtual_latency_advances_the_clock() {
         let (inst, methods, access) = setup();
-        let inner = PolicySource::new(
-            "policy",
-            DeepWebSource::new(inst, methods, ResponsePolicy::Exact),
-        );
+        let inner = SimulatedSource::exact("policy", inst, methods);
         let clock = VirtualClock::new();
         let bridged = BlockingSource::new(inner)
             .with_virtual_latency(LatencyModel::recorded(250), clock.clone());

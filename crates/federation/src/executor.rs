@@ -2,7 +2,7 @@
 //! mini-executor with a deterministic **virtual clock**.
 //!
 //! The federation's latency models describe *simulated* time; realising them
-//! with `thread::sleep` (as the threaded scheduler's throughput harness
+//! with `thread::sleep` (as the threaded executor's throughput harness
 //! does) makes every measurement wall-clock-bound and every test slow. The
 //! async runtime replaces real sleeps with a [`VirtualClock`]: `sleep`
 //! futures register `(deadline, registration-sequence)` entries in a timer
@@ -25,12 +25,12 @@
 //!   no-op on a queue nobody drains). The ready queue is strict FIFO and a
 //!   task re-waking itself goes to the back, so many ready tasks make
 //!   round-robin progress (fairness is pinned by a unit test).
-//! * [`Semaphore`] — a FIFO async semaphore; the async batch scheduler uses
+//! * [`Semaphore`] — a FIFO async semaphore; the `Async` executor uses
 //!   it to cap the number of in-flight source calls per batch, which is the
 //!   knob the F2 throughput sweep turns.
 //!
 //! The executor is deliberately *not* `'static`-only: [`Executor::spawn`]
-//! accepts futures borrowing from the caller's stack (the async scheduler
+//! accepts futures borrowing from the caller's stack (the `Async` executor
 //! spawns futures borrowing the federation), which is what lets the whole
 //! runtime live inside one synchronous `run` call.
 
@@ -244,7 +244,7 @@ impl Wake for TaskWaker {
 
 /// A single-threaded mini-executor over a [`VirtualClock`].
 ///
-/// `'env` is the lifetime tasks may borrow from: the async batch scheduler
+/// `'env` is the lifetime tasks may borrow from: the `Async` executor
 /// spawns futures that borrow the federation living on its caller's stack.
 /// Dropping the executor drops every unfinished task (their `Sleep` timers
 /// deregister themselves), so abandoning a run mid-batch leaks nothing.

@@ -5,9 +5,10 @@ use std::sync::Arc;
 use accrel_access::{Access, AccessMethodId, AccessMethods, Response};
 use accrel_schema::Schema;
 
-use crate::chaos::{ChaosController, ChaosOptions, Gate, ModelSwap};
+use crate::chaos::{ChaosController, ChaosOptions};
 use crate::error::{FederationError, SourceError};
 use crate::executor::VirtualClock;
+use crate::routing::{Routes, RoutesBuilder, WalkStep};
 use crate::source::{BackendStats, Source};
 
 /// A registry of autonomous sources sharing one access-method registry,
@@ -17,86 +18,55 @@ use crate::source::{BackendStats, Source};
 /// single `ACS`, but each access is answered by the provider that owns the
 /// form — or, when a [`ChaosController`] marks the primary dead or
 /// open-circuit, by the next replica in its route (see [`crate::chaos`]).
+#[derive(Debug)]
 pub struct Federation {
-    methods: AccessMethods,
-    sources: Vec<Box<dyn Source>>,
-    /// Method index → ordered replica set (source indices, primary first).
-    route: Vec<Vec<usize>>,
-    chaos: Option<ChaosController>,
-}
-
-impl std::fmt::Debug for Federation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Federation")
-            .field("methods", &self.methods.len())
-            .field(
-                "sources",
-                &self.sources.iter().map(|s| s.name()).collect::<Vec<_>>(),
-            )
-            .field("route", &self.route)
-            .finish()
-    }
+    routes: Routes<dyn Source>,
 }
 
 impl Federation {
     /// Starts assembling a federation over `methods`.
     pub fn builder(methods: AccessMethods) -> FederationBuilder {
-        let method_count = methods.len();
         FederationBuilder {
-            methods,
-            sources: Vec::new(),
-            route: vec![Vec::new(); method_count],
-            chaos: None,
+            routes: RoutesBuilder::new(methods),
         }
     }
 
     /// The common case of one source serving every method.
     pub fn single(source: impl Source + 'static) -> Self {
-        let methods = source.methods().clone();
-        let method_count = methods.len();
         Federation {
-            methods,
-            sources: vec![Box::new(source)],
-            route: vec![vec![0]; method_count],
-            chaos: None,
+            routes: Routes::single(Box::new(source)),
         }
     }
 
     /// The shared access-method registry.
     pub fn methods(&self) -> &AccessMethods {
-        &self.methods
+        self.routes.methods()
     }
 
     /// The schema the federation ranges over.
     pub fn schema(&self) -> &Arc<Schema> {
-        self.methods.schema()
+        self.routes.methods().schema()
     }
 
     /// Number of registered sources.
     pub fn source_count(&self) -> usize {
-        self.sources.len()
+        self.routes.source_count()
     }
 
     /// The primary source serving `method` (replicas, if any, sit behind
     /// it in the route — see [`Federation::replicas_for`]).
     pub fn source_for(&self, method: AccessMethodId) -> Option<&dyn Source> {
-        self.route
-            .get(method.index())
-            .and_then(|r| r.first())
-            .map(|&i| self.sources[i].as_ref())
+        self.routes.replicas(method).next()
     }
 
     /// The full ordered replica set serving `method`, primary first.
     pub fn replicas_for(&self, method: AccessMethodId) -> Vec<&dyn Source> {
-        self.route
-            .get(method.index())
-            .map(|r| r.iter().map(|&i| self.sources[i].as_ref()).collect())
-            .unwrap_or_default()
+        self.routes.replicas(method).collect()
     }
 
     /// The chaos controller, when one is attached.
     pub fn chaos(&self) -> Option<&ChaosController> {
-        self.chaos.as_ref()
+        self.routes.chaos()
     }
 
     /// Routes an access along its replica set and executes it.
@@ -111,58 +81,18 @@ impl Federation {
     /// Access-layer errors ([`SourceError::Access`]) abort immediately: a
     /// malformed access fails identically on every replica.
     pub fn call(&self, access: &Access) -> Result<Response, SourceError> {
-        let route = self
-            .route
-            .get(access.method().index())
-            .filter(|r| !r.is_empty())
-            .ok_or_else(|| SourceError::Unavailable {
-                source: "<federation>".to_string(),
-                reason: format!("no source serves {}", access.method()),
-            })?;
-        let Some(chaos) = &self.chaos else {
-            return self.sources[route[0]].call(access);
-        };
-        for (idx, swap) in chaos.on_call() {
-            match swap {
-                ModelSwap::Latency(l) => self.sources[idx].set_latency(l),
-                ModelSwap::Flaky(f) => self.sources[idx].set_flaky(f),
+        let mut walk = self.routes.walk(access.method());
+        loop {
+            match walk.step() {
+                WalkStep::Call(source) => walk.supply(source.call(access)),
+                WalkStep::Done(result) => return result,
             }
         }
-        let mut last_err: Option<SourceError> = None;
-        for (position, &source_idx) in route.iter().enumerate() {
-            match chaos.gate(source_idx) {
-                Gate::Dead | Gate::Open => continue,
-                Gate::Allow => {}
-            }
-            match self.sources[source_idx].call(access) {
-                Ok(response) => {
-                    chaos.record(source_idx, true);
-                    if position > 0 {
-                        chaos.note_failover();
-                    }
-                    return Ok(response);
-                }
-                Err(SourceError::Access(e)) => return Err(SourceError::Access(e)),
-                Err(err) => {
-                    chaos.record(source_idx, false);
-                    last_err = Some(err);
-                }
-            }
-        }
-        Err(last_err.unwrap_or_else(|| SourceError::Unavailable {
-            source: "<federation>".to_string(),
-            reason: format!(
-                "every replica of {} is dead or open-circuit",
-                access.method()
-            ),
-        }))
     }
 
     /// Aggregate statistics across every source.
     pub fn stats(&self) -> BackendStats {
-        self.sources
-            .iter()
-            .fold(BackendStats::default(), |acc, s| acc.merged(&s.stats()))
+        self.routes.stats()
     }
 
     /// Per-source statistics, in registration order. With a chaos
@@ -170,90 +100,32 @@ impl Federation {
     /// accounting ([`BackendStats::breaker_trips`] /
     /// [`BackendStats::short_circuited`]).
     pub fn per_source_stats(&self) -> Vec<(String, BackendStats)> {
-        self.sources
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                let mut stats = s.stats();
-                if let Some(chaos) = &self.chaos {
-                    let (trips, short_circuited) = chaos.per_source(i);
-                    stats.breaker_trips = trips;
-                    stats.short_circuited = short_circuited;
-                }
-                (s.name().to_string(), stats)
-            })
-            .collect()
+        self.routes.per_source_stats()
     }
 
     /// Resets every source's statistics.
     pub fn reset_stats(&self) {
-        for s in &self.sources {
-            s.reset_stats();
-        }
+        self.routes.reset_stats()
     }
 }
 
 /// Builder for [`Federation`].
+#[derive(Debug)]
 pub struct FederationBuilder {
-    methods: AccessMethods,
-    sources: Vec<Box<dyn Source>>,
-    route: Vec<Vec<usize>>,
-    chaos: Option<ChaosOptions>,
-}
-
-impl std::fmt::Debug for FederationBuilder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FederationBuilder")
-            .field("methods", &self.methods.len())
-            .field(
-                "sources",
-                &self.sources.iter().map(|s| s.name()).collect::<Vec<_>>(),
-            )
-            .field("route", &self.route)
-            .finish()
-    }
+    routes: RoutesBuilder<dyn Source>,
 }
 
 impl FederationBuilder {
-    fn register(
-        &mut self,
-        source: impl Source + 'static,
-        method_names: &[&str],
-        primary: bool,
-    ) -> Result<(), FederationError> {
-        if !Arc::ptr_eq(source.methods().schema(), self.methods.schema()) {
-            return Err(FederationError::SchemaMismatch {
-                source: source.name().to_string(),
-            });
-        }
-        let index = self.sources.len();
-        for name in method_names {
-            let id = self
-                .methods
-                .by_name(name)
-                .map_err(|_| FederationError::UnknownMethod((*name).to_string()))?;
-            let route = &mut self.route[id.index()];
-            if primary && !route.is_empty() {
-                return Err(FederationError::DuplicateRoute {
-                    method: (*name).to_string(),
-                });
-            }
-            route.push(index);
-        }
-        self.sources.push(Box::new(source));
-        Ok(())
-    }
-
     /// Registers `source` as the *primary* server of the named methods (at
     /// most one primary per method). The source must range over the same
     /// schema instance as the federation.
     pub fn source(
-        mut self,
+        self,
         source: impl Source + 'static,
         method_names: &[&str],
     ) -> Result<Self, FederationError> {
-        self.register(source, method_names, true)?;
-        Ok(self)
+        let routes = self.routes.register(Box::new(source), method_names, true)?;
+        Ok(FederationBuilder { routes })
     }
 
     /// Registers `source` as a *replica* of the named methods: it is
@@ -264,54 +136,31 @@ impl FederationBuilder {
     /// answer every access byte-for-byte like its primary: same hidden
     /// instance, same `ResponsePolicy` (same seed) — see [`crate::chaos`].
     pub fn replica(
-        mut self,
+        self,
         source: impl Source + 'static,
         method_names: &[&str],
     ) -> Result<Self, FederationError> {
-        self.register(source, method_names, false)?;
-        Ok(self)
+        let routes = self
+            .routes
+            .register(Box::new(source), method_names, false)?;
+        Ok(FederationBuilder { routes })
     }
 
     /// Attaches a chaos layer (churn script, circuit breakers, failover
     /// accounting). The script's source names are resolved at
     /// [`FederationBuilder::build`] time.
-    pub fn with_chaos(mut self, options: ChaosOptions) -> Self {
-        self.chaos = Some(options);
-        self
+    pub fn with_chaos(self, options: ChaosOptions) -> Self {
+        FederationBuilder {
+            routes: self.routes.with_chaos(options),
+        }
     }
 
     /// Finalises the federation; every method must have a serving source.
     pub fn build(self) -> Result<Federation, FederationError> {
-        let unrouted: Vec<String> = self
-            .route
-            .iter()
-            .enumerate()
-            .filter(|(_, route)| route.is_empty())
-            .map(|(i, _)| {
-                self.methods
-                    .get(AccessMethodId(i as u32))
-                    .map(|m| m.name().to_string())
-                    .unwrap_or_else(|_| format!("#{i}"))
-            })
-            .collect();
-        if !unrouted.is_empty() {
-            return Err(FederationError::UnroutedMethods(unrouted));
-        }
-        let chaos = match &self.chaos {
-            Some(options) => {
-                let names: Vec<&str> = self.sources.iter().map(|s| s.name()).collect();
-                // The sync federation has no executor-driven clock: the
-                // controller owns a private clock advanced by the pace.
-                Some(ChaosController::new(options, &names, VirtualClock::new())?)
-            }
-            None => None,
-        };
-        Ok(Federation {
-            methods: self.methods,
-            sources: self.sources,
-            route: self.route,
-            chaos,
-        })
+        // The sync federation has no executor-driven clock: the chaos
+        // controller owns a private clock advanced by the pace.
+        let routes = self.routes.build(VirtualClock::new())?;
+        Ok(Federation { routes })
     }
 }
 
@@ -376,50 +225,5 @@ mod tests {
             assert!(federation.source_for(id).is_some());
         }
         assert_eq!(federation.schema().relation_count(), 2);
-    }
-
-    #[test]
-    fn builder_rejects_bad_registrations() {
-        let (methods, inst) = setup();
-        // Unknown method name.
-        let err = Federation::builder(methods.clone())
-            .source(
-                SimulatedSource::exact("s", inst.clone(), methods.clone()),
-                &["Nope"],
-            )
-            .unwrap_err();
-        assert!(matches!(err, FederationError::UnknownMethod(_)));
-        // Duplicate route.
-        let err = Federation::builder(methods.clone())
-            .source(
-                SimulatedSource::exact("a", inst.clone(), methods.clone()),
-                &["RAcc"],
-            )
-            .unwrap()
-            .source(
-                SimulatedSource::exact("b", inst.clone(), methods.clone()),
-                &["RAcc"],
-            )
-            .unwrap_err();
-        assert!(matches!(err, FederationError::DuplicateRoute { .. }));
-        // Unrouted method at build time.
-        let err = Federation::builder(methods.clone())
-            .source(
-                SimulatedSource::exact("a", inst.clone(), methods.clone()),
-                &["RAcc"],
-            )
-            .unwrap()
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, FederationError::UnroutedMethods(_)));
-        // Schema mismatch.
-        let (other_methods, other_inst) = setup();
-        let err = Federation::builder(methods)
-            .source(
-                SimulatedSource::exact("other", other_inst, other_methods),
-                &["RAcc"],
-            )
-            .unwrap_err();
-        assert!(matches!(err, FederationError::SchemaMismatch { .. }));
     }
 }

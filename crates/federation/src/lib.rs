@@ -7,22 +7,14 @@
 //! * [`Source`] — a thread-safe deep-Web source. [`SimulatedSource`]
 //!   composes backend models (per-source [`LatencyModel`] distributions,
 //!   deterministic [`FlakyModel`] transient failures with retry accounting,
-//!   paged responses) over a hidden instance; [`PolicySource`] adapts the
-//!   engine crate's [`accrel_engine::DeepWebSource`] and its response
-//!   policies.
+//!   paged responses) over a hidden instance, answering exactly or through
+//!   one of the engine crate's [`accrel_engine::ResponsePolicy`]s.
 //! * [`Federation`] — the registry mapping access methods to the sources
 //!   that serve them, with per-source and aggregate [`BackendStats`].
-//! * [`BatchScheduler`] — drives the engine crate's
-//!   [`accrel_engine::MergeLoop`], executing its relevance-verified batches
-//!   of accesses concurrently through `std::thread::scope` while reporting
-//!   exactly the sequential engine's `access_sequence`, relevance verdicts,
-//!   certain answers and final configuration (see the loop's docs for the
-//!   determinism invariant).
-//! * [`parallel_relevance_sweep`] — fan-out evaluation of the (pure)
+//! * [`parallel_relevance_sweep_report`] — fan-out evaluation of the (pure)
 //!   relevance decision procedures across worker threads, each holding an
-//!   O(relations) copy-on-write snapshot of the configuration
-//!   ([`parallel_relevance_sweep_report`] additionally reports that no
-//!   worker copied a shard).
+//!   O(relations) copy-on-write snapshot of the configuration, reporting
+//!   that no worker copied a shard.
 //!
 //! ## The async runtime
 //!
@@ -37,15 +29,11 @@
 //!   [`AsyncSimulatedSource`] replays a [`SimulatedSource`]'s
 //!   latency/flaky-retry/paging models as awaitable state machines (one
 //!   virtual round trip per await), and [`BlockingSource`] lifts any sync
-//!   source (e.g. [`PolicySource`]) into a one-poll future.
+//!   source into a one-poll future.
 //! * [`AsyncFederation`] — the routing registry over async sources, owning
-//!   the shared virtual clock.
-//! * [`AsyncBatchScheduler`] — the *same* merge loop as [`BatchScheduler`]
-//!   and the sequential engine, with batches realised as concurrently-polled
-//!   futures capped by a FIFO [`Semaphore`] of `workers` permits; its
-//!   sequential equivalence is pinned by the async grid in
-//!   `tests/federation_equivalence.rs`, and `clock().now_micros()` measures
-//!   a run's simulated makespan (the F2 harness sweep).
+//!   the shared virtual clock. Both federations share one routing core
+//!   (replica table, registration checks, chaos layer, per-source stats
+//!   and the replica walk); only how a call is made differs.
 //!
 //! ## The serving layer
 //!
@@ -61,12 +49,18 @@
 //! ## Executors
 //!
 //! All execution layers answer the same [`accrel_engine::RunRequest`]
-//! through the [`accrel_engine::Executor`] trait: the engine crate's
-//! [`accrel_engine::Sequential`], this crate's [`Threaded`] (scoped-thread
-//! batches over a [`Federation`]), [`Async`] (virtual-clock futures over an
-//! [`AsyncFederation`]) and [`Serving`] (one session on
-//! the multi-tenant registry). The equivalence grid iterates executors, not
-//! bespoke scheduler APIs.
+//! through the [`accrel_engine::Executor`] trait, and all drive the engine
+//! crate's [`accrel_engine::MergeLoop`]: the engine crate's
+//! [`accrel_engine::Sequential`], this crate's [`Threaded`] (relevance-
+//! verified batches fetched on scoped threads over a [`Federation`]),
+//! [`Async`] (batches as concurrently-polled futures over an
+//! [`AsyncFederation`], capped by a FIFO [`Semaphore`] of `workers` permits;
+//! `clock().now_micros()` measures a run's simulated makespan, the F2
+//! harness sweep) and [`Serving`] (one session on the multi-tenant
+//! registry). Each reports exactly the sequential executor's access
+//! sequence, relevance verdicts, certain answers and final configuration
+//! (see the loop's determinism invariant); the equivalence grid in
+//! `tests/federation_equivalence.rs` iterates executors to pin it.
 //!
 //! Garrison & Lee-style actor simulations motivate the backend models:
 //! heterogeneous latency/failure behaviour makes the runtime measurable
@@ -83,13 +77,14 @@ mod error;
 pub mod executor;
 mod federation;
 pub mod journal;
+mod routing;
 pub mod scheduler;
 pub mod serving;
 mod source;
 mod sweep;
 
 pub use async_federation::{AsyncFederation, AsyncFederationBuilder};
-pub use async_scheduler::{Async, AsyncBatchScheduler};
+pub use async_scheduler::Async;
 pub use async_source::{AsyncSimulatedSource, AsyncSource, BlockingSource, SourceFuture};
 pub use chaos::{
     BreakerOptions, BreakerState, ChaosController, ChaosOptions, ChurnAction, ChurnEvent,
@@ -99,12 +94,7 @@ pub use error::{FederationError, SourceError};
 pub use executor::{yield_now, Executor, JoinHandle, Semaphore, Sleep, VirtualClock, YieldNow};
 pub use federation::{Federation, FederationBuilder};
 pub use journal::RunJournal;
-pub use scheduler::{BatchScheduler, Threaded};
+pub use scheduler::Threaded;
 pub use serving::{QuerySessionRegistry, Serving, ServingOptions, ServingReport, SessionReport};
-pub use source::{BackendStats, FlakyModel, LatencyModel, PolicySource, SimulatedSource, Source};
-pub use sweep::{parallel_relevance_sweep, parallel_relevance_sweep_report, SweepReport};
-
-/// Re-exported from `accrel-engine` so existing
-/// `accrel_federation::SpeculationMode` imports keep compiling now that the
-/// speculation knob lives on [`accrel_engine::RunOptions`].
-pub use accrel_engine::{InvalidationMode, SpeculationMode};
+pub use source::{BackendStats, FlakyModel, LatencyModel, SimulatedSource, Source};
+pub use sweep::{parallel_relevance_sweep_report, SweepReport};

@@ -1,89 +1,28 @@
-//! The batch scheduler: sequential semantics, concurrent execution.
+//! The threaded executor: sequential semantics, concurrent execution.
 //!
-//! [`BatchScheduler::run`] drives the engine crate's
+//! [`Threaded`] drives the engine crate's
 //! [`accrel_engine::MergeLoop`] — the run loop every executor shares — and
 //! realises each predicted batch by partitioning it across
 //! `std::thread::scope` workers. The loop consumes the responses in
 //! selection order, regardless of which worker finished first, so for
 //! sources whose response to an access is a deterministic function of the
-//! access alone — every [`crate::SimulatedSource`], and
-//! [`crate::PolicySource`] under every engine policy — a batched run reports
-//! the **same** `access_sequence`, relevance-verdict log, certain-answer
-//! verdict, answers and final configuration as the sequential engine (see
-//! the determinism invariant on [`accrel_engine::MergeLoop`]). Only the
-//! wall clock and the per-source call counts (speculative prefetches)
-//! differ; the equivalence grid in `tests/federation_equivalence.rs` pins
-//! every policy.
+//! access alone — every [`crate::SimulatedSource`], under every engine
+//! policy — a threaded run reports the **same** `access_sequence`,
+//! relevance-verdict log, certain-answer verdict, answers and final
+//! configuration as the sequential executor (see the determinism invariant
+//! on [`accrel_engine::MergeLoop`]). Only the wall clock and the per-source
+//! call counts (speculative prefetches) differ; the equivalence grid in
+//! `tests/federation_equivalence.rs` pins every policy.
 
-use accrel_engine::{MergeLoop, RunOptions, RunReport, RunRequest, Strategy};
-use accrel_query::Query;
+use accrel_engine::{MergeLoop, RunReport, RunRequest};
 use accrel_schema::Configuration;
 
 use crate::federation::Federation;
 
-/// A federated engine that executes relevance-verified batches of accesses
-/// concurrently while preserving the sequential engine's semantics (see the
-/// module documentation for the determinism invariant).
-///
-/// The API is construction-only: build with [`BatchScheduler::new`] /
-/// [`BatchScheduler::with_options`], then [`BatchScheduler::run`]. For
-/// running the same request under every strategy use
-/// [`accrel_engine::compare_strategies`] with the [`Threaded`] executor.
-#[derive(Debug)]
-pub struct BatchScheduler<'a> {
-    federation: &'a Federation,
-    query: Query,
-    strategy: Strategy,
-    options: RunOptions,
-}
-
-impl<'a> BatchScheduler<'a> {
-    /// Creates a scheduler for `query` over `federation` using `strategy`.
-    pub fn new(federation: &'a Federation, query: Query, strategy: Strategy) -> Self {
-        Self {
-            federation,
-            query,
-            strategy,
-            options: RunOptions::default(),
-        }
-    }
-
-    /// Replaces the run options.
-    pub fn with_options(mut self, options: RunOptions) -> Self {
-        self.options = options;
-        self
-    }
-
-    /// Runs the batched engine from `initial`. The returned report's
-    /// `batch_stats` describe the speculation traffic; everything else
-    /// matches what [`accrel_engine::FederatedEngine::run`] would report against sources
-    /// returning the same responses.
-    pub fn run(&self, initial: &Configuration) -> RunReport {
-        let stats_before = self.federation.stats();
-        let chaos_before = self.federation.chaos().map(|c| c.stats());
-        let options = self.options.normalize();
-        let merge = MergeLoop::new(
-            &self.query,
-            self.strategy,
-            &options,
-            self.federation.methods(),
-            initial,
-        );
-        // Responses come back aligned with the batch: thread completion
-        // order never shows.
-        let mut report = merge.run(|batch| {
-            crate::sweep::parallel_map(batch, options.workers, |a| self.federation.call(a))
-        });
-        report.source_stats = self.federation.stats().since(&stats_before).source;
-        if let (Some(chaos), Some(before)) = (self.federation.chaos(), chaos_before) {
-            report.chaos = chaos.stats().since(&before);
-        }
-        report
-    }
-}
-
-/// The threaded batch executor: a [`RunRequest`] handed to a
-/// [`BatchScheduler`] over a [`Federation`] of thread-safe sources.
+/// The threaded executor: runs a [`RunRequest`] over a [`Federation`] of
+/// thread-safe sources, fetching each relevance-verified batch of accesses
+/// concurrently while preserving the sequential executor's semantics (see
+/// the module documentation for the determinism invariant).
 #[derive(Debug, Clone, Copy)]
 pub struct Threaded<'a> {
     federation: &'a Federation,
@@ -101,10 +40,32 @@ impl accrel_engine::Executor for Threaded<'_> {
         "threaded"
     }
 
+    /// Runs the batched loop from `initial`. The report's `batch_stats`
+    /// describe the speculation traffic and `chaos` the federation's churn
+    /// and failover activity during the run; everything else matches what
+    /// the sequential executor reports against sources returning the same
+    /// responses.
     fn execute(&self, request: &RunRequest, initial: &Configuration) -> RunReport {
-        BatchScheduler::new(self.federation, request.query.clone(), request.strategy)
-            .with_options(request.options.clone())
-            .run(initial)
+        let stats_before = self.federation.stats();
+        let chaos_before = self.federation.chaos().map(|c| c.stats());
+        let options = request.options.normalize();
+        let merge = MergeLoop::new(
+            &request.query,
+            request.strategy,
+            &options,
+            self.federation.methods(),
+            initial,
+        );
+        // Responses come back aligned with the batch: thread completion
+        // order never shows.
+        let mut report = merge.run(|batch| {
+            crate::sweep::parallel_map(batch, options.workers, |a| self.federation.call(a))
+        });
+        report.source_stats = self.federation.stats().since(&stats_before).source;
+        if let (Some(chaos), Some(before)) = (self.federation.chaos(), chaos_before) {
+            report.chaos = chaos.stats().since(&before);
+        }
+        report
     }
 
     fn reset_stats(&self) {
@@ -116,10 +77,13 @@ impl accrel_engine::Executor for Threaded<'_> {
 mod tests {
     use super::*;
     use crate::source::{FlakyModel, LatencyModel, SimulatedSource};
-    use accrel_engine::scenarios::bank_scenario;
-    use accrel_engine::{DeepWebSource, FederatedEngine, ResponsePolicy, SpeculationMode};
+    use accrel_engine::scenarios::{bank_scenario, Scenario};
+    use accrel_engine::{
+        DeepWebSource, Executor as _, ResponsePolicy, RunOptions, Sequential, SpeculationMode,
+        Strategy,
+    };
 
-    fn bank_federation() -> (Federation, accrel_engine::scenarios::Scenario) {
+    fn bank_federation() -> (Federation, Scenario) {
         let scenario = bank_scenario();
         let federation = Federation::single(SimulatedSource::exact(
             "bank",
@@ -129,11 +93,27 @@ mod tests {
         (federation, scenario)
     }
 
+    fn run(
+        executor: &dyn accrel_engine::Executor,
+        scenario: &Scenario,
+        strategy: Strategy,
+        options: RunOptions,
+    ) -> RunReport {
+        let request = RunRequest::new(scenario.query.clone())
+            .with_strategy(strategy)
+            .with_options(options);
+        executor.execute(&request, &scenario.initial_configuration)
+    }
+
     #[test]
     fn batched_run_answers_the_bank_query() {
         let (federation, scenario) = bank_federation();
-        let report = BatchScheduler::new(&federation, scenario.query.clone(), Strategy::Exhaustive)
-            .run(&scenario.initial_configuration);
+        let report = run(
+            &Threaded::new(&federation),
+            &scenario,
+            Strategy::Exhaustive,
+            RunOptions::default(),
+        );
         assert!(report.certain);
         assert!(report.accesses_made > 0);
         assert!(report.batch_stats.batches > 0);
@@ -153,17 +133,23 @@ mod tests {
             ResponsePolicy::Exact,
         );
         for strategy in Strategy::all() {
-            let sequential =
-                FederatedEngine::new(&sequential_source, scenario.query.clone(), strategy)
-                    .run(&scenario.initial_configuration);
+            let sequential = run(
+                &Sequential::new(&sequential_source),
+                &scenario,
+                strategy,
+                RunOptions::default(),
+            );
             federation.reset_stats();
-            let batched = BatchScheduler::new(&federation, scenario.query.clone(), strategy)
-                .with_options(RunOptions {
+            let batched = run(
+                &Threaded::new(&federation),
+                &scenario,
+                strategy,
+                RunOptions {
                     batch_size: 4,
                     workers: 3,
                     ..RunOptions::default()
-                })
-                .run(&scenario.initial_configuration);
+                },
+            );
             assert_eq!(batched.access_sequence, sequential.access_sequence);
             assert_eq!(batched.certain, sequential.certain);
             assert_eq!(batched.answers, sequential.answers);
@@ -187,8 +173,12 @@ mod tests {
                 })
                 .with_paging(2);
         let federation = Federation::single(source);
-        let report = BatchScheduler::new(&federation, scenario.query.clone(), Strategy::Hybrid)
-            .run(&scenario.initial_configuration);
+        let report = run(
+            &Threaded::new(&federation),
+            &scenario,
+            Strategy::Hybrid,
+            RunOptions::default(),
+        );
         assert!(report.certain);
         let stats = federation.stats();
         assert!(stats.pages_fetched >= stats.source.calls);
@@ -211,19 +201,24 @@ mod tests {
             ResponsePolicy::Exact,
         );
         for strategy in [Strategy::LtrGuided, Strategy::Hybrid] {
-            let sequential =
-                FederatedEngine::new(&sequential_source, scenario.query.clone(), strategy)
-                    .with_options(engine_options.clone())
-                    .run(&scenario.initial_configuration);
+            let sequential = run(
+                &Sequential::new(&sequential_source),
+                &scenario,
+                strategy,
+                engine_options.clone(),
+            );
             federation.reset_stats();
-            let batched = BatchScheduler::new(&federation, scenario.query.clone(), strategy)
-                .with_options(RunOptions {
+            let batched = run(
+                &Threaded::new(&federation),
+                &scenario,
+                strategy,
+                RunOptions {
                     batch_size: 3,
                     workers: 2,
                     speculation: SpeculationMode::Eager,
                     ..engine_options.clone()
-                })
-                .run(&scenario.initial_configuration);
+                },
+            );
             assert_eq!(batched.access_sequence, sequential.access_sequence);
             assert_eq!(batched.relevance_verdicts, sequential.relevance_verdicts);
             assert_eq!(batched.certain, sequential.certain);
@@ -236,13 +231,16 @@ mod tests {
     #[test]
     fn batch_size_one_disables_speculation() {
         let (federation, scenario) = bank_federation();
-        let report = BatchScheduler::new(&federation, scenario.query.clone(), Strategy::Exhaustive)
-            .with_options(RunOptions {
+        let report = run(
+            &Threaded::new(&federation),
+            &scenario,
+            Strategy::Exhaustive,
+            RunOptions {
                 batch_size: 1,
                 workers: 1,
                 ..RunOptions::default()
-            })
-            .run(&scenario.initial_configuration);
+            },
+        );
         assert!(report.certain);
         assert_eq!(report.batch_stats.batched_calls, report.batch_stats.batches);
         assert_eq!(report.batch_stats.speculative_wasted, 0);
@@ -252,15 +250,18 @@ mod tests {
     #[test]
     fn access_cap_bounds_prefetching_too() {
         let (federation, scenario) = bank_federation();
-        let report = BatchScheduler::new(&federation, scenario.query.clone(), Strategy::Exhaustive)
-            .with_options(RunOptions {
+        let report = run(
+            &Threaded::new(&federation),
+            &scenario,
+            Strategy::Exhaustive,
+            RunOptions {
                 max_accesses: 2,
                 batch_size: 16,
                 workers: 4,
                 speculation: SpeculationMode::CachedOnly,
                 ..RunOptions::default()
-            })
-            .run(&scenario.initial_configuration);
+            },
+        );
         assert_eq!(report.accesses_made, 2);
         // No batch may prefetch past the remaining access allowance.
         assert!(report.batch_stats.batched_calls <= 2 + report.batch_stats.speculative_wasted);
@@ -270,19 +271,16 @@ mod tests {
     fn threaded_executor_runs_requests_and_zero_workers_normalize() {
         let (federation, scenario) = bank_federation();
         let executor = Threaded::new(&federation);
-        use accrel_engine::Executor as _;
         assert_eq!(executor.name(), "threaded");
         // Regression for the centralized clamp: a zero-worker, zero-batch
         // request normalizes to 1/1 instead of panicking or dividing by
         // zero, and still answers the query.
-        let request = RunRequest::new(scenario.query.clone())
-            .with_strategy(Strategy::Exhaustive)
-            .with_options(RunOptions {
-                workers: 0,
-                batch_size: 0,
-                ..RunOptions::default()
-            });
-        let report = executor.execute(&request, &scenario.initial_configuration);
+        let options = RunOptions {
+            workers: 0,
+            batch_size: 0,
+            ..RunOptions::default()
+        };
+        let report = run(&executor, &scenario, Strategy::Exhaustive, options);
         assert!(report.certain);
         assert_eq!(report.batch_stats.workers, 1);
         assert_eq!(report.batch_stats.max_batch, 1);

@@ -677,10 +677,12 @@ impl<F: Future + Unpin> Future for JoinAll<F> {
 mod tests {
     use super::*;
     use crate::async_source::BlockingSource;
-    use crate::scheduler::BatchScheduler;
-    use crate::source::{LatencyModel, PolicySource};
+    use crate::source::{LatencyModel, SimulatedSource};
+    use crate::Threaded;
     use accrel_engine::scenarios::{bank_scenario, Scenario};
-    use accrel_engine::{DeepWebSource, ResponsePolicy, RunOptions, Strategy};
+    use accrel_engine::{
+        DeepWebSource, Executor as _, ResponsePolicy, RunOptions, Sequential, Strategy,
+    };
 
     /// The bank scenario behind an async federation whose (deterministic)
     /// source answers after a 100µs virtual round trip — long enough for
@@ -690,13 +692,10 @@ mod tests {
         let methods = scenario.methods.clone();
         let builder = AsyncFederation::builder(methods.clone());
         let clock = builder.clock().clone();
-        let source = BlockingSource::new(PolicySource::new(
+        let source = BlockingSource::new(SimulatedSource::exact(
             "bank",
-            DeepWebSource::new(
-                scenario.instance.clone(),
-                methods.clone(),
-                ResponsePolicy::Exact,
-            ),
+            scenario.instance.clone(),
+            methods.clone(),
         ))
         .with_virtual_latency(LatencyModel::recorded(100), clock);
         let names: Vec<&str> = methods.iter().map(|(_, m)| m.name()).collect();
@@ -727,12 +726,9 @@ mod tests {
             scenario.methods.clone(),
             ResponsePolicy::Exact,
         );
-        let sequential = accrel_engine::FederatedEngine::new(
-            &sequential_source,
-            scenario.query.clone(),
-            Strategy::Exhaustive,
-        )
-        .run(&scenario.initial_configuration);
+        let request = RunRequest::new(scenario.query.clone()).with_strategy(Strategy::Exhaustive);
+        let sequential =
+            Sequential::new(&sequential_source).execute(&request, &scenario.initial_configuration);
         for s in &report.sessions {
             assert!(s.report.certain);
             assert_eq!(s.report.access_sequence, sequential.access_sequence);
@@ -852,7 +848,6 @@ mod tests {
     fn serving_executor_answers_like_the_threaded_one() {
         let (federation, scenario) = bank_async_federation();
         let serving = Serving::new(&federation);
-        use accrel_engine::Executor as _;
         assert_eq!(serving.name(), "serving");
         let request = RunRequest::new(scenario.query.clone())
             .with_strategy(Strategy::Hybrid)
@@ -862,21 +857,13 @@ mod tests {
             });
         let report = serving.execute(&request, &scenario.initial_configuration);
 
-        let threaded_federation = crate::Federation::single(PolicySource::new(
+        let threaded_federation = crate::Federation::single(SimulatedSource::exact(
             "bank",
-            DeepWebSource::new(
-                scenario.instance.clone(),
-                scenario.methods.clone(),
-                ResponsePolicy::Exact,
-            ),
+            scenario.instance.clone(),
+            scenario.methods.clone(),
         ));
-        let threaded = BatchScheduler::new(
-            &threaded_federation,
-            scenario.query.clone(),
-            Strategy::Hybrid,
-        )
-        .with_options(request.options.clone())
-        .run(&scenario.initial_configuration);
+        let threaded =
+            Threaded::new(&threaded_federation).execute(&request, &scenario.initial_configuration);
         assert_eq!(report.access_sequence, threaded.access_sequence);
         assert_eq!(report.certain, threaded.certain);
         assert_eq!(report.relevance_verdicts, threaded.relevance_verdicts);

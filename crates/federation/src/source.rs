@@ -2,7 +2,7 @@
 //!
 //! [`Source`] abstracts the engine-facing contract of a deep-Web source —
 //! "answer this access with a sound response" — behind thread-safe
-//! implementations that the batch scheduler may call concurrently.
+//! implementations that the threaded executor may call concurrently.
 //!
 //! [`SimulatedSource`] composes three backend models over a hidden
 //! [`Instance`]:
@@ -18,21 +18,20 @@
 //!   simulated round trip.
 //!
 //! All three models affect *cost* (latency, retries, pages), never response
-//! *content*: a `SimulatedSource` always returns the exact matching tuples
-//! in sorted order, which is what lets the batch scheduler promise
-//! sequential-equivalent semantics under concurrency (see
-//! `crate::scheduler`). [`PolicySource`] adapts the single-threaded
-//! [`DeepWebSource`] behind a mutex for federations that want the engine
-//! crate's policies — all of which, since sound-sampling became hash-seeded
-//! per access (the same [`Access::stable_hash`] the backend models draw
-//! their jitter and flakiness from), answer a given access deterministically
-//! regardless of call order.
+//! *content*: a `SimulatedSource` returns the exact matching tuples in
+//! sorted order, optionally narrowed by one of the engine crate's response
+//! policies ([`SimulatedSource::with_policy`]) — each of which answers a
+//! given access deterministically regardless of call order (sound sampling
+//! is hash-seeded per access, from the same [`Access::stable_hash`] the
+//! backend models draw their jitter and flakiness from). That is what lets
+//! the threaded and async executors promise sequential-equivalent semantics
+//! under concurrency (see `crate::scheduler`).
 
 use std::sync::Mutex;
 use std::time::Duration;
 
 use accrel_access::{Access, AccessMethods, Response};
-use accrel_engine::{DeepWebSource, SourceStats};
+use accrel_engine::SourceStats;
 use accrel_schema::{Instance, Tuple};
 
 use crate::error::SourceError;
@@ -242,7 +241,7 @@ impl SimulatedSource {
 
     /// Answers accesses through `policy` instead of exactly. The selection
     /// is [`ResponsePolicy::apply`](accrel_engine::ResponsePolicy::apply) —
-    /// the same routine [`DeepWebSource`]
+    /// the same routine [`accrel_engine::DeepWebSource`]
     /// runs — so a `SimulatedSource` and a `DeepWebSource` over the same
     /// hidden instance with the same policy (same `SoundSample` seed) answer
     /// every access byte-for-byte identically. That makes policy-equipped
@@ -429,58 +428,6 @@ impl Source for SimulatedSource {
     }
 }
 
-/// Adapts the engine crate's single-threaded [`DeepWebSource`] — and with it
-/// every [`accrel_engine::ResponsePolicy`], sound-sampling included (now
-/// hash-seeded per access, hence order-insensitive) — behind a mutex. Calls
-/// serialise on the lock, so this adapter gains no concurrency; it exists so
-/// federations can mix policy sources with the simulated backends.
-#[derive(Debug)]
-pub struct PolicySource {
-    name: String,
-    methods: AccessMethods,
-    inner: Mutex<DeepWebSource>,
-}
-
-impl PolicySource {
-    /// Wraps `source` under `name`.
-    pub fn new(name: impl Into<String>, source: DeepWebSource) -> Self {
-        Self {
-            name: name.into(),
-            methods: source.methods().clone(),
-            inner: Mutex::new(source),
-        }
-    }
-}
-
-impl Source for PolicySource {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn methods(&self) -> &AccessMethods {
-        &self.methods
-    }
-
-    fn call(&self, access: &Access) -> Result<Response, SourceError> {
-        self.inner
-            .lock()
-            .expect("source poisoned")
-            .call(access)
-            .map_err(SourceError::Access)
-    }
-
-    fn stats(&self) -> BackendStats {
-        BackendStats {
-            source: self.inner.lock().expect("source poisoned").stats(),
-            ..BackendStats::default()
-        }
-    }
-
-    fn reset_stats(&self) {
-        self.inner.lock().expect("source poisoned").reset_stats();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -590,17 +537,26 @@ mod tests {
         assert_eq!(stats.simulated_latency_micros, 40);
     }
 
+    /// A policy-equipped simulated source answers and counts exactly like
+    /// the engine crate's `DeepWebSource` under the same policy.
     #[test]
-    fn policy_source_adapts_deep_web_source() {
+    fn with_policy_answers_like_the_deep_web_source() {
         let (inst, methods, access) = setup();
-        let inner = DeepWebSource::new(inst, methods, ResponsePolicy::FirstK(4));
-        let source = PolicySource::new("policy", inner);
-        let resp = source.call(&access).unwrap();
-        assert_eq!(resp.len(), 4);
-        assert_eq!(source.name(), "policy");
-        assert_eq!(source.stats().source.calls, 1);
-        source.reset_stats();
-        assert_eq!(source.stats().source.calls, 0);
+        for policy in [
+            ResponsePolicy::FirstK(4),
+            ResponsePolicy::SoundSample {
+                probability: 0.5,
+                seed: 9,
+            },
+        ] {
+            let deep =
+                accrel_engine::DeepWebSource::new(inst.clone(), methods.clone(), policy.clone());
+            let source =
+                SimulatedSource::exact("policy", inst.clone(), methods.clone()).with_policy(policy);
+            let resp = source.call(&access).unwrap();
+            assert_eq!(resp.tuples(), deep.call(&access).unwrap().tuples());
+            assert_eq!(source.stats().source, deep.stats());
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! The relevance decision procedures are pure functions of
 //! `(query, configuration, access, methods)`, so verdicts for a candidate
 //! set can be computed on any number of threads with results identical to
-//! the sequential order. [`parallel_relevance_sweep`] partitions the
+//! the sequential order. [`parallel_relevance_sweep_report`] partitions the
 //! candidates into contiguous chunks across `std::thread::scope` workers
 //! and returns the verdict vector aligned with the input — the harness uses
 //! it to measure relevance-check throughput across worker counts on the E5
@@ -26,7 +26,7 @@ use accrel_schema::Configuration;
 /// Applies `f` to every item, partitioned into contiguous chunks across at
 /// most `workers` scoped threads. The result vector is aligned with `items`
 /// — worker completion order never shows. Shared by the relevance sweep and
-/// the batch scheduler's fetch loop.
+/// the threaded executor's fetch loop.
 pub(crate) fn parallel_map<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
 where
     T: Sync,
@@ -90,13 +90,6 @@ pub fn parallel_relevance_sweep_report(
     budget: &SearchBudget,
     workers: usize,
 ) -> SweepReport {
-    // Force the query's cached UCQ expansion before fanning out, so worker
-    // threads share it instead of racing to build it.
-    let _ = query.ucq();
-    let check = |snap: &Configuration, access: &Access| match kind {
-        RelevanceKind::Immediate => is_immediately_relevant(query, snap, access, methods),
-        RelevanceKind::LongTerm => is_long_term_relevant(query, snap, access, methods, budget),
-    };
     if candidates.is_empty() {
         return SweepReport {
             verdicts: Vec::new(),
@@ -104,66 +97,38 @@ pub fn parallel_relevance_sweep_report(
             worker_shard_copies: 0,
         };
     }
+    // Force the query's cached UCQ expansion before fanning out, so worker
+    // threads share it instead of racing to build it.
+    let _ = query.ucq();
     // 0 workers is promoted to 1; never more workers than candidates. The
     // clamp is the engine-wide one, so every layer agrees on the edge cases.
     let workers = RunOptions::clamp_workers(workers, candidates.len());
-    if workers <= 1 {
+    let chunks: Vec<&[Access]> = candidates
+        .chunks(candidates.len().div_ceil(workers))
+        .collect();
+    let swept = parallel_map(&chunks, workers, |chunk| {
+        // The snapshot is O(relations); the worker owns it outright.
         let snap = conf.snapshot();
         let before = snap.shard_copies();
-        let verdicts = candidates.iter().map(|a| check(&snap, a)).collect();
-        return SweepReport {
-            verdicts,
-            snapshots: 1,
-            worker_shard_copies: snap.shard_copies() - before,
-        };
-    }
-    let mut results: Vec<Option<bool>> = Vec::with_capacity(candidates.len());
-    results.resize_with(candidates.len(), || None);
-    let chunk = candidates.len().div_ceil(workers);
-    let mut copies: Vec<u64> = Vec::new();
-    let mut snapshots = 0usize;
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (chunk_items, out) in candidates.chunks(chunk).zip(results.chunks_mut(chunk)) {
-            // The snapshot is O(relations); the worker owns it outright.
-            let snap = conf.snapshot();
-            snapshots += 1;
-            let check = &check;
-            handles.push(scope.spawn(move || {
-                let before = snap.shard_copies();
-                for (item, slot) in chunk_items.iter().zip(out) {
-                    *slot = Some(check(&snap, item));
+        let verdicts: Vec<bool> = chunk
+            .iter()
+            .map(|access| match kind {
+                RelevanceKind::Immediate => is_immediately_relevant(query, &snap, access, methods),
+                RelevanceKind::LongTerm => {
+                    is_long_term_relevant(query, &snap, access, methods, budget)
                 }
-                snap.shard_copies() - before
-            }));
-        }
-        for handle in handles {
-            copies.push(handle.join().expect("sweep worker panicked"));
-        }
+            })
+            .collect();
+        (verdicts, snap.shard_copies() - before)
     });
     SweepReport {
-        verdicts: results
+        snapshots: swept.len(),
+        worker_shard_copies: swept.iter().map(|(_, copies)| copies).sum(),
+        verdicts: swept
             .into_iter()
-            .map(|r| r.expect("every slot written by its worker"))
+            .flat_map(|(verdicts, _)| verdicts)
             .collect(),
-        snapshots,
-        worker_shard_copies: copies.into_iter().sum(),
     }
-}
-
-/// [`parallel_relevance_sweep_report`] returning the verdicts alone (the
-/// historical signature).
-pub fn parallel_relevance_sweep(
-    query: &Query,
-    conf: &Configuration,
-    candidates: &[Access],
-    methods: &AccessMethods,
-    kind: RelevanceKind,
-    budget: &SearchBudget,
-    workers: usize,
-) -> Vec<bool> {
-    parallel_relevance_sweep_report(query, conf, candidates, methods, kind, budget, workers)
-        .verdicts
 }
 
 #[cfg(test)]
@@ -183,7 +148,7 @@ mod tests {
             well_formed_accesses(&conf, &scenario.methods, &EnumerationOptions::default());
         assert!(candidates.len() > 1);
         let budget = accrel_core::SearchBudget::default();
-        let baseline = parallel_relevance_sweep(
+        let baseline = parallel_relevance_sweep_report(
             &scenario.query,
             &conf,
             &candidates,
@@ -191,9 +156,10 @@ mod tests {
             RelevanceKind::Immediate,
             &budget,
             1,
-        );
+        )
+        .verdicts;
         for workers in [2, 4, 7] {
-            let parallel = parallel_relevance_sweep(
+            let parallel = parallel_relevance_sweep_report(
                 &scenario.query,
                 &conf,
                 &candidates,
@@ -201,7 +167,8 @@ mod tests {
                 RelevanceKind::Immediate,
                 &budget,
                 workers,
-            );
+            )
+            .verdicts;
             assert_eq!(parallel, baseline, "workers={workers}");
         }
         // The sequential procedures agree entry by entry.
@@ -289,7 +256,7 @@ mod tests {
         let candidates =
             well_formed_accesses(&conf, &scenario.methods, &EnumerationOptions::default());
         let budget = accrel_core::SearchBudget::shallow();
-        let verdicts = parallel_relevance_sweep(
+        let verdicts = parallel_relevance_sweep_report(
             &scenario.query,
             &conf,
             &candidates,
@@ -297,7 +264,8 @@ mod tests {
             RelevanceKind::LongTerm,
             &budget,
             4,
-        );
+        )
+        .verdicts;
         assert_eq!(verdicts.len(), candidates.len());
         // The bank scenario always has at least one long-term relevant
         // access at the start (the chase can begin).

@@ -7,7 +7,7 @@
 //! degrades the primary provider mid-run while a replica stands by. The
 //! fuzzer runs the scenario through every concurrent execution layer —
 //! threaded, async and serving — and compares each report field-by-field
-//! against the sequential engine ([`run_case`]). Because replica failover
+//! against the sequential executor ([`run_case`]). Because replica failover
 //! is supposed to *hide* churn (replicas answer under the same
 //! [`ResponsePolicy`] seed, so a failed-over access returns byte-for-byte
 //! the primary's response), any divergence is a bug in the resilience
@@ -28,12 +28,12 @@ use std::fmt;
 
 use accrel_core::SearchBudget;
 use accrel_engine::{
-    ChaosStats, DeepWebSource, Executor as _, FederatedEngine, InvalidationMode, ResponsePolicy,
-    RunOptions, RunReport, RunRequest, Strategy, VerdictRecord,
+    ChaosStats, DeepWebSource, Executor, InvalidationMode, ResponsePolicy, RunOptions, RunReport,
+    RunRequest, Sequential, Strategy, VerdictRecord,
 };
 use accrel_federation::{
-    AsyncBatchScheduler, AsyncFederation, BatchScheduler, ChaosOptions, ChurnScript, Federation,
-    FlakyModel, LatencyModel, Serving, SimulatedSource,
+    Async, AsyncFederation, ChaosOptions, ChurnScript, Federation, FlakyModel, LatencyModel,
+    Serving, SimulatedSource, Threaded,
 };
 use accrel_query::Query;
 use accrel_schema::{Configuration, Instance};
@@ -281,12 +281,12 @@ pub fn run_case(case: &FuzzCase) -> CaseOutcome {
     let (workload, instance, initial, query) = case.materialize();
     let methods = workload.methods.clone();
     let names: Vec<&str> = methods.iter().map(|(_, m)| m.name()).collect();
-    let options = case.options();
+    let request = RunRequest::new(query)
+        .with_strategy(case.strategy)
+        .with_options(case.options());
 
     let oracle_source = DeepWebSource::new(instance.clone(), methods.clone(), case.policy.clone());
-    let oracle = FederatedEngine::new(&oracle_source, query.clone(), case.strategy)
-        .with_options(options.clone())
-        .run(&initial);
+    let oracle = Sequential::new(&oracle_source).execute(&request, &initial);
 
     // Both providers carry a (virtual) latency model from the start: the
     // async federations' chaos clocks only advance as awaited latencies
@@ -301,9 +301,18 @@ pub fn run_case(case: &FuzzCase) -> CaseOutcome {
             .with_policy(case.replica_policy())
             .with_latency(LatencyModel::recorded(25))
     };
-
-    let mut chaos = ChaosStats::default();
-    let mut divergence = None;
+    // The async and serving layers fire the chaos script on the
+    // federation's executor clock.
+    let chaotic_async = || {
+        AsyncFederation::builder(methods.clone())
+            .simulated(primary(), &names)
+            .expect("primary registers")
+            .simulated_replica(replica(), &names)
+            .expect("replica registers")
+            .with_chaos(ChaosOptions::scripted(case.script.clone(), 0))
+            .build()
+            .expect("federation builds")
+    };
 
     // Threaded: the sync federation paces the chaos clock per wire call.
     let threaded_federation = Federation::builder(methods.clone())
@@ -317,57 +326,25 @@ pub fn run_case(case: &FuzzCase) -> CaseOutcome {
         ))
         .build()
         .expect("federation builds");
-    let threaded = BatchScheduler::new(&threaded_federation, query.clone(), case.strategy)
-        .with_options(options.clone())
-        .run(&initial);
-    chaos = chaos.merged(&threaded.chaos);
-    if divergence.is_none() {
-        divergence = first_differing_field(&threaded, &oracle).map(|field| Divergence {
-            executor: "threaded",
-            field,
-        });
-    }
-
-    // Async: the chaos script fires on the federation's executor clock.
-    let async_federation = AsyncFederation::builder(methods.clone())
-        .simulated(primary(), &names)
-        .expect("primary registers")
-        .simulated_replica(replica(), &names)
-        .expect("replica registers")
-        .with_chaos(ChaosOptions::scripted(case.script.clone(), 0))
-        .build()
-        .expect("federation builds");
-    let asynced = AsyncBatchScheduler::new(&async_federation, query.clone(), case.strategy)
-        .with_options(options.clone())
-        .run(&initial);
-    chaos = chaos.merged(&asynced.chaos);
-    if divergence.is_none() {
-        divergence = first_differing_field(&asynced, &oracle).map(|field| Divergence {
-            executor: "async",
-            field,
-        });
-    }
-
+    let async_federation = chaotic_async();
     // Serving: one session on the multi-tenant registry, same chaos.
-    let serving_federation = AsyncFederation::builder(methods.clone())
-        .simulated(primary(), &names)
-        .expect("primary registers")
-        .simulated_replica(replica(), &names)
-        .expect("replica registers")
-        .with_chaos(ChaosOptions::scripted(case.script.clone(), 0))
-        .build()
-        .expect("federation builds");
+    let serving_federation = chaotic_async();
+    let threaded = Threaded::new(&threaded_federation);
+    let asynced = Async::new(&async_federation);
     let serving = Serving::new(&serving_federation);
-    let request = RunRequest::new(query)
-        .with_strategy(case.strategy)
-        .with_options(options);
-    let served = serving.execute(&request, &initial);
-    chaos = chaos.merged(&served.chaos);
-    if divergence.is_none() {
-        divergence = first_differing_field(&served, &oracle).map(|field| Divergence {
-            executor: "serving",
-            field,
-        });
+    let executors: [&dyn Executor; 3] = [&threaded, &asynced, &serving];
+
+    let mut chaos = ChaosStats::default();
+    let mut divergence = None;
+    for executor in executors {
+        let report = executor.execute(&request, &initial);
+        chaos = chaos.merged(&report.chaos);
+        if divergence.is_none() {
+            divergence = first_differing_field(&report, &oracle).map(|field| Divergence {
+                executor: executor.name(),
+                field,
+            });
+        }
     }
 
     CaseOutcome {
@@ -424,36 +401,27 @@ fn is_subsequence(needle: &[VerdictRecord], hay: &[VerdictRecord]) -> bool {
 ///   (the re-checks it skips are the only difference): precise ⊆ exact ⊆
 ///   relation-level;
 /// * misses and evictions are ordered precise ≤ exact ≤ relation-level;
-/// * the threaded scheduler under the case's churn script, running precise
+/// * the threaded executor under the case's churn script, running precise
 ///   invalidation (the default), still matches the sequential precise run
 ///   byte-for-byte.
 pub fn run_invalidation_case(case: &FuzzCase) -> InvalidationOutcome {
     let (workload, instance, initial, query) = case.materialize();
     let methods = workload.methods.clone();
     let names: Vec<&str> = methods.iter().map(|(_, m)| m.name()).collect();
-    let precise_options = RunOptions {
-        invalidation: InvalidationMode::Precise,
-        ..case.options()
-    };
-    let exact_options = RunOptions {
-        invalidation: InvalidationMode::Exact,
-        ..case.options()
-    };
-    let relation_options = RunOptions {
-        invalidation: InvalidationMode::RelationLevel,
-        ..case.options()
+    let request = |invalidation| {
+        RunRequest::new(query.clone())
+            .with_strategy(case.strategy)
+            .with_options(RunOptions {
+                invalidation,
+                ..case.options()
+            })
     };
 
     let source = DeepWebSource::new(instance.clone(), methods.clone(), case.policy.clone());
-    let precise = FederatedEngine::new(&source, query.clone(), case.strategy)
-        .with_options(precise_options.clone())
-        .run(&initial);
-    let exact = FederatedEngine::new(&source, query.clone(), case.strategy)
-        .with_options(exact_options)
-        .run(&initial);
-    let relation = FederatedEngine::new(&source, query.clone(), case.strategy)
-        .with_options(relation_options)
-        .run(&initial);
+    let sequential = Sequential::new(&source);
+    let precise = sequential.execute(&request(InvalidationMode::Precise), &initial);
+    let exact = sequential.execute(&request(InvalidationMode::Exact), &initial);
+    let relation = sequential.execute(&request(InvalidationMode::RelationLevel), &initial);
 
     let mut divergence = None;
     let mut diverge = |field: &'static str, broken: bool| {
@@ -498,7 +466,7 @@ pub fn run_invalidation_case(case: &FuzzCase) -> InvalidationOutcome {
         precise.evictions > exact.evictions || exact.evictions > relation.evictions,
     );
 
-    // Executor invariance under the new default: the threaded scheduler,
+    // Executor invariance under the new default: the threaded executor,
     // churned by the case's script, must still match the sequential
     // precise run field-for-field.
     let federation = Federation::builder(methods.clone())
@@ -522,9 +490,8 @@ pub fn run_invalidation_case(case: &FuzzCase) -> InvalidationOutcome {
         ))
         .build()
         .expect("federation builds");
-    let threaded = BatchScheduler::new(&federation, query, case.strategy)
-        .with_options(precise_options)
-        .run(&initial);
+    let threaded =
+        Threaded::new(&federation).execute(&request(InvalidationMode::Precise), &initial);
     if divergence.is_none() {
         divergence = first_differing_field(&threaded, &precise)
             .map(|field| InvalidationDivergence { field });

@@ -172,8 +172,15 @@ pub fn star_scenario(branches: usize) -> Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use accrel_engine::{DeepWebSource, FederatedEngine, ResponsePolicy, RunOptions, Strategy};
+    use accrel_engine::{
+        DeepWebSource, Executor as _, ResponsePolicy, RunReport, RunRequest, Sequential, Strategy,
+    };
     use accrel_query::certain;
+
+    fn run(s: &Scenario, source: &DeepWebSource, strategy: Strategy) -> RunReport {
+        let request = RunRequest::new(s.query.clone()).with_strategy(strategy);
+        Sequential::new(source).execute(&request, &s.initial_configuration)
+    }
 
     #[test]
     fn chain_scenarios_are_well_formed() {
@@ -209,8 +216,7 @@ mod tests {
         let s = chain_scenario(3);
         let source =
             DeepWebSource::new(s.instance.clone(), s.methods.clone(), ResponsePolicy::Exact);
-        let report = FederatedEngine::new(&source, s.query.clone(), Strategy::Exhaustive)
-            .run(&s.initial_configuration);
+        let report = run(&s, &source, Strategy::Exhaustive);
         assert!(report.certain);
         // It needs at least one access per hop.
         assert!(report.accesses_made >= 3);
@@ -221,14 +227,9 @@ mod tests {
         let s = star_scenario(4);
         let source =
             DeepWebSource::new(s.instance.clone(), s.methods.clone(), ResponsePolicy::Exact);
-        let options = RunOptions::default();
-        let exhaustive = FederatedEngine::new(&source, s.query.clone(), Strategy::Exhaustive)
-            .with_options(options.clone())
-            .run(&s.initial_configuration);
+        let exhaustive = run(&s, &source, Strategy::Exhaustive);
         source.reset_stats();
-        let guided = FederatedEngine::new(&source, s.query.clone(), Strategy::LtrGuided)
-            .with_options(options)
-            .run(&s.initial_configuration);
+        let guided = run(&s, &source, Strategy::LtrGuided);
         assert!(exhaustive.certain);
         assert!(guided.certain);
         assert!(guided.accesses_made <= exhaustive.accesses_made);

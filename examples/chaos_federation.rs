@@ -38,8 +38,8 @@ fn main() {
         .build()
         .expect("federation builds");
 
-    let report = BatchScheduler::new(&federation, scenario.query.clone(), Strategy::Hybrid)
-        .run(&scenario.initial_configuration);
+    let request = RunRequest::new(scenario.query.clone()).with_strategy(Strategy::Hybrid);
+    let report = Threaded::new(&federation).execute(&request, &scenario.initial_configuration);
 
     // The sequential oracle never sees any churn at all.
     let oracle_source = DeepWebSource::new(
@@ -47,8 +47,7 @@ fn main() {
         scenario.methods.clone(),
         ResponsePolicy::Exact,
     );
-    let oracle = FederatedEngine::new(&oracle_source, scenario.query.clone(), Strategy::Hybrid)
-        .run(&scenario.initial_configuration);
+    let oracle = Sequential::new(&oracle_source).execute(&request, &scenario.initial_configuration);
 
     println!("answered              : {}", report.certain);
     println!("accesses made         : {}", report.accesses_made);

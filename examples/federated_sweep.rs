@@ -1,6 +1,6 @@
 //! The bank scenario of Section 1, run against a *federation*: the four Web
 //! forms split across two simulated providers with different latency,
-//! failure and paging behaviour, executed by the batch scheduler.
+//! failure and paging behaviour, executed by the threaded executor.
 //!
 //! ```text
 //! cargo run --example federated_sweep
@@ -99,7 +99,7 @@ fn main() {
         &scenario.methods,
         &accrel::access::enumerate::EnumerationOptions::default(),
     );
-    let verdicts = accrel::prelude::internals::parallel_relevance_sweep(
+    let verdicts = accrel::prelude::internals::parallel_relevance_sweep_report(
         &scenario.query,
         &scenario.initial_configuration,
         &candidates,
@@ -107,7 +107,8 @@ fn main() {
         accrel::engine::RelevanceKind::LongTerm,
         &SearchBudget::default(),
         4,
-    );
+    )
+    .verdicts;
     let relevant = verdicts.iter().filter(|&&v| v).count();
     println!(
         "\nLTR sweep over {} candidates: {relevant} relevant",

@@ -14,7 +14,7 @@
 //! | [`query`] | `accrel-query` | CQs, positive queries, evaluation, certain answers, classical containment |
 //! | [`access`] | `accrel-access` | access methods, bindings, responses, access paths, truncation |
 //! | [`core`] | `accrel-core` | immediate & long-term relevance, containment under access limitations, reductions, critical tuples |
-//! | [`engine`] | `accrel-engine` | simulated deep-Web sources, the relevance-guided federated engine, and the unified `RunRequest`/`Executor` run API |
+//! | [`engine`] | `accrel-engine` | simulated deep-Web sources, the run loop every executor drives, and the `RunRequest`/`Executor` run API with its `Sequential` executor |
 //! | [`federation`] | `accrel-federation` | concurrent federation runtime: pluggable simulated sources, the `Threaded`/`Async` executors, parallel relevance sweeps, the virtual-clock mini-executor, and the multi-tenant `serving` layer |
 //! | [`workloads`] | `accrel-workloads` | tiling encodings, random generators, synthetic scenarios |
 //!
@@ -90,22 +90,21 @@ pub mod prelude {
     };
     /// Ready-made scenarios, including the paper's §1 bank/loan example.
     pub use accrel_engine::scenarios::{bank_scenario, bank_scenario_negative, Scenario};
-    /// The sequential engine and the unified run API: build a
-    /// [`RunRequest`], hand it to any [`Executor`] ([`Sequential`] here;
-    /// [`Threaded`] / [`Async`] / [`Serving`] below), get a `RunReport` —
-    /// or sweep every strategy at once with [`compare_strategies`].
+    /// The run API: build a [`RunRequest`], hand it to any [`Executor`]
+    /// ([`Sequential`] over a [`DeepWebSource`] here; [`Threaded`] /
+    /// [`Async`] / [`Serving`] below), get a `RunReport` — or sweep every
+    /// strategy at once with [`compare_strategies`].
     pub use accrel_engine::{
-        compare_strategies, DeepWebSource, Executor, FederatedEngine, InvalidationMode,
-        ResponsePolicy, RunOptions, RunReport, RunRequest, Sequential, SpeculationMode, Strategy,
+        compare_strategies, DeepWebSource, Executor, InvalidationMode, ResponsePolicy, RunOptions,
+        RunReport, RunRequest, Sequential, SpeculationMode, Strategy,
     };
     /// The federation runtimes and their executors: thread-pooled batches
-    /// ([`Threaded`] / [`BatchScheduler`] over a [`Federation`]),
-    /// virtual-clock futures ([`Async`] / [`AsyncBatchScheduler`] over an
-    /// [`AsyncFederation`]), and the backend cost models they simulate.
+    /// ([`Threaded`] over a [`Federation`]), virtual-clock futures
+    /// ([`Async`] over an [`AsyncFederation`]), and the backend cost models
+    /// they simulate.
     pub use accrel_federation::{
-        Async, AsyncBatchScheduler, AsyncFederation, AsyncSimulatedSource, AsyncSource,
-        BatchScheduler, BlockingSource, Federation, FlakyModel, LatencyModel, PolicySource,
-        SimulatedSource, Source, Threaded,
+        Async, AsyncFederation, AsyncSimulatedSource, AsyncSource, BlockingSource, Federation,
+        FlakyModel, LatencyModel, SimulatedSource, Source, Threaded,
     };
     /// The chaos layer: deterministic churn scripts, per-source circuit
     /// breakers and replica failover over either federation runtime, plus
@@ -158,9 +157,7 @@ pub mod prelude {
             yield_now, Executor, JoinHandle, Semaphore, Sleep, VirtualClock, YieldNow,
         };
         /// Parallel relevance sweeps over copy-on-write snapshots.
-        pub use accrel_federation::{
-            parallel_relevance_sweep, parallel_relevance_sweep_report, SweepReport,
-        };
+        pub use accrel_federation::{parallel_relevance_sweep_report, SweepReport};
         /// Backend statistics and error types of the federation runtime.
         pub use accrel_federation::{BackendStats, FederationError, SourceError, SourceFuture};
         /// The chaos controller and breaker state machine behind the

@@ -14,8 +14,8 @@ fn run(
         scenario.methods.clone(),
         ResponsePolicy::Exact,
     );
-    FederatedEngine::new(&source, scenario.query.clone(), strategy)
-        .run(&scenario.initial_configuration)
+    let request = RunRequest::new(scenario.query.clone()).with_strategy(strategy);
+    Sequential::new(&source).execute(&request, &scenario.initial_configuration)
 }
 
 #[test]
@@ -100,8 +100,8 @@ fn incomplete_sources_never_break_soundness() {
             seed: 3,
         },
     );
-    let report = FederatedEngine::new(&source, scenario.query.clone(), Strategy::Exhaustive)
-        .run(&scenario.initial_configuration);
+    let request = RunRequest::new(scenario.query.clone()).with_strategy(Strategy::Exhaustive);
+    let report = Sequential::new(&source).execute(&request, &scenario.initial_configuration);
     assert!(scenario.instance.is_consistent(&report.final_configuration));
 }
 

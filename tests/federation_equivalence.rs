@@ -9,12 +9,12 @@
 //! sharded store, whose snapshots every side grows independently.
 //!
 //! The sequential side runs against a plain `DeepWebSource`; each
-//! concurrent executor runs against its own federation wrapping an
-//! identically-configured source behind the `PolicySource` adapter. Every
-//! policy answers a given access with a deterministic response —
-//! `SoundSample` draws its subset from an RNG seeded by
-//! `Access::stable_hash` — which is the precondition of the schedulers'
-//! determinism invariant (see `accrel_federation::scheduler`).
+//! concurrent executor runs against its own federation wrapping a
+//! `SimulatedSource` under the same policy, so the grid diffs two source
+//! implementations as well as the executors. Every policy answers a given
+//! access with a deterministic response — `SoundSample` draws its subset
+//! from an RNG seeded by `Access::stable_hash` — which is the precondition
+//! of the executors' determinism invariant (see `accrel_engine::MergeLoop`).
 
 use accrel::prelude::*;
 use rand::rngs::StdRng;
@@ -58,15 +58,13 @@ fn run_options() -> RunOptions {
     }
 }
 
-fn policy_source(scenario: &Scenario, policy: &ResponsePolicy, name: &'static str) -> PolicySource {
-    PolicySource::new(
-        name,
-        DeepWebSource::new(
-            scenario.instance.clone(),
-            scenario.methods.clone(),
-            policy.clone(),
-        ),
-    )
+fn policy_source(
+    scenario: &Scenario,
+    policy: &ResponsePolicy,
+    name: &'static str,
+) -> SimulatedSource {
+    SimulatedSource::exact(name, scenario.instance.clone(), scenario.methods.clone())
+        .with_policy(policy.clone())
 }
 
 fn assert_equivalent(scenario: &Scenario, policy: &ResponsePolicy, batch_size: usize) {

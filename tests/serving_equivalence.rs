@@ -6,11 +6,11 @@
 //! dedup makes the *aggregate* backend traffic strictly smaller than the
 //! sum of what the sessions observed.
 //!
-//! The serving side wraps a `DeepWebSource` (behind the `PolicySource`
-//! adapter) in a [`BlockingSource`] with a 100µs virtual round trip, so
+//! The serving side wraps a `SimulatedSource` under the grid's response
+//! policy in a [`BlockingSource`] with a 100µs virtual round trip, so
 //! admitted sessions genuinely overlap in flight on the virtual clock;
-//! the sequential side runs the plain engine against a separately-built,
-//! identically-configured source.
+//! the sequential side runs the sequential executor against a plain
+//! `DeepWebSource` under the same policy.
 
 use accrel::prelude::*;
 use rand::rngs::StdRng;
@@ -59,10 +59,10 @@ fn async_federation_for(scenario: &Scenario, policy: &ResponsePolicy) -> AsyncFe
     let methods = scenario.methods.clone();
     let builder = AsyncFederation::builder(methods.clone());
     let clock = builder.clock().clone();
-    let source = BlockingSource::new(PolicySource::new(
-        "serving-grid",
-        DeepWebSource::new(scenario.instance.clone(), methods.clone(), policy.clone()),
-    ))
+    let source = BlockingSource::new(
+        SimulatedSource::exact("serving-grid", scenario.instance.clone(), methods.clone())
+            .with_policy(policy.clone()),
+    )
     .with_virtual_latency(LatencyModel::recorded(100), clock);
     let names: Vec<&str> = methods.iter().map(|(_, m)| m.name()).collect();
     builder.source(source, &names).unwrap().build().unwrap()

@@ -5,8 +5,6 @@
 //! cargo run -p accrel-bench --bin harness --release
 //! ```
 //!
-//! The output of this binary is the basis of `EXPERIMENTS.md`.
-//!
 //! With `--smoke` every experiment fixture runs exactly once (no criterion
 //! statistics) and the tables are additionally written as JSON to
 //! `BENCH_smoke.json` (override with `--out <path>`), so CI can record the

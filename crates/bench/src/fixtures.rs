@@ -408,7 +408,7 @@ pub fn federation_fixture_from(
 /// The domain split is what separates the three invalidation modes.
 /// Relation-level eviction fires on every response (dependent dep-sets
 /// are global), so each feed re-proves every dead verdict. Coarse adom
-/// recording (`Exact` mode) stamps `adom_all` on the failed witness
+/// recording (`Exact` mode) stamps `Read::Adom` on the failed witness
 /// searches, so each fresh value re-proves them all too — the wash this
 /// fixture exists to expose. Per-domain prefix reads survive: the
 /// backtracking search puts `x` at the top of its DFS, the `A`-typed

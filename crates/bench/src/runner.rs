@@ -9,7 +9,7 @@ use accrel_core::{
 };
 use accrel_engine::{
     compare_strategies, DeepWebSource, Executor, InvalidationMode, RelevanceKind, ResponsePolicy,
-    RunOptions, RunRequest, Sequential, SpeculationMode, Strategy,
+    RunOptions, RunReport, RunRequest, Sequential, SpeculationMode, Strategy,
 };
 use accrel_federation::{
     parallel_relevance_sweep_report, Async, ChurnScript, FlakyModel, QuerySessionRegistry,
@@ -837,8 +837,6 @@ pub fn f3_serving_sweep(
             ServingOptions {
                 max_sessions: sessions,
                 max_in_flight_accesses: 32,
-                dedup: true,
-                share_verdicts: true,
             },
         );
         let requests: Vec<RunRequest> = (0..sessions)
@@ -1091,6 +1089,47 @@ pub struct InvalidationSavings {
     pub e5_relation: usize,
 }
 
+/// The bank setup of `harness --check-invalidation`: a Hybrid run of the
+/// dependent-method bank scenario that never stops at certainty.
+fn bank_invalidation_run(invalidation: InvalidationMode) -> RunReport {
+    let scenario = accrel_engine::scenarios::bank_scenario();
+    let source = DeepWebSource::new(
+        scenario.instance.clone(),
+        scenario.methods.clone(),
+        ResponsePolicy::Exact,
+    );
+    let request = RunRequest::new(scenario.query.clone())
+        .with_strategy(Strategy::Hybrid)
+        .with_options(RunOptions {
+            stop_when_certain: false,
+            invalidation,
+            ..RunOptions::default()
+        });
+    Sequential::new(&source).execute(&request, &scenario.initial_configuration)
+}
+
+/// The flooding-chain setup of `harness --check-invalidation`: a Hybrid run
+/// of 60 accesses over `adom_flooding_chain(64, 12)` under the shallow
+/// 600-valuation budget.
+fn flood_invalidation_run(invalidation: InvalidationMode) -> RunReport {
+    let flood = fixtures::adom_flooding_chain(64, 12);
+    let source = DeepWebSource::new(
+        flood.instance.clone(),
+        flood.methods.clone(),
+        ResponsePolicy::Exact,
+    );
+    let request = RunRequest::new(flood.query.clone())
+        .with_strategy(Strategy::Hybrid)
+        .with_options(RunOptions {
+            max_accesses: 60,
+            stop_when_certain: false,
+            invalidation,
+            budget: accrel_core::SearchBudget::shallow().with_max_valuations(600),
+            ..RunOptions::default()
+        });
+    Sequential::new(&source).execute(&request, &flood.initial)
+}
+
 /// The CI assertion behind `harness --check-invalidation`, two workloads
 /// deep. On the dependent-method bank scenario — whose value-specific reads
 /// give exact invalidation the most to keep — the exact mode must re-run
@@ -1103,54 +1142,14 @@ pub struct InvalidationSavings {
 /// the equivalence suite; this guards the savings themselves.) Returns an
 /// error when any saving vanished or the ordering broke.
 pub fn check_invalidation_savings() -> Result<InvalidationSavings, String> {
-    let scenario = accrel_engine::scenarios::bank_scenario();
-    let source = DeepWebSource::new(
-        scenario.instance.clone(),
-        scenario.methods.clone(),
-        ResponsePolicy::Exact,
-    );
-    let mut bank = Vec::new();
-    for invalidation in [InvalidationMode::Exact, InvalidationMode::RelationLevel] {
-        let request = RunRequest::new(scenario.query.clone())
-            .with_strategy(Strategy::Hybrid)
-            .with_options(RunOptions {
-                stop_when_certain: false,
-                invalidation,
-                ..RunOptions::default()
-            });
-        let report = Sequential::new(&source).execute(&request, &scenario.initial_configuration);
-        bank.push(report.relevance_cache_misses);
-    }
-    let flood = fixtures::adom_flooding_chain(64, 12);
-    let flood_source = DeepWebSource::new(
-        flood.instance.clone(),
-        flood.methods.clone(),
-        ResponsePolicy::Exact,
-    );
-    let mut chain = Vec::new();
-    for invalidation in [
-        InvalidationMode::Precise,
-        InvalidationMode::Exact,
-        InvalidationMode::RelationLevel,
-    ] {
-        let request = RunRequest::new(flood.query.clone())
-            .with_strategy(Strategy::Hybrid)
-            .with_options(RunOptions {
-                max_accesses: 60,
-                stop_when_certain: false,
-                invalidation,
-                budget: accrel_core::SearchBudget::shallow().with_max_valuations(600),
-                ..RunOptions::default()
-            });
-        let report = Sequential::new(&flood_source).execute(&request, &flood.initial);
-        chain.push(report.relevance_cache_misses);
-    }
+    let bank = |mode| bank_invalidation_run(mode).relevance_cache_misses;
+    let chain = |mode| flood_invalidation_run(mode).relevance_cache_misses;
     let savings = InvalidationSavings {
-        bank_exact: bank[0],
-        bank_relation: bank[1],
-        e5_precise: chain[0],
-        e5_exact: chain[1],
-        e5_relation: chain[2],
+        bank_exact: bank(InvalidationMode::Exact),
+        bank_relation: bank(InvalidationMode::RelationLevel),
+        e5_precise: chain(InvalidationMode::Precise),
+        e5_exact: chain(InvalidationMode::Exact),
+        e5_relation: chain(InvalidationMode::RelationLevel),
     };
     if savings.bank_exact >= savings.bank_relation {
         return Err(format!(
@@ -1249,6 +1248,35 @@ pub fn tables_to_json(mode: &str, tables: &[Table]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every invalidation counter of the two `--check-invalidation` setups,
+    /// under all three modes: `(relevance_cache_misses, reads_tracked,
+    /// evictions, events_drained)`. `check_invalidation_savings` checks
+    /// only the orderings; this pins the values, so a change to how reads
+    /// are recorded, counted or evicted shows up here first.
+    #[test]
+    fn invalidation_counters_are_pinned() {
+        let modes = [
+            InvalidationMode::Precise,
+            InvalidationMode::Exact,
+            InvalidationMode::RelationLevel,
+        ];
+        let counters = |r: RunReport| {
+            (
+                r.relevance_cache_misses,
+                r.reads_tracked,
+                r.evictions,
+                r.events_drained,
+            )
+        };
+        let bank = modes.map(|m| counters(bank_invalidation_run(m)));
+        assert_eq!(bank, [(44, 218, 40, 11), (44, 196, 40, 11), (63, 0, 59, 0)]);
+        let chain = modes.map(|m| counters(flood_invalidation_run(m)));
+        assert_eq!(
+            chain,
+            [(137, 1161, 0, 16), (272, 6216, 195, 16), (272, 0, 195, 0)]
+        );
+    }
 
     #[test]
     fn rows_and_tables_render() {

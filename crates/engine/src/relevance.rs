@@ -45,45 +45,27 @@ pub struct VerdictRecord {
     pub verdict: bool,
 }
 
-/// What a cached verdict depends on: the relations whose growth can change
-/// it.
-#[derive(Debug, Clone)]
-enum DepSet {
-    /// The verdict only inspected these relations. Boolean-query immediate
-    /// relevance qualifies (the witness search reads tuples of the query's
-    /// relations and nothing else), and so does Boolean-query long-term
-    /// relevance when **every** access method is independent: the ΣP2
-    /// procedure of Section 4 draws configuration facts exclusively through
-    /// the query's atoms (any value may be guessed, so the global active
-    /// domain never gates a witness), hence growth of an unmentioned
-    /// relation cannot flip the verdict.
-    Relations(HashSet<RelationId>),
-    /// The verdict consulted the whole configuration (dependent-access
-    /// long-term relevance reads the global active domain to decide which
-    /// accesses are unlockable; the Proposition 2.2 reduction of non-Boolean
-    /// queries instantiates heads with constants from any relation).
-    /// Invalidated by any growth.
-    All,
-}
-
-impl DepSet {
-    fn touched_by(&self, relation: RelationId) -> bool {
-        match self {
-            DepSet::Relations(set) => set.contains(&relation),
-            DepSet::All => true,
-        }
-    }
-}
-
-/// One cached verdict: the answer, its coarse relation-level dependency-set
-/// index, and — when the verdict was computed under a read recorder — the
-/// exact [`ReadSet`] its decision procedure consulted. Verdicts without a
-/// read set (relation-level mode, shared-cache entries published without
-/// one) fall back to the coarse dep set under exact invalidation.
+/// One cached verdict: the answer, whether it depends on every relation
+/// or only on the query's, and — when the verdict was computed under a read
+/// recorder — the exact [`ReadSet`] its decision procedure consulted.
+/// Verdicts without a read set (relation-level mode, shared-cache entries
+/// published without one) fall back to the relation-level dependency under
+/// exact invalidation.
 #[derive(Debug, Clone)]
 struct CachedVerdict {
     verdict: bool,
-    dep: usize,
+    /// The verdict consulted the whole configuration (dependent-access
+    /// long-term relevance reads the global active domain to decide which
+    /// accesses are unlockable; the Proposition 2.2 reduction of non-Boolean
+    /// queries instantiates heads with constants from any relation), so any
+    /// growth invalidates it. Otherwise it only inspected the query's
+    /// relations: Boolean-query immediate relevance qualifies (the witness
+    /// search reads tuples of the query's relations and nothing else), and
+    /// so does Boolean-query long-term relevance when **every** access
+    /// method is independent (the ΣP2 procedure of Section 4 draws
+    /// configuration facts exclusively through the query's atoms; any value
+    /// may be guessed, so the global active domain never gates a witness).
+    global: bool,
     reads: Option<ReadSet>,
 }
 
@@ -94,8 +76,9 @@ struct CachedVerdict {
 struct RelevanceCache {
     immediate: HashMap<Access, CachedVerdict>,
     long_term: HashMap<Access, CachedVerdict>,
-    /// Dependency sets, interned: 0 = All, 1 = the query's relations.
-    deps: Vec<DepSet>,
+    /// The relations the query mentions: what a non-global verdict depends
+    /// on.
+    query_relations: HashSet<RelationId>,
     hits: usize,
     misses: usize,
 }
@@ -103,47 +86,41 @@ struct RelevanceCache {
 impl RelevanceCache {
     fn new(query_relations: HashSet<RelationId>) -> Self {
         Self {
-            immediate: HashMap::new(),
-            long_term: HashMap::new(),
-            deps: vec![DepSet::All, DepSet::Relations(query_relations)],
-            hits: 0,
-            misses: 0,
+            query_relations,
+            ..Self::default()
         }
     }
 
-    /// Drops every verdict whose coarse dependency set contains `relation`
-    /// (relation-level invalidation; ignores read sets). Returns how many
-    /// verdicts were evicted.
+    /// Drops every verdict that depends on `relation` (relation-level
+    /// invalidation; ignores read sets). Returns how many verdicts were
+    /// evicted.
     fn invalidate(&mut self, relation: RelationId) -> usize {
         let before = self.immediate.len() + self.long_term.len();
-        let deps = &self.deps;
-        self.immediate
-            .retain(|_, c| !deps[c.dep].touched_by(relation));
-        let deps = &self.deps;
-        self.long_term
-            .retain(|_, c| !deps[c.dep].touched_by(relation));
+        let query_dep = self.query_relations.contains(&relation);
+        self.immediate.retain(|_, c| !(c.global || query_dep));
+        self.long_term.retain(|_, c| !(c.global || query_dep));
         before - (self.immediate.len() + self.long_term.len())
     }
 
     /// Drops every verdict whose recorded read set is touched by `event`
     /// (exact invalidation; verdicts without a read set fall back to their
-    /// coarse dependency set). Returns how many verdicts were evicted.
+    /// relation-level dependency). Returns how many verdicts were evicted.
     ///
-    /// The coarse dependency set and the read set are *both* sound
+    /// The relation-level dependency and the read set are *both* sound
     /// over-approximations of "this growth could flip the verdict" — the
-    /// first by the relation-level argument on `DepSet`, the second because
+    /// first by the argument on `CachedVerdict::global`, the second because
     /// the decision procedure is a deterministic function of its recorded
     /// reads — so a verdict needs eviction only when **both** fire. Taking
     /// the intersection also pins the ordering invariant the differential
     /// fuzzer checks: exact-mode evictions are a subset of relation-level
     /// evictions at every growth point, never a superset (a read set may
-    /// name active-domain probes the coarse `Relations` set deliberately
+    /// name active-domain probes the query's relation set deliberately
     /// excludes).
     fn evict_touched(&mut self, event: &InsertEvent, interner: &ValueInterner) -> usize {
         let before = self.immediate.len() + self.long_term.len();
-        let deps = &self.deps;
+        let query_dep = self.query_relations.contains(&event.relation);
         let keep = |c: &CachedVerdict| {
-            if !deps[c.dep].touched_by(event.relation) {
+            if !(c.global || query_dep) {
                 return true;
             }
             match &c.reads {
@@ -402,36 +379,26 @@ impl<'a> RelevanceOracle<'a> {
         copy
     }
 
-    /// The dependency-set index for immediate-relevance verdicts: Boolean
-    /// queries only ever inspect their own relations; everything else is
-    /// conservatively global.
-    fn ir_dep(&self) -> usize {
-        if self.query.is_boolean() {
-            1
-        } else {
-            0
-        }
-    }
-
-    /// The dependency-set index for long-term-relevance verdicts. With
-    /// dependent methods in play the witness search consults the global
-    /// active domain, so the verdict conservatively depends on every
-    /// relation; when every method is independent (and the query is
-    /// Boolean, so no head-instantiation reduction runs), the independent
-    /// ΣP2 procedure reads the configuration only through the query's own
-    /// atoms — responses that grow other relations leave the verdict
-    /// valid, so cached verdicts (and with them the scheduler's
+    /// Whether a `kind` verdict depends on every relation. Immediate
+    /// relevance of a Boolean query only ever inspects the query's own
+    /// relations; everything else is conservatively global. For long-term
+    /// relevance, dependent methods make the witness search consult the
+    /// global active domain; when every method is independent (and the
+    /// query is Boolean, so no head-instantiation reduction runs), the
+    /// independent ΣP2 procedure reads the configuration only through the
+    /// query's own atoms — responses that grow other relations leave the
+    /// verdict valid, so cached verdicts (and with them the scheduler's
     /// `CachedOnly` batches) survive those rounds.
-    fn ltr_dep(&self) -> usize {
-        let all_independent = self
-            .methods
-            .methods()
-            .iter()
-            .all(|m| m.mode() == AccessMode::Independent);
-        if self.query.is_boolean() && all_independent {
-            1
-        } else {
-            0
+    fn is_global(&self, kind: RelevanceKind) -> bool {
+        let all_independent = || {
+            self.methods
+                .methods()
+                .iter()
+                .all(|m| m.mode() == AccessMode::Independent)
+        };
+        match kind {
+            RelevanceKind::Immediate => !self.query.is_boolean(),
+            RelevanceKind::LongTerm => !(self.query.is_boolean() && all_independent()),
         }
     }
 
@@ -489,14 +456,11 @@ impl<'a> RelevanceOracle<'a> {
             return cached.verdict;
         }
         self.cache.misses += 1;
-        let dep = match kind {
-            RelevanceKind::Immediate => self.ir_dep(),
-            RelevanceKind::LongTerm => self.ltr_dep(),
-        };
+        let global = self.is_global(kind);
         // The dep-count stamps are read *before* the read recorder is
         // installed, so version probing never pollutes the read set.
         let (verdict, reads) = if let Some((class, shared)) = self.shared.clone() {
-            let counts = self.dep_counts(dep, conf);
+            let counts = self.dep_counts(global, conf);
             if let Some((verdict, reads)) = shared.lookup(class, kind, access, &counts) {
                 self.shared_hits += 1;
                 // The publishing run's read set rides along with the
@@ -519,7 +483,7 @@ impl<'a> RelevanceOracle<'a> {
             access.clone(),
             CachedVerdict {
                 verdict,
-                dep,
+                global,
                 reads,
             },
         );
@@ -558,8 +522,7 @@ impl<'a> RelevanceOracle<'a> {
     /// live store under a trail mark and restores `conf` byte-for-byte
     /// before returning. Dependent-access LTR verdicts consult the global
     /// active domain and so depend on every relation; all-independent
-    /// Boolean verdicts depend only on the query's relations (see the
-    /// crate-private `DepSet`).
+    /// Boolean verdicts depend only on the query's relations.
     pub fn check_ltr_trailed(&mut self, access: &Access, conf: &mut Configuration) -> bool {
         self.check_at(RelevanceKind::LongTerm, access, conf)
     }
@@ -646,22 +609,24 @@ impl<'a> RelevanceOracle<'a> {
         self.events_drained
     }
 
-    /// The version stamp a verdict with dependency-set index `dep` carries
-    /// in the shared cache: the current fact count of every relation the
-    /// dependency set names, sorted by relation id. Growth of any stamped
-    /// relation changes the stamp (and so retires the entry); growth
-    /// elsewhere leaves it probeable.
-    fn dep_counts(&self, dep: usize, conf: &Configuration) -> Vec<(RelationId, usize)> {
-        let mut counts: Vec<(RelationId, usize)> = match &self.cache.deps[dep] {
-            DepSet::Relations(set) => set
-                .iter()
-                .map(|&rel| (rel, conf.store().relation_len(rel)))
-                .collect(),
-            DepSet::All => conf
-                .schema()
+    /// The version stamp a verdict carries in the shared cache: the current
+    /// fact count of every relation it depends on (all of them when
+    /// `global`, else the query's), sorted by relation id. Growth of any
+    /// stamped relation changes the stamp (and so retires the entry);
+    /// growth elsewhere leaves it probeable.
+    fn dep_counts(&self, global: bool, conf: &Configuration) -> Vec<(RelationId, usize)> {
+        let count = |rel: RelationId| (rel, conf.store().relation_len(rel));
+        let mut counts: Vec<(RelationId, usize)> = if global {
+            conf.schema()
                 .relations_with_ids()
-                .map(|(rel, _)| (rel, conf.store().relation_len(rel)))
-                .collect(),
+                .map(|(rel, _)| count(rel))
+                .collect()
+        } else {
+            self.cache
+                .query_relations
+                .iter()
+                .map(|&rel| count(rel))
+                .collect()
         };
         counts.sort_unstable();
         counts
@@ -672,11 +637,11 @@ impl<'a> RelevanceOracle<'a> {
         std::mem::take(&mut self.log)
     }
 
-    /// The relations named by the dependency set an LTR verdict would be
-    /// cached under right now — exposed so tests and the scheduler's
-    /// instrumentation can observe the invalidation granularity.
+    /// Whether an LTR verdict cached right now would depend on every
+    /// relation rather than only the query's — exposed so tests and the
+    /// scheduler's instrumentation can observe the invalidation granularity.
     pub fn ltr_dep_is_global(&self) -> bool {
-        matches!(self.cache.deps[self.ltr_dep()], DepSet::All)
+        self.is_global(RelevanceKind::LongTerm)
     }
 
     /// Picks the next access to execute from `candidates` (in candidate

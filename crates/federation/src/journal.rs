@@ -33,7 +33,7 @@ use std::path::Path;
 use accrel_access::{Access, AccessMethodId, Binding};
 use accrel_engine::relevance::{RelevanceKind, SharedVerdictCache, VerdictRecord};
 use accrel_engine::RunReport;
-use accrel_schema::{DomainId, ReadSet, RelationId, Value, ValueId};
+use accrel_schema::{DomainId, Read, ReadSet, RelationId, Value, ValueId};
 
 /// One run as read back from a journal: the executed access sequence and
 /// the relevance verdict log, byte-for-byte what the live run reported.
@@ -135,56 +135,44 @@ fn parse_access(tokens: &[&str]) -> Option<Access> {
     Some(Access::new(AccessMethodId(method), Binding::new(values?)))
 }
 
+/// A value as a bare token (no leading space).
+fn value_token(value: &Value) -> String {
+    let mut v = String::new();
+    write_value(&mut v, value);
+    v.split_off(1)
+}
+
 /// Serialises a shared entry's recorded read set as ` R<n> <token>*` (or
-/// ` R-` when the publishing run attached none). Tokens are one per read:
-/// `a`/`z` for the whole-store / whole-adom flags, `l<rel>` for relation
-/// scans, `p<rel>,<vid>` for key probes, `d<dom>` for domain enumerations,
-/// `x<dom>,<value>` for visited-prefix domain reads (precise mode),
-/// `q<vid>,<dom>` for adom membership, and `u<rel>,<value>` /
-/// `w<dom>,<value>` for probes whose value the interner did not know at
-/// read time. Sorted for deterministic output. Legacy lines written before
-/// prefixes existed carry no `x` tokens and parse unchanged — sound,
-/// because those publishers recorded coarsely: any adom walk they performed
-/// shows up as the domain-unscoped `z` flag, which subsumes every prefix.
+/// ` R-` when the publishing run attached none), one token per [`Read`] of
+/// the set's sorted list: `a` for [`Read::All`], `l<rel>` for
+/// [`Read::Relation`], `p<rel>,<vid>` for [`Read::Pair`], `u<rel>,<value>`
+/// for [`Read::UnknownValue`], `z` for [`Read::Adom`], `d<dom>` for
+/// [`Read::AdomDomain`], `q<vid>,<dom>` for [`Read::AdomPair`],
+/// `w<dom>,<value>` for [`Read::AdomUnknown`] and `x<dom>,<value>` for
+/// [`Read::AdomPrefix`]. The tokens are sorted as strings for
+/// deterministic output. Legacy lines written before prefixes existed
+/// carry no `x` tokens and parse unchanged — sound, because those
+/// publishers recorded coarsely: any adom walk they performed shows up as
+/// the domain-unscoped `z`, which subsumes every prefix.
 fn write_reads(out: &mut String, reads: Option<&ReadSet>) {
     let Some(rs) = reads else {
         out.push_str(" R-");
         return;
     };
-    let mut tokens: Vec<String> = Vec::new();
-    if rs.all {
-        tokens.push("a".into());
-    }
-    if rs.adom_all {
-        tokens.push("z".into());
-    }
-    for rel in &rs.relations {
-        tokens.push(format!("l{}", rel.index()));
-    }
-    for (rel, vid) in &rs.pairs {
-        tokens.push(format!("p{},{}", rel.index(), vid.0));
-    }
-    for dom in &rs.adom_domains {
-        tokens.push(format!("d{}", dom.0));
-    }
-    for (dom, bound) in &rs.adom_prefixes {
-        let mut v = String::new();
-        write_value(&mut v, bound);
-        tokens.push(format!("x{},{}", dom.0, v.trim_start()));
-    }
-    for (vid, dom) in &rs.adom_pairs {
-        tokens.push(format!("q{},{}", vid.0, dom.0));
-    }
-    for (rel, value) in &rs.unknown_values {
-        let mut v = String::new();
-        write_value(&mut v, value);
-        tokens.push(format!("u{},{}", rel.index(), v.trim_start()));
-    }
-    for (value, dom) in &rs.adom_unknown {
-        let mut v = String::new();
-        write_value(&mut v, value);
-        tokens.push(format!("w{},{}", dom.0, v.trim_start()));
-    }
+    let mut tokens: Vec<String> = rs
+        .iter()
+        .map(|read| match read {
+            Read::All => "a".into(),
+            Read::Relation(rel) => format!("l{}", rel.index()),
+            Read::Pair(rel, vid) => format!("p{},{}", rel.index(), vid.0),
+            Read::UnknownValue(rel, v) => format!("u{},{}", rel.index(), value_token(v)),
+            Read::Adom => "z".into(),
+            Read::AdomDomain(dom) => format!("d{}", dom.0),
+            Read::AdomPair(vid, dom) => format!("q{},{}", vid.0, dom.0),
+            Read::AdomUnknown(v, dom) => format!("w{},{}", dom.0, value_token(v)),
+            Read::AdomPrefix(dom, bound) => format!("x{},{}", dom.0, value_token(bound)),
+        })
+        .collect();
     tokens.sort_unstable();
     let _ = write!(out, " R{}", tokens.len());
     for t in &tokens {
@@ -197,53 +185,31 @@ fn write_reads(out: &mut String, reads: Option<&ReadSet>) {
 /// set and how many tokens it consumed. Lines from journals written before
 /// read sets existed carry no `R` token; callers treat that as `None`.
 fn parse_reads(tokens: &[&str]) -> Option<(Option<ReadSet>, usize)> {
-    let first = tokens.first()?;
+    let (first, rest) = tokens.split_first()?;
     if *first == "R-" {
         return Some((None, 1));
     }
     let n: usize = first.strip_prefix('R')?.parse().ok()?;
-    let body = tokens.get(1..1 + n)?;
-    let mut rs = ReadSet::default();
-    for t in body {
+    let (body, _) = rest.split_at_checked(n)?;
+    let rel = |s: &str| Some(RelationId(s.parse().ok()?));
+    let vid = |s: &str| Some(ValueId(s.parse().ok()?));
+    let dom = |s: &str| Some(DomainId(s.parse().ok()?));
+    let reads = body.iter().map(|t| {
         let (tag, rest) = t.split_at_checked(1)?;
-        match tag {
-            "a" if rest.is_empty() => rs.all = true,
-            "z" if rest.is_empty() => rs.adom_all = true,
-            "l" => {
-                rs.relations.insert(RelationId(rest.parse().ok()?));
-            }
-            "p" => {
-                let (r, v) = rest.split_once(',')?;
-                rs.pairs
-                    .insert((RelationId(r.parse().ok()?), ValueId(v.parse().ok()?)));
-            }
-            "d" => {
-                rs.adom_domains.insert(DomainId(rest.parse().ok()?));
-            }
-            "x" => {
-                let (d, v) = rest.split_once(',')?;
-                rs.adom_prefixes
-                    .insert(DomainId(d.parse().ok()?), parse_value(v)?);
-            }
-            "q" => {
-                let (v, d) = rest.split_once(',')?;
-                rs.adom_pairs
-                    .insert((ValueId(v.parse().ok()?), DomainId(d.parse().ok()?)));
-            }
-            "u" => {
-                let (r, v) = rest.split_once(',')?;
-                rs.unknown_values
-                    .insert((RelationId(r.parse().ok()?), parse_value(v)?));
-            }
-            "w" => {
-                let (d, v) = rest.split_once(',')?;
-                rs.adom_unknown
-                    .insert((parse_value(v)?, DomainId(d.parse().ok()?)));
-            }
+        Some(match (tag, rest.split_once(',')) {
+            ("a", _) if rest.is_empty() => Read::All,
+            ("l", _) => Read::Relation(rel(rest)?),
+            ("p", Some((r, v))) => Read::Pair(rel(r)?, vid(v)?),
+            ("u", Some((r, v))) => Read::UnknownValue(rel(r)?, parse_value(v)?),
+            ("z", _) if rest.is_empty() => Read::Adom,
+            ("d", _) => Read::AdomDomain(dom(rest)?),
+            ("q", Some((v, d))) => Read::AdomPair(vid(v)?, dom(d)?),
+            ("w", Some((d, v))) => Read::AdomUnknown(parse_value(v)?, dom(d)?),
+            ("x", Some((d, v))) => Read::AdomPrefix(dom(d)?, parse_value(v)?),
             _ => return None,
-        }
-    }
-    Some((Some(rs), 1 + n))
+        })
+    });
+    Some((Some(reads.collect::<Option<ReadSet>>()?), 1 + n))
 }
 
 fn kind_tag(kind: RelevanceKind) -> &'static str {
@@ -383,7 +349,7 @@ impl RunJournal {
                 verdict,
                 reads,
             } => {
-                cache.insert(class, kind, access, deps, verdict, reads.map(|r| *r));
+                cache.insert(class, kind, access, deps, verdict, reads);
                 summary.verdicts_restored += 1;
             }
             Record::Access(_) | Record::Verdict(_) => {}
@@ -450,9 +416,7 @@ enum Record {
         access: Access,
         deps: Vec<(RelationId, usize)>,
         verdict: bool,
-        // Boxed: a `ReadSet` is several hundred bytes of hash sets, and
-        // most journal lines are plain `access`/`verdict` records.
-        reads: Option<Box<ReadSet>>,
+        reads: Option<ReadSet>,
     },
 }
 
@@ -477,7 +441,7 @@ impl Record {
                 let kind = parse_kind(tokens.get(2)?)?;
                 let verdict = parse_bool(tokens.get(3)?)?;
                 let ndeps: usize = tokens.get(4)?.parse().ok()?;
-                let dep_tokens = tokens.get(5..5 + ndeps)?;
+                let (dep_tokens, rest) = tokens.get(5..)?.split_at_checked(ndeps)?;
                 let deps: Option<Vec<(RelationId, usize)>> = dep_tokens
                     .iter()
                     .map(|t| {
@@ -485,7 +449,6 @@ impl Record {
                         Some((RelationId(rel.parse().ok()?), count.parse().ok()?))
                     })
                     .collect();
-                let rest = tokens.get(5 + ndeps..)?;
                 // Journals written before read sets existed jump straight to
                 // the access (`m…`); treat those entries as read-set-free.
                 let (reads, consumed) = if rest.first().is_some_and(|t| t.starts_with('R')) {
@@ -500,7 +463,7 @@ impl Record {
                     access,
                     deps: deps?,
                     verdict,
-                    reads: reads.map(Box::new),
+                    reads,
                 })
             }
             _ => None,
@@ -554,19 +517,18 @@ mod tests {
         // One entry with an exact read set exercising every token kind
         // (including values with characters the escaper must handle), one
         // without.
-        let mut reads = ReadSet::default();
-        reads.relations.insert(RelationId(1));
-        reads.pairs.insert((RelationId(0), ValueId(7)));
-        reads
-            .unknown_values
-            .insert((RelationId(2), Value::sym("odd value,with comma")));
-        reads.adom_all = true;
-        reads.adom_domains.insert(DomainId(0));
-        reads
-            .adom_prefixes
-            .insert(DomainId(4), Value::sym("bound value"));
-        reads.adom_pairs.insert((ValueId(3), DomainId(1)));
-        reads.adom_unknown.insert((Value::int(-9), DomainId(2)));
+        let reads: ReadSet = [
+            Read::Relation(RelationId(1)),
+            Read::Pair(RelationId(0), ValueId(7)),
+            Read::UnknownValue(RelationId(2), Value::sym("odd value,with comma")),
+            Read::Adom,
+            Read::AdomDomain(DomainId(0)),
+            Read::AdomPrefix(DomainId(4), Value::sym("bound value")),
+            Read::AdomPair(ValueId(3), DomainId(1)),
+            Read::AdomUnknown(Value::int(-9), DomainId(2)),
+        ]
+        .into_iter()
+        .collect();
         cache.insert(
             0xdead_beef,
             RelevanceKind::LongTerm,
@@ -703,14 +665,16 @@ mod tests {
         ];
         for (i, value) in awkward.iter().enumerate() {
             for (j, other) in awkward.iter().enumerate() {
-                let mut rs = ReadSet::default();
-                rs.adom_prefixes.insert(DomainId(i as u32), value.clone());
-                rs.adom_prefixes
-                    .insert(DomainId(100 + j as u32), other.clone());
-                rs.unknown_values.insert((RelationId(1), value.clone()));
-                rs.adom_unknown.insert((other.clone(), DomainId(3)));
-                rs.adom_domains.insert(DomainId(7));
-                rs.pairs.insert((RelationId(0), ValueId(9)));
+                let rs: ReadSet = [
+                    Read::AdomPrefix(DomainId(i as u32), value.clone()),
+                    Read::AdomPrefix(DomainId(100 + j as u32), other.clone()),
+                    Read::UnknownValue(RelationId(1), value.clone()),
+                    Read::AdomUnknown(other.clone(), DomainId(3)),
+                    Read::AdomDomain(DomainId(7)),
+                    Read::Pair(RelationId(0), ValueId(9)),
+                ]
+                .into_iter()
+                .collect();
                 let mut out = String::new();
                 write_reads(&mut out, Some(&rs));
                 let tokens: Vec<&str> = out.trim_start().split(' ').collect();
@@ -730,7 +694,7 @@ mod tests {
     /// (no `R` token at all) parses as reads-absent, and a coarse line from
     /// the pre-prefix format (`z`, no `x` tokens) parses to the same coarse
     /// read set it was written from — both stay sound under the precise
-    /// eviction rule because `adom_all` subsumes every prefix.
+    /// eviction rule because `Read::Adom` subsumes every prefix.
     #[test]
     fn legacy_shared_lines_parse_without_read_sets() {
         let dir = std::env::temp_dir().join(format!("accrel-journal-{}", std::process::id()));
@@ -757,9 +721,32 @@ mod tests {
             .find(|e| e.1 == RelevanceKind::Immediate)
             .unwrap();
         let rs = coarse.5.as_ref().unwrap();
-        assert!(rs.adom_all, "coarse adom flag must survive");
-        assert!(rs.adom_prefixes.is_empty());
-        assert!(rs.relations.contains(&RelationId(0)));
+        assert!(
+            rs.iter().any(|r| *r == Read::Adom),
+            "coarse adom flag must survive"
+        );
+        assert!(!rs.iter().any(|r| matches!(r, Read::AdomPrefix(..))));
+        assert!(rs.iter().any(|r| *r == Read::Relation(RelationId(0))));
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Counts read off a line are bounded by the tokens that follow them: a
+    /// dependency or read count near `usize::MAX` is a malformed line, not
+    /// an arithmetic overflow.
+    #[test]
+    fn huge_token_counts_are_skipped_as_malformed() {
+        let dir = std::env::temp_dir().join(format!("accrel-journal-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("huge_counts.journal");
+        let max = usize::MAX;
+        std::fs::write(
+            &path,
+            format!("{MAGIC}\nshared 0 I t {max} m0\nshared 0 I t 0 R{max} m0\n"),
+        )
+        .unwrap();
+        let summary = RunJournal::replay(&path, &SharedVerdictCache::new()).unwrap();
+        assert_eq!(summary.skipped_lines, 2);
+        assert_eq!(summary.verdicts_restored, 0);
         std::fs::remove_file(&path).ok();
     }
 

@@ -65,11 +65,6 @@ pub struct ServingOptions {
     /// calls do not consume a permit — they ride an existing wire call).
     /// Zero is promoted to one.
     pub max_in_flight_accesses: usize,
-    /// Share identical in-flight accesses across sessions.
-    pub dedup: bool,
-    /// Share relevance verdicts across sessions (and across `serve` calls)
-    /// through the registry's [`SharedVerdictCache`].
-    pub share_verdicts: bool,
 }
 
 impl Default for ServingOptions {
@@ -77,8 +72,6 @@ impl Default for ServingOptions {
         Self {
             max_sessions: 16,
             max_in_flight_accesses: 32,
-            dedup: true,
-            share_verdicts: true,
         }
     }
 }
@@ -242,21 +235,16 @@ impl<'a> QuerySessionRegistry<'a> {
         let methods = self.federation.methods();
         let session_gate = Semaphore::new(self.options.max_sessions);
         let access_gate = Semaphore::new(self.options.max_in_flight_accesses);
-        let dedup: Option<Rc<RefCell<DedupTable>>> = self
-            .options
-            .dedup
-            .then(|| Rc::new(RefCell::new(DedupTable::default())));
+        let dedup = Rc::new(RefCell::new(DedupTable::default()));
 
         let exec = Executor::new(clock.clone());
         let mut handles = Vec::with_capacity(requests.len());
         for (session, request) in requests.iter().enumerate() {
-            let shared = self
-                .options
-                .share_verdicts
-                .then(|| (verdict_class(request, initial), self.verdicts.clone()));
+            let class = verdict_class(request, initial);
+            let verdicts = self.verdicts.clone();
             let session_gate = session_gate.clone();
             let access_gate = access_gate.clone();
-            let dedup = dedup.clone();
+            let dedup = Rc::clone(&dedup);
             let clock = clock.clone();
             let federation = self.federation;
             handles.push(exec.spawn(async move {
@@ -269,14 +257,11 @@ impl<'a> QuerySessionRegistry<'a> {
                     &request.options,
                     methods,
                     initial,
-                );
-                if let Some((class, cache)) = shared {
-                    merge = merge.with_shared_cache(class, cache);
-                }
+                )
+                .with_shared_cache(class, verdicts);
                 while let MergeStep::Fetch(batch) = merge.step() {
                     let responses =
-                        fetch_deduped(federation, &access_gate, dedup.as_ref(), &batch, &mut stats)
-                            .await;
+                        fetch_deduped(federation, &access_gate, &dedup, &batch, &mut stats).await;
                     merge.supply(batch, responses);
                     // Round-robin fairness point: let every other
                     // admitted session progress one batch.
@@ -308,12 +293,10 @@ impl<'a> QuerySessionRegistry<'a> {
             .collect();
         let wire_calls: usize = sessions.iter().map(|s| s.stats.led_calls).sum();
         let joined_calls: usize = sessions.iter().map(|s| s.stats.joined_calls).sum();
-        if let Some(table) = &dedup {
-            let table = table.borrow();
-            debug_assert_eq!(table.wire_calls, wire_calls);
-            debug_assert_eq!(table.joined_calls, joined_calls);
-            debug_assert!(table.in_flight.is_empty(), "in-flight table drained");
-        }
+        let table = dedup.borrow();
+        debug_assert_eq!(table.wire_calls, wire_calls);
+        debug_assert_eq!(table.joined_calls, joined_calls);
+        debug_assert!(table.in_flight.is_empty(), "in-flight table drained");
         let per_source = self
             .federation
             .per_source_stats()
@@ -472,23 +455,9 @@ struct CallAttribution {
 async fn shared_call(
     federation: &AsyncFederation,
     gate: &Semaphore,
-    dedup: Option<&Rc<RefCell<DedupTable>>>,
+    table: &RefCell<DedupTable>,
     access: Access,
 ) -> (Result<Response, SourceError>, CallAttribution) {
-    let Some(table) = dedup else {
-        let result = {
-            let _permit = gate.acquire().await;
-            federation.call(access).await
-        };
-        return (
-            result,
-            CallAttribution {
-                led: true,
-                participants: 1,
-            },
-        );
-    };
-
     enum Plan {
         Join(Rc<RefCell<InFlightCall>>),
         Lead {
@@ -589,7 +558,7 @@ async fn shared_call(
 async fn fetch_deduped(
     federation: &AsyncFederation,
     gate: &Semaphore,
-    dedup: Option<&Rc<RefCell<DedupTable>>>,
+    dedup: &RefCell<DedupTable>,
     batch: &[Access],
     stats: &mut SessionStats,
 ) -> Vec<Result<Response, SourceError>> {
@@ -785,25 +754,6 @@ mod tests {
     }
 
     #[test]
-    fn disabling_dedup_dials_every_call() {
-        let (federation, scenario) = bank_async_federation();
-        let registry = QuerySessionRegistry::with_options(
-            &federation,
-            ServingOptions {
-                dedup: false,
-                ..ServingOptions::default()
-            },
-        );
-        let report = registry.serve(
-            &identical_requests(&scenario, 3),
-            &scenario.initial_configuration,
-        );
-        assert_eq!(report.joined_calls, 0);
-        assert_eq!(report.wire_calls, report.session_calls());
-        assert_eq!(report.aggregate.source.calls, report.wire_calls);
-    }
-
-    #[test]
     fn verdict_cache_persists_across_serve_calls() {
         let (federation, scenario) = bank_async_federation();
         let registry = QuerySessionRegistry::new(&federation);
@@ -828,7 +778,6 @@ mod tests {
             ServingOptions {
                 max_sessions: 2,
                 max_in_flight_accesses: 1,
-                ..ServingOptions::default()
             },
         );
         let report = registry.serve(

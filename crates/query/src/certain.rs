@@ -11,7 +11,7 @@
 //!
 //! These facts are used pervasively by the relevance procedures.
 
-use accrel_schema::{Configuration, RelationId, Tuple};
+use accrel_schema::{Configuration, Tuple};
 
 use crate::cq::ConjunctiveQuery;
 use crate::eval;
@@ -25,21 +25,6 @@ pub fn is_certain(query: &Query, conf: &Configuration) -> bool {
     match query {
         Query::Cq(q) => eval::holds_cq(q, conf.store()),
         Query::Pq(q) => eval::holds_pq(q, conf.store()),
-    }
-}
-
-/// Would the Boolean query be certain at `conf` extended with the `extra`
-/// facts? Evaluates over the overlay without building the extended
-/// configuration — the relevance witness searches call this once per
-/// candidate valuation.
-pub fn is_certain_with_extra(
-    query: &Query,
-    conf: &Configuration,
-    extra: &[(RelationId, Tuple)],
-) -> bool {
-    match query {
-        Query::Cq(q) => eval::holds_cq_with_extra(q, conf.store(), extra),
-        Query::Pq(q) => eval::holds_pq_with_extra(q, conf.store(), extra),
     }
 }
 

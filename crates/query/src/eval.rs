@@ -283,18 +283,6 @@ pub fn holds_pq(query: &PositiveQuery, store: &FactStore) -> bool {
     query.ucq().iter().any(|cq| holds_cq(cq, store))
 }
 
-/// Evaluates a Boolean positive query over `store` plus `extra` facts.
-pub fn holds_pq_with_extra(
-    query: &PositiveQuery,
-    store: &FactStore,
-    extra: &[(RelationId, Tuple)],
-) -> bool {
-    query
-        .ucq()
-        .iter()
-        .any(|cq| holds_cq_with_extra(cq, store, extra))
-}
-
 /// Computes the answer tuples of a (possibly non-Boolean) conjunctive query.
 pub fn answers_cq(query: &ConjunctiveQuery, store: &FactStore) -> Vec<Tuple> {
     let mut out: Vec<Tuple> =

@@ -136,14 +136,9 @@ impl Configuration {
         f(guard.conf)
     }
 
-    /// Installs a read recorder on the underlying store (see
-    /// [`FactStore::begin_read_tracking`]).
-    pub fn begin_read_tracking(&mut self) {
-        self.store.begin_read_tracking()
-    }
-
-    /// Installs a read recorder with an explicit whole-adom-walk precision
-    /// (see [`FactStore::begin_read_tracking_with`] and [`AdomPrecision`]).
+    /// Installs a read recorder with a whole-adom-walk precision on the
+    /// underlying store (see [`FactStore::begin_read_tracking_with`] and
+    /// [`AdomPrecision`]).
     pub fn begin_read_tracking_with(&mut self, precision: AdomPrecision) {
         self.store.begin_read_tracking_with(precision)
     }

@@ -50,7 +50,7 @@ pub use instance::Instance;
 pub use intern::{ValueId, ValueInterner};
 pub use relation::{Attribute, Relation, RelationId};
 pub use schema::{Schema, SchemaBuilder};
-pub use store::{AdomPrecision, Fact, FactStore, InsertEvent, ReadSet, TrailMark, TrailOps};
+pub use store::{AdomPrecision, Fact, FactStore, InsertEvent, Read, ReadSet, TrailMark, TrailOps};
 pub use tuple::{tuple, Tuple};
 pub use value::{FreshSupply, Value};
 

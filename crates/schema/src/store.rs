@@ -224,174 +224,205 @@ impl TrailOps {
 /// procedures).
 ///
 /// Under [`AdomPrecision::Coarse`] every such walk is recorded as
-/// [`ReadSet::adom_all`] — any value entering any domain invalidates the
-/// verdict. Under [`AdomPrecision::Precise`] the instrumented walk sites
-/// ([`FactStore::rec_adom_walk`]) record the *domain* that was walked and,
-/// when the walk was cut early by a search budget, only the visited value
-/// *prefix* ([`ReadSet::adom_prefixes`]) — so growth in an unconsulted
-/// domain, or above the visited prefix, leaves the verdict cached.
+/// [`Read::Adom`] — any value entering any domain invalidates the verdict.
+/// Under [`AdomPrecision::Precise`] the instrumented walk sites
+/// ([`FactStore::rec_adom_walk`]) record the *domain* that was walked
+/// ([`Read::AdomDomain`]) and, when the walk was cut early by a search
+/// budget, only the visited value *prefix* ([`Read::AdomPrefix`]) — so
+/// growth in an unconsulted domain, or above the visited prefix, leaves the
+/// verdict cached.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AdomPrecision {
-    /// Whole-adom walks record `adom_all` (the conservative pre-precise
-    /// behaviour; what [`FactStore::begin_read_tracking`] installs).
+    /// Whole-adom walks record [`Read::Adom`] (the conservative
+    /// pre-precise behaviour).
     #[default]
     Coarse,
     /// Whole-adom walks record per-domain and visited-prefix entries.
     Precise,
 }
 
-/// The exact set of store reads performed while a read recorder was
-/// installed (see [`FactStore::begin_read_tracking`]).
+/// One store read, classified into the *coarsest class whose answer could
+/// change under monotone growth*: a constrained index probe depends only on
+/// rows of one relation carrying one value id, a full scan depends on the
+/// whole relation, an active-domain probe depends on one `(value, domain)`
+/// pair *entering* the domain, and so on. Each read decides for itself
+/// whether an [`InsertEvent`] touches it.
 ///
-/// Every read API classifies itself into the *coarsest class whose answer
-/// could change under monotone growth*: a constrained index probe depends
-/// only on rows of one relation carrying one value id, a full scan depends
-/// on the whole relation, an active-domain probe depends on one
-/// `(value, domain)` pair *entering* the domain, and so on. A decision
-/// procedure is a deterministic function of its reads, so a cached verdict
-/// stays valid as long as no [`InsertEvent`] can change the answer of any
-/// recorded read — [`ReadSet::touched_by`] is that test. Probes for values
-/// the interner did not know at read time are kept symbolically and
-/// resolved against the (append-only) interner at event-drain time.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ReadSet {
-    /// Reads whose answer can change under *any* growth (`len`,
+/// Probes for values the interner did not know at read time are kept
+/// symbolically and resolved against the (append-only) interner at
+/// event-drain time.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Read {
+    /// A read whose answer can change under *any* growth (`len`,
     /// `is_subset_of`, whole-store fact dumps).
-    pub all: bool,
-    /// Full scans of single relations (unconstrained `candidates`,
-    /// `tuples`, `relation_len`).
-    pub relations: HashSet<RelationId>,
-    /// Constrained probes: the answer changes only if an inserted row of
+    All,
+    /// A full scan of one relation (unconstrained `candidates`, `tuples`,
+    /// `relation_len`).
+    Relation(RelationId),
+    /// A constrained probe: its answer changes only if an inserted row of
     /// the relation carries the value id.
-    pub pairs: HashSet<(RelationId, ValueId)>,
-    /// Probes against values unknown to the interner at read time.
-    pub unknown_values: HashSet<(RelationId, Value)>,
-    /// Whole-active-domain reads (`active_domain`, `all_values`).
-    pub adom_all: bool,
-    /// Per-abstract-domain active-domain reads (`values_of_domain`, and
-    /// precise-mode domain walks that ran to natural completion).
-    pub adom_domains: HashSet<DomainId>,
-    /// Visited-prefix active-domain reads (precise mode only): the walk of
+    Pair(RelationId, ValueId),
+    /// A probe of the relation against a value unknown to the interner at
+    /// read time.
+    UnknownValue(RelationId, Value),
+    /// A whole-active-domain read (`active_domain`, `all_values`).
+    Adom,
+    /// A read of one abstract domain's active-domain values
+    /// (`values_of_domain`, and precise-mode domain walks that ran to
+    /// natural completion).
+    AdomDomain(DomainId),
+    /// A point active-domain membership probe (`adom_contains`).
+    AdomPair(ValueId, DomainId),
+    /// A point active-domain probe against a value unknown at read time.
+    AdomUnknown(Value, DomainId),
+    /// A visited-prefix active-domain read (precise mode only): the walk of
     /// the domain was cut early by a search budget after visiting only the
     /// values `≤ bound` in sorted order. A value entering the domain
     /// *strictly below* the bound changes what the walk saw; a value at or
     /// above it lands past the cut point and cannot (the bound value itself
     /// was already part of the walk's view, whether it came from the active
-    /// domain or from caller-supplied extras). Subsumed by an
-    /// `adom_domains` entry for the same domain.
-    pub adom_prefixes: HashMap<DomainId, Value>,
-    /// Point active-domain membership probes (`adom_contains`).
-    pub adom_pairs: HashSet<(ValueId, DomainId)>,
-    /// Point active-domain probes against values unknown at read time.
-    pub adom_unknown: HashSet<(Value, DomainId)>,
+    /// domain or from caller-supplied extras). The recorder keeps one prefix
+    /// per domain, the widest, and none beside a whole-domain walk of the
+    /// same domain. Sorts last, so a domain's prefix is found by a binary
+    /// search on the domain alone.
+    AdomPrefix(DomainId, Value),
 }
 
-impl ReadSet {
-    /// Whether nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        !self.all
-            && !self.adom_all
-            && self.relations.is_empty()
-            && self.pairs.is_empty()
-            && self.unknown_values.is_empty()
-            && self.adom_domains.is_empty()
-            && self.adom_prefixes.is_empty()
-            && self.adom_pairs.is_empty()
-            && self.adom_unknown.is_empty()
-    }
-
-    /// Number of recorded read entries (each coarse flag counts as one).
-    pub fn len(&self) -> usize {
-        usize::from(self.all)
-            + usize::from(self.adom_all)
-            + self.relations.len()
-            + self.pairs.len()
-            + self.unknown_values.len()
-            + self.adom_domains.len()
-            + self.adom_prefixes.len()
-            + self.adom_pairs.len()
-            + self.adom_unknown.len()
-    }
-
-    /// Records a whole-domain active-domain walk: any value entering
-    /// `domain` invalidates.
-    pub fn record_adom_domain(&mut self, domain: DomainId) {
-        self.adom_domains.insert(domain);
-        self.adom_prefixes.remove(&domain);
-    }
-
-    /// Records a prefix-bounded active-domain walk of `domain`: only a value
-    /// entering the domain strictly below `bound` invalidates. Merging keeps
-    /// the widest bound; a whole-domain read of the same domain wins.
-    pub fn record_adom_prefix(&mut self, domain: DomainId, bound: &Value) {
-        if self.adom_domains.contains(&domain) {
-            return;
-        }
-        match self.adom_prefixes.entry(domain) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                if bound > e.get() {
-                    e.insert(bound.clone());
-                }
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(bound.clone());
-            }
-        }
-    }
-
-    /// Could `event` change the answer of any recorded read?
+impl Read {
+    /// Could `event` change the answer of this read?
     ///
     /// Active-domain reads trigger only on values *newly* entering the
     /// domain (growth is monotone, so a positive membership probe can never
     /// flip). Unknown-value probes are resolved against `interner` now: the
     /// interner is append-only, so a value that was unknown at read time
     /// and is known now was interned by a later insert.
+    fn touched_by(&self, event: &InsertEvent, interner: &ValueInterner) -> bool {
+        let carries = |id: ValueId| event.values.iter().any(|&(i, _, _)| i == id);
+        let mut entered = event
+            .values
+            .iter()
+            .filter(|&&(_, _, newly)| newly)
+            .map(|&(i, d, _)| (i, d));
+        match self {
+            Read::All => true,
+            Read::Relation(r) => *r == event.relation,
+            Read::Pair(r, id) => *r == event.relation && carries(*id),
+            Read::UnknownValue(r, v) => {
+                *r == event.relation && interner.lookup(v).is_some_and(carries)
+            }
+            Read::Adom => entered.next().is_some(),
+            Read::AdomDomain(d) => entered.any(|(_, dd)| dd == *d),
+            Read::AdomPair(id, d) => entered.any(|p| p == (*id, *d)),
+            Read::AdomUnknown(v, d) => interner
+                .lookup(v)
+                .is_some_and(|id| entered.any(|p| p == (id, *d))),
+            Read::AdomPrefix(d, bound) => {
+                entered.any(|(i, dd)| dd == *d && interner.resolve(i) < bound)
+            }
+        }
+    }
+}
+
+/// The store reads performed while a read recorder was installed (see
+/// [`FactStore::begin_read_tracking_with`]): a sorted, duplicate-free list
+/// of [`Read`]s.
+///
+/// A decision procedure is a deterministic function of its reads, so a
+/// cached verdict stays valid as long as no [`InsertEvent`] touches any
+/// recorded read — [`ReadSet::touched_by`] is that test.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ReadSet {
+    reads: Vec<Read>,
+}
+
+impl ReadSet {
+    /// Whether nothing was recorded.
+    pub fn is_empty(&self) -> bool {
+        self.reads.is_empty()
+    }
+
+    /// Number of recorded reads.
+    pub fn len(&self) -> usize {
+        self.reads.len()
+    }
+
+    /// The recorded reads, in sorted order.
+    pub fn iter(&self) -> std::slice::Iter<'_, Read> {
+        self.reads.iter()
+    }
+
+    /// Could `event` change the answer of any recorded read?
     pub fn touched_by(&self, event: &InsertEvent, interner: &ValueInterner) -> bool {
-        if self.all {
-            return true;
+        self.reads.iter().any(|r| r.touched_by(event, interner))
+    }
+
+    /// Records `read` unless it is already present.
+    fn insert(&mut self, read: Read) {
+        let found = if let Read::Pair(r, v) = read {
+            // Key probes are nearly all recording traffic (a join re-probes
+            // the same few hundred pairs thousands of times), and comparing
+            // two pairs as one packed integer halves the cost of a search
+            // step against the derived enum order, which it agrees with.
+            let key = |r: RelationId, v: ValueId| u64::from(r.0) << 32 | u64::from(v.0);
+            let probe = key(r, v);
+            self.reads.binary_search_by(|e| match *e {
+                Read::Pair(r, v) => key(r, v).cmp(&probe),
+                ref e => e.cmp(&read),
+            })
+        } else {
+            self.reads.binary_search(&read)
+        };
+        if let Err(i) = found {
+            self.reads.insert(i, read);
         }
-        if self.relations.contains(&event.relation) {
-            return true;
+    }
+
+    /// Records a whole-domain walk of `domain`, which subsumes any visited
+    /// prefix of it.
+    fn record_adom_domain(&mut self, domain: DomainId) {
+        if let Ok(i) = self.prefix_of(domain) {
+            self.reads.remove(i);
         }
-        for &(id, domain, newly_in_adom) in &event.values {
-            if self.pairs.contains(&(event.relation, id)) {
-                return true;
-            }
-            if newly_in_adom {
-                if self.adom_all
-                    || self.adom_domains.contains(&domain)
-                    || self.adom_pairs.contains(&(id, domain))
-                {
-                    return true;
-                }
-                if let Some(bound) = self.adom_prefixes.get(&domain) {
-                    if interner.resolve(id) < bound {
-                        return true;
+        self.insert(Read::AdomDomain(domain));
+    }
+
+    /// Records a walk of `domain` cut after `bound`: merging keeps the
+    /// widest bound, and a whole-domain read of the same domain wins.
+    fn record_adom_prefix(&mut self, domain: DomainId, bound: &Value) {
+        if self.reads.binary_search(&Read::AdomDomain(domain)).is_ok() {
+            return;
+        }
+        match self.prefix_of(domain) {
+            Ok(i) => {
+                if let Read::AdomPrefix(_, old) = &mut self.reads[i] {
+                    if bound > old {
+                        *old = bound.clone();
                     }
                 }
             }
+            Err(i) => self
+                .reads
+                .insert(i, Read::AdomPrefix(domain, bound.clone())),
         }
-        for (rel, v) in &self.unknown_values {
-            if *rel == event.relation {
-                if let Some(id) = interner.lookup(v) {
-                    if event.values.iter().any(|&(i, _, _)| i == id) {
-                        return true;
-                    }
-                }
-            }
-        }
-        for (v, d) in &self.adom_unknown {
-            if let Some(id) = interner.lookup(v) {
-                if event
-                    .values
-                    .iter()
-                    .any(|&(i, dd, newly)| newly && i == id && dd == *d)
-                {
-                    return true;
-                }
-            }
-        }
-        false
+    }
+
+    /// Where `domain`'s prefix read sits (or would be inserted).
+    fn prefix_of(&self, domain: DomainId) -> std::result::Result<usize, usize> {
+        self.reads.binary_search_by(|r| match r {
+            Read::AdomPrefix(d, _) => d.cmp(&domain),
+            _ => std::cmp::Ordering::Less,
+        })
+    }
+}
+
+/// Builds a read set from reads as given (sorted and deduplicated, with no
+/// merging between classes) — the inverse of [`ReadSet::iter`].
+impl FromIterator<Read> for ReadSet {
+    fn from_iter<I: IntoIterator<Item = Read>>(iter: I) -> Self {
+        let mut reads: Vec<Read> = iter.into_iter().collect();
+        reads.sort_unstable();
+        reads.dedup();
+        ReadSet { reads }
     }
 }
 
@@ -440,7 +471,7 @@ pub struct FactStore {
     trail_open: u32,
     /// Cumulative trail traffic (inherited by clones; diff two readings).
     trail_ops: TrailOps,
-    /// Read recorder installed by `begin_read_tracking` (`None` when not
+    /// Read recorder installed by `begin_read_tracking_with` (`None` when not
     /// recording). Behind a mutex because the read APIs take `&self`; the
     /// lock is uncontended (recording is single-owner like the trail).
     recording: Option<Mutex<ReadSet>>,
@@ -528,30 +559,15 @@ impl FactStore {
         self.trail_ops
     }
 
-    /// Installs a fresh read recorder: every later read API call classifies
-    /// itself into the [`ReadSet`] until [`FactStore::take_read_set`]
-    /// uninstalls it. Like the trail, the recorder is single-owner and not
-    /// inherited by clones. Installing over an existing recorder discards
-    /// the old one.
-    pub fn begin_read_tracking(&mut self) {
-        self.begin_read_tracking_with(AdomPrecision::Coarse)
-    }
-
-    /// Like [`FactStore::begin_read_tracking`], additionally choosing how
-    /// whole-adom walks are classified (see [`AdomPrecision`]).
+    /// Installs a fresh read recorder that classifies whole-adom walks at
+    /// `precision` (see [`AdomPrecision`]): every later read API call
+    /// records itself into the [`ReadSet`] until
+    /// [`FactStore::take_read_set`] uninstalls it. Like the trail, the
+    /// recorder is single-owner and not inherited by clones. Installing over
+    /// an existing recorder discards the old one.
     pub fn begin_read_tracking_with(&mut self, precision: AdomPrecision) {
         self.adom_precision = precision;
         self.recording = Some(Mutex::new(ReadSet::default()));
-    }
-
-    /// The precision of the installed recorder ([`AdomPrecision::Coarse`]
-    /// when none is installed).
-    pub fn read_tracking_precision(&self) -> AdomPrecision {
-        if self.recording.is_some() {
-            self.adom_precision
-        } else {
-            AdomPrecision::Coarse
-        }
     }
 
     /// Uninstalls the read recorder and returns what it saw (empty if no
@@ -564,11 +580,6 @@ impl FactStore {
             },
             None => ReadSet::default(),
         }
-    }
-
-    /// Whether a read recorder is currently installed.
-    pub fn is_read_tracking(&self) -> bool {
-        self.recording.is_some()
     }
 
     /// Records a read under the installed recorder, if any.
@@ -585,14 +596,12 @@ impl FactStore {
     /// `relation` (the `Ok(false)`-vs-`Ok(true)` branch is a read).
     #[inline]
     fn rec_key_probe(&self, relation: RelationId, key: &[ValueId]) {
-        match key.first() {
-            Some(&id) => self.rec(|rs| {
-                rs.pairs.insert((relation, id));
-            }),
-            None => self.rec(|rs| {
-                rs.relations.insert(relation);
-            }),
-        }
+        self.rec(|rs| {
+            rs.insert(match key.first() {
+                Some(&id) => Read::Pair(relation, id),
+                None => Read::Relation(relation),
+            })
+        });
     }
 
     /// Records a walk over the active-domain values of one abstract domain
@@ -607,10 +616,10 @@ impl FactStore {
     /// pools of the producibility planner — call this instead of
     /// [`FactStore::active_domain`] so precise-mode verdicts survive growth
     /// they never looked at. Under [`AdomPrecision::Coarse`] every walk
-    /// collapses to `adom_all`, reproducing the pre-precise read sets.
+    /// collapses to [`Read::Adom`], reproducing the pre-precise read sets.
     pub fn rec_adom_walk(&self, domain: DomainId, upto: Option<&Value>) {
         match self.adom_precision {
-            AdomPrecision::Coarse => self.rec(|rs| rs.adom_all = true),
+            AdomPrecision::Coarse => self.rec(|rs| rs.insert(Read::Adom)),
             AdomPrecision::Precise => match upto {
                 None => self.rec(|rs| rs.record_adom_domain(domain)),
                 Some(bound) => self.rec(|rs| rs.record_adom_prefix(domain, bound)),
@@ -620,9 +629,10 @@ impl FactStore {
 
     /// Records a walk over the *whole* active domain with no per-domain
     /// structure (untyped variables drawing candidates from every domain at
-    /// once). Always `adom_all` — the sound fallback at either precision.
+    /// once). Always [`Read::Adom`] — the sound fallback at either
+    /// precision.
     pub fn rec_adom_global(&self) {
-        self.rec(|rs| rs.adom_all = true);
+        self.rec(|rs| rs.insert(Read::Adom));
     }
 
     /// Enables or disables [`InsertEvent`] capture on the committed insert
@@ -633,11 +643,6 @@ impl FactStore {
         if !enabled {
             self.events.clear();
         }
-    }
-
-    /// Whether insert events are being captured.
-    pub fn event_capture_enabled(&self) -> bool {
-        self.events_enabled
     }
 
     /// Drains the queued insert events.
@@ -1026,9 +1031,7 @@ impl FactStore {
                 None => {
                     // An unknown value may be interned by a later insert;
                     // keep the probe symbolic.
-                    self.rec(|rs| {
-                        rs.unknown_values.insert((relation, v.clone()));
-                    });
+                    self.rec(|rs| rs.insert(Read::UnknownValue(relation, v.clone())));
                     return false;
                 }
             }
@@ -1045,9 +1048,7 @@ impl FactStore {
     /// All tuples of one relation, in row order (insertion order until a
     /// removal swap-moves the last row into the removed slot).
     pub fn tuples(&self, relation: RelationId) -> impl Iterator<Item = &Tuple> {
-        self.rec(|rs| {
-            rs.relations.insert(relation);
-        });
+        self.rec(|rs| rs.insert(Read::Relation(relation)));
         self.relations
             .get(relation.index())
             .into_iter()
@@ -1056,9 +1057,7 @@ impl FactStore {
 
     /// Number of tuples in one relation.
     pub fn relation_len(&self, relation: RelationId) -> usize {
-        self.rec(|rs| {
-            rs.relations.insert(relation);
-        });
+        self.rec(|rs| rs.insert(Read::Relation(relation)));
         self.relations
             .get(relation.index())
             .map(|s| s.len())
@@ -1067,19 +1066,19 @@ impl FactStore {
 
     /// Total number of facts in the store.
     pub fn len(&self) -> usize {
-        self.rec(|rs| rs.all = true);
+        self.rec(|rs| rs.insert(Read::All));
         self.len
     }
 
     /// Whether the store holds no facts.
     pub fn is_empty(&self) -> bool {
-        self.rec(|rs| rs.all = true);
+        self.rec(|rs| rs.insert(Read::All));
         self.len == 0
     }
 
     /// Iterates over every fact in the store.
     pub fn facts(&self) -> impl Iterator<Item = Fact> + '_ {
-        self.rec(|rs| rs.all = true);
+        self.rec(|rs| rs.insert(Read::All));
         self.relations.iter().enumerate().flat_map(|(i, shard)| {
             shard
                 .tuples
@@ -1120,9 +1119,7 @@ impl FactStore {
         let shard = shard.as_ref();
         let arity = shard.columns.len();
         if constraints.is_empty() {
-            self.rec(|rs| {
-                rs.relations.insert(relation);
-            });
+            self.rec(|rs| rs.insert(Read::Relation(relation)));
             return shard.tuples.iter().collect();
         }
         // Resolve constraint values; an un-interned value or an out-of-range
@@ -1137,18 +1134,14 @@ impl FactStore {
                 None => {
                     // The value may be interned by a later insert; keep the
                     // probe symbolic so such an insert re-triggers it.
-                    self.rec(|rs| {
-                        rs.unknown_values.insert((relation, v.clone()));
-                    });
+                    self.rec(|rs| rs.insert(Read::UnknownValue(relation, v.clone())));
                     return Vec::new();
                 }
             }
         }
         // A row changing this probe's answer must carry every constraint
         // value, so recording one of them is a sound trigger.
-        self.rec(|rs| {
-            rs.pairs.insert((relation, resolved[0].1));
-        });
+        self.rec(|rs| rs.insert(Read::Pair(relation, resolved[0].1)));
         // Most selective posting list first.
         let mut best: Option<&Vec<usize>> = None;
         for &(pos, id) in &resolved {
@@ -1179,8 +1172,8 @@ impl FactStore {
 
     /// Returns `true` if every fact of `self` is also in `other`.
     pub fn is_subset_of(&self, other: &FactStore) -> bool {
-        self.rec(|rs| rs.all = true);
-        other.rec(|rs| rs.all = true);
+        self.rec(|rs| rs.insert(Read::All));
+        other.rec(|rs| rs.insert(Read::All));
         self.relations.iter().enumerate().all(|(i, shard)| {
             // Shared shards are trivially subsets of themselves.
             other
@@ -1338,7 +1331,7 @@ impl FactStore {
     ///
     /// Served from the maintained cache — no fact is rescanned.
     pub fn active_domain(&self) -> HashSet<(Value, DomainId)> {
-        self.rec(|rs| rs.adom_all = true);
+        self.rec(|rs| rs.insert(Read::Adom));
         self.active_domain_untracked()
     }
 
@@ -1380,7 +1373,7 @@ impl FactStore {
 
     /// Number of distinct `(value, domain)` pairs in the active domain.
     pub fn active_domain_len(&self) -> usize {
-        self.rec(|rs| rs.adom_all = true);
+        self.rec(|rs| rs.insert(Read::Adom));
         self.adom.len()
     }
 
@@ -1388,15 +1381,11 @@ impl FactStore {
     pub fn adom_contains(&self, value: &Value, domain: DomainId) -> bool {
         match self.interner.lookup(value) {
             Some(id) => {
-                self.rec(|rs| {
-                    rs.adom_pairs.insert((id, domain));
-                });
+                self.rec(|rs| rs.insert(Read::AdomPair(id, domain)));
                 self.adom.contains_key(&(id, domain))
             }
             None => {
-                self.rec(|rs| {
-                    rs.adom_unknown.insert((value.clone(), domain));
-                });
+                self.rec(|rs| rs.insert(Read::AdomUnknown(value.clone(), domain)));
                 false
             }
         }
@@ -1405,9 +1394,9 @@ impl FactStore {
     /// The values of the active domain restricted to one abstract domain,
     /// sorted for deterministic iteration.
     pub fn values_of_domain(&self, domain: DomainId) -> Vec<Value> {
-        self.rec(|rs| {
-            rs.adom_domains.insert(domain);
-        });
+        // A plain insert: unlike a precise walk, this read leaves an earlier
+        // prefix of the domain in place.
+        self.rec(|rs| rs.insert(Read::AdomDomain(domain)));
         let mut vals: Vec<Value> = self
             .adom
             .keys()
@@ -1421,7 +1410,7 @@ impl FactStore {
     /// All values appearing anywhere in the store (regardless of domain),
     /// sorted and deduplicated.
     pub fn all_values(&self) -> Vec<Value> {
-        self.rec(|rs| rs.adom_all = true);
+        self.rec(|rs| rs.insert(Read::Adom));
         self.all_values_untracked()
     }
 
@@ -1940,5 +1929,42 @@ mod tests {
         assert_eq!(inserted, 0);
         assert!(store.shares_relation_shard(&clone, r));
         assert!(store.shares_adom_shard(&clone));
+    }
+
+    /// The recorder's merge rules: duplicates collapse, a domain keeps one
+    /// prefix (the widest), a precise whole-domain walk drops that prefix
+    /// and blocks later ones, while `values_of_domain` adds its domain read
+    /// beside an earlier prefix. The list stays sorted throughout.
+    #[test]
+    fn recorder_merges_reads_into_one_sorted_list() {
+        let schema = small_schema();
+        let r = schema.relation_by_name("R").unwrap();
+        let (d, e) = (DomainId(0), DomainId(1));
+        let mut store = FactStore::new(schema);
+        store.insert(r, tuple(["a", "1"])).unwrap();
+        store.begin_read_tracking_with(AdomPrecision::Precise);
+        store.rec_adom_walk(d, Some(&Value::sym("b")));
+        store.rec_adom_walk(d, Some(&Value::sym("c")));
+        store.rec_adom_walk(d, Some(&Value::sym("a")));
+        store.rec_adom_walk(e, Some(&Value::sym("2")));
+        let _ = store.values_of_domain(e);
+        let _ = store.relation_len(r);
+        let _ = store.relation_len(r);
+        let reads = store.take_read_set();
+        let expected = [
+            Read::Relation(r),
+            Read::AdomDomain(e),
+            Read::AdomPrefix(d, Value::sym("c")),
+            Read::AdomPrefix(e, Value::sym("2")),
+        ];
+        assert!(reads.iter().eq(expected.iter()));
+        assert_eq!(reads.len(), 4);
+
+        store.begin_read_tracking_with(AdomPrecision::Precise);
+        store.rec_adom_walk(d, Some(&Value::sym("b")));
+        store.rec_adom_walk(d, None);
+        store.rec_adom_walk(d, Some(&Value::sym("z")));
+        let reads = store.take_read_set();
+        assert!(reads.iter().eq([Read::AdomDomain(d)].iter()));
     }
 }

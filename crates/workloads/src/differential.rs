@@ -389,7 +389,7 @@ fn is_subsequence(needle: &[VerdictRecord], hay: &[VerdictRecord]) -> bool {
 }
 
 /// The second fuzzer mode: diffs the three invalidation modes — **precise**
-/// (per-domain adom reads), **exact** (coarse `adom_all`) and the
+/// (per-domain adom reads), **exact** (coarse `Read::Adom`) and the
 /// **relation-level baseline** — on the case's random schema × query ×
 /// policy workload. Each refinement only ever *keeps* verdicts the coarser
 /// scheme would have evicted — and every kept verdict is sound (its

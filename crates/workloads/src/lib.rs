@@ -8,9 +8,9 @@
 //! * [`encodings`] — the Proposition 6.2 reduction from width-`n` corridor
 //!   tiling to query containment under access limitations (arity ≤ 3,
 //!   PSPACE-hardness), used as a structured workload generator; the
-//!   Theorem 5.1 exponential-corridor construction is discussed in
-//!   `DESIGN.md` — its configuration gadgets (the Boolean `And`/`Or`/`Eq`
-//!   tables) are also provided here;
+//!   configuration gadgets of the Theorem 5.1 exponential-corridor
+//!   construction (the Boolean `And`/`Or`/`Eq` tables) are also provided
+//!   here;
 //! * [`random`] — seeded random generators for schemas, access methods,
 //!   configurations, conjunctive and positive queries, used by the
 //!   scaling experiments (E1, E2, E5) and the property-based tests;

@@ -50,7 +50,7 @@ fn main() {
          plan, which is exactly why the paper introduces long-term relevance. On this scenario \
          almost every access is long-term relevant (any known employee could turn out to be \
          the Illinois loan officer), so LTR pruning saves little here; the star scenario of \
-         `accrel-workloads` (see EXPERIMENTS.md, E7) shows the 5x savings it brings when the \
+         `accrel-workloads` (see the harness's E7 table) shows the 5x savings it brings when the \
          source graph has genuinely irrelevant branches."
     );
 }

@@ -52,8 +52,8 @@ fn main() {
     // On a solvable instance the ground truth is non-containment; the
     // witness is a full correct tiling, which lies beyond the default
     // search budget of the (budget-complete) checker — this is exactly the
-    // exponential behaviour the lower bound builds on, and EXPERIMENTS.md
-    // discusses it under experiment E3.
+    // exponential behaviour the lower bound builds on, and the harness's E3
+    // table measures the encoding's growth.
     let problem = checkerboard(2);
     println!(
         "checkerboard 2×corridor is solvable: {} (brute-force solver)",

@@ -547,15 +547,10 @@ pub struct AsyncFederationFixture {
     pub initial: Configuration,
 }
 
-/// Builds the F2 fixture at `facts` hidden facts: identical content and
+/// Builds the F2 fixture over an already-built world (so F1 and F2 share
+/// one hidden-instance build per harness scale): identical content and
 /// latency distributions to [`federation_fixture`] (with `sleep = false` —
 /// the async runtime never sleeps for real).
-pub fn async_federation_fixture(facts: usize, latency_micros: u64) -> AsyncFederationFixture {
-    async_federation_fixture_from(&federation_world(facts), latency_micros)
-}
-
-/// [`async_federation_fixture`] over an already-built world (so F1 and F2
-/// share one hidden-instance build per harness scale).
 pub fn async_federation_fixture_from(
     world: &FederationWorld,
     latency_micros: u64,

@@ -985,31 +985,31 @@ pub fn f4_chaos_sweep(world: &fixtures::FederationWorld, max_accesses: usize) ->
             series,
             facts,
             "failover rate",
-            report.chaos.failovers as f64 / report.accesses_made.max(1) as f64,
+            report.source_stats.failovers as f64 / report.accesses_made.max(1) as f64,
         ));
         rows.push(Row::new(
             series,
             facts,
             "churn events",
-            report.chaos.churn_events as f64,
+            report.source_stats.churn_events as f64,
         ));
         rows.push(Row::new(
             series,
             facts,
             "breaker trips",
-            report.chaos.breaker_trips as f64,
+            report.source_stats.breaker_trips as f64,
         ));
         rows.push(Row::new(
             series,
             facts,
             "open-circuit skips",
-            report.chaos.short_circuited as f64,
+            report.source_stats.short_circuited as f64,
         ));
         rows.push(Row::new(
             series,
             facts,
             "dead skips",
-            report.chaos.dead_skips as f64,
+            report.source_stats.dead_skips as f64,
         ));
         rows.push(Row::new(
             series,

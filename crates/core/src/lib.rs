@@ -63,15 +63,7 @@ pub fn is_long_term_relevant(
     methods: &AccessMethods,
     budget: &SearchBudget,
 ) -> bool {
-    if methods
-        .methods()
-        .iter()
-        .all(|m| m.mode() == AccessMode::Independent)
-    {
-        ltr_independent::is_ltr_independent_budgeted(query, conf, access, methods, budget)
-    } else {
-        ltr_dependent::is_ltr_dependent(query, conf, access, methods, budget)
-    }
+    is_long_term_relevant_trailed(query, &mut conf.snapshot(), access, methods, budget)
 }
 
 /// The trail-backed variant of [`is_long_term_relevant`] for callers that

@@ -15,12 +15,18 @@
 //! records the executed accesses in order so cached and uncached runs can be
 //! compared for equality (the correctness criterion for the invalidation
 //! scheme).
+//!
+//! What the run cost at the sources is one [`BackendStats`] in
+//! [`RunReport::source_stats`] — calls, retries, pages, latency and, under
+//! a chaos controller, churn, failovers and breaker activity — which each
+//! executor fills in as the difference of two snapshots of its sources.
+//! [`BatchStats`] describes the loop's batch structure instead.
 
 use accrel_access::Access;
 use accrel_schema::{Configuration, TrailOps, Tuple};
 
 use crate::relevance::VerdictRecord;
-use crate::source::SourceStats;
+use crate::source::BackendStats;
 
 /// Access-selection strategies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -96,55 +102,6 @@ impl BatchStats {
     }
 }
 
-/// Resilience statistics of a run executed against a federation with a
-/// chaos controller attached (source churn, circuit breakers, replica
-/// failover — see `accrel-federation`'s `chaos` module). All zero for the
-/// sequential executor and for federations without chaos: answers never
-/// depend on these counters, only the cost/robustness accounting does.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ChaosStats {
-    /// Churn-script events applied during the run (kills, revivals, model
-    /// swaps).
-    pub churn_events: usize,
-    /// Calls answered by a non-primary replica because the primary was dead
-    /// or open-circuit.
-    pub failovers: usize,
-    /// Replica attempts skipped because the target source was deregistered
-    /// (killed) at the time of the call.
-    pub dead_skips: usize,
-    /// Replica attempts skipped by an open circuit breaker (the breaker
-    /// absorbed the call instead of letting it fail again).
-    pub short_circuited: usize,
-    /// Circuit-breaker trips (Closed→Open transitions, including a HalfOpen
-    /// probe failing back to Open).
-    pub breaker_trips: usize,
-}
-
-impl ChaosStats {
-    /// The activity accumulated since `earlier` (field-wise difference of
-    /// two snapshots of the same monotone counters).
-    pub fn since(&self, earlier: &ChaosStats) -> ChaosStats {
-        ChaosStats {
-            churn_events: self.churn_events.saturating_sub(earlier.churn_events),
-            failovers: self.failovers.saturating_sub(earlier.failovers),
-            dead_skips: self.dead_skips.saturating_sub(earlier.dead_skips),
-            short_circuited: self.short_circuited.saturating_sub(earlier.short_circuited),
-            breaker_trips: self.breaker_trips.saturating_sub(earlier.breaker_trips),
-        }
-    }
-
-    /// Field-wise sum (for aggregating across sessions or federations).
-    pub fn merged(&self, other: &ChaosStats) -> ChaosStats {
-        ChaosStats {
-            churn_events: self.churn_events + other.churn_events,
-            failovers: self.failovers + other.failovers,
-            dead_skips: self.dead_skips + other.dead_skips,
-            short_circuited: self.short_circuited + other.short_circuited,
-            breaker_trips: self.breaker_trips + other.breaker_trips,
-        }
-    }
-}
-
 /// The outcome of an engine run.
 #[derive(Debug, Clone)]
 pub struct RunReport {
@@ -188,16 +145,14 @@ pub struct RunReport {
     /// Every relevance decision-procedure invocation of the run, in order
     /// (cache re-reads are not recorded; empty when the cache is disabled).
     pub relevance_verdicts: Vec<VerdictRecord>,
-    /// Source traffic attributable to this run (successful calls, retries,
-    /// ultimate failures, tuples returned).
-    pub source_stats: SourceStats,
+    /// Source traffic attributable to this run: calls, retries, failures,
+    /// tuples, pages and simulated latency, plus the churn, failover and
+    /// breaker counters of a federation's chaos controller (zero without
+    /// one). Answers never depend on these counters.
+    pub source_stats: BackendStats,
     /// Batched-execution statistics (one batch per source call for the
     /// sequential executor).
     pub batch_stats: BatchStats,
-    /// Resilience statistics (churn events, failovers, breaker activity)
-    /// attributable to this run. All zero unless the run executed against a
-    /// federation with a chaos controller attached.
-    pub chaos: ChaosStats,
     /// Copy-on-write shard copies the run's configuration handle performed:
     /// the engine snapshots the initial configuration in O(relations) and a
     /// growing round copies only the touched relation's shard (plus the

@@ -43,9 +43,9 @@ pub mod run;
 pub mod scenarios;
 mod source;
 
-pub use engine::{BatchStats, ChaosStats, RunReport, Strategy};
+pub use engine::{BatchStats, RunReport, Strategy};
 pub use merge::{MergeLoop, MergeStep};
 pub use options::{InvalidationMode, RunOptions, SpeculationMode};
 pub use relevance::{RelevanceKind, RelevanceOracle, SharedVerdictCache, VerdictRecord};
 pub use run::{compare_strategies, Executor, RunRequest, Sequential};
-pub use source::{DeepWebSource, ResponsePolicy, SourceStats};
+pub use source::{BackendStats, DeepWebSource, ResponsePolicy};

@@ -277,9 +277,9 @@ impl<'q> MergeLoop<'q> {
         }
     }
 
-    /// Finishes the run and produces the report. `source_stats` and `chaos`
-    /// are left at their defaults: the driver attributes source traffic,
-    /// since only it knows which sources served the calls.
+    /// Finishes the run and produces the report. `source_stats` is left at
+    /// its default: the driver attributes source traffic, since only it
+    /// knows which sources served the calls.
     pub fn into_report(mut self) -> RunReport {
         self.batch_stats.speculative_wasted = self.prefetched.len();
         RunReport {
@@ -299,7 +299,6 @@ impl<'q> MergeLoop<'q> {
             access_sequence: self.access_sequence,
             relevance_verdicts: self.oracle.take_log(),
             source_stats: Default::default(),
-            chaos: Default::default(),
             batch_stats: self.batch_stats,
             shard_copies: self.conf.shard_copies() - self.copies_before,
             trail_ops: self.conf.trail_ops().since(self.trail_before),

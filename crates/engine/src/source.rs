@@ -1,4 +1,12 @@
-//! Simulated deep-Web sources.
+//! Simulated deep-Web sources, and the one counter type for what calling
+//! sources costs.
+//!
+//! [`DeepWebSource`] answers accesses over a hidden instance under a
+//! [`ResponsePolicy`]. [`BackendStats`] counts source traffic at every
+//! level: one source, a federation of sources in `accrel-federation` (the
+//! sum of its per-source stats, chaos counters included), the share of one
+//! run in [`crate::RunReport::source_stats`], and the share of one serve in
+//! the serving layer's report.
 
 use std::cell::RefCell;
 
@@ -78,16 +86,26 @@ impl ResponsePolicy {
     }
 }
 
-/// Cumulative statistics about the calls made to a source.
+/// What calling autonomous sources costs: one counter type for a single
+/// source, a federation (the sum of its sources), a run and a serve.
 ///
-/// Successful, retried and ultimately-failed calls are tracked separately:
-/// `calls` counts only the calls that delivered a response, while transient
-/// failures absorbed by a retry loop land in `retries` and calls abandoned
+/// `calls` counts only the calls that delivered a response; transient
+/// failures absorbed by a retry loop land in `retries`, and calls abandoned
 /// after exhausting their retries land in `failures`. The in-process
-/// [`DeepWebSource`] never fails, so it only ever increments `calls`; the
-/// simulated backends of `accrel-federation` fill in the other two.
+/// [`DeepWebSource`] never fails, so it only counts `calls` and
+/// `tuples_returned`; the simulated backends of `accrel-federation` add the
+/// retry, paging and latency costs, and a federation's chaos controller
+/// charges its five counters to one source each — a churn event to the
+/// source it targets, a dead skip or short circuit to the source skipped, a
+/// failover to the replica that answered, a breaker trip to the source
+/// whose breaker opened. Counters only grow until a reset, so [`since`] of
+/// two snapshots is the traffic between them, and [`merged`] sums sources,
+/// sessions or runs.
+///
+/// [`since`]: BackendStats::since
+/// [`merged`]: BackendStats::merged
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SourceStats {
+pub struct BackendStats {
     /// Number of accesses that delivered a response.
     pub calls: usize,
     /// Transient failures that were absorbed by retrying.
@@ -96,28 +114,61 @@ pub struct SourceStats {
     pub failures: usize,
     /// Total number of tuples returned across all successful calls.
     pub tuples_returned: usize,
+    /// Pages fetched by paged backends (0 for unpaged ones).
+    pub pages_fetched: usize,
+    /// Total simulated latency, in microseconds.
+    pub simulated_latency_micros: u64,
+    /// Churn-script events applied (kills, revivals, model swaps).
+    pub churn_events: usize,
+    /// Calls answered by a non-primary replica because every replica
+    /// before it was dead, open-circuit or failing.
+    pub failovers: usize,
+    /// Replica attempts skipped because the source was killed at the time.
+    pub dead_skips: usize,
+    /// Replica attempts skipped by an open circuit breaker (the breaker
+    /// absorbed the call instead of letting it fail again).
+    pub short_circuited: usize,
+    /// Circuit-breaker trips (Closed→Open transitions, including a
+    /// HalfOpen probe failing back to Open).
+    pub breaker_trips: usize,
 }
 
-impl SourceStats {
+impl BackendStats {
     /// The traffic accumulated since `earlier` (field-wise difference of two
     /// snapshots of the same monotone counters).
-    pub fn since(&self, earlier: &SourceStats) -> SourceStats {
-        SourceStats {
+    pub fn since(&self, earlier: &BackendStats) -> BackendStats {
+        BackendStats {
             calls: self.calls.saturating_sub(earlier.calls),
             retries: self.retries.saturating_sub(earlier.retries),
             failures: self.failures.saturating_sub(earlier.failures),
             tuples_returned: self.tuples_returned.saturating_sub(earlier.tuples_returned),
+            pages_fetched: self.pages_fetched.saturating_sub(earlier.pages_fetched),
+            simulated_latency_micros: self
+                .simulated_latency_micros
+                .saturating_sub(earlier.simulated_latency_micros),
+            churn_events: self.churn_events.saturating_sub(earlier.churn_events),
+            failovers: self.failovers.saturating_sub(earlier.failovers),
+            dead_skips: self.dead_skips.saturating_sub(earlier.dead_skips),
+            short_circuited: self.short_circuited.saturating_sub(earlier.short_circuited),
+            breaker_trips: self.breaker_trips.saturating_sub(earlier.breaker_trips),
         }
     }
 
-    /// Field-wise sum of two stats (for aggregating across the sources of a
-    /// federation).
-    pub fn merged(&self, other: &SourceStats) -> SourceStats {
-        SourceStats {
+    /// Field-wise sum (for aggregating across sources, sessions or runs).
+    pub fn merged(&self, other: &BackendStats) -> BackendStats {
+        BackendStats {
             calls: self.calls + other.calls,
             retries: self.retries + other.retries,
             failures: self.failures + other.failures,
             tuples_returned: self.tuples_returned + other.tuples_returned,
+            pages_fetched: self.pages_fetched + other.pages_fetched,
+            simulated_latency_micros: self.simulated_latency_micros
+                + other.simulated_latency_micros,
+            churn_events: self.churn_events + other.churn_events,
+            failovers: self.failovers + other.failovers,
+            dead_skips: self.dead_skips + other.dead_skips,
+            short_circuited: self.short_circuited + other.short_circuited,
+            breaker_trips: self.breaker_trips + other.breaker_trips,
         }
     }
 }
@@ -131,7 +182,7 @@ pub struct DeepWebSource {
     instance: Instance,
     methods: AccessMethods,
     policy: ResponsePolicy,
-    stats: RefCell<SourceStats>,
+    stats: RefCell<BackendStats>,
 }
 
 impl DeepWebSource {
@@ -142,7 +193,7 @@ impl DeepWebSource {
             instance,
             methods,
             policy,
-            stats: RefCell::new(SourceStats::default()),
+            stats: RefCell::new(BackendStats::default()),
         }
     }
 
@@ -157,13 +208,13 @@ impl DeepWebSource {
     }
 
     /// Statistics on the calls made so far.
-    pub fn stats(&self) -> SourceStats {
+    pub fn stats(&self) -> BackendStats {
         self.stats.borrow().clone()
     }
 
     /// Resets the call statistics.
     pub fn reset_stats(&self) {
-        *self.stats.borrow_mut() = SourceStats::default();
+        *self.stats.borrow_mut() = BackendStats::default();
     }
 
     /// Executes an access and returns its (sound) response.
@@ -216,7 +267,7 @@ mod tests {
         assert_eq!(source.stats().tuples_returned, 10);
         assert_eq!(source.hidden_instance().len(), 11);
         source.reset_stats();
-        assert_eq!(source.stats(), SourceStats::default());
+        assert_eq!(source.stats(), BackendStats::default());
     }
 
     #[test]

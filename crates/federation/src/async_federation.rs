@@ -10,6 +10,7 @@
 use std::sync::Arc;
 
 use accrel_access::{Access, AccessMethodId, AccessMethods};
+use accrel_engine::BackendStats;
 use accrel_schema::Schema;
 
 use crate::async_source::{AsyncSimulatedSource, AsyncSource, SourceFuture};
@@ -17,7 +18,7 @@ use crate::chaos::{ChaosController, ChaosOptions};
 use crate::error::FederationError;
 use crate::executor::VirtualClock;
 use crate::routing::{Routes, RoutesBuilder, WalkStep};
-use crate::source::{BackendStats, SimulatedSource};
+use crate::source::SimulatedSource;
 
 /// A registry of autonomous *async* sources sharing one access-method
 /// registry and one virtual clock, with a total routing from methods to
@@ -39,14 +40,6 @@ impl AsyncFederation {
     pub fn builder(methods: AccessMethods) -> AsyncFederationBuilder {
         AsyncFederationBuilder {
             routes: RoutesBuilder::new(methods),
-            clock: VirtualClock::new(),
-        }
-    }
-
-    /// The common case of one async source serving every method.
-    pub fn single(source: impl AsyncSource + 'static) -> Self {
-        AsyncFederation {
-            routes: Routes::single(Box::new(source)),
             clock: VirtualClock::new(),
         }
     }
@@ -113,18 +106,20 @@ impl AsyncFederation {
         })
     }
 
-    /// Aggregate statistics across every source.
+    /// Aggregate statistics: the field-wise sum of
+    /// [`AsyncFederation::per_source_stats`].
     pub fn stats(&self) -> BackendStats {
         self.routes.stats()
     }
 
-    /// Per-source statistics, in registration order, with the same breaker
-    /// accounting as [`crate::Federation::per_source_stats`].
+    /// Per-source statistics, in registration order, with the same chaos
+    /// counters as [`crate::Federation::per_source_stats`].
     pub fn per_source_stats(&self) -> Vec<(String, BackendStats)> {
         self.routes.per_source_stats()
     }
 
-    /// Resets every source's statistics.
+    /// Resets every source's statistics and the chaos counters (liveness
+    /// and breaker state are untouched).
     pub fn reset_stats(&self) {
         self.routes.reset_stats()
     }
@@ -227,7 +222,6 @@ impl AsyncFederationBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::async_source::BlockingSource;
     use crate::chaos::{BreakerOptions, BreakerState, ChurnScript};
     use crate::executor::Executor;
     use crate::source::{FlakyModel, LatencyModel};
@@ -255,12 +249,11 @@ mod tests {
         let (methods, inst) = setup();
         let r_source = SimulatedSource::exact("r-provider", inst.clone(), methods.clone())
             .with_latency(LatencyModel::recorded(40));
-        let s_source =
-            BlockingSource::new(SimulatedSource::exact("s-provider", inst, methods.clone()));
+        let s_source = SimulatedSource::exact("s-provider", inst, methods.clone());
         let federation = AsyncFederation::builder(methods.clone())
             .simulated(r_source, &["RAcc"])
             .unwrap()
-            .source(s_source, &["SAll"])
+            .simulated(s_source, &["SAll"])
             .unwrap()
             .build()
             .unwrap();
@@ -280,11 +273,11 @@ mod tests {
         assert_eq!(federation.clock().now_micros(), 40);
         let per_source = federation.per_source_stats();
         assert_eq!(per_source.len(), 2);
-        assert_eq!(per_source[0].1.source.calls, 1);
-        assert_eq!(per_source[1].1.source.calls, 1);
-        assert_eq!(federation.stats().source.calls, 2);
+        assert_eq!(per_source[0].1.calls, 1);
+        assert_eq!(per_source[1].1.calls, 1);
+        assert_eq!(federation.stats().calls, 2);
         federation.reset_stats();
-        assert_eq!(federation.stats().source.calls, 0);
+        assert_eq!(federation.stats().calls, 0);
         assert!(format!("{federation:?}").contains("r-provider"));
     }
 
@@ -345,10 +338,10 @@ mod tests {
         // original trip and ONE half-open probe.
         let per_source = federation.per_source_stats();
         assert_eq!(per_source[0].0, "primary");
-        assert_eq!(per_source[0].1.source.failures, 2);
+        assert_eq!(per_source[0].1.failures, 2);
         assert_eq!(per_source[0].1.breaker_trips, 2);
         assert_eq!(per_source[0].1.short_circuited, 1);
-        let stats = chaos.stats();
+        let stats = federation.stats();
         assert_eq!(stats.short_circuited, 1);
         assert_eq!(stats.breaker_trips, 2); // initial trip + failed probe
         assert_eq!(stats.failovers, 3); // every call was served by the backup

@@ -13,8 +13,8 @@
 //! and driven to completion before the merge loop consumes a single
 //! response. Responses are collected by *batch position*, never completion
 //! order, so for sources whose response is a deterministic function of the
-//! access — every adapter in this crate — an async run reports the same
-//! `access_sequence`, relevance-verdict log, answers and final
+//! access — every [`crate::AsyncSimulatedSource`] — an async run reports
+//! the same `access_sequence`, relevance-verdict log, answers and final
 //! configuration as the threaded and sequential executors (pinned by the
 //! executor grid in `tests/federation_equivalence.rs`).
 //!
@@ -60,7 +60,6 @@ impl accrel_engine::Executor for Async<'_> {
     /// and the federation's *virtual* clock tell the runs apart.
     fn execute(&self, request: &RunRequest, initial: &Configuration) -> RunReport {
         let stats_before = self.federation.stats();
-        let chaos_before = self.federation.chaos().map(|c| c.stats());
         let options = request.options.normalize();
         let merge = MergeLoop::new(
             &request.query,
@@ -71,10 +70,7 @@ impl accrel_engine::Executor for Async<'_> {
         );
         let mut report =
             merge.run(|batch| fetch_batch_async(self.federation, batch, options.workers));
-        report.source_stats = self.federation.stats().since(&stats_before).source;
-        if let (Some(chaos), Some(before)) = (self.federation.chaos(), chaos_before) {
-            report.chaos = chaos.stats().since(&before);
-        }
+        report.source_stats = self.federation.stats().since(&stats_before);
         report
     }
 
@@ -123,7 +119,6 @@ fn fetch_batch_async(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::async_source::BlockingSource;
     use crate::source::{FlakyModel, LatencyModel, SimulatedSource};
     use crate::{Federation, Threaded};
     use accrel_core::SearchBudget;
@@ -322,8 +317,8 @@ mod tests {
         let async_per_source = async_federation.per_source_stats();
         assert_eq!(threaded_per_source, async_per_source);
         assert_eq!(
-            async_per_source[0].1.source.retries,
-            async_per_source[0].1.source.failures * flaky.retries
+            async_per_source[0].1.retries,
+            async_per_source[0].1.failures * flaky.retries
         );
     }
 
@@ -434,11 +429,11 @@ mod tests {
     #[test]
     fn blocking_sources_work_and_leave_the_clock_untouched() {
         let scenario = bank_scenario();
-        let federation = AsyncFederation::single(BlockingSource::new(SimulatedSource::exact(
+        let federation = AsyncFederation::single_simulated(SimulatedSource::exact(
             "bank",
             scenario.instance.clone(),
             scenario.methods.clone(),
-        )));
+        ));
         let report = run(
             &Async::new(&federation),
             &scenario,

@@ -17,7 +17,12 @@
 //! * [`ChaosController`] — the pieces assembled behind a
 //!   federation: it applies due churn events, gates every replica attempt
 //!   (dead? open-circuit?), feeds call outcomes to the breakers and counts
-//!   everything into [`ChaosStats`].
+//!   everything per source slot, in the churn, failover, dead-skip,
+//!   short-circuit and breaker-trip fields of [`BackendStats`]: a churn
+//!   event is charged to the source it targets, a skip to the source
+//!   skipped, a failover to the replica that answered and a trip to the
+//!   source whose breaker opened. The federation merges each slot into its
+//!   source's stats, so its aggregate is the sum of its per-source views.
 //!
 //! **Equivalence.** Failover changes *who* answers, never *what* is
 //! answered: replicas hold the same hidden instance under the same
@@ -40,7 +45,7 @@
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
-use accrel_engine::ChaosStats;
+use accrel_engine::BackendStats;
 
 use crate::error::FederationError;
 use crate::executor::VirtualClock;
@@ -406,7 +411,9 @@ pub(crate) enum Gate {
 struct SourceSlot {
     alive: bool,
     breaker: Option<CircuitBreaker>,
-    short_circuited: usize,
+    /// The chaos counters charged to this source (only the churn,
+    /// failover, skip and trip fields are used).
+    stats: BackendStats,
 }
 
 #[derive(Debug)]
@@ -422,7 +429,6 @@ struct ResolvedEvent {
 struct ControllerInner {
     slots: Vec<SourceSlot>,
     pending: VecDeque<ResolvedEvent>,
-    stats: ChaosStats,
 }
 
 /// The runtime half of the chaos layer, shared by a federation's calls:
@@ -452,7 +458,7 @@ impl ChaosController {
             .map(|_| SourceSlot {
                 alive: true,
                 breaker: options.breaker.clone().map(CircuitBreaker::new),
-                short_circuited: 0,
+                stats: BackendStats::default(),
             })
             .collect();
         let mut pending = VecDeque::with_capacity(options.script.len());
@@ -478,11 +484,7 @@ impl ChaosController {
         Ok(Self {
             clock,
             pace_micros_per_call: options.pace_micros_per_call,
-            inner: Mutex::new(ControllerInner {
-                slots,
-                pending,
-                stats: ChaosStats::default(),
-            }),
+            inner: Mutex::new(ControllerInner { slots, pending }),
         })
     }
 
@@ -508,12 +510,13 @@ impl ChaosController {
         let mut swaps = Vec::new();
         while inner.pending.front().is_some_and(|e| e.at_micros <= now) {
             let event = inner.pending.pop_front().expect("front checked");
-            inner.stats.churn_events += 1;
+            let slot = &mut inner.slots[event.source];
+            slot.stats.churn_events += 1;
             if let Some(alive) = event.set_alive {
-                inner.slots[event.source].alive = alive;
+                slot.alive = alive;
                 // A revived source starts with a fresh breaker streak.
                 if alive {
-                    if let Some(b) = &mut inner.slots[event.source].breaker {
+                    if let Some(b) = &mut slot.breaker {
                         b.record_success(now);
                     }
                 }
@@ -529,52 +532,55 @@ impl ChaosController {
     pub(crate) fn gate(&self, source: usize) -> Gate {
         let now = self.clock.now_micros();
         let mut inner = self.lock();
-        if !inner.slots[source].alive {
-            inner.stats.dead_skips += 1;
+        let slot = &mut inner.slots[source];
+        if !slot.alive {
+            slot.stats.dead_skips += 1;
             return Gate::Dead;
         }
-        let refused = inner.slots[source]
+        if slot
             .breaker
             .as_mut()
-            .is_some_and(|b| !b.try_claim_probe(now));
-        if refused {
-            inner.slots[source].short_circuited += 1;
-            inner.stats.short_circuited += 1;
+            .is_some_and(|b| !b.try_claim_probe(now))
+        {
+            slot.stats.short_circuited += 1;
             return Gate::Open;
         }
         Gate::Allow
     }
 
-    /// Feeds a call outcome on `source` to its breaker.
+    /// Feeds a call outcome on `source` to its breaker, charging a trip to
+    /// the source when the outcome opens it.
     pub(crate) fn record(&self, source: usize, success: bool) {
         let now = self.clock.now_micros();
         let mut inner = self.lock();
-        if let Some(breaker) = &mut inner.slots[source].breaker {
+        let slot = &mut inner.slots[source];
+        if let Some(breaker) = &mut slot.breaker {
+            let trips = breaker.trips();
             if success {
                 breaker.record_success(now);
             } else {
                 breaker.record_failure(now);
             }
+            slot.stats.breaker_trips += breaker.trips() - trips;
         }
     }
 
-    /// Counts a call answered by a non-primary replica.
-    pub(crate) fn note_failover(&self) {
-        self.lock().stats.failovers += 1;
+    /// Counts a call answered by `replica`, a non-primary replica.
+    pub(crate) fn note_failover(&self, replica: usize) {
+        self.lock().slots[replica].stats.failovers += 1;
     }
 
-    /// The cumulative chaos statistics (breaker trips summed live from the
-    /// per-source breakers).
-    pub fn stats(&self) -> ChaosStats {
-        let inner = self.lock();
-        let mut stats = inner.stats.clone();
-        stats.breaker_trips = inner
-            .slots
-            .iter()
-            .filter_map(|s| s.breaker.as_ref())
-            .map(|b| b.trips())
-            .sum();
-        stats
+    /// The chaos counters charged to source `source` since the last reset.
+    pub(crate) fn source_stats(&self, source: usize) -> BackendStats {
+        self.lock().slots[source].stats.clone()
+    }
+
+    /// Zeroes every source's chaos counters; liveness, breaker state and
+    /// the pending script are untouched.
+    pub(crate) fn reset_stats(&self) {
+        for slot in &mut self.lock().slots {
+            slot.stats = BackendStats::default();
+        }
     }
 
     /// The breaker state of source `source` right now (`None` without
@@ -590,17 +596,6 @@ impl ChaosController {
     /// Whether source `source` is currently registered (not killed).
     pub fn is_alive(&self, source: usize) -> bool {
         self.lock().slots[source].alive
-    }
-
-    /// Per-source breaker accounting for `per_source_stats`: `(trips,
-    /// short_circuited)`.
-    pub(crate) fn per_source(&self, source: usize) -> (usize, usize) {
-        let inner = self.lock();
-        let slot = &inner.slots[source];
-        (
-            slot.breaker.as_ref().map(|b| b.trips()).unwrap_or(0),
-            slot.short_circuited,
-        )
     }
 }
 
@@ -781,9 +776,11 @@ mod tests {
         assert!(swaps.is_empty() || swaps.len() == 1);
         let swaps2 = controller.on_call();
         assert_eq!(swaps.len() + swaps2.len(), 1);
-        let stats = controller.stats();
-        assert_eq!(stats.churn_events, 2);
-        assert_eq!(stats.dead_skips, 1);
+        // Each event is charged to the source it targets, the skip to the
+        // source skipped.
+        let (a, b) = (controller.source_stats(0), controller.source_stats(1));
+        assert_eq!((a.churn_events, a.dead_skips), (1, 1));
+        assert_eq!((b.churn_events, b.dead_skips), (1, 0));
     }
 
     #[test]
@@ -816,9 +813,12 @@ mod tests {
         assert_eq!(controller.gate(0), Gate::Allow);
         controller.record(0, true);
         assert_eq!(controller.breaker_state(0), Some(BreakerState::Closed));
-        let stats = controller.stats();
+        let stats = controller.source_stats(0);
         assert_eq!(stats.breaker_trips, 1);
         assert_eq!(stats.short_circuited, 1);
-        assert_eq!(controller.per_source(0), (1, 1));
+        // A reset zeroes the counters, never the breaker.
+        controller.reset_stats();
+        assert_eq!(controller.source_stats(0), BackendStats::default());
+        assert_eq!(controller.breaker_state(0), Some(BreakerState::Closed));
     }
 }

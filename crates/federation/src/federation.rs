@@ -3,13 +3,14 @@
 use std::sync::Arc;
 
 use accrel_access::{Access, AccessMethodId, AccessMethods, Response};
+use accrel_engine::BackendStats;
 use accrel_schema::Schema;
 
 use crate::chaos::{ChaosController, ChaosOptions};
 use crate::error::{FederationError, SourceError};
 use crate::executor::VirtualClock;
 use crate::routing::{Routes, RoutesBuilder, WalkStep};
-use crate::source::{BackendStats, Source};
+use crate::source::Source;
 
 /// A registry of autonomous sources sharing one access-method registry,
 /// with a total routing from methods to *ordered replica sets* of sources.
@@ -54,14 +55,9 @@ impl Federation {
     }
 
     /// The primary source serving `method` (replicas, if any, sit behind
-    /// it in the route — see [`Federation::replicas_for`]).
+    /// it in the route).
     pub fn source_for(&self, method: AccessMethodId) -> Option<&dyn Source> {
         self.routes.replicas(method).next()
-    }
-
-    /// The full ordered replica set serving `method`, primary first.
-    pub fn replicas_for(&self, method: AccessMethodId) -> Vec<&dyn Source> {
-        self.routes.replicas(method).collect()
     }
 
     /// The chaos controller, when one is attached.
@@ -90,20 +86,21 @@ impl Federation {
         }
     }
 
-    /// Aggregate statistics across every source.
+    /// Aggregate statistics: the field-wise sum of
+    /// [`Federation::per_source_stats`].
     pub fn stats(&self) -> BackendStats {
         self.routes.stats()
     }
 
     /// Per-source statistics, in registration order. With a chaos
-    /// controller attached, each entry also carries the source's breaker
-    /// accounting ([`BackendStats::breaker_trips`] /
-    /// [`BackendStats::short_circuited`]).
+    /// controller attached, each entry also carries the churn, failover,
+    /// skip and breaker counters charged to that source.
     pub fn per_source_stats(&self) -> Vec<(String, BackendStats)> {
         self.routes.per_source_stats()
     }
 
-    /// Resets every source's statistics.
+    /// Resets every source's statistics and the chaos counters (liveness
+    /// and breaker state are untouched).
     pub fn reset_stats(&self) {
         self.routes.reset_stats()
     }
@@ -209,11 +206,11 @@ mod tests {
             .unwrap();
         assert_eq!(resp.len(), 1);
         let per_source = federation.per_source_stats();
-        assert_eq!(per_source[0].1.source.calls, 0);
-        assert_eq!(per_source[1].1.source.calls, 1);
-        assert_eq!(federation.stats().source.calls, 1);
+        assert_eq!(per_source[0].1.calls, 0);
+        assert_eq!(per_source[1].1.calls, 1);
+        assert_eq!(federation.stats().calls, 1);
         federation.reset_stats();
-        assert_eq!(federation.stats().source.calls, 0);
+        assert_eq!(federation.stats().calls, 0);
         assert!(format!("{federation:?}").contains("r-provider"));
     }
 

@@ -27,7 +27,7 @@
 
 use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Write as _};
+use std::io::{self, Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::Path;
 
 use accrel_access::{Access, AccessMethodId, Binding};
@@ -295,12 +295,26 @@ impl RunJournal {
     }
 
     /// Appends one run to an existing journal (creating it, with its header,
-    /// if absent).
+    /// if absent). A torn tail left by a crashed appender is cut back to the
+    /// last newline first — replay never trusts it, and the new run must
+    /// not be glued onto it — and a file with no complete line left gets
+    /// its header again.
     pub fn append_run(path: impl AsRef<Path>, report: &RunReport) -> io::Result<()> {
-        let path = path.as_ref();
-        let fresh = !path.exists();
-        let mut file = OpenOptions::new().create(true).append(true).open(path)?;
-        if fresh {
+        let mut file = OpenOptions::new()
+            .create(true)
+            .truncate(false)
+            .read(true)
+            .write(true)
+            .open(path)?;
+        let mut content = Vec::new();
+        file.read_to_end(&mut content)?;
+        let keep = content
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .map_or(0, |i| i + 1);
+        file.set_len(keep as u64)?;
+        file.seek(SeekFrom::Start(keep as u64))?;
+        if keep == 0 {
             writeln!(file, "{MAGIC}")?;
         }
         file.write_all(Self::serialize_run(report).as_bytes())?;
@@ -630,6 +644,55 @@ mod tests {
         assert_eq!(summary.skipped_lines, 1);
         assert_eq!(summary.runs, 1);
         assert!(!summary.torn_tail);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Appending after a crashed appender starts a fresh line: the torn
+    /// tail is cut, never glued onto the new run's first record.
+    #[test]
+    fn append_run_cuts_a_torn_tail_before_appending() {
+        use accrel_engine::scenarios::bank_scenario;
+        use accrel_engine::{DeepWebSource, Executor as _, ResponsePolicy, RunRequest};
+        use accrel_engine::{Sequential, Strategy};
+
+        let scenario = bank_scenario();
+        let source = DeepWebSource::new(
+            scenario.instance.clone(),
+            scenario.methods.clone(),
+            ResponsePolicy::Exact,
+        );
+        let request = RunRequest::new(scenario.query.clone()).with_strategy(Strategy::Exhaustive);
+        let report = Sequential::new(&source).execute(&request, &scenario.initial_configuration);
+        assert_eq!(report.accesses_made, 13);
+
+        let dir = std::env::temp_dir().join(format!("accrel-journal-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("torn_append.journal");
+        std::fs::write(
+            &path,
+            format!("{MAGIC}\nrun\naccess m0 s:ok\naccess m0 s:truncat"),
+        )
+        .unwrap();
+        RunJournal::append_run(&path, &report).unwrap();
+        let runs = RunJournal::read_runs(&path).unwrap();
+        let lengths: Vec<usize> = runs.iter().map(|r| r.access_sequence.len()).collect();
+        assert_eq!(lengths, [1, 13]);
+        assert_eq!(runs[1].access_sequence, report.access_sequence);
+        assert_eq!(runs[1].relevance_verdicts, report.relevance_verdicts);
+
+        // A torn header leaves nothing to keep: the header is written anew.
+        std::fs::write(&path, &MAGIC[..5]).unwrap();
+        RunJournal::append_run(&path, &report).unwrap();
+        assert_eq!(RunJournal::read_runs(&path).unwrap().len(), 1);
+        // A missing file gets its header; a complete journal is extended.
+        std::fs::remove_file(&path).unwrap();
+        RunJournal::append_run(&path, &report).unwrap();
+        RunJournal::append_run(&path, &report).unwrap();
+        let runs = RunJournal::read_runs(&path).unwrap();
+        assert_eq!(runs.len(), 2);
+        assert!(runs
+            .iter()
+            .all(|r| r.access_sequence == report.access_sequence));
         std::fs::remove_file(&path).ok();
     }
 

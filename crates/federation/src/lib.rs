@@ -10,7 +10,10 @@
 //!   paged responses) over a hidden instance, answering exactly or through
 //!   one of the engine crate's [`accrel_engine::ResponsePolicy`]s.
 //! * [`Federation`] — the registry mapping access methods to the sources
-//!   that serve them, with per-source and aggregate [`BackendStats`].
+//!   that serve them, with per-source and aggregate [`BackendStats`] (the
+//!   engine crate's one flat counter type, re-exported here): a source's
+//!   calls, retries, pages and latency plus the chaos counters charged to
+//!   it, the aggregate being their sum.
 //! * [`parallel_relevance_sweep_report`] — fan-out evaluation of the (pure)
 //!   relevance decision procedures across worker threads, each holding an
 //!   O(relations) copy-on-write snapshot of the configuration, reporting
@@ -28,8 +31,8 @@
 //! * [`AsyncSource`] — the async twin of [`Source`];
 //!   [`AsyncSimulatedSource`] replays a [`SimulatedSource`]'s
 //!   latency/flaky-retry/paging models as awaitable state machines (one
-//!   virtual round trip per await), and [`BlockingSource`] lifts any sync
-//!   source into a one-poll future.
+//!   virtual round trip per await; a source without a latency model
+//!   answers on its first poll).
 //! * [`AsyncFederation`] — the routing registry over async sources, owning
 //!   the shared virtual clock. Both federations share one routing core
 //!   (replica table, registration checks, chaos layer, per-source stats
@@ -83,9 +86,10 @@ pub mod serving;
 mod source;
 mod sweep;
 
+pub use accrel_engine::BackendStats;
 pub use async_federation::{AsyncFederation, AsyncFederationBuilder};
 pub use async_scheduler::Async;
-pub use async_source::{AsyncSimulatedSource, AsyncSource, BlockingSource, SourceFuture};
+pub use async_source::{AsyncSimulatedSource, AsyncSource, SourceFuture};
 pub use chaos::{
     BreakerOptions, BreakerState, ChaosController, ChaosOptions, ChurnAction, ChurnEvent,
     ChurnScript, ChurnScriptBuilder, CircuitBreaker,
@@ -96,5 +100,5 @@ pub use federation::{Federation, FederationBuilder};
 pub use journal::RunJournal;
 pub use scheduler::Threaded;
 pub use serving::{QuerySessionRegistry, Serving, ServingOptions, ServingReport, SessionReport};
-pub use source::{BackendStats, FlakyModel, LatencyModel, SimulatedSource, Source};
+pub use source::{FlakyModel, LatencyModel, SimulatedSource, Source};
 pub use sweep::{parallel_relevance_sweep_report, SweepReport};

@@ -2,6 +2,11 @@
 //! registrations that build it, the chaos controller behind it, per-source
 //! statistics, and the replica walk.
 //!
+//! A source's statistics are its own [`BackendStats`] merged with the chaos
+//! counters the controller charged to it, and a federation's statistics
+//! are the sum of its sources': the aggregate and the per-source views
+//! always balance, and [`Routes::reset_stats`] zeroes both.
+//!
 //! [`Routes`] owns the registered sources and is generic over how they are
 //! called: [`crate::Federation`] holds `Routes<dyn Source>`,
 //! [`crate::AsyncFederation`] holds `Routes<dyn AsyncSource>`. Only a call
@@ -13,12 +18,13 @@
 use std::sync::Arc;
 
 use accrel_access::{AccessMethodId, AccessMethods, Response};
+use accrel_engine::BackendStats;
 
 use crate::async_source::AsyncSource;
 use crate::chaos::{ChaosController, ChaosOptions, Gate, ModelSwap};
 use crate::error::{FederationError, SourceError};
 use crate::executor::VirtualClock;
-use crate::source::{BackendStats, FlakyModel, LatencyModel, Source};
+use crate::source::{FlakyModel, LatencyModel, Source};
 
 /// What the routing core needs of a registered source, sync or async.
 pub(crate) trait Backend {
@@ -118,33 +124,39 @@ impl<S: ?Sized + Backend> Routes<S> {
         self.chaos.as_ref()
     }
 
-    /// Aggregate statistics across every source.
-    pub(crate) fn stats(&self) -> BackendStats {
-        self.sources
-            .iter()
-            .fold(BackendStats::default(), |acc, s| acc.merged(&s.stats()))
+    /// Source `index`'s statistics, with the chaos counters charged to it.
+    fn source_stats(&self, index: usize) -> BackendStats {
+        let stats = self.sources[index].stats();
+        match &self.chaos {
+            Some(chaos) => stats.merged(&chaos.source_stats(index)),
+            None => stats,
+        }
     }
 
-    /// Per-source statistics, in registration order, each with the source's
-    /// breaker accounting when a chaos controller is attached.
+    /// Aggregate statistics: the sum of the per-source statistics.
+    pub(crate) fn stats(&self) -> BackendStats {
+        (0..self.sources.len()).fold(BackendStats::default(), |acc, i| {
+            acc.merged(&self.source_stats(i))
+        })
+    }
+
+    /// Per-source statistics, in registration order.
     pub(crate) fn per_source_stats(&self) -> Vec<(String, BackendStats)> {
         self.sources
             .iter()
             .enumerate()
-            .map(|(i, s)| {
-                let mut stats = s.stats();
-                if let Some(chaos) = &self.chaos {
-                    (stats.breaker_trips, stats.short_circuited) = chaos.per_source(i);
-                }
-                (s.name().to_string(), stats)
-            })
+            .map(|(i, s)| (s.name().to_string(), self.source_stats(i)))
             .collect()
     }
 
-    /// Resets every source's statistics.
+    /// Resets every source's statistics and the chaos counters; liveness
+    /// and breaker state are untouched.
     pub(crate) fn reset_stats(&self) {
         for s in &self.sources {
             s.reset_stats();
+        }
+        if let Some(chaos) = &self.chaos {
+            chaos.reset_stats();
         }
     }
 
@@ -243,7 +255,7 @@ impl<'r, S: ?Sized + Backend> ReplicaWalk<'r, S> {
             Ok(response) => {
                 chaos.record(source, true);
                 if position > 0 {
-                    chaos.note_failover();
+                    chaos.note_failover(source);
                 }
                 self.settled = Some(Ok(response));
             }
@@ -361,7 +373,7 @@ impl<S: ?Sized + Backend> RoutesBuilder<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chaos::{BreakerOptions, ChurnScript};
+    use crate::chaos::{BreakerOptions, BreakerState, ChurnScript};
     use crate::executor::Executor;
     use crate::source::SimulatedSource;
     use crate::{AsyncFederation, Federation};
@@ -430,9 +442,11 @@ mod tests {
     }
 
     /// Regression: the async federation's per-source stats carry the same
-    /// breaker accounting as the sync one. One script, a flaky primary and
+    /// breaker accounting as the sync one, and each federation's aggregate
+    /// is the sum of its per-source views. One script, a flaky primary and
     /// a healthy backup, three calls through each federation: the primary
-    /// trips once, then short-circuits twice.
+    /// trips once, then short-circuits twice, and the backup answers all
+    /// three as failovers.
     #[test]
     fn both_federations_report_the_same_per_source_breaker_stats() {
         let (methods, inst) = setup();
@@ -486,13 +500,42 @@ mod tests {
         assert_eq!(per_source[0].0, "primary");
         assert_eq!(per_source[0].1.breaker_trips, 1);
         assert_eq!(per_source[0].1.short_circuited, 2);
-        assert_eq!(per_source[1].1.source.calls, 3);
-        for federation_chaos in [sync.chaos().unwrap(), asynced.chaos().unwrap()] {
-            let stats = federation_chaos.stats();
+        assert_eq!(per_source[1].1.calls, 3);
+        assert_eq!(per_source[1].1.failovers, 3);
+        let sum = |per_source: Vec<(String, BackendStats)>| {
+            per_source
+                .iter()
+                .fold(BackendStats::default(), |acc, (_, s)| acc.merged(s))
+        };
+        for (stats, per_source) in [
+            (sync.stats(), sync.per_source_stats()),
+            (asynced.stats(), asynced.per_source_stats()),
+        ] {
+            assert_eq!(stats, sum(per_source));
             assert_eq!(
                 (stats.breaker_trips, stats.short_circuited, stats.failovers),
                 (1, 2, 3)
             );
+        }
+
+        // A reset zeroes every counter but leaves the chaos state alone.
+        let state = || {
+            [sync.chaos(), asynced.chaos()]
+                .map(|chaos| chaos.map(|c| (c.breaker_state(0), c.is_alive(0))))
+        };
+        let before = state();
+        assert_eq!(before[0], Some((Some(BreakerState::Open), true)));
+        sync.reset_stats();
+        asynced.reset_stats();
+        assert_eq!(state(), before);
+        for (stats, per_source) in [
+            (sync.stats(), sync.per_source_stats()),
+            (asynced.stats(), asynced.per_source_stats()),
+        ] {
+            assert_eq!(stats, BackendStats::default());
+            assert!(per_source
+                .iter()
+                .all(|(_, s)| *s == BackendStats::default()));
         }
     }
 }

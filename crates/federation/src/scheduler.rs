@@ -41,13 +41,12 @@ impl accrel_engine::Executor for Threaded<'_> {
     }
 
     /// Runs the batched loop from `initial`. The report's `batch_stats`
-    /// describe the speculation traffic and `chaos` the federation's churn
-    /// and failover activity during the run; everything else matches what
-    /// the sequential executor reports against sources returning the same
-    /// responses.
+    /// describe the speculation traffic and `source_stats` the federation's
+    /// traffic during the run, churn and failover activity included;
+    /// everything else matches what the sequential executor reports against
+    /// sources returning the same responses.
     fn execute(&self, request: &RunRequest, initial: &Configuration) -> RunReport {
         let stats_before = self.federation.stats();
-        let chaos_before = self.federation.chaos().map(|c| c.stats());
         let options = request.options.normalize();
         let merge = MergeLoop::new(
             &request.query,
@@ -61,10 +60,7 @@ impl accrel_engine::Executor for Threaded<'_> {
         let mut report = merge.run(|batch| {
             crate::sweep::parallel_map(batch, options.workers, |a| self.federation.call(a))
         });
-        report.source_stats = self.federation.stats().since(&stats_before).source;
-        if let (Some(chaos), Some(before)) = (self.federation.chaos(), chaos_before) {
-            report.chaos = chaos.stats().since(&before);
-        }
+        report.source_stats = self.federation.stats().since(&stats_before);
         report
     }
 
@@ -181,10 +177,10 @@ mod tests {
         );
         assert!(report.certain);
         let stats = federation.stats();
-        assert!(stats.pages_fetched >= stats.source.calls);
+        assert!(stats.pages_fetched >= stats.calls);
         assert!(stats.simulated_latency_micros > 0);
         // Flaky retries were absorbed, never surfaced as failures.
-        assert_eq!(stats.source.failures, 0);
+        assert_eq!(stats.failures, 0);
     }
 
     #[test]

@@ -15,10 +15,13 @@
 //! * **Cross-session access deduplication** — an in-flight table keyed by
 //!   [`Access::stable_hash`]: when a session wants an access that another
 //!   session's wire call is already fetching, it *joins* that call and
-//!   shares its response instead of dialing the source again. Per-session
-//!   [`SessionStats`] attribute shared calls fractionally
-//!   (`fractional_calls` sums `1/participants` per call), while the
-//!   aggregate [`BackendStats`] count each wire call exactly once.
+//!   shares its response instead of dialing the source again. A session's
+//!   report counts every call it asked for in its `source_stats` (calls,
+//!   failures, tuples), and its [`SessionStats`] split them into led and
+//!   joined calls and attribute shared calls fractionally
+//!   (`fractional_calls` sums `1/participants` per call). The serve's
+//!   [`BackendStats`] — in total and per source, chaos counters included —
+//!   count each wire call exactly once, and the two views balance.
 //! * **Cross-session verdict sharing** — sessions attach the registry's
 //!   [`SharedVerdictCache`] to their relevance oracles, so a verdict
 //!   computed by one session (or a *previous* `serve` call on the same
@@ -47,13 +50,12 @@ use std::task::{Context, Poll, Waker};
 
 use accrel_access::{Access, Response};
 use accrel_engine::relevance::SharedVerdictCache;
-use accrel_engine::{ChaosStats, MergeLoop, MergeStep, RunReport, RunRequest, SourceStats};
+use accrel_engine::{BackendStats, MergeLoop, MergeStep, RunReport, RunRequest};
 use accrel_schema::Configuration;
 
 use crate::async_federation::AsyncFederation;
 use crate::error::SourceError;
 use crate::executor::{yield_now, Executor, Semaphore};
-use crate::source::BackendStats;
 
 /// Knobs of the serving layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -76,11 +78,11 @@ impl Default for ServingOptions {
     }
 }
 
-/// Per-session backend traffic, as the session experienced it.
+/// How the serving layer shared a session's calls with other sessions, and
+/// how long the session took. (What the calls returned is counted in the
+/// session report's `source_stats`.)
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SessionStats {
-    /// Accesses the session's merge loop requested (led or joined).
-    pub calls: usize,
     /// Calls this session dialed a source for (it was the *leader*).
     pub led_calls: usize,
     /// Calls this session shared with another session's wire call.
@@ -88,10 +90,6 @@ pub struct SessionStats {
     /// Fair-share attribution: each call contributes `1/participants`, so
     /// summing over sessions reproduces the wire-call count.
     pub fractional_calls: f64,
-    /// Calls that ultimately failed.
-    pub failures: usize,
-    /// Tuples the session received across its successful calls.
-    pub tuples_returned: usize,
     /// Virtual time from admission to completion, in microseconds.
     pub latency_micros: u64,
 }
@@ -103,9 +101,9 @@ pub struct SessionReport {
     /// Index of the session's request in the `serve` slice.
     pub session: usize,
     /// The run report — identical to an independent sequential run against
-    /// sources returning the same responses (`source_stats` holds the
-    /// session's *attributed* traffic: joined calls count as calls here,
-    /// but only once in the aggregate).
+    /// sources returning the same responses. Its `source_stats` holds the
+    /// calls, failures and tuples the session asked for: joined calls count
+    /// as calls here, but only once in the serve's aggregate.
     pub report: RunReport,
     /// The session's serving-layer traffic.
     pub stats: SessionStats,
@@ -118,19 +116,16 @@ pub struct ServingReport {
     pub sessions: Vec<SessionReport>,
     /// Backend traffic of the whole serve, with each wire call counted
     /// exactly once (deduplication makes this strictly less than the sum of
-    /// per-session calls whenever sessions overlapped on an access).
+    /// per-session calls whenever sessions overlapped on an access), chaos
+    /// counters included. The field-wise sum of `per_source`.
     pub aggregate: BackendStats,
     /// Per-source backend traffic of the whole serve, in registration order
-    /// — wire calls *and* the retry/failure split each backend absorbed or
-    /// surfaced, so a flaky replica's churn is visible per source rather
-    /// than folded into the aggregate.
+    /// — wire calls, the retry/failure split each backend absorbed or
+    /// surfaced, and the chaos counters charged to it, so a flaky replica's
+    /// churn is visible per source rather than folded into the aggregate.
     pub per_source: Vec<(String, BackendStats)>,
-    /// Chaos traffic of the whole serve (all zeros without an attached
-    /// [`crate::ChaosController`]).
-    pub chaos: ChaosStats,
-    /// Wire calls actually dialed (equals `aggregate.source.calls +
-    /// aggregate.source.failures` for these sources; kept separately so the
-    /// invariant is checkable).
+    /// Wire calls actually dialed (without failover, `aggregate.calls +
+    /// aggregate.failures`; kept separately so the invariant is checkable).
     pub wire_calls: usize,
     /// Calls answered by joining another session's in-flight wire call.
     pub joined_calls: usize,
@@ -147,7 +142,10 @@ impl ServingReport {
     /// Sum of per-session call counts (the traffic the sessions *asked*
     /// for; compare with `wire_calls` for what actually hit the sources).
     pub fn session_calls(&self) -> usize {
-        self.sessions.iter().map(|s| s.stats.calls).sum()
+        self.sessions
+            .iter()
+            .map(|s| s.stats.led_calls + s.stats.joined_calls)
+            .sum()
     }
 
     /// The `p`-quantile (0.0 ≤ p ≤ 1.0) of per-session virtual latency, in
@@ -229,7 +227,6 @@ impl<'a> QuerySessionRegistry<'a> {
     pub fn serve(&self, requests: &[RunRequest], initial: &Configuration) -> ServingReport {
         let stats_before = self.federation.stats();
         let per_source_before = self.federation.per_source_stats();
-        let chaos_before = self.federation.chaos().map(|c| c.stats());
         let clock = self.federation.clock().clone();
         let start = clock.now_micros();
         let methods = self.federation.methods();
@@ -251,6 +248,7 @@ impl<'a> QuerySessionRegistry<'a> {
                 let _admission = session_gate.acquire().await;
                 let admitted = clock.now_micros();
                 let mut stats = SessionStats::default();
+                let mut traffic = BackendStats::default();
                 let mut merge = MergeLoop::new(
                     &request.query,
                     request.strategy,
@@ -260,15 +258,28 @@ impl<'a> QuerySessionRegistry<'a> {
                 )
                 .with_shared_cache(class, verdicts);
                 while let MergeStep::Fetch(batch) = merge.step() {
-                    let responses =
-                        fetch_deduped(federation, &access_gate, &dedup, &batch, &mut stats).await;
+                    let responses = fetch_deduped(
+                        federation,
+                        &access_gate,
+                        &dedup,
+                        &batch,
+                        &mut stats,
+                        &mut traffic,
+                    )
+                    .await;
                     merge.supply(batch, responses);
                     // Round-robin fairness point: let every other
                     // admitted session progress one batch.
                     yield_now().await;
                 }
                 stats.latency_micros = clock.now_micros() - admitted;
-                (session, merge.into_report(), stats)
+                let mut report = merge.into_report();
+                report.source_stats = traffic;
+                SessionReport {
+                    session,
+                    report,
+                    stats,
+                }
             }));
         }
         let stuck = exec.run();
@@ -277,19 +288,6 @@ impl<'a> QuerySessionRegistry<'a> {
         let sessions: Vec<SessionReport> = handles
             .into_iter()
             .map(|h| h.take().expect("session ran to completion"))
-            .map(|(session, mut report, stats)| {
-                report.source_stats = SourceStats {
-                    calls: stats.calls - stats.failures,
-                    retries: 0,
-                    failures: stats.failures,
-                    tuples_returned: stats.tuples_returned,
-                };
-                SessionReport {
-                    session,
-                    report,
-                    stats,
-                }
-            })
             .collect();
         let wire_calls: usize = sessions.iter().map(|s| s.stats.led_calls).sum();
         let joined_calls: usize = sessions.iter().map(|s| s.stats.joined_calls).sum();
@@ -304,15 +302,10 @@ impl<'a> QuerySessionRegistry<'a> {
             .zip(per_source_before)
             .map(|((name, after), (_, before))| (name, after.since(&before)))
             .collect();
-        let chaos = match (self.federation.chaos(), chaos_before) {
-            (Some(controller), Some(before)) => controller.stats().since(&before),
-            _ => ChaosStats::default(),
-        };
         ServingReport {
             sessions,
             aggregate: self.federation.stats().since(&stats_before),
             per_source,
-            chaos,
             wire_calls,
             joined_calls,
             makespan_micros: clock.now_micros() - start,
@@ -352,8 +345,8 @@ impl accrel_engine::Executor for Serving<'_> {
     fn execute(&self, request: &RunRequest, initial: &Configuration) -> RunReport {
         let mut serve = self.registry.serve(std::slice::from_ref(request), initial);
         let mut report = serve.sessions.remove(0).report;
-        // A single-session serve's chaos traffic is the session's.
-        report.chaos = serve.chaos;
+        // A single-session serve's traffic is the session's.
+        report.source_stats = serve.aggregate;
         report
     }
 
@@ -553,14 +546,16 @@ async fn shared_call(
 }
 
 /// Fetches a session's predicted batch through the dedup table, all calls
-/// of the batch concurrently in flight, and folds the traffic into the
-/// session's stats. Responses are aligned with the batch slice.
+/// of the batch concurrently in flight, and folds the sharing into the
+/// session's `stats` and what the calls returned into its `traffic`.
+/// Responses are aligned with the batch slice.
 async fn fetch_deduped(
     federation: &AsyncFederation,
     gate: &Semaphore,
     dedup: &RefCell<DedupTable>,
     batch: &[Access],
     stats: &mut SessionStats,
+    traffic: &mut BackendStats,
 ) -> Vec<Result<Response, SourceError>> {
     type CallFuture<'f> =
         Pin<Box<dyn Future<Output = (Result<Response, SourceError>, CallAttribution)> + 'f>>;
@@ -573,7 +568,6 @@ async fn fetch_deduped(
     let outcomes = JoinAll::new(calls).await;
     let mut responses = Vec::with_capacity(outcomes.len());
     for (result, attribution) in outcomes {
-        stats.calls += 1;
         if attribution.led {
             stats.led_calls += 1;
         } else {
@@ -581,8 +575,11 @@ async fn fetch_deduped(
         }
         stats.fractional_calls += 1.0 / attribution.participants as f64;
         match &result {
-            Ok(response) => stats.tuples_returned += response.len(),
-            Err(_) => stats.failures += 1,
+            Ok(response) => {
+                traffic.calls += 1;
+                traffic.tuples_returned += response.len();
+            }
+            Err(_) => traffic.failures += 1,
         }
         responses.push(result);
     }
@@ -645,7 +642,6 @@ impl<F: Future + Unpin> Future for JoinAll<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::async_source::BlockingSource;
     use crate::source::{LatencyModel, SimulatedSource};
     use crate::Threaded;
     use accrel_engine::scenarios::{bank_scenario, Scenario};
@@ -658,18 +654,10 @@ mod tests {
     /// admitted sessions to overlap in flight.
     fn bank_async_federation() -> (AsyncFederation, Scenario) {
         let scenario = bank_scenario();
-        let methods = scenario.methods.clone();
-        let builder = AsyncFederation::builder(methods.clone());
-        let clock = builder.clock().clone();
-        let source = BlockingSource::new(SimulatedSource::exact(
-            "bank",
-            scenario.instance.clone(),
-            methods.clone(),
-        ))
-        .with_virtual_latency(LatencyModel::recorded(100), clock);
-        let names: Vec<&str> = methods.iter().map(|(_, m)| m.name()).collect();
-        let federation = builder.source(source, &names).unwrap().build().unwrap();
-        (federation, scenario)
+        let source =
+            SimulatedSource::exact("bank", scenario.instance.clone(), scenario.methods.clone())
+                .with_latency(LatencyModel::recorded(100));
+        (AsyncFederation::single_simulated(source), scenario)
     }
 
     fn identical_requests(scenario: &Scenario, n: usize) -> Vec<RunRequest> {
@@ -712,7 +700,7 @@ mod tests {
         // asked for 4× the accesses but the sources saw far fewer calls.
         assert!(report.joined_calls > 0);
         assert!(report.wire_calls < report.session_calls());
-        assert_eq!(report.aggregate.source.calls, report.wire_calls);
+        assert_eq!(report.aggregate.calls, report.wire_calls);
         // Fractional attribution sums back to the wire-call count.
         let fractional: f64 = report
             .sessions

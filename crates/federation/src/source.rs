@@ -13,9 +13,14 @@
 //!   overlap;
 //! * [`FlakyModel`] — deterministic transient failures with an internal
 //!   retry loop, the retried/failed attempts counted separately from
-//!   successful calls in [`SourceStats`];
+//!   successful calls;
 //! * paging — responses delivered in pages of a fixed size, each page a
 //!   simulated round trip.
+//!
+//! Each source counts its own traffic in one [`BackendStats`] — the flat
+//! counter type of `accrel-engine`, re-exported here — whose cost fields
+//! these models fill in; the federation adds its chaos counters per source
+//! (see `crate::routing`).
 //!
 //! All three models affect *cost* (latency, retries, pages), never response
 //! *content*: a `SimulatedSource` returns the exact matching tuples in
@@ -31,7 +36,7 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use accrel_access::{Access, AccessMethods, Response};
-use accrel_engine::SourceStats;
+use accrel_engine::BackendStats;
 use accrel_schema::{Instance, Tuple};
 
 use crate::error::SourceError;
@@ -62,52 +67,6 @@ pub trait Source: Send + Sync {
     /// it). Default no-op, like [`Source::set_latency`].
     fn set_flaky(&self, flaky: Option<FlakyModel>) {
         let _ = flaky;
-    }
-}
-
-/// Backend statistics: the engine-level [`SourceStats`] plus simulation
-/// extras.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct BackendStats {
-    /// Successful / retried / failed call accounting.
-    pub source: SourceStats,
-    /// Pages fetched by paged backends (0 for unpaged ones).
-    pub pages_fetched: usize,
-    /// Total simulated latency attributed to this source, in microseconds.
-    pub simulated_latency_micros: u64,
-    /// Circuit-breaker trips charged to this source (zero without a chaos
-    /// controller — see `crate::chaos`; filled in by the federation's
-    /// `per_source_stats`, not by the source itself).
-    pub breaker_trips: usize,
-    /// Calls this source never saw because its breaker was open at the time
-    /// (zero without a chaos controller).
-    pub short_circuited: usize,
-}
-
-impl BackendStats {
-    /// Field-wise sum (for aggregating across a federation's sources).
-    pub fn merged(&self, other: &BackendStats) -> BackendStats {
-        BackendStats {
-            source: self.source.merged(&other.source),
-            pages_fetched: self.pages_fetched + other.pages_fetched,
-            simulated_latency_micros: self.simulated_latency_micros
-                + other.simulated_latency_micros,
-            breaker_trips: self.breaker_trips + other.breaker_trips,
-            short_circuited: self.short_circuited + other.short_circuited,
-        }
-    }
-
-    /// The stats accumulated since `earlier`.
-    pub fn since(&self, earlier: &BackendStats) -> BackendStats {
-        BackendStats {
-            source: self.source.since(&earlier.source),
-            pages_fetched: self.pages_fetched.saturating_sub(earlier.pages_fetched),
-            simulated_latency_micros: self
-                .simulated_latency_micros
-                .saturating_sub(earlier.simulated_latency_micros),
-            breaker_trips: self.breaker_trips.saturating_sub(earlier.breaker_trips),
-            short_circuited: self.short_circuited.saturating_sub(earlier.short_circuited),
-        }
     }
 }
 
@@ -323,15 +282,15 @@ impl SimulatedSource {
         let mut state = self.state.lock().expect("source state poisoned");
         state.stats.simulated_latency_micros += plan.total_latency_micros();
         if plan.succeeds {
-            state.stats.source.calls += 1;
-            state.stats.source.retries += plan.failed_attempts;
-            state.stats.source.tuples_returned += plan.tuples.len();
+            state.stats.calls += 1;
+            state.stats.retries += plan.failed_attempts;
+            state.stats.tuples_returned += plan.tuples.len();
             if plan.paged {
                 state.stats.pages_fetched += plan.pages;
             }
         } else {
-            state.stats.source.retries += plan.allowed_retries;
-            state.stats.source.failures += 1;
+            state.stats.retries += plan.allowed_retries;
+            state.stats.failures += 1;
         }
     }
 
@@ -461,10 +420,10 @@ mod tests {
         sorted.sort();
         assert_eq!(resp.tuples(), sorted.as_slice());
         let stats = source.stats();
-        assert_eq!(stats.source.calls, 1);
-        assert_eq!(stats.source.tuples_returned, 10);
-        assert_eq!(stats.source.retries, 0);
-        assert_eq!(stats.source.failures, 0);
+        assert_eq!(stats.calls, 1);
+        assert_eq!(stats.tuples_returned, 10);
+        assert_eq!(stats.retries, 0);
+        assert_eq!(stats.failures, 0);
         source.reset_stats();
         assert_eq!(source.stats(), BackendStats::default());
     }
@@ -499,7 +458,7 @@ mod tests {
         });
         let resp = source.call(&access).unwrap();
         assert_eq!(resp.len(), 10);
-        let stats = source.stats().source;
+        let stats = source.stats();
         assert_eq!(stats.calls, 1);
         assert_eq!(stats.retries, 2);
         assert_eq!(stats.failures, 0);
@@ -515,7 +474,7 @@ mod tests {
         });
         let err = source.call(&access).unwrap_err();
         assert!(matches!(err, SourceError::Unavailable { .. }));
-        let stats = source.stats().source;
+        let stats = source.stats();
         assert_eq!(stats.calls, 0);
         assert_eq!(stats.failures, 1);
         assert_eq!(stats.retries, 1);
@@ -555,26 +514,24 @@ mod tests {
                 SimulatedSource::exact("policy", inst.clone(), methods.clone()).with_policy(policy);
             let resp = source.call(&access).unwrap();
             assert_eq!(resp.tuples(), deep.call(&access).unwrap().tuples());
-            assert_eq!(source.stats().source, deep.stats());
+            assert_eq!(source.stats(), deep.stats());
         }
     }
 
     #[test]
     fn backend_stats_merge_and_diff() {
         let a = BackendStats {
-            source: SourceStats {
-                calls: 3,
-                retries: 1,
-                failures: 0,
-                tuples_returned: 12,
-            },
+            calls: 3,
+            retries: 1,
+            tuples_returned: 12,
             pages_fetched: 2,
             simulated_latency_micros: 100,
-            breaker_trips: 0,
-            short_circuited: 0,
+            failovers: 1,
+            ..BackendStats::default()
         };
         let b = a.merged(&a);
-        assert_eq!(b.source.calls, 6);
+        assert_eq!(b.calls, 6);
+        assert_eq!(b.failovers, 2);
         assert_eq!(b.pages_fetched, 4);
         assert_eq!(b.since(&a), a);
     }

@@ -28,7 +28,7 @@ use std::fmt;
 
 use accrel_core::SearchBudget;
 use accrel_engine::{
-    ChaosStats, DeepWebSource, Executor, InvalidationMode, ResponsePolicy, RunOptions, RunReport,
+    BackendStats, DeepWebSource, Executor, InvalidationMode, ResponsePolicy, RunOptions, RunReport,
     RunRequest, Sequential, Strategy, VerdictRecord,
 };
 use accrel_federation::{
@@ -243,8 +243,9 @@ pub struct Divergence {
 pub struct CaseOutcome {
     /// The first divergence found, if any.
     pub divergence: Option<Divergence>,
-    /// Chaos traffic summed across the three concurrent layers.
-    pub chaos: ChaosStats,
+    /// Source traffic, chaos counters included, summed across the three
+    /// concurrent layers.
+    pub traffic: BackendStats,
     /// The sequential oracle's report (the ground truth the layers were
     /// compared against).
     pub oracle: RunReport,
@@ -334,11 +335,11 @@ pub fn run_case(case: &FuzzCase) -> CaseOutcome {
     let serving = Serving::new(&serving_federation);
     let executors: [&dyn Executor; 3] = [&threaded, &asynced, &serving];
 
-    let mut chaos = ChaosStats::default();
+    let mut traffic = BackendStats::default();
     let mut divergence = None;
     for executor in executors {
         let report = executor.execute(&request, &initial);
-        chaos = chaos.merged(&report.chaos);
+        traffic = traffic.merged(&report.source_stats);
         if divergence.is_none() {
             divergence = first_differing_field(&report, &oracle).map(|field| Divergence {
                 executor: executor.name(),
@@ -349,7 +350,7 @@ pub fn run_case(case: &FuzzCase) -> CaseOutcome {
 
     CaseOutcome {
         divergence,
-        chaos,
+        traffic,
         oracle,
     }
 }
@@ -628,9 +629,9 @@ pub fn fuzz(base_seed: u64, count: usize) -> FuzzSummary {
         let case = FuzzCase::from_seed(seed);
         let outcome = run_case(&case);
         summary.cases += 1;
-        summary.churn_events += outcome.chaos.churn_events;
-        summary.failovers += outcome.chaos.failovers;
-        summary.breaker_trips += outcome.chaos.breaker_trips;
+        summary.churn_events += outcome.traffic.churn_events;
+        summary.failovers += outcome.traffic.failovers;
+        summary.breaker_trips += outcome.traffic.breaker_trips;
         if let Some(divergence) = outcome.divergence {
             let minimal = shrink(&case);
             summary.failures.push(FuzzFailure {

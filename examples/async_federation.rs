@@ -87,10 +87,10 @@ fn main() {
         for (name, stats) in federation.per_source_stats() {
             println!(
                 "  {name}: calls={} retries={} failures={} tuples={} pages={} sim-latency={}µs",
-                stats.source.calls,
-                stats.source.retries,
-                stats.source.failures,
-                stats.source.tuples_returned,
+                stats.calls,
+                stats.retries,
+                stats.failures,
+                stats.tuples_returned,
                 stats.pages_fetched,
                 stats.simulated_latency_micros
             );

@@ -103,8 +103,8 @@ pub mod prelude {
     /// ([`Async`] over an [`AsyncFederation`]), and the backend cost models
     /// they simulate.
     pub use accrel_federation::{
-        Async, AsyncFederation, AsyncSimulatedSource, AsyncSource, BlockingSource, Federation,
-        FlakyModel, LatencyModel, SimulatedSource, Source, Threaded,
+        Async, AsyncFederation, AsyncSimulatedSource, AsyncSource, Federation, FlakyModel,
+        LatencyModel, SimulatedSource, Source, Threaded,
     };
     /// The chaos layer: deterministic churn scripts, per-source circuit
     /// breakers and replica failover over either federation runtime, plus
@@ -144,8 +144,10 @@ pub mod prelude {
         pub use accrel_engine::relevance::{
             RelevanceKind, RelevanceOracle, SharedVerdictCache, VerdictRecord,
         };
-        /// Per-run statistics types surfaced inside `RunReport`.
-        pub use accrel_engine::{BatchStats, ChaosStats, SourceStats};
+        /// The statistics types surfaced inside `RunReport`: what the
+        /// sources cost (per source, per federation, per run and per serve)
+        /// and the merge loop's batch structure.
+        pub use accrel_engine::{BackendStats, BatchStats};
         /// The run loop every executor drives: a sans-IO state machine that
         /// asks its driver to fetch predicted batches.
         pub use accrel_engine::{MergeLoop, MergeStep};
@@ -158,11 +160,11 @@ pub mod prelude {
         };
         /// Parallel relevance sweeps over copy-on-write snapshots.
         pub use accrel_federation::{parallel_relevance_sweep_report, SweepReport};
-        /// Backend statistics and error types of the federation runtime.
-        pub use accrel_federation::{BackendStats, FederationError, SourceError, SourceFuture};
         /// The chaos controller and breaker state machine behind the
         /// prelude-level churn scripts.
         pub use accrel_federation::{ChaosController, CircuitBreaker};
+        /// Error and future types of the federation runtime.
+        pub use accrel_federation::{FederationError, SourceError, SourceFuture};
         /// Fact storage: the copy-on-write sharded store behind
         /// `Configuration`, and its identifiers.
         pub use accrel_schema::{FactStore, RelationId};

@@ -31,8 +31,8 @@ fn killed_primary_runs_match_the_sequential_oracle_byte_for_byte() {
             outcome.divergence, None,
             "killed-primary run diverged under {strategy:?}"
         );
-        churn_events += outcome.chaos.churn_events;
-        failovers += outcome.chaos.failovers;
+        churn_events += outcome.traffic.churn_events;
+        failovers += outcome.traffic.failovers;
     }
     // Strategies that stop after a couple of accesses may finish before the
     // chaos clock reaches the kill; across the whole grid it must fire.
@@ -69,13 +69,13 @@ fn flaky_primary_churn_is_absorbed_and_trips_breakers() {
     };
     let outcome = differential::run_case(&case);
     assert_eq!(outcome.divergence, None, "flaky churn changed answers");
-    assert!(outcome.chaos.failovers > 0, "failures must fail over");
+    assert!(outcome.traffic.failovers > 0, "failures must fail over");
     assert!(
-        outcome.chaos.breaker_trips > 0,
+        outcome.traffic.breaker_trips > 0,
         "consecutive retry exhaustion must trip a breaker"
     );
     assert!(
-        outcome.chaos.short_circuited > 0,
+        outcome.traffic.short_circuited > 0,
         "an open breaker must short-circuit later calls"
     );
 }

@@ -75,9 +75,9 @@ fn assert_equivalent(scenario: &Scenario, policy: &ResponsePolicy, batch_size: u
     );
     let federation = Federation::single(policy_source(scenario, policy, "grid"));
     let async_federation =
-        AsyncFederation::single(BlockingSource::new(policy_source(scenario, policy, "grid")));
+        AsyncFederation::single_simulated(policy_source(scenario, policy, "grid"));
     let serving_federation =
-        AsyncFederation::single(BlockingSource::new(policy_source(scenario, policy, "grid")));
+        AsyncFederation::single_simulated(policy_source(scenario, policy, "grid"));
 
     let sequential_exec = Sequential::new(&sequential_source);
     let threaded = Threaded::new(&federation);
@@ -355,9 +355,8 @@ fn exact_invalidation_matches_relation_level_across_the_executor_grid() {
         );
         let sequential_exec = Sequential::new(&sequential_source);
         let federation = Federation::single(policy_source(scenario, &policy, "grid"));
-        let async_federation = AsyncFederation::single(BlockingSource::new(policy_source(
-            scenario, &policy, "grid",
-        )));
+        let async_federation =
+            AsyncFederation::single_simulated(policy_source(scenario, &policy, "grid"));
         let threaded = Threaded::new(&federation);
         let asynced = Async::new(&async_federation);
         let executors: Vec<&dyn Executor> = vec![&threaded, &asynced];
@@ -514,7 +513,7 @@ fn multi_source_federation_matches_single_source() {
     // Both providers saw traffic on the exhaustive/hybrid runs.
     let per_source = split.per_source_stats();
     assert_eq!(per_source.len(), 2);
-    assert!(per_source.iter().all(|(_, s)| s.source.calls > 0));
+    assert!(per_source.iter().all(|(_, s)| s.calls > 0));
     assert!(per_source[1].1.simulated_latency_micros > 0);
 }
 
@@ -607,7 +606,7 @@ fn async_multi_source_federation_matches_threaded_and_advances_virtual_time() {
         assert!(async_split.clock().now_micros() > virtual_before);
     }
     let per_source = async_split.per_source_stats();
-    assert!(per_source.iter().all(|(_, s)| s.source.calls > 0));
+    assert!(per_source.iter().all(|(_, s)| s.calls > 0));
     assert!(per_source[0].1.pages_fetched > 0);
-    assert!(per_source[1].1.source.retries > 0);
+    assert!(per_source[1].1.retries > 0);
 }

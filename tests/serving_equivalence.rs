@@ -6,11 +6,12 @@
 //! dedup makes the *aggregate* backend traffic strictly smaller than the
 //! sum of what the sessions observed.
 //!
-//! The serving side wraps a `SimulatedSource` under the grid's response
-//! policy in a [`BlockingSource`] with a 100µs virtual round trip, so
-//! admitted sessions genuinely overlap in flight on the virtual clock;
-//! the sequential side runs the sequential executor against a plain
-//! `DeepWebSource` under the same policy.
+//! The serving side runs a `SimulatedSource` under the grid's response
+//! policy with a 100µs latency model, awaited on the virtual clock by an
+//! [`AsyncSimulatedSource`], so admitted sessions genuinely overlap in
+//! flight; the sequential side runs the sequential executor against a
+//! plain `DeepWebSource` under the same policy. The serve's traffic is one
+//! `BackendStats` in total and one per source, and the two balance.
 
 use accrel::prelude::*;
 use rand::rngs::StdRng;
@@ -56,16 +57,15 @@ fn run_options() -> RunOptions {
 /// The scenario behind an async federation whose deterministic source
 /// answers after a 100µs virtual round trip, so sessions overlap.
 fn async_federation_for(scenario: &Scenario, policy: &ResponsePolicy) -> AsyncFederation {
-    let methods = scenario.methods.clone();
-    let builder = AsyncFederation::builder(methods.clone());
-    let clock = builder.clock().clone();
-    let source = BlockingSource::new(
-        SimulatedSource::exact("serving-grid", scenario.instance.clone(), methods.clone())
-            .with_policy(policy.clone()),
+    AsyncFederation::single_simulated(
+        SimulatedSource::exact(
+            "serving-grid",
+            scenario.instance.clone(),
+            scenario.methods.clone(),
+        )
+        .with_policy(policy.clone())
+        .with_latency(LatencyModel::recorded(100)),
     )
-    .with_virtual_latency(LatencyModel::recorded(100), clock);
-    let names: Vec<&str> = methods.iter().map(|(_, m)| m.name()).collect();
-    builder.source(source, &names).unwrap().build().unwrap()
 }
 
 fn assert_sessions_match_sequential(scenario: &Scenario, policy: &ResponsePolicy, sessions: usize) {
@@ -164,24 +164,29 @@ fn random_serving_grid_matches_sequential() {
 
 #[test]
 fn per_source_traffic_in_the_serving_report_balances_the_aggregate() {
-    use accrel::prelude::internals::{ChaosStats, SourceStats};
+    use accrel::prelude::internals::BackendStats;
 
+    let summed = |report: &ServingReport| {
+        report
+            .per_source
+            .iter()
+            .fold(BackendStats::default(), |acc, (_, s)| acc.merged(s))
+    };
     // A flaky backend whose failures are all absorbed by retries: the serve
-    // still matches the oracle elsewhere, and the new per-source ledger must
+    // still matches the oracle elsewhere, and the per-source ledger must
     // expose the retry traffic that the aggregate alone would hide.
     let scenario = bank_scenario();
-    let flaky = SimulatedSource::exact(
-        "flaky-bank",
-        scenario.instance.clone(),
-        scenario.methods.clone(),
-    )
-    .with_flaky(FlakyModel {
-        period: 2,
-        fail_attempts: 1,
-        retries: 3,
-    });
-    let federation = AsyncFederation::single_simulated(flaky);
-    let registry = QuerySessionRegistry::new(&federation);
+    let methods = scenario.methods.clone();
+    let flaky = |name: &str, fail_attempts| {
+        SimulatedSource::exact(name, scenario.instance.clone(), methods.clone()).with_flaky(
+            FlakyModel {
+                period: 2,
+                fail_attempts,
+                retries: 3,
+            },
+        )
+    };
+    let federation = AsyncFederation::single_simulated(flaky("flaky-bank", 1));
     let requests: Vec<RunRequest> = (0..2)
         .map(|_| {
             RunRequest::new(scenario.query.clone())
@@ -189,27 +194,60 @@ fn per_source_traffic_in_the_serving_report_balances_the_aggregate() {
                 .with_options(run_options())
         })
         .collect();
-    let report = registry.serve(&requests, &scenario.initial_configuration);
+    let report =
+        QuerySessionRegistry::new(&federation).serve(&requests, &scenario.initial_configuration);
 
     assert_eq!(report.per_source.len(), 1);
     let (name, stats) = &report.per_source[0];
     assert_eq!(name, "flaky-bank");
-    assert!(
-        stats.source.retries > 0,
-        "flaky calls must surface as retries"
-    );
+    assert!(stats.retries > 0, "flaky calls must surface as retries");
     assert_eq!(
-        stats.source.failures, 0,
+        stats.failures, 0,
         "every transient failure is absorbed by the retry budget"
     );
     // The per-source views partition the aggregate exactly.
-    let summed = report
-        .per_source
-        .iter()
-        .fold(SourceStats::default(), |acc, (_, s)| acc.merged(&s.source));
-    assert_eq!(summed, report.aggregate.source);
-    // No chaos controller attached: the chaos ledger stays all-zero.
-    assert_eq!(report.chaos, ChaosStats::default());
+    assert_eq!(summed(&report), report.aggregate);
+    // No chaos controller attached: the chaos counters stay zero.
+    let a = &report.aggregate;
+    assert_eq!(
+        (
+            a.churn_events,
+            a.failovers,
+            a.dead_skips,
+            a.short_circuited,
+            a.breaker_trips
+        ),
+        (0, 0, 0, 0, 0)
+    );
+
+    // Under chaos — a primary whose flaky calls exhaust their retries in
+    // front of a healthy replica — the views still balance, with the
+    // breaker charged to the primary and the failovers to the replica.
+    let names: Vec<&str> = methods.iter().map(|(_, m)| m.name()).collect();
+    let replica = SimulatedSource::exact("replica", scenario.instance.clone(), methods.clone());
+    let chaotic = AsyncFederation::builder(methods.clone())
+        .simulated(flaky("primary", 9), &names)
+        .unwrap()
+        .simulated_replica(replica, &names)
+        .unwrap()
+        .with_chaos(ChaosOptions {
+            script: ChurnScript::new(),
+            breaker: Some(BreakerOptions {
+                trip_threshold: 1,
+                cooldown_micros: 1_000,
+            }),
+            pace_micros_per_call: 0,
+        })
+        .build()
+        .unwrap();
+    let report =
+        QuerySessionRegistry::new(&chaotic).serve(&requests, &scenario.initial_configuration);
+    assert_eq!(summed(&report), report.aggregate);
+    let (primary, replica) = (&report.per_source[0].1, &report.per_source[1].1);
+    assert_eq!(primary.breaker_trips, 1);
+    assert!(primary.short_circuited > 0);
+    assert!(replica.failovers > 0);
+    assert_eq!(report.aggregate.failovers, replica.failovers);
 }
 
 #[test]
@@ -228,14 +266,14 @@ fn dedup_strictly_reduces_aggregate_backend_traffic() {
         })
         .collect();
     let report = registry.serve(&requests, &scenario.initial_configuration);
-    let session_sum: usize = report.sessions.iter().map(|s| s.stats.calls).sum();
+    let session_sum = report.session_calls();
     assert!(
-        report.aggregate.source.calls < session_sum,
+        report.aggregate.calls < session_sum,
         "dedup must strictly reduce aggregate calls: aggregate={} session-sum={session_sum}",
-        report.aggregate.source.calls
+        report.aggregate.calls
     );
     assert!(report.joined_calls > 0, "overlapping sessions must share");
-    assert_eq!(report.aggregate.source.calls, report.wire_calls);
+    assert_eq!(report.aggregate.calls, report.wire_calls);
     // The fractional attribution re-partitions the wire calls exactly.
     let fractional: f64 = report
         .sessions

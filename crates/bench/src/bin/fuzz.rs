@@ -1,13 +1,16 @@
 //! Differential scenario fuzzer driver: random chaos-federation scenarios
 //! (schema × query × response policy × churn script) run through the
 //! threaded, async and serving executors and diffed against the sequential
-//! oracle. Any divergence is shrunk to a minimal reproducing case and
-//! printed; the process exits non-zero so CI can gate on it.
+//! oracle, whose own certainty and answers are first checked against a full
+//! evaluation on its final configuration. Any divergence is shrunk to a
+//! minimal reproducing case and printed; the process exits non-zero so CI
+//! can gate on it.
 //!
 //! With `--invalidation-seeds <N>` the sweep additionally diffs **precise**
 //! and **exact read-set invalidation** against the relation-level baseline on each
 //! case (identical observable run, verdict-log subsequence, never more
-//! re-checks or evictions).
+//! re-checks or evictions), and all three against an uncached run that
+//! calls the pre-checking decision procedures for every verdict.
 //!
 //! ```text
 //! cargo run --release -p accrel-bench --bin fuzz -- --seeds 25

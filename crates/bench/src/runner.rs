@@ -15,6 +15,7 @@ use accrel_federation::{
     parallel_relevance_sweep_report, Async, ChurnScript, FlakyModel, QuerySessionRegistry,
     ServingOptions, Threaded,
 };
+use accrel_query::certain;
 use accrel_workloads::encodings::encoding_stats;
 use accrel_workloads::tiling::checkerboard;
 
@@ -232,6 +233,15 @@ pub fn e5_data_complexity(sizes: &[usize], repeats: usize) -> Table {
         });
         rows.push(Row::new(
             "LTR independent (fixed query)",
+            size,
+            "median µs",
+            t,
+        ));
+        let t = median_micros(repeats, || {
+            let _ = certain::certain_answers(&f.query, &f.configuration);
+        });
+        rows.push(Row::new(
+            "certain answers (fixed query)",
             size,
             "median µs",
             t,
@@ -1270,11 +1280,11 @@ mod tests {
             )
         };
         let bank = modes.map(|m| counters(bank_invalidation_run(m)));
-        assert_eq!(bank, [(44, 218, 40, 11), (44, 196, 40, 11), (63, 0, 59, 0)]);
+        assert_eq!(bank, [(44, 184, 40, 11), (44, 162, 40, 11), (63, 0, 59, 0)]);
         let chain = modes.map(|m| counters(flood_invalidation_run(m)));
         assert_eq!(
             chain,
-            [(137, 1161, 0, 16), (272, 6216, 195, 16), (272, 0, 195, 0)]
+            [(137, 1118, 0, 16), (272, 6173, 195, 16), (272, 0, 195, 0)]
         );
     }
 
@@ -1324,7 +1334,7 @@ mod tests {
         let t2 = e2_ltr_independent(&[1, 2], 1);
         assert_eq!(t2.rows.len(), 4);
         let t5 = e5_data_complexity(&[5, 10], 1);
-        assert_eq!(t5.rows.len(), 8);
+        assert_eq!(t5.rows.len(), 10);
         assert!(t5.rows.iter().any(|r| r.metric == "count" && r.value > 0.0));
         let t8 = e8_reductions(1);
         assert!(t8.rows.iter().any(|r| r.metric == "bool" && r.value == 1.0));

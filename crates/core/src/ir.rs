@@ -12,6 +12,13 @@
 //! (same relation and input places mapped to the binding) — an NP check.
 //! The procedure is the same for dependent and independent methods since
 //! only a single access is considered.
+//!
+//! The coNP half depends on the configuration alone, so a caller that
+//! already knows the Boolean query is not certain (the engine keeps one
+//! certainty status per run, see `accrel_query::certain::CertaintyStatus`)
+//! runs only the NP half: [`is_immediately_relevant_given_uncertain`].
+//! [`is_immediately_relevant`] is that same body behind the certainty
+//! pre-check.
 
 use std::collections::HashMap;
 
@@ -62,12 +69,37 @@ pub fn immediate_relevance_witness(
         }
         return None;
     }
-    if access.check_arity(methods).is_err() {
-        return None;
-    }
     // If the query is already certain no response can increase the certain
     // answers.
     if certain::is_certain(query, conf) {
+        return None;
+    }
+    witness_given_uncertain(query, conf, access, methods)
+}
+
+/// Immediate relevance of `access` for a Boolean `query` the caller knows
+/// is not certain at `conf`: the NP half of Proposition 4.1, without the
+/// certainty pre-check of [`is_immediately_relevant`]. On a certain query
+/// the answer is meaningless.
+pub fn is_immediately_relevant_given_uncertain(
+    query: &Query,
+    conf: &Configuration,
+    access: &Access,
+    methods: &AccessMethods,
+) -> bool {
+    debug_assert!(query.is_boolean(), "the body takes Boolean queries only");
+    witness_given_uncertain(query, conf, access, methods).is_some()
+}
+
+/// The witness search shared by both entry points, for a Boolean query
+/// assumed not certain.
+fn witness_given_uncertain(
+    query: &Query,
+    conf: &Configuration,
+    access: &Access,
+    methods: &AccessMethods,
+) -> Option<IrWitness> {
+    if access.check_arity(methods).is_err() {
         return None;
     }
     let method = methods.get(access.method()).ok()?;

@@ -25,7 +25,12 @@
 //!   LTR (Theorem 4.6).
 //!
 //! The top-level entry points are [`is_immediately_relevant`],
-//! [`is_long_term_relevant`] and [`is_contained`].
+//! [`is_long_term_relevant`] and [`is_contained`]. For a Boolean query, each
+//! relevance procedure first checks that the query is not yet certain (no
+//! access can change a certain Boolean answer) and then runs its search.
+//! Callers that track certainty themselves run the search alone:
+//! [`is_immediately_relevant_given_uncertain`] and
+//! [`is_long_term_relevant_given_uncertain_trailed`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -41,7 +46,7 @@ mod search;
 
 pub use budget::SearchBudget;
 pub use containment::{is_contained, ContainmentOutcome, NonContainmentWitness};
-pub use ir::{is_immediately_relevant, IrWitness};
+pub use ir::{is_immediately_relevant, is_immediately_relevant_given_uncertain, IrWitness};
 pub use ltr_dependent::{is_ltr_dependent, is_ltr_dependent_trailed};
 pub use ltr_independent::is_ltr_independent;
 
@@ -79,15 +84,39 @@ pub fn is_long_term_relevant_trailed(
     methods: &AccessMethods,
     budget: &SearchBudget,
 ) -> bool {
-    if methods
-        .methods()
-        .iter()
-        .all(|m| m.mode() == AccessMode::Independent)
-    {
+    if all_independent(methods) {
         ltr_independent::is_ltr_independent_budgeted(query, conf, access, methods, budget)
     } else {
         ltr_dependent::is_ltr_dependent_trailed(query, conf, access, methods, budget)
     }
+}
+
+/// [`is_long_term_relevant_trailed`] for a Boolean `query` the caller knows
+/// is not certain at `conf`: the same dispatch to the same searches, minus
+/// their certainty pre-checks. On a certain query the answer is
+/// meaningless.
+pub fn is_long_term_relevant_given_uncertain_trailed(
+    query: &Query,
+    conf: &mut Configuration,
+    access: &Access,
+    methods: &AccessMethods,
+    budget: &SearchBudget,
+) -> bool {
+    if all_independent(methods) {
+        ltr_independent::is_ltr_independent_given_uncertain(query, conf, access, methods, budget)
+    } else {
+        ltr_dependent::is_ltr_dependent_given_uncertain_trailed(
+            query, conf, access, methods, budget,
+        )
+    }
+}
+
+/// Whether every access method is independent (the ΣP2 procedure applies).
+fn all_independent(methods: &AccessMethods) -> bool {
+    methods
+        .methods()
+        .iter()
+        .all(|m| m.mode() == AccessMode::Independent)
 }
 
 #[cfg(test)]

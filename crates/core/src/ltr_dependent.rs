@@ -24,6 +24,13 @@
 //!    (making the truncation collapse to `Conf`), or because even the full
 //!    set of later facts does not satisfy the query.
 //!
+//! Step 0 is a pre-check: a certain Boolean query has no relevant access.
+//! [`is_ltr_dependent_trailed`] runs it before the search; a caller that
+//! already knows the query is not certain (the engine's per-run certainty
+//! status) runs the search alone through
+//! [`crate::is_long_term_relevant_given_uncertain_trailed`]. The certainty
+//! checks *inside* the search, on truncated configurations, stay.
+//!
 //! The NEXPTIME upper bound of Theorem 5.2 (2NEXPTIME for positive queries,
 //! Theorem 5.6) bounds the witness size; as for containment the search is
 //! complete relative to the budget.
@@ -74,11 +81,23 @@ pub fn is_ltr_dependent_trailed(
             .iter()
             .any(|q| is_ltr_dependent_trailed(q, conf, access, methods, budget));
     }
-    if !access.is_well_formed(conf, methods) {
-        return false;
-    }
     // A certain Boolean query cannot gain new certain answers.
-    if certain::is_certain(query, conf) {
+    !certain::is_certain(query, conf)
+        && is_ltr_dependent_given_uncertain_trailed(query, conf, access, methods, budget)
+}
+
+/// [`is_ltr_dependent_trailed`] for a Boolean `query` the caller knows is
+/// not certain at `conf`: the witness search without the certainty
+/// pre-check. On a certain query the answer is meaningless.
+pub(crate) fn is_ltr_dependent_given_uncertain_trailed(
+    query: &Query,
+    conf: &mut Configuration,
+    access: &Access,
+    methods: &AccessMethods,
+    budget: &SearchBudget,
+) -> bool {
+    debug_assert!(query.is_boolean(), "the body takes Boolean queries only");
+    if !access.is_well_formed(conf, methods) {
         return false;
     }
     let Ok(method) = methods.get(access.method()) else {

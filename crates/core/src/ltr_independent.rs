@@ -27,6 +27,12 @@
 //! valuation whose later set over-approximates the uncovered subgoals, and
 //! query-falsity on the larger extension implies it on the exact one.
 //!
+//! A certain Boolean query has no relevant access, so
+//! [`is_ltr_independent_budgeted`] checks certainty before searching. A
+//! caller that already knows the query is not certain (the engine's
+//! per-run certainty status) runs the same search without that check,
+//! through [`crate::is_long_term_relevant_given_uncertain_trailed`].
+//!
 //! The module also implements the polynomial connected-component test of
 //! Proposition 4.3 for conjunctive queries in which the accessed relation
 //! occurs exactly once ([`ltr_single_occurrence`]); it agrees with the
@@ -73,12 +79,24 @@ pub fn is_ltr_independent_budgeted(
             .iter()
             .any(|q| is_ltr_independent_budgeted(q, conf, access, methods, budget));
     }
-    if access.check_arity(methods).is_err() {
-        return false;
-    }
     // If the query is already certain, no path can change its (Boolean)
     // certain answer.
-    if certain::is_certain(query, conf) {
+    !certain::is_certain(query, conf)
+        && is_ltr_independent_given_uncertain(query, conf, access, methods, budget)
+}
+
+/// [`is_ltr_independent_budgeted`] for a Boolean `query` the caller knows
+/// is not certain at `conf`: the guess-and-check search without the
+/// certainty pre-check. On a certain query the answer is meaningless.
+pub(crate) fn is_ltr_independent_given_uncertain(
+    query: &Query,
+    conf: &Configuration,
+    access: &Access,
+    methods: &AccessMethods,
+    budget: &SearchBudget,
+) -> bool {
+    debug_assert!(query.is_boolean(), "the body takes Boolean queries only");
+    if access.check_arity(methods).is_err() {
         return false;
     }
     let Ok(method) = methods.get(access.method()) else {

@@ -122,7 +122,9 @@ pub struct RunReport {
     pub rounds: usize,
     /// Relevance verdicts answered from the incremental cache.
     pub relevance_cache_hits: usize,
-    /// Relevance verdicts that had to run a decision procedure.
+    /// Relevance verdicts the per-run cache did not hold: each ran a
+    /// decision procedure, except a Boolean query's once it was certain
+    /// (those are `false` without a search).
     pub relevance_cache_misses: usize,
     /// Of the per-run cache misses, how many were answered from the
     /// cross-session [`crate::relevance::SharedVerdictCache`] instead of
@@ -132,9 +134,14 @@ pub struct RunReport {
     /// Total `(relation, value)`-grade read-set entries recorded across the
     /// run's decision-procedure invocations. Zero under
     /// [`crate::InvalidationMode::RelationLevel`] or with the cache off.
+    /// For a Boolean query these are the searches' reads alone: the run's
+    /// certainty status replaces the procedures' certainty pre-check, so
+    /// its reads are never recorded.
     pub reads_tracked: usize,
     /// Cached relevance verdicts evicted by growing responses — per touched
-    /// read under exact invalidation, per dep relation under relation-level.
+    /// read under exact invalidation, per dep relation under relation-level
+    /// — plus, for a Boolean query, the cached `true` verdicts evicted when
+    /// the query turned certain.
     pub evictions: usize,
     /// Insert events drained by exact invalidation (one per committed
     /// response row; zero under relation-level invalidation).

@@ -15,6 +15,12 @@
 //!   virtual clock, and the serving layer routes it through its
 //!   cross-session dedup table.
 //!
+//! The loop never evaluates the query itself. Its per-round stop check and
+//! the report's certainty and Boolean answers come from the oracle's
+//! per-run certainty status ([`RelevanceOracle::is_certain`]), which is fed
+//! the rows each response commits and refreshed semi-naively; a
+//! non-Boolean query's answers are still computed in full once, at the end.
+//!
 //! # Determinism invariant
 //!
 //! Concurrency enters *only* through speculative response prefetching: before
@@ -45,7 +51,7 @@ use accrel_access::enumerate::EnumerationOptions;
 use accrel_access::frontier::AccessFrontier;
 use accrel_access::{apply_access_in_place, Access, AccessMethods, Response};
 use accrel_query::{certain, Query};
-use accrel_schema::{Configuration, TrailOps, Value};
+use accrel_schema::{Configuration, TrailOps, Tuple, Value};
 
 use crate::engine::{BatchStats, RunReport, Strategy};
 use crate::options::{RunOptions, SpeculationMode};
@@ -183,7 +189,7 @@ impl<'q> MergeLoop<'q> {
             self.rounds += 1;
             if self.options.stop_when_certain
                 && self.query.is_boolean()
-                && certain::is_certain(self.query, &self.conf)
+                && self.oracle.is_certain(&self.conf)
             {
                 return MergeStep::Done;
             }
@@ -282,10 +288,18 @@ impl<'q> MergeLoop<'q> {
     /// knows which sources served the calls.
     pub fn into_report(mut self) -> RunReport {
         self.batch_stats.speculative_wasted = self.prefetched.len();
+        // Read before the counters: the refresh that finds the query certain
+        // evicts the cached `true` verdicts.
+        let certain = self.oracle.is_certain(&self.conf);
+        let answers = match (self.query.is_boolean(), certain) {
+            (true, true) => vec![Tuple::empty()],
+            (true, false) => Vec::new(),
+            (false, _) => certain::certain_answers(self.query, &self.conf),
+        };
         RunReport {
             strategy: self.strategy,
-            certain: certain::is_certain(self.query, &self.conf),
-            answers: certain::certain_answers(self.query, &self.conf),
+            certain,
+            answers,
             accesses_made: self.accesses_made,
             accesses_skipped: self.accesses_skipped,
             tuples_retrieved: self.tuples_retrieved,

@@ -9,12 +9,33 @@
 //! recorded in an ordered [`VerdictRecord`] log, surfaced through
 //! [`crate::RunReport::relevance_verdicts`]; the executor-equivalence tests
 //! compare these logs between sequential and batched runs.
+//!
+//! # Certainty
+//!
+//! The oracle owns the run's [`CertaintyStatus`]: it is shown every row
+//! [`RelevanceOracle::observe_growth`] drains (in every invalidation mode,
+//! cache on or off) and answers [`RelevanceOracle::is_certain`], which is
+//! how the run loop decides to stop and what its report says. With the
+//! cache on, a Boolean query's verdicts come from the decision procedures'
+//! bodies ([`is_immediately_relevant_given_uncertain`],
+//! [`is_long_term_relevant_given_uncertain_trailed`]) after the status
+//! ruled certainty out — a certain query makes every verdict `false`
+//! without a search. So a verdict's read set holds what its search read and
+//! no certainty pre-check. The one thing such a read set cannot see is the
+//! query turning certain, which falsifies every cached `true` verdict: the
+//! refresh at which the status turns certain evicts them. The uncached mode
+//! and non-Boolean queries keep calling the pre-checking public procedures,
+//! so the uncached mode stays an independent reference.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 
 use accrel_access::{Access, AccessMethods, AccessMode};
-use accrel_core::{is_immediately_relevant, is_long_term_relevant_trailed, SearchBudget};
+use accrel_core::{
+    is_immediately_relevant, is_immediately_relevant_given_uncertain,
+    is_long_term_relevant_given_uncertain_trailed, is_long_term_relevant_trailed, SearchBudget,
+};
+use accrel_query::certain::CertaintyStatus;
 use accrel_query::Query;
 use accrel_schema::{
     AdomPrecision, Configuration, InsertEvent, ReadSet, RelationId, ValueInterner,
@@ -110,7 +131,9 @@ impl RelevanceCache {
     /// over-approximations of "this growth could flip the verdict" — the
     /// first by the argument on `CachedVerdict::global`, the second because
     /// the decision procedure is a deterministic function of its recorded
-    /// reads — so a verdict needs eviction only when **both** fire. Taking
+    /// reads and of the query's certainty, whose one flip evicts the `true`
+    /// verdicts separately (`evict_true`) — so a verdict needs eviction
+    /// only when **both** fire. Taking
     /// the intersection also pins the ordering invariant the differential
     /// fuzzer checks: exact-mode evictions are a subset of relation-level
     /// evictions at every growth point, never a superset (a read set may
@@ -130,6 +153,15 @@ impl RelevanceCache {
         };
         self.immediate.retain(|_, c| keep(c));
         self.long_term.retain(|_, c| keep(c));
+        before - (self.immediate.len() + self.long_term.len())
+    }
+
+    /// Drops every `true` verdict (the query just turned certain, so no
+    /// access is relevant any more). Returns how many were evicted.
+    fn evict_true(&mut self) -> usize {
+        let before = self.immediate.len() + self.long_term.len();
+        self.immediate.retain(|_, c| !c.verdict);
+        self.long_term.retain(|_, c| !c.verdict);
         before - (self.immediate.len() + self.long_term.len())
     }
 }
@@ -314,6 +346,7 @@ pub struct RelevanceOracle<'a> {
     budget: SearchBudget,
     use_cache: bool,
     cache: RelevanceCache,
+    status: CertaintyStatus<'a>,
     shared: Option<(u64, SharedVerdictCache)>,
     shared_hits: usize,
     log: Vec<VerdictRecord>,
@@ -338,6 +371,7 @@ impl<'a> RelevanceOracle<'a> {
             budget: options.budget.clone(),
             use_cache: options.use_relevance_cache,
             cache: RelevanceCache::new(query_relations),
+            status: CertaintyStatus::new(query),
             shared: None,
             shared_hits: 0,
             log: Vec::new(),
@@ -402,10 +436,11 @@ impl<'a> RelevanceOracle<'a> {
         }
     }
 
-    /// Runs the decision procedure for `kind`. Long-term relevance replays
-    /// tentative responses on the live store under a trail mark and undoes
-    /// them in place, so a speculative probe performs zero shard copies and
-    /// leaves `conf` byte-for-byte unchanged.
+    /// Runs the public decision procedure for `kind`, certainty pre-check
+    /// included. Long-term relevance replays tentative responses on the
+    /// live store under a trail mark and undoes them in place, so a
+    /// speculative probe performs zero shard copies and leaves `conf`
+    /// byte-for-byte unchanged.
     fn decide(&self, kind: RelevanceKind, access: &Access, conf: &mut Configuration) -> bool {
         let (query, methods) = (self.query, self.methods);
         match kind {
@@ -416,10 +451,41 @@ impl<'a> RelevanceOracle<'a> {
         }
     }
 
-    /// Runs [`Self::decide`] under the read recorder the invalidation mode
-    /// asks for (coarse adom recording for exact mode, per-domain/prefix
-    /// recording for precise mode, none for relation-level), returning the
-    /// verdict with the recorded [`ReadSet`].
+    /// The cached verdict of `kind`: for a Boolean query, `false` when the
+    /// status says it is certain and the procedure's body otherwise (the
+    /// status stands in for the pre-check); for any other query,
+    /// [`Self::decide`].
+    fn decide_cached(
+        &self,
+        kind: RelevanceKind,
+        access: &Access,
+        conf: &mut Configuration,
+    ) -> bool {
+        if !self.query.is_boolean() {
+            return self.decide(kind, access, conf);
+        }
+        if self.status.is_known_certain() {
+            return false;
+        }
+        let (query, methods) = (self.query, self.methods);
+        match kind {
+            RelevanceKind::Immediate => {
+                is_immediately_relevant_given_uncertain(query, conf, access, methods)
+            }
+            RelevanceKind::LongTerm => is_long_term_relevant_given_uncertain_trailed(
+                query,
+                conf,
+                access,
+                methods,
+                &self.budget,
+            ),
+        }
+    }
+
+    /// Runs [`Self::decide_cached`] under the read recorder the invalidation
+    /// mode asks for (coarse adom recording for exact mode,
+    /// per-domain/prefix recording for precise mode, none for
+    /// relation-level), returning the verdict with the recorded [`ReadSet`].
     fn decide_recorded(
         &mut self,
         kind: RelevanceKind,
@@ -434,18 +500,24 @@ impl<'a> RelevanceOracle<'a> {
         if let Some(precision) = track {
             conf.begin_read_tracking_with(precision);
         }
-        let verdict = self.decide(kind, access, conf);
+        let verdict = self.decide_cached(kind, access, conf);
         let reads = track.map(|_| conf.take_read_set());
         self.reads_tracked += reads.as_ref().map_or(0, ReadSet::len);
         (verdict, reads)
     }
 
-    /// The one caching body behind every check: per-run cache probe,
-    /// shared-cache probe, decision-procedure invocation, publication, and
-    /// logging.
+    /// The one caching body behind every check: status refresh, per-run
+    /// cache probe, shared-cache probe, decision-procedure invocation,
+    /// publication, and logging.
     fn check_at(&mut self, kind: RelevanceKind, access: &Access, conf: &mut Configuration) -> bool {
         if !self.use_cache {
             return self.decide(kind, access, conf);
+        }
+        // Refreshed before the cache probe, so a `true` verdict the newest
+        // rows falsified by making the query certain is gone before it is
+        // read, and before any read recorder is installed.
+        if self.query.is_boolean() {
+            self.is_certain(conf);
         }
         let map = match kind {
             RelevanceKind::Immediate => &self.cache.immediate,
@@ -539,40 +611,57 @@ impl<'a> RelevanceOracle<'a> {
     }
 
     /// Reacts to a response that grew the configuration: drains the insert
-    /// events the store captured and, under [`InvalidationMode::Exact`] or
-    /// [`InvalidationMode::Precise`], evicts exactly the cached verdicts
-    /// whose recorded reads an event touches (the two modes share this
-    /// drain; they differ only in how finely the reads were recorded).
-    /// Under [`InvalidationMode::RelationLevel`] the events are discarded
-    /// and every verdict depending on `relation` (the accessed method's
-    /// output relation) is evicted, reproducing the legacy behaviour
-    /// verdict-for-verdict.
+    /// events the store captured and shows each row to the certainty
+    /// status (in every mode, cache on or off). Under
+    /// [`InvalidationMode::Exact`] or [`InvalidationMode::Precise`] it also
+    /// evicts exactly the cached verdicts whose recorded reads an event
+    /// touches (the two modes share this drain; they differ only in how
+    /// finely the reads were recorded). Under
+    /// [`InvalidationMode::RelationLevel`] every verdict depending on
+    /// `relation` (the accessed method's output relation) is evicted
+    /// instead, reproducing the legacy behaviour verdict-for-verdict.
     pub fn observe_growth(&mut self, conf: &mut Configuration, relation: RelationId) {
-        match self.invalidation {
-            InvalidationMode::RelationLevel => {
-                let _ = conf.take_events();
-                self.invalidate(relation);
+        let evict_touched = self.use_cache && self.invalidation != InvalidationMode::RelationLevel;
+        // Drain to fixpoint: eviction itself inserts nothing, but a caller
+        // interleaving inserts with observe_growth calls must never leave a
+        // queued event unapplied.
+        loop {
+            let events = conf.take_events();
+            if events.is_empty() {
+                break;
             }
-            InvalidationMode::Exact | InvalidationMode::Precise => {
-                if !self.use_cache {
-                    let _ = conf.take_events();
-                    return;
-                }
-                // Drain to fixpoint: eviction itself inserts nothing, but a
-                // caller interleaving inserts with observe_growth calls must
-                // never leave a queued event unapplied.
-                loop {
-                    let events = conf.take_events();
-                    if events.is_empty() {
-                        break;
-                    }
-                    for event in &events {
-                        self.events_drained += 1;
-                        self.evictions += self.cache.evict_touched(event, conf.store().interner());
-                    }
+            let interner = conf.store().interner();
+            for event in &events {
+                self.status.observe(event, interner);
+                if evict_touched {
+                    self.events_drained += 1;
+                    self.evictions += self.cache.evict_touched(event, interner);
                 }
             }
         }
+        if self.invalidation == InvalidationMode::RelationLevel {
+            self.invalidate(relation);
+        }
+    }
+
+    /// Whether the query (its existential closure, if it has free
+    /// variables) is certain at `conf`, from the run's certainty status:
+    /// evaluated in full on first use, then refreshed from the rows
+    /// [`Self::observe_growth`] showed it. The refresh at which a Boolean
+    /// query turns certain evicts every cached `true` verdict (see the
+    /// module documentation).
+    ///
+    /// # Panics
+    ///
+    /// Under an open trail mark or an installed read recorder (see
+    /// [`CertaintyStatus::refresh`]).
+    pub fn is_certain(&mut self, conf: &Configuration) -> bool {
+        let was_certain = self.status.is_known_certain();
+        let certain = self.status.refresh(conf);
+        if certain && !was_certain && self.use_cache && self.query.is_boolean() {
+            self.evictions += self.cache.evict_true();
+        }
+        certain
     }
 
     /// Verdicts answered from the cache so far.
@@ -580,7 +669,8 @@ impl<'a> RelevanceOracle<'a> {
         self.cache.hits
     }
 
-    /// Verdicts that ran a decision procedure so far.
+    /// Verdicts computed rather than read from the cache so far (see
+    /// [`crate::RunReport::relevance_cache_misses`]).
     pub fn misses(&self) -> usize {
         self.cache.misses
     }
@@ -699,7 +789,7 @@ impl<'a> RelevanceOracle<'a> {
 mod tests {
     use super::*;
     use accrel_access::{binding, AccessMethods, AccessMode};
-    use accrel_query::{ConjunctiveQuery, Term};
+    use accrel_query::{ConjunctiveQuery, PositiveQuery, Term};
     use accrel_schema::Schema;
     use std::sync::Arc;
 
@@ -882,6 +972,49 @@ mod tests {
         }
         assert_eq!(conf.sorted_facts(), before);
         assert_eq!(conf.shard_copies(), copies_before);
+    }
+
+    #[test]
+    fn the_certainty_flip_evicts_stale_true_verdicts() {
+        // Q = (R(x) ∧ S(x)) ∨ T(y). The S access completes the first
+        // disjunct, so its witness search stops there and never reads T. A
+        // committed T row leaves that read set untouched, yet makes Q
+        // certain, which falsifies the cached `true`.
+        let mut b = Schema::builder();
+        let d = b.domain("D").unwrap();
+        for name in ["R", "S", "T"] {
+            b.relation(name, &[("a", d)]).unwrap();
+        }
+        let schema = b.build();
+        let mut mb = AccessMethods::builder(schema.clone());
+        let s_check = mb
+            .add_boolean("SCheck", "S", AccessMode::Independent)
+            .unwrap();
+        let methods = mb.build();
+        let mut pb = PositiveQuery::builder(schema.clone());
+        let (x, y) = (pb.var("x"), pb.var("y"));
+        let first = pb.atom("R", vec![Term::Var(x)]).unwrap();
+        let first = first.and(pb.atom("S", vec![Term::Var(x)]).unwrap());
+        let second = pb.atom("T", vec![Term::Var(y)]).unwrap();
+        let query: Query = pb.build(first.or(second)).into();
+        let mut conf = Configuration::empty(schema.clone());
+        conf.insert_named("R", ["1"]).unwrap();
+        conf.set_event_capture(true);
+        let access = Access::new(s_check, binding(["1"]));
+        let options = RunOptions {
+            invalidation: InvalidationMode::Precise,
+            ..RunOptions::default()
+        };
+        let mut oracle = RelevanceOracle::new(&query, &methods, &options);
+        assert!(oracle.check_ir_trailed(&access, &mut conf));
+
+        conf.insert_named("T", ["9"]).unwrap();
+        oracle.observe_growth(&mut conf, schema.relation_by_name("T").unwrap());
+        assert_eq!(oracle.evictions(), 0, "the read set never saw T");
+
+        assert!(!oracle.check_ir_trailed(&access, &mut conf));
+        assert!(!is_immediately_relevant(&query, &conf, &access, &methods));
+        assert_eq!((oracle.evictions(), oracle.misses()), (1, 2));
     }
 
     #[test]

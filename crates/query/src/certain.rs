@@ -10,12 +10,23 @@
 //! * a tuple is a certain answer iff it is an answer over `Conf`.
 //!
 //! These facts are used pervasively by the relevance procedures.
+//!
+//! # A run's certainty status
+//!
+//! Configurations only grow, so along one run a monotone query's certainty
+//! flips at most once, from false to true, and any match that appears must
+//! use a row committed since the last look. [`CertaintyStatus`] uses both
+//! facts: it evaluates the query in full the first time it is asked, then
+//! evaluates each disjunct with one atom pinned to each newly committed row
+//! (the semi-naive step of Datalog evaluation). The engine keeps one per run,
+//! so neither its run loop nor its Boolean relevance checks re-prove
+//! certainty with a full join; [`is_certain`] stays the reference the status
+//! is checked against.
 
-use accrel_schema::{Configuration, Tuple};
+use accrel_schema::{Configuration, InsertEvent, RelationId, Tuple, ValueInterner};
 
 use crate::cq::ConjunctiveQuery;
-use crate::eval;
-use crate::pq::PositiveQuery;
+use crate::eval::{self, Valuation};
 use crate::query::Query;
 
 /// Is the Boolean query certain (true in every consistent instance) at
@@ -33,11 +44,6 @@ pub fn is_certain_cq(query: &ConjunctiveQuery, conf: &Configuration) -> bool {
     eval::holds_cq(query, conf.store())
 }
 
-/// Certain-answer variant for a bare positive query.
-pub fn is_certain_pq(query: &PositiveQuery, conf: &Configuration) -> bool {
-    eval::holds_pq(query, conf.store())
-}
-
 /// The certain answers of a (possibly non-Boolean) query at `conf`.
 pub fn certain_answers(query: &Query, conf: &Configuration) -> Vec<Tuple> {
     match query {
@@ -46,11 +52,122 @@ pub fn certain_answers(query: &Query, conf: &Configuration) -> Vec<Tuple> {
     }
 }
 
+/// The certainty of one query (the existential closure, if it has free
+/// variables) over one growing configuration, kept up to date semi-naively
+/// (see the module documentation).
+///
+/// Feed it every row committed to the configuration through
+/// [`CertaintyStatus::observe`] and ask with [`CertaintyStatus::refresh`].
+/// A refresh whose configuration holds rows the status was not shown (a
+/// caller that inserted without capturing events or has not drained them
+/// yet, or the first refresh) evaluates the query in full instead, so a
+/// missed row costs time, never correctness. The status assumes a single
+/// configuration that only grows.
+#[derive(Debug, Clone)]
+pub struct CertaintyStatus<'q> {
+    query: &'q Query,
+    /// The verdict of the last refresh; `None` before the first.
+    certain: Option<bool>,
+    /// The configuration's fact count at the last refresh, less the rows
+    /// whose insert events were still queued (they are shown later).
+    seen: usize,
+    /// Rows observed since the last refresh.
+    delta: Vec<(RelationId, Tuple)>,
+}
+
+impl<'q> CertaintyStatus<'q> {
+    /// A status for `query` that has not looked at any configuration yet.
+    pub fn new(query: &'q Query) -> Self {
+        Self {
+            query,
+            certain: None,
+            seen: 0,
+            delta: Vec::new(),
+        }
+    }
+
+    /// Whether the last refresh found the query certain. Certainty never
+    /// reverts, so this stays `true` once it is.
+    pub fn is_known_certain(&self) -> bool {
+        self.certain == Some(true)
+    }
+
+    /// Shows the status a row committed since the last refresh: an insert
+    /// event drained from the configuration's store, whose value ids
+    /// `interner` resolves.
+    pub fn observe(&mut self, event: &InsertEvent, interner: &ValueInterner) {
+        // Before the first refresh, and once certain, rows change nothing.
+        if self.certain == Some(false) {
+            let row = event
+                .values
+                .iter()
+                .map(|&(id, _, _)| interner.resolve(id).clone())
+                .collect();
+            self.delta.push((event.relation, Tuple::new(row)));
+        }
+    }
+
+    /// Brings the status up to date with `conf` and returns whether the
+    /// query is certain there. The first refresh, and any refresh that finds
+    /// rows it was not shown, evaluates the query in full; otherwise only
+    /// matches through an observed row are searched. A debug build checks
+    /// every such search against [`is_certain`].
+    ///
+    /// # Panics
+    ///
+    /// If `conf` has an open trail mark or an installed read recorder: the
+    /// status describes committed facts only, and its reads must not leak
+    /// into a verdict's read set.
+    pub fn refresh(&mut self, conf: &Configuration) -> bool {
+        let store = conf.store();
+        assert!(
+            !store.trail_is_active(),
+            "certainty status refreshed under an open trail mark"
+        );
+        assert!(
+            !store.is_recording_reads(),
+            "certainty status refreshed inside a read-recording region"
+        );
+        let len = store.len();
+        let certain = match self.certain {
+            Some(true) => true,
+            Some(false) if len == self.seen && self.delta.is_empty() => return false,
+            Some(false) if len == self.seen + self.delta.len() => {
+                // Every new match maps some atom onto an observed row; the
+                // rest of its disjunct is joined in query order, exactly as
+                // a full evaluation would.
+                let certain = self.delta.iter().any(|(relation, row)| {
+                    self.query.ucq().iter().any(|d| {
+                        d.atoms().iter().any(|atom| {
+                            atom.relation() == *relation
+                                && Valuation::new().unify_atom(atom, row).is_some_and(|v| {
+                                    eval::find_homomorphism(d.atoms(), store, &v).is_some()
+                                })
+                        })
+                    })
+                });
+                debug_assert_eq!(
+                    certain,
+                    is_certain(self.query, conf),
+                    "semi-naive certainty diverged from a full evaluation"
+                );
+                certain
+            }
+            _ => is_certain(self.query, conf),
+        };
+        self.certain = Some(certain);
+        self.seen = len.saturating_sub(store.pending_events());
+        self.delta.clear();
+        certain
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::atom::Term;
-    use accrel_schema::{tuple, Schema};
+    use crate::pq::PositiveQuery;
+    use accrel_schema::{tuple, AdomPrecision, Schema};
     use std::sync::Arc;
 
     fn schema() -> Arc<Schema> {
@@ -122,10 +239,70 @@ mod tests {
         let pq = PositiveQuery::from_cq(&cq);
         let mut conf = Configuration::empty(s);
         assert!(!is_certain_cq(&cq, &conf));
-        assert!(!is_certain_pq(&pq, &conf));
+        assert!(!is_certain(&Query::Pq(pq.clone()), &conf));
         conf.insert_named("S", ["v"]).unwrap();
         assert!(is_certain_cq(&cq, &conf));
-        assert!(is_certain_pq(&pq, &conf));
         assert!(is_certain(&Query::Pq(pq), &conf));
+    }
+
+    #[test]
+    fn status_follows_observed_rows_and_falls_back_on_unobserved_ones() {
+        let s = schema();
+        let mut qb = ConjunctiveQuery::builder(s.clone());
+        let x = qb.var("x");
+        qb.atom("R", vec![Term::Var(x), Term::constant("5")])
+            .unwrap();
+        qb.atom("S", vec![Term::Var(x)]).unwrap();
+        let q: Query = qb.build().into();
+        let mut conf = Configuration::empty(s);
+        conf.set_event_capture(true);
+        let mut status = CertaintyStatus::new(&q);
+        assert!(!status.refresh(&conf));
+        fn grow(
+            conf: &mut Configuration,
+            status: &mut CertaintyStatus,
+            rel: &str,
+            row: &[&str],
+        ) -> bool {
+            conf.insert_named(rel, row.iter().copied()).unwrap();
+            for event in conf.take_events() {
+                status.observe(&event, conf.store().interner());
+            }
+            status.refresh(conf)
+        }
+        assert!(!grow(&mut conf, &mut status, "R", &["3", "5"]));
+        assert!(!grow(&mut conf, &mut status, "S", &["4"]));
+        // A row inserted behind the status's back forces a full evaluation.
+        conf.insert_named("S", ["3"]).unwrap();
+        let _ = conf.take_events();
+        assert!(status.refresh(&conf));
+        assert!(status.is_known_certain());
+    }
+
+    fn unary_s_query() -> Query {
+        let mut qb = ConjunctiveQuery::builder(schema());
+        let x = qb.var("x");
+        qb.atom("S", vec![Term::Var(x)]).unwrap();
+        qb.build().into()
+    }
+
+    #[test]
+    #[should_panic(expected = "open trail mark")]
+    fn status_refuses_to_refresh_under_a_trail_mark() {
+        let q = unary_s_query();
+        let mut conf = Configuration::empty(schema());
+        let mut status = CertaintyStatus::new(&q);
+        let _mark = conf.begin_trail();
+        status.refresh(&conf);
+    }
+
+    #[test]
+    #[should_panic(expected = "read-recording region")]
+    fn status_refuses_to_refresh_inside_a_read_recording_region() {
+        let q = unary_s_query();
+        let mut conf = Configuration::empty(schema());
+        let mut status = CertaintyStatus::new(&q);
+        conf.begin_read_tracking_with(AdomPrecision::Precise);
+        status.refresh(&conf);
     }
 }

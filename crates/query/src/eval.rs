@@ -284,7 +284,16 @@ pub fn holds_pq(query: &PositiveQuery, store: &FactStore) -> bool {
 }
 
 /// Computes the answer tuples of a (possibly non-Boolean) conjunctive query.
+/// A Boolean query's answers are `[()]` when one match exists and `[]`
+/// otherwise, so it stops at the first match instead of enumerating them all.
 pub fn answers_cq(query: &ConjunctiveQuery, store: &FactStore) -> Vec<Tuple> {
+    if query.is_boolean() {
+        return if holds_cq(query, store) {
+            vec![Tuple::empty()]
+        } else {
+            Vec::new()
+        };
+    }
     let mut out: Vec<Tuple> =
         all_homomorphisms(query.atoms(), store, &Valuation::new(), usize::MAX)
             .into_iter()

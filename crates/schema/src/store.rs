@@ -582,6 +582,11 @@ impl FactStore {
         }
     }
 
+    /// Whether a read recorder is installed.
+    pub fn is_recording_reads(&self) -> bool {
+        self.recording.is_some()
+    }
+
     /// Records a read under the installed recorder, if any.
     #[inline]
     fn rec(&self, f: impl FnOnce(&mut ReadSet)) {

@@ -35,7 +35,7 @@ use accrel_federation::{
     Async, AsyncFederation, ChaosOptions, ChurnScript, Federation, FlakyModel, LatencyModel,
     Serving, SimulatedSource, Threaded,
 };
-use accrel_query::Query;
+use accrel_query::{certain, Query};
 use accrel_schema::{Configuration, Instance};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -275,9 +275,26 @@ fn first_differing_field(report: &RunReport, oracle: &RunReport) -> Option<&'sta
     None
 }
 
+/// Checks a report's certainty and answers against a full evaluation of
+/// `query` on its final configuration. Every executor and invalidation mode
+/// reads certainty from the same per-run status, so comparing reports with
+/// each other cannot catch a wrong one.
+fn status_mismatch(report: &RunReport, query: &Query) -> Option<&'static str> {
+    let conf = &report.final_configuration;
+    if report.certain != certain::is_certain(query, conf) {
+        return Some("certain_vs_full_evaluation");
+    }
+    if report.answers != certain::certain_answers(query, conf) {
+        return Some("answers_vs_full_evaluation");
+    }
+    None
+}
+
 /// Runs `case` through the sequential oracle and the three concurrent
 /// layers (threaded, async, serving), each over a primary+replica pair
-/// under the case's churn script, and reports the first divergence.
+/// under the case's churn script, and reports the first divergence. The
+/// oracle itself is first checked against a full evaluation of the query
+/// on its final configuration (reported as executor `"sequential"`).
 pub fn run_case(case: &FuzzCase) -> CaseOutcome {
     let (workload, instance, initial, query) = case.materialize();
     let methods = workload.methods.clone();
@@ -288,6 +305,10 @@ pub fn run_case(case: &FuzzCase) -> CaseOutcome {
 
     let oracle_source = DeepWebSource::new(instance.clone(), methods.clone(), case.policy.clone());
     let oracle = Sequential::new(&oracle_source).execute(&request, &initial);
+    let mut divergence = status_mismatch(&oracle, &request.query).map(|field| Divergence {
+        executor: "sequential",
+        field,
+    });
 
     // Both providers carry a (virtual) latency model from the start: the
     // async federations' chaos clocks only advance as awaited latencies
@@ -336,7 +357,6 @@ pub fn run_case(case: &FuzzCase) -> CaseOutcome {
     let executors: [&dyn Executor; 3] = [&threaded, &asynced, &serving];
 
     let mut traffic = BackendStats::default();
-    let mut divergence = None;
     for executor in executors {
         let report = executor.execute(&request, &initial);
         traffic = traffic.merged(&report.source_stats);
@@ -397,7 +417,12 @@ fn is_subsequence(needle: &[VerdictRecord], hay: &[VerdictRecord]) -> bool {
 /// decision procedure read nothing the growth touched) — so the three runs
 /// must agree on everything observable:
 ///
-/// * identical access sequence, certainty, answers and final configuration;
+/// * each run's certainty and answers equal a full evaluation on its final
+///   configuration;
+/// * access sequence, certainty, answers and final configuration identical
+///   to a fourth, **uncached** run, which calls the pre-checking decision
+///   procedures for every verdict and so shares no verdict, read set or
+///   eviction with the three cached runs;
 /// * each run's verdict log is a *subsequence* of the next-coarser run's
 ///   (the re-checks it skips are the only difference): precise ⊆ exact ⊆
 ///   relation-level;
@@ -409,20 +434,23 @@ pub fn run_invalidation_case(case: &FuzzCase) -> InvalidationOutcome {
     let (workload, instance, initial, query) = case.materialize();
     let methods = workload.methods.clone();
     let names: Vec<&str> = methods.iter().map(|(_, m)| m.name()).collect();
-    let request = |invalidation| {
+    let request = |invalidation, use_relevance_cache| {
         RunRequest::new(query.clone())
             .with_strategy(case.strategy)
             .with_options(RunOptions {
                 invalidation,
+                use_relevance_cache,
                 ..case.options()
             })
     };
 
     let source = DeepWebSource::new(instance.clone(), methods.clone(), case.policy.clone());
     let sequential = Sequential::new(&source);
-    let precise = sequential.execute(&request(InvalidationMode::Precise), &initial);
-    let exact = sequential.execute(&request(InvalidationMode::Exact), &initial);
-    let relation = sequential.execute(&request(InvalidationMode::RelationLevel), &initial);
+    let run = |invalidation, cached| sequential.execute(&request(invalidation, cached), &initial);
+    let precise = run(InvalidationMode::Precise, true);
+    let exact = run(InvalidationMode::Exact, true);
+    let relation = run(InvalidationMode::RelationLevel, true);
+    let uncached = run(InvalidationMode::Precise, false);
 
     let mut divergence = None;
     let mut diverge = |field: &'static str, broken: bool| {
@@ -430,28 +458,25 @@ pub fn run_invalidation_case(case: &FuzzCase) -> InvalidationOutcome {
             divergence = Some(InvalidationDivergence { field });
         }
     };
-    diverge(
-        "access_sequence",
-        precise.access_sequence != relation.access_sequence
-            || exact.access_sequence != relation.access_sequence,
-    );
-    diverge(
-        "certain",
-        precise.certain != relation.certain || exact.certain != relation.certain,
-    );
-    diverge(
-        "answers",
-        precise.answers != relation.answers || exact.answers != relation.answers,
-    );
-    diverge(
-        "final_configuration",
-        !precise
-            .final_configuration
-            .same_facts(&relation.final_configuration)
-            || !exact
+    for report in [&precise, &exact, &relation, &uncached] {
+        if let Some(field) = status_mismatch(report, &query) {
+            diverge(field, true);
+        }
+    }
+    for cached in [&precise, &exact, &relation] {
+        diverge(
+            "access_sequence",
+            cached.access_sequence != uncached.access_sequence,
+        );
+        diverge("certain", cached.certain != uncached.certain);
+        diverge("answers", cached.answers != uncached.answers);
+        diverge(
+            "final_configuration",
+            !cached
                 .final_configuration
-                .same_facts(&relation.final_configuration),
-    );
+                .same_facts(&uncached.final_configuration),
+        );
+    }
     diverge(
         "verdict_log_subsequence",
         !is_subsequence(&precise.relevance_verdicts, &exact.relevance_verdicts)
@@ -492,7 +517,7 @@ pub fn run_invalidation_case(case: &FuzzCase) -> InvalidationOutcome {
         .build()
         .expect("federation builds");
     let threaded =
-        Threaded::new(&federation).execute(&request(InvalidationMode::Precise), &initial);
+        Threaded::new(&federation).execute(&request(InvalidationMode::Precise, true), &initial);
     if divergence.is_none() {
         divergence = first_differing_field(&threaded, &precise)
             .map(|field| InvalidationDivergence { field });

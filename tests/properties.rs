@@ -49,6 +49,37 @@ fn cases() -> impl Iterator<Item = (u64, usize, usize)> {
     })
 }
 
+/// Grows `conf` by `rows` one at a time with event capture on and checks,
+/// after each row, that the semi-naive certainty status refreshed from the
+/// drained insert events equals a full evaluation. Returns the final
+/// certainty.
+fn assert_status_tracks_full_evaluation(
+    query: &Query,
+    mut conf: Configuration,
+    rows: Vec<accrel::schema::Fact>,
+    ctx: &str,
+) -> bool {
+    conf.set_event_capture(true);
+    let mut status = certain::CertaintyStatus::new(query);
+    assert_eq!(
+        status.refresh(&conf),
+        certain::is_certain(query, &conf),
+        "{ctx}"
+    );
+    for (relation, row) in rows {
+        conf.insert(relation, row).unwrap();
+        for event in conf.take_events() {
+            status.observe(&event, conf.store().interner());
+        }
+        assert_eq!(
+            status.refresh(&conf),
+            certain::is_certain(query, &conf),
+            "semi-naive status diverged at {ctx}"
+        );
+    }
+    status.is_known_certain()
+}
+
 #[test]
 fn certain_answers_are_monotone() {
     for (seed, atoms, facts) in cases() {
@@ -62,7 +93,30 @@ fn certain_answers_are_monotone() {
                 "monotonicity violated at seed={seed} atoms={atoms} facts={facts}"
             );
         }
+        let ctx = format!("seed={seed} atoms={atoms} facts={facts}");
+        assert_status_tracks_full_evaluation(&query, conf, extra.sorted_facts(), &ctx);
     }
+
+    // A self-join whose only match maps both atoms onto one new row.
+    let mut b = Schema::builder();
+    let d = b.domain("D").unwrap();
+    b.relation("R", &[("a", d), ("b", d)]).unwrap();
+    let schema = b.build();
+    let mut qb = ConjunctiveQuery::builder(schema.clone());
+    let (x, y) = (qb.var("x"), qb.var("y"));
+    qb.atom("R", vec![Term::Var(x), Term::Var(y)]).unwrap();
+    qb.atom("R", vec![Term::Var(y), Term::Var(x)]).unwrap();
+    let query: Query = qb.build().into();
+    let mut conf = Configuration::empty(schema.clone());
+    conf.insert_named("R", ["1", "2"]).unwrap();
+    let r = schema.relation_by_name("R").unwrap();
+    let rows = vec![(r, tuple(["3", "4"])), (r, tuple(["5", "5"]))];
+    assert!(assert_status_tracks_full_evaluation(
+        &query,
+        conf,
+        rows,
+        "self-join"
+    ));
 }
 
 #[test]

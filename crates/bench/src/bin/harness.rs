@@ -1,14 +1,15 @@
-//! Experiment harness: runs scaled-down versions of experiments E1–E8 and
-//! prints one markdown table per experiment.
+//! Experiment harness: runs scaled-down versions of experiments E1–E8, the
+//! S1 store table and the F1–F4 federation tables, and prints one markdown
+//! table per experiment.
 //!
 //! ```text
 //! cargo run -p accrel-bench --bin harness --release
 //! ```
 //!
-//! With `--smoke` every experiment fixture runs exactly once (no criterion
-//! statistics) and the tables are additionally written as JSON to
-//! `BENCH_smoke.json` (override with `--out <path>`), so CI can record the
-//! perf trajectory cheaply:
+//! With `--smoke` every experiment runs at its smallest sizes, each timing
+//! one sample after an untimed warm-up call, and the tables are also
+//! written as JSON to `BENCH_smoke.json` (override with `--out <path>`), so
+//! CI can record the perf trajectory cheaply:
 //!
 //! ```text
 //! cargo run -p accrel-bench --bin harness --release -- --smoke
@@ -53,7 +54,7 @@ fn main() -> ExitCode {
                     "usage: harness [--smoke | --million | --check-invalidation] [--out <path>]"
                 );
                 println!();
-                println!("  --smoke       run each experiment fixture once and write JSON");
+                println!("  --smoke       run every experiment at its smallest sizes, write JSON");
                 println!("  --million     run only the 10^6-fact E5/F1 sweeps and write JSON");
                 println!("  --check-invalidation");
                 println!("                assert the invalidation savings hold: exact read-set");

@@ -1,4 +1,4 @@
-//! Workload fixtures shared by the Criterion benches and the harness.
+//! Workload fixtures behind the harness tables.
 
 use accrel_access::{binding, Access, AccessMethods, AccessMode};
 use accrel_core::SearchBudget;
@@ -12,7 +12,6 @@ use accrel_workloads::random::{
     WorkloadSpec,
 };
 use accrel_workloads::scenarios::{chain_scenario, star_scenario};
-use accrel_workloads::tiling::checkerboard;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -653,11 +652,6 @@ pub fn reduction_fixture() -> (RelevanceFixture, accrel_query::PositiveQuery) {
     (fixture, pq)
 }
 
-/// E3 (encoding growth): tiling encodings of growing width.
-pub fn tiling_encoding(width: usize) -> accrel_workloads::encodings::Prop62Encoding {
-    accrel_workloads::encodings::encode_prop_6_2(&checkerboard(width))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -775,10 +769,8 @@ mod tests {
     }
 
     #[test]
-    fn scenario_and_encoding_fixtures_exist() {
+    fn scenario_fixtures_exist() {
         assert_eq!(engine_scenarios().len(), 3);
-        let enc = tiling_encoding(2);
-        assert_eq!(enc.relation_count(), 4);
         let (fixture, pq) = reduction_fixture();
         assert_eq!(pq.size(), 1);
         assert!(fixture.query.is_boolean());

@@ -15,8 +15,8 @@ use accrel_federation::{
     parallel_relevance_sweep_report, Async, ChurnScript, FlakyModel, QuerySessionRegistry,
     ServingOptions, Threaded,
 };
-use accrel_query::certain;
-use accrel_workloads::encodings::encoding_stats;
+use accrel_query::{certain, Query};
+use accrel_workloads::encodings::{encode_prop_6_2, encoding_stats};
 use accrel_workloads::tiling::checkerboard;
 
 use crate::fixtures;
@@ -79,8 +79,10 @@ impl Table {
 }
 
 /// Times `f` over `repeats` runs and returns the median in microseconds.
+/// One untimed call comes first, so no sample pays for a cold first call.
 pub fn median_micros<F: FnMut()>(repeats: usize, mut f: F) -> f64 {
     let repeats = repeats.max(1);
+    f();
     let mut samples = Vec::with_capacity(repeats);
     for _ in 0..repeats {
         let start = Instant::now();
@@ -160,17 +162,27 @@ pub fn e3_dependent_cq(depths: &[usize], repeats: usize) -> Table {
             );
         });
         rows.push(Row::new("chain LTR (dependent)", depth, "median µs", t));
-        let enc = fixtures::tiling_encoding(depth.max(2));
-        let stats = encoding_stats(&checkerboard(depth.max(2)), &enc);
+    }
+    // The encoding is swept by tiling width, at least 2; depths that share
+    // a width share its rows.
+    let mut widths: Vec<usize> = depths.iter().map(|&d| d.max(2)).collect();
+    widths.dedup();
+    for width in widths {
+        let problem = checkerboard(width);
+        let t = median_micros(repeats, || {
+            let _ = encode_prop_6_2(&problem);
+        });
+        rows.push(Row::new("Prop 6.2 encoding", width, "median µs", t));
+        let stats = encoding_stats(&problem, &encode_prop_6_2(&problem));
         rows.push(Row::new(
             "Prop 6.2 encoding",
-            depth.max(2),
+            width,
             "q_wrong disjuncts",
             stats.wrong_disjuncts as f64,
         ));
         rows.push(Row::new(
             "Prop 6.2 encoding",
-            depth.max(2),
+            width,
             "relations",
             stats.relations as f64,
         ));
@@ -207,7 +219,10 @@ pub fn e4_dependent_pq(widths: &[usize], repeats: usize) -> Table {
     }
 }
 
-/// E5 — data complexity: fixed query, growing configuration.
+/// E5 — data complexity: fixed query, growing configuration. The
+/// `query certain` row says which path the IR and LTR rows timed: when the
+/// configuration already certifies the query, both procedures stop at their
+/// certainty pre-check, so those rows time that check alone.
 pub fn e5_data_complexity(sizes: &[usize], repeats: usize) -> Table {
     let mut rows = Vec::new();
     for &size in sizes {
@@ -245,6 +260,16 @@ pub fn e5_data_complexity(sizes: &[usize], repeats: usize) -> Table {
             size,
             "median µs",
             t,
+        ));
+        rows.push(Row::new(
+            "query certain (1 = yes)",
+            size,
+            "bool",
+            if certain::is_certain(&f.query, &f.configuration) {
+                1.0
+            } else {
+                0.0
+            },
         ));
         rows.push(Row::new(
             "configuration facts",
@@ -311,8 +336,9 @@ pub fn e6_tractable_cases(sizes: &[usize], repeats: usize) -> Table {
     }
 }
 
-/// E7 — engine ablation: accesses and tuples needed per strategy.
-pub fn e7_engine_ablation() -> Table {
+/// E7 — engine ablation: accesses, tuples and the wall time of one full
+/// sequential run per strategy.
+pub fn e7_engine_ablation(repeats: usize) -> Table {
     let mut rows = Vec::new();
     for scenario in fixtures::engine_scenarios() {
         let source = DeepWebSource::new(
@@ -320,14 +346,16 @@ pub fn e7_engine_ablation() -> Table {
             scenario.methods.clone(),
             ResponsePolicy::Exact,
         );
+        let executor = Sequential::new(&source);
         let request = RunRequest::new(scenario.query.clone());
-        let reports = compare_strategies(
-            &Sequential::new(&source),
-            &request,
-            &scenario.initial_configuration,
-        );
+        let reports = compare_strategies(&executor, &request, &scenario.initial_configuration);
         for report in reports {
             let series = format!("{} / {}", scenario.name, report.strategy.name());
+            let run = request.clone().with_strategy(report.strategy);
+            let t = median_micros(repeats, || {
+                let _ = executor.execute(&run, &scenario.initial_configuration);
+            });
+            rows.push(Row::new(series.clone(), "-", "median µs", t));
             rows.push(Row::new(
                 series.clone(),
                 "-",
@@ -356,17 +384,24 @@ pub fn e7_engine_ablation() -> Table {
     }
 }
 
-/// S1 — speculative store mutation: an insert-k-then-discard probe (the
-/// shape of every tentative-response replay in the relevance procedures and
-/// the merge loop's eager look-ahead) paid for two ways. `snapshot
-/// speculate` clones the store and inserts into the clone — every probe
-/// copies the touched relation's full shard, which at 10⁶ rows dwarfs the
-/// probe itself. `trail speculate` inserts under a trail mark on the live
-/// store and undoes — per-probe cost is the k undo entries, independent of
-/// the store size. The `shard copies per probe` rows pin the mechanism:
-/// zero for the trail, nonzero for the snapshot.
+/// S1 — the fact store at scale. First its raw operations on a grid of
+/// `facts` facts: per-fact `insert` and one bulk `extend_facts` load into an
+/// empty store, `matching` bound on one and on both attributes,
+/// `active_domain`, an `adom_contains` probe, a snapshot clone (every shard
+/// shared, so O(relations)) and a clone followed by one insert (which
+/// copies the touched relation's shard). Then speculative mutation: an
+/// insert-k-then-discard probe (the shape of every tentative-response
+/// replay in the relevance procedures and the merge loop's eager
+/// look-ahead) paid for two ways. `snapshot speculate` clones the store and
+/// inserts into the clone — every probe copies the touched relation's full
+/// shard, which at 10⁶ rows dwarfs the probe itself. `trail speculate`
+/// inserts under a trail mark on the live store and undoes — per-probe cost
+/// is the k undo entries, independent of the store size. The `shard copies
+/// per probe` rows pin the mechanism: zero for the trail, nonzero for the
+/// snapshot.
 pub fn s1_store_ops(sizes: &[usize], repeats: usize) -> Table {
-    use accrel_schema::{FactStore, Schema, Value};
+    use accrel_schema::{FactStore, Schema, Tuple, Value};
+    use std::hint::black_box;
     let mut b = Schema::builder();
     let d = b.domain("D").unwrap();
     let e = b.domain("E").unwrap();
@@ -375,8 +410,7 @@ pub fn s1_store_ops(sizes: &[usize], repeats: usize) -> Table {
     let r = schema.relation_by_name("R").unwrap();
     let mut rows = Vec::new();
     for &facts in sizes {
-        // The near-square R(a{i}, b{j}) grid of the store_ops criterion
-        // bench, bulk-loaded in one extend_facts pass.
+        // A near-square R(a{i}, b{j}) grid holding exactly `facts` tuples.
         let side = (facts as f64).sqrt().ceil() as usize + 1;
         let mut grid = Vec::with_capacity(facts);
         'outer: for i in 0..side {
@@ -386,15 +420,59 @@ pub fn s1_store_ops(sizes: &[usize], repeats: usize) -> Table {
                 }
                 grid.push((
                     r,
-                    accrel_schema::Tuple::new(vec![
+                    Tuple::new(vec![
                         Value::sym(format!("a{i}")),
                         Value::sym(format!("b{j}")),
                     ]),
                 ));
             }
         }
+        let t = median_micros(repeats, || {
+            let mut store = FactStore::new(schema.clone());
+            for (relation, tuple) in &grid {
+                store.insert(*relation, tuple.clone()).expect("well-typed");
+            }
+        });
+        rows.push(Row::new("insert", facts, "median µs", t));
+        let t = median_micros(repeats, || {
+            let mut store = FactStore::new(schema.clone());
+            store
+                .extend_facts(grid.iter().cloned())
+                .expect("well-typed");
+        });
+        rows.push(Row::new("bulk extend_facts", facts, "median µs", t));
+        let probe_a = grid[facts / 2].1.values()[0].clone();
+        let probe_b = grid[facts / 3].1.values()[1].clone();
         let mut store = FactStore::new(schema.clone());
         store.extend_facts(grid).expect("grid facts are well-typed");
+        let both = [probe_a.clone(), probe_b];
+        let ops: [(&str, &dyn Fn()); 6] = [
+            ("match first attribute", &|| {
+                black_box(store.matching(r, &[0], std::slice::from_ref(&probe_a)));
+            }),
+            ("match both attributes", &|| {
+                black_box(store.matching(r, &[0, 1], &both));
+            }),
+            ("active domain", &|| {
+                black_box(store.active_domain());
+            }),
+            ("adom contains", &|| {
+                black_box(store.adom_contains(&probe_a, d));
+            }),
+            ("snapshot clone", &|| {
+                black_box(store.clone());
+            }),
+            ("clone then insert", &|| {
+                let mut snap = store.clone();
+                snap.insert_named("R", ["fresh-a", "fresh-b"])
+                    .expect("well-typed");
+                black_box(snap);
+            }),
+        ];
+        for (series, op) in ops {
+            let t = median_micros(repeats, op);
+            rows.push(Row::new(series, facts, "median µs", t));
+        }
         let speculative: Vec<[Value; 2]> = (0..8)
             .map(|i| {
                 [
@@ -424,31 +502,31 @@ pub fn s1_store_ops(sizes: &[usize], repeats: usize) -> Table {
             "shard copies per probe",
             probe_copies as f64,
         ));
-        // The live store pays its one detach (shards are still shared with
-        // `store`'s clones above) in a warm-up probe, outside measurement —
-        // steady-state probes are what the engine loop sees.
+        // The live store's first probe pays its one detach (its shards are
+        // still shared with `store`) in `median_micros`' untimed call;
+        // steady-state probes are what the engine loop sees, so the copies
+        // row counts one more probe after the timed ones.
         let mut live = store.clone();
-        let warm = |s: &mut FactStore| {
+        let probe = |s: &mut FactStore| {
             for t in &speculative {
                 s.insert_named("R", t.clone()).expect("well-typed");
             }
         };
-        live.speculate(warm);
-        let trail_copies_before = live.shard_copies();
-        let t_trail = median_micros(repeats, || {
-            live.speculate(warm);
-        });
+        let t_trail = median_micros(repeats, || live.speculate(probe));
         rows.push(Row::new("trail speculate", facts, "median µs", t_trail));
+        let trail_copies_before = live.shard_copies();
+        live.speculate(probe);
         rows.push(Row::new(
             "trail speculate",
             facts,
             "shard copies per probe",
-            (live.shard_copies() - trail_copies_before) as f64 / repeats.max(1) as f64,
+            (live.shard_copies() - trail_copies_before) as f64,
         ));
     }
     Table {
         id: "S1".to_string(),
-        title: "Speculative store mutation: snapshot-clone probes vs trail (undo log) probes"
+        title: "Fact store at scale: raw operations, and snapshot-clone vs trail (undo log) \
+                speculative probes"
             .to_string(),
         rows,
     }
@@ -477,6 +555,27 @@ pub fn e8_reductions(repeats: usize) -> Table {
         "-",
         "median µs",
         via_34,
+    ));
+    // Prop 3.5 takes a CQ, so it runs on the depth-2 dependent chain; E3's
+    // `chain LTR (dependent)` row at depth 2 is the direct route there.
+    let cf = fixtures::chain_ltr_fixture(2);
+    let Query::Cq(cq) = &cf.query else {
+        unreachable!("the chain LTR query is a CQ")
+    };
+    let via_35 = median_micros(repeats, || {
+        let _ = reductions::ltr_via_containment_oracle(
+            cq,
+            &cf.configuration,
+            &cf.access,
+            &cf.methods,
+            &cf.budget,
+        );
+    });
+    rows.push(Row::new(
+        "via Prop 3.5 oracle (depth-2 chain)",
+        "-",
+        "median µs",
+        via_35,
     ));
     // Consistency of the verdicts.
     let direct_verdict =
@@ -1048,10 +1147,10 @@ pub fn run_all() -> Vec<Table> {
         e1_immediate(&[1, 2, 3, 4, 5, 6], 5),
         e2_ltr_independent(&[1, 2, 3, 4, 5], 3),
         e3_dependent_cq(&[1, 2, 3, 4], 3),
-        e4_dependent_pq(&[1, 2, 3, 4], 3),
+        e4_dependent_pq(&[1, 2, 3, 4, 5], 3),
         e5_data_complexity(&[10, 100, 1_000, 10_000, 100_000, 1_000_000], 3),
         e6_tractable_cases(&[10, 100, 1000], 5),
-        e7_engine_ablation(),
+        e7_engine_ablation(3),
         e8_reductions(3),
         s1_store_ops(&[100_000, 1_000_000], 3),
         f1_federation_sweep(&world, 96, &[1, 2, 4, 8, 16, 32], &[1, 2, 4, 8]),
@@ -1061,9 +1160,10 @@ pub fn run_all() -> Vec<Table> {
     ]
 }
 
-/// Runs every experiment once at the smallest fixture size — a CI smoke pass
-/// that records the perf trajectory without criterion statistics. E5 tops
-/// out at 10⁵ facts here (10⁶ is the `run_million` job's scale).
+/// Runs every experiment at its smallest fixture sizes, each timing one
+/// sample after [`median_micros`]' untimed warm-up call — the CI smoke pass
+/// that records the perf trajectory. E5 tops out at 10⁵ facts here (10⁶ is
+/// the `run_million` job's scale).
 pub fn run_smoke() -> Vec<Table> {
     let world = fixtures::federation_world(10_000);
     vec![
@@ -1073,7 +1173,7 @@ pub fn run_smoke() -> Vec<Table> {
         e4_dependent_pq(&[1, 2], 1),
         e5_data_complexity(&[10, 50, 100_000], 1),
         e6_tractable_cases(&[10, 100], 1),
-        e7_engine_ablation(),
+        e7_engine_ablation(1),
         e8_reductions(1),
         s1_store_ops(&[100_000], 1),
         f1_federation_sweep(&world, 48, &[1, 4, 16], &[1, 2, 4]),
@@ -1309,6 +1409,15 @@ mod tests {
     }
 
     #[test]
+    fn median_micros_makes_one_untimed_call_first() {
+        for repeats in [1, 3] {
+            let mut calls = 0;
+            median_micros(repeats, || calls += 1);
+            assert_eq!(calls, repeats + 1);
+        }
+    }
+
+    #[test]
     fn tables_render_as_json() {
         let tables = vec![Table {
             id: "E0".to_string(),
@@ -1334,7 +1443,7 @@ mod tests {
         let t2 = e2_ltr_independent(&[1, 2], 1);
         assert_eq!(t2.rows.len(), 4);
         let t5 = e5_data_complexity(&[5, 10], 1);
-        assert_eq!(t5.rows.len(), 10);
+        assert_eq!(t5.rows.len(), 12);
         assert!(t5.rows.iter().any(|r| r.metric == "count" && r.value > 0.0));
         let t8 = e8_reductions(1);
         assert!(t8.rows.iter().any(|r| r.metric == "bool" && r.value == 1.0));

@@ -379,32 +379,31 @@ impl RunJournal {
     /// in a newline, so the last append never completed — is *always*
     /// skipped, even when its prefix happens to parse: a crash mid-append
     /// can leave a record whose truncation is still token-valid but lies
-    /// about what the run did.
+    /// about what the run did. Lines are decoded one at a time, so a tail
+    /// cut inside a multi-byte character is just torn, and an interior line
+    /// that is not UTF-8 is one malformed line.
     fn scan(path: impl AsRef<Path>, mut sink: impl FnMut(Record)) -> io::Result<ScanStats> {
-        let content = std::fs::read_to_string(path)?;
+        let content = std::fs::read(path)?;
         let mut stats = ScanStats::default();
-        let mut lines: Vec<&str> = content.split('\n').collect();
+        let mut lines: Vec<&[u8]> = content.split(|&b| b == b'\n').collect();
         // A complete journal ends in '\n', so the split yields a trailing
         // empty segment; anything else is the partial final record.
         match lines.pop() {
-            Some("") | None => {}
+            Some([]) | None => {}
             Some(_) => stats.torn_tail = true,
         }
         let mut lines = lines.into_iter();
-        match lines.next() {
-            Some(header) if header == MAGIC => {}
-            _ => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "not an accrel journal (bad or missing header)",
-                ))
-            }
+        if lines.next() != Some(MAGIC.as_bytes()) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "not an accrel journal (bad or missing header)",
+            ));
         }
         for line in lines {
             if line.is_empty() {
                 continue;
             }
-            match Record::parse(line) {
+            match std::str::from_utf8(line).ok().and_then(Record::parse) {
                 Some(record) => sink(record),
                 None => stats.skipped += 1,
             }
@@ -641,6 +640,43 @@ mod tests {
         )
         .unwrap();
         let summary = RunJournal::replay(&path, &cache).unwrap();
+        assert_eq!(summary.skipped_lines, 1);
+        assert_eq!(summary.runs, 1);
+        assert!(!summary.torn_tail);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Values are written as raw UTF-8, so a crash can cut the last line
+    /// inside a multi-byte character: that line is a torn tail like any
+    /// other, and an interior line that is not UTF-8 is one skipped line —
+    /// neither makes the rest of the journal unreadable.
+    #[test]
+    fn invalid_utf8_costs_one_line_not_the_journal() {
+        let dir = std::env::temp_dir().join(format!("accrel-journal-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("torn_utf8.journal");
+        let text = format!("{MAGIC}\nrun\naccess m0 s:ok\naccess m0 s:Zürich\n");
+        let cut = text.find('ü').unwrap() + 1;
+        assert_eq!(text.as_bytes()[cut - 1], 0xC3);
+        std::fs::write(&path, &text.as_bytes()[..cut]).unwrap();
+        let runs = RunJournal::read_runs(&path).unwrap();
+        assert_eq!(runs.len(), 1);
+        assert_eq!(runs[0].access_sequence.len(), 1, "torn tail must be cut");
+        let summary = RunJournal::replay(&path, &SharedVerdictCache::new()).unwrap();
+        assert!(summary.torn_tail);
+        assert_eq!(summary.skipped_lines, 0);
+        // The whole file still reads back, ü included.
+        std::fs::write(&path, &text).unwrap();
+        let runs = RunJournal::read_runs(&path).unwrap();
+        let access = Access::new(AccessMethodId(0), binding(["Zürich"]));
+        assert_eq!(runs[0].access_sequence[1], access);
+
+        let mut bytes = format!("{MAGIC}\nrun\naccess m0 s:").into_bytes();
+        bytes.extend_from_slice(b"\xFF\naccess m0 s:ok\n");
+        std::fs::write(&path, bytes).unwrap();
+        let runs = RunJournal::read_runs(&path).unwrap();
+        assert_eq!(runs[0].access_sequence.len(), 1);
+        let summary = RunJournal::replay(&path, &SharedVerdictCache::new()).unwrap();
         assert_eq!(summary.skipped_lines, 1);
         assert_eq!(summary.runs, 1);
         assert!(!summary.torn_tail);

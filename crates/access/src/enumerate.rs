@@ -68,15 +68,10 @@ pub fn accesses_for_method(
 
 /// Candidate values for each input position of `m` at `conf`: the active
 /// domain restricted to the position's abstract domain, with the options'
-/// guessable values merged in (sorted) for independent methods. `None` when
-/// a position's domain cannot be resolved. Positions may come back with
-/// empty value lists — callers decide whether that aborts enumeration (full
-/// scan) or is remembered for later (frontier).
-///
-/// Shared between [`well_formed_accesses`] and
-/// [`crate::frontier::AccessFrontier`] so the frontier's emissions stay
-/// value-for-value equivalent to full re-enumeration.
-pub(crate) fn per_position_values(
+/// guessable values merged in for independent methods; each list is sorted
+/// and duplicate-free. `None` when a position's domain cannot be resolved.
+/// A position may come back with an empty list, which yields no access.
+fn per_position_values(
     conf: &Configuration,
     methods: &AccessMethods,
     m: &crate::method::AccessMethod,
@@ -88,12 +83,9 @@ pub(crate) fn per_position_values(
         let domain = schema.domain_of(m.relation(), pos).ok()?;
         let mut values = conf.values_of_domain(domain);
         if m.mode() == AccessMode::Independent {
-            for v in &options.guessable_values {
-                if !values.contains(v) {
-                    values.push(v.clone());
-                }
-            }
+            values.extend(options.guessable_values.iter().cloned());
             values.sort();
+            values.dedup();
         }
         per_position.push(values);
     }
@@ -106,8 +98,8 @@ pub(crate) fn per_position_values(
 /// single empty combination (free accesses).
 ///
 /// Shared between [`well_formed_accesses`] and
-/// [`crate::frontier::AccessFrontier`] so both enumerate bindings in the
-/// same deterministic order.
+/// [`crate::frontier::AccessFrontier`], which runs it over each of its
+/// semi-naive blocks.
 pub(crate) fn for_each_combination(lengths: &[usize], mut visit: impl FnMut(&[usize]) -> bool) {
     if lengths.contains(&0) {
         return;
@@ -229,21 +221,39 @@ mod tests {
     #[test]
     fn per_method_enumeration_and_guessable_values() {
         let (schema, methods) = setup();
-        let mut conf = Configuration::empty(schema);
+        let mut conf = Configuration::empty(schema.clone());
         conf.insert_named("EmpOff", ["e1", "o1"]).unwrap();
         let emp_acc = methods.by_name("EmpOffAcc").unwrap();
+        // One pool value is also in the active domain, and one repeats.
         let opts = EnumerationOptions {
-            guessable_values: vec![Value::sym("guessed")],
+            guessable_values: vec![
+                Value::sym("guessed"),
+                Value::sym("e1"),
+                Value::sym("guessed"),
+            ],
             max_accesses: usize::MAX,
         };
         // Guessable values do not apply to dependent methods.
         let dep = accesses_for_method(&conf, &methods, emp_acc, &opts);
         assert_eq!(dep.len(), 1);
-        // An independent method with an input would see them; the free one
-        // has no inputs so it yields exactly one access.
+        // The free method has no inputs, so it yields exactly one access.
         let free = methods.by_name("EmpOffAll").unwrap();
         let free_accesses = accesses_for_method(&conf, &methods, free, &opts);
         assert_eq!(free_accesses.len(), 1);
+        // An independent method with an input sees the active domain and the
+        // pool merged: sorted, each value once.
+        let mut mb = AccessMethods::builder(schema);
+        mb.add("EmpGuess", "EmpOff", &["emp"], AccessMode::Independent)
+            .unwrap();
+        let guessing = mb.build();
+        let guess = guessing.by_name("EmpGuess").unwrap();
+        assert_eq!(
+            accesses_for_method(&conf, &guessing, guess, &opts),
+            vec![
+                Access::new(guess, binding(["e1"])),
+                Access::new(guess, binding(["guessed"])),
+            ]
+        );
     }
 
     #[test]

@@ -2,46 +2,89 @@
 //!
 //! [`crate::enumerate::well_formed_accesses`] recomputes the full candidate
 //! set from scratch — `O(∏ |Adom restricted to input domain|)` per method —
-//! every time it is called, even when the configuration gained a single
-//! value since the previous call. The federated engine calls it once per
-//! round, so candidate enumeration used to dominate rounds whose responses
-//! were small.
+//! every time it is called. The run loop needs the candidates at every
+//! round, and configurations only grow (Section 2 of the paper), so an
+//! access is new at a round exactly when its binding uses a value new to
+//! `Adom(Conf)`.
 //!
-//! [`AccessFrontier`] makes enumeration incremental: it remembers, per
-//! method and input position, the values already incorporated, and each
-//! [`AccessFrontier::refresh`] emits exactly the accesses that involve at
-//! least one *newly added* active-domain value (plus, on the first refresh,
-//! the full product). Over a monotonically growing configuration — the only
-//! kind the engine produces, since responses never remove facts — the union
-//! of all emissions equals what `well_formed_accesses` would return at the
-//! latest configuration, with no access ever emitted twice.
+//! [`AccessFrontier`] enumerates only those. It keeps one watermark per
+//! relation (the rows already read) and, per *value space* (one input
+//! domain's active domain, plus the guessable pool for independent
+//! methods), the values already taken in, in a `BTreeSet`. A refresh:
+//!
+//! 1. reads the rows committed past each watermark
+//!    ([`accrel_schema::FactStore::rows_since`]) and keeps the values each
+//!    space has not taken in yet. The first refresh instead reads each input
+//!    domain's active domain once;
+//! 2. emits, per method, the bindings with at least one new coordinate as
+//!    semi-naive blocks `old × … × old × new × all × … × all`: the new
+//!    coordinate sits at each position in turn, earlier positions take old
+//!    values only and later ones any value. The blocks are disjoint and
+//!    together hold every such binding once;
+//! 3. sorts each method's batch, so a refresh returns its accesses in the
+//!    order full enumeration would (methods in registration order, bindings
+//!    lexicographically), then adds the new values to the known sets.
+//!
+//! **Cost.** The rows added since the last refresh × their arity, plus the
+//! bindings emitted and their sort; each value read costs a logarithmic set
+//! lookup, and each new one an insert. After the first refresh nothing walks
+//! the whole active domain.
+//!
+//! **Contracts.** Every refresh sees the same configuration, and it only
+//! grows: no removals (they would shift rows under the watermarks), and no
+//! refresh under an open trail mark or an installed read recorder
+//! (speculative rows are not committed, and the frontier's reads must not
+//! leak into a verdict's read set). [`AccessFrontier::refresh`] panics on
+//! the last two. Under these contracts the union of all emissions equals
+//! what `well_formed_accesses` returns at the latest configuration, and no
+//! access is emitted twice. `well_formed_accesses` stays the independent
+//! reference the tests and the differential fuzzer check the frontier
+//! against.
 
-use accrel_schema::{Configuration, Value};
+use std::collections::BTreeSet;
+
+use accrel_schema::{Configuration, DomainId, Value};
 
 use crate::access::{Access, Binding};
 use crate::enumerate::{self, EnumerationOptions};
-use crate::method::{AccessMethodId, AccessMethods};
+use crate::method::{AccessMethodId, AccessMethods, AccessMode};
 
-/// Per-method incremental state: the input values already incorporated.
+/// The values one method position draws from: the active domain of one
+/// abstract domain, plus the guessable pool when `with_pool` (independent
+/// methods).
+#[derive(Debug, Clone)]
+struct ValueSpace {
+    domain: DomainId,
+    with_pool: bool,
+    /// Values taken in by earlier refreshes.
+    known: BTreeSet<Value>,
+    /// Values the current refresh takes in: sorted, disjoint from `known`.
+    new: Vec<Value>,
+}
+
+/// Per-method incremental state.
 #[derive(Debug, Clone)]
 struct MethodFrontier {
     id: AccessMethodId,
-    /// Values already incorporated, per input position, sorted.
-    seen: Vec<Vec<Value>>,
+    /// The value space of each input position; `None` when a position's
+    /// domain cannot be resolved, so the method never emits.
+    spaces: Option<Vec<usize>>,
     /// Whether the single access of a zero-input method was emitted.
     emitted_free: bool,
 }
 
-/// Incremental well-formed-access enumerator over a growing configuration.
-///
-/// The frontier assumes the configuration passed to successive
-/// [`AccessFrontier::refresh`] calls only ever *grows* (each call's active
-/// domain is a superset of the previous call's); this is exactly the
-/// monotone successor-configuration semantics of Section 2.
+/// Incremental well-formed-access enumerator over one growing
+/// configuration (see the module documentation for its cost and
+/// contracts).
 #[derive(Debug, Clone)]
 pub struct AccessFrontier {
     options: EnumerationOptions,
     fronts: Vec<MethodFrontier>,
+    spaces: Vec<ValueSpace>,
+    /// Per domain index: whether some value space draws from the domain.
+    tracked: Vec<bool>,
+    /// Rows already read, per relation; `None` before the first refresh.
+    watermarks: Option<Vec<usize>>,
     emitted: usize,
 }
 
@@ -49,17 +92,46 @@ impl AccessFrontier {
     /// Creates a frontier for `methods` under `options`. The same registry
     /// must be passed to every subsequent [`AccessFrontier::refresh`].
     pub fn new(methods: &AccessMethods, options: EnumerationOptions) -> Self {
-        let fronts = methods
-            .iter()
-            .map(|(id, m)| MethodFrontier {
+        let schema = methods.schema();
+        let mut spaces: Vec<ValueSpace> = Vec::new();
+        let mut fronts = Vec::with_capacity(methods.len());
+        for (id, m) in methods.iter() {
+            let with_pool = m.mode() == AccessMode::Independent;
+            let positions = m
+                .input_positions()
+                .iter()
+                .map(|&pos| {
+                    let domain = schema.domain_of(m.relation(), pos).ok()?;
+                    let found = spaces
+                        .iter()
+                        .position(|s| s.domain == domain && s.with_pool == with_pool);
+                    Some(found.unwrap_or_else(|| {
+                        spaces.push(ValueSpace {
+                            domain,
+                            with_pool,
+                            known: BTreeSet::new(),
+                            new: Vec::new(),
+                        });
+                        spaces.len() - 1
+                    }))
+                })
+                .collect();
+            fronts.push(MethodFrontier {
                 id,
-                seen: vec![Vec::new(); m.input_positions().len()],
+                spaces: positions,
                 emitted_free: false,
-            })
-            .collect();
+            });
+        }
+        let mut tracked = vec![false; schema.domain_count()];
+        for space in &spaces {
+            tracked[space.domain.index()] = true;
+        }
         Self {
             options,
             fronts,
+            spaces,
+            tracked,
+            watermarks: None,
             emitted: 0,
         }
     }
@@ -72,26 +144,42 @@ impl AccessFrontier {
 
     /// Emits every well-formed access at `conf` that was not emitted by an
     /// earlier refresh: for each method, the bindings drawing at least one
-    /// value the frontier had not yet incorporated.
+    /// value the frontier had not yet taken in.
     ///
-    /// Bindings are produced in a deterministic order (methods in
-    /// registration order, odometer over sorted per-position values).
+    /// The result is sorted: methods in registration order, each method's
+    /// bindings lexicographically — the order full enumeration uses.
+    ///
+    /// # Panics
+    ///
+    /// If `conf` has an open trail mark or an installed read recorder: the
+    /// frontier reads committed rows only, and its reads must not leak into
+    /// a verdict's read set.
     pub fn refresh(&mut self, conf: &Configuration, methods: &AccessMethods) -> Vec<Access> {
         debug_assert_eq!(
             self.fronts.len(),
             methods.len(),
             "refresh must use the registry the frontier was built for"
         );
+        let store = conf.store();
+        assert!(
+            !store.trail_is_active(),
+            "access frontier refreshed under an open trail mark"
+        );
+        assert!(
+            !store.is_recording_reads(),
+            "access frontier refreshed inside a read-recording region"
+        );
+        self.take_in(conf);
         let mut out = Vec::new();
         for front in &mut self.fronts {
             if self.emitted >= self.options.max_accesses {
                 break;
             }
-            let Ok(m) = methods.get(front.id) else {
+            let Some(positions) = &front.spaces else {
                 continue;
             };
             // Zero-input (free) methods: one access, emitted once.
-            if m.input_positions().is_empty() {
+            if positions.is_empty() {
                 if !front.emitted_free {
                     front.emitted_free = true;
                     out.push(Access::new(front.id, Binding::empty()));
@@ -99,53 +187,127 @@ impl AccessFrontier {
                 }
                 continue;
             }
-            // Current candidate values per input position (shared with the
-            // full enumerator, so emissions stay value-for-value
-            // equivalent); `is_new` marks the values the frontier has not
-            // incorporated yet.
-            let Some(current) = enumerate::per_position_values(conf, methods, m, &self.options)
-            else {
-                continue;
-            };
-            let is_new: Vec<Vec<bool>> = current
-                .iter()
-                .zip(&front.seen)
-                .map(|(cur, seen)| cur.iter().map(|v| seen.binary_search(v).is_err()).collect())
-                .collect();
-            let any_new = is_new.iter().any(|flags| flags.iter().any(|&b| b));
-            if any_new {
-                // Odometer over `current` (a position with no value yields
-                // no combination), keeping only bindings with at least one
-                // new coordinate — the old×…×old block was emitted by
-                // earlier refreshes.
-                let id = front.id;
-                let emitted = &mut self.emitted;
-                let max_accesses = self.options.max_accesses;
-                let lengths: Vec<usize> = current.iter().map(Vec::len).collect();
-                enumerate::for_each_combination(&lengths, |indices| {
-                    if *emitted >= max_accesses {
-                        return false;
-                    }
-                    if indices.iter().enumerate().any(|(p, &j)| is_new[p][j]) {
-                        let binding: Binding = indices
-                            .iter()
-                            .enumerate()
-                            .map(|(p, &j)| current[p][j].clone())
-                            .collect::<Vec<Value>>()
-                            .into_iter()
-                            .collect();
-                        out.push(Access::new(id, binding));
-                        *emitted += 1;
-                    }
-                    true
-                });
-            }
-            // Incorporate the current values whether or not bindings were
-            // emitted: a position that is still empty keeps later bindings
-            // emittable because its values will be new when they appear.
-            front.seen = current;
+            let room = self.options.max_accesses - self.emitted;
+            let start = out.len();
+            push_new_bindings(front.id, positions, &self.spaces, room, &mut out);
+            out[start..].sort_unstable();
+            out.truncate(start + room.min(out.len() - start));
+            self.emitted += out.len() - start;
+        }
+        for space in &mut self.spaces {
+            space.known.extend(space.new.drain(..));
         }
         out
+    }
+
+    /// Fills each value space's `new` list with what this refresh takes in:
+    /// on the first refresh each tracked domain's active domain (plus the
+    /// pool for independent spaces), afterwards the values of the rows
+    /// committed past the watermarks that the space does not know yet.
+    fn take_in(&mut self, conf: &Configuration) {
+        let (store, schema) = (conf.store(), conf.schema());
+        let mut arrived: Vec<Vec<Value>> = vec![Vec::new(); self.tracked.len()];
+        let first = self.watermarks.is_none();
+        match &mut self.watermarks {
+            None => {
+                for (d, values) in arrived.iter_mut().enumerate() {
+                    if self.tracked[d] {
+                        *values = conf.values_of_domain(DomainId(d as u32));
+                    }
+                }
+                let marks = schema
+                    .relations_with_ids()
+                    .map(|(r, _)| store.relation_len(r))
+                    .collect();
+                self.watermarks = Some(marks);
+            }
+            Some(marks) => {
+                for ((r, relation), mark) in schema.relations_with_ids().zip(marks) {
+                    let rows = store.rows_since(r, *mark);
+                    *mark += rows.len();
+                    for row in rows {
+                        for (c, v) in row.iter().enumerate() {
+                            let d = relation.domain_at(c).index();
+                            if self.tracked[d] {
+                                arrived[d].push(v.clone());
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        for space in &mut self.spaces {
+            let known = &space.known;
+            space.new.extend(
+                arrived[space.domain.index()]
+                    .iter()
+                    .filter(|v| !known.contains(v))
+                    .cloned(),
+            );
+            if first && space.with_pool {
+                space
+                    .new
+                    .extend(self.options.guessable_values.iter().cloned());
+            }
+            space.new.sort();
+            space.new.dedup();
+        }
+    }
+}
+
+/// Appends to `out` the bindings of method `id` with at least one new
+/// coordinate, `positions` naming each input position's value space: one
+/// semi-naive block per pivot position `i`, with old values before `i`, new
+/// ones at `i` and all values after it. Each block is enumerated in sorted
+/// order and cut after `room` bindings, since the `room` smallest bindings
+/// of the union are each among the `room` smallest of their own block.
+fn push_new_bindings(
+    id: AccessMethodId,
+    positions: &[usize],
+    spaces: &[ValueSpace],
+    room: usize,
+    out: &mut Vec<Access>,
+) {
+    for pivot in 0..positions.len() {
+        let len = |p: usize| {
+            let space = &spaces[positions[p]];
+            if p < pivot {
+                space.known.len()
+            } else if p == pivot {
+                space.new.len()
+            } else {
+                space.known.len() + space.new.len()
+            }
+        };
+        if (0..positions.len()).any(|p| len(p) == 0) {
+            continue;
+        }
+        let values: Vec<Vec<&Value>> = (0..positions.len())
+            .map(|p| {
+                let space = &spaces[positions[p]];
+                if p < pivot {
+                    space.known.iter().collect()
+                } else if p == pivot {
+                    space.new.iter().collect()
+                } else {
+                    let mut merged: Vec<&Value> = space.known.iter().chain(&space.new).collect();
+                    merged.sort();
+                    merged
+                }
+            })
+            .collect();
+        let lengths: Vec<usize> = values.iter().map(Vec::len).collect();
+        let mut taken = 0;
+        enumerate::for_each_combination(&lengths, |indices| {
+            let binding = indices
+                .iter()
+                .zip(&values)
+                .map(|(&j, list)| list[j].clone())
+                .collect();
+            out.push(Access::new(id, Binding::new(binding)));
+            taken += 1;
+            taken < room
+        });
     }
 }
 
@@ -153,9 +315,7 @@ impl AccessFrontier {
 mod tests {
     use super::*;
     use crate::enumerate::well_formed_accesses;
-    use crate::method::AccessMode;
     use accrel_schema::Schema;
-    use std::collections::BTreeSet;
     use std::sync::Arc;
 
     fn setup() -> (Arc<Schema>, AccessMethods) {
@@ -175,6 +335,8 @@ mod tests {
             AccessMode::Dependent,
         )
         .unwrap();
+        mb.add("OfficeGuess", "Office", &["off"], AccessMode::Independent)
+            .unwrap();
         mb.add_free("EmpOffAll", "EmpOff", AccessMode::Independent)
             .unwrap();
         (schema, mb.build())
@@ -193,9 +355,7 @@ mod tests {
         let options = EnumerationOptions::default();
         let mut frontier = AccessFrontier::new(&methods, options.clone());
         let emitted = frontier.refresh(&conf, &methods);
-        let full = well_formed_accesses(&conf, &methods, &options);
-        assert_eq!(as_set(&emitted), as_set(&full));
-        assert_eq!(emitted.len(), full.len());
+        assert_eq!(emitted, well_formed_accesses(&conf, &methods, &options));
         // A second refresh over the unchanged configuration emits nothing.
         assert!(frontier.refresh(&conf, &methods).is_empty());
     }
@@ -203,8 +363,11 @@ mod tests {
     #[test]
     fn incremental_emissions_track_full_enumeration_without_duplicates() {
         let (schema, methods) = setup();
+        // The pool overlaps the active domain ("o1" arrives with the first
+        // row) and repeats a value: the independent `OfficeGuess` must still
+        // emit each binding once.
         let options = EnumerationOptions {
-            guessable_values: vec![Value::sym("guess")],
+            guessable_values: vec![Value::sym("guess"), Value::sym("o1"), Value::sym("guess")],
             max_accesses: usize::MAX,
         };
         let mut conf = Configuration::empty(schema);
@@ -217,17 +380,42 @@ mod tests {
             ("Office", ["o2", "e1"]),
             ("EmpOff", ["e2", "o1"]),
             ("Office", ["o1", "e3"]),
+            ("Office", ["o3", "e2"]),
         ];
         for (rel, t) in growth {
+            // A speculative row takes the relation's next row slot and is
+            // undone before the committed row reuses it: it is never read.
+            conf.speculate(|c| c.insert_named(rel, ["spec", "spec"]).unwrap());
             conf.insert_named(rel, t).unwrap();
             let emitted = frontier.refresh(&conf, &methods);
+            assert!(
+                emitted.windows(2).all(|w| w[0] < w[1]),
+                "a refresh returns its accesses sorted"
+            );
             for a in &emitted {
                 assert!(union.insert(a.clone()), "duplicate emission of {a}");
                 assert!(a.is_well_formed(&conf, &methods));
+                assert!(
+                    !a.binding().values().contains(&Value::sym("spec")),
+                    "undone row emitted in {a}"
+                );
             }
             let full = as_set(&well_formed_accesses(&conf, &methods, &options));
             assert_eq!(union, full);
         }
+        let guess = methods.by_name("OfficeGuess").unwrap();
+        let guessed: Vec<&Access> = union.iter().filter(|a| a.method() == guess).collect();
+        assert_eq!(guessed.len(), 4, "guess, o1, o2, o3: {guessed:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "open trail mark")]
+    fn refresh_under_an_open_trail_mark_panics() {
+        let (schema, methods) = setup();
+        let mut conf = Configuration::empty(schema);
+        let mut frontier = AccessFrontier::new(&methods, EnumerationOptions::default());
+        let _mark = conf.begin_trail();
+        frontier.refresh(&conf, &methods);
     }
 
     #[test]
@@ -254,8 +442,9 @@ mod tests {
             guessable_values: Vec::new(),
             max_accesses: 3,
         };
-        let mut frontier = AccessFrontier::new(&methods, options);
+        let mut frontier = AccessFrontier::new(&methods, options.clone());
         let emitted = frontier.refresh(&conf, &methods);
+        assert_eq!(emitted, well_formed_accesses(&conf, &methods, &options));
         assert_eq!(emitted.len(), 3);
         assert!(frontier.refresh(&conf, &methods).is_empty());
     }

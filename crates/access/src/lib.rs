@@ -16,8 +16,9 @@
 //!   to define long-term relevance;
 //! * enumeration of the well-formed accesses available at a configuration
 //!   ([`enumerate`]), and its incremental form ([`frontier::AccessFrontier`])
-//!   that only emits accesses involving newly-added active-domain values —
-//!   the candidate source of the run loop every executor drives.
+//!   that reads only the rows committed since its last refresh and emits
+//!   only accesses involving newly-added active-domain values — the
+//!   candidate source of the run loop every executor drives.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -2,7 +2,9 @@
 //! (schema × query × response policy × churn script) run through the
 //! threaded, async and serving executors and diffed against the sequential
 //! oracle, whose own certainty and answers are first checked against a full
-//! evaluation on its final configuration. Any divergence is shrunk to a
+//! evaluation on its final configuration, and whose run is regrown with an
+//! independent access frontier checked against full enumeration after every
+//! response. Any divergence is shrunk to a
 //! minimal reproducing case and printed; the process exits non-zero so CI
 //! can gate on it.
 //!

@@ -21,6 +21,15 @@
 //! the rows each response commits and refreshed semi-naively; a
 //! non-Boolean query's answers are still computed in full once, at the end.
 //!
+//! Candidates are incremental in the same way. The loop's [`AccessFrontier`]
+//! keeps one row watermark per relation: each round's refresh reads only the
+//! rows committed since the previous one and emits the accesses whose
+//! binding uses a value new to the active domain. The loop refreshes it
+//! between relevance checks, when no trail mark is open and no read recorder
+//! is installed, so the pending set always equals what full re-enumeration
+//! of the committed configuration would yield, less the accesses already
+//! consumed.
+//!
 //! # Determinism invariant
 //!
 //! Concurrency enters *only* through speculative response prefetching: before

@@ -72,6 +72,12 @@
 //!   lists are patched in place), **including on a shard shared with other
 //!   clones** — the mutating handle copies first, the sharing handles are
 //!   never disturbed;
+//! * committed rows are append-only: an insert appends one row, and as long
+//!   as nothing is removed a row keeps its index and contents; trail undo
+//!   pops speculative rows LIFO, restoring each relation's row list exactly.
+//!   [`FactStore::rows_since`] therefore returns exactly the rows committed
+//!   after a given row count, which is what lets the access frontier of
+//!   `accrel-access` read only the rows added since its last refresh;
 //! * interning values that are already known never copies the interner
 //!   shard; inserting a fact that is already present never copies any
 //!   shard;
@@ -1058,6 +1064,19 @@ impl FactStore {
             .get(relation.index())
             .into_iter()
             .flat_map(|s| s.tuples.iter())
+    }
+
+    /// The tuples of one relation in rows `from..`, in row order (empty when
+    /// `from` is past the last row). Rows are only ever appended until a
+    /// removal, and trail undo pops speculative rows LIFO, so over a store
+    /// that only grows this is exactly what was committed after the
+    /// relation's first `from` rows.
+    pub fn rows_since(&self, relation: RelationId, from: usize) -> &[Tuple] {
+        self.rec(|rs| rs.insert(Read::Relation(relation)));
+        self.relations
+            .get(relation.index())
+            .and_then(|s| s.tuples.get(from..))
+            .unwrap_or(&[])
     }
 
     /// Number of tuples in one relation.

@@ -24,8 +24,11 @@
 //! answers under a perturbed policy — to prove the harness catches real
 //! divergence (see `tests/chaos_equivalence.rs`).
 
+use std::collections::BTreeSet;
 use std::fmt;
 
+use accrel_access::enumerate::{well_formed_accesses, EnumerationOptions};
+use accrel_access::{apply_access_in_place, Access, AccessFrontier};
 use accrel_core::SearchBudget;
 use accrel_engine::{
     BackendStats, DeepWebSource, Executor, InvalidationMode, ResponsePolicy, RunOptions, RunReport,
@@ -36,7 +39,7 @@ use accrel_federation::{
     Serving, SimulatedSource, Threaded,
 };
 use accrel_query::{certain, Query};
-use accrel_schema::{Configuration, Instance};
+use accrel_schema::{Configuration, Instance, RelationId, Tuple, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -290,11 +293,71 @@ fn status_mismatch(report: &RunReport, query: &Query) -> Option<&'static str> {
     None
 }
 
+/// Checks the access frontier against full enumeration along the oracle's
+/// run: regrows `initial` access by access with `source`'s responses and,
+/// after every step, refreshes one frontier of its own. Its emissions so
+/// far must hold no access twice and equal [`well_formed_accesses`] at the
+/// regrown configuration. Before each response a fresh row is inserted
+/// under a trail mark and undone, so the response's rows land in the row
+/// slots a speculative row just vacated, as they do after the engine's
+/// relevance probes. Every executor draws its candidates from the same
+/// frontier, so comparing their reports with each other cannot catch a
+/// frontier bug.
+fn frontier_mismatch(
+    source: &DeepWebSource,
+    oracle: &RunReport,
+    query: &Query,
+    initial: &Configuration,
+) -> Option<&'static str> {
+    let methods = source.methods();
+    let schema = initial.schema();
+    let mut pool: Vec<Value> = query.constants().into_iter().collect();
+    pool.extend(initial.all_values());
+    let options = EnumerationOptions {
+        guessable_values: pool,
+        max_accesses: usize::MAX,
+    };
+    let mut frontier = AccessFrontier::new(methods, options.clone());
+    let mut conf = initial.snapshot();
+    let mut emitted: BTreeSet<Access> = BTreeSet::new();
+    let steps = std::iter::once(None).chain(oracle.access_sequence.iter().map(Some));
+    for (step, access) in steps.enumerate() {
+        let relation = access
+            .and_then(|a| methods.get(a.method()).ok())
+            .map_or(RelationId(0), |m| m.relation());
+        if let Ok(arity) = schema.arity(relation) {
+            let row = Tuple::new(vec![Value::fresh(step as u64); arity]);
+            conf.speculate(|c| c.insert(relation, row).ok());
+        }
+        if let Some(access) = access {
+            let response = source
+                .call(access)
+                .expect("an access the oracle made replays against its source");
+            let _ = apply_access_in_place(&mut conf, access, &response, methods);
+        }
+        for access in frontier.refresh(&conf, methods) {
+            if !emitted.insert(access) {
+                return Some("frontier_vs_full_enumeration");
+            }
+        }
+        if emitted
+            != well_formed_accesses(&conf, methods, &options)
+                .into_iter()
+                .collect()
+        {
+            return Some("frontier_vs_full_enumeration");
+        }
+    }
+    None
+}
+
 /// Runs `case` through the sequential oracle and the three concurrent
 /// layers (threaded, async, serving), each over a primary+replica pair
 /// under the case's churn script, and reports the first divergence. The
 /// oracle itself is first checked against a full evaluation of the query
-/// on its final configuration (reported as executor `"sequential"`).
+/// on its final configuration, and the access frontier against full
+/// enumeration along the oracle's run (both reported as executor
+/// `"sequential"`).
 pub fn run_case(case: &FuzzCase) -> CaseOutcome {
     let (workload, instance, initial, query) = case.materialize();
     let methods = workload.methods.clone();
@@ -305,10 +368,12 @@ pub fn run_case(case: &FuzzCase) -> CaseOutcome {
 
     let oracle_source = DeepWebSource::new(instance.clone(), methods.clone(), case.policy.clone());
     let oracle = Sequential::new(&oracle_source).execute(&request, &initial);
-    let mut divergence = status_mismatch(&oracle, &request.query).map(|field| Divergence {
-        executor: "sequential",
-        field,
-    });
+    let mut divergence = status_mismatch(&oracle, &request.query)
+        .or_else(|| frontier_mismatch(&oracle_source, &oracle, &request.query, &initial))
+        .map(|field| Divergence {
+            executor: "sequential",
+            field,
+        });
 
     // Both providers carry a (virtual) latency model from the start: the
     // async federations' chaos clocks only advance as awaited latencies

@@ -699,6 +699,56 @@ fn nested_trail_marks_undo_inside_out_and_outer_undo_cancels_inner() {
 }
 
 #[test]
+fn rows_since_a_row_count_are_the_rows_inserted_after_it_across_speculation() {
+    // Oracle: each relation's rows in insertion order. Committed inserts
+    // append; rows inserted under a trail mark are read inside it and gone
+    // after undo, and the next committed rows reuse the popped slots.
+    use accrel::schema::{FactStore, Tuple};
+
+    fn assert_rows_since(store: &FactStore, oracle: &[Vec<Tuple>], ctx: &str) {
+        for (r, rows) in oracle.iter().enumerate() {
+            let relation = accrel::schema::RelationId(r as u32);
+            for k in 0..=rows.len() + 1 {
+                let want = rows.get(k..).unwrap_or(&[]);
+                assert_eq!(
+                    store.rows_since(relation, k),
+                    want,
+                    "{ctx} relation={r} k={k}"
+                );
+            }
+        }
+    }
+    fn insert_all(store: &mut FactStore, oracle: &mut [Vec<Tuple>], batch: &Configuration) {
+        for (rel, t) in batch.facts() {
+            if store.insert(rel, t.clone()).unwrap() {
+                oracle[rel.index()].push(t);
+            }
+        }
+    }
+
+    for (seed, _, facts) in cases() {
+        let (workload, _, conf) = workload_and_query(seed, 1, facts + 4);
+        let mut store = FactStore::new(workload.schema.clone());
+        let mut oracle = vec![Vec::new(); workload.schema.relation_count()];
+        insert_all(&mut store, &mut oracle, &conf);
+        let ctx = format!("seed={seed} facts={facts}");
+        assert_rows_since(&store, &oracle, &format!("initial {ctx}"));
+
+        let mut rng = StdRng::seed_from_u64(seed + 606);
+        let speculative = generate_configuration(&workload, 5, &mut rng);
+        let committed = generate_configuration(&workload, 5, &mut rng);
+        let mut inside = oracle.clone();
+        store.speculate(|s| {
+            insert_all(s, &mut inside, &speculative);
+            assert_rows_since(s, &inside, &format!("inside speculation {ctx}"));
+        });
+        assert_rows_since(&store, &oracle, &format!("after undo {ctx}"));
+        insert_all(&mut store, &mut oracle, &committed);
+        assert_rows_since(&store, &oracle, &format!("after later commits {ctx}"));
+    }
+}
+
+#[test]
 fn duplicate_only_rounds_evict_nothing_and_leave_the_verdict_cache_intact() {
     // Re-applying an already-applied response inserts zero facts: the store
     // queues no insert events, the oracle drains nothing, and every cached

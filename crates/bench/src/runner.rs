@@ -1245,12 +1245,15 @@ fn flood_invalidation_run(invalidation: InvalidationMode) -> RunReport {
 /// give exact invalidation the most to keep — the exact mode must re-run
 /// **strictly fewer** decision procedures than the relation-level baseline.
 /// On the E5 adom-flooding chain — where nearly every response introduces
-/// fresh values, so exact's coarse adom recording evicts almost everything
-/// and washes out against the baseline — the **precise** mode's per-domain
-/// prefix reads must still save strictly, with the re-check totals ordered
-/// precise ≤ exact ≤ relation-level. (The answers are pinned identical by
-/// the equivalence suite; this guards the savings themselves.) Returns an
-/// error when any saving vanished or the ordering broke.
+/// fresh values, so any verdict whose search walked a whole active domain
+/// is evicted — the **precise** mode's per-domain prefix reads must still
+/// save strictly, with the re-check totals ordered precise ≤ exact ≤
+/// relation-level. Exact ties precise there today: the chain's dead-end
+/// accesses, whose budget-exhausting searches once gave exact a coarse
+/// adom read to lose on every insert, are decided without reading the
+/// configuration. (The answers are pinned identical by the equivalence
+/// suite; this guards the savings themselves.) Returns an error when any
+/// saving vanished or the ordering broke.
 pub fn check_invalidation_savings() -> Result<InvalidationSavings, String> {
     let bank = |mode| bank_invalidation_run(mode).relevance_cache_misses;
     let chain = |mode| flood_invalidation_run(mode).relevance_cache_misses;
@@ -1384,7 +1387,7 @@ mod tests {
         let chain = modes.map(|m| counters(flood_invalidation_run(m)));
         assert_eq!(
             chain,
-            [(137, 1118, 0, 16), (272, 6173, 195, 16), (272, 0, 195, 0)]
+            [(137, 454, 0, 16), (137, 411, 43, 16), (272, 0, 195, 0)]
         );
     }
 

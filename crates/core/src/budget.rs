@@ -12,10 +12,17 @@
 /// sound for "relevant"/"non-contained" verdicts and may in pathological
 /// cases report "not relevant"/"contained" for witnesses larger than the
 /// budget. Every bundled workload is decided exactly by the default budget.
+///
+/// The budget is a cap, not a cost: a search visits valuations one at a
+/// time and stops at its first witness, so a verdict found early pays for
+/// the valuations before it and no more. Only a search that finds no
+/// witness can use the whole budget. Dependent long-term relevance decides
+/// *dead-end* accesses (see [`crate::ltr_dependent::is_dead_end`]) before
+/// searching, so their "not relevant" is exact at any budget.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SearchBudget {
     /// Maximum number of candidate valuations of a disjunct's variables
-    /// explored per disjunct.
+    /// visited per disjunct; the walk stops earlier at the first witness.
     pub max_valuations: usize,
     /// Maximum number of auxiliary "value generator" facts that may be added
     /// beyond the image of the query homomorphism (the supporting chains of

@@ -123,8 +123,6 @@ fn disjunct_non_containment(
             .iter()
             .chain(disjunct.constants().iter().collect::<Vec<_>>()),
     );
-    let valuations =
-        search::enumerate_valuations(disjunct, conf, &[], &mut fresh, budget.max_valuations);
     // The accessible pool over Adom(Conf); records only the membership,
     // minimum and emptiness reads the planner actually performs.
     let base = search::AdomPool::of(conf);
@@ -132,75 +130,75 @@ fn disjunct_non_containment(
     // across all valuations of this disjunct.
     let mut chain_cache = search::ChainCache::new();
 
-    for h in valuations {
-        // The facts of the disjunct image that are not yet known.
-        let mut needed = Vec::new();
-        let mut grounding_failed = false;
-        for atom in disjunct.atoms() {
-            let grounded = atom.substitute(&h);
-            let Some(tuple) = grounded.to_tuple() else {
-                grounding_failed = true;
-                break;
-            };
-            if !conf.contains(atom.relation(), &tuple) {
-                needed.push((atom.relation(), tuple));
+    search::find_valuation(
+        disjunct,
+        conf,
+        &[],
+        &mut fresh,
+        budget.max_valuations,
+        |conf, h, fresh| {
+            // The facts of the disjunct image that are not yet known.
+            let mut needed = Vec::new();
+            for atom in disjunct.atoms() {
+                let tuple = atom.substitute(h).to_tuple()?;
+                if !conf.contains(atom.relation(), &tuple) {
+                    needed.push((atom.relation(), tuple));
+                }
             }
-        }
-        if grounding_failed {
-            continue;
-        }
-        needed.sort();
-        needed.dedup();
+            needed.sort();
+            needed.dedup();
 
-        // The answer tuple this valuation yields for Q1.
-        let answer = Tuple::new(
-            disjunct
-                .free_vars()
-                .iter()
-                .map(|v| h.get(v).cloned().unwrap_or_else(|| Value::fresh(u64::MAX)))
-                .collect(),
-        );
+            // The answer tuple this valuation yields for Q1.
+            let answer = Tuple::new(
+                disjunct
+                    .free_vars()
+                    .iter()
+                    .map(|v| h.get(v).cloned().unwrap_or_else(|| Value::fresh(u64::MAX)))
+                    .collect(),
+            );
 
-        for alternative in 0..budget.max_chain_alternatives.max(1) {
-            let mut plan_fresh = fresh.clone();
-            let Some(plan) = search::plan_production(
-                &needed,
-                &base,
-                methods,
-                conf,
-                budget,
-                &mut plan_fresh,
-                alternative,
-                &mut chain_cache,
-            ) else {
-                // Lower alternatives failing usually means higher ones fail
-                // too, but generator-chain selection can differ; keep trying
-                // only if there was at least one aux fact in play.
-                if alternative == 0 {
+            for alternative in 0..budget.max_chain_alternatives.max(1) {
+                let mut plan_fresh = fresh.clone();
+                let Some(plan) = search::plan_production(
+                    &needed,
+                    &base,
+                    methods,
+                    conf,
+                    budget,
+                    &mut plan_fresh,
+                    alternative,
+                    &mut chain_cache,
+                ) else {
+                    // Lower alternatives failing usually means higher ones
+                    // fail too, but generator-chain selection can differ;
+                    // keep trying only if there was at least one aux fact in
+                    // play.
+                    if alternative == 0 {
+                        break;
+                    }
+                    continue;
+                };
+                // Check Q2 on the overlay; the reached configuration is only
+                // materialised when a witness is actually found.
+                let plan_facts = plan.facts();
+                if !q2_has_answer(ucq2, conf, &plan_facts, &answer) {
+                    let reached = search::extend_configuration(conf, &plan_facts);
+                    let path = plan.to_path(methods);
+                    debug_assert!(path.is_well_formed_at(conf, methods));
+                    return Some(NonContainmentWitness {
+                        path,
+                        final_configuration: reached,
+                        answer,
+                    });
+                }
+                if plan.aux_count == 0 {
+                    // Without auxiliary chains all alternatives are identical.
                     break;
                 }
-                continue;
-            };
-            // Check Q2 on the overlay; the reached configuration is only
-            // materialised when a witness is actually found.
-            let plan_facts = plan.facts();
-            if !q2_has_answer(ucq2, conf, &plan_facts, &answer) {
-                let reached = search::extend_configuration(conf, &plan_facts);
-                let path = plan.to_path(methods);
-                debug_assert!(path.is_well_formed_at(conf, methods));
-                return Some(NonContainmentWitness {
-                    path,
-                    final_configuration: reached,
-                    answer,
-                });
             }
-            if plan.aux_count == 0 {
-                // Without auxiliary chains all alternatives are identical.
-                break;
-            }
-        }
-    }
-    None
+            None
+        },
+    )
 }
 
 /// Does `ucq2` yield `answer` on `conf` extended with the `extra` facts?

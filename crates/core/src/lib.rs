@@ -16,7 +16,10 @@
 //!   relative to a configurable [`SearchBudget`];
 //! * **long-term relevance** with dependent accesses ([`ltr_dependent`]) —
 //!   NEXPTIME-complete for CQs, 2NEXPTIME-complete for PQs, decided here by
-//!   a direct witness-path search sharing the containment machinery;
+//!   a direct witness-path search sharing the containment machinery, after
+//!   a schema-level check that settles *dead-end* accesses (a relation the
+//!   query never mentions, whose new values no dependent method can take
+//!   as an input) without searching;
 //! * the **reductions** of Section 3 connecting relevance and containment
 //!   ([`reductions`]), and the Proposition 2.2 reduction from arity-`k`
 //!   relevance to Boolean relevance;
@@ -31,6 +34,11 @@
 //! Callers that track certainty themselves run the search alone:
 //! [`is_immediately_relevant_given_uncertain`] and
 //! [`is_long_term_relevant_given_uncertain_trailed`].
+//!
+//! The containment and dependent-LTR witness searches stream candidate
+//! valuations one at a time and stop at the first witness, so the
+//! [`SearchBudget`] caps the valuations a search visits rather than sizing
+//! a list it builds up front.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

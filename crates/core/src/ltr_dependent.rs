@@ -6,13 +6,32 @@
 //! path without its initial access, cut at the first step that stops being
 //! well-formed).
 //!
+//! Two pre-checks come before any search:
+//!
+//! * **Dead ends.** An access to a relation no disjunct of `Q` mentions,
+//!   none of whose new values any dependent method can take as an input, is
+//!   never long-term relevant: every later step of a path survives the
+//!   truncation, and the two configurations differ only in facts `Q` never
+//!   reads ([`is_dead_end`] holds the proof). The check reads only the
+//!   schema, the query and the methods, so it runs first — before the
+//!   Proposition 2.2 reduction, the certainty pre-check and the
+//!   well-formedness probe — and its `false` has an empty read set and is
+//!   exact whatever the budget.
+//! * **Certainty.** A certain Boolean query has no relevant access.
+//!   [`is_ltr_dependent_trailed`] checks it before the search; a caller that
+//!   already knows the query is not certain (the engine's per-run certainty
+//!   status) runs the dead-end check and the search alone through
+//!   [`crate::is_long_term_relevant_given_uncertain_trailed`]. The certainty
+//!   checks *inside* the search, on truncated configurations, stay.
+//!
 //! The search mirrors the containment witness search (same crayfish-chase
 //! structure, same [`SearchBudget`]):
 //!
 //! 1. pick a disjunct of `Q` and a valuation of its variables into
 //!    configuration constants, the values returned by the initial access
 //!    (including a "generic" tuple of fresh outputs the access may always
-//!    return), and fresh nulls;
+//!    return), and fresh nulls — valuations are streamed one at a time and
+//!    the search stops at the first one that yields a witness;
 //! 2. split the disjunct's image into configuration facts, facts returned by
 //!    the initial access, and facts that later accesses must produce;
 //! 3. plan the production of the later facts (with auxiliary generator
@@ -23,13 +42,6 @@
 //!    path deliberately consumes a value only the initial response provides
 //!    (making the truncation collapse to `Conf`), or because even the full
 //!    set of later facts does not satisfy the query.
-//!
-//! Step 0 is a pre-check: a certain Boolean query has no relevant access.
-//! [`is_ltr_dependent_trailed`] runs it before the search; a caller that
-//! already knows the query is not certain (the engine's per-run certainty
-//! status) runs the search alone through
-//! [`crate::is_long_term_relevant_given_uncertain_trailed`]. The certainty
-//! checks *inside* the search, on truncated configurations, stay.
 //!
 //! The NEXPTIME upper bound of Theorem 5.2 (2NEXPTIME for positive queries,
 //! Theorem 5.6) bounds the witness size; as for containment the search is
@@ -76,19 +88,26 @@ pub fn is_ltr_dependent_trailed(
     methods: &AccessMethods,
     budget: &SearchBudget,
 ) -> bool {
-    if !query.is_boolean() {
-        return reductions::boolean_instances(query, conf)
-            .iter()
-            .any(|q| is_ltr_dependent_trailed(q, conf, access, methods, budget));
+    if is_dead_end(query, access, methods) {
+        return false;
     }
     // A certain Boolean query cannot gain new certain answers.
-    !certain::is_certain(query, conf)
-        && is_ltr_dependent_given_uncertain_trailed(query, conf, access, methods, budget)
+    let decide = |q: &Query, conf: &mut Configuration| {
+        !certain::is_certain(q, conf) && witness_search(q, conf, access, methods, budget)
+    };
+    if query.is_boolean() {
+        decide(query, conf)
+    } else {
+        reductions::boolean_instances(query, conf)
+            .iter()
+            .any(|q| decide(q, conf))
+    }
 }
 
 /// [`is_ltr_dependent_trailed`] for a Boolean `query` the caller knows is
-/// not certain at `conf`: the witness search without the certainty
-/// pre-check. On a certain query the answer is meaningless.
+/// not certain at `conf`: the dead-end check and the witness search,
+/// without the certainty pre-check. On a certain query the answer is
+/// meaningless.
 pub(crate) fn is_ltr_dependent_given_uncertain_trailed(
     query: &Query,
     conf: &mut Configuration,
@@ -97,6 +116,84 @@ pub(crate) fn is_ltr_dependent_given_uncertain_trailed(
     budget: &SearchBudget,
 ) -> bool {
     debug_assert!(query.is_boolean(), "the body takes Boolean queries only");
+    !is_dead_end(query, access, methods) && witness_search(query, conf, access, methods, budget)
+}
+
+/// Is `access` a *dead end* for `query`: an access that is never long-term
+/// relevant, decided from the schema, the query and the access methods
+/// alone? It is one when both hold:
+///
+/// 1. the accessed relation occurs in no disjunct of `query`;
+/// 2. no dependent method has an input position whose domain the access can
+///    supply a value of: an output domain of the accessed method, or — for
+///    an independent method, whose binding need not come from the
+///    configuration — any domain of the accessed relation.
+///
+/// *Proof that a dead end is not long-term relevant.* Take any well-formed
+/// path `(a₀, r₀), (a₁, r₁), …, (aₙ, rₙ)` from `Conf` whose first access
+/// `a₀` is a dead end, and write `Conf_i` for `Conf ∪ r₀ ∪ … ∪ r_{i-1}` and
+/// `Conf'_i` for `Conf ∪ r₁ ∪ … ∪ r_{i-1}`. By induction on `i ≥ 1`, the
+/// truncation keeps step `i`. Independent accesses are always well-formed.
+/// A dependent `aᵢ` needs each binding value `v`, at an input domain `d` of
+/// its method, in `Adom(Conf_i)`. If `(v, d)` is in `Adom(Conf'_i)` we are
+/// done; otherwise it occurs only in `r₀`, at a position of domain `d`. By
+/// condition 2 that is not an output position of `a₀`'s method, and that
+/// method is not independent (else every domain of its relation would
+/// count), so it is an input position of a dependent `a₀`. Then `v` is
+/// `a₀`'s binding value there, already in `Adom(Conf)` at `d` for `a₀` to
+/// be well-formed — a contradiction. So the truncation is `(a₁, r₁), …,
+/// (aₙ, rₙ)` in full, and the two paths reach `Conf_{n+1}` and
+/// `Conf'_{n+1}`, which differ only in facts of `r₀`'s relation. By
+/// condition 1 the query never reads that relation, so its certain answers
+/// coincide on the two: no path starting with `a₀` witnesses long-term
+/// relevance. This is the long-term counterpart of Section 4's observation
+/// that an access to a relation the query does not mention is never
+/// immediately relevant.
+///
+/// The check reads nothing from the configuration, so a dead-end verdict
+/// has an empty read set, and it is exact whatever the [`SearchBudget`].
+pub fn is_dead_end(query: &Query, access: &Access, methods: &AccessMethods) -> bool {
+    let Ok(method) = methods.get(access.method()) else {
+        return false;
+    };
+    let relation = method.relation();
+    if query
+        .ucq()
+        .iter()
+        .any(|d| d.atoms().iter().any(|a| a.relation() == relation))
+    {
+        return false;
+    }
+    let schema = methods.schema();
+    let positions: Vec<usize> = if method.mode() == AccessMode::Independent {
+        (0..schema.arity(relation).unwrap_or(0)).collect()
+    } else {
+        method.output_positions(schema)
+    };
+    let supplied: HashSet<DomainId> = positions
+        .into_iter()
+        .filter_map(|p| schema.domain_of(relation, p).ok())
+        .collect();
+    !methods.iter().any(|(_, m)| {
+        m.mode() == AccessMode::Dependent
+            && m.input_positions().iter().any(|&p| {
+                schema
+                    .domain_of(m.relation(), p)
+                    .is_ok_and(|d| supplied.contains(&d))
+            })
+    })
+}
+
+/// The Section 5 witness search for a Boolean `query` not certain at
+/// `conf`, with no dead-end check: a well-formedness probe, then one
+/// valuation walk per disjunct.
+fn witness_search(
+    query: &Query,
+    conf: &mut Configuration,
+    access: &Access,
+    methods: &AccessMethods,
+    budget: &SearchBudget,
+) -> bool {
     if !access.is_well_formed(conf, methods) {
         return false;
     }
@@ -189,8 +286,6 @@ fn disjunct_witness(
     fresh: &mut FreshSupply,
 ) -> bool {
     let schema = methods.schema();
-    let valuations =
-        search::enumerate_valuations(disjunct, conf, generic_extra, fresh, budget.max_valuations);
     // The accessible-value pool over Adom(Conf) is constant across
     // valuations; build it once (the pool records the membership, minimum
     // and emptiness reads the planner actually performs, instead of a
@@ -199,96 +294,104 @@ fn disjunct_witness(
     let conf_pool = search::AdomPool::of(conf);
     let mut chain_cache = search::ChainCache::new();
 
-    'next_valuation: for h in valuations {
-        // Partition the disjunct's image.
-        let mut first_facts: Vec<(RelationId, Tuple)> = Vec::new();
-        let mut later_facts: Vec<(RelationId, Tuple)> = Vec::new();
-        for atom in disjunct.atoms() {
-            let grounded = atom.substitute(&h);
-            let Some(tuple) = grounded.to_tuple() else {
-                continue 'next_valuation;
-            };
-            if conf.contains(atom.relation(), &tuple) {
-                continue;
+    search::find_valuation(
+        disjunct,
+        conf,
+        generic_extra,
+        fresh,
+        budget.max_valuations,
+        |conf, h, fresh| {
+            // Partition the disjunct's image.
+            let mut first_facts: Vec<(RelationId, Tuple)> = Vec::new();
+            let mut later_facts: Vec<(RelationId, Tuple)> = Vec::new();
+            for atom in disjunct.atoms() {
+                let tuple = atom.substitute(h).to_tuple()?;
+                if conf.contains(atom.relation(), &tuple) {
+                    continue;
+                }
+                let first_covered = atom.relation() == access_relation
+                    && tuple.matches_binding(input_positions, access.binding().values());
+                if first_covered {
+                    first_facts.push((atom.relation(), tuple));
+                } else {
+                    later_facts.push((atom.relation(), tuple));
+                }
             }
-            let first_covered = atom.relation() == access_relation
-                && tuple.matches_binding(input_positions, access.binding().values());
-            if first_covered {
-                first_facts.push((atom.relation(), tuple));
-            } else {
-                later_facts.push((atom.relation(), tuple));
+            first_facts.sort();
+            first_facts.dedup();
+            later_facts.sort();
+            later_facts.dedup();
+
+            // Values accessible once the initial access has returned:
+            // Adom(Conf) plus every value of the initial response (first
+            // facts + generic tuple).
+            let mut base = conf_pool.clone();
+            for (rel, tuple) in &first_facts {
+                absorb(&mut base, schema, *rel, tuple);
             }
-        }
-        first_facts.sort();
-        first_facts.dedup();
-        later_facts.sort();
-        later_facts.dedup();
+            if let Some(t) = generic_tuple {
+                absorb(&mut base, schema, access_relation, t);
+            }
+            // The (value, domain) pairs only the initial response provides.
+            // Only the overlay can contain them — Adom(Conf) pairs never
+            // pass the filter — and each candidate is a recorded point probe.
+            let mut new_pairs: Vec<(Value, DomainId)> = base
+                .overlay()
+                .iter()
+                .filter(|(v, d)| !conf.adom_contains(v, *d))
+                .cloned()
+                .collect();
+            new_pairs.sort();
 
-        // Values accessible once the initial access has returned: Adom(Conf)
-        // plus every value of the initial response (first facts + generic
-        // tuple).
-        let mut base = conf_pool.clone();
-        for (rel, tuple) in &first_facts {
-            absorb(&mut base, schema, *rel, tuple);
-        }
-        if let Some(t) = generic_tuple {
-            absorb(&mut base, schema, access_relation, t);
-        }
-        // The (value, domain) pairs only the initial response provides. Only
-        // the overlay can contain them — Adom(Conf) pairs never pass the
-        // filter — and each candidate is a recorded point probe.
-        let mut new_pairs: Vec<(Value, DomainId)> = base
-            .overlay()
-            .iter()
-            .filter(|(v, d)| !conf.adom_contains(v, *d))
-            .cloned()
-            .collect();
-        new_pairs.sort();
+            for alternative in 0..budget.max_chain_alternatives.max(1) {
+                let mut plan_fresh = fresh.clone();
+                let Some(plan) = search::plan_production(
+                    &later_facts,
+                    &base,
+                    methods,
+                    conf,
+                    budget,
+                    &mut plan_fresh,
+                    alternative,
+                    &mut chain_cache,
+                ) else {
+                    if alternative == 0 {
+                        break;
+                    }
+                    continue;
+                };
 
-        for alternative in 0..budget.max_chain_alternatives.max(1) {
-            let mut plan_fresh = fresh.clone();
-            let Some(plan) = search::plan_production(
-                &later_facts,
-                &base,
-                methods,
-                conf,
-                budget,
-                &mut plan_fresh,
-                alternative,
-                &mut chain_cache,
-            ) else {
-                if alternative == 0 {
+                // Witness condition A: the truncation can be made to collapse
+                // to Conf by inserting, right after the initial access, an
+                // access that consumes a value only the initial response
+                // provides.
+                if !new_pairs.is_empty()
+                    && break_access_exists(&new_pairs, &conf_pool, conf, methods)
+                {
+                    // The query is not certain at Conf (checked by the
+                    // caller), so the certain answers differ: witness found.
+                    return Some(());
+                }
+
+                // Witness condition B: replay the planned accesses without
+                // the initial one; the truncation keeps the longest
+                // well-formed prefix. The query must be false on what it
+                // reaches. The replay speculates on the live store under a
+                // trail mark — the certainty check runs inside the scope and
+                // every inserted response tuple is undone on exit, replacing
+                // the per-plan snapshot this path used to discard.
+                if replay_truncation_uncertain(query, conf, &plan, methods) {
+                    return Some(());
+                }
+
+                if plan.aux_count == 0 {
                     break;
                 }
-                continue;
-            };
-
-            // Witness condition A: the truncation can be made to collapse to
-            // Conf by inserting, right after the initial access, an access
-            // that consumes a value only the initial response provides.
-            if !new_pairs.is_empty() && break_access_exists(&new_pairs, &conf_pool, conf, methods) {
-                // The query is not certain at Conf (checked by the caller),
-                // so the certain answers differ: witness found.
-                return true;
             }
-
-            // Witness condition B: replay the planned accesses without the
-            // initial one; the truncation keeps the longest well-formed
-            // prefix. The query must be false on what it reaches. The
-            // replay speculates on the live store under a trail mark — the
-            // certainty check runs inside the scope and every inserted
-            // response tuple is undone on exit, replacing the per-plan
-            // snapshot this path used to discard.
-            if replay_truncation_uncertain(query, conf, &plan, methods) {
-                return true;
-            }
-
-            if plan.aux_count == 0 {
-                break;
-            }
-        }
-    }
-    false
+            None
+        },
+    )
+    .is_some()
 }
 
 /// Adds the `(value, domain)` pairs of a fact to `pool`.
@@ -378,8 +481,9 @@ fn replay_truncation_uncertain(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use accrel_access::enumerate::{well_formed_accesses, EnumerationOptions};
     use accrel_access::{binding, AccessMode};
-    use accrel_query::{ConjunctiveQuery, Term};
+    use accrel_query::{ConjunctiveQuery, PositiveQuery, Term, VarId};
     use accrel_schema::Schema;
     use std::sync::Arc;
 
@@ -591,6 +695,272 @@ mod tests {
             &methods,
             &SearchBudget::default()
         ));
+    }
+
+    /// The adom-flooding chain: `Q = R0(x, y) ∧ R1(y, z) ∧ R2(z, w)`, with
+    /// `Dead(k, v)` off the query and its output domain `C` no method's
+    /// input.
+    fn flooding_chain() -> (AccessMethods, Query, Configuration) {
+        let mut b = Schema::builder();
+        let key = b.domain("B").unwrap();
+        let link = b.domain("A").unwrap();
+        let sink = b.domain("C").unwrap();
+        b.relation("R0", &[("k", key), ("a", link)]).unwrap();
+        b.relation("R1", &[("a", link), ("b", link)]).unwrap();
+        b.relation("R2", &[("a", link), ("b", link)]).unwrap();
+        b.relation("Feed", &[("k", key), ("v", key)]).unwrap();
+        b.relation("Dead", &[("k", key), ("v", sink)]).unwrap();
+        let schema = b.build();
+        let mut mb = AccessMethods::builder(schema.clone());
+        for (name, relation, input) in [
+            ("acc0", "R0", "k"),
+            ("acc1", "R1", "a"),
+            ("acc2", "R2", "a"),
+            ("accD", "Dead", "k"),
+            ("accF", "Feed", "k"),
+        ] {
+            mb.add(name, relation, &[input], AccessMode::Dependent)
+                .unwrap();
+        }
+        let methods = mb.build();
+        let mut qb = ConjunctiveQuery::builder(schema.clone());
+        let [x, y, z, w] = ["x", "y", "z", "w"].map(|n| qb.var(n));
+        qb.atom("R0", vec![Term::Var(x), Term::Var(y)]).unwrap();
+        qb.atom("R1", vec![Term::Var(y), Term::Var(z)]).unwrap();
+        qb.atom("R2", vec![Term::Var(z), Term::Var(w)]).unwrap();
+        let mut conf = Configuration::empty(schema.clone());
+        conf.insert_named("Feed", [0i64, 1]).unwrap();
+        for i in 0..4 {
+            let (a, b) = (format!("a{i}"), format!("a{}", i + 1));
+            conf.insert_named("R1", [a.clone(), b.clone()]).unwrap();
+            conf.insert_named("R2", [a, b]).unwrap();
+        }
+        (methods, qb.build().into(), conf)
+    }
+
+    #[test]
+    fn the_flooding_chain_dead_access_is_a_dead_end() {
+        let (methods, q, mut conf) = flooding_chain();
+        let dead = Access::new(methods.by_name("accD").unwrap(), binding([0i64]));
+        let feed = Access::new(methods.by_name("accF").unwrap(), binding([0i64]));
+        assert!(is_dead_end(&q, &dead, &methods));
+        // Feed's output domain B is acc0's input domain.
+        assert!(!is_dead_end(&q, &feed, &methods));
+        let budget = SearchBudget::default();
+        assert!(!witness_search(&q, &mut conf, &dead, &methods, &budget));
+        assert!(is_ltr_dependent(&q, &conf, &feed, &methods, &budget));
+        // The dead-end verdict reads nothing from the configuration.
+        conf.begin_read_tracking_with(accrel_schema::AdomPrecision::Precise);
+        assert!(!is_ltr_dependent_trailed(
+            &q, &mut conf, &dead, &methods, &budget
+        ));
+        assert!(conf.take_read_set().is_empty());
+    }
+
+    #[test]
+    fn a_boolean_dependent_access_on_an_unmentioned_relation_is_a_dead_end() {
+        // Q = R(x) ∧ W(x); the Boolean check on U returns no new value, and
+        // U is not in the query, even though R's method takes D inputs.
+        let mut b = Schema::builder();
+        let d = b.domain("D").unwrap();
+        for name in ["R", "W", "U"] {
+            b.relation(name, &[("a", d)]).unwrap();
+        }
+        let schema = b.build();
+        let mut mb = AccessMethods::builder(schema.clone());
+        mb.add_boolean("RCheck", "R", AccessMode::Dependent)
+            .unwrap();
+        let u_check = mb
+            .add_boolean("UCheck", "U", AccessMode::Dependent)
+            .unwrap();
+        let methods = mb.build();
+        let mut qb = ConjunctiveQuery::builder(schema.clone());
+        let x = qb.var("x");
+        qb.atom("R", vec![Term::Var(x)]).unwrap();
+        qb.atom("W", vec![Term::Var(x)]).unwrap();
+        let q: Query = qb.build().into();
+        let mut conf = Configuration::empty(schema);
+        conf.insert_named("W", ["c"]).unwrap();
+        let access = Access::new(u_check, binding(["c"]));
+        assert!(is_dead_end(&q, &access, &methods));
+        assert!(!witness_search(
+            &q,
+            &mut conf,
+            &access,
+            &methods,
+            &SearchBudget::default()
+        ));
+    }
+
+    #[test]
+    fn an_independent_access_feeding_a_dependent_input_is_not_pruned() {
+        // K(k, v) is off the query and its output domain F is no method's
+        // input, but an independent K access may bind a key no configuration
+        // holds, and T's dependent method takes keys: the path K(k)?, T(k)?
+        // makes Q = ∃x,y T(x, y) true, while its truncation cannot call
+        // T(k)?. The same method made dependent is a dead end.
+        let mut b = Schema::builder();
+        let d = b.domain("D").unwrap();
+        let e = b.domain("E").unwrap();
+        let f = b.domain("F").unwrap();
+        b.relation("K", &[("k", d), ("v", f)]).unwrap();
+        b.relation("T", &[("k", d), ("v", e)]).unwrap();
+        let schema = b.build();
+        let methods_with = |mode| {
+            let mut mb = AccessMethods::builder(schema.clone());
+            mb.add("KByK", "K", &["k"], mode).unwrap();
+            mb.add("TByK", "T", &["k"], AccessMode::Dependent).unwrap();
+            mb.build()
+        };
+        let mut qb = ConjunctiveQuery::builder(schema.clone());
+        let x = qb.var("x");
+        let y = qb.var("y");
+        qb.atom("T", vec![Term::Var(x), Term::Var(y)]).unwrap();
+        let q: Query = qb.build().into();
+        let mut conf = Configuration::empty(schema.clone());
+        conf.insert_named("K", ["k0", "v0"]).unwrap();
+        let independent = methods_with(AccessMode::Independent);
+        let access = Access::new(independent.by_name("KByK").unwrap(), binding(["k1"]));
+        assert!(!is_dead_end(&q, &access, &independent));
+        assert!(is_ltr_dependent(
+            &q,
+            &conf,
+            &access,
+            &independent,
+            &SearchBudget::default()
+        ));
+        let dependent = methods_with(AccessMode::Dependent);
+        let access = Access::new(dependent.by_name("KByK").unwrap(), binding(["k0"]));
+        assert!(is_dead_end(&q, &access, &dependent));
+    }
+
+    /// SplitMix64: a deterministic generator for the randomized worlds.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+
+        fn percent(&mut self, p: usize) -> bool {
+            self.below(100) < p
+        }
+    }
+
+    /// A random mixed world: 3–6 relations of arity 1–3 over 2–5 domains,
+    /// one method per relation (70% dependent, each position an input with
+    /// probability ½), 0–5 facts, and a 1–2-atom CQ and a two-atom PQ, each
+    /// kept only when uncertain. Variables are named per domain, so every
+    /// variable has one domain.
+    fn random_world(seed: u64) -> (AccessMethods, Configuration, Vec<Query>) {
+        let mut rng = SplitMix(seed);
+        let mut b = Schema::builder();
+        let domains: Vec<DomainId> = (0..2 + rng.below(4))
+            .map(|i| b.domain(format!("D{i}")).unwrap())
+            .collect();
+        let relations: Vec<Vec<DomainId>> = (0..3 + rng.below(4))
+            .map(|_| {
+                (0..1 + rng.below(3))
+                    .map(|_| domains[rng.below(domains.len())])
+                    .collect()
+            })
+            .collect();
+        for (r, doms) in relations.iter().enumerate() {
+            let names: Vec<String> = (0..doms.len()).map(|p| format!("a{p}")).collect();
+            let attrs: Vec<(&str, DomainId)> = names
+                .iter()
+                .map(String::as_str)
+                .zip(doms.iter().copied())
+                .collect();
+            b.relation(format!("R{r}"), &attrs).unwrap();
+        }
+        let schema = b.build();
+        let mut mb = AccessMethods::builder(schema.clone());
+        for (r, doms) in relations.iter().enumerate() {
+            let inputs = (0..doms.len()).filter(|_| rng.percent(50)).collect();
+            let mode = if rng.percent(70) {
+                AccessMode::Dependent
+            } else {
+                AccessMode::Independent
+            };
+            mb.add_positions(format!("m{r}"), RelationId(r as u32), inputs, mode)
+                .unwrap();
+        }
+        let methods = mb.build();
+        let mut conf = Configuration::empty(schema.clone());
+        for _ in 0..rng.below(6) {
+            let r = rng.below(relations.len());
+            let t = Tuple::new(
+                (0..relations[r].len())
+                    .map(|_| Value::int(rng.below(3) as i64))
+                    .collect(),
+            );
+            conf.insert(RelationId(r as u32), t).unwrap();
+        }
+        let atom = |rng: &mut SplitMix, var: &mut dyn FnMut(String) -> VarId| {
+            let r = rng.below(relations.len());
+            let terms = relations[r]
+                .iter()
+                .map(|d| {
+                    if rng.percent(15) {
+                        Term::Const(Value::int(rng.below(3) as i64))
+                    } else {
+                        Term::Var(var(format!("x{}_{}", d.0, rng.below(2))))
+                    }
+                })
+                .collect();
+            (RelationId(r as u32), terms)
+        };
+        let mut cq = ConjunctiveQuery::builder(schema.clone());
+        for _ in 0..1 + rng.below(2) {
+            let (r, terms) = atom(&mut rng, &mut |n| cq.var(n));
+            cq.atom_id(r, terms);
+        }
+        let mut pq = PositiveQuery::builder(schema);
+        let (r1, t1) = atom(&mut rng, &mut |n| pq.var(n));
+        let (r2, t2) = atom(&mut rng, &mut |n| pq.var(n));
+        let formula = pq.atom_id(r1, t1).or(pq.atom_id(r2, t2));
+        let queries = [Query::from(cq.build()), Query::from(pq.build(formula))]
+            .into_iter()
+            .filter(|q| !certain::is_certain(q, &conf))
+            .collect();
+        (methods, conf, queries)
+    }
+
+    #[test]
+    fn dead_ends_are_never_relevant_under_the_full_search() {
+        // The lemma behind `is_dead_end`, checked against the search itself
+        // (no pre-check) at a generous budget on random mixed worlds.
+        let budget = SearchBudget::default().with_max_valuations(20_000);
+        let options = EnumerationOptions {
+            guessable_values: vec![Value::int(7)],
+            max_accesses: usize::MAX,
+        };
+        let (mut accesses, mut dead_ends) = (0, 0);
+        for seed in 0..400 {
+            let (methods, mut conf, queries) = random_world(seed);
+            let candidates = well_formed_accesses(&conf, &methods, &options);
+            for q in &queries {
+                for access in &candidates {
+                    accesses += 1;
+                    if is_dead_end(q, access, &methods) {
+                        dead_ends += 1;
+                        assert!(
+                            !witness_search(q, &mut conf, access, &methods, &budget),
+                            "seed {seed}: dead end {access:?} is relevant for {q:?}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(
+            dead_ends >= 1_000,
+            "only {dead_ends} dead ends in {accesses} accesses"
+        );
     }
 
     #[test]

@@ -8,16 +8,20 @@
 //! whose only purpose is to make an input value of the right abstract domain
 //! accessible. This module provides:
 //!
-//! * [`enumerate_valuations`] — candidate assignments of a disjunct's
-//!   variables to configuration constants, caller-supplied extra values, or
-//!   shared fresh nulls (restricted-growth enumeration so that null sharing
-//!   patterns are covered exactly once);
+//! * [`find_valuation`] — a visitor over candidate assignments of a
+//!   disjunct's variables to configuration constants, caller-supplied extra
+//!   values, or shared fresh nulls (restricted-growth enumeration so that
+//!   null sharing patterns are covered exactly once). It runs the caller's
+//!   per-valuation check as it goes and stops at the first witness, so a
+//!   search pays only for the valuations it visits, and it records the
+//!   active-domain prefix it actually walked;
 //! * [`plan_production`] — given a set of needed facts and a set of already
 //!   accessible `(value, domain)` pairs, find an ordering, an access-method
 //!   assignment and auxiliary generator chains that produce all of them by
 //!   well-formed accesses, within a [`SearchBudget`].
 
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::ops::Deref;
 
 use accrel_access::{
     Access, AccessMethodId, AccessMethods, AccessMode, AccessPath, Binding, Response,
@@ -151,7 +155,9 @@ impl AdomPool {
     }
 }
 
-/// Enumerates candidate valuations of `cq`'s variables.
+/// Visits candidate valuations of `cq`'s variables in enumeration order and
+/// returns the first `Some` that `visit` produces, without visiting the
+/// valuations after it.
 ///
 /// Every variable may map to:
 /// * a constant of the configuration's active domain carrying the variable's
@@ -162,29 +168,43 @@ impl AdomPool {
 ///   domain may reuse any null already introduced for that domain or open a
 ///   new one).
 ///
-/// At most `limit` valuations are produced. Fresh nulls are drawn from
-/// `fresh` so they are globally distinct from any other null in play.
-pub(crate) fn enumerate_valuations(
+/// At most `limit` valuations are visited. Fresh nulls are drawn from
+/// `fresh` in depth-first order, the first time a null slot is used, so they
+/// are globally distinct from any other null in play. `visit` receives the
+/// configuration, the valuation and the supply as it stands after that
+/// valuation's nulls were drawn: a supply cloned from it invents values
+/// above every value of the valuation.
+///
+/// The configuration is passed through to `visit` (as `&Configuration` or
+/// `&mut Configuration`, so a visitor may speculate on it under a trail
+/// mark). Once the walk ends, the active-domain reads it made are recorded
+/// on it: per typed domain a visited-prefix read when every traversal of
+/// that domain's candidate list was cut — by `limit` or by the stop at a
+/// witness — and a whole-domain read when some traversal ran off the end of
+/// the list.
+pub(crate) fn find_valuation<C, T>(
     cq: &ConjunctiveQuery,
-    conf: &Configuration,
+    mut conf: C,
     extra: &[ExtraValue],
     fresh: &mut FreshSupply,
     limit: usize,
-) -> Vec<HashMap<VarId, Value>> {
+    mut visit: impl FnMut(&mut C, &HashMap<VarId, Value>, &FreshSupply) -> Option<T>,
+) -> Option<T>
+where
+    C: Deref<Target = Configuration>,
+{
     let mut vars: Vec<VarId> = cq.variables().into_iter().collect();
     vars.sort();
     if vars.is_empty() {
-        return vec![HashMap::new()];
+        return visit(&mut conf, &HashMap::new(), fresh);
     }
     let var_domains = cq.infer_var_domains().unwrap_or_default();
 
     // Candidate constants, grouped per domain once (the active domain is
     // served from the store's maintained cache); variables of the same
     // domain share the list instead of re-filtering and re-deduplicating it.
-    // The walk is untracked here: what the enumeration actually consulted is
-    // recorded per domain after the DFS — a whole-domain read only when some
-    // traversal ran off the natural end of a candidate list, a visited-prefix
-    // read when every traversal was cut early by `limit`.
+    // The walk is untracked here: what the walk actually consulted is
+    // recorded per domain once it ends.
     let mut by_domain: HashMap<DomainId, Vec<Value>> = HashMap::new();
     let mut untyped: Vec<Value> = Vec::new();
     for (val, d) in conf.active_domain_untracked() {
@@ -201,154 +221,48 @@ pub(crate) fn enumerate_valuations(
     }
     untyped.sort();
     untyped.dedup();
-    let constant_candidates: Vec<Vec<Value>> = vars
+    let domains: Vec<Option<DomainId>> = vars.iter().map(|v| var_domains.get(v).copied()).collect();
+    let candidates: Vec<Vec<Value>> = domains
         .iter()
-        .map(|v| match var_domains.get(v) {
+        .map(|d| match d {
             Some(d) => by_domain.get(d).cloned().unwrap_or_default(),
             None => untyped.clone(),
         })
         .collect();
 
-    // Fresh-null slots are allocated lazily per (domain, slot index).
-    let mut slot_values: HashMap<(Option<DomainId>, usize), Value> = HashMap::new();
-    let mut out: Vec<HashMap<VarId, Value>> = Vec::new();
-
-    // Per-variable visit statistics for the read recorder: the highest
-    // candidate-list index the DFS entered, and whether some traversal ran
-    // off the natural end of the list (as opposed to being cut by `limit` —
-    // a limit-cut traversal never observed the end, so a prefix read
-    // suffices; a completed one observed "no further candidates", which a
-    // value sorting above everything visited would falsify).
-    #[derive(Default, Clone, Copy)]
-    struct VisitStats {
-        max_pos: Option<usize>,
-        completed: bool,
-    }
-    let mut stats: Vec<VisitStats> = vec![VisitStats::default(); vars.len()];
-
-    // Depth-first enumeration with restricted-growth fresh-slot indices.
-    #[allow(clippy::too_many_arguments)]
-    fn go(
-        idx: usize,
-        vars: &[VarId],
-        var_domains: &HashMap<VarId, DomainId>,
-        constant_candidates: &[Vec<Value>],
-        used_slots: &mut HashMap<Option<DomainId>, usize>,
-        slot_values: &mut HashMap<(Option<DomainId>, usize), Value>,
-        fresh: &mut FreshSupply,
-        current: &mut HashMap<VarId, Value>,
-        out: &mut Vec<HashMap<VarId, Value>>,
-        limit: usize,
-        stats: &mut [VisitStats],
-    ) {
-        if out.len() >= limit {
-            return;
-        }
-        if idx == vars.len() {
-            out.push(current.clone());
-            return;
-        }
-        let v = vars[idx];
-        let dom = var_domains.get(&v).copied();
-        // Constant choices.
-        for (pos, c) in constant_candidates[idx].iter().enumerate() {
-            if out.len() >= limit {
-                // Cut before entering `pos`: the end of the list was never
-                // observed on this traversal.
-                return;
-            }
-            stats[idx].max_pos = Some(stats[idx].max_pos.map_or(pos, |m| m.max(pos)));
-            current.insert(v, c.clone());
-            go(
-                idx + 1,
-                vars,
-                var_domains,
-                constant_candidates,
-                used_slots,
-                slot_values,
-                fresh,
-                current,
-                out,
-                limit,
-                stats,
-            );
-        }
-        if out.len() >= limit {
-            // The cut coincided with the end of the list: still only a
-            // prefix was consulted before enumeration stopped.
-            return;
-        }
-        stats[idx].completed = true;
-        // Fresh-null choices: reuse any already-open slot of this domain or
-        // open the next one (restricted growth keeps patterns canonical).
-        let open = *used_slots.get(&dom).unwrap_or(&0);
-        for slot in 0..=open {
-            if out.len() >= limit {
-                return;
-            }
-            let value = slot_values
-                .entry((dom, slot))
-                .or_insert_with(|| fresh.next_value())
-                .clone();
-            current.insert(v, value);
-            let bumped = slot == open;
-            if bumped {
-                used_slots.insert(dom, open + 1);
-            }
-            go(
-                idx + 1,
-                vars,
-                var_domains,
-                constant_candidates,
-                used_slots,
-                slot_values,
-                fresh,
-                current,
-                out,
-                limit,
-                stats,
-            );
-            if bumped {
-                used_slots.insert(dom, open);
-            }
-        }
-        current.remove(&v);
-    }
-
-    let mut used_slots: HashMap<Option<DomainId>, usize> = HashMap::new();
-    let mut current = HashMap::new();
-    go(
-        0,
-        &vars,
-        &var_domains,
-        &constant_candidates,
-        &mut used_slots,
-        &mut slot_values,
-        fresh,
-        &mut current,
-        &mut out,
+    let mut walk = ValuationWalk {
+        vars: &vars,
+        domains: &domains,
+        candidates: &candidates,
+        used_slots: HashMap::new(),
+        slot_values: HashMap::new(),
+        current: HashMap::new(),
+        visited: 0,
         limit,
-        &mut stats,
-    );
+        found: None,
+        stats: vec![VisitStats::default(); vars.len()],
+    };
+    walk.go(0, &mut conf, fresh, &mut visit);
 
-    // Record what the enumeration consulted. Candidate lists are sorted and
-    // deduplicated, so per typed domain the output is a function of either
-    // the visited prefix (every traversal limit-cut: only a value sorting
-    // strictly below the largest visited candidate changes the walk) or the
-    // whole domain (some traversal observed the natural end of the list).
-    // Untyped variables draw from every domain at once — global fallback.
+    // Record what the walk consulted. Candidate lists are sorted and
+    // deduplicated, so per typed domain the visited valuations are a
+    // function of either the visited prefix (every traversal cut: only a
+    // value sorting strictly below the largest visited candidate changes
+    // the walk) or the whole domain (some traversal observed the natural end
+    // of the list). Untyped variables draw from every domain at once —
+    // global fallback.
     let mut domain_reads: HashMap<DomainId, (Option<usize>, bool)> = HashMap::new();
     let mut untyped_read = false;
-    for (i, v) in vars.iter().enumerate() {
-        match var_domains.get(v) {
+    for (dom, stats) in domains.iter().zip(&walk.stats) {
+        match dom {
             Some(d) => {
                 let entry = domain_reads.entry(*d).or_insert((None, false));
-                if let Some(p) = stats[i].max_pos {
+                if let Some(p) = stats.max_pos {
                     entry.0 = Some(entry.0.map_or(p, |m: usize| m.max(p)));
                 }
-                entry.1 |= stats[i].completed;
+                entry.1 |= stats.completed;
             }
-            None => untyped_read |= stats[i].max_pos.is_some() || stats[i].completed,
+            None => untyped_read |= stats.max_pos.is_some() || stats.completed,
         }
     }
     if untyped_read {
@@ -363,6 +277,121 @@ pub(crate) fn enumerate_valuations(
             }
         }
     }
+    walk.found
+}
+
+/// Per-variable visit statistics for the read recorder: the highest
+/// candidate-list index the walk entered, and whether some traversal ran off
+/// the natural end of the list (as opposed to being cut by the limit or by
+/// the stop at a witness — a cut traversal never observed the end, so a
+/// prefix read suffices; a completed one observed "no further candidates",
+/// which a value sorting above everything visited would falsify).
+#[derive(Default, Clone, Copy)]
+struct VisitStats {
+    max_pos: Option<usize>,
+    completed: bool,
+}
+
+/// The depth-first state of [`find_valuation`]: restricted-growth fresh-slot
+/// indices over per-variable candidate lists.
+struct ValuationWalk<'a, T> {
+    vars: &'a [VarId],
+    /// The inferred domain of each variable (`None`: untyped).
+    domains: &'a [Option<DomainId>],
+    /// The constant candidates of each variable, sorted.
+    candidates: &'a [Vec<Value>],
+    /// Fresh-null slots open per domain on the current path.
+    used_slots: HashMap<Option<DomainId>, usize>,
+    /// The null of each (domain, slot), drawn on first use.
+    slot_values: HashMap<(Option<DomainId>, usize), Value>,
+    current: HashMap<VarId, Value>,
+    visited: usize,
+    limit: usize,
+    found: Option<T>,
+    stats: Vec<VisitStats>,
+}
+
+impl<T> ValuationWalk<'_, T> {
+    /// Has the walk hit its limit or found a witness?
+    fn halted(&self) -> bool {
+        self.found.is_some() || self.visited >= self.limit
+    }
+
+    fn go<C>(
+        &mut self,
+        idx: usize,
+        conf: &mut C,
+        fresh: &mut FreshSupply,
+        visit: &mut impl FnMut(&mut C, &HashMap<VarId, Value>, &FreshSupply) -> Option<T>,
+    ) {
+        if self.halted() {
+            return;
+        }
+        if idx == self.vars.len() {
+            self.visited += 1;
+            self.found = visit(conf, &self.current, fresh);
+            return;
+        }
+        let v = self.vars[idx];
+        let dom = self.domains[idx];
+        // Constant choices.
+        for (pos, c) in self.candidates[idx].iter().enumerate() {
+            if self.halted() {
+                // Cut before entering `pos`: the end of the list was never
+                // observed on this traversal.
+                return;
+            }
+            let stats = &mut self.stats[idx];
+            stats.max_pos = Some(stats.max_pos.map_or(pos, |m| m.max(pos)));
+            self.current.insert(v, c.clone());
+            self.go(idx + 1, conf, fresh, visit);
+        }
+        if self.halted() {
+            // The cut coincided with the end of the list: still only a
+            // prefix was consulted before the walk stopped.
+            return;
+        }
+        self.stats[idx].completed = true;
+        // Fresh-null choices: reuse any already-open slot of this domain or
+        // open the next one (restricted growth keeps patterns canonical).
+        let open = *self.used_slots.get(&dom).unwrap_or(&0);
+        for slot in 0..=open {
+            if self.halted() {
+                return;
+            }
+            let value = self
+                .slot_values
+                .entry((dom, slot))
+                .or_insert_with(|| fresh.next_value())
+                .clone();
+            self.current.insert(v, value);
+            let bumped = slot == open;
+            if bumped {
+                self.used_slots.insert(dom, open + 1);
+            }
+            self.go(idx + 1, conf, fresh, visit);
+            if bumped {
+                self.used_slots.insert(dom, open);
+            }
+        }
+        self.current.remove(&v);
+    }
+}
+
+/// Every valuation [`find_valuation`] visits, in order.
+#[cfg(test)]
+pub(crate) fn enumerate_valuations(
+    cq: &ConjunctiveQuery,
+    conf: &Configuration,
+    extra: &[ExtraValue],
+    fresh: &mut FreshSupply,
+    limit: usize,
+) -> Vec<HashMap<VarId, Value>> {
+    let mut out = Vec::new();
+    find_valuation(cq, conf, extra, fresh, limit, |_, h, _| {
+        out.push(h.clone());
+        None::<()>
+    });
     out
 }
 
@@ -800,7 +829,7 @@ mod tests {
     use super::*;
     use accrel_access::AccessMode;
     use accrel_query::Term;
-    use accrel_schema::{tuple, Schema};
+    use accrel_schema::{tuple, AdomPrecision, Read, Schema};
     use std::sync::Arc;
 
     fn two_domain_setup() -> (Arc<Schema>, AccessMethods) {
@@ -889,6 +918,88 @@ mod tests {
         assert!(!vals.iter().any(|m| m[&x] == Value::sym("wrong")));
         let limited = enumerate_valuations(&q, &conf, &[], &mut fresh, 1);
         assert_eq!(limited.len(), 1);
+    }
+
+    #[test]
+    fn a_stop_at_valuation_k_leaves_the_rest_unvisited() {
+        let (schema, _) = two_domain_setup();
+        let mut qb = ConjunctiveQuery::builder(schema.clone());
+        let x = qb.var("x");
+        let y = qb.var("y");
+        qb.atom("R", vec![Term::Var(x), Term::Var(y)]).unwrap();
+        qb.atom("S", vec![Term::Var(y)]).unwrap();
+        let q = qb.build();
+        let mut conf = Configuration::empty(schema);
+        conf.insert_named("R", ["c", "e1"]).unwrap();
+        conf.insert_named("S", ["e2"]).unwrap();
+        let all = enumerate_valuations(&q, &conf, &[], &mut FreshSupply::new(), 1000);
+        assert_eq!(all.len(), 6);
+        for k in 1..=all.len() {
+            let mut visits = 0;
+            let found = find_valuation(&q, &conf, &[], &mut FreshSupply::new(), 1000, |_, h, _| {
+                visits += 1;
+                (visits == k).then(|| h.clone())
+            });
+            assert_eq!(visits, k);
+            assert_eq!(found.as_ref(), Some(&all[k - 1]));
+        }
+        // The supply a visitor sees has drawn every null of its valuation,
+        // so a clone of it invents values above all of them.
+        find_valuation(
+            &q,
+            &conf,
+            &[],
+            &mut FreshSupply::new(),
+            1000,
+            |_, h, fresh| {
+                let next = fresh.clone().next_value();
+                assert!(h.values().all(|v| *v < next));
+                None::<()>
+            },
+        );
+    }
+
+    #[test]
+    fn an_early_stop_records_only_the_visited_prefix() {
+        let (schema, _) = two_domain_setup();
+        let e = schema.domain_by_name("E").unwrap();
+        let mut qb = ConjunctiveQuery::builder(schema.clone());
+        let x = qb.var("x");
+        qb.atom("S", vec![Term::Var(x)]).unwrap();
+        let q = qb.build();
+        let mut conf = Configuration::empty(schema);
+        for v in [10, 20, 30, 40] {
+            conf.insert_named("S", [v]).unwrap();
+        }
+        let reads_of = |conf: &mut Configuration, stop_at: usize| {
+            conf.begin_read_tracking_with(AdomPrecision::Precise);
+            let mut visits = 0;
+            find_valuation(&q, &*conf, &[], &mut FreshSupply::new(), 1000, |_, _, _| {
+                visits += 1;
+                (visits == stop_at).then_some(())
+            });
+            conf.take_read_set()
+        };
+        // Stopped at the second valuation: only the values up to 20 were
+        // walked. A walk that ran off the end of the list read the domain.
+        let stopped = reads_of(&mut conf, 2);
+        assert_eq!(
+            stopped.iter().cloned().collect::<Vec<_>>(),
+            vec![Read::AdomPrefix(e, Value::int(20))]
+        );
+        let full = reads_of(&mut conf, usize::MAX);
+        assert_eq!(
+            full.iter().cloned().collect::<Vec<_>>(),
+            vec![Read::AdomDomain(e)]
+        );
+        conf.set_event_capture(true);
+        conf.insert_named("S", [25]).unwrap();
+        let above = conf.take_events().pop().unwrap();
+        assert!(!stopped.touched_by(&above, conf.store().interner()));
+        assert!(full.touched_by(&above, conf.store().interner()));
+        conf.insert_named("S", [15]).unwrap();
+        let below = conf.take_events().pop().unwrap();
+        assert!(stopped.touched_by(&below, conf.store().interner()));
     }
 
     #[test]

@@ -282,8 +282,9 @@ pub enum Read {
     /// A point active-domain probe against a value unknown at read time.
     AdomUnknown(Value, DomainId),
     /// A visited-prefix active-domain read (precise mode only): the walk of
-    /// the domain was cut early by a search budget after visiting only the
-    /// values `≤ bound` in sorted order. A value entering the domain
+    /// the domain was cut early — by a search budget, or by a search
+    /// stopping at its first witness — after visiting only the values
+    /// `≤ bound` in sorted order. A value entering the domain
     /// *strictly below* the bound changes what the walk saw; a value at or
     /// above it lands past the cut point and cannot (the bound value itself
     /// was already part of the walk's view, whether it came from the active
@@ -620,9 +621,10 @@ impl FactStore {
     /// the walk consumed the domain's sorted value list to its natural end
     /// (the walk *observed* the end of the list, so any value entering the
     /// domain changes what it saw) and `Some(bound)` when the walk was cut
-    /// early by a search budget after visiting values `≤ bound` only (a
-    /// value entering strictly below the bound reorders the visited prefix;
-    /// one at or above it lands past the cut). Instrumented walk sites — the
+    /// early, by a search budget or a stop at the first witness, after
+    /// visiting values `≤ bound` only (a value entering strictly below the
+    /// bound reorders the visited prefix; one at or above it lands past the
+    /// cut). Instrumented walk sites — the
     /// valuation enumeration of the witness searches, the accessible-value
     /// pools of the producibility planner — call this instead of
     /// [`FactStore::active_domain`] so precise-mode verdicts survive growth

@@ -30,12 +30,12 @@
 //! lookup, and each new one an insert. After the first refresh nothing walks
 //! the whole active domain.
 //!
-//! **Contracts.** Every refresh sees the same configuration, and it only
-//! grows: no removals (they would shift rows under the watermarks), and no
-//! refresh under an open trail mark or an installed read recorder
+//! **Contracts.** Every refresh sees the same configuration. Its store is
+//! append-only, so a committed row never moves under a watermark. No
+//! refresh runs under an open trail mark or an installed read recorder
 //! (speculative rows are not committed, and the frontier's reads must not
-//! leak into a verdict's read set). [`AccessFrontier::refresh`] panics on
-//! the last two. Under these contracts the union of all emissions equals
+//! leak into a verdict's read set); [`AccessFrontier::refresh`] panics on
+//! either. Under these contracts the union of all emissions equals
 //! what `well_formed_accesses` returns at the latest configuration, and no
 //! access is emitted twice. `well_formed_accesses` stays the independent
 //! reference the tests and the differential fuzzer check the frontier

@@ -96,7 +96,7 @@ fn check_completion(
     t: &Tuple,
     valuation: &Valuation,
 ) -> bool {
-    // Build h(query) and confirm the pinned atom indeed maps to t.
+    // Build h(query) \ {t}, confirming the pinned atom indeed maps to t.
     let mapping = valuation.as_map();
     let mut store = FactStore::new(query.schema().clone());
     let mut pinned_ok = false;
@@ -105,20 +105,19 @@ fn check_completion(
         let Some(tuple) = grounded.to_tuple() else {
             return false;
         };
+        let is_t = atom.relation() == relation && &tuple == t;
         if idx == pinned_atom {
-            if &tuple != t || atom.relation() != relation {
+            if !is_t {
                 return false;
             }
             pinned_ok = true;
         }
-        let _ = store.insert(atom.relation(), tuple);
+        if !is_t {
+            let _ = store.insert(atom.relation(), tuple);
+        }
     }
-    if !pinned_ok {
-        return false;
-    }
-    // Q holds on h(query) by construction; it must fail once t is removed.
-    store.remove(relation, t);
-    !eval::holds_cq(query, &store)
+    // Q holds on h(query) by construction; it must fail without t.
+    pinned_ok && !eval::holds_cq(query, &store)
 }
 
 /// Builds the query `∃x̄ R(x̄)`-style single-atom query often used in

@@ -23,10 +23,11 @@
 use std::collections::HashMap;
 
 use accrel_access::{Access, AccessMethods};
-use accrel_query::{certain, eval, ConjunctiveQuery, Query, Term, Valuation, VarId};
+use accrel_query::{certain, eval, ConjunctiveQuery, Query, Valuation, VarId};
 use accrel_schema::{Configuration, FreshSupply, Tuple, Value};
 
 use crate::reductions;
+use crate::search;
 
 /// A witness that an access is immediately relevant: the increasing response
 /// and the valuation under which the query becomes certain.
@@ -169,35 +170,9 @@ fn disjunct_witness(
         // Option B: the subgoal is charged to the access: same relation and
         // input places mapped onto the binding (output places are free).
         if atom.relation() == access_relation {
-            let mut extended = valuation.clone();
-            let mut ok = true;
-            for (k, &pos) in input_positions.iter().enumerate() {
-                let Some(bound) = access.binding().get(k) else {
-                    ok = false;
-                    break;
-                };
-                match atom.term_at(pos) {
-                    Some(Term::Const(c)) => {
-                        if c != bound {
-                            ok = false;
-                            break;
-                        }
-                    }
-                    Some(Term::Var(v)) => match extended.get(*v) {
-                        Some(existing) if existing != bound => {
-                            ok = false;
-                            break;
-                        }
-                        Some(_) => {}
-                        None => extended.bind(*v, bound.clone()),
-                    },
-                    None => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            if ok {
+            if let Some(extended) =
+                search::charge_to_access(atom, valuation, access, input_positions)
+            {
                 choices.push(Choice::Access);
                 if let Some(done) = go(
                     atoms,

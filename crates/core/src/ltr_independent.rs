@@ -47,6 +47,7 @@ use accrel_schema::{Configuration, FreshSupply, RelationId, Tuple, Value};
 
 use crate::budget::SearchBudget;
 use crate::reductions;
+use crate::search;
 
 /// Decides long-term relevance of `access` for `query` at `conf` assuming
 /// every access method in `methods` is independent, with the default
@@ -205,35 +206,9 @@ fn disjunct_has_witness(
         // Choice 2: the subgoal is charged to the initial access — its input
         // positions unify with the binding (output positions stay free).
         if atom.relation() == ctx.access_relation {
-            let mut extended = valuation.clone();
-            let mut ok = true;
-            for (k, &pos) in ctx.input_positions.iter().enumerate() {
-                let Some(bound) = ctx.access.binding().get(k) else {
-                    ok = false;
-                    break;
-                };
-                match atom.term_at(pos) {
-                    Some(Term::Const(c)) => {
-                        if c != bound {
-                            ok = false;
-                            break;
-                        }
-                    }
-                    Some(Term::Var(v)) => match extended.get(*v) {
-                        Some(existing) if existing != bound => {
-                            ok = false;
-                            break;
-                        }
-                        Some(_) => {}
-                        None => extended.bind(*v, bound.clone()),
-                    },
-                    None => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            if ok && go(ctx, leaves_left, idx + 1, &extended, later) {
+            let charged =
+                search::charge_to_access(atom, valuation, ctx.access, ctx.input_positions);
+            if charged.is_some_and(|extended| go(ctx, leaves_left, idx + 1, &extended, later)) {
                 return true;
             }
         }

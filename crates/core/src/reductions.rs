@@ -27,11 +27,14 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use accrel_access::{binding, Access, AccessMethods, AccessMode};
-use accrel_query::{Atom, ConjunctiveQuery, PositiveQuery, PqFormula, Query, Term, VarId};
+use accrel_query::{
+    Atom, ConjunctiveQuery, PositiveQuery, PqFormula, Query, Term, Valuation, VarId,
+};
 use accrel_schema::{Configuration, DomainId, FreshSupply, Schema, Tuple, Value};
 
 use crate::budget::SearchBudget;
 use crate::containment;
+use crate::search;
 
 /// Proposition 2.2: the Boolean instantiations of a query of output arity
 /// `k`, obtained by substituting every combination of configuration
@@ -330,13 +333,7 @@ pub fn ltr_via_containment_oracle(
     let mut rest = Vec::new();
     for (i, atom) in query.atoms().iter().enumerate() {
         let is_compatible = atom.relation() == relation
-            && input_positions.iter().enumerate().all(|(k, &pos)| {
-                match (atom.term_at(pos), access.binding().get(k)) {
-                    (Some(Term::Const(c)), Some(b)) => c == b,
-                    (Some(Term::Var(_)), Some(_)) => true,
-                    _ => false,
-                }
-            });
+            && search::charge_to_access(atom, &Valuation::new(), access, input_positions).is_some();
         if is_compatible {
             compatible.push(i);
         } else {
@@ -686,5 +683,41 @@ mod tests {
             &methods,
             &budget
         ));
+
+        // A repeated variable takes one value: `∃x R(x, x)` has no subgoal
+        // compatible with the Boolean access `RAcc(a, b)`, and one
+        // compatible with `RAcc(a, a)`, in either access mode.
+        for mode in [AccessMode::Dependent, AccessMode::Independent] {
+            let mut b = Schema::builder();
+            let d = b.domain("D").unwrap();
+            b.relation("R", &[("a", d), ("b", d)]).unwrap();
+            b.relation("S", &[("a", d)]).unwrap();
+            let schema = b.build();
+            let mut mb = AccessMethods::builder(schema.clone());
+            mb.add_boolean("RAcc", "R", mode).unwrap();
+            let methods = mb.build();
+            let r_acc = methods.by_name("RAcc").unwrap();
+            let mut qb = ConjunctiveQuery::builder(schema.clone());
+            let x = qb.var("x");
+            qb.atom("R", vec![Term::Var(x), Term::Var(x)]).unwrap();
+            let q = qb.build();
+            let mut conf = Configuration::empty(schema);
+            conf.insert_named("S", ["a"]).unwrap();
+            conf.insert_named("S", ["b"]).unwrap();
+            for (values, relevant) in [(["a", "b"], false), (["a", "a"], true)] {
+                let access = Access::new(r_acc, binding(values));
+                let ctx = format!("{mode:?} access {access}");
+                let via_oracle = ltr_via_containment_oracle(&q, &conf, &access, &methods, &budget);
+                let direct = crate::is_long_term_relevant(
+                    &Query::Cq(q.clone()),
+                    &conf,
+                    &access,
+                    &methods,
+                    &budget,
+                );
+                assert_eq!(direct, relevant, "{ctx}");
+                assert_eq!(via_oracle, direct, "{ctx}");
+            }
+        }
     }
 }

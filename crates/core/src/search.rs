@@ -26,7 +26,7 @@ use std::ops::Deref;
 use accrel_access::{
     Access, AccessMethodId, AccessMethods, AccessMode, AccessPath, Binding, Response,
 };
-use accrel_query::{ConjunctiveQuery, VarId};
+use accrel_query::{Atom, ConjunctiveQuery, Term, Valuation, VarId};
 use accrel_schema::{Configuration, DomainId, FreshSupply, RelationId, Tuple, Value};
 
 use crate::budget::SearchBudget;
@@ -35,6 +35,36 @@ use crate::budget::SearchBudget;
 /// configuration's active domain (e.g. the outputs of the initial access in
 /// the dependent-LTR search), together with the abstract domain it carries.
 pub(crate) type ExtraValue = (Value, DomainId);
+
+/// Extends `valuation` so that `atom`, a subgoal charged to `access`, maps
+/// its input places (`input_positions`, those of the accessed method) onto
+/// the binding; output places stay free. `None` when a constant differs
+/// from its bound value or a variable would take two values, also within
+/// the atom: `R(x, x)` is never charged to the binding `(a, b)`.
+pub(crate) fn charge_to_access(
+    atom: &Atom,
+    valuation: &Valuation,
+    access: &Access,
+    input_positions: &[usize],
+) -> Option<Valuation> {
+    let mut extended = valuation.clone();
+    for (k, &pos) in input_positions.iter().enumerate() {
+        let bound = access.binding().get(k)?;
+        match atom.term_at(pos)? {
+            Term::Const(c) => {
+                if c != bound {
+                    return None;
+                }
+            }
+            Term::Var(v) => match extended.get(*v) {
+                Some(existing) if existing != bound => return None,
+                Some(_) => {}
+                None => extended.bind(*v, bound.clone()),
+            },
+        }
+    }
+    Some(extended)
+}
 
 /// The accessible `(value, domain)` pool of a witness search: the
 /// configuration's active domain overlaid with the values an initial

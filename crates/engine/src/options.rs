@@ -74,8 +74,9 @@ pub struct RunOptions {
     /// which is useful for non-Boolean queries where more answers may
     /// appear.
     pub stop_when_certain: bool,
-    /// Cache relevance verdicts between rounds, invalidating by the
-    /// relations each verdict inspected. Disable to force every candidate to
+    /// Cache relevance verdicts between rounds, evicting them as
+    /// [`RunOptions::invalidation`] says (by default, when an insert touches
+    /// a verdict's recorded read set). Disable to force every candidate to
     /// be re-checked every round (the pre-incremental behaviour; the access
     /// sequences executed must not change).
     pub use_relevance_cache: bool,

@@ -600,11 +600,10 @@ impl<'a> RelevanceOracle<'a> {
     }
 
     /// Drops every cached verdict whose *coarse* dependency set contains
-    /// `relation` (call after a response added facts to it). This is the
-    /// relation-level path; the engine loops go through
-    /// [`Self::observe_growth`], which dispatches on the configured
-    /// [`InvalidationMode`].
-    pub fn invalidate(&mut self, relation: RelationId) {
+    /// `relation`: the relation-level eviction of [`Self::observe_growth`].
+    /// Not public: a caller reporting growth here would skip that method's
+    /// event drain and certainty-status refresh.
+    fn invalidate(&mut self, relation: RelationId) {
         if self.use_cache {
             self.evictions += self.cache.invalidate(relation);
         }

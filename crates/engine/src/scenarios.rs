@@ -230,8 +230,16 @@ pub fn bank_scenario_negative() -> Scenario {
     let office = scenario.schema.relation_by_name("Office").unwrap();
     let old = accrel_schema::tuple(["off-300", "3 Lake Shore Dr", "Illinois", "555-0300"]);
     let new = accrel_schema::tuple(["off-300", "3 Lake Shore Dr", "Ohio", "555-0300"]);
-    scenario.instance.store_mut().remove(office, &old);
-    scenario.instance.insert(office, new).unwrap();
+    let mut instance = Instance::new(scenario.schema.clone());
+    for (relation, t) in scenario.instance.facts() {
+        let t = if relation == office && t == old {
+            new.clone()
+        } else {
+            t
+        };
+        instance.insert(relation, t).unwrap();
+    }
+    scenario.instance = instance;
     scenario.name = "bank-negative".to_string();
     scenario.description =
         "Bank scenario variant where no loan officer sits in an Illinois office".to_string();

@@ -25,9 +25,10 @@
 //! The fact store is interned and indexed: values are mapped to dense
 //! [`ValueId`]s by a [`ValueInterner`], tuples are kept columnar per
 //! relation, every (relation, attribute) pair maintains a value → rows
-//! index, and the active domain is a refcount cache maintained on
-//! insert/remove rather than recomputed by scanning. See the
-//! module documentation in `store.rs` for the invariants.
+//! index, and the active domain is a refcount cache maintained on insert
+//! and trail undo rather than recomputed by scanning. The store is
+//! append-only. See the module documentation in `store.rs` for the
+//! invariants.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -1,14 +1,14 @@
 //! The shared fact-store representation used by instances and configurations.
 //!
-//! `FactStore` is interned, indexed and **sharded behind copy-on-write
-//! handles**:
+//! `FactStore` is interned, indexed, **append-only** and **sharded behind
+//! copy-on-write handles**:
 //!
 //! * every [`Value`] is mapped to a dense [`ValueId`] by a per-store
 //!   [`ValueInterner`]; tuples are stored columnar per relation (one
 //!   `Vec<ValueId>` per attribute), so scans compare `u32`s;
-//! * each relation's columnar storage — columns, materialised tuples,
-//!   `rows_by_key` membership map and per-(relation, attribute) value → row
-//!   indexes — lives in one *shard* behind an `Arc`
+//! * each relation's columnar storage — columns, materialised tuples, the
+//!   set of interned rows (membership) and per-(relation, attribute)
+//!   value → row posting lists — lives in one *shard* behind an `Arc`
 //!   ([`FactStore::candidates`] and [`FactStore::matching`] read through
 //!   it);
 //! * the active domain (`Adom(Conf)` in the paper) is maintained
@@ -16,6 +16,21 @@
 //!   own `Arc`-backed shard — so [`FactStore::active_domain`] never rescans
 //!   the facts and [`FactStore::adom_contains`] is a hash probe;
 //! * the interner is a third `Arc`-backed shard.
+//!
+//! # Append-only growth
+//!
+//! A configuration only grows along an access path (Section 2 of the
+//! paper), and the store has no removal API. A committed insert appends one
+//! row to its relation, and that row keeps its index and contents for the
+//! lifetime of the store. The only rows that ever leave are speculative
+//! ones: trail undo pops them LIFO, so each relation's row list is restored
+//! exactly. Hence [`FactStore::rows_since`] returns exactly the rows
+//! committed after a given row count, posting lists ascend by row, and
+//! [`FactStore::candidates`] returns rows in insertion order without
+//! sorting. The layers above rely on this: the access frontier's row
+//! watermarks, the semi-naive certainty refresh, the verdict cache's
+//! fact-count version stamps, [`InsertEvent`] capture and recorded
+//! [`ReadSet`]s.
 //!
 //! # Copy-on-write semantics
 //!
@@ -44,13 +59,14 @@
 //! tool for **speculation** — mutate, look, roll back — because every
 //! speculative mutation pays a shard copy that is immediately discarded. The
 //! trail layer is the classic constraint-search alternative: between
-//! [`FactStore::begin_trail`] and [`FactStore::undo_to`] every successful
-//! `insert` / `remove` / `extend_facts` row pushes one undo entry, and
-//! undoing replays the entries in LIFO order, reversing row placement,
-//! per-attribute posting lists, `rows_by_key` slots and adom refcounts
-//! *exactly* (the interner is append-only and deliberately not rolled back —
-//! a spuriously-known value is semantically invisible). The scoped
-//! [`FactStore::speculate`] guard pops the trail even on panic.
+//! [`FactStore::begin_trail`] and [`FactStore::undo_to`] every row that
+//! `insert` / `extend_facts` appends pushes its relation onto the trail,
+//! and undoing pops the entries in LIFO order, each time removing that
+//! relation's last row, the last entry of each of its posting lists, its
+//! membership key and its adom refcounts (the interner is append-only and
+//! deliberately not rolled back — a spuriously-known value is semantically
+//! invisible). The scoped [`FactStore::speculate`] guard pops the trail even
+//! on panic.
 //!
 //! The trail is **single-owner by construction**: it lives behind `&mut
 //! self`, clones never inherit open trail state (a clone starts a fresh
@@ -63,28 +79,18 @@
 //! against a naive scan oracle)
 //!
 //! * `matching` returns exactly the tuples whose projection on the binding
-//!   positions equals the binding, in a deterministic row order (insertion
-//!   order in the absence of removals; swap-removal moves the last row into
-//!   the removed slot);
+//!   positions equals the binding, in row (insertion) order, also after
+//!   trail undo;
 //! * `active_domain` equals the set of `(value, domain)` pairs occurring in
 //!   any fact;
-//! * removal keeps all indexes consistent (rows are swap-removed; posting
-//!   lists are patched in place), **including on a shard shared with other
-//!   clones** — the mutating handle copies first, the sharing handles are
-//!   never disturbed;
-//! * committed rows are append-only: an insert appends one row, and as long
-//!   as nothing is removed a row keeps its index and contents; trail undo
-//!   pops speculative rows LIFO, restoring each relation's row list exactly.
-//!   [`FactStore::rows_since`] therefore returns exactly the rows committed
-//!   after a given row count, which is what lets the access frontier of
-//!   `accrel-access` read only the rows added since its last refresh;
+//! * `rows_since` returns exactly the rows committed after a row count;
 //! * interning values that are already known never copies the interner
 //!   shard; inserting a fact that is already present never copies any
 //!   shard;
 //! * a clone diverges from its origin exactly as a naive deep copy would:
-//!   after any interleaving of inserts and removals on either handle, each
-//!   handle's facts, indexes and adom refcounts equal those of an
-//!   independently rebuilt store.
+//!   after any interleaving of inserts on either handle, and of trail undo
+//!   on shards still shared, each handle's facts, indexes and adom
+//!   refcounts equal those of an independently rebuilt store.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
@@ -112,9 +118,10 @@ struct RelationShard {
     columns: Vec<Vec<ValueId>>,
     /// Materialised tuples, in row order (for cheap iteration/cloning).
     tuples: Vec<Tuple>,
-    /// Interned row → row index (membership + duplicate detection).
-    rows_by_key: HashMap<Box<[ValueId]>, usize>,
-    /// Per attribute: value id → indices of rows carrying it there.
+    /// The interned rows (membership + duplicate detection).
+    keys: HashSet<Box<[ValueId]>>,
+    /// Per attribute: value id → indices of rows carrying it there, in
+    /// ascending order (rows are only appended, and undo pops the last).
     indexes: Vec<HashMap<ValueId, Vec<usize>>>,
 }
 
@@ -123,7 +130,7 @@ impl RelationShard {
         Self {
             columns: vec![Vec::new(); arity],
             tuples: Vec::new(),
-            rows_by_key: HashMap::new(),
+            keys: HashSet::new(),
             indexes: vec![HashMap::new(); arity],
         }
     }
@@ -132,65 +139,42 @@ impl RelationShard {
         self.tuples.len()
     }
 
-    /// Swaps rows `a` and `b`, patching columns, tuples, both `rows_by_key`
-    /// slots and every affected posting-list entry. Used by trail undo to
-    /// restore the exact row layout a swap-removal disturbed.
-    fn swap_rows(&mut self, a: usize, b: usize) {
-        if a == b {
-            return;
+    /// Appends a row that is not yet present, indexing it.
+    fn push_row(&mut self, key: Box<[ValueId]>, t: Tuple) {
+        let row = self.len();
+        for (c, &id) in key.iter().enumerate() {
+            self.columns[c].push(id);
+            self.indexes[c].entry(id).or_default().push(row);
         }
-        let arity = self.columns.len();
-        for c in 0..arity {
-            self.columns[c].swap(a, b);
-            // After the swap the id now at `a` came from `b` and vice
-            // versa; repoint their posting-list entries unless the ids are
-            // equal (then both rows are already in the same list).
-            let id_a = self.columns[c][a];
-            let id_b = self.columns[c][b];
-            if id_a != id_b {
-                if let Some(list) = self.indexes[c].get_mut(&id_a) {
-                    if let Some(pos) = list.iter().position(|&r| r == b) {
-                        list[pos] = a;
-                    }
-                }
-                if let Some(list) = self.indexes[c].get_mut(&id_b) {
-                    if let Some(pos) = list.iter().position(|&r| r == a) {
-                        list[pos] = b;
-                    }
-                }
+        self.tuples.push(t);
+        self.keys.insert(key);
+    }
+
+    /// Pops the last row and its index entries, returning its key.
+    fn pop_row(&mut self) -> Box<[ValueId]> {
+        let row = self.len() - 1;
+        let key: Box<[ValueId]> = self
+            .columns
+            .iter_mut()
+            .map(|column| column.pop().expect("undo targets a stored row"))
+            .collect();
+        for (index, id) in self.indexes.iter_mut().zip(key.iter()) {
+            let list = index.get_mut(id).expect("a stored row is indexed");
+            debug_assert_eq!(list.last(), Some(&row), "LIFO undo targets the last row");
+            list.pop();
+            if list.is_empty() {
+                index.remove(id);
             }
         }
-        self.tuples.swap(a, b);
-        for row in [a, b] {
-            let key: Box<[ValueId]> = (0..arity).map(|c| self.columns[c][row]).collect();
-            self.rows_by_key.insert(key, row);
-        }
+        self.tuples.pop();
+        self.keys.remove(&key);
+        key
     }
 }
 
 /// Reference-counted active domain: how many attribute occurrences of
 /// `(value, domain)` the store currently holds.
 type AdomCache = HashMap<(ValueId, DomainId), u32>;
-
-/// One reversible mutation recorded on the trail.
-#[derive(Debug)]
-enum TrailEntry {
-    /// A successful insert; undone by removing the row, which LIFO replay
-    /// guarantees is the relation's last row again at undo time.
-    Inserted {
-        relation: RelationId,
-        key: Box<[ValueId]>,
-    },
-    /// A successful removal; undone by re-appending the tuple and swapping
-    /// it back into its original row, restoring the exact pre-removal
-    /// layout.
-    Removed {
-        relation: RelationId,
-        key: Box<[ValueId]>,
-        tuple: Tuple,
-        row: usize,
-    },
-}
 
 /// A position on the trail returned by [`FactStore::begin_trail`]; feed it
 /// back to [`FactStore::undo_to`] to roll every later mutation back. Marks
@@ -440,10 +424,10 @@ impl FromIterator<Read> for ReadSet {
 /// response and evicts exactly the cached verdicts whose [`ReadSet`] is
 /// [touched](ReadSet::touched_by).
 ///
-/// Capture assumes monotone growth (the engine loops never remove facts);
-/// trailed speculative inserts are rolled back and deliberately emit no
-/// events, and duplicate inserts return before any mutation and therefore
-/// emit none either.
+/// The store only grows, so a committed row is never taken back: the
+/// events are the whole history of committed growth. Trailed speculative
+/// inserts are rolled back and deliberately emit no events, and duplicate
+/// inserts return before any mutation and therefore emit none either.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InsertEvent {
     /// The relation the row was inserted into.
@@ -471,9 +455,9 @@ pub struct FactStore {
     /// Cumulative count of shards this handle actually copied on first
     /// write (inherited by clones; diff two readings to scope a run).
     shard_copies: u64,
-    /// Undo entries of the currently-open speculation (empty when no trail
-    /// is open).
-    trail: Vec<TrailEntry>,
+    /// The relation of each row appended under the currently-open
+    /// speculation, oldest first (empty when no trail is open).
+    trail: Vec<RelationId>,
     /// How many `begin_trail` marks are currently open.
     trail_open: u32,
     /// Cumulative trail traffic (inherited by clones; diff two readings).
@@ -649,8 +633,8 @@ impl FactStore {
     }
 
     /// Enables or disables [`InsertEvent`] capture on the committed insert
-    /// paths. Disabling clears any queued events. Event capture assumes
-    /// monotone growth; it is not inherited by clones.
+    /// paths. Disabling clears any queued events. Capture is not inherited
+    /// by clones.
     pub fn set_event_capture(&mut self, enabled: bool) {
         self.events_enabled = enabled;
         if !enabled {
@@ -702,15 +686,15 @@ impl FactStore {
         }
     }
 
-    /// Rolls the store back to `mark`, replaying the undo entries recorded
-    /// after it in LIFO order: facts, row layout, per-attribute posting
-    /// lists, `rows_by_key` slots and adom refcounts are restored exactly
-    /// (the append-only interner is not rolled back). Undoing to an outer
-    /// mark also cancels any speculation nested after it.
+    /// Rolls the store back to `mark`, popping the rows appended after it
+    /// in LIFO order: facts, row layout, per-attribute posting lists,
+    /// membership keys and adom refcounts are restored exactly (the
+    /// append-only interner is not rolled back). Undoing to an outer mark
+    /// also cancels any speculation nested after it.
     pub fn undo_to(&mut self, mark: TrailMark) {
         while self.trail.len() > mark.pos {
-            let entry = self.trail.pop().expect("len checked above");
-            self.undo_entry(entry);
+            let relation = self.trail.pop().expect("len checked above");
+            self.undo_row(relation);
             self.trail_ops.undone += 1;
         }
         self.trail_open = self.trail_open.min(mark.open.saturating_sub(1));
@@ -735,78 +719,25 @@ impl FactStore {
         f(guard.store)
     }
 
-    /// Reverses one trail entry. Mutates through the copy-on-write
-    /// accessors, so an undo on a shard that was cloned mid-speculation
-    /// still detaches correctly instead of disturbing the clone.
-    fn undo_entry(&mut self, entry: TrailEntry) {
+    /// Pops `relation`'s last row, the one a trail entry recorded. Mutates
+    /// through the copy-on-write accessors, so an undo on a shard that was
+    /// cloned mid-speculation still detaches correctly instead of disturbing
+    /// the clone.
+    fn undo_row(&mut self, relation: RelationId) {
         let schema = self.schema.clone();
-        match entry {
-            TrailEntry::Inserted { relation, key } => {
-                let rel = schema.relation(relation).expect("recorded on insert");
-                {
-                    let shard = self.shard_mut(relation.index());
-                    let row = shard
-                        .rows_by_key
-                        .remove(&key)
-                        .expect("trail entry matches a stored row");
-                    debug_assert_eq!(row, shard.len() - 1, "LIFO undo targets the last row");
-                    for (c, &id) in key.iter().enumerate() {
-                        if let Some(list) = shard.indexes[c].get_mut(&id) {
-                            if let Some(pos) = list.iter().position(|&r| r == row) {
-                                list.swap_remove(pos);
-                            }
-                            if list.is_empty() {
-                                shard.indexes[c].remove(&id);
-                            }
-                        }
-                        shard.columns[c].pop();
-                    }
-                    shard.tuples.pop();
+        let rel = schema.relation(relation).expect("recorded on insert");
+        let key = self.shard_mut(relation.index()).pop_row();
+        let adom = self.adom_mut();
+        for (c, &id) in key.iter().enumerate() {
+            let entry = (id, rel.domain_at(c));
+            if let Some(count) = adom.get_mut(&entry) {
+                *count -= 1;
+                if *count == 0 {
+                    adom.remove(&entry);
                 }
-                let adom = self.adom_mut();
-                for (c, &id) in key.iter().enumerate() {
-                    let entry = (id, rel.domain_at(c));
-                    if let Some(count) = adom.get_mut(&entry) {
-                        *count -= 1;
-                        if *count == 0 {
-                            adom.remove(&entry);
-                        }
-                    }
-                }
-                self.len -= 1;
-            }
-            TrailEntry::Removed {
-                relation,
-                key,
-                tuple,
-                row,
-            } => {
-                let rel = schema.relation(relation).expect("recorded on removal");
-                let adom_incs: Vec<(ValueId, DomainId)> = key
-                    .iter()
-                    .enumerate()
-                    .map(|(c, &id)| (id, rel.domain_at(c)))
-                    .collect();
-                {
-                    let shard = self.shard_mut(relation.index());
-                    let appended = shard.len();
-                    for (c, &id) in key.iter().enumerate() {
-                        shard.columns[c].push(id);
-                        shard.indexes[c].entry(id).or_default().push(appended);
-                    }
-                    shard.tuples.push(tuple);
-                    shard.rows_by_key.insert(key, appended);
-                    // The removal swap-moved the then-last row into `row`;
-                    // swap back so the pre-removal row layout is exact.
-                    shard.swap_rows(row, appended);
-                }
-                let adom = self.adom_mut();
-                for (id, domain) in adom_incs {
-                    *adom.entry((id, domain)).or_insert(0) += 1;
-                }
-                self.len += 1;
             }
         }
+        self.len -= 1;
     }
 
     /// Whether `self` and `other` still share `relation`'s columnar shard
@@ -879,10 +810,7 @@ impl FactStore {
         // The duplicate check below is a read: a recorded procedure branches
         // on whether the row was already present.
         self.rec_key_probe(relation, &key);
-        if self.relations[relation.index()]
-            .rows_by_key
-            .contains_key(&key)
-        {
+        if self.relations[relation.index()].keys.contains(&key) {
             return Ok(false);
         }
         let adom_incs: Vec<(ValueId, DomainId)> = key
@@ -890,7 +818,6 @@ impl FactStore {
             .enumerate()
             .map(|(c, &id)| (id, rel.domain_at(c)))
             .collect();
-        let trail_key = (self.trail_open > 0).then(|| key.clone());
         // Newly-in-adom flags must be read before the refcounts advance;
         // speculative (trailed) inserts roll back and emit no event.
         let event = (self.events_enabled && self.trail_open == 0).then(|| InsertEvent {
@@ -900,23 +827,14 @@ impl FactStore {
                 .map(|&(id, d)| (id, d, !self.adom.contains_key(&(id, d))))
                 .collect(),
         });
-        {
-            let shard = self.shard_mut(relation.index());
-            let row = shard.len();
-            for (c, &id) in key.iter().enumerate() {
-                shard.columns[c].push(id);
-                shard.indexes[c].entry(id).or_default().push(row);
-            }
-            shard.tuples.push(t);
-            shard.rows_by_key.insert(key, row);
-        }
+        self.shard_mut(relation.index()).push_row(key, t);
         let adom = self.adom_mut();
         for (id, domain) in adom_incs {
             *adom.entry((id, domain)).or_insert(0) += 1;
         }
         self.len += 1;
-        if let Some(key) = trail_key {
-            self.trail.push(TrailEntry::Inserted { relation, key });
+        if self.trail_open > 0 {
+            self.trail.push(relation);
             self.trail_ops.pushed += 1;
         }
         if let Some(event) = event {
@@ -937,96 +855,6 @@ impl FactStore {
             rel,
             Tuple::new(values.into_iter().map(Into::into).collect()),
         )
-    }
-
-    /// Removes a fact; returns whether it was present.
-    ///
-    /// The removed row is swap-removed: the last row takes its index and
-    /// every affected index entry is patched in place — on this handle's
-    /// copy of the shard only, so clones sharing the shard are undisturbed.
-    /// A miss (absent fact, unknown value, wrong arity) is read-only.
-    pub fn remove(&mut self, relation: RelationId, t: &Tuple) -> bool {
-        let schema = self.schema.clone();
-        let Ok(rel) = schema.relation(relation) else {
-            return false;
-        };
-        if t.arity() != rel.arity() {
-            return false;
-        }
-        let mut key = Vec::with_capacity(t.arity());
-        for v in t.iter() {
-            match self.interner.lookup(v) {
-                Some(id) => key.push(id),
-                None => return false,
-            }
-        }
-        if !self.relations[relation.index()]
-            .rows_by_key
-            .contains_key(key.as_slice())
-        {
-            return false;
-        }
-        let removed_row;
-        {
-            let shard = self.shard_mut(relation.index());
-            let row = shard
-                .rows_by_key
-                .remove(key.as_slice())
-                .expect("presence checked above");
-            removed_row = row;
-            let last = shard.len() - 1;
-            // Detach the removed row from its posting lists.
-            for (c, &id) in key.iter().enumerate() {
-                if let Some(list) = shard.indexes[c].get_mut(&id) {
-                    if let Some(pos) = list.iter().position(|&r| r == row) {
-                        list.swap_remove(pos);
-                    }
-                    if list.is_empty() {
-                        shard.indexes[c].remove(&id);
-                    }
-                }
-            }
-            // Move the last row into the hole and patch its bookkeeping.
-            if row != last {
-                let moved: Vec<ValueId> =
-                    (0..rel.arity()).map(|c| shard.columns[c][last]).collect();
-                for (c, &id) in moved.iter().enumerate() {
-                    if let Some(list) = shard.indexes[c].get_mut(&id) {
-                        if let Some(pos) = list.iter().position(|&r| r == last) {
-                            list[pos] = row;
-                        }
-                    }
-                }
-                if let Some(slot) = shard.rows_by_key.get_mut(moved.as_slice()) {
-                    *slot = row;
-                }
-            }
-            for c in 0..rel.arity() {
-                shard.columns[c].swap_remove(row);
-            }
-            shard.tuples.swap_remove(row);
-        }
-        let adom = self.adom_mut();
-        for (c, &id) in key.iter().enumerate() {
-            let entry = (id, rel.domain_at(c));
-            if let Some(count) = adom.get_mut(&entry) {
-                *count -= 1;
-                if *count == 0 {
-                    adom.remove(&entry);
-                }
-            }
-        }
-        self.len -= 1;
-        if self.trail_open > 0 {
-            self.trail.push(TrailEntry::Removed {
-                relation,
-                key: key.into_boxed_slice(),
-                tuple: t.clone(),
-                row: removed_row,
-            });
-            self.trail_ops.pushed += 1;
-        }
-        true
     }
 
     /// Membership test.
@@ -1050,7 +878,7 @@ impl FactStore {
             }
         }
         self.rec_key_probe(relation, &key);
-        shard.rows_by_key.contains_key(key.as_slice())
+        shard.keys.contains(key.as_slice())
     }
 
     /// Membership test for a [`Fact`].
@@ -1058,8 +886,7 @@ impl FactStore {
         self.contains(fact.0, &fact.1)
     }
 
-    /// All tuples of one relation, in row order (insertion order until a
-    /// removal swap-moves the last row into the removed slot).
+    /// All tuples of one relation, in row (insertion) order.
     pub fn tuples(&self, relation: RelationId) -> impl Iterator<Item = &Tuple> {
         self.rec(|rs| rs.insert(Read::Relation(relation)));
         self.relations
@@ -1069,10 +896,9 @@ impl FactStore {
     }
 
     /// The tuples of one relation in rows `from..`, in row order (empty when
-    /// `from` is past the last row). Rows are only ever appended until a
-    /// removal, and trail undo pops speculative rows LIFO, so over a store
-    /// that only grows this is exactly what was committed after the
-    /// relation's first `from` rows.
+    /// `from` is past the last row): exactly the rows committed after the
+    /// relation's first `from` rows, since committed rows are only ever
+    /// appended and trail undo pops speculative rows LIFO.
     pub fn rows_since(&self, relation: RelationId, from: usize) -> &[Tuple] {
         self.rec(|rs| rs.insert(Read::Relation(relation)));
         self.relations
@@ -1181,19 +1007,16 @@ impl FactStore {
             }
         }
         let rows = best.expect("at least one constraint");
-        let mut hits: Vec<usize> = rows
-            .iter()
+        debug_assert!(rows.is_sorted(), "posting lists ascend by row");
+        rows.iter()
             .copied()
             .filter(|&row| {
                 resolved
                     .iter()
                     .all(|&(pos, id)| shard.columns[pos][row] == id)
             })
-            .collect();
-        // Posting lists are patched on removal, so row order inside a list
-        // is not sorted; sort for deterministic iteration downstream.
-        hits.sort_unstable();
-        hits.into_iter().map(|row| &shard.tuples[row]).collect()
+            .map(|row| &shard.tuples[row])
+            .collect()
     }
 
     /// Returns `true` if every fact of `self` is also in `other`.
@@ -1242,7 +1065,7 @@ impl FactStore {
     /// for large batches: every value is interned and every arity checked in
     /// one validation pass *before* any relation is touched (so an invalid
     /// fact leaves the stored facts unchanged), rows are grouped per
-    /// relation, and each relation's columns, tuple vector and row-key map
+    /// relation, and each relation's columns, tuple vector and row-key set
     /// are reserved to their final size before the indexes are built. Each
     /// touched relation's shard is copied at most once (and not at all when
     /// every grouped row is a duplicate). This is the seeding path for the
@@ -1281,64 +1104,50 @@ impl FactStore {
             // shared.
             if rows
                 .iter()
-                .all(|(key, _)| self.relations[i].rows_by_key.contains_key(key))
+                .all(|(key, _)| self.relations[i].keys.contains(key))
             {
                 continue;
             }
-            let rel = schema
-                .relation(RelationId(i as u32))
-                .expect("relation validated above");
-            let record = self.trail_open > 0;
-            let capture = self.events_enabled && self.trail_open == 0;
+            let relation = RelationId(i as u32);
+            let rel = schema.relation(relation).expect("relation validated above");
+            let arity = rel.arity();
             let mut adom_incs: Vec<(ValueId, DomainId)> = Vec::new();
-            let mut trail_keys: Vec<Box<[ValueId]>> = Vec::new();
-            let mut event_keys: Vec<Box<[ValueId]>> = Vec::new();
+            let mut added = 0usize;
             {
                 let shard = self.shard_mut(i);
-                shard.rows_by_key.reserve(rows.len());
+                shard.keys.reserve(rows.len());
                 shard.tuples.reserve(rows.len());
                 for column in &mut shard.columns {
                     column.reserve(rows.len());
                 }
                 for (key, t) in rows.drain(..) {
-                    if shard.rows_by_key.contains_key(&key) {
-                        continue;
+                    if !shard.keys.contains(&key) {
+                        adom_incs.extend(
+                            key.iter()
+                                .enumerate()
+                                .map(|(c, &id)| (id, rel.domain_at(c))),
+                        );
+                        shard.push_row(key, t);
+                        added += 1;
                     }
-                    let row = shard.tuples.len();
-                    for (c, &id) in key.iter().enumerate() {
-                        shard.columns[c].push(id);
-                        shard.indexes[c].entry(id).or_default().push(row);
-                        adom_incs.push((id, rel.domain_at(c)));
-                    }
-                    if record {
-                        trail_keys.push(key.clone());
-                    }
-                    if capture {
-                        event_keys.push(key.clone());
-                    }
-                    shard.tuples.push(t);
-                    shard.rows_by_key.insert(key, row);
-                    inserted += 1;
                 }
             }
-            let relation = RelationId(i as u32);
-            for key in trail_keys {
-                self.trail.push(TrailEntry::Inserted { relation, key });
-                self.trail_ops.pushed += 1;
+            inserted += added;
+            if self.trail_open > 0 {
+                self.trail.extend(std::iter::repeat_n(relation, added));
+                self.trail_ops.pushed += added as u64;
             }
             // Events read the newly-in-adom flags before the refcounts
             // advance below (pairs introduced by earlier rows of the same
             // batch are conservatively flagged newly as well).
-            for key in event_keys {
-                let values = key
-                    .iter()
-                    .enumerate()
-                    .map(|(c, &id)| {
-                        let d = rel.domain_at(c);
-                        (id, d, !self.adom.contains_key(&(id, d)))
-                    })
-                    .collect();
-                self.events.push(InsertEvent { relation, values });
+            if self.events_enabled && self.trail_open == 0 {
+                for row in 0..added {
+                    let values = adom_incs[row * arity..(row + 1) * arity]
+                        .iter()
+                        .map(|&(id, d)| (id, d, !self.adom.contains_key(&(id, d))))
+                        .collect();
+                    self.events.push(InsertEvent { relation, values });
+                }
             }
             if !adom_incs.is_empty() {
                 let adom = self.adom_mut();
@@ -1605,25 +1414,6 @@ mod tests {
     }
 
     #[test]
-    fn active_domain_cache_survives_removal() {
-        let schema = small_schema();
-        let d = schema.domain_by_name("D").unwrap();
-        let e = schema.domain_by_name("E").unwrap();
-        let r = schema.relation_by_name("R").unwrap();
-        let mut store = FactStore::new(schema);
-        store.insert(r, tuple(["x", "y"])).unwrap();
-        store.insert(r, tuple(["x", "z"])).unwrap();
-        // "x" is referenced by two facts; removing one keeps it in Adom.
-        assert!(store.remove(r, &tuple(["x", "y"])));
-        assert!(store.adom_contains(&Value::sym("x"), d));
-        assert!(!store.adom_contains(&Value::sym("y"), e));
-        assert!(store.adom_contains(&Value::sym("z"), e));
-        assert!(store.remove(r, &tuple(["x", "z"])));
-        assert_eq!(store.active_domain_len(), 0);
-        assert!(store.all_values().is_empty());
-    }
-
-    #[test]
     fn subset_and_extend() {
         let schema = small_schema();
         let mut a = FactStore::new(schema.clone());
@@ -1684,7 +1474,7 @@ mod tests {
     }
 
     #[test]
-    fn remove_and_facts_iteration() {
+    fn facts_iteration_and_fact_membership() {
         let schema = small_schema();
         let r = schema.relation_by_name("R").unwrap();
         let mut store = FactStore::new(schema);
@@ -1692,40 +1482,9 @@ mod tests {
         store.insert_named("S", ["c"]).unwrap();
         assert_eq!(store.facts().count(), 2);
         assert!(store.contains_fact(&(r, tuple(["a", "b"]))));
-        assert!(store.remove(r, &tuple(["a", "b"])));
-        assert!(!store.remove(r, &tuple(["a", "b"])));
-        assert_eq!(store.len(), 1);
-        // Removing with unknown values or wrong arity is a no-op.
-        assert!(!store.remove(r, &tuple(["ghost", "b"])));
-        assert!(!store.remove(r, &tuple(["a"])));
-    }
-
-    #[test]
-    fn remove_swaps_keep_indexes_consistent() {
-        let schema = small_schema();
-        let r = schema.relation_by_name("R").unwrap();
-        let mut store = FactStore::new(schema);
-        store.insert(r, tuple(["a", "1"])).unwrap();
-        store.insert(r, tuple(["b", "1"])).unwrap();
-        store.insert(r, tuple(["c", "2"])).unwrap();
-        // Remove the first row: the last row is swapped into its place and
-        // every lookup must still agree with a naive scan.
-        assert!(store.remove(r, &tuple(["a", "1"])));
-        assert_eq!(store.relation_len(r), 2);
-        assert!(store.contains(r, &tuple(["b", "1"])));
-        assert!(store.contains(r, &tuple(["c", "2"])));
-        assert_eq!(
-            store.matching(r, &[1], &[Value::sym("1")]),
-            vec![tuple(["b", "1"])]
-        );
-        assert_eq!(
-            store.matching(r, &[0], &[Value::sym("c")]),
-            vec![tuple(["c", "2"])]
-        );
-        assert!(store.matching(r, &[0], &[Value::sym("a")]).is_empty());
-        // Reinsertion after removal works and is visible to the indexes.
-        assert!(store.insert(r, tuple(["a", "1"])).unwrap());
-        assert_eq!(store.matching(r, &[1], &[Value::sym("1")]).len(), 2);
+        // Unknown values and a wrong arity are never members.
+        assert!(!store.contains_fact(&(r, tuple(["ghost", "b"]))));
+        assert!(!store.contains_fact(&(r, tuple(["a"]))));
     }
 
     #[test]
@@ -1811,20 +1570,7 @@ mod tests {
     }
 
     #[test]
-    fn removal_miss_on_shared_shard_is_read_only() {
-        let schema = small_schema();
-        let r = schema.relation_by_name("R").unwrap();
-        let mut store = FactStore::new(schema);
-        store.insert(r, tuple(["a", "1"])).unwrap();
-        let mut clone = store.clone();
-        assert!(!clone.remove(r, &tuple(["ghost", "1"])));
-        assert!(!clone.remove(r, &tuple(["a", "x"])));
-        assert!(store.shares_relation_shard(&clone, r));
-        assert!(store.shares_adom_shard(&clone));
-    }
-
-    #[test]
-    fn trail_undo_restores_inserts_and_removals_exactly() {
+    fn trail_undo_restores_inserts_exactly() {
         let schema = small_schema();
         let r = schema.relation_by_name("R").unwrap();
         let mut store = FactStore::new(schema);
@@ -1835,24 +1581,28 @@ mod tests {
         let before_adom = store.active_domain();
         let mark = store.begin_trail();
         assert!(store.trail_is_active());
-        assert!(store.remove(r, &tuple(["a", "1"])));
         assert!(store.insert(r, tuple(["d", "9"])).unwrap());
         assert!(store.insert(r, tuple(["e", "1"])).unwrap());
-        assert!(store.remove(r, &tuple(["b", "2"])));
+        assert!(store.insert(r, tuple(["a", "2"])).unwrap());
         store.undo_to(mark);
         assert!(!store.trail_is_active());
         assert_eq!(store.sorted_facts(), before);
         assert_eq!(store.active_domain(), before_adom);
-        // Row layout is restored exactly, not just set-equal.
+        // Row layout and posting lists are restored exactly, not just
+        // set-equal.
         assert_eq!(
             store.tuples(r).cloned().collect::<Vec<_>>(),
             vec![tuple(["a", "1"]), tuple(["b", "2"]), tuple(["c", "1"])]
         );
         assert_eq!(
+            store.matching(r, &[1], &[Value::sym("1")]),
+            vec![tuple(["a", "1"]), tuple(["c", "1"])]
+        );
+        assert_eq!(
             store.trail_ops(),
             TrailOps {
-                pushed: 4,
-                undone: 4
+                pushed: 3,
+                undone: 3
             }
         );
     }
@@ -1864,9 +1614,8 @@ mod tests {
         let mut store = FactStore::new(schema);
         store.insert(r, tuple(["a", "1"])).unwrap();
         let mark = store.begin_trail();
-        // A duplicate insert and a removal miss are read-only: no entries.
+        // A duplicate insert is read-only: no entry.
         assert!(!store.insert(r, tuple(["a", "1"])).unwrap());
-        assert!(!store.remove(r, &tuple(["ghost", "1"])));
         assert_eq!(store.trail_ops(), TrailOps::default());
         store.undo_to(mark);
         assert_eq!(store.len(), 1);

@@ -253,20 +253,18 @@ fn access_paths_grow_monotonically_and_truncations_are_subsets() {
 }
 
 /// Naive scan oracle for `FactStore::matching`: filter every tuple of the
-/// relation by `Tuple::matches_binding`.
+/// relation by `Tuple::matches_binding`, in row order.
 fn matching_oracle(
     store: &accrel::schema::FactStore,
     relation: accrel::schema::RelationId,
     positions: &[usize],
     binding: &[Value],
 ) -> Vec<accrel::schema::Tuple> {
-    let mut out: Vec<accrel::schema::Tuple> = store
+    store
         .tuples(relation)
         .filter(|t| t.matches_binding(positions, binding))
         .cloned()
-        .collect();
-    out.sort();
-    out
+        .collect()
 }
 
 /// Naive scan oracle for `FactStore::active_domain`: rescan every fact.
@@ -285,58 +283,78 @@ fn adom_oracle(
 
 #[test]
 fn indexed_matching_agrees_with_scan_oracle_on_random_configurations() {
-    for (seed, _, facts) in cases() {
-        let (workload, _, conf) = workload_and_query(seed, 1, facts + 4);
-        let store = conf.store();
+    // In row order: downstream determinism relies on `matching` returning
+    // rows in insertion order, also inside and after a trailed speculation.
+    fn assert_matching_agrees(store: &accrel::schema::FactStore, workload: &Workload, ctx: &str) {
         for (rel, relation) in workload.schema.relations_with_ids() {
             let arity = relation.arity();
             // Probe every single position and the full-tuple binding, with
             // values drawn from the pool (both present and absent ones).
             for value in workload.constants.iter().take(4) {
                 for pos in 0..arity {
-                    let got = {
-                        let mut v = store.matching(rel, &[pos], std::slice::from_ref(value));
-                        v.sort();
-                        v
-                    };
-                    let want = matching_oracle(store, rel, &[pos], std::slice::from_ref(value));
-                    assert_eq!(got, want, "matching mismatch at seed={seed} facts={facts}");
+                    let binding = std::slice::from_ref(value);
+                    assert_eq!(
+                        store.matching(rel, &[pos], binding),
+                        matching_oracle(store, rel, &[pos], binding),
+                        "matching mismatch: {ctx}"
+                    );
                 }
             }
             for t in store.tuples(rel).take(3).cloned().collect::<Vec<_>>() {
                 let positions: Vec<usize> = (0..arity).collect();
-                let mut got = store.matching(rel, &positions, t.values());
-                got.sort();
                 assert_eq!(
-                    got,
+                    store.matching(rel, &positions, t.values()),
                     matching_oracle(store, rel, &positions, t.values()),
-                    "full-binding mismatch at seed={seed}"
+                    "full-binding mismatch: {ctx}"
                 );
             }
         }
     }
+
+    for (seed, _, facts) in cases() {
+        let (workload, _, conf) = workload_and_query(seed, 1, facts + 4);
+        let mut store = conf.store().clone();
+        let ctx = format!("seed={seed} facts={facts}");
+        assert_matching_agrees(&store, &workload, &ctx);
+        let mut rng = StdRng::seed_from_u64(seed + 707);
+        let extra = generate_configuration(&workload, 6, &mut rng);
+        store.speculate(|s| {
+            for (rel, t) in extra.facts() {
+                let _ = s.insert(rel, t);
+            }
+            assert_matching_agrees(s, &workload, &format!("inside speculation {ctx}"));
+        });
+        assert_matching_agrees(&store, &workload, &format!("after undo {ctx}"));
+    }
 }
 
 #[test]
-fn cached_active_domain_agrees_with_scan_oracle_after_inserts_and_removals() {
+fn cached_active_domain_agrees_with_scan_oracle_after_inserts_and_undo() {
     for (seed, _, facts) in cases() {
         let (workload, _, conf) = workload_and_query(seed, 1, facts + 6);
         let mut store = conf.store().clone();
         assert_eq!(store.active_domain(), adom_oracle(&store));
-        // Remove roughly half the facts, in a deterministic order, checking
-        // the maintained cache against the oracle as we go.
-        let victims: Vec<_> = store.facts().step_by(2).collect();
-        for (rel, t) in victims {
-            assert!(store.remove(rel, &t), "removal failed at seed={seed}");
+        // Insert a fresh batch under a trail mark, checking the maintained
+        // cache against the oracle after every insert and after the undo
+        // has taken the batch's refcounts back.
+        let mut rng = StdRng::seed_from_u64(seed + 77);
+        let extra = generate_configuration(&workload, 5, &mut rng);
+        let mark = store.begin_trail();
+        for (rel, t) in extra.facts() {
+            let _ = store.insert(rel, t);
             assert_eq!(
                 store.active_domain(),
                 adom_oracle(&store),
-                "adom cache diverged after removal at seed={seed}"
+                "adom cache diverged after a trailed insert at seed={seed}"
             );
         }
-        // Reinsert fresh facts; the cache must track them too.
-        let mut rng = StdRng::seed_from_u64(seed + 77);
-        let extra = generate_configuration(&workload, 5, &mut rng);
+        store.undo_to(mark);
+        assert_eq!(
+            store.active_domain(),
+            adom_oracle(&store),
+            "adom cache diverged after undo at seed={seed}"
+        );
+        // Commit the batch; the cache must track it too.
         for (rel, t) in extra.facts() {
             let _ = store.insert(rel, t);
         }
@@ -370,8 +388,8 @@ fn deep_copy_oracle(store: &accrel::schema::FactStore) -> accrel::schema::FactSt
 }
 
 /// Asserts two stores agree observationally: same facts, same active
-/// domain, and same index-backed matching results for every probe drawn
-/// from the workload pool.
+/// domain, and same index-backed matching results, in row order, for every
+/// probe drawn from the workload pool.
 fn assert_stores_agree(
     a: &accrel::schema::FactStore,
     b: &accrel::schema::FactStore,
@@ -389,13 +407,9 @@ fn assert_stores_agree(
         );
         for value in workload.constants.iter().take(4) {
             for pos in 0..relation.arity() {
-                let sorted = |mut v: Vec<accrel::schema::Tuple>| {
-                    v.sort();
-                    v
-                };
                 assert_eq!(
-                    sorted(a.matching(rel, &[pos], std::slice::from_ref(value))),
-                    sorted(b.matching(rel, &[pos], std::slice::from_ref(value))),
+                    a.matching(rel, &[pos], std::slice::from_ref(value)),
+                    b.matching(rel, &[pos], std::slice::from_ref(value)),
                     "matching diverged: {context}"
                 );
             }
@@ -405,9 +419,9 @@ fn assert_stores_agree(
 
 #[test]
 fn cow_clone_then_mutate_diverges_like_a_deep_copy() {
-    // Oracle grid for the copy-on-write shards: mutate a clone and its
-    // origin with different interleavings of inserts and removals; both
-    // handles must behave exactly like independently deep-copied stores.
+    // Oracle grid for the copy-on-write shards: grow a clone and its origin
+    // with different batches of inserts; both handles must behave exactly
+    // like independently deep-copied stores.
     for (seed, _, facts) in cases() {
         let (workload, _, conf) = workload_and_query(seed, 1, facts + 5);
         let original = conf.store().clone();
@@ -416,11 +430,7 @@ fn cow_clone_then_mutate_diverges_like_a_deep_copy() {
         let mut oracle_clone = deep_copy_oracle(&original);
         let mut original = original;
 
-        // Mutate the clone: remove every other fact, insert fresh ones.
-        let victims: Vec<_> = oracle_clone.facts().step_by(2).collect();
-        for (rel, t) in &victims {
-            assert_eq!(clone.remove(*rel, t), oracle_clone.remove(*rel, t));
-        }
+        // Grow the clone with fresh facts.
         let mut rng = StdRng::seed_from_u64(seed + 101);
         let extra = generate_configuration(&workload, 6, &mut rng);
         for (rel, t) in extra.facts() {
@@ -429,7 +439,7 @@ fn cow_clone_then_mutate_diverges_like_a_deep_copy() {
                 oracle_clone.insert(rel, t).unwrap()
             );
         }
-        // Mutate the original differently: insert a disjoint batch.
+        // Grow the original differently: insert another batch.
         let mut rng = StdRng::seed_from_u64(seed + 202);
         let other = generate_configuration(&workload, 4, &mut rng);
         for (rel, t) in other.facts() {
@@ -501,72 +511,9 @@ fn cow_unmutated_shards_stay_pointer_equal_across_clones() {
 }
 
 #[test]
-fn cow_adom_and_indexes_survive_swap_removal_on_a_shared_shard() {
-    // Swap-patch removal on a clone whose shards are still shared: the
-    // clone's refcounted adom cache and posting lists must match the scan
-    // oracles, and the sharing origin must be byte-identical to before.
-    for (seed, _, facts) in cases() {
-        let (_, _, conf) = workload_and_query(seed, 1, facts + 6);
-        let original = conf.store().clone();
-        let before_facts = original.sorted_facts();
-        let before_adom = adom_oracle(&original);
-        let mut clone = original.clone();
-        let victims: Vec<_> = clone.facts().step_by(2).collect();
-        for (rel, t) in victims {
-            assert!(clone.remove(rel, &t), "removal failed at seed={seed}");
-            // The clone's maintained adom equals the rescan oracle after
-            // every swap-removal...
-            assert_eq!(
-                clone.active_domain(),
-                adom_oracle(&clone),
-                "clone adom diverged at seed={seed}"
-            );
-            // ...and the origin never moves.
-            assert_eq!(
-                original.sorted_facts(),
-                before_facts,
-                "origin facts disturbed at seed={seed}"
-            );
-        }
-        assert_eq!(adom_oracle(&original), before_adom);
-        // Swap-patched posting lists on the clone still answer matching
-        // correctly (checked against the naive scan oracle).
-        for (rel, relation) in conf.schema().relations_with_ids() {
-            for pos in 0..relation.arity() {
-                for t in clone.tuples(rel).take(3).cloned().collect::<Vec<_>>() {
-                    let value = t.get(pos).unwrap().clone();
-                    let got = {
-                        let mut v = clone.matching(rel, &[pos], std::slice::from_ref(&value));
-                        v.sort();
-                        v
-                    };
-                    assert_eq!(
-                        got,
-                        matching_oracle(&clone, rel, &[pos], std::slice::from_ref(&value)),
-                        "post-removal matching at seed={seed}"
-                    );
-                }
-            }
-        }
-        // Reinsertion on the diverged shard works and is invisible to the
-        // origin.
-        let readd: Vec<_> = before_facts
-            .iter()
-            .filter(|f| !clone.contains_fact(f))
-            .cloned()
-            .collect();
-        for (rel, t) in readd {
-            assert!(clone.insert(rel, t).unwrap());
-        }
-        assert_eq!(clone.sorted_facts(), before_facts);
-        assert_eq!(original.sorted_facts(), before_facts);
-    }
-}
-
-#[test]
 fn trail_undo_restores_the_store_byte_for_byte_on_the_oracle_grid() {
-    // Speculative churn under a trail mark — insert a fresh batch, remove a
-    // deterministic sample of the survivors — then undo. The store must be
+    // Speculative growth under a trail mark — a fresh batch one insert at a
+    // time, then another one bulk-loaded — then undo. The store must be
     // observationally identical to an untouched deep copy: same facts, same
     // per-attribute index answers, same refcounted active domain.
     for (seed, _, facts) in cases() {
@@ -576,6 +523,7 @@ fn trail_undo_restores_the_store_byte_for_byte_on_the_oracle_grid() {
         let ops_before = store.trail_ops();
         let mut rng = StdRng::seed_from_u64(seed + 301);
         let extra = generate_configuration(&workload, 6, &mut rng);
+        let bulk = generate_configuration(&workload, 6, &mut rng);
 
         let mark = store.begin_trail();
         let mut pushed = 0u64;
@@ -584,11 +532,7 @@ fn trail_undo_restores_the_store_byte_for_byte_on_the_oracle_grid() {
                 pushed += 1;
             }
         }
-        let victims: Vec<_> = store.facts().step_by(2).take(5).collect();
-        for (rel, t) in victims {
-            assert!(store.remove(rel, &t), "removal failed at seed={seed}");
-            pushed += 1;
-        }
+        pushed += store.extend_facts(bulk.facts()).unwrap() as u64;
         store.undo_to(mark);
 
         let ctx = format!("trail undo at seed={seed} facts={facts}");
@@ -611,8 +555,8 @@ fn trail_undo_restores_the_store_byte_for_byte_on_the_oracle_grid() {
 }
 
 #[test]
-fn trail_undo_of_removals_on_shared_cow_shards_leaves_both_handles_intact() {
-    // Remove-then-undo on a clone whose shards are still shared with its
+fn trail_undo_on_shared_cow_shards_leaves_both_handles_intact() {
+    // Insert-then-undo on a clone whose shards are still shared with its
     // origin: the undo must restore the clone through the copy-on-write
     // accessors (detaching, never writing through), so the origin is
     // byte-for-byte undisturbed and the clone equals a deep copy.
@@ -625,10 +569,6 @@ fn trail_undo_of_removals_on_shared_cow_shards_leaves_both_handles_intact() {
         let mut clone = original.clone();
 
         let mark = clone.begin_trail();
-        let victims: Vec<_> = clone.facts().step_by(2).collect();
-        for (rel, t) in victims {
-            assert!(clone.remove(rel, &t), "removal failed at seed={seed}");
-        }
         let mut rng = StdRng::seed_from_u64(seed + 404);
         let extra = generate_configuration(&workload, 4, &mut rng);
         for (rel, t) in extra.facts() {
@@ -669,10 +609,6 @@ fn nested_trail_marks_undo_inside_out_and_outer_undo_cancels_inner() {
         let inner = store.begin_trail();
         for (rel, t) in batch_b.facts() {
             let _ = store.insert(rel, t);
-        }
-        let victim = store.facts().next();
-        if let Some((rel, t)) = victim {
-            assert!(store.remove(rel, &t));
         }
         store.undo_to(inner);
         assert_eq!(store.sorted_facts(), after_a, "inner undo at seed={seed}");

@@ -31,11 +31,10 @@
 //! the whole active domain.
 //!
 //! **Contracts.** Every refresh sees the same configuration. Its store is
-//! append-only, so a committed row never moves under a watermark. No
-//! refresh runs under an open trail mark or an installed read recorder
-//! (speculative rows are not committed, and the frontier's reads must not
-//! leak into a verdict's read set); [`AccessFrontier::refresh`] panics on
-//! either. Under these contracts the union of all emissions equals
+//! append-only, so a row never moves under a watermark. No refresh runs
+//! under an installed read recorder (the frontier's reads must not leak
+//! into a verdict's read set); [`AccessFrontier::refresh`] panics if one
+//! is. Under these contracts the union of all emissions equals
 //! what `well_formed_accesses` returns at the latest configuration, and no
 //! access is emitted twice. `well_formed_accesses` stays the independent
 //! reference the tests and the differential fuzzer check the frontier
@@ -151,22 +150,16 @@ impl AccessFrontier {
     ///
     /// # Panics
     ///
-    /// If `conf` has an open trail mark or an installed read recorder: the
-    /// frontier reads committed rows only, and its reads must not leak into
-    /// a verdict's read set.
+    /// If `conf` has an installed read recorder: the frontier's reads must
+    /// not leak into a verdict's read set.
     pub fn refresh(&mut self, conf: &Configuration, methods: &AccessMethods) -> Vec<Access> {
         debug_assert_eq!(
             self.fronts.len(),
             methods.len(),
             "refresh must use the registry the frontier was built for"
         );
-        let store = conf.store();
         assert!(
-            !store.trail_is_active(),
-            "access frontier refreshed under an open trail mark"
-        );
-        assert!(
-            !store.is_recording_reads(),
+            !conf.store().is_recording_reads(),
             "access frontier refreshed inside a read-recording region"
         );
         self.take_in(conf);
@@ -383,9 +376,6 @@ mod tests {
             ("Office", ["o3", "e2"]),
         ];
         for (rel, t) in growth {
-            // A speculative row takes the relation's next row slot and is
-            // undone before the committed row reuses it: it is never read.
-            conf.speculate(|c| c.insert_named(rel, ["spec", "spec"]).unwrap());
             conf.insert_named(rel, t).unwrap();
             let emitted = frontier.refresh(&conf, &methods);
             assert!(
@@ -395,10 +385,6 @@ mod tests {
             for a in &emitted {
                 assert!(union.insert(a.clone()), "duplicate emission of {a}");
                 assert!(a.is_well_formed(&conf, &methods));
-                assert!(
-                    !a.binding().values().contains(&Value::sym("spec")),
-                    "undone row emitted in {a}"
-                );
             }
             let full = as_set(&well_formed_accesses(&conf, &methods, &options));
             assert_eq!(union, full);
@@ -409,12 +395,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "open trail mark")]
-    fn refresh_under_an_open_trail_mark_panics() {
+    #[should_panic(expected = "read-recording region")]
+    fn refresh_inside_a_read_recording_region_panics() {
         let (schema, methods) = setup();
         let mut conf = Configuration::empty(schema);
         let mut frontier = AccessFrontier::new(&methods, EnumerationOptions::default());
-        let _mark = conf.begin_trail();
+        conf.begin_read_tracking_with(accrel_schema::AdomPrecision::Precise);
         frontier.refresh(&conf, &methods);
     }
 

@@ -155,15 +155,9 @@ pub fn apply_access(
 
 /// The in-place variant of [`apply_access`]: grows `conf` itself instead of
 /// producing a successor snapshot, with identical well-formedness and
-/// validation semantics.
-///
-/// This is the speculation building block: under an open trail mark (see
-/// [`accrel_schema::FactStore::begin_trail`]) every inserted response tuple
-/// records an undo entry, so a tentative "what if this access had been
-/// made?" probe mutates the live store and rolls back allocation-free — no
-/// snapshot, no discarded shard copies. Callers that need a *persistent*
-/// successor (or hand configurations across threads) keep using
-/// [`apply_access`].
+/// validation semantics. The engine's run loop, which owns its working
+/// configuration, commits each response this way; callers that need the
+/// predecessor as well keep using [`apply_access`].
 pub fn apply_access_in_place(
     conf: &mut Configuration,
     access: &Access,
@@ -261,7 +255,7 @@ mod tests {
     }
 
     #[test]
-    fn in_place_apply_matches_snapshot_apply_and_rolls_back_under_a_trail() {
+    fn in_place_apply_matches_snapshot_apply() {
         let (schema, methods, inst) = setup();
         let acm = methods.by_name("EmpOffAcc").unwrap();
         let access = Access::new(acm, binding(["e1"]));
@@ -269,15 +263,12 @@ mod tests {
         conf.insert_named("Seed", ["e1"]).unwrap();
         let resp = Response::exact(&access, &methods, &inst).unwrap();
         let next = apply_access(&conf, &access, &resp, &methods).unwrap();
-        // Speculative probe: same successor facts observed inside, nothing
-        // left behind after the guard pops the trail.
+        // The snapshot variant leaves its input alone; the in-place one
+        // reaches the same successor facts.
         let before = conf.sorted_facts();
-        let inside = conf.speculate(|c| {
-            apply_access_in_place(c, &access, &resp, &methods).unwrap();
-            c.sorted_facts()
-        });
-        assert_eq!(inside, next.sorted_facts());
-        assert_eq!(conf.sorted_facts(), before);
+        assert_ne!(next.sorted_facts(), before);
+        apply_access_in_place(&mut conf, &access, &resp, &methods).unwrap();
+        assert_eq!(conf.sorted_facts(), next.sorted_facts());
         // And the same validation errors as the snapshot variant.
         let empty_schema = inst.schema().clone();
         let mut empty = Configuration::empty(empty_schema);

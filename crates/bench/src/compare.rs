@@ -192,51 +192,29 @@ mod tests {
 
     #[test]
     fn tolerates_baselines_predating_the_store_ops_table() {
-        // A baseline recorded before the S1 speculative-store table and the
-        // F1 eager-speculation series existed: every new row is one-sided
-        // and must be skipped, while shared rows still compare.
-        let eager = "E5 federation (ltr-guided, eager)";
+        // A baseline recorded before the S1 store table existed: every S1
+        // row is one-sided and must be skipped, while shared rows still
+        // compare.
+        let exhaustive = "E5 federation (exhaustive)";
         let baseline = vec![row("E1", "CQ", "1", "median µs", 10.0)];
         let fresh = vec![
             row("E1", "CQ", "1", "median µs", 12.0),
-            row("S1", "snapshot speculate", "100000", "median µs", 4000.0),
-            row("S1", "trail speculate", "100000", "median µs", 6.0),
-            row(
-                "S1",
-                "trail speculate",
-                "100000",
-                "shard copies per probe",
-                0.0,
-            ),
-            row("F1", eager, "8", "wall µs/access", 250.0),
-            row("F1", eager, "8", "speculative shard copies", 0.0),
-            row("F1", eager, "8", "trail ops pushed", 64.0),
+            row("S1", "snapshot clone", "100000", "median µs", 0.3),
+            row("S1", "clone then insert", "100000", "median µs", 4000.0),
         ];
         let report = compare_rows(&baseline, &fresh, 2.0);
         assert_eq!(report.compared, 1);
         assert!(report.regressions.is_empty());
 
-        // Once both sides carry S1, its timing rows (and only those) are
-        // regression-checked; the shard-copy counter rows never are.
+        // Once both sides carry S1, its timing rows are regression-checked;
+        // shard-copy counter rows never are.
         let aged = vec![
-            row("S1", "trail speculate", "1000000", "median µs", 8.0),
-            row(
-                "S1",
-                "trail speculate",
-                "1000000",
-                "shard copies per probe",
-                0.0,
-            ),
+            row("S1", "clone then insert", "1000000", "median µs", 8.0),
+            row("F1", exhaustive, "4", "shard copies", 0.0),
         ];
         let regressed = vec![
-            row("S1", "trail speculate", "1000000", "median µs", 80.0),
-            row(
-                "S1",
-                "trail speculate",
-                "1000000",
-                "shard copies per probe",
-                3.0,
-            ),
+            row("S1", "clone then insert", "1000000", "median µs", 80.0),
+            row("F1", exhaustive, "4", "shard copies", 3.0),
         ];
         let report = compare_rows(&aged, &regressed, 2.0);
         assert_eq!(report.compared, 1, "counter rows are not timing rows");

@@ -384,21 +384,12 @@ pub fn e7_engine_ablation(repeats: usize) -> Table {
     }
 }
 
-/// S1 — the fact store at scale. First its raw operations on a grid of
-/// `facts` facts: per-fact `insert` and one bulk `extend_facts` load into an
-/// empty store, `matching` bound on one and on both attributes,
-/// `active_domain`, an `adom_contains` probe, a snapshot clone (every shard
-/// shared, so O(relations)) and a clone followed by one insert (which
-/// copies the touched relation's shard). Then speculative mutation: an
-/// insert-k-then-discard probe (the shape of every tentative-response
-/// replay in the relevance procedures and the merge loop's eager
-/// look-ahead) paid for two ways. `snapshot speculate` clones the store and
-/// inserts into the clone — every probe copies the touched relation's full
-/// shard, which at 10⁶ rows dwarfs the probe itself. `trail speculate`
-/// inserts under a trail mark on the live store and undoes — per-probe cost
-/// is the k undo entries, independent of the store size. The `shard copies
-/// per probe` rows pin the mechanism: zero for the trail, nonzero for the
-/// snapshot.
+/// S1 — the fact store at scale: its raw operations on a grid of `facts`
+/// facts. Per-fact `insert` and one bulk `extend_facts` load into an empty
+/// store, `matching` bound on one and on both attributes, `active_domain`,
+/// an `adom_contains` probe, a snapshot clone (every shard shared, so
+/// O(relations)) and a clone followed by one insert (which copies the
+/// touched relation's shard).
 pub fn s1_store_ops(sizes: &[usize], repeats: usize) -> Table {
     use accrel_schema::{FactStore, Schema, Tuple, Value};
     use std::hint::black_box;
@@ -473,61 +464,10 @@ pub fn s1_store_ops(sizes: &[usize], repeats: usize) -> Table {
             let t = median_micros(repeats, op);
             rows.push(Row::new(series, facts, "median µs", t));
         }
-        let speculative: Vec<[Value; 2]> = (0..8)
-            .map(|i| {
-                [
-                    Value::sym(format!("spec-a{i}")),
-                    Value::sym(format!("spec-b{i}")),
-                ]
-            })
-            .collect();
-        let copies_before = store.shard_copies();
-        let mut probe_copies = 0u64;
-        let t_snapshot = median_micros(repeats, || {
-            let mut snap = store.clone();
-            for t in &speculative {
-                snap.insert_named("R", t.clone()).expect("well-typed");
-            }
-            probe_copies = snap.shard_copies() - copies_before;
-        });
-        rows.push(Row::new(
-            "snapshot speculate",
-            facts,
-            "median µs",
-            t_snapshot,
-        ));
-        rows.push(Row::new(
-            "snapshot speculate",
-            facts,
-            "shard copies per probe",
-            probe_copies as f64,
-        ));
-        // The live store's first probe pays its one detach (its shards are
-        // still shared with `store`) in `median_micros`' untimed call;
-        // steady-state probes are what the engine loop sees, so the copies
-        // row counts one more probe after the timed ones.
-        let mut live = store.clone();
-        let probe = |s: &mut FactStore| {
-            for t in &speculative {
-                s.insert_named("R", t.clone()).expect("well-typed");
-            }
-        };
-        let t_trail = median_micros(repeats, || live.speculate(probe));
-        rows.push(Row::new("trail speculate", facts, "median µs", t_trail));
-        let trail_copies_before = live.shard_copies();
-        live.speculate(probe);
-        rows.push(Row::new(
-            "trail speculate",
-            facts,
-            "shard copies per probe",
-            (live.shard_copies() - trail_copies_before) as f64,
-        ));
     }
     Table {
         id: "S1".to_string(),
-        title: "Fact store at scale: raw operations, and snapshot-clone vs trail (undo log) \
-                speculative probes"
-            .to_string(),
+        title: "Fact store at scale: raw operations".to_string(),
         rows,
     }
 }
@@ -675,65 +615,6 @@ pub fn f1_federation_sweep(
             batch_size,
             "shard copies",
             report.shard_copies as f64,
-        ));
-    }
-    // A guided run under eager speculation: every predicted batch replays
-    // the strategy's LTR selection speculatively, which is exactly the
-    // workload the trail exists for. The headline row is `speculative
-    // shard copies` — zero, now that tentative-response probes mutate the
-    // live store under trail marks instead of replaying on snapshots (the
-    // million-fact CI job asserts this). The `trail ops` rows report the
-    // undo entries those probes recorded and rolled back; they stay zero
-    // on fixtures (like E5 under a shallow budget) where every LTR verdict
-    // is reached before a truncation replay carries facts.
-    {
-        slept.federation.reset_stats();
-        let eager_batch = 8usize;
-        let options = RunOptions {
-            max_accesses: max_accesses.min(24),
-            stop_when_certain: false,
-            batch_size: eager_batch,
-            workers: eager_batch.min(8),
-            speculation: SpeculationMode::Eager,
-            budget: accrel_core::SearchBudget::shallow(),
-            ..RunOptions::default()
-        };
-        let request = RunRequest::new(slept.query.clone())
-            .with_strategy(Strategy::LtrGuided)
-            .with_options(options);
-        let start = Instant::now();
-        let report = Threaded::new(&slept.federation).execute(&request, &slept.initial);
-        let wall = start.elapsed().as_secs_f64() * 1e6;
-        let series = "E5 federation (ltr-guided, eager)";
-        rows.push(Row::new(
-            series,
-            eager_batch,
-            "wall µs/access",
-            wall / report.accesses_made.max(1) as f64,
-        ));
-        rows.push(Row::new(
-            series,
-            eager_batch,
-            "accesses",
-            report.accesses_made as f64,
-        ));
-        rows.push(Row::new(
-            series,
-            eager_batch,
-            "speculative shard copies",
-            report.batch_stats.speculative_shard_copies as f64,
-        ));
-        rows.push(Row::new(
-            series,
-            eager_batch,
-            "trail ops pushed",
-            report.trail_ops.pushed as f64,
-        ));
-        rows.push(Row::new(
-            series,
-            eager_batch,
-            "trail ops undone",
-            report.trail_ops.undone as f64,
         ));
     }
     // Read-set invalidation against its relation-level baseline on a
@@ -996,19 +877,6 @@ pub fn f3_serving_sweep(
             "session calls",
             report.session_calls() as f64,
         ));
-        // Speculation cost across all sessions: with trail-backed probes no
-        // session run spends shard copies on prediction, whatever the mix of
-        // speculation modes.
-        rows.push(Row::new(
-            series,
-            sessions,
-            "speculative shard copies",
-            report
-                .sessions
-                .iter()
-                .map(|s| s.report.batch_stats.speculative_shard_copies)
-                .sum::<u64>() as f64,
-        ));
         rows.push(Row::new(series, sessions, "wall µs", wall));
     }
     Table {
@@ -1031,6 +899,11 @@ pub fn f3_serving_sweep(
 /// ledger (trips, open-circuit skips, dead-source skips) that show the
 /// resilience machinery actually engaged rather than the script never
 /// firing.
+///
+/// Batches are fetched by a single worker: with several, concurrent calls
+/// race on the shared circuit breaker, and the ledger rows (open-circuit
+/// skips in particular) vary from run to run. Batches of 8 still exercise
+/// prefetching, failover and the breaker.
 pub fn f4_chaos_sweep(world: &fixtures::FederationWorld, max_accesses: usize) -> Table {
     let facts = world.facts();
     let mut rows = Vec::new();
@@ -1061,7 +934,7 @@ pub fn f4_chaos_sweep(world: &fixtures::FederationWorld, max_accesses: usize) ->
             max_accesses,
             stop_when_certain: false,
             batch_size: 8,
-            workers: 4,
+            workers: 1,
             speculation: SpeculationMode::CachedOnly,
             ..RunOptions::default()
         };

@@ -136,7 +136,7 @@ fn disjunct_non_containment(
         &[],
         &mut fresh,
         budget.max_valuations,
-        |conf, h, fresh| {
+        |h, fresh| {
             // The facts of the disjunct image that are not yet known.
             let mut needed = Vec::new();
             for atom in disjunct.atoms() {
@@ -163,7 +163,6 @@ fn disjunct_non_containment(
                     &needed,
                     &base,
                     methods,
-                    conf,
                     budget,
                     &mut plan_fresh,
                     alternative,

@@ -33,12 +33,17 @@
 //! access can change a certain Boolean answer) and then runs its search.
 //! Callers that track certainty themselves run the search alone:
 //! [`is_immediately_relevant_given_uncertain`] and
-//! [`is_long_term_relevant_given_uncertain_trailed`].
+//! [`is_long_term_relevant_given_uncertain`].
 //!
 //! The containment and dependent-LTR witness searches stream candidate
 //! valuations one at a time and stop at the first witness, so the
 //! [`SearchBudget`] caps the valuations a search visits rather than sizing
 //! a list it builds up front.
+//!
+//! Every procedure takes `&Configuration` and only reads it. Hypothetical
+//! facts — a witness's later facts, a truncated path's responses — are
+//! evaluated as an overlay on the configuration's store
+//! (`accrel_query::eval::holds_cq_with_extra`), never inserted into it.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -55,7 +60,7 @@ mod search;
 pub use budget::SearchBudget;
 pub use containment::{is_contained, ContainmentOutcome, NonContainmentWitness};
 pub use ir::{is_immediately_relevant, is_immediately_relevant_given_uncertain, IrWitness};
-pub use ltr_dependent::{is_ltr_dependent, is_ltr_dependent_trailed};
+pub use ltr_dependent::is_ltr_dependent;
 pub use ltr_independent::is_ltr_independent;
 
 use accrel_access::{Access, AccessMethods, AccessMode};
@@ -76,36 +81,23 @@ pub fn is_long_term_relevant(
     methods: &AccessMethods,
     budget: &SearchBudget,
 ) -> bool {
-    is_long_term_relevant_trailed(query, &mut conf.snapshot(), access, methods, budget)
-}
-
-/// The trail-backed variant of [`is_long_term_relevant`] for callers that
-/// own their configuration mutably (the engine loop and its eager batch
-/// predictor): the dependent-access witness search speculates on the
-/// live store under a trail mark instead of snapshotting it, and `conf` is
-/// restored byte-for-byte before returning. The independent-access
-/// procedure is read-only and dispatches unchanged.
-pub fn is_long_term_relevant_trailed(
-    query: &Query,
-    conf: &mut Configuration,
-    access: &Access,
-    methods: &AccessMethods,
-    budget: &SearchBudget,
-) -> bool {
     if all_independent(methods) {
         ltr_independent::is_ltr_independent_budgeted(query, conf, access, methods, budget)
     } else {
-        ltr_dependent::is_ltr_dependent_trailed(query, conf, access, methods, budget)
+        ltr_dependent::is_ltr_dependent(query, conf, access, methods, budget)
     }
 }
 
-/// [`is_long_term_relevant_trailed`] for a Boolean `query` the caller knows
-/// is not certain at `conf`: the same dispatch to the same searches, minus
-/// their certainty pre-checks. On a certain query the answer is
-/// meaningless.
-pub fn is_long_term_relevant_given_uncertain_trailed(
+/// The former name of [`is_long_term_relevant`], kept only because the
+/// benchmark package's traced replay still calls it (ROADMAP direction 4.2).
+pub use self::is_long_term_relevant as is_long_term_relevant_trailed;
+
+/// [`is_long_term_relevant`] for a Boolean `query` the caller knows is not
+/// certain at `conf`: the same dispatch to the same searches, minus their
+/// certainty pre-checks. On a certain query the answer is meaningless.
+pub fn is_long_term_relevant_given_uncertain(
     query: &Query,
-    conf: &mut Configuration,
+    conf: &Configuration,
     access: &Access,
     methods: &AccessMethods,
     budget: &SearchBudget,
@@ -113,9 +105,7 @@ pub fn is_long_term_relevant_given_uncertain_trailed(
     if all_independent(methods) {
         ltr_independent::is_ltr_independent_given_uncertain(query, conf, access, methods, budget)
     } else {
-        ltr_dependent::is_ltr_dependent_given_uncertain_trailed(
-            query, conf, access, methods, budget,
-        )
+        ltr_dependent::is_ltr_dependent_given_uncertain(query, conf, access, methods, budget)
     }
 }
 

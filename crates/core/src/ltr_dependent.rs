@@ -18,10 +18,10 @@
 //!   well-formedness probe — and its `false` has an empty read set and is
 //!   exact whatever the budget.
 //! * **Certainty.** A certain Boolean query has no relevant access.
-//!   [`is_ltr_dependent_trailed`] checks it before the search; a caller that
+//!   [`is_ltr_dependent`] checks it before the search; a caller that
 //!   already knows the query is not certain (the engine's per-run certainty
 //!   status) runs the dead-end check and the search alone through
-//!   [`crate::is_long_term_relevant_given_uncertain_trailed`]. The certainty
+//!   [`crate::is_long_term_relevant_given_uncertain`]. The certainty
 //!   checks *inside* the search, on truncated configurations, stay.
 //!
 //! The search mirrors the containment witness search (same crayfish-chase
@@ -41,7 +41,10 @@
 //!    path reaches — either because the second access of the constructed
 //!    path deliberately consumes a value only the initial response provides
 //!    (making the truncation collapse to `Conf`), or because even the full
-//!    set of later facts does not satisfy the query.
+//!    set of later facts does not satisfy the query. The truncation is a
+//!    function of `Conf` and the path's facts alone, so it is replayed as an
+//!    overlay: its facts are evaluated on top of the store, never written
+//!    to it, and the search only reads `Conf`.
 //!
 //! The NEXPTIME upper bound of Theorem 5.2 (2NEXPTIME for positive queries,
 //! Theorem 5.6) bounds the witness size; as for containment the search is
@@ -50,7 +53,7 @@
 use std::collections::HashSet;
 
 use accrel_access::{Access, AccessMethods, AccessMode};
-use accrel_query::{certain, ConjunctiveQuery, Query};
+use accrel_query::{certain, eval, ConjunctiveQuery, Query};
 use accrel_schema::{Configuration, DomainId, FreshSupply, RelationId, Tuple, Value};
 
 use crate::budget::SearchBudget;
@@ -60,30 +63,10 @@ use crate::search;
 /// Decides long-term relevance of `access` for `query` at `conf` when
 /// dependent access methods are in play (the access itself may be of either
 /// mode). Non-Boolean queries go through the Proposition 2.2 reduction.
-///
-/// This immutable entry point runs the witness search on a private
-/// copy-on-write snapshot of `conf`; callers that own their configuration
-/// mutably should prefer [`is_ltr_dependent_trailed`], which speculates on
-/// the live store under a trail mark and copies no shards at all.
+/// The search only reads `conf`.
 pub fn is_ltr_dependent(
     query: &Query,
     conf: &Configuration,
-    access: &Access,
-    methods: &AccessMethods,
-    budget: &SearchBudget,
-) -> bool {
-    let mut scratch = conf.snapshot();
-    is_ltr_dependent_trailed(query, &mut scratch, access, methods, budget)
-}
-
-/// The trail-backed variant of [`is_ltr_dependent`]: witness condition B's
-/// truncation replays mutate `conf` in place under a trail mark and are
-/// undone exactly, so no configuration snapshot (and, once the store is
-/// unshared, no copy-on-write shard copy) is ever made. `conf` is returned
-/// to its byte-for-byte pre-call state before every return.
-pub fn is_ltr_dependent_trailed(
-    query: &Query,
-    conf: &mut Configuration,
     access: &Access,
     methods: &AccessMethods,
     budget: &SearchBudget,
@@ -92,25 +75,24 @@ pub fn is_ltr_dependent_trailed(
         return false;
     }
     // A certain Boolean query cannot gain new certain answers.
-    let decide = |q: &Query, conf: &mut Configuration| {
+    let decide = |q: &Query| {
         !certain::is_certain(q, conf) && witness_search(q, conf, access, methods, budget)
     };
     if query.is_boolean() {
-        decide(query, conf)
+        decide(query)
     } else {
         reductions::boolean_instances(query, conf)
             .iter()
-            .any(|q| decide(q, conf))
+            .any(decide)
     }
 }
 
-/// [`is_ltr_dependent_trailed`] for a Boolean `query` the caller knows is
-/// not certain at `conf`: the dead-end check and the witness search,
-/// without the certainty pre-check. On a certain query the answer is
-/// meaningless.
-pub(crate) fn is_ltr_dependent_given_uncertain_trailed(
+/// [`is_ltr_dependent`] for a Boolean `query` the caller knows is not
+/// certain at `conf`: the dead-end check and the witness search, without
+/// the certainty pre-check. On a certain query the answer is meaningless.
+pub(crate) fn is_ltr_dependent_given_uncertain(
     query: &Query,
-    conf: &mut Configuration,
+    conf: &Configuration,
     access: &Access,
     methods: &AccessMethods,
     budget: &SearchBudget,
@@ -189,7 +171,7 @@ pub fn is_dead_end(query: &Query, access: &Access, methods: &AccessMethods) -> b
 /// valuation walk per disjunct.
 fn witness_search(
     query: &Query,
-    conf: &mut Configuration,
+    conf: &Configuration,
     access: &Access,
     methods: &AccessMethods,
     budget: &SearchBudget,
@@ -275,7 +257,7 @@ fn witness_search(
 fn disjunct_witness(
     query: &Query,
     disjunct: &ConjunctiveQuery,
-    conf: &mut Configuration,
+    conf: &Configuration,
     access: &Access,
     access_relation: RelationId,
     input_positions: &[usize],
@@ -285,7 +267,6 @@ fn disjunct_witness(
     budget: &SearchBudget,
     fresh: &mut FreshSupply,
 ) -> bool {
-    let schema = methods.schema();
     // The accessible-value pool over Adom(Conf) is constant across
     // valuations; build it once (the pool records the membership, minimum
     // and emptiness reads the planner actually performs, instead of a
@@ -300,7 +281,7 @@ fn disjunct_witness(
         generic_extra,
         fresh,
         budget.max_valuations,
-        |conf, h, fresh| {
+        |h, fresh| {
             // Partition the disjunct's image.
             let mut first_facts: Vec<(RelationId, Tuple)> = Vec::new();
             let mut later_facts: Vec<(RelationId, Tuple)> = Vec::new();
@@ -327,10 +308,10 @@ fn disjunct_witness(
             // facts + generic tuple).
             let mut base = conf_pool.clone();
             for (rel, tuple) in &first_facts {
-                absorb(&mut base, schema, *rel, tuple);
+                search::absorb_fact(*rel, tuple, methods, &mut base);
             }
             if let Some(t) = generic_tuple {
-                absorb(&mut base, schema, access_relation, t);
+                search::absorb_fact(access_relation, t, methods, &mut base);
             }
             // The (value, domain) pairs only the initial response provides.
             // Only the overlay can contain them — Adom(Conf) pairs never
@@ -349,7 +330,6 @@ fn disjunct_witness(
                     &later_facts,
                     &base,
                     methods,
-                    conf,
                     budget,
                     &mut plan_fresh,
                     alternative,
@@ -365,9 +345,7 @@ fn disjunct_witness(
                 // to Conf by inserting, right after the initial access, an
                 // access that consumes a value only the initial response
                 // provides.
-                if !new_pairs.is_empty()
-                    && break_access_exists(&new_pairs, &conf_pool, conf, methods)
-                {
+                if !new_pairs.is_empty() && break_access_exists(&new_pairs, &conf_pool, methods) {
                     // The query is not certain at Conf (checked by the
                     // caller), so the certain answers differ: witness found.
                     return Some(());
@@ -376,11 +354,12 @@ fn disjunct_witness(
                 // Witness condition B: replay the planned accesses without
                 // the initial one; the truncation keeps the longest
                 // well-formed prefix. The query must be false on what it
-                // reaches. The replay speculates on the live store under a
-                // trail mark — the certainty check runs inside the scope and
-                // every inserted response tuple is undone on exit, replacing
-                // the per-plan snapshot this path used to discard.
-                if replay_truncation_uncertain(query, conf, &plan, methods) {
+                // reaches.
+                let uncertain =
+                    replay_truncation_uncertain(query, conf, &conf_pool, &plan, methods);
+                #[cfg(test)]
+                tests::log_replay(&plan, uncertain);
+                if uncertain {
                     return Some(());
                 }
 
@@ -394,22 +373,6 @@ fn disjunct_witness(
     .is_some()
 }
 
-/// Adds the `(value, domain)` pairs of a fact to `pool`.
-fn absorb(
-    pool: &mut search::AdomPool,
-    schema: &accrel_schema::Schema,
-    relation: RelationId,
-    tuple: &Tuple,
-) {
-    if let Ok(rel) = schema.relation(relation) {
-        for (p, v) in tuple.iter().enumerate() {
-            if p < rel.arity() {
-                pool.insert(v.clone(), rel.domain_at(p));
-            }
-        }
-    }
-}
-
 /// Is there a dependent access method that could be called with one of the
 /// `new_pairs` values as an input (its remaining inputs fillable from the
 /// configuration or the new values)? Such an access, placed immediately
@@ -418,7 +381,6 @@ fn absorb(
 fn break_access_exists(
     new_pairs: &[(Value, DomainId)],
     conf_pool: &search::AdomPool,
-    conf: &Configuration,
     methods: &AccessMethods,
 ) -> bool {
     let schema = methods.schema();
@@ -438,7 +400,7 @@ fn break_access_exists(
                 fillable = false;
                 break;
             };
-            if !pool.has_domain(conf, d) {
+            if !pool.has_domain(d) {
                 fillable = false;
                 break;
             }
@@ -456,36 +418,111 @@ fn break_access_exists(
 /// Replays the planned accesses from `conf` without the initial access,
 /// keeping the maximal well-formed prefix (the truncation semantics), and
 /// reports whether the query is *not* certain on the configuration reached.
-/// The replay mutates `conf` in place under a trail mark and is undone
-/// before returning — allocation-free speculation instead of a discarded
-/// snapshot.
+///
+/// The replay reads `conf` and never writes it. `conf_pool` is the pool over
+/// `Adom(Conf)` alone: a step's dependent inputs must come from `Conf` or an
+/// earlier kept step, never from the initial response the truncation drops.
+/// Each step is checked in the order of [`Access::well_formed`] followed by
+/// [`accrel_access::Response::validate`] (binding arity, each dependent
+/// input, the response), so it makes the same active-domain probes; the
+/// first step that fails ends the truncation. The kept steps' facts are
+/// evaluated as an overlay on the store.
 fn replay_truncation_uncertain(
     query: &Query,
-    conf: &mut Configuration,
+    conf: &Configuration,
+    conf_pool: &search::AdomPool,
     plan: &search::FactPlan,
     methods: &AccessMethods,
 ) -> bool {
-    let path = plan.to_path(methods);
-    conf.speculate(|current| {
-        for step in path.steps() {
-            if accrel_access::apply_access_in_place(current, &step.access, &step.response, methods)
-                .is_err()
-            {
-                break;
-            }
+    let schema = methods.schema();
+    let mut pool = conf_pool.clone();
+    let mut kept: Vec<(RelationId, Tuple)> = Vec::new();
+    for step in plan.to_path(methods).steps() {
+        let (access, response) = (&step.access, &step.response);
+        if access.check_arity(methods).is_err() {
+            break;
         }
-        !certain::is_certain(query, current)
-    })
+        let Ok(m) = methods.get(access.method()) else {
+            break;
+        };
+        let inputs_accessible = m.mode() == AccessMode::Independent
+            || m.input_positions()
+                .iter()
+                .zip(access.binding().values())
+                .all(|(&pos, v)| {
+                    schema
+                        .domain_of(m.relation(), pos)
+                        .is_ok_and(|d| pool.contains(v, d))
+                });
+        if !inputs_accessible || response.validate(access, methods).is_err() {
+            break;
+        }
+        for tuple in response.tuples() {
+            search::absorb_fact(m.relation(), tuple, methods, &mut pool);
+            kept.push((m.relation(), tuple.clone()));
+        }
+    }
+    !query
+        .ucq()
+        .iter()
+        .any(|d| eval::holds_cq_with_extra(d, conf.store(), &kept))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use accrel_access::enumerate::{well_formed_accesses, EnumerationOptions};
-    use accrel_access::{binding, AccessMode};
+    use accrel_access::{binding, AccessMode, AccessPath, Response};
     use accrel_query::{ConjunctiveQuery, PositiveQuery, Term, VarId};
     use accrel_schema::Schema;
+    use std::cell::RefCell;
     use std::sync::Arc;
+
+    /// A plan witness condition B replayed, with the replay's verdict.
+    type Replay = (search::FactPlan, bool);
+
+    thread_local! {
+        /// The replays witness condition B runs on this thread, while
+        /// [`replays_during`] listens.
+        static REPLAYED: RefCell<Option<Vec<Replay>>> = const { RefCell::new(None) };
+    }
+
+    /// Records a replay condition B ran, if a test listens.
+    pub(super) fn log_replay(plan: &search::FactPlan, uncertain: bool) {
+        REPLAYED.with(|log| {
+            if let Some(replays) = log.borrow_mut().as_mut() {
+                replays.push((plan.clone(), uncertain));
+            }
+        });
+    }
+
+    /// Runs `search` and returns the replays condition B ran during it.
+    fn replays_during(search: impl FnOnce()) -> Vec<Replay> {
+        REPLAYED.with(|log| *log.borrow_mut() = Some(Vec::new()));
+        search();
+        REPLAYED.with(|log| log.borrow_mut().take().unwrap_or_default())
+    }
+
+    /// Condition B by the paper's definition, through `accrel-access`: the
+    /// path is the initial access followed by the plan's steps, its
+    /// truncation is replayed from `conf` by applying each access, and the
+    /// query must not be certain at the configuration that reaches. Also
+    /// returns how many steps the truncation kept.
+    fn truncation_by_definition(
+        query: &Query,
+        conf: &Configuration,
+        initial: &Access,
+        plan: &search::FactPlan,
+        methods: &AccessMethods,
+    ) -> (bool, usize) {
+        let mut path = AccessPath::new();
+        path.push(initial.clone(), Response::empty());
+        for step in plan.to_path(methods).steps() {
+            path.push(step.access.clone(), step.response.clone());
+        }
+        let (kept, reached) = path.truncate(conf, methods);
+        (!certain::is_certain(query, &reached), kept.len())
+    }
 
     /// Example 2.1: schema with S and T, Q = S ⋈ T, dependent access on T.
     fn example_2_1() -> (Arc<Schema>, AccessMethods, Query) {
@@ -747,13 +784,11 @@ mod tests {
         // Feed's output domain B is acc0's input domain.
         assert!(!is_dead_end(&q, &feed, &methods));
         let budget = SearchBudget::default();
-        assert!(!witness_search(&q, &mut conf, &dead, &methods, &budget));
+        assert!(!witness_search(&q, &conf, &dead, &methods, &budget));
         assert!(is_ltr_dependent(&q, &conf, &feed, &methods, &budget));
         // The dead-end verdict reads nothing from the configuration.
         conf.begin_read_tracking_with(accrel_schema::AdomPrecision::Precise);
-        assert!(!is_ltr_dependent_trailed(
-            &q, &mut conf, &dead, &methods, &budget
-        ));
+        assert!(!is_ltr_dependent(&q, &conf, &dead, &methods, &budget));
         assert!(conf.take_read_set().is_empty());
     }
 
@@ -785,7 +820,7 @@ mod tests {
         assert!(is_dead_end(&q, &access, &methods));
         assert!(!witness_search(
             &q,
-            &mut conf,
+            &conf,
             &access,
             &methods,
             &SearchBudget::default()
@@ -942,7 +977,7 @@ mod tests {
         };
         let (mut accesses, mut dead_ends) = (0, 0);
         for seed in 0..400 {
-            let (methods, mut conf, queries) = random_world(seed);
+            let (methods, conf, queries) = random_world(seed);
             let candidates = well_formed_accesses(&conf, &methods, &options);
             for q in &queries {
                 for access in &candidates {
@@ -950,7 +985,7 @@ mod tests {
                     if is_dead_end(q, access, &methods) {
                         dead_ends += 1;
                         assert!(
-                            !witness_search(q, &mut conf, access, &methods, &budget),
+                            !witness_search(q, &conf, access, &methods, &budget),
                             "seed {seed}: dead end {access:?} is relevant for {q:?}"
                         );
                     }
@@ -960,6 +995,185 @@ mod tests {
         assert!(
             dead_ends >= 1_000,
             "only {dead_ends} dead ends in {accesses} accesses"
+        );
+    }
+
+    #[test]
+    fn overlay_replays_agree_with_the_truncation_of_the_access_path() {
+        // Every replay witness condition B runs on random mixed worlds, and
+        // the same plan with its steps reversed (which the truncation cuts
+        // far more often), checked against the paper's truncation applied
+        // access by access.
+        let budget = SearchBudget::default().with_max_valuations(200);
+        let options = EnumerationOptions {
+            guessable_values: vec![Value::int(7)],
+            max_accesses: usize::MAX,
+        };
+        let (mut replays, mut witness_cuts) = (0, 0);
+        let (mut compared, mut cut, mut uncertain) = (0, 0, 0);
+        for seed in 0..400 {
+            let (methods, conf, queries) = random_world(seed);
+            let pool = search::AdomPool::of(&conf);
+            for q in &queries {
+                for access in &well_formed_accesses(&conf, &methods, &options) {
+                    let run = replays_during(|| {
+                        witness_search(q, &conf, access, &methods, &budget);
+                    });
+                    replays += run.len();
+                    for (plan, verdict) in run {
+                        let mut reversed = plan.clone();
+                        reversed.ordered.reverse();
+                        let reversed_verdict =
+                            replay_truncation_uncertain(q, &conf, &pool, &reversed, &methods);
+                        for (i, (plan, overlay)) in [(plan, verdict), (reversed, reversed_verdict)]
+                            .into_iter()
+                            .enumerate()
+                        {
+                            let (defined, kept) =
+                                truncation_by_definition(q, &conf, access, &plan, &methods);
+                            assert_eq!(
+                                overlay, defined,
+                                "seed {seed}: {access:?} for {q:?}, plan {plan:?}"
+                            );
+                            let was_cut = kept < plan.ordered.len();
+                            witness_cuts += usize::from(i == 0 && was_cut);
+                            compared += 1;
+                            cut += usize::from(was_cut);
+                            uncertain += usize::from(overlay);
+                        }
+                    }
+                }
+            }
+        }
+        // 65,162 replays, 4 of them cut (a cut witness plan is rare: a step
+        // fed by the initial response usually makes condition A hold
+        // first); of the 130,324 compared, 40,516 are cut and 41,310 leave
+        // the query uncertain.
+        assert!(replays >= 50_000, "only {replays} plans replayed");
+        assert!(witness_cuts >= 1, "no witness replay cut a step");
+        assert!(cut >= 30_000, "only {cut} of {compared} replays cut a step");
+        assert!(
+            uncertain >= 30_000 && compared - uncertain >= 30_000,
+            "{uncertain} of {compared} replays left the query uncertain"
+        );
+    }
+
+    /// `Init(a)`, `S(a)` and `T(k, v)`, with free dependent methods on
+    /// `Init` and `S` and a dependent method on `T` keyed by `k`, and the
+    /// empty configuration.
+    fn replay_world() -> (AccessMethods, Configuration) {
+        let mut b = Schema::builder();
+        let d = b.domain("D").unwrap();
+        let e = b.domain("E").unwrap();
+        b.relation("Init", &[("a", d)]).unwrap();
+        b.relation("S", &[("a", d)]).unwrap();
+        b.relation("T", &[("k", d), ("v", e)]).unwrap();
+        let schema = b.build();
+        let mut mb = AccessMethods::builder(schema.clone());
+        mb.add_free("InitAll", "Init", AccessMode::Dependent)
+            .unwrap();
+        mb.add_free("SAll", "S", AccessMode::Dependent).unwrap();
+        mb.add("TByK", "T", &["k"], AccessMode::Dependent).unwrap();
+        (mb.build(), Configuration::empty(schema))
+    }
+
+    /// A plan producing `facts` in order, each by its relation's method.
+    fn plan_of(methods: &AccessMethods, facts: &[(&str, &[&str])]) -> search::FactPlan {
+        let ordered = facts
+            .iter()
+            .map(|(relation, values)| {
+                let relation = methods.schema().relation_by_name(relation).unwrap();
+                search::PlannedFact {
+                    relation,
+                    tuple: Tuple::new(values.iter().map(|v| Value::sym(*v)).collect()),
+                    method: methods.methods_for(relation)[0],
+                }
+            })
+            .collect();
+        search::FactPlan {
+            ordered,
+            aux_count: 0,
+        }
+    }
+
+    #[test]
+    fn a_step_fed_by_an_earlier_kept_step_is_kept() {
+        // Q = ∃x,y S(x) ∧ T(x, y). T(v, w)? needs v, which only the kept
+        // step S() → S(v) supplies: both are kept and Q holds.
+        let (methods, conf) = replay_world();
+        let plan = |facts: &[(&str, &[&str])]| plan_of(&methods, facts);
+        let schema = conf.schema().clone();
+        let mut qb = ConjunctiveQuery::builder(schema);
+        let (x, y) = (qb.var("x"), qb.var("y"));
+        qb.atom("S", vec![Term::Var(x)]).unwrap();
+        qb.atom("T", vec![Term::Var(x), Term::Var(y)]).unwrap();
+        let q: Query = qb.build().into();
+        let initial = Access::new(
+            methods.by_name("InitAll").unwrap(),
+            binding(Vec::<&str>::new()),
+        );
+        let pool = search::AdomPool::of(&conf);
+        let fed = plan(&[("S", &["v"]), ("T", &["v", "w"])]);
+        assert!(!replay_truncation_uncertain(
+            &q, &conf, &pool, &fed, &methods
+        ));
+        assert_eq!(
+            truncation_by_definition(&q, &conf, &initial, &fed, &methods),
+            (false, 2)
+        );
+        // Without the feeding step, T(v, w)? is cut.
+        let unfed = plan(&[("T", &["v", "w"])]);
+        assert!(replay_truncation_uncertain(
+            &q, &conf, &pool, &unfed, &methods
+        ));
+        assert_eq!(
+            truncation_by_definition(&q, &conf, &initial, &unfed, &methods),
+            (true, 0)
+        );
+    }
+
+    #[test]
+    fn a_step_fed_only_by_the_initial_response_is_cut_with_all_after_it() {
+        // Q = ∃x S(x). The initial access Init() returns Init(v); the plan's
+        // T(v, w)? needs v, which Conf does not hold, so the truncation ends
+        // before it, and the well-formed S() → S(u) after it goes too.
+        let (methods, conf) = replay_world();
+        let plan = |facts: &[(&str, &[&str])]| plan_of(&methods, facts);
+        let mut qb = ConjunctiveQuery::builder(conf.schema().clone());
+        let x = qb.var("x");
+        qb.atom("S", vec![Term::Var(x)]).unwrap();
+        let q: Query = qb.build().into();
+        let initial = Access::new(
+            methods.by_name("InitAll").unwrap(),
+            binding(Vec::<&str>::new()),
+        );
+        let pool = search::AdomPool::of(&conf);
+        let blocked = plan(&[("T", &["v", "w"]), ("S", &["u"])]);
+        // The whole path, initial response included, is well-formed.
+        let mut path = AccessPath::new();
+        path.push(
+            initial.clone(),
+            Response::new(vec![Tuple::new(vec![Value::sym("v")])]),
+        );
+        for step in blocked.to_path(&methods).steps() {
+            path.push(step.access.clone(), step.response.clone());
+        }
+        assert!(path.is_well_formed_at(&conf, &methods));
+        assert!(replay_truncation_uncertain(
+            &q, &conf, &pool, &blocked, &methods
+        ));
+        assert_eq!(
+            truncation_by_definition(&q, &conf, &initial, &blocked, &methods),
+            (true, 0)
+        );
+        // S() → S(u) alone survives and makes Q hold.
+        let open = plan(&[("S", &["u"])]);
+        assert!(!replay_truncation_uncertain(
+            &q, &conf, &pool, &open, &methods
+        ));
+        assert_eq!(
+            truncation_by_definition(&q, &conf, &initial, &open, &methods),
+            (false, 1)
         );
     }
 

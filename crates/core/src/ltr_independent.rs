@@ -31,7 +31,7 @@
 //! [`is_ltr_independent_budgeted`] checks certainty before searching. A
 //! caller that already knows the query is not certain (the engine's
 //! per-run certainty status) runs the same search without that check,
-//! through [`crate::is_long_term_relevant_given_uncertain_trailed`].
+//! through [`crate::is_long_term_relevant_given_uncertain`].
 //!
 //! The module also implements the polynomial connected-component test of
 //! Proposition 4.3 for conjunctive queries in which the accessed relation
@@ -42,7 +42,7 @@
 use std::collections::HashMap;
 
 use accrel_access::{Access, AccessMethods};
-use accrel_query::{certain, eval, ConjunctiveQuery, Query, Term, Valuation, VarId};
+use accrel_query::{certain, eval, ConjunctiveQuery, Query, Valuation, VarId};
 use accrel_schema::{Configuration, FreshSupply, RelationId, Tuple, Value};
 
 use crate::budget::SearchBudget;
@@ -249,10 +249,11 @@ fn disjunct_has_witness(
 /// The Proposition 4.3 polynomial test for Boolean conjunctive queries where
 /// the accessed relation occurs exactly once.
 ///
-/// Returns `None` when the preconditions do not hold (the accessed relation
-/// occurs zero or several times, or some query relation other than the
-/// accessed one has no access method — the proposition implicitly assumes
-/// every relation is accessible).
+/// Returns `None` when the preconditions do not hold (the binding's arity
+/// differs from the method's inputs, the accessed relation occurs zero or
+/// several times, or some query relation other than the accessed one has
+/// no access method — the proposition implicitly assumes every relation is
+/// accessible).
 pub fn ltr_single_occurrence(
     query: &ConjunctiveQuery,
     conf: &Configuration,
@@ -262,6 +263,7 @@ pub fn ltr_single_occurrence(
     if !query.is_boolean() {
         return None;
     }
+    access.check_arity(methods).ok()?;
     let method = methods.get(access.method()).ok()?;
     let access_relation = method.relation();
     if query.occurrences_of(access_relation) != 1 {
@@ -271,31 +273,18 @@ pub fn ltr_single_occurrence(
         return None;
     }
     // The unique partial mapping h substituting the binding into the
-    // accessed subgoal; `None` result (conflict) means not LTR.
+    // accessed subgoal; a conflict means not LTR.
     let subgoal_index = query
         .atoms()
         .iter()
         .position(|a| a.relation() == access_relation)?;
     let subgoal = &query.atoms()[subgoal_index];
-    let mut mapping: HashMap<VarId, Value> = HashMap::new();
-    for (k, &pos) in method.input_positions().iter().enumerate() {
-        let bound = access.binding().get(k)?;
-        match subgoal.term_at(pos) {
-            Some(Term::Const(c)) => {
-                if c != bound {
-                    return Some(false);
-                }
-            }
-            Some(Term::Var(v)) => match mapping.get(v) {
-                Some(existing) if existing != bound => return Some(false),
-                _ => {
-                    mapping.insert(*v, bound.clone());
-                }
-            },
-            None => return Some(false),
-        }
-    }
-    let qh = query.substitute(&mapping);
+    let Some(h) =
+        search::charge_to_access(subgoal, &Valuation::new(), access, method.input_positions())
+    else {
+        return Some(false);
+    };
+    let qh = query.substitute(h.as_map());
     // Components of the subgoal graph of Qh; drop those already satisfied in
     // Conf; the access is LTR iff the accessed subgoal survives.
     for component in qh.connected_components() {
@@ -540,6 +529,41 @@ mod tests {
                 assert_eq!(fast, Some(general), "binding {b} conf {conf}");
             }
         }
+    }
+
+    #[test]
+    fn single_occurrence_charges_repeated_variables_and_checks_binding_arity() {
+        // Q = ∃x R(x, x) with an independent method binding both places.
+        let (schema, _) = setup();
+        let mut mb = AccessMethods::builder(schema.clone());
+        let both = mb
+            .add("RBoth", "R", &["a", "b"], AccessMode::Independent)
+            .unwrap();
+        let methods = mb.build();
+        let mut qb = ConjunctiveQuery::builder(schema.clone());
+        let x = qb.var("x");
+        qb.atom("R", vec![Term::Var(x), Term::Var(x)]).unwrap();
+        let cq = qb.build();
+        let q: Query = cq.clone().into();
+        let conf = Configuration::empty(schema);
+        // x cannot take both a and b: the subgoal is never charged.
+        let split = Access::new(both, binding(["a", "b"]));
+        assert_eq!(
+            ltr_single_occurrence(&cq, &conf, &split, &methods),
+            Some(false)
+        );
+        assert!(!is_ltr_independent(&q, &conf, &split, &methods));
+        let same = Access::new(both, binding(["a", "a"]));
+        let general = is_ltr_independent(&q, &conf, &same, &methods);
+        assert!(general);
+        assert_eq!(
+            ltr_single_occurrence(&cq, &conf, &same, &methods),
+            Some(general)
+        );
+        // A binding shorter than the method's inputs fails the
+        // preconditions instead of counting as a conflict.
+        let short = Access::new(both, binding(["a"]));
+        assert_eq!(ltr_single_occurrence(&cq, &conf, &short, &methods), None);
     }
 
     #[test]

@@ -21,7 +21,6 @@
 //!   well-formed accesses, within a [`SearchBudget`].
 
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::ops::Deref;
 
 use accrel_access::{
     Access, AccessMethodId, AccessMethods, AccessMode, AccessPath, Binding, Response,
@@ -83,35 +82,37 @@ pub(crate) fn charge_to_access(
 /// overlay hits touch the store not at all — every answer is stable under
 /// monotone growth of reads the pool did not record.
 ///
-/// The pool holds no borrow of the configuration (the dependent-LTR search
-/// needs `&mut Configuration` for its trail-backed truncation replays while
-/// a pool is alive); callers pass the configuration to each probing method.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct AdomPool {
+/// The pool borrows its configuration, so the configuration cannot grow
+/// while a pool built from it is alive.
+#[derive(Debug, Clone)]
+pub(crate) struct AdomPool<'c> {
+    /// The configuration whose active domain the pool extends; probes that
+    /// miss the overlay are recorded on it.
+    conf: &'c Configuration,
     /// Minimum active-domain value per populated domain, snapshotted
-    /// untracked at construction (the configuration does not grow during a
-    /// witness search — trailed replays are undone before the pool is
-    /// consulted again).
+    /// untracked at construction (valid while the borrow of `conf` is).
     base_mins: HashMap<DomainId, Value>,
     /// Values made accessible on top of `Adom(Conf)` (response tuples,
     /// generator-chain outputs). Membership here never touches the store.
     overlay: HashSet<(Value, DomainId)>,
 }
 
-impl AdomPool {
+impl<'c> AdomPool<'c> {
     /// The pool over `conf`'s active domain with an empty overlay.
-    pub(crate) fn of(conf: &Configuration) -> Self {
+    pub(crate) fn of(conf: &'c Configuration) -> Self {
         Self {
+            conf,
             base_mins: conf.adom_domain_mins_untracked(),
             overlay: HashSet::new(),
         }
     }
 
-    /// A detached pool holding exactly `pairs` (no backing configuration
-    /// side — membership and min probes see the overlay only).
+    /// A pool holding exactly `pairs` on top of `conf`, whose minimum
+    /// values it does not consult.
     #[cfg(test)]
-    pub(crate) fn from_pairs(pairs: HashSet<(Value, DomainId)>) -> Self {
+    pub(crate) fn from_pairs(conf: &'c Configuration, pairs: HashSet<(Value, DomainId)>) -> Self {
         Self {
+            conf,
             base_mins: HashMap::new(),
             overlay: pairs,
         }
@@ -129,18 +130,18 @@ impl AdomPool {
 
     /// Is `(value, domain)` accessible? Overlay hits are free; everything
     /// else is a recorded point probe of the active domain.
-    pub(crate) fn contains(&self, conf: &Configuration, value: &Value, domain: DomainId) -> bool {
+    pub(crate) fn contains(&self, value: &Value, domain: DomainId) -> bool {
         if self.overlay.contains(&(value.clone(), domain)) {
             return true;
         }
-        conf.adom_contains(value, domain)
+        self.conf.adom_contains(value, domain)
     }
 
     /// The least accessible value of `domain`, recording the walk: a prefix
     /// read bounded by the returned minimum (only a value sorting strictly
     /// below it changes the answer), or a whole-domain read when the domain
     /// was observed empty.
-    pub(crate) fn min_value(&self, conf: &Configuration, domain: DomainId) -> Option<Value> {
+    pub(crate) fn min_value(&self, domain: DomainId) -> Option<Value> {
         let overlay_min = self
             .overlay
             .iter()
@@ -153,18 +154,18 @@ impl AdomPool {
             (None, Some(b)) => Some(b),
             (None, None) => None,
         };
-        conf.rec_adom_walk(domain, min);
+        self.conf.rec_adom_walk(domain, min);
         min.cloned()
     }
 
     /// Is any value of `domain` accessible? A positive answer is stable
     /// under growth and records nothing; a negative one flips as soon as a
     /// value enters the domain and records a whole-domain read.
-    pub(crate) fn has_domain(&self, conf: &Configuration, domain: DomainId) -> bool {
+    pub(crate) fn has_domain(&self, domain: DomainId) -> bool {
         let populated =
             self.base_mins.contains_key(&domain) || self.overlay.iter().any(|(_, d)| *d == domain);
         if !populated {
-            conf.rec_adom_walk(domain, None);
+            self.conf.rec_adom_walk(domain, None);
         }
         populated
     }
@@ -172,13 +173,13 @@ impl AdomPool {
     /// The set of populated domains. Presence is stable under growth;
     /// absence is recorded as a whole-domain read for every schema domain
     /// the pool observed empty.
-    pub(crate) fn domains(&self, conf: &Configuration) -> HashSet<DomainId> {
+    pub(crate) fn domains(&self) -> HashSet<DomainId> {
         let mut populated: HashSet<DomainId> = self.base_mins.keys().copied().collect();
         populated.extend(self.overlay.iter().map(|(_, d)| *d));
-        for i in 0..conf.schema().domains().len() {
+        for i in 0..self.conf.schema().domains().len() {
             let d = DomainId(i as u32);
             if !populated.contains(&d) {
-                conf.rec_adom_walk(d, None);
+                self.conf.rec_adom_walk(d, None);
             }
         }
         populated
@@ -201,32 +202,27 @@ impl AdomPool {
 /// At most `limit` valuations are visited. Fresh nulls are drawn from
 /// `fresh` in depth-first order, the first time a null slot is used, so they
 /// are globally distinct from any other null in play. `visit` receives the
-/// configuration, the valuation and the supply as it stands after that
-/// valuation's nulls were drawn: a supply cloned from it invents values
-/// above every value of the valuation.
+/// valuation and the supply as it stands after that valuation's nulls were
+/// drawn: a supply cloned from it invents values above every value of the
+/// valuation.
 ///
-/// The configuration is passed through to `visit` (as `&Configuration` or
-/// `&mut Configuration`, so a visitor may speculate on it under a trail
-/// mark). Once the walk ends, the active-domain reads it made are recorded
-/// on it: per typed domain a visited-prefix read when every traversal of
+/// Once the walk ends, the active-domain reads it made are recorded on
+/// `conf`: per typed domain a visited-prefix read when every traversal of
 /// that domain's candidate list was cut — by `limit` or by the stop at a
 /// witness — and a whole-domain read when some traversal ran off the end of
 /// the list.
-pub(crate) fn find_valuation<C, T>(
+pub(crate) fn find_valuation<T>(
     cq: &ConjunctiveQuery,
-    mut conf: C,
+    conf: &Configuration,
     extra: &[ExtraValue],
     fresh: &mut FreshSupply,
     limit: usize,
-    mut visit: impl FnMut(&mut C, &HashMap<VarId, Value>, &FreshSupply) -> Option<T>,
-) -> Option<T>
-where
-    C: Deref<Target = Configuration>,
-{
+    mut visit: impl FnMut(&HashMap<VarId, Value>, &FreshSupply) -> Option<T>,
+) -> Option<T> {
     let mut vars: Vec<VarId> = cq.variables().into_iter().collect();
     vars.sort();
     if vars.is_empty() {
-        return visit(&mut conf, &HashMap::new(), fresh);
+        return visit(&HashMap::new(), fresh);
     }
     let var_domains = cq.infer_var_domains().unwrap_or_default();
 
@@ -272,7 +268,7 @@ where
         found: None,
         stats: vec![VisitStats::default(); vars.len()],
     };
-    walk.go(0, &mut conf, fresh, &mut visit);
+    walk.go(0, fresh, &mut visit);
 
     // Record what the walk consulted. Candidate lists are sorted and
     // deduplicated, so per typed domain the visited valuations are a
@@ -347,19 +343,18 @@ impl<T> ValuationWalk<'_, T> {
         self.found.is_some() || self.visited >= self.limit
     }
 
-    fn go<C>(
+    fn go(
         &mut self,
         idx: usize,
-        conf: &mut C,
         fresh: &mut FreshSupply,
-        visit: &mut impl FnMut(&mut C, &HashMap<VarId, Value>, &FreshSupply) -> Option<T>,
+        visit: &mut impl FnMut(&HashMap<VarId, Value>, &FreshSupply) -> Option<T>,
     ) {
         if self.halted() {
             return;
         }
         if idx == self.vars.len() {
             self.visited += 1;
-            self.found = visit(conf, &self.current, fresh);
+            self.found = visit(&self.current, fresh);
             return;
         }
         let v = self.vars[idx];
@@ -374,7 +369,7 @@ impl<T> ValuationWalk<'_, T> {
             let stats = &mut self.stats[idx];
             stats.max_pos = Some(stats.max_pos.map_or(pos, |m| m.max(pos)));
             self.current.insert(v, c.clone());
-            self.go(idx + 1, conf, fresh, visit);
+            self.go(idx + 1, fresh, visit);
         }
         if self.halted() {
             // The cut coincided with the end of the list: still only a
@@ -399,7 +394,7 @@ impl<T> ValuationWalk<'_, T> {
             if bumped {
                 self.used_slots.insert(dom, open + 1);
             }
-            self.go(idx + 1, conf, fresh, visit);
+            self.go(idx + 1, fresh, visit);
             if bumped {
                 self.used_slots.insert(dom, open);
             }
@@ -418,7 +413,7 @@ pub(crate) fn enumerate_valuations(
     limit: usize,
 ) -> Vec<HashMap<VarId, Value>> {
     let mut out = Vec::new();
-    find_valuation(cq, conf, extra, fresh, limit, |_, h, _| {
+    find_valuation(cq, conf, extra, fresh, limit, |h, _| {
         out.push(h.clone());
         None::<()>
     });
@@ -488,7 +483,6 @@ fn inputs_accessible(
     method_id: AccessMethodId,
     tuple: &Tuple,
     methods: &AccessMethods,
-    conf: &Configuration,
     accessible: &AdomPool,
 ) -> bool {
     let Ok(m) = methods.get(method_id) else {
@@ -503,7 +497,7 @@ fn inputs_accessible(
         let Ok(d) = schema.domain_of(m.relation(), p) else {
             return false;
         };
-        accessible.contains(conf, v, d)
+        accessible.contains(v, d)
     })
 }
 
@@ -513,7 +507,6 @@ fn missing_inputs(
     method_id: AccessMethodId,
     tuple: &Tuple,
     methods: &AccessMethods,
-    conf: &Configuration,
     accessible: &AdomPool,
 ) -> Vec<(Value, DomainId)> {
     let Ok(m) = methods.get(method_id) else {
@@ -529,7 +522,7 @@ fn missing_inputs(
         let Ok(d) = schema.domain_of(m.relation(), p) else {
             continue;
         };
-        if !accessible.contains(conf, v, d) {
+        if !accessible.contains(v, d) {
             out.push((v.clone(), d));
         }
     }
@@ -537,7 +530,12 @@ fn missing_inputs(
 }
 
 /// Adds every `(value, domain)` pair of a fact to the accessible pool.
-fn absorb_fact(relation: RelationId, tuple: &Tuple, methods: &AccessMethods, pool: &mut AdomPool) {
+pub(crate) fn absorb_fact(
+    relation: RelationId,
+    tuple: &Tuple,
+    methods: &AccessMethods,
+    pool: &mut AdomPool,
+) {
     let schema = methods.schema();
     let Ok(rel) = schema.relation(relation) else {
         return;
@@ -669,7 +667,6 @@ fn materialise_chain(
     chain: &GeneratorChain,
     needed: &Value,
     target: DomainId,
-    conf: &Configuration,
     accessible: &AdomPool,
     methods: &AccessMethods,
     fresh: &mut FreshSupply,
@@ -689,10 +686,10 @@ fn materialise_chain(
                 if m.mode() == AccessMode::Independent {
                     // Free guess: reuse an accessible value if there is one,
                     // otherwise invent a junk value.
-                    let candidate = pool.min_value(conf, d);
+                    let candidate = pool.min_value(d);
                     values.push(candidate.unwrap_or_else(|| fresh.next_value()));
                 } else {
-                    let candidate = pool.min_value(conf, d)?;
+                    let candidate = pool.min_value(d)?;
                     values.push(candidate);
                 }
             } else {
@@ -739,7 +736,6 @@ pub(crate) fn plan_production(
     needed: &[(RelationId, Tuple)],
     base: &AdomPool,
     methods: &AccessMethods,
-    conf: &Configuration,
     budget: &SearchBudget,
     fresh: &mut FreshSupply,
     alternative: usize,
@@ -761,7 +757,7 @@ pub(crate) fn plan_production(
                     .methods_for(rel)
                     .iter()
                     .copied()
-                    .find(|&mid| inputs_accessible(mid, &tuple, methods, conf, &accessible));
+                    .find(|&mid| inputs_accessible(mid, &tuple, methods, &accessible));
                 if let Some(mid) = method {
                     absorb_fact(rel, &tuple, methods, &mut accessible);
                     plan.ordered.push(PlannedFact {
@@ -784,7 +780,7 @@ pub(crate) fn plan_production(
         let mut best: Option<BestStuckChoice> = None;
         for (i, (rel, tuple)) in remaining.iter().enumerate() {
             for &mid in methods.methods_for(*rel) {
-                let missing = missing_inputs(mid, tuple, methods, conf, &accessible);
+                let missing = missing_inputs(mid, tuple, methods, &accessible);
                 // A fact on a relation without methods never gets here
                 // (methods_for is empty), handled below.
                 let better = match &best {
@@ -808,13 +804,13 @@ pub(crate) fn plan_production(
             return None;
         }
         for (value, domain) in missing {
-            let accessible_domains = accessible.domains(conf);
+            let accessible_domains = accessible.domains();
             let chains = chain_cache.chains(domain, &accessible_domains, methods, budget);
             if chains.is_empty() {
                 return None;
             }
             let chain = chains[alternative % chains.len()].clone();
-            let aux = materialise_chain(&chain, &value, domain, conf, &accessible, methods, fresh)?;
+            let aux = materialise_chain(&chain, &value, domain, &accessible, methods, fresh)?;
             if plan.aux_count + aux.len() > budget.max_aux_facts {
                 return None;
             }
@@ -826,7 +822,7 @@ pub(crate) fn plan_production(
         }
         // Now the chosen fact must be producible; place it.
         let (rel, tuple) = remaining[idx].clone();
-        if !inputs_accessible(mid, &tuple, methods, conf, &accessible) {
+        if !inputs_accessible(mid, &tuple, methods, &accessible) {
             return None;
         }
         absorb_fact(rel, &tuple, methods, &mut accessible);
@@ -966,7 +962,7 @@ mod tests {
         assert_eq!(all.len(), 6);
         for k in 1..=all.len() {
             let mut visits = 0;
-            let found = find_valuation(&q, &conf, &[], &mut FreshSupply::new(), 1000, |_, h, _| {
+            let found = find_valuation(&q, &conf, &[], &mut FreshSupply::new(), 1000, |h, _| {
                 visits += 1;
                 (visits == k).then(|| h.clone())
             });
@@ -975,18 +971,11 @@ mod tests {
         }
         // The supply a visitor sees has drawn every null of its valuation,
         // so a clone of it invents values above all of them.
-        find_valuation(
-            &q,
-            &conf,
-            &[],
-            &mut FreshSupply::new(),
-            1000,
-            |_, h, fresh| {
-                let next = fresh.clone().next_value();
-                assert!(h.values().all(|v| *v < next));
-                None::<()>
-            },
-        );
+        find_valuation(&q, &conf, &[], &mut FreshSupply::new(), 1000, |h, fresh| {
+            let next = fresh.clone().next_value();
+            assert!(h.values().all(|v| *v < next));
+            None::<()>
+        });
     }
 
     #[test]
@@ -1004,7 +993,7 @@ mod tests {
         let reads_of = |conf: &mut Configuration, stop_at: usize| {
             conf.begin_read_tracking_with(AdomPrecision::Precise);
             let mut visits = 0;
-            find_valuation(&q, &*conf, &[], &mut FreshSupply::new(), 1000, |_, _, _| {
+            find_valuation(&q, conf, &[], &mut FreshSupply::new(), 1000, |_, _| {
                 visits += 1;
                 (visits == stop_at).then_some(())
             });
@@ -1042,8 +1031,8 @@ mod tests {
         let d = schema.domain_by_name("D").unwrap();
         let mut base = HashSet::new();
         base.insert((Value::sym("c"), d));
-        let base = AdomPool::from_pairs(base);
         let empty_conf = Configuration::empty(schema.clone());
+        let base = AdomPool::from_pairs(&empty_conf, base);
         let v = Value::fresh(100);
         let w = Value::fresh(101);
         let needed = vec![
@@ -1055,7 +1044,6 @@ mod tests {
             &needed,
             &base,
             &methods,
-            &empty_conf,
             &SearchBudget::default(),
             &mut fresh,
             0,
@@ -1081,8 +1069,8 @@ mod tests {
         // access on S can generate it.
         let (schema, methods) = two_domain_setup();
         let t = schema.relation_by_name("T").unwrap();
-        let base = AdomPool::from_pairs(HashSet::new());
         let empty_conf = Configuration::empty(schema.clone());
+        let base = AdomPool::from_pairs(&empty_conf, HashSet::new());
         let v = Value::fresh(100);
         let w = Value::fresh(101);
         let needed = vec![(t, Tuple::new(vec![v.clone(), w]))];
@@ -1091,7 +1079,6 @@ mod tests {
             &needed,
             &base,
             &methods,
-            &empty_conf,
             &SearchBudget::default(),
             &mut fresh,
             0,
@@ -1122,9 +1109,8 @@ mod tests {
         let mut fresh = FreshSupply::above([Value::fresh(1)].iter());
         let plan = plan_production(
             &needed,
-            &AdomPool::from_pairs(HashSet::new()),
+            &AdomPool::of(&Configuration::empty(schema.clone())),
             &methods,
-            &Configuration::empty(schema.clone()),
             &SearchBudget::default(),
             &mut fresh,
             0,
@@ -1145,9 +1131,8 @@ mod tests {
         let mut fresh = FreshSupply::new();
         assert!(plan_production(
             &needed,
-            &AdomPool::from_pairs(HashSet::new()),
+            &AdomPool::of(&Configuration::empty(schema.clone())),
             &methods,
-            &Configuration::empty(schema.clone()),
             &SearchBudget::default(),
             &mut fresh,
             0,

@@ -23,7 +23,7 @@
 //! [`BatchStats`] describes the loop's batch structure instead.
 
 use accrel_access::Access;
-use accrel_schema::{Configuration, TrailOps, Tuple};
+use accrel_schema::{Configuration, Tuple};
 
 use crate::relevance::VerdictRecord;
 use crate::source::BackendStats;
@@ -83,12 +83,6 @@ pub struct BatchStats {
     /// The per-batch concurrency limit: worker threads for the threaded
     /// executor, the in-flight future cap for the async one.
     pub workers: usize,
-    /// Copy-on-write shard copies performed *inside* the merge loop's
-    /// speculative prediction regions (eager look-ahead). With trail-backed
-    /// speculation this is zero: tentative responses mutate the live store
-    /// under a trail mark and are undone in place instead of being replayed
-    /// on snapshots.
-    pub speculative_shard_copies: u64,
 }
 
 impl BatchStats {
@@ -161,20 +155,29 @@ pub struct RunReport {
     /// sequential executor).
     pub batch_stats: BatchStats,
     /// Copy-on-write shard copies the run's configuration handle performed:
-    /// the engine snapshots the initial configuration in O(relations) and a
-    /// growing round copies only the touched relation's shard (plus the
-    /// adom cache, plus the interner when the response carried new values).
-    /// Zero for runs whose responses never grew the configuration — and for
+    /// the engine snapshots the initial configuration in O(relations), and
+    /// the first growth of a relation copies that relation's shard (plus
+    /// the adom cache, plus the interner when the response carried new
+    /// values) while the initial configuration still shares it. Zero for
+    /// runs whose responses never grew the configuration — and for
     /// read-only snapshot consumers such as the parallel sweep workers.
     pub shard_copies: u64,
-    /// Trail activity of the run's configuration handle: undo entries pushed
-    /// by speculative probes (tentative-response replays in relevance
-    /// checks, the merge loop's eager look-ahead) and entries undone when
-    /// those probes rolled back. Speculation shows up here, never in
-    /// [`RunReport::shard_copies`].
+    /// Always zero: no decision procedure writes the configuration, so
+    /// there is nothing to undo. Kept only because the benchmark package
+    /// reads it (ROADMAP direction 4.2).
     pub trail_ops: TrailOps,
     /// The final configuration.
     pub final_configuration: Configuration,
+}
+
+/// The undo-log counters a [`RunReport`] once carried. Both are always
+/// zero; the type stays only for [`RunReport::trail_ops`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct TrailOps {
+    /// Undo entries recorded.
+    pub pushed: u64,
+    /// Undo entries replayed.
+    pub undone: u64,
 }
 
 #[cfg(test)]

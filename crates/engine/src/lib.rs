@@ -43,7 +43,7 @@ pub mod run;
 pub mod scenarios;
 mod source;
 
-pub use engine::{BatchStats, RunReport, Strategy};
+pub use engine::{BatchStats, RunReport, Strategy, TrailOps};
 pub use merge::{MergeLoop, MergeStep};
 pub use options::{InvalidationMode, RunOptions, SpeculationMode};
 pub use relevance::{RelevanceKind, RelevanceOracle, SharedVerdictCache, VerdictRecord};

@@ -25,10 +25,15 @@
 //! keeps one row watermark per relation: each round's refresh reads only the
 //! rows committed since the previous one and emits the accesses whose
 //! binding uses a value new to the active domain. The loop refreshes it
-//! between relevance checks, when no trail mark is open and no read recorder
-//! is installed, so the pending set always equals what full re-enumeration
-//! of the committed configuration would yield, less the accesses already
-//! consumed.
+//! between relevance checks, when no read recorder is installed, so the
+//! pending set always equals what full re-enumeration of the configuration
+//! would yield, less the accesses already consumed.
+//!
+//! The loop owns its working configuration, a snapshot of the initial one,
+//! and only its own responses write it: the decision procedures read it
+//! (the oracle borrows it mutably only to install its read recorder), and
+//! a response's first write to a shard still shared with the initial
+//! configuration copies that shard alone.
 //!
 //! # Determinism invariant
 //!
@@ -60,9 +65,9 @@ use accrel_access::enumerate::EnumerationOptions;
 use accrel_access::frontier::AccessFrontier;
 use accrel_access::{apply_access_in_place, Access, AccessMethods, Response};
 use accrel_query::{certain, Query};
-use accrel_schema::{Configuration, TrailOps, Tuple, Value};
+use accrel_schema::{Configuration, Tuple, Value};
 
-use crate::engine::{BatchStats, RunReport, Strategy};
+use crate::engine::{BatchStats, RunReport, Strategy, TrailOps};
 use crate::options::{RunOptions, SpeculationMode};
 use crate::relevance::{RelevanceKind, RelevanceOracle, SharedVerdictCache};
 
@@ -87,7 +92,6 @@ pub struct MergeLoop<'q> {
     methods: &'q AccessMethods,
     conf: Configuration,
     copies_before: u64,
-    trail_before: TrailOps,
     accesses_made: usize,
     accesses_skipped: usize,
     tuples_retrieved: usize,
@@ -120,16 +124,9 @@ impl<'q> MergeLoop<'q> {
     ) -> Self {
         let options = options.normalize();
         let mut conf = initial.snapshot();
-        // Own the working copy outright: relevance checks speculate on the
-        // live store under trail marks, and detaching the (small) initial
-        // shards up front keeps those probes free of lazy copy-on-write
-        // detaches.
-        conf.own_all_shards();
-        // Committed inserts queue invalidation events for the oracle;
-        // speculative (trailed) inserts roll back without queueing.
+        // Every response row queues an invalidation event for the oracle.
         conf.set_event_capture(true);
         let copies_before = conf.shard_copies();
-        let trail_before = conf.trail_ops();
         let oracle = RelevanceOracle::new(query, methods, &options);
         let frontier = AccessFrontier::new(
             methods,
@@ -149,7 +146,6 @@ impl<'q> MergeLoop<'q> {
             methods,
             conf,
             copies_before,
-            trail_before,
             accesses_made: 0,
             accesses_skipped: 0,
             tuples_retrieved: 0,
@@ -212,9 +208,6 @@ impl<'q> MergeLoop<'q> {
             }
             let selected = {
                 let candidates: Vec<&Access> = self.pending.iter().collect();
-                // The loop owns `conf`: relevance checks speculate on the
-                // live store under trail marks — zero shard copies per
-                // tentative-response probe.
                 self.oracle.select_trailed(
                     self.strategy,
                     &candidates,
@@ -233,10 +226,7 @@ impl<'q> MergeLoop<'q> {
                     .max_accesses
                     .saturating_sub(self.accesses_made)
                     .max(1);
-                let copies_at_predict = self.conf.shard_copies();
                 let batch = self.predict_batch(&access, allowance);
-                self.batch_stats.speculative_shard_copies +=
-                    self.conf.shard_copies() - copies_at_predict;
                 self.batch_stats.batches += 1;
                 self.batch_stats.max_batch = self.batch_stats.max_batch.max(batch.len());
                 self.batch_stats.batched_calls += batch.len();
@@ -276,8 +266,8 @@ impl<'q> MergeLoop<'q> {
         self.accesses_made += 1;
         self.access_sequence.push(access.clone());
         let before = self.conf.len();
-        // The loop exclusively owns its configuration (shards detached up
-        // front), so responses grow it in place — no per-round snapshot.
+        // The loop owns its configuration, so responses grow it in place —
+        // no per-round snapshot.
         let _ = apply_access_in_place(&mut self.conf, &access, &response, self.methods);
         if self.conf.len() > before {
             // The response grew exactly one relation (its method's): drain
@@ -324,7 +314,7 @@ impl<'q> MergeLoop<'q> {
             source_stats: Default::default(),
             batch_stats: self.batch_stats,
             shard_copies: self.conf.shard_copies() - self.copies_before,
-            trail_ops: self.conf.trail_ops().since(self.trail_before),
+            trail_ops: TrailOps::default(),
             final_configuration: self.conf,
         }
     }
@@ -348,9 +338,8 @@ impl<'q> MergeLoop<'q> {
 
     /// Eager prediction: replay the strategy's selection on a scratch oracle
     /// (new verdicts computed, then discarded) over the remaining pending
-    /// candidates. The replays speculate on the live configuration under
-    /// trail marks, so the whole prediction performs zero shard copies
-    /// (pinned by [`BatchStats::speculative_shard_copies`]).
+    /// candidates. The decision procedures only read the configuration, so
+    /// prediction never writes it.
     fn predict_eager(&mut self, batch: &mut Vec<Access>, limit: usize) {
         let mut scratch = self.oracle.scratch();
         let mut rest = self.pending.clone();

@@ -18,7 +18,7 @@
 //! how the run loop decides to stop and what its report says. With the
 //! cache on, a Boolean query's verdicts come from the decision procedures'
 //! bodies ([`is_immediately_relevant_given_uncertain`],
-//! [`is_long_term_relevant_given_uncertain_trailed`]) after the status
+//! [`is_long_term_relevant_given_uncertain`]) after the status
 //! ruled certainty out — a certain query makes every verdict `false`
 //! without a search. So a verdict's read set holds what its search read and
 //! no certainty pre-check. The one thing such a read set cannot see is the
@@ -32,8 +32,8 @@ use std::sync::{Arc, Mutex};
 
 use accrel_access::{Access, AccessMethods, AccessMode};
 use accrel_core::{
-    is_immediately_relevant, is_immediately_relevant_given_uncertain,
-    is_long_term_relevant_given_uncertain_trailed, is_long_term_relevant_trailed, SearchBudget,
+    is_immediately_relevant, is_immediately_relevant_given_uncertain, is_long_term_relevant,
+    is_long_term_relevant_given_uncertain, SearchBudget,
 };
 use accrel_query::certain::CertaintyStatus;
 use accrel_query::Query;
@@ -437,16 +437,13 @@ impl<'a> RelevanceOracle<'a> {
     }
 
     /// Runs the public decision procedure for `kind`, certainty pre-check
-    /// included. Long-term relevance replays tentative responses on the
-    /// live store under a trail mark and undoes them in place, so a
-    /// speculative probe performs zero shard copies and leaves `conf`
-    /// byte-for-byte unchanged.
-    fn decide(&self, kind: RelevanceKind, access: &Access, conf: &mut Configuration) -> bool {
+    /// included.
+    fn decide(&self, kind: RelevanceKind, access: &Access, conf: &Configuration) -> bool {
         let (query, methods) = (self.query, self.methods);
         match kind {
             RelevanceKind::Immediate => is_immediately_relevant(query, conf, access, methods),
             RelevanceKind::LongTerm => {
-                is_long_term_relevant_trailed(query, conf, access, methods, &self.budget)
+                is_long_term_relevant(query, conf, access, methods, &self.budget)
             }
         }
     }
@@ -455,12 +452,7 @@ impl<'a> RelevanceOracle<'a> {
     /// status says it is certain and the procedure's body otherwise (the
     /// status stands in for the pre-check); for any other query,
     /// [`Self::decide`].
-    fn decide_cached(
-        &self,
-        kind: RelevanceKind,
-        access: &Access,
-        conf: &mut Configuration,
-    ) -> bool {
+    fn decide_cached(&self, kind: RelevanceKind, access: &Access, conf: &Configuration) -> bool {
         if !self.query.is_boolean() {
             return self.decide(kind, access, conf);
         }
@@ -472,13 +464,9 @@ impl<'a> RelevanceOracle<'a> {
             RelevanceKind::Immediate => {
                 is_immediately_relevant_given_uncertain(query, conf, access, methods)
             }
-            RelevanceKind::LongTerm => is_long_term_relevant_given_uncertain_trailed(
-                query,
-                conf,
-                access,
-                methods,
-                &self.budget,
-            ),
+            RelevanceKind::LongTerm => {
+                is_long_term_relevant_given_uncertain(query, conf, access, methods, &self.budget)
+            }
         }
     }
 
@@ -486,6 +474,8 @@ impl<'a> RelevanceOracle<'a> {
     /// mode asks for (coarse adom recording for exact mode,
     /// per-domain/prefix recording for precise mode, none for
     /// relation-level), returning the verdict with the recorded [`ReadSet`].
+    /// Installing the recorder is the only reason `conf` is borrowed
+    /// mutably: the procedures themselves only read it.
     fn decide_recorded(
         &mut self,
         kind: RelevanceKind,
@@ -585,17 +575,16 @@ impl<'a> RelevanceOracle<'a> {
 
     /// Immediate-relevance check, via the cache when enabled. The witness
     /// search only reads `conf`; it is borrowed mutably to record the reads.
-    pub fn check_ir_trailed(&mut self, access: &Access, conf: &mut Configuration) -> bool {
+    pub fn check_ir(&mut self, access: &Access, conf: &mut Configuration) -> bool {
         self.check_at(RelevanceKind::Immediate, access, conf)
     }
 
-    /// Long-term-relevance check, via the cache when enabled: the
-    /// dependent-access witness search replays tentative responses on the
-    /// live store under a trail mark and restores `conf` byte-for-byte
-    /// before returning. Dependent-access LTR verdicts consult the global
-    /// active domain and so depend on every relation; all-independent
-    /// Boolean verdicts depend only on the query's relations.
-    pub fn check_ltr_trailed(&mut self, access: &Access, conf: &mut Configuration) -> bool {
+    /// Long-term-relevance check, via the cache when enabled. The witness
+    /// search only reads `conf`; it is borrowed mutably to record the reads.
+    /// Dependent-access LTR verdicts consult the global active domain and
+    /// so depend on every relation; all-independent Boolean verdicts depend
+    /// only on the query's relations.
+    pub fn check_ltr(&mut self, access: &Access, conf: &mut Configuration) -> bool {
         self.check_at(RelevanceKind::LongTerm, access, conf)
     }
 
@@ -652,8 +641,7 @@ impl<'a> RelevanceOracle<'a> {
     ///
     /// # Panics
     ///
-    /// Under an open trail mark or an installed read recorder (see
-    /// [`CertaintyStatus::refresh`]).
+    /// Under an installed read recorder (see [`CertaintyStatus::refresh`]).
     pub fn is_certain(&mut self, conf: &Configuration) -> bool {
         let was_certain = self.status.is_known_certain();
         let certain = self.status.refresh(conf);
@@ -735,9 +723,10 @@ impl<'a> RelevanceOracle<'a> {
 
     /// Picks the next access to execute from `candidates` (in candidate
     /// order) according to `strategy`, counting rejected candidates into
-    /// `skipped`. Relevance checks speculate on the live `conf` under trail
-    /// marks instead of snapshotting it — the selection performs zero shard
-    /// copies and leaves `conf` byte-for-byte unchanged.
+    /// `skipped`. The relevance checks only read `conf`, which is borrowed
+    /// mutably to record their reads; the selection leaves it byte-for-byte
+    /// unchanged. The name is historical: the benchmark package calls it
+    /// (ROADMAP direction 4.2).
     pub fn select_trailed(
         &mut self,
         strategy: Strategy,
@@ -838,19 +827,19 @@ mod tests {
         let options = RunOptions::default();
         let mut oracle = RelevanceOracle::new(&query, &methods, &options);
         assert!(!oracle.ltr_dep_is_global());
-        let first = oracle.check_ltr_trailed(&access, &mut conf);
+        let first = oracle.check_ltr(&access, &mut conf);
         assert_eq!(oracle.misses(), 1);
         // A response growing S (not mentioned by the query) must not flush
         // the verdict: the re-check is a cache hit with the same answer.
         conf.insert_named("S", ["unrelated"]).unwrap();
         oracle.invalidate(s);
-        assert_eq!(oracle.check_ltr_trailed(&access, &mut conf), first);
+        assert_eq!(oracle.check_ltr(&access, &mut conf), first);
         assert_eq!(oracle.hits(), 1);
         assert_eq!(oracle.misses(), 1);
         // Growth of the query's own relation still invalidates.
         conf.insert_named("R", ["k2", "w"]).unwrap();
         oracle.invalidate(r);
-        let _ = oracle.check_ltr_trailed(&access, &mut conf);
+        let _ = oracle.check_ltr(&access, &mut conf);
         assert_eq!(oracle.misses(), 2);
     }
 
@@ -862,13 +851,13 @@ mod tests {
         assert!(oracle.ltr_dep_is_global());
         // Make the access well-formed for the dependent mode check.
         conf.insert_named("R", ["k", "x"]).unwrap();
-        let _ = oracle.check_ltr_trailed(&access, &mut conf);
+        let _ = oracle.check_ltr(&access, &mut conf);
         assert_eq!(oracle.misses(), 1);
         // Any growth — the dependent witness search reads the global active
         // domain — flushes the verdict.
         conf.insert_named("S", ["unlocks-something"]).unwrap();
         oracle.invalidate(s);
-        let _ = oracle.check_ltr_trailed(&access, &mut conf);
+        let _ = oracle.check_ltr(&access, &mut conf);
         assert_eq!(oracle.misses(), 2);
         assert_eq!(oracle.hits(), 0);
     }
@@ -884,13 +873,13 @@ mod tests {
         let bindings = ["k", "seed", "zz"];
         let mut oracle = RelevanceOracle::new(&query, &methods, &options);
         for b in bindings {
-            let _ = oracle.check_ltr_trailed(&Access::new(r_acc, binding([b])), &mut conf);
+            let _ = oracle.check_ltr(&Access::new(r_acc, binding([b])), &mut conf);
         }
         conf.insert_named("S", ["later"]).unwrap();
         oracle.invalidate(s);
         for b in bindings {
             let access = Access::new(r_acc, binding([b]));
-            let cached = oracle.check_ltr_trailed(&access, &mut conf);
+            let cached = oracle.check_ltr(&access, &mut conf);
             let fresh = accrel_core::is_long_term_relevant(
                 &query,
                 &conf,
@@ -911,7 +900,7 @@ mod tests {
         assert!(shared.is_empty());
         let mut first =
             RelevanceOracle::new(&query, &methods, &options).with_shared_cache(42, shared.clone());
-        let verdict = first.check_ltr_trailed(&access, &mut conf);
+        let verdict = first.check_ltr(&access, &mut conf);
         assert_eq!(first.shared_hits(), 0);
         assert_eq!((shared.len(), shared.hits(), shared.misses()), (1, 0, 1));
         // A fresh oracle of the same class at the same configuration gets
@@ -920,7 +909,7 @@ mod tests {
         // entry is identical to the first oracle's.
         let mut second =
             RelevanceOracle::new(&query, &methods, &options).with_shared_cache(42, shared.clone());
-        assert_eq!(second.check_ltr_trailed(&access, &mut conf), verdict);
+        assert_eq!(second.check_ltr(&access, &mut conf), verdict);
         assert_eq!(second.misses(), 1);
         assert_eq!(second.shared_hits(), 1);
         assert_eq!(shared.hits(), 1);
@@ -928,15 +917,15 @@ mod tests {
         // A different class never shares.
         let mut other =
             RelevanceOracle::new(&query, &methods, &options).with_shared_cache(7, shared.clone());
-        let _ = other.check_ltr_trailed(&access, &mut conf);
+        let _ = other.check_ltr(&access, &mut conf);
         assert_eq!(other.shared_hits(), 0);
         assert_eq!(shared.len(), 2);
     }
 
     #[test]
-    fn trailed_checks_match_snapshot_procedures_and_leave_no_trace() {
-        // Dependent methods force the mutating LTR witness search — the
-        // interesting case for trail-backed speculation.
+    fn oracle_checks_match_the_procedures_and_leave_conf_unchanged() {
+        // Dependent methods run the dependent LTR witness search, whose
+        // truncation replays carry hypothetical facts.
         let (_, methods, query, mut conf, access, _, _) = setup(false);
         let options = RunOptions::default();
         conf.insert_named("R", ["k", "x"]).unwrap();
@@ -946,15 +935,14 @@ mod tests {
         let mut oracle = RelevanceOracle::new(&query, &methods, &options);
         let before = conf.sorted_facts();
         let copies_before = conf.shard_copies();
-        assert_eq!(oracle.check_ir_trailed(&access, &mut conf), expected_ir);
-        assert_eq!(oracle.check_ltr_trailed(&access, &mut conf), expected_ltr);
-        // Both procedures logged, the store restored, and — the point — no
-        // shard copies spent on the speculation.
+        assert_eq!(oracle.check_ir(&access, &mut conf), expected_ir);
+        assert_eq!(oracle.check_ltr(&access, &mut conf), expected_ltr);
+        // Both procedures logged; the configuration neither grew nor copied
+        // a shard.
         assert_eq!(oracle.take_log().len(), 2);
         assert_eq!(conf.sorted_facts(), before);
         assert_eq!(conf.shard_copies(), copies_before);
-        // Trailed selection follows the snapshot verdicts, strategy by
-        // strategy.
+        // Selection follows the procedures' verdicts, strategy by strategy.
         for (strategy, relevant) in [
             (Strategy::Exhaustive, true),
             (Strategy::IrGuided, expected_ir),
@@ -1005,13 +993,13 @@ mod tests {
             ..RunOptions::default()
         };
         let mut oracle = RelevanceOracle::new(&query, &methods, &options);
-        assert!(oracle.check_ir_trailed(&access, &mut conf));
+        assert!(oracle.check_ir(&access, &mut conf));
 
         conf.insert_named("T", ["9"]).unwrap();
         oracle.observe_growth(&mut conf, schema.relation_by_name("T").unwrap());
         assert_eq!(oracle.evictions(), 0, "the read set never saw T");
 
-        assert!(!oracle.check_ir_trailed(&access, &mut conf));
+        assert!(!oracle.check_ir(&access, &mut conf));
         assert!(!is_immediately_relevant(&query, &conf, &access, &methods));
         assert_eq!((oracle.evictions(), oracle.misses()), (1, 2));
     }
@@ -1023,7 +1011,7 @@ mod tests {
         let shared = SharedVerdictCache::new();
         let mut oracle =
             RelevanceOracle::new(&query, &methods, &options).with_shared_cache(1, shared.clone());
-        let _ = oracle.check_ltr_trailed(&access, &mut conf);
+        let _ = oracle.check_ltr(&access, &mut conf);
         assert_eq!(shared.len(), 1);
         // Growing the query's relation changes the version stamp: a fresh
         // same-class oracle misses the shared cache and publishes under the
@@ -1031,7 +1019,7 @@ mod tests {
         conf.insert_named("R", ["k9", "w9"]).unwrap();
         let mut regrown =
             RelevanceOracle::new(&query, &methods, &options).with_shared_cache(1, shared.clone());
-        let _ = regrown.check_ltr_trailed(&access, &mut conf);
+        let _ = regrown.check_ltr(&access, &mut conf);
         assert_eq!(regrown.shared_hits(), 0);
         assert_eq!(shared.len(), 2);
     }

@@ -115,15 +115,10 @@ impl<'q> CertaintyStatus<'q> {
     ///
     /// # Panics
     ///
-    /// If `conf` has an open trail mark or an installed read recorder: the
-    /// status describes committed facts only, and its reads must not leak
-    /// into a verdict's read set.
+    /// If `conf` has an installed read recorder: the status's reads must not
+    /// leak into a verdict's read set.
     pub fn refresh(&mut self, conf: &Configuration) -> bool {
         let store = conf.store();
-        assert!(
-            !store.trail_is_active(),
-            "certainty status refreshed under an open trail mark"
-        );
         assert!(
             !store.is_recording_reads(),
             "certainty status refreshed inside a read-recording region"
@@ -284,16 +279,6 @@ mod tests {
         let x = qb.var("x");
         qb.atom("S", vec![Term::Var(x)]).unwrap();
         qb.build().into()
-    }
-
-    #[test]
-    #[should_panic(expected = "open trail mark")]
-    fn status_refuses_to_refresh_under_a_trail_mark() {
-        let q = unary_s_query();
-        let mut conf = Configuration::empty(schema());
-        let mut status = CertaintyStatus::new(&q);
-        let _mark = conf.begin_trail();
-        status.refresh(&conf);
     }
 
     #[test]

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use crate::domain::DomainId;
 use crate::relation::RelationId;
 use crate::schema::Schema;
-use crate::store::{AdomPrecision, Fact, FactStore, InsertEvent, ReadSet, TrailMark, TrailOps};
+use crate::store::{AdomPrecision, Fact, FactStore, InsertEvent, ReadSet};
 use crate::tuple::Tuple;
 use crate::value::Value;
 use crate::Result;
@@ -24,10 +24,12 @@ use crate::Result;
 /// Cloning a configuration is **O(relations)**, not O(facts): the underlying
 /// [`FactStore`] shares its relation shards, interner and active-domain
 /// cache copy-on-write (see the `store` module docs). [`Configuration::snapshot`]
-/// is the intention-revealing name for that cheap clone; speculative workers
-/// and engine rounds snapshot instead of deep-copying, and
-/// [`Configuration::shard_copies`] exposes how many shards a handle has
-/// actually had to copy.
+/// is the intention-revealing name for that cheap clone: a configuration
+/// that crosses a thread or outlives a call (a sweep worker's view, a run's
+/// working copy) is a snapshot, and [`Configuration::shard_copies`] exposes
+/// how many shards a handle has actually had to copy. The decision
+/// procedures never write a configuration; they evaluate hypothetical facts
+/// as an overlay on it.
 #[derive(Clone, Debug)]
 pub struct Configuration {
     store: FactStore,
@@ -90,50 +92,11 @@ impl Configuration {
         self.store.shard_copies()
     }
 
-    /// Cumulative trail traffic of this handle lineage (see
-    /// [`FactStore::trail_ops`]).
-    pub fn trail_ops(&self) -> TrailOps {
-        self.store.trail_ops()
-    }
-
     /// Detaches every shard still shared with other handles so this
     /// configuration exclusively owns its storage (see
-    /// [`FactStore::own_all_shards`]). Engine loops call this once on their
-    /// working copy so trail-backed speculation never pays a lazy
-    /// copy-on-write detach mid-probe.
+    /// [`FactStore::own_all_shards`]).
     pub fn own_all_shards(&mut self) {
         self.store.own_all_shards()
-    }
-
-    /// Opens a speculation scope on the underlying store (see
-    /// [`FactStore::begin_trail`]).
-    pub fn begin_trail(&mut self) -> TrailMark {
-        self.store.begin_trail()
-    }
-
-    /// Rolls the configuration back to `mark` (see [`FactStore::undo_to`]).
-    pub fn undo_to(&mut self, mark: TrailMark) {
-        self.store.undo_to(mark)
-    }
-
-    /// Runs `f` on the configuration under a trail mark and undoes every
-    /// mutation `f` performed before returning — the allocation-free
-    /// alternative to mutating a [`Configuration::snapshot`] and throwing it
-    /// away. Single-owner by construction (`&mut self`); concurrent readers
-    /// keep using snapshots.
-    pub fn speculate<R>(&mut self, f: impl FnOnce(&mut Configuration) -> R) -> R {
-        struct Guard<'a> {
-            conf: &'a mut Configuration,
-            mark: TrailMark,
-        }
-        impl Drop for Guard<'_> {
-            fn drop(&mut self) {
-                self.conf.undo_to(self.mark);
-            }
-        }
-        let mark = self.begin_trail();
-        let guard = Guard { conf: self, mark };
-        f(guard.conf)
     }
 
     /// Installs a read recorder with a whole-adom-walk precision on the
@@ -148,8 +111,8 @@ impl Configuration {
         self.store.take_read_set()
     }
 
-    /// Enables or disables [`InsertEvent`] capture on the committed insert
-    /// paths (see [`FactStore::set_event_capture`]).
+    /// Enables or disables [`InsertEvent`] capture on the insert paths (see
+    /// [`FactStore::set_event_capture`]).
     pub fn set_event_capture(&mut self, enabled: bool) {
         self.store.set_event_capture(enabled)
     }
@@ -406,30 +369,6 @@ mod tests {
         assert_eq!(a.fingerprint(), b.fingerprint());
         b.insert_named("Mgr", ["e1", "e2"]).unwrap();
         assert_ne!(a.fingerprint(), b.fingerprint());
-    }
-
-    #[test]
-    fn speculate_leaves_no_trace() {
-        let s = schema();
-        let mut conf = Configuration::empty(s);
-        conf.insert_named("EmpOff", ["e1", "o1"]).unwrap();
-        let before = conf.sorted_facts();
-        let copies_before = conf.shard_copies();
-        let len_inside = conf.speculate(|c| {
-            c.insert_named("Mgr", ["e9", "e1"]).unwrap();
-            c.len()
-        });
-        assert_eq!(len_inside, 2);
-        assert_eq!(conf.sorted_facts(), before);
-        assert_eq!(
-            conf.trail_ops(),
-            TrailOps {
-                pushed: 1,
-                undone: 1
-            }
-        );
-        // No other handle shares the store, so speculation copied nothing.
-        assert_eq!(conf.shard_copies(), copies_before);
     }
 
     #[test]

@@ -11,8 +11,7 @@
 //! Invariants:
 //!
 //! * interning is injective and stable: a value, once interned, keeps its id
-//!   for the lifetime of the interner (ids are never recycled, and trail
-//!   undo leaves the values of popped rows interned);
+//!   for the lifetime of the interner (ids are never recycled);
 //! * `resolve(intern(v)) == v` for every value (round-trip identity);
 //! * ids are allocated densely from 0 in first-seen order, so they can index
 //!   plain vectors.

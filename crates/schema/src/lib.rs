@@ -25,10 +25,9 @@
 //! The fact store is interned and indexed: values are mapped to dense
 //! [`ValueId`]s by a [`ValueInterner`], tuples are kept columnar per
 //! relation, every (relation, attribute) pair maintains a value → rows
-//! index, and the active domain is a refcount cache maintained on insert
-//! and trail undo rather than recomputed by scanning. The store is
-//! append-only. See the module documentation in `store.rs` for the
-//! invariants.
+//! index, and the active domain is a set maintained on insert rather than
+//! recomputed by scanning. The store is append-only: no row ever leaves it.
+//! See the module documentation in `store.rs` for the invariants.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -51,7 +50,7 @@ pub use instance::Instance;
 pub use intern::{ValueId, ValueInterner};
 pub use relation::{Attribute, Relation, RelationId};
 pub use schema::{Schema, SchemaBuilder};
-pub use store::{AdomPrecision, Fact, FactStore, InsertEvent, Read, ReadSet, TrailMark, TrailOps};
+pub use store::{AdomPrecision, Fact, FactStore, InsertEvent, Read, ReadSet};
 pub use tuple::{tuple, Tuple};
 pub use value::{FreshSupply, Value};
 

@@ -12,25 +12,25 @@
 //!   ([`FactStore::candidates`] and [`FactStore::matching`] read through
 //!   it);
 //! * the active domain (`Adom(Conf)` in the paper) is maintained
-//!   incrementally as a reference-counted `(ValueId, DomainId)` map — its
-//!   own `Arc`-backed shard — so [`FactStore::active_domain`] never rescans
-//!   the facts and [`FactStore::adom_contains`] is a hash probe;
+//!   incrementally as a `(ValueId, DomainId)` set — its own `Arc`-backed
+//!   shard — so [`FactStore::active_domain`] never rescans the facts and
+//!   [`FactStore::adom_contains`] is a hash probe;
 //! * the interner is a third `Arc`-backed shard.
 //!
 //! # Append-only growth
 //!
 //! A configuration only grows along an access path (Section 2 of the
-//! paper), and the store has no removal API. A committed insert appends one
-//! row to its relation, and that row keeps its index and contents for the
-//! lifetime of the store. The only rows that ever leave are speculative
-//! ones: trail undo pops them LIFO, so each relation's row list is restored
-//! exactly. Hence [`FactStore::rows_since`] returns exactly the rows
-//! committed after a given row count, posting lists ascend by row, and
-//! [`FactStore::candidates`] returns rows in insertion order without
-//! sorting. The layers above rely on this: the access frontier's row
-//! watermarks, the semi-naive certainty refresh, the verdict cache's
+//! paper), and the store has no removal API. An insert appends one row to
+//! its relation, and no row ever leaves: each keeps its index and contents
+//! for the lifetime of the store. Hence [`FactStore::rows_since`] returns
+//! exactly the rows inserted after a given row count, posting lists ascend
+//! by row, and [`FactStore::candidates`] returns rows in insertion order
+//! without sorting. The layers above rely on this: the access frontier's
+//! row watermarks, the semi-naive certainty refresh, the verdict cache's
 //! fact-count version stamps, [`InsertEvent`] capture and recorded
-//! [`ReadSet`]s.
+//! [`ReadSet`]s. Hypothetical facts (a truncated path's responses, a
+//! witness's later facts) never enter a store: the decision procedures
+//! evaluate them as an overlay on top of it.
 //!
 //! # Copy-on-write semantics
 //!
@@ -52,45 +52,21 @@
 //! [`FactStore::shares_interner`], which the oracle-grid tests in
 //! `tests/properties.rs` pin down.
 //!
-//! # Trail-based speculation
-//!
-//! Snapshots are the right tool when two handles need to *diverge* (a
-//! scheduler handing a configuration to worker threads). They are the wrong
-//! tool for **speculation** — mutate, look, roll back — because every
-//! speculative mutation pays a shard copy that is immediately discarded. The
-//! trail layer is the classic constraint-search alternative: between
-//! [`FactStore::begin_trail`] and [`FactStore::undo_to`] every row that
-//! `insert` / `extend_facts` appends pushes its relation onto the trail,
-//! and undoing pops the entries in LIFO order, each time removing that
-//! relation's last row, the last entry of each of its posting lists, its
-//! membership key and its adom refcounts (the interner is append-only and
-//! deliberately not rolled back — a spuriously-known value is semantically
-//! invisible). The scoped [`FactStore::speculate`] guard pops the trail even
-//! on panic.
-//!
-//! The trail is **single-owner by construction**: it lives behind `&mut
-//! self`, clones never inherit open trail state (a clone starts a fresh
-//! lineage with an empty trail), and cross-thread hand-off keeps using
-//! snapshots. Trail traffic is observable through [`FactStore::trail_ops`]
-//! (pushed/undone counters, inherited by clones exactly like
-//! `shard_copies`).
-//!
 //! # Invariants (checked by the property tests in `tests/properties.rs`
 //! against a naive scan oracle)
 //!
 //! * `matching` returns exactly the tuples whose projection on the binding
-//!   positions equals the binding, in row (insertion) order, also after
-//!   trail undo;
+//!   positions equals the binding, in row (insertion) order;
 //! * `active_domain` equals the set of `(value, domain)` pairs occurring in
 //!   any fact;
-//! * `rows_since` returns exactly the rows committed after a row count;
+//! * `rows_since` returns exactly the rows inserted after a row count;
 //! * interning values that are already known never copies the interner
 //!   shard; inserting a fact that is already present never copies any
 //!   shard;
 //! * a clone diverges from its origin exactly as a naive deep copy would:
-//!   after any interleaving of inserts on either handle, and of trail undo
-//!   on shards still shared, each handle's facts, indexes and adom
-//!   refcounts equal those of an independently rebuilt store.
+//!   after any interleaving of inserts on either handle, each handle's
+//!   facts, indexes and active domain equal those of an independently
+//!   rebuilt store.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
@@ -121,7 +97,7 @@ struct RelationShard {
     /// The interned rows (membership + duplicate detection).
     keys: HashSet<Box<[ValueId]>>,
     /// Per attribute: value id → indices of rows carrying it there, in
-    /// ascending order (rows are only appended, and undo pops the last).
+    /// ascending order (rows are only appended).
     indexes: Vec<HashMap<ValueId, Vec<usize>>>,
 }
 
@@ -149,65 +125,11 @@ impl RelationShard {
         self.tuples.push(t);
         self.keys.insert(key);
     }
-
-    /// Pops the last row and its index entries, returning its key.
-    fn pop_row(&mut self) -> Box<[ValueId]> {
-        let row = self.len() - 1;
-        let key: Box<[ValueId]> = self
-            .columns
-            .iter_mut()
-            .map(|column| column.pop().expect("undo targets a stored row"))
-            .collect();
-        for (index, id) in self.indexes.iter_mut().zip(key.iter()) {
-            let list = index.get_mut(id).expect("a stored row is indexed");
-            debug_assert_eq!(list.last(), Some(&row), "LIFO undo targets the last row");
-            list.pop();
-            if list.is_empty() {
-                index.remove(id);
-            }
-        }
-        self.tuples.pop();
-        self.keys.remove(&key);
-        key
-    }
 }
 
-/// Reference-counted active domain: how many attribute occurrences of
-/// `(value, domain)` the store currently holds.
-type AdomCache = HashMap<(ValueId, DomainId), u32>;
-
-/// A position on the trail returned by [`FactStore::begin_trail`]; feed it
-/// back to [`FactStore::undo_to`] to roll every later mutation back. Marks
-/// nest: undoing to an outer mark also cancels any inner speculation opened
-/// after it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TrailMark {
-    pos: usize,
-    open: u32,
-}
-
-/// Cumulative trail traffic of a store handle: how many undo entries were
-/// pushed and how many were undone. Inherited by clones (like
-/// `shard_copies`), so a run's speculation volume is the difference of two
-/// readings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TrailOps {
-    /// Undo entries recorded under an open trail.
-    pub pushed: u64,
-    /// Undo entries replayed by `undo_to` (including guard auto-pops).
-    pub undone: u64,
-}
-
-impl TrailOps {
-    /// Entry-wise difference against an earlier reading of the same handle
-    /// lineage (saturating, so mixed-up readings never underflow).
-    pub fn since(&self, earlier: TrailOps) -> TrailOps {
-        TrailOps {
-            pushed: self.pushed.saturating_sub(earlier.pushed),
-            undone: self.undone.saturating_sub(earlier.undone),
-        }
-    }
-}
+/// The active domain: every `(value, domain)` pair some stored row holds
+/// at a position of that domain. Rows never leave, so pairs never do.
+type AdomCache = HashSet<(ValueId, DomainId)>;
 
 /// How the read recorder classifies whole-active-domain walks (the
 /// `active_domain` / valuation-enumeration reads of the decision
@@ -417,17 +339,15 @@ impl FromIterator<Read> for ReadSet {
     }
 }
 
-/// One committed (non-speculative) row insertion, captured on the store's
-/// insert paths while event capture is enabled
-/// ([`FactStore::set_event_capture`]). Events are the propagation currency
-/// of exact invalidation: the engine drains them after each growing
-/// response and evicts exactly the cached verdicts whose [`ReadSet`] is
-/// [touched](ReadSet::touched_by).
+/// One row insertion, captured on the store's insert paths while event
+/// capture is enabled ([`FactStore::set_event_capture`]). Events are the
+/// propagation currency of exact invalidation: the engine drains them after
+/// each growing response and evicts exactly the cached verdicts whose
+/// [`ReadSet`] is [touched](ReadSet::touched_by).
 ///
-/// The store only grows, so a committed row is never taken back: the
-/// events are the whole history of committed growth. Trailed speculative
-/// inserts are rolled back and deliberately emit no events, and duplicate
-/// inserts return before any mutation and therefore emit none either.
+/// The store only grows, so a row is never taken back: the events are the
+/// whole history of growth since capture began. Duplicate inserts return
+/// before any mutation and therefore emit none.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InsertEvent {
     /// The relation the row was inserted into.
@@ -455,22 +375,16 @@ pub struct FactStore {
     /// Cumulative count of shards this handle actually copied on first
     /// write (inherited by clones; diff two readings to scope a run).
     shard_copies: u64,
-    /// The relation of each row appended under the currently-open
-    /// speculation, oldest first (empty when no trail is open).
-    trail: Vec<RelationId>,
-    /// How many `begin_trail` marks are currently open.
-    trail_open: u32,
-    /// Cumulative trail traffic (inherited by clones; diff two readings).
-    trail_ops: TrailOps,
     /// Read recorder installed by `begin_read_tracking_with` (`None` when not
     /// recording). Behind a mutex because the read APIs take `&self`; the
-    /// lock is uncontended (recording is single-owner like the trail).
+    /// lock is uncontended (the recorder is single-owner: installing it
+    /// takes `&mut self`, and clones do not inherit it).
     recording: Option<Mutex<ReadSet>>,
     /// How the installed recorder classifies whole-adom walks (set by
     /// [`FactStore::begin_read_tracking_with`]; meaningless while no
     /// recorder is installed).
     adom_precision: AdomPrecision,
-    /// Whether committed inserts are captured as [`InsertEvent`]s.
+    /// Whether inserts are captured as [`InsertEvent`]s.
     events_enabled: bool,
     /// Captured growth events awaiting [`FactStore::take_events`].
     events: Vec<InsertEvent>,
@@ -478,9 +392,8 @@ pub struct FactStore {
 
 impl Clone for FactStore {
     /// O(relations): bumps one `Arc` per shard. The clone inherits the
-    /// `shard_copies` / `trail_ops` counters but **not** any open trail,
-    /// read recorder or event queue — those are single-owner and stay with
-    /// the original handle.
+    /// `shard_copies` counter but **not** the read recorder or event queue —
+    /// those are single-owner and stay with the original handle.
     fn clone(&self) -> Self {
         Self {
             schema: self.schema.clone(),
@@ -489,9 +402,6 @@ impl Clone for FactStore {
             adom: self.adom.clone(),
             len: self.len,
             shard_copies: self.shard_copies,
-            trail: Vec::new(),
-            trail_open: 0,
-            trail_ops: self.trail_ops,
             recording: None,
             adom_precision: AdomPrecision::Coarse,
             events_enabled: false,
@@ -515,9 +425,6 @@ impl FactStore {
             adom: Arc::new(AdomCache::new()),
             len: 0,
             shard_copies: 0,
-            trail: Vec::new(),
-            trail_open: 0,
-            trail_ops: TrailOps::default(),
             recording: None,
             adom_precision: AdomPrecision::Coarse,
             events_enabled: false,
@@ -545,17 +452,12 @@ impl FactStore {
         self.shard_copies
     }
 
-    /// Cumulative trail traffic of this handle lineage (see [`TrailOps`]).
-    pub fn trail_ops(&self) -> TrailOps {
-        self.trail_ops
-    }
-
     /// Installs a fresh read recorder that classifies whole-adom walks at
     /// `precision` (see [`AdomPrecision`]): every later read API call
     /// records itself into the [`ReadSet`] until
-    /// [`FactStore::take_read_set`] uninstalls it. Like the trail, the
-    /// recorder is single-owner and not inherited by clones. Installing over
-    /// an existing recorder discards the old one.
+    /// [`FactStore::take_read_set`] uninstalls it. The recorder is
+    /// single-owner and not inherited by clones. Installing over an existing
+    /// recorder discards the old one.
     pub fn begin_read_tracking_with(&mut self, precision: AdomPrecision) {
         self.adom_precision = precision;
         self.recording = Some(Mutex::new(ReadSet::default()));
@@ -632,9 +534,9 @@ impl FactStore {
         self.rec(|rs| rs.insert(Read::Adom));
     }
 
-    /// Enables or disables [`InsertEvent`] capture on the committed insert
-    /// paths. Disabling clears any queued events. Capture is not inherited
-    /// by clones.
+    /// Enables or disables [`InsertEvent`] capture on the insert paths.
+    /// Disabling clears any queued events. Capture is not inherited by
+    /// clones.
     pub fn set_event_capture(&mut self, enabled: bool) {
         self.events_enabled = enabled;
         if !enabled {
@@ -657,87 +559,16 @@ impl FactStore {
     /// exclusively owns its storage. Cost is one deep copy of whatever was
     /// still shared (bounded by the current fact count), paid now instead
     /// of lazily at first write; an explicit detach is not a copy-on-write
-    /// divergence, so [`FactStore::shard_copies`] does not advance. Long
-    /// -running owners (engine loops that speculate on their live store)
-    /// call this once up front so later trail probes never hit a shared
-    /// shard.
+    /// divergence, so [`FactStore::shard_copies`] does not advance. The
+    /// engine does not call it: a run's copy detaches only the shards its
+    /// responses grow. It stays only because the benchmark package's
+    /// traced replay calls it (ROADMAP direction 4.2).
     pub fn own_all_shards(&mut self) {
         for shard in &mut self.relations {
             Arc::make_mut(shard);
         }
         Arc::make_mut(&mut self.adom);
         Arc::make_mut(&mut self.interner);
-    }
-
-    /// Whether a trail is currently open (mutations are being recorded).
-    pub fn trail_is_active(&self) -> bool {
-        self.trail_open > 0
-    }
-
-    /// Opens a speculation scope: every later successful mutation records an
-    /// undo entry until [`FactStore::undo_to`] is called with the returned
-    /// mark. Marks nest; prefer the scoped [`FactStore::speculate`] unless
-    /// the rollback point has to outlive a closure.
-    pub fn begin_trail(&mut self) -> TrailMark {
-        self.trail_open += 1;
-        TrailMark {
-            pos: self.trail.len(),
-            open: self.trail_open,
-        }
-    }
-
-    /// Rolls the store back to `mark`, popping the rows appended after it
-    /// in LIFO order: facts, row layout, per-attribute posting lists,
-    /// membership keys and adom refcounts are restored exactly (the
-    /// append-only interner is not rolled back). Undoing to an outer mark
-    /// also cancels any speculation nested after it.
-    pub fn undo_to(&mut self, mark: TrailMark) {
-        while self.trail.len() > mark.pos {
-            let relation = self.trail.pop().expect("len checked above");
-            self.undo_row(relation);
-            self.trail_ops.undone += 1;
-        }
-        self.trail_open = self.trail_open.min(mark.open.saturating_sub(1));
-    }
-
-    /// Runs `f` under a trail mark and undoes everything it did before
-    /// returning — even on panic (the rollback lives in a drop guard). This
-    /// is the speculation primitive: probe the store as if the mutation had
-    /// happened, observe, leave no trace.
-    pub fn speculate<R>(&mut self, f: impl FnOnce(&mut FactStore) -> R) -> R {
-        struct Guard<'a> {
-            store: &'a mut FactStore,
-            mark: TrailMark,
-        }
-        impl Drop for Guard<'_> {
-            fn drop(&mut self) {
-                self.store.undo_to(self.mark);
-            }
-        }
-        let mark = self.begin_trail();
-        let guard = Guard { store: self, mark };
-        f(guard.store)
-    }
-
-    /// Pops `relation`'s last row, the one a trail entry recorded. Mutates
-    /// through the copy-on-write accessors, so an undo on a shard that was
-    /// cloned mid-speculation still detaches correctly instead of disturbing
-    /// the clone.
-    fn undo_row(&mut self, relation: RelationId) {
-        let schema = self.schema.clone();
-        let rel = schema.relation(relation).expect("recorded on insert");
-        let key = self.shard_mut(relation.index()).pop_row();
-        let adom = self.adom_mut();
-        for (c, &id) in key.iter().enumerate() {
-            let entry = (id, rel.domain_at(c));
-            if let Some(count) = adom.get_mut(&entry) {
-                *count -= 1;
-                if *count == 0 {
-                    adom.remove(&entry);
-                }
-            }
-        }
-        self.len -= 1;
     }
 
     /// Whether `self` and `other` still share `relation`'s columnar shard
@@ -818,25 +649,20 @@ impl FactStore {
             .enumerate()
             .map(|(c, &id)| (id, rel.domain_at(c)))
             .collect();
-        // Newly-in-adom flags must be read before the refcounts advance;
-        // speculative (trailed) inserts roll back and emit no event.
-        let event = (self.events_enabled && self.trail_open == 0).then(|| InsertEvent {
+        // Newly-in-adom flags must be read before the pairs are added.
+        let event = self.events_enabled.then(|| InsertEvent {
             relation,
             values: adom_incs
                 .iter()
-                .map(|&(id, d)| (id, d, !self.adom.contains_key(&(id, d))))
+                .map(|&(id, d)| (id, d, !self.adom.contains(&(id, d))))
                 .collect(),
         });
         self.shard_mut(relation.index()).push_row(key, t);
         let adom = self.adom_mut();
-        for (id, domain) in adom_incs {
-            *adom.entry((id, domain)).or_insert(0) += 1;
+        for pair in adom_incs {
+            adom.insert(pair);
         }
         self.len += 1;
-        if self.trail_open > 0 {
-            self.trail.push(relation);
-            self.trail_ops.pushed += 1;
-        }
         if let Some(event) = event {
             self.events.push(event);
         }
@@ -896,9 +722,8 @@ impl FactStore {
     }
 
     /// The tuples of one relation in rows `from..`, in row order (empty when
-    /// `from` is past the last row): exactly the rows committed after the
-    /// relation's first `from` rows, since committed rows are only ever
-    /// appended and trail undo pops speculative rows LIFO.
+    /// `from` is past the last row): exactly the rows inserted after the
+    /// relation's first `from` rows, since rows are only ever appended.
     pub fn rows_since(&self, relation: RelationId, from: usize) -> &[Tuple] {
         self.rec(|rs| rs.insert(Read::Relation(relation)));
         self.relations
@@ -1133,26 +958,25 @@ impl FactStore {
                 }
             }
             inserted += added;
-            if self.trail_open > 0 {
-                self.trail.extend(std::iter::repeat_n(relation, added));
-                self.trail_ops.pushed += added as u64;
-            }
-            // Events read the newly-in-adom flags before the refcounts
-            // advance below (pairs introduced by earlier rows of the same
-            // batch are conservatively flagged newly as well).
-            if self.events_enabled && self.trail_open == 0 {
+            // Events read the newly-in-adom flags before the pairs are added
+            // below (pairs introduced by earlier rows of the same batch are
+            // conservatively flagged newly as well).
+            if self.events_enabled {
                 for row in 0..added {
                     let values = adom_incs[row * arity..(row + 1) * arity]
                         .iter()
-                        .map(|&(id, d)| (id, d, !self.adom.contains_key(&(id, d))))
+                        .map(|&(id, d)| (id, d, !self.adom.contains(&(id, d))))
                         .collect();
                     self.events.push(InsertEvent { relation, values });
                 }
             }
             if !adom_incs.is_empty() {
+                // One insert per pair: `extend` would reserve room for every
+                // duplicate pair of the batch, and the set's capacity is
+                // what `active_domain` walks.
                 let adom = self.adom_mut();
-                for (id, domain) in adom_incs {
-                    *adom.entry((id, domain)).or_insert(0) += 1;
+                for pair in adom_incs {
+                    adom.insert(pair);
                 }
             }
         }
@@ -1178,7 +1002,7 @@ impl FactStore {
     /// precise invalidation.
     pub fn active_domain_untracked(&self) -> HashSet<(Value, DomainId)> {
         self.adom
-            .keys()
+            .iter()
             .map(|&(id, d)| (self.interner.resolve(id).clone(), d))
             .collect()
     }
@@ -1190,7 +1014,7 @@ impl FactStore {
     /// pool records those as prefix / whole-domain walks at use time.
     pub fn adom_domain_mins_untracked(&self) -> HashMap<DomainId, Value> {
         let mut mins: HashMap<DomainId, Value> = HashMap::new();
-        for &(id, d) in self.adom.keys() {
+        for &(id, d) in self.adom.iter() {
             let v = self.interner.resolve(id);
             match mins.entry(d) {
                 std::collections::hash_map::Entry::Occupied(mut e) => {
@@ -1217,7 +1041,7 @@ impl FactStore {
         match self.interner.lookup(value) {
             Some(id) => {
                 self.rec(|rs| rs.insert(Read::AdomPair(id, domain)));
-                self.adom.contains_key(&(id, domain))
+                self.adom.contains(&(id, domain))
             }
             None => {
                 self.rec(|rs| rs.insert(Read::AdomUnknown(value.clone(), domain)));
@@ -1234,7 +1058,7 @@ impl FactStore {
         self.rec(|rs| rs.insert(Read::AdomDomain(domain)));
         let mut vals: Vec<Value> = self
             .adom
-            .keys()
+            .iter()
             .filter(|(_, d)| *d == domain)
             .map(|&(id, _)| self.interner.resolve(id).clone())
             .collect();
@@ -1256,7 +1080,7 @@ impl FactStore {
     /// have to participate in invalidation (recording it would make every
     /// verdict depend on the whole active domain).
     pub fn all_values_untracked(&self) -> Vec<Value> {
-        let ids: HashSet<ValueId> = self.adom.keys().map(|&(id, _)| id).collect();
+        let ids: HashSet<ValueId> = self.adom.iter().map(|&(id, _)| id).collect();
         let mut vals: Vec<Value> = ids
             .into_iter()
             .map(|id| self.interner.resolve(id).clone())
@@ -1567,127 +1391,6 @@ mod tests {
         assert!(!store.shares_relation_shard(&clone, r));
         assert!(!store.shares_adom_shard(&clone));
         assert!(store.shares_interner(&clone));
-    }
-
-    #[test]
-    fn trail_undo_restores_inserts_exactly() {
-        let schema = small_schema();
-        let r = schema.relation_by_name("R").unwrap();
-        let mut store = FactStore::new(schema);
-        store.insert(r, tuple(["a", "1"])).unwrap();
-        store.insert(r, tuple(["b", "2"])).unwrap();
-        store.insert(r, tuple(["c", "1"])).unwrap();
-        let before = store.sorted_facts();
-        let before_adom = store.active_domain();
-        let mark = store.begin_trail();
-        assert!(store.trail_is_active());
-        assert!(store.insert(r, tuple(["d", "9"])).unwrap());
-        assert!(store.insert(r, tuple(["e", "1"])).unwrap());
-        assert!(store.insert(r, tuple(["a", "2"])).unwrap());
-        store.undo_to(mark);
-        assert!(!store.trail_is_active());
-        assert_eq!(store.sorted_facts(), before);
-        assert_eq!(store.active_domain(), before_adom);
-        // Row layout and posting lists are restored exactly, not just
-        // set-equal.
-        assert_eq!(
-            store.tuples(r).cloned().collect::<Vec<_>>(),
-            vec![tuple(["a", "1"]), tuple(["b", "2"]), tuple(["c", "1"])]
-        );
-        assert_eq!(
-            store.matching(r, &[1], &[Value::sym("1")]),
-            vec![tuple(["a", "1"]), tuple(["c", "1"])]
-        );
-        assert_eq!(
-            store.trail_ops(),
-            TrailOps {
-                pushed: 3,
-                undone: 3
-            }
-        );
-    }
-
-    #[test]
-    fn trail_records_only_effective_mutations() {
-        let schema = small_schema();
-        let r = schema.relation_by_name("R").unwrap();
-        let mut store = FactStore::new(schema);
-        store.insert(r, tuple(["a", "1"])).unwrap();
-        let mark = store.begin_trail();
-        // A duplicate insert is read-only: no entry.
-        assert!(!store.insert(r, tuple(["a", "1"])).unwrap());
-        assert_eq!(store.trail_ops(), TrailOps::default());
-        store.undo_to(mark);
-        assert_eq!(store.len(), 1);
-    }
-
-    #[test]
-    fn speculate_auto_pops_and_nested_marks_unwind_in_order() {
-        let schema = small_schema();
-        let r = schema.relation_by_name("R").unwrap();
-        let mut store = FactStore::new(schema);
-        store.insert(r, tuple(["a", "1"])).unwrap();
-        let seen = store.speculate(|s| {
-            s.insert(r, tuple(["x", "7"])).unwrap();
-            let inner = s.begin_trail();
-            s.insert(r, tuple(["y", "8"])).unwrap();
-            let with_both = s.len();
-            s.undo_to(inner);
-            (with_both, s.len())
-        });
-        assert_eq!(seen, (3, 2));
-        assert_eq!(store.len(), 1);
-        assert!(!store.trail_is_active());
-        assert!(!store.contains(r, &tuple(["x", "7"])));
-    }
-
-    #[test]
-    fn trailed_bulk_load_is_undone_per_row() {
-        let schema = small_schema();
-        let r = schema.relation_by_name("R").unwrap();
-        let s = schema.relation_by_name("S").unwrap();
-        let mut store = FactStore::new(schema);
-        store.insert(r, tuple(["a", "1"])).unwrap();
-        let before = store.sorted_facts();
-        let mark = store.begin_trail();
-        let inserted = store
-            .extend_facts(vec![
-                (r, tuple(["a", "1"])), // duplicate: not recorded
-                (r, tuple(["b", "2"])),
-                (s, tuple(["z"])),
-            ])
-            .unwrap();
-        assert_eq!(inserted, 2);
-        assert_eq!(store.trail_ops().pushed, 2);
-        store.undo_to(mark);
-        assert_eq!(store.sorted_facts(), before);
-        assert_eq!(store.relation_len(s), 0);
-    }
-
-    #[test]
-    fn clones_do_not_inherit_open_trails_but_inherit_counters() {
-        let schema = small_schema();
-        let r = schema.relation_by_name("R").unwrap();
-        let mut store = FactStore::new(schema);
-        store.insert(r, tuple(["a", "1"])).unwrap();
-        let mark = store.begin_trail();
-        store.insert(r, tuple(["b", "2"])).unwrap();
-        let clone = store.clone();
-        // The clone sees the speculative fact but owes no undo for it.
-        assert!(clone.contains(r, &tuple(["b", "2"])));
-        assert!(!clone.trail_is_active());
-        assert_eq!(clone.trail_ops().pushed, 1);
-        store.undo_to(mark);
-        // Undo detaches the store's shard; the clone keeps the fact.
-        assert!(!store.contains(r, &tuple(["b", "2"])));
-        assert!(clone.contains(r, &tuple(["b", "2"])));
-        assert_eq!(
-            store.trail_ops(),
-            TrailOps {
-                pushed: 1,
-                undone: 1
-            }
-        );
     }
 
     #[test]

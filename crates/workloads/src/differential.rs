@@ -39,7 +39,7 @@ use accrel_federation::{
     Serving, SimulatedSource, Threaded,
 };
 use accrel_query::{certain, Query};
-use accrel_schema::{Configuration, Instance, RelationId, Tuple, Value};
+use accrel_schema::{Configuration, Instance, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -297,10 +297,7 @@ fn status_mismatch(report: &RunReport, query: &Query) -> Option<&'static str> {
 /// run: regrows `initial` access by access with `source`'s responses and,
 /// after every step, refreshes one frontier of its own. Its emissions so
 /// far must hold no access twice and equal [`well_formed_accesses`] at the
-/// regrown configuration. Before each response a fresh row is inserted
-/// under a trail mark and undone, so the response's rows land in the row
-/// slots a speculative row just vacated, as they do after the engine's
-/// relevance probes. Every executor draws its candidates from the same
+/// regrown configuration. Every executor draws its candidates from the same
 /// frontier, so comparing their reports with each other cannot catch a
 /// frontier bug.
 fn frontier_mismatch(
@@ -310,7 +307,6 @@ fn frontier_mismatch(
     initial: &Configuration,
 ) -> Option<&'static str> {
     let methods = source.methods();
-    let schema = initial.schema();
     let mut pool: Vec<Value> = query.constants().into_iter().collect();
     pool.extend(initial.all_values());
     let options = EnumerationOptions {
@@ -321,14 +317,7 @@ fn frontier_mismatch(
     let mut conf = initial.snapshot();
     let mut emitted: BTreeSet<Access> = BTreeSet::new();
     let steps = std::iter::once(None).chain(oracle.access_sequence.iter().map(Some));
-    for (step, access) in steps.enumerate() {
-        let relation = access
-            .and_then(|a| methods.get(a.method()).ok())
-            .map_or(RelationId(0), |m| m.relation());
-        if let Ok(arity) = schema.arity(relation) {
-            let row = Tuple::new(vec![Value::fresh(step as u64); arity]);
-            conf.speculate(|c| c.insert(relation, row).ok());
-        }
+    for access in steps {
         if let Some(access) = access {
             let response = source
                 .call(access)

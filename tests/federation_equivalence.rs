@@ -203,19 +203,15 @@ fn random_workload_grid_matches_sequential_engine() {
 
 #[test]
 fn eager_trail_speculation_matches_cached_only_and_sequential() {
-    // Eager speculation drives its scratch relevance probes through the
-    // configuration's trail (mutate, test, undo) instead of snapshot
-    // clones. Prediction is an optimisation, never a semantic knob: for
-    // every scenario, policy and guided strategy the Eager run must be
-    // byte-for-byte the CachedOnly and sequential runs — and its probes
-    // must never force a copy-on-write shard copy, while leaving trail-op
-    // evidence that speculation actually happened.
+    // Eager speculation runs the strategy's selection on a scratch oracle
+    // to predict a batch. Prediction is an optimisation, never a semantic
+    // knob: for every scenario, policy and guided strategy the Eager run
+    // must be byte-for-byte the CachedOnly and sequential runs.
     let scenarios = [
         bank_scenario(),
         bank_scenario_negative(),
         random_scenario(11),
     ];
-    let mut eager_pushed_total = 0u64;
     for scenario in &scenarios {
         for policy in [
             ResponsePolicy::Exact,
@@ -286,36 +282,10 @@ fn eager_trail_speculation_matches_cached_only_and_sequential() {
                             .same_facts(&sequential.final_configuration),
                         "final configurations differ ({mode}): {cell}"
                     );
-                    // Trail speculation is always balanced: every entry a
-                    // run pushed was undone before the report was cut.
-                    assert_eq!(
-                        report.trail_ops.pushed, report.trail_ops.undone,
-                        "unbalanced trail ({mode}): {cell}"
-                    );
                 }
-                assert_eq!(
-                    sequential.trail_ops.pushed, sequential.trail_ops.undone,
-                    "unbalanced trail (sequential): {cell}"
-                );
-                // The whole point of the trail: speculative probing without
-                // a single shard copy, under either prediction mode.
-                assert_eq!(
-                    cached.batch_stats.speculative_shard_copies, 0,
-                    "cached prediction copied shards: {cell}"
-                );
-                assert_eq!(
-                    eager.batch_stats.speculative_shard_copies, 0,
-                    "eager speculation copied shards: {cell}"
-                );
-                eager_pushed_total += eager.trail_ops.pushed;
             }
         }
     }
-    // Somewhere in the grid the guided strategies really did speculate.
-    assert!(
-        eager_pushed_total > 0,
-        "no trail entries were pushed anywhere in the eager grid"
-    );
 }
 
 use accrel::prelude::internals::VerdictRecord;

@@ -284,7 +284,7 @@ fn adom_oracle(
 #[test]
 fn indexed_matching_agrees_with_scan_oracle_on_random_configurations() {
     // In row order: downstream determinism relies on `matching` returning
-    // rows in insertion order, also inside and after a trailed speculation.
+    // rows in insertion order, also after later inserts.
     fn assert_matching_agrees(store: &accrel::schema::FactStore, workload: &Workload, ctx: &str) {
         for (rel, relation) in workload.schema.relations_with_ids() {
             let arity = relation.arity();
@@ -318,13 +318,10 @@ fn indexed_matching_agrees_with_scan_oracle_on_random_configurations() {
         assert_matching_agrees(&store, &workload, &ctx);
         let mut rng = StdRng::seed_from_u64(seed + 707);
         let extra = generate_configuration(&workload, 6, &mut rng);
-        store.speculate(|s| {
-            for (rel, t) in extra.facts() {
-                let _ = s.insert(rel, t);
-            }
-            assert_matching_agrees(s, &workload, &format!("inside speculation {ctx}"));
-        });
-        assert_matching_agrees(&store, &workload, &format!("after undo {ctx}"));
+        for (rel, t) in extra.facts() {
+            let _ = store.insert(rel, t);
+        }
+        assert_matching_agrees(&store, &workload, &format!("after inserts {ctx}"));
     }
 }
 
@@ -334,25 +331,26 @@ fn cached_active_domain_agrees_with_scan_oracle_after_inserts_and_undo() {
         let (workload, _, conf) = workload_and_query(seed, 1, facts + 6);
         let mut store = conf.store().clone();
         assert_eq!(store.active_domain(), adom_oracle(&store));
-        // Insert a fresh batch under a trail mark, checking the maintained
-        // cache against the oracle after every insert and after the undo
-        // has taken the batch's refcounts back.
+        // Insert a fresh batch into a snapshot, checking the maintained
+        // cache against the oracle after every insert; discarding the
+        // snapshot undoes the batch for the store, whose cache never saw it.
+        let before = store.active_domain();
         let mut rng = StdRng::seed_from_u64(seed + 77);
         let extra = generate_configuration(&workload, 5, &mut rng);
-        let mark = store.begin_trail();
+        let mut snapshot = store.clone();
         for (rel, t) in extra.facts() {
-            let _ = store.insert(rel, t);
+            let _ = snapshot.insert(rel, t);
             assert_eq!(
-                store.active_domain(),
-                adom_oracle(&store),
-                "adom cache diverged after a trailed insert at seed={seed}"
+                snapshot.active_domain(),
+                adom_oracle(&snapshot),
+                "adom cache diverged after an insert at seed={seed}"
             );
         }
-        store.undo_to(mark);
+        drop(snapshot);
         assert_eq!(
             store.active_domain(),
-            adom_oracle(&store),
-            "adom cache diverged after undo at seed={seed}"
+            before,
+            "a discarded snapshot's inserts reached the store at seed={seed}"
         );
         // Commit the batch; the cache must track it too.
         for (rel, t) in extra.facts() {
@@ -511,134 +509,11 @@ fn cow_unmutated_shards_stay_pointer_equal_across_clones() {
 }
 
 #[test]
-fn trail_undo_restores_the_store_byte_for_byte_on_the_oracle_grid() {
-    // Speculative growth under a trail mark — a fresh batch one insert at a
-    // time, then another one bulk-loaded — then undo. The store must be
-    // observationally identical to an untouched deep copy: same facts, same
-    // per-attribute index answers, same refcounted active domain.
-    for (seed, _, facts) in cases() {
-        let (workload, _, conf) = workload_and_query(seed, 1, facts + 6);
-        let mut store = conf.store().clone();
-        let untouched = deep_copy_oracle(&store);
-        let ops_before = store.trail_ops();
-        let mut rng = StdRng::seed_from_u64(seed + 301);
-        let extra = generate_configuration(&workload, 6, &mut rng);
-        let bulk = generate_configuration(&workload, 6, &mut rng);
-
-        let mark = store.begin_trail();
-        let mut pushed = 0u64;
-        for (rel, t) in extra.facts() {
-            if store.insert(rel, t).unwrap() {
-                pushed += 1;
-            }
-        }
-        pushed += store.extend_facts(bulk.facts()).unwrap() as u64;
-        store.undo_to(mark);
-
-        let ctx = format!("trail undo at seed={seed} facts={facts}");
-        assert_stores_agree(&store, &untouched, &workload, &ctx);
-        assert_eq!(store.active_domain(), adom_oracle(&store), "{ctx}");
-        for d in 0..workload.schema.domain_count() {
-            let d = accrel::schema::DomainId(d as u32);
-            assert_eq!(
-                store.values_of_domain(d),
-                untouched.values_of_domain(d),
-                "{ctx}"
-            );
-        }
-        // Every speculative mutation was recorded and reversed.
-        let ops = store.trail_ops().since(ops_before);
-        assert_eq!(ops.pushed, pushed, "{ctx}");
-        assert_eq!(ops.undone, pushed, "{ctx}");
-        assert!(!store.trail_is_active(), "{ctx}");
-    }
-}
-
-#[test]
-fn trail_undo_on_shared_cow_shards_leaves_both_handles_intact() {
-    // Insert-then-undo on a clone whose shards are still shared with its
-    // origin: the undo must restore the clone through the copy-on-write
-    // accessors (detaching, never writing through), so the origin is
-    // byte-for-byte undisturbed and the clone equals a deep copy.
-    for (seed, _, facts) in cases() {
-        let (workload, _, conf) = workload_and_query(seed, 1, facts + 6);
-        let original = conf.store().clone();
-        let before_facts = original.sorted_facts();
-        let before_adom = adom_oracle(&original);
-        let copies_before = original.shard_copies();
-        let mut clone = original.clone();
-
-        let mark = clone.begin_trail();
-        let mut rng = StdRng::seed_from_u64(seed + 404);
-        let extra = generate_configuration(&workload, 4, &mut rng);
-        for (rel, t) in extra.facts() {
-            let _ = clone.insert(rel, t);
-        }
-        clone.undo_to(mark);
-
-        let ctx = format!("shared-shard undo at seed={seed} facts={facts}");
-        assert_eq!(original.sorted_facts(), before_facts, "{ctx}");
-        assert_eq!(adom_oracle(&original), before_adom, "{ctx}");
-        assert_eq!(
-            original.shard_copies(),
-            copies_before,
-            "read-only origin: {ctx}"
-        );
-        assert_stores_agree(&clone, &deep_copy_oracle(&original), &workload, &ctx);
-        assert_eq!(clone.active_domain(), adom_oracle(&clone), "{ctx}");
-    }
-}
-
-#[test]
-fn nested_trail_marks_undo_inside_out_and_outer_undo_cancels_inner() {
-    for (seed, _, facts) in cases() {
-        let (workload, _, conf) = workload_and_query(seed, 1, facts + 5);
-        let mut store = conf.store().clone();
-        let untouched = deep_copy_oracle(&store);
-        let mut rng = StdRng::seed_from_u64(seed + 505);
-        let batch_a = generate_configuration(&workload, 3, &mut rng);
-        let batch_b = generate_configuration(&workload, 3, &mut rng);
-
-        // Inside-out: undoing the inner mark restores the outer speculative
-        // state; undoing the outer mark restores the original.
-        let outer = store.begin_trail();
-        for (rel, t) in batch_a.facts() {
-            let _ = store.insert(rel, t);
-        }
-        let after_a = store.sorted_facts();
-        let inner = store.begin_trail();
-        for (rel, t) in batch_b.facts() {
-            let _ = store.insert(rel, t);
-        }
-        store.undo_to(inner);
-        assert_eq!(store.sorted_facts(), after_a, "inner undo at seed={seed}");
-        store.undo_to(outer);
-        let ctx = format!("outer undo at seed={seed} facts={facts}");
-        assert_stores_agree(&store, &untouched, &workload, &ctx);
-        assert!(!store.trail_is_active(), "{ctx}");
-
-        // Outer-first: undoing the outer mark with the inner still open
-        // cancels the whole nested speculation in one sweep.
-        let outer = store.begin_trail();
-        for (rel, t) in batch_a.facts() {
-            let _ = store.insert(rel, t);
-        }
-        let _inner = store.begin_trail();
-        for (rel, t) in batch_b.facts() {
-            let _ = store.insert(rel, t);
-        }
-        store.undo_to(outer);
-        let ctx = format!("outer-first undo at seed={seed} facts={facts}");
-        assert_stores_agree(&store, &untouched, &workload, &ctx);
-        assert!(!store.trail_is_active(), "{ctx}");
-    }
-}
-
-#[test]
 fn rows_since_a_row_count_are_the_rows_inserted_after_it_across_speculation() {
-    // Oracle: each relation's rows in insertion order. Committed inserts
-    // append; rows inserted under a trail mark are read inside it and gone
-    // after undo, and the next committed rows reuse the popped slots.
+    // Oracle: each relation's rows in insertion order. Inserts append. A
+    // speculative snapshot's rows are its own: the snapshot reads them
+    // after the rows it shares, the store it was taken from never does, and
+    // that store's later rows are not the snapshot's.
     use accrel::schema::{FactStore, Tuple};
 
     fn assert_rows_since(store: &FactStore, oracle: &[Vec<Tuple>], ctx: &str) {
@@ -673,14 +548,14 @@ fn rows_since_a_row_count_are_the_rows_inserted_after_it_across_speculation() {
         let mut rng = StdRng::seed_from_u64(seed + 606);
         let speculative = generate_configuration(&workload, 5, &mut rng);
         let committed = generate_configuration(&workload, 5, &mut rng);
+        let mut snapshot = store.clone();
         let mut inside = oracle.clone();
-        store.speculate(|s| {
-            insert_all(s, &mut inside, &speculative);
-            assert_rows_since(s, &inside, &format!("inside speculation {ctx}"));
-        });
-        assert_rows_since(&store, &oracle, &format!("after undo {ctx}"));
+        insert_all(&mut snapshot, &mut inside, &speculative);
+        assert_rows_since(&snapshot, &inside, &format!("in the snapshot {ctx}"));
+        assert_rows_since(&store, &oracle, &format!("beside the snapshot {ctx}"));
         insert_all(&mut store, &mut oracle, &committed);
         assert_rows_since(&store, &oracle, &format!("after later commits {ctx}"));
+        assert_rows_since(&snapshot, &inside, &format!("after the store grew {ctx}"));
     }
 }
 
@@ -717,8 +592,8 @@ fn duplicate_only_rounds_evict_nothing_and_leave_the_verdict_cache_intact() {
         let candidates =
             well_formed_accesses(&conf, &workload.methods, &EnumerationOptions::default());
         for access in candidates.iter().take(8) {
-            let _ = oracle.check_ir_trailed(access, &mut conf);
-            let _ = oracle.check_ltr_trailed(access, &mut conf);
+            let _ = oracle.check_ir(access, &mut conf);
+            let _ = oracle.check_ltr(access, &mut conf);
         }
 
         // Find an access whose exact response actually grows the
@@ -745,8 +620,8 @@ fn duplicate_only_rounds_evict_nothing_and_leave_the_verdict_cache_intact() {
 
         // Re-warm so the cache holds verdicts again after the growth round.
         for access in candidates.iter().take(8) {
-            let _ = oracle.check_ir_trailed(access, &mut conf);
-            let _ = oracle.check_ltr_trailed(access, &mut conf);
+            let _ = oracle.check_ir(access, &mut conf);
+            let _ = oracle.check_ltr(access, &mut conf);
         }
         let evictions_before = oracle.evictions();
         let drained_before = oracle.events_drained();
@@ -777,8 +652,8 @@ fn duplicate_only_rounds_evict_nothing_and_leave_the_verdict_cache_intact() {
 
         // Cache survival: the same checks are now pure hits.
         for access in candidates.iter().take(8) {
-            let _ = oracle.check_ir_trailed(access, &mut conf);
-            let _ = oracle.check_ltr_trailed(access, &mut conf);
+            let _ = oracle.check_ir(access, &mut conf);
+            let _ = oracle.check_ltr(access, &mut conf);
         }
         assert_eq!(
             oracle.misses(),

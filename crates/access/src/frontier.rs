@@ -7,15 +7,18 @@
 //! access is new at a round exactly when its binding uses a value new to
 //! `Adom(Conf)`.
 //!
-//! [`AccessFrontier`] enumerates only those. It keeps one watermark per
-//! relation (the rows already read) and, per *value space* (one input
-//! domain's active domain, plus the guessable pool for independent
-//! methods), the values already taken in, in a `BTreeSet`. A refresh:
+//! [`AccessFrontier`] enumerates only those. It keeps a
+//! [`GrowthCursor`] over the configuration's store and, per *value space*
+//! (one input domain's active domain, plus the guessable pool for
+//! independent methods), the values already taken in, in a `BTreeSet`. A
+//! refresh:
 //!
-//! 1. reads the rows committed past each watermark
-//!    ([`accrel_schema::FactStore::rows_since`]) and keeps the values each
-//!    space has not taken in yet. The first refresh instead reads each input
-//!    domain's active domain once;
+//! 1. advances the cursor and takes in the values of the `(value, domain)`
+//!    pairs that entered the active domain since, for the domains some
+//!    space draws from, keeping those the space has not taken in yet. The
+//!    cursor starts before the first row, so the first refresh takes in the
+//!    whole active domain the same way (and the pool, which each
+//!    independent space starts with);
 //! 2. emits, per method, the bindings with at least one new coordinate as
 //!    semi-naive blocks `old × … × old × new × all × … × all`: the new
 //!    coordinate sits at each position in turn, earlier positions take old
@@ -25,13 +28,13 @@
 //!    order full enumeration would (methods in registration order, bindings
 //!    lexicographically), then adds the new values to the known sets.
 //!
-//! **Cost.** The rows added since the last refresh × their arity, plus the
-//! bindings emitted and their sort; each value read costs a logarithmic set
-//! lookup, and each new one an insert. After the first refresh nothing walks
-//! the whole active domain.
+//! **Cost.** The pairs that entered the active domain since the last
+//! refresh, plus the bindings emitted and their sort; each value read costs
+//! a logarithmic set lookup, and each new one an insert. After the first
+//! refresh nothing walks the whole active domain.
 //!
 //! **Contracts.** Every refresh sees the same configuration. Its store is
-//! append-only, so a row never moves under a watermark. No refresh runs
+//! append-only, so the cursor's position stays valid. No refresh runs
 //! under an installed read recorder (the frontier's reads must not leak
 //! into a verdict's read set); [`AccessFrontier::refresh`] panics if one
 //! is. Under these contracts the union of all emissions equals
@@ -42,7 +45,7 @@
 
 use std::collections::BTreeSet;
 
-use accrel_schema::{Configuration, DomainId, Value};
+use accrel_schema::{Configuration, DomainId, GrowthCursor, Value};
 
 use crate::access::{Access, Binding};
 use crate::enumerate::{self, EnumerationOptions};
@@ -58,6 +61,8 @@ struct ValueSpace {
     /// Values taken in by earlier refreshes.
     known: BTreeSet<Value>,
     /// Values the current refresh takes in: sorted, disjoint from `known`.
+    /// An independent space starts with the pool here (unsorted until the
+    /// first refresh sorts it), so the first refresh takes it in.
     new: Vec<Value>,
 }
 
@@ -82,8 +87,8 @@ pub struct AccessFrontier {
     spaces: Vec<ValueSpace>,
     /// Per domain index: whether some value space draws from the domain.
     tracked: Vec<bool>,
-    /// Rows already read, per relation; `None` before the first refresh.
-    watermarks: Option<Vec<usize>>,
+    /// Where the last refresh left the configuration's growth.
+    cursor: GrowthCursor,
     emitted: usize,
 }
 
@@ -105,11 +110,16 @@ impl AccessFrontier {
                         .iter()
                         .position(|s| s.domain == domain && s.with_pool == with_pool);
                     Some(found.unwrap_or_else(|| {
+                        let pool = if with_pool {
+                            options.guessable_values.clone()
+                        } else {
+                            Vec::new()
+                        };
                         spaces.push(ValueSpace {
                             domain,
                             with_pool,
                             known: BTreeSet::new(),
-                            new: Vec::new(),
+                            new: pool,
                         });
                         spaces.len() - 1
                     }))
@@ -130,7 +140,7 @@ impl AccessFrontier {
             fronts,
             spaces,
             tracked,
-            watermarks: None,
+            cursor: GrowthCursor::default(),
             emitted: 0,
         }
     }
@@ -193,40 +203,16 @@ impl AccessFrontier {
         out
     }
 
-    /// Fills each value space's `new` list with what this refresh takes in:
-    /// on the first refresh each tracked domain's active domain (plus the
-    /// pool for independent spaces), afterwards the values of the rows
-    /// committed past the watermarks that the space does not know yet.
+    /// Adds to each value space's `new` list what this refresh takes in:
+    /// the values of the pairs that entered the space's domain since the
+    /// last refresh that the space does not know yet.
     fn take_in(&mut self, conf: &Configuration) {
-        let (store, schema) = (conf.store(), conf.schema());
-        let mut arrived: Vec<Vec<Value>> = vec![Vec::new(); self.tracked.len()];
-        let first = self.watermarks.is_none();
-        match &mut self.watermarks {
-            None => {
-                for (d, values) in arrived.iter_mut().enumerate() {
-                    if self.tracked[d] {
-                        *values = conf.values_of_domain(DomainId(d as u32));
-                    }
-                }
-                let marks = schema
-                    .relations_with_ids()
-                    .map(|(r, _)| store.relation_len(r))
-                    .collect();
-                self.watermarks = Some(marks);
-            }
-            Some(marks) => {
-                for ((r, relation), mark) in schema.relations_with_ids().zip(marks) {
-                    let rows = store.rows_since(r, *mark);
-                    *mark += rows.len();
-                    for row in rows {
-                        for (c, v) in row.iter().enumerate() {
-                            let d = relation.domain_at(c).index();
-                            if self.tracked[d] {
-                                arrived[d].push(v.clone());
-                            }
-                        }
-                    }
-                }
+        let growth = self.cursor.advance(conf.store());
+        let interner = growth.interner();
+        let mut arrived: Vec<Vec<&Value>> = vec![Vec::new(); self.tracked.len()];
+        for &(id, domain) in growth.entered() {
+            if self.tracked[domain.index()] {
+                arrived[domain.index()].push(interner.resolve(id));
             }
         }
         for space in &mut self.spaces {
@@ -234,14 +220,9 @@ impl AccessFrontier {
             space.new.extend(
                 arrived[space.domain.index()]
                     .iter()
-                    .filter(|v| !known.contains(v))
-                    .cloned(),
+                    .filter(|v| !known.contains(**v))
+                    .map(|&v| v.clone()),
             );
-            if first && space.with_pool {
-                space
-                    .new
-                    .extend(self.options.guessable_values.iter().cloned());
-            }
             space.new.sort();
             space.new.dedup();
         }

@@ -8,10 +8,16 @@
 //! Rows are matched by `(table id, series, parameter, metric)`; rows present
 //! on only one side are ignored (experiments grow over time, so baselines
 //! predating new tables such as the `F1` federation sweep still compare).
-//! Timing rows (`µs` metrics) whose fresh value exceeds `threshold ×` the
-//! baseline are printed as GitHub `::warning::` annotations. The exit code
-//! is always 0 unless `--fail-on-regression` is passed: the CI step is
-//! informational, a single-sample smoke pass is too noisy to gate merges on.
+//!
+//! * Timing rows (`µs` metrics) whose fresh value exceeds `threshold ×` the
+//!   baseline are printed as GitHub `::warning::` annotations. They fail the
+//!   run only under `--fail-on-regression`: a single-sample smoke pass is
+//!   too noisy to gate merges on.
+//! * Every other row is a deterministic count. Each one whose value
+//!   changed is printed as an `::error::` annotation, and any change makes
+//!   the exit code 1: a changed count is a behaviour change, and a
+//!   deliberate one updates the baseline row with it.
+//!
 //! The comparison rules live in `accrel_bench::compare`.
 
 use std::process::ExitCode;
@@ -62,6 +68,12 @@ fn main() -> ExitCode {
     };
 
     let report = compare_rows(&baseline, &fresh, threshold);
+    for c in &report.changed_counts {
+        println!(
+            "::error title=count row changed::{} / {} / {} / {}: {} -> {}",
+            c.key.0, c.key.1, c.key.2, c.key.3, c.baseline, c.fresh
+        );
+    }
     for r in &report.regressions {
         println!(
             "::warning title=bench regression::{} / {} / {} / {}: {:.1}µs -> {:.1}µs ({:.2}x)",
@@ -75,11 +87,14 @@ fn main() -> ExitCode {
         );
     }
     println!(
-        "bench_compare: {} timing rows compared, {} regression(s) over {threshold:.1}x",
+        "bench_compare: {} count rows compared, {} changed; \
+         {} timing rows compared, {} regression(s) over {threshold:.1}x",
+        report.counts_compared,
+        report.changed_counts.len(),
         report.compared,
         report.regressions.len()
     );
-    if fail_on_regression && !report.regressions.is_empty() {
+    if !report.changed_counts.is_empty() || (fail_on_regression && !report.regressions.is_empty()) {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS

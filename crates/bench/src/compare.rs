@@ -6,9 +6,11 @@
 //! on only one side are ignored — experiments grow over time, so a fresh
 //! document with new tables (e.g. the `F1` federation sweep, the `F2` async
 //! sweep, or the `F3` multi-tenant serving sweep) still compares cleanly
-//! against a baseline that predates those keys. Only timing metrics (`µs`
-//! in the metric name) are regression-checked; counters are semantic diffs,
-//! not perf regressions.
+//! against a baseline that predates those keys. Timing metrics (`µs` in the
+//! metric name) are regression-checked against a threshold. Every other row
+//! is a deterministic count (accesses, evictions, shard copies, wire
+//! calls, ...): any change of one present on both sides is a semantic diff,
+//! reported on its own, never as a perf regression.
 
 use std::collections::BTreeMap;
 
@@ -17,18 +19,19 @@ use crate::smoke::SmokeRow;
 /// Row key: (table id, series, parameter, metric).
 pub type RowKey = (String, String, String, String);
 
-/// One timing regression over the threshold.
+/// A row whose fresh value differs from its baseline: a timing row over the
+/// threshold, or a count row that changed at all.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Regression {
+pub struct RowChange {
     /// The matched row key.
     pub key: RowKey,
-    /// Baseline value (µs).
+    /// Baseline value.
     pub baseline: f64,
-    /// Fresh value (µs).
+    /// Fresh value.
     pub fresh: f64,
 }
 
-impl Regression {
+impl RowChange {
     /// `fresh / baseline`.
     pub fn ratio(&self) -> f64 {
         self.fresh / self.baseline
@@ -40,8 +43,12 @@ impl Regression {
 pub struct CompareReport {
     /// Timing rows present on both sides.
     pub compared: usize,
-    /// Rows whose fresh value exceeded `threshold ×` the baseline.
-    pub regressions: Vec<Regression>,
+    /// Timing rows whose fresh value exceeded `threshold ×` the baseline.
+    pub regressions: Vec<RowChange>,
+    /// Count (non-timing) rows present on both sides.
+    pub counts_compared: usize,
+    /// Count rows whose fresh value differs from the baseline's.
+    pub changed_counts: Vec<RowChange>,
 }
 
 fn index(rows: &[SmokeRow]) -> BTreeMap<RowKey, f64> {
@@ -63,8 +70,8 @@ fn index(rows: &[SmokeRow]) -> BTreeMap<RowKey, f64> {
 }
 
 /// Compares `fresh` against `baseline`, flagging timing rows that regressed
-/// by more than `threshold ×`. Sub-microsecond baselines are noise floors
-/// and never flagged.
+/// by more than `threshold ×` and count rows that changed. Sub-microsecond
+/// timing baselines are noise floors and never flagged.
 pub fn compare_rows(baseline: &[SmokeRow], fresh: &[SmokeRow], threshold: f64) -> CompareReport {
     let baseline = index(baseline);
     let fresh = index(fresh);
@@ -73,17 +80,22 @@ pub fn compare_rows(baseline: &[SmokeRow], fresh: &[SmokeRow], threshold: f64) -
         let Some(new_value) = fresh.get(key) else {
             continue;
         };
+        let change = RowChange {
+            key: key.clone(),
+            baseline: *base_value,
+            fresh: *new_value,
+        };
         if !key.3.contains("µs") {
+            report.counts_compared += 1;
+            if new_value != base_value {
+                report.changed_counts.push(change);
+            }
             continue;
         }
         report.compared += 1;
         let floor = 1.0f64;
         if *base_value > floor && *new_value > threshold * base_value {
-            report.regressions.push(Regression {
-                key: key.clone(),
-                baseline: *base_value,
-                fresh: *new_value,
-            });
+            report.regressions.push(change);
         }
     }
     report
@@ -188,6 +200,9 @@ mod tests {
         assert_eq!(report.compared, 1, "counter rows are not timing rows");
         assert_eq!(report.regressions.len(), 1);
         assert_eq!(report.regressions[0].key.3, "p95 session µs");
+        assert_eq!(report.counts_compared, 1);
+        assert_eq!(report.changed_counts.len(), 1);
+        assert_eq!(report.changed_counts[0].key.3, "wire calls");
     }
 
     #[test]
@@ -312,5 +327,92 @@ mod tests {
         // noise floor.
         assert_eq!(report.compared, 1);
         assert!(report.regressions.is_empty());
+        // The count row's change is reported as a changed count instead.
+        assert_eq!(report.counts_compared, 1);
+        assert_eq!(
+            report.changed_counts,
+            vec![RowChange {
+                key: (
+                    "E5".to_string(),
+                    "configuration facts".to_string(),
+                    "10".to_string(),
+                    "count".to_string()
+                ),
+                baseline: 10.0,
+                fresh: 99.0,
+            }]
+        );
+    }
+
+    #[test]
+    fn only_count_rows_that_differ_are_changed_counts() {
+        let baseline = vec![
+            row("F1", "E5 federation (exhaustive)", "4", "shard copies", 0.0),
+            row("F1", "E5 federation (exhaustive)", "4", "accesses", 48.0),
+            row("F1", "E5 federation (exhaustive)", "4", "mean batch", 7.3),
+            row("F1", "E5 federation (exhaustive)", "4", "µs/access", 10.0),
+        ];
+        let fresh = vec![
+            row("F1", "E5 federation (exhaustive)", "4", "shard copies", 4.0),
+            row("F1", "E5 federation (exhaustive)", "4", "accesses", 48.0),
+            row("F1", "E5 federation (exhaustive)", "4", "mean batch", 7.3),
+            row("F1", "E5 federation (exhaustive)", "4", "µs/access", 19.0),
+        ];
+        let report = compare_rows(&baseline, &fresh, 2.0);
+        assert_eq!((report.compared, report.counts_compared), (1, 3));
+        assert!(report.regressions.is_empty(), "1.9x is under the threshold");
+        assert_eq!(report.changed_counts.len(), 1);
+        let change = &report.changed_counts[0];
+        assert_eq!(change.key.3, "shard copies");
+        assert_eq!((change.baseline, change.fresh), (0.0, 4.0));
+    }
+
+    #[test]
+    fn a_timing_change_is_never_a_changed_count() {
+        // Any metric naming µs is a timing, however it is spelled, and a
+        // timing that moves under the threshold is not reported at all.
+        let baseline = vec![
+            row("F3", "E5 serving", "4", "p50 session µs", 100.0),
+            row("F2", "E5 async", "4", "virtual µs/access", 60.0),
+            row("F1", "IR sweep", "2", "sweep µs", 900.0),
+        ];
+        let fresh = vec![
+            row("F3", "E5 serving", "4", "p50 session µs", 150.0),
+            row("F2", "E5 async", "4", "virtual µs/access", 61.0),
+            row("F1", "IR sweep", "2", "sweep µs", 1000.0),
+        ];
+        let report = compare_rows(&baseline, &fresh, 2.0);
+        assert_eq!((report.compared, report.counts_compared), (3, 0));
+        assert!(report.regressions.is_empty());
+        assert!(report.changed_counts.is_empty());
+    }
+
+    #[test]
+    fn one_sided_count_rows_are_not_changes() {
+        // A count row only one side carries (a new series, or one the fresh
+        // run dropped) is skipped, like a one-sided timing row.
+        let baseline = vec![
+            row(
+                "F1",
+                "E5 federation (ltr-guided, eager)",
+                "8",
+                "accesses",
+                13.0,
+            ),
+            row("F1", "E5 federation (exhaustive)", "4", "accesses", 48.0),
+        ];
+        let fresh = vec![
+            row("F1", "E5 federation (exhaustive)", "4", "accesses", 48.0),
+            row(
+                "F1",
+                "E5 federation (invalidation, precise)",
+                "4",
+                "evictions",
+                3442.0,
+            ),
+        ];
+        let report = compare_rows(&baseline, &fresh, 2.0);
+        assert_eq!(report.counts_compared, 1);
+        assert!(report.changed_counts.is_empty());
     }
 }

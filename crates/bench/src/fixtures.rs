@@ -463,7 +463,7 @@ pub fn adom_flooding_chain(feed_len: i64, links: usize) -> FloodFixture {
     initial.insert_named("Feed", [0i64, 1]).unwrap();
     // The link chain a00 -> a01 -> ... is both hidden and seeded: accesses
     // on R1/R2 deliver facts the configuration already holds, so they never
-    // raise an insert event.
+    // grow it.
     for i in 0..links {
         let a = format!("a{i:02}");
         let b = format!("a{:02}", i + 1);

@@ -855,7 +855,7 @@ mod tests {
     use super::*;
     use accrel_access::AccessMode;
     use accrel_query::Term;
-    use accrel_schema::{tuple, AdomPrecision, Read, Schema};
+    use accrel_schema::{tuple, AdomPrecision, GrowthCursor, Read, Schema};
     use std::sync::Arc;
 
     fn two_domain_setup() -> (Arc<Schema>, AccessMethods) {
@@ -1011,14 +1011,14 @@ mod tests {
             full.iter().cloned().collect::<Vec<_>>(),
             vec![Read::AdomDomain(e)]
         );
-        conf.set_event_capture(true);
+        let mut cursor = GrowthCursor::at(conf.store());
         conf.insert_named("S", [25]).unwrap();
-        let above = conf.take_events().pop().unwrap();
-        assert!(!stopped.touched_by(&above, conf.store().interner()));
-        assert!(full.touched_by(&above, conf.store().interner()));
+        let above = cursor.advance(conf.store());
+        assert!(!stopped.touched_by(&above));
+        assert!(full.touched_by(&above));
         conf.insert_named("S", [15]).unwrap();
-        let below = conf.take_events().pop().unwrap();
-        assert!(stopped.touched_by(&below, conf.store().interner()));
+        let below = cursor.advance(conf.store());
+        assert!(stopped.touched_by(&below));
     }
 
     #[test]

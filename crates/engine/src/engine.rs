@@ -4,8 +4,8 @@
 //! A run is *incremental*: relevance verdicts are cached per candidate
 //! access together with the exact set of `(relation, value)` pairs the
 //! decision procedure consulted (see [`accrel_schema::ReadSet`]), and are
-//! evicted only when a committed insert event touches a pair the verdict
-//! read — or, under [`crate::InvalidationMode::RelationLevel`], when a
+//! evicted only when a committed row touches a pair the verdict read — or,
+//! under [`crate::InvalidationMode::RelationLevel`], when a
 //! response adds facts to a relation in the verdict's coarse dependency set.
 //! Rounds whose responses were empty (Boolean probes that missed, exhausted
 //! accesses) or merely duplicated known facts re-use every verdict from the
@@ -137,8 +137,10 @@ pub struct RunReport {
     /// — plus, for a Boolean query, the cached `true` verdicts evicted when
     /// the query turned certain.
     pub evictions: usize,
-    /// Insert events drained by exact invalidation (one per committed
-    /// response row; zero under relation-level invalidation).
+    /// Committed response rows drained by exact or precise invalidation:
+    /// every row a response committed after the run cached its first
+    /// verdict. Zero under relation-level invalidation, with the cache off,
+    /// and for runs that cache no verdict (`Exhaustive`).
     pub events_drained: usize,
     /// The accesses executed, in execution order (for comparing cached and
     /// uncached runs).

@@ -15,19 +15,24 @@
 //!   virtual clock, and the serving layer routes it through its
 //!   cross-session dedup table.
 //!
+//! Growth is read, not queued: each consumer below follows the
+//! configuration's append-only store through an
+//! [`accrel_schema::GrowthCursor`] of its own, and after a growing response
+//! the loop tells the oracle, which evicts the verdicts the rows could flip.
+//!
 //! The loop never evaluates the query itself. Its per-round stop check and
 //! the report's certainty and Boolean answers come from the oracle's
-//! per-run certainty status ([`RelevanceOracle::is_certain`]), which is fed
-//! the rows each response commits and refreshed semi-naively; a
+//! per-run certainty status ([`RelevanceOracle::is_certain`]), which reads
+//! the rows committed since its last refresh and refreshes semi-naively; a
 //! non-Boolean query's answers are still computed in full once, at the end.
 //!
-//! Candidates are incremental in the same way. The loop's [`AccessFrontier`]
-//! keeps one row watermark per relation: each round's refresh reads only the
-//! rows committed since the previous one and emits the accesses whose
-//! binding uses a value new to the active domain. The loop refreshes it
-//! between relevance checks, when no read recorder is installed, so the
-//! pending set always equals what full re-enumeration of the configuration
-//! would yield, less the accesses already consumed.
+//! Candidates are incremental in the same way. Each round's refresh of the
+//! loop's [`AccessFrontier`] reads only the active-domain pairs that entered
+//! since the previous one and emits the accesses whose binding uses a value
+//! new to the active domain. The loop refreshes it between relevance
+//! checks, when no read recorder is installed, so the pending set always
+//! equals what full re-enumeration of the configuration would yield, less
+//! the accesses already consumed.
 //!
 //! The loop owns its working configuration, a snapshot of the initial one,
 //! and only its own responses write it: the decision procedures read it
@@ -123,9 +128,7 @@ impl<'q> MergeLoop<'q> {
         initial: &Configuration,
     ) -> Self {
         let options = options.normalize();
-        let mut conf = initial.snapshot();
-        // Every response row queues an invalidation event for the oracle.
-        conf.set_event_capture(true);
+        let conf = initial.snapshot();
         let copies_before = conf.shard_copies();
         let oracle = RelevanceOracle::new(query, methods, &options);
         let frontier = AccessFrontier::new(
@@ -270,15 +273,11 @@ impl<'q> MergeLoop<'q> {
         // no per-round snapshot.
         let _ = apply_access_in_place(&mut self.conf, &access, &response, self.methods);
         if self.conf.len() > before {
-            // The response grew exactly one relation (its method's): drain
-            // its insert events and drop the verdicts they touch.
+            // The response grew exactly one relation (its method's): drop
+            // the verdicts its rows could flip.
             if let Ok(m) = self.methods.get(access.method()) {
                 self.oracle.observe_growth(&mut self.conf, m.relation());
             }
-        } else {
-            // A fully-duplicate response inserted nothing, queued no events,
-            // and must evict nothing.
-            debug_assert_eq!(self.conf.pending_events(), 0);
         }
     }
 

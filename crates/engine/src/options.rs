@@ -44,9 +44,9 @@ pub enum InvalidationMode {
     Precise,
     /// Exact read-set invalidation: every computed verdict records the
     /// `(relation, value)` pairs its decision procedure actually consulted;
-    /// committed inserts become events drained to fixpoint after each
-    /// growing response, and a verdict is evicted only when an event
-    /// touches a pair it read. Active-domain walks are recorded coarsely
+    /// after each growing response the rows it committed are read from the
+    /// store's append-only logs, and a verdict is evicted only when one of
+    /// them touches a pair it read. Active-domain walks are recorded coarsely
     /// (any new value anywhere touches them) — on adom-flooding workloads
     /// this evicts nearly everything; [`InvalidationMode::Precise`] fixes
     /// that. Kept as the intermediate differential baseline.

@@ -10,13 +10,17 @@
 //! [`crate::RunReport::relevance_verdicts`]; the executor-equivalence tests
 //! compare these logs between sequential and batched runs.
 //!
-//! # Certainty
+//! # Growth and certainty
 //!
-//! The oracle owns the run's [`CertaintyStatus`]: it is shown every row
-//! [`RelevanceOracle::observe_growth`] drains (in every invalidation mode,
-//! cache on or off) and answers [`RelevanceOracle::is_certain`], which is
-//! how the run loop decides to stop and what its report says. With the
-//! cache on, a Boolean query's verdicts come from the decision procedures'
+//! Growth is read from the store's append-only logs, never queued: the
+//! oracle takes a [`GrowthCursor`] at its first cached verdict (earlier
+//! growth has nothing to evict), and [`RelevanceOracle::observe_growth`]
+//! advances it and evicts every cached verdict the growth could flip.
+//!
+//! The oracle owns the run's [`CertaintyStatus`], which follows growth
+//! through a cursor of its own, and answers [`RelevanceOracle::is_certain`],
+//! which is how the run loop decides to stop and what its report says. With
+//! the cache on, a Boolean query's verdicts come from the decision procedures'
 //! bodies ([`is_immediately_relevant_given_uncertain`],
 //! [`is_long_term_relevant_given_uncertain`]) after the status
 //! ruled certainty out — a certain query makes every verdict `false`
@@ -37,9 +41,7 @@ use accrel_core::{
 };
 use accrel_query::certain::CertaintyStatus;
 use accrel_query::Query;
-use accrel_schema::{
-    AdomPrecision, Configuration, InsertEvent, ReadSet, RelationId, ValueInterner,
-};
+use accrel_schema::{AdomPrecision, Configuration, Growth, GrowthCursor, ReadSet, RelationId};
 
 use crate::engine::Strategy;
 use crate::options::{InvalidationMode, RunOptions};
@@ -112,20 +114,11 @@ impl RelevanceCache {
         }
     }
 
-    /// Drops every verdict that depends on `relation` (relation-level
-    /// invalidation; ignores read sets). Returns how many verdicts were
-    /// evicted.
-    fn invalidate(&mut self, relation: RelationId) -> usize {
-        let before = self.immediate.len() + self.long_term.len();
-        let query_dep = self.query_relations.contains(&relation);
-        self.immediate.retain(|_, c| !(c.global || query_dep));
-        self.long_term.retain(|_, c| !(c.global || query_dep));
-        before - (self.immediate.len() + self.long_term.len())
-    }
-
-    /// Drops every verdict whose recorded read set is touched by `event`
-    /// (exact invalidation; verdicts without a read set fall back to their
-    /// relation-level dependency). Returns how many verdicts were evicted.
+    /// Drops every verdict whose relation-level dependency includes a grown
+    /// relation and whose recorded read set, if it has one, `growth`
+    /// touches (verdicts without one: every verdict under relation-level
+    /// invalidation, and shared-cache entries published without one).
+    /// Returns how many verdicts were evicted.
     ///
     /// The relation-level dependency and the read set are *both* sound
     /// over-approximations of "this growth could flip the verdict" — the
@@ -139,15 +132,20 @@ impl RelevanceCache {
     /// evictions at every growth point, never a superset (a read set may
     /// name active-domain probes the query's relation set deliberately
     /// excludes).
-    fn evict_touched(&mut self, event: &InsertEvent, interner: &ValueInterner) -> usize {
+    fn evict_touched(&mut self, growth: &Growth<'_>) -> usize {
+        if growth.is_empty() {
+            return 0;
+        }
         let before = self.immediate.len() + self.long_term.len();
-        let query_dep = self.query_relations.contains(&event.relation);
+        let query_dep = growth
+            .relations()
+            .any(|(r, _)| self.query_relations.contains(&r));
         let keep = |c: &CachedVerdict| {
             if !(c.global || query_dep) {
                 return true;
             }
             match &c.reads {
-                Some(rs) => !rs.touched_by(event, interner),
+                Some(rs) => !rs.touched_by(growth),
                 None => false,
             }
         };
@@ -203,7 +201,10 @@ struct SharedVerdictState {
 /// function of — query, strategy, options, and the initial configuration —
 /// so that only sessions following the *same* growth trajectory share
 /// entries; the serving layer derives it from the request + initial
-/// fingerprint.
+/// fingerprint. The class must also pin the initial configuration's
+/// value-id assignment: a verdict's read set names values by their
+/// process-local ids, so the same facts interned in another order would
+/// read other values under the same ids and miss evictions.
 #[derive(Debug, Clone, Default)]
 pub struct SharedVerdictCache {
     inner: Arc<Mutex<SharedVerdictState>>,
@@ -347,6 +348,9 @@ pub struct RelevanceOracle<'a> {
     use_cache: bool,
     cache: RelevanceCache,
     status: CertaintyStatus<'a>,
+    /// Where the last [`Self::observe_growth`] left the configuration's
+    /// growth; `None` until the first verdict is cached.
+    cursor: Option<GrowthCursor>,
     shared: Option<(u64, SharedVerdictCache)>,
     shared_hits: usize,
     log: Vec<VerdictRecord>,
@@ -372,6 +376,7 @@ impl<'a> RelevanceOracle<'a> {
             use_cache: options.use_relevance_cache,
             cache: RelevanceCache::new(query_relations),
             status: CertaintyStatus::new(query),
+            cursor: None,
             shared: None,
             shared_hits: 0,
             log: Vec::new(),
@@ -549,6 +554,9 @@ impl<'a> RelevanceOracle<'a> {
                 reads,
             },
         );
+        if self.cursor.is_none() {
+            self.cursor = Some(GrowthCursor::at(conf.store()));
+        }
         if self.record {
             self.log.push(VerdictRecord {
                 access: access.clone(),
@@ -588,54 +596,40 @@ impl<'a> RelevanceOracle<'a> {
         self.check_at(RelevanceKind::LongTerm, access, conf)
     }
 
-    /// Drops every cached verdict whose *coarse* dependency set contains
-    /// `relation`: the relation-level eviction of [`Self::observe_growth`].
-    /// Not public: a caller reporting growth here would skip that method's
-    /// event drain and certainty-status refresh.
-    fn invalidate(&mut self, relation: RelationId) {
-        if self.use_cache {
-            self.evictions += self.cache.invalidate(relation);
-        }
-    }
-
-    /// Reacts to a response that grew the configuration: drains the insert
-    /// events the store captured and shows each row to the certainty
-    /// status (in every mode, cache on or off). Under
-    /// [`InvalidationMode::Exact`] or [`InvalidationMode::Precise`] it also
-    /// evicts exactly the cached verdicts whose recorded reads an event
-    /// touches (the two modes share this drain; they differ only in how
-    /// finely the reads were recorded). Under
-    /// [`InvalidationMode::RelationLevel`] every verdict depending on
-    /// `relation` (the accessed method's output relation) is evicted
-    /// instead, reproducing the legacy behaviour verdict-for-verdict.
+    /// Reacts to a response that grew the configuration: advances the
+    /// oracle's growth cursor and evicts every cached verdict the committed
+    /// rows could flip. Under [`InvalidationMode::Exact`] or
+    /// [`InvalidationMode::Precise`] that is a verdict whose recorded reads
+    /// they touch; under [`InvalidationMode::RelationLevel`] verdicts carry
+    /// no reads, so every verdict depending on `relation` goes.
+    ///
+    /// The run loop calls it after every growing response, so the rows are
+    /// all of `relation`, the accessed method's output relation (a debug
+    /// build checks it); that keeps the relation gate exact. It only reads
+    /// `conf`, which is `&mut` because the benchmark package's traced
+    /// replay passes it so (ROADMAP direction 4.2).
     pub fn observe_growth(&mut self, conf: &mut Configuration, relation: RelationId) {
-        let evict_touched = self.use_cache && self.invalidation != InvalidationMode::RelationLevel;
-        // Drain to fixpoint: eviction itself inserts nothing, but a caller
-        // interleaving inserts with observe_growth calls must never leave a
-        // queued event unapplied.
-        loop {
-            let events = conf.take_events();
-            if events.is_empty() {
-                break;
-            }
-            let interner = conf.store().interner();
-            for event in &events {
-                self.status.observe(event, interner);
-                if evict_touched {
-                    self.events_drained += 1;
-                    self.evictions += self.cache.evict_touched(event, interner);
-                }
-            }
+        let Some(cursor) = &mut self.cursor else {
+            return;
+        };
+        let growth = cursor.advance(conf.store());
+        debug_assert!(
+            growth.relations().all(|(r, _)| r == relation),
+            "a drain covers the rows of one response's relation"
+        );
+        if self.invalidation != InvalidationMode::RelationLevel {
+            self.events_drained += growth
+                .relations()
+                .map(|(_, rows)| rows.len())
+                .sum::<usize>();
         }
-        if self.invalidation == InvalidationMode::RelationLevel {
-            self.invalidate(relation);
-        }
+        self.evictions += self.cache.evict_touched(&growth);
     }
 
     /// Whether the query (its existential closure, if it has free
     /// variables) is certain at `conf`, from the run's certainty status:
     /// evaluated in full on first use, then refreshed from the rows
-    /// [`Self::observe_growth`] showed it. The refresh at which a Boolean
+    /// committed since its last refresh. The refresh at which a Boolean
     /// query turns certain evicts every cached `true` verdict (see the
     /// module documentation).
     ///
@@ -680,8 +674,9 @@ impl<'a> RelevanceOracle<'a> {
         self.evictions
     }
 
-    /// Insert events drained by [`Self::observe_growth`] under exact
-    /// invalidation so far.
+    /// Rows [`Self::observe_growth`] drained under exact or precise
+    /// invalidation so far. Rows committed before the first cached verdict
+    /// are never drained, so a run that caches no verdict drains none.
     pub fn events_drained(&self) -> usize {
         self.events_drained
     }
@@ -821,10 +816,19 @@ mod tests {
         (schema, methods, query, conf, access, r, s)
     }
 
+    /// Options under which verdicts carry no read set, so growth evicts by
+    /// relation-level dependency alone.
+    fn relation_level() -> RunOptions {
+        RunOptions {
+            invalidation: InvalidationMode::RelationLevel,
+            ..RunOptions::default()
+        }
+    }
+
     #[test]
     fn independent_ltr_verdicts_survive_unrelated_growth() {
         let (_, methods, query, mut conf, access, r, s) = setup(true);
-        let options = RunOptions::default();
+        let options = relation_level();
         let mut oracle = RelevanceOracle::new(&query, &methods, &options);
         assert!(!oracle.ltr_dep_is_global());
         let first = oracle.check_ltr(&access, &mut conf);
@@ -832,13 +836,13 @@ mod tests {
         // A response growing S (not mentioned by the query) must not flush
         // the verdict: the re-check is a cache hit with the same answer.
         conf.insert_named("S", ["unrelated"]).unwrap();
-        oracle.invalidate(s);
+        oracle.observe_growth(&mut conf, s);
         assert_eq!(oracle.check_ltr(&access, &mut conf), first);
         assert_eq!(oracle.hits(), 1);
         assert_eq!(oracle.misses(), 1);
         // Growth of the query's own relation still invalidates.
         conf.insert_named("R", ["k2", "w"]).unwrap();
-        oracle.invalidate(r);
+        oracle.observe_growth(&mut conf, r);
         let _ = oracle.check_ltr(&access, &mut conf);
         assert_eq!(oracle.misses(), 2);
     }
@@ -846,7 +850,7 @@ mod tests {
     #[test]
     fn dependent_ltr_verdicts_stay_globally_invalidated() {
         let (_, methods, query, mut conf, access, _, s) = setup(false);
-        let options = RunOptions::default();
+        let options = relation_level();
         let mut oracle = RelevanceOracle::new(&query, &methods, &options);
         assert!(oracle.ltr_dep_is_global());
         // Make the access well-formed for the dependent mode check.
@@ -856,7 +860,7 @@ mod tests {
         // Any growth — the dependent witness search reads the global active
         // domain — flushes the verdict.
         conf.insert_named("S", ["unlocks-something"]).unwrap();
-        oracle.invalidate(s);
+        oracle.observe_growth(&mut conf, s);
         let _ = oracle.check_ltr(&access, &mut conf);
         assert_eq!(oracle.misses(), 2);
         assert_eq!(oracle.hits(), 0);
@@ -868,7 +872,7 @@ mod tests {
         // an unmentioned relation equals what a fresh (uncached) check
         // computes on the grown configuration, for every candidate binding.
         let (_, methods, query, mut conf, _, _, s) = setup(true);
-        let options = RunOptions::default();
+        let options = relation_level();
         let r_acc = methods.by_name("RAcc").unwrap();
         let bindings = ["k", "seed", "zz"];
         let mut oracle = RelevanceOracle::new(&query, &methods, &options);
@@ -876,7 +880,7 @@ mod tests {
             let _ = oracle.check_ltr(&Access::new(r_acc, binding([b])), &mut conf);
         }
         conf.insert_named("S", ["later"]).unwrap();
-        oracle.invalidate(s);
+        oracle.observe_growth(&mut conf, s);
         for b in bindings {
             let access = Access::new(r_acc, binding([b]));
             let cached = oracle.check_ltr(&access, &mut conf);
@@ -986,7 +990,6 @@ mod tests {
         let query: Query = pb.build(first.or(second)).into();
         let mut conf = Configuration::empty(schema.clone());
         conf.insert_named("R", ["1"]).unwrap();
-        conf.set_event_capture(true);
         let access = Access::new(s_check, binding(["1"]));
         let options = RunOptions {
             invalidation: InvalidationMode::Precise,

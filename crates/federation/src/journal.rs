@@ -20,10 +20,11 @@
 //! trailing lines (a crashed writer) are detected and skipped.
 //!
 //! Verdict-cache keys embed `RelationId` / `AccessMethodId` indices and
-//! relation *fact counts*, so a journal is only meaningful to a process
-//! loading the same schema, methods, and initial configuration — exactly
-//! the serving layer's `verdict_class` contract, whose class discriminant
-//! (also journaled) fences off mismatched trajectories.
+//! relation *fact counts*, and read sets embed `ValueId`s, so a journal is
+//! only meaningful to a process loading the same schema, methods, and
+//! initial configuration, built in the same order — exactly the serving
+//! layer's `verdict_class` contract, whose class discriminant (also
+//! journaled) fences off mismatched trajectories and value-id assignments.
 
 use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};

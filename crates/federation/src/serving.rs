@@ -359,6 +359,12 @@ impl accrel_engine::Executor for Serving<'_> {
 /// initial configuration, query, strategy and options all agree (a coarser
 /// key would let a deep-budget verdict leak into a shallow-budget run).
 ///
+/// The initial configuration counts twice: its facts (the fingerprint,
+/// which is order-independent) and its interner's values in id order. The
+/// shared verdicts carry read sets of value ids, so two configurations with
+/// the same facts interned in another order must not share them: a read of
+/// one value's id would name another value there.
+///
 /// Every ingredient must render deterministically **across processes** — a
 /// journal replay (see the `journal` module) rebuilds the cache in a fresh
 /// process and only hits when it derives the same class. The query is
@@ -368,6 +374,9 @@ impl accrel_engine::Executor for Serving<'_> {
 fn verdict_class(request: &RunRequest, initial: &Configuration) -> u64 {
     let mut h = DefaultHasher::new();
     initial.fingerprint().hash(&mut h);
+    for (_, value) in initial.store().interner().iter() {
+        value.hash(&mut h);
+    }
     request.query.to_string().hash(&mut h);
     for (rel, relation) in request.query.schema().relations_with_ids() {
         rel.0.hash(&mut h);

@@ -17,13 +17,14 @@
 //! flips at most once, from false to true, and any match that appears must
 //! use a row committed since the last look. [`CertaintyStatus`] uses both
 //! facts: it evaluates the query in full the first time it is asked, then
-//! evaluates each disjunct with one atom pinned to each newly committed row
-//! (the semi-naive step of Datalog evaluation). The engine keeps one per run,
-//! so neither its run loop nor its Boolean relevance checks re-prove
-//! certainty with a full join; [`is_certain`] stays the reference the status
-//! is checked against.
+//! reads the rows committed since through its own [`GrowthCursor`] and
+//! evaluates each disjunct with one atom pinned to each new row of the
+//! atom's relation (the semi-naive step of Datalog evaluation). The engine
+//! keeps one per run, so neither its run loop nor its Boolean relevance
+//! checks re-prove certainty with a full join; [`is_certain`] stays the
+//! reference the status is checked against.
 
-use accrel_schema::{Configuration, InsertEvent, RelationId, Tuple, ValueInterner};
+use accrel_schema::{Configuration, GrowthCursor, Tuple};
 
 use crate::cq::ConjunctiveQuery;
 use crate::eval::{self, Valuation};
@@ -54,25 +55,15 @@ pub fn certain_answers(query: &Query, conf: &Configuration) -> Vec<Tuple> {
 
 /// The certainty of one query (the existential closure, if it has free
 /// variables) over one growing configuration, kept up to date semi-naively
-/// (see the module documentation).
-///
-/// Feed it every row committed to the configuration through
-/// [`CertaintyStatus::observe`] and ask with [`CertaintyStatus::refresh`].
-/// A refresh whose configuration holds rows the status was not shown (a
-/// caller that inserted without capturing events or has not drained them
-/// yet, or the first refresh) evaluates the query in full instead, so a
-/// missed row costs time, never correctness. The status assumes a single
+/// (see the module documentation). The status assumes a single
 /// configuration that only grows.
 #[derive(Debug, Clone)]
 pub struct CertaintyStatus<'q> {
     query: &'q Query,
     /// The verdict of the last refresh; `None` before the first.
     certain: Option<bool>,
-    /// The configuration's fact count at the last refresh, less the rows
-    /// whose insert events were still queued (they are shown later).
-    seen: usize,
-    /// Rows observed since the last refresh.
-    delta: Vec<(RelationId, Tuple)>,
+    /// Where the last refresh left the configuration's growth.
+    cursor: GrowthCursor,
 }
 
 impl<'q> CertaintyStatus<'q> {
@@ -81,8 +72,7 @@ impl<'q> CertaintyStatus<'q> {
         Self {
             query,
             certain: None,
-            seen: 0,
-            delta: Vec::new(),
+            cursor: GrowthCursor::default(),
         }
     }
 
@@ -92,26 +82,11 @@ impl<'q> CertaintyStatus<'q> {
         self.certain == Some(true)
     }
 
-    /// Shows the status a row committed since the last refresh: an insert
-    /// event drained from the configuration's store, whose value ids
-    /// `interner` resolves.
-    pub fn observe(&mut self, event: &InsertEvent, interner: &ValueInterner) {
-        // Before the first refresh, and once certain, rows change nothing.
-        if self.certain == Some(false) {
-            let row = event
-                .values
-                .iter()
-                .map(|&(id, _, _)| interner.resolve(id).clone())
-                .collect();
-            self.delta.push((event.relation, Tuple::new(row)));
-        }
-    }
-
     /// Brings the status up to date with `conf` and returns whether the
-    /// query is certain there. The first refresh, and any refresh that finds
-    /// rows it was not shown, evaluates the query in full; otherwise only
-    /// matches through an observed row are searched. A debug build checks
-    /// every such search against [`is_certain`].
+    /// query is certain there. The first refresh evaluates the query in
+    /// full; later ones search only the matches through a row committed
+    /// since the previous refresh. A debug build checks every such search
+    /// against [`is_certain`].
     ///
     /// # Panics
     ///
@@ -123,21 +98,26 @@ impl<'q> CertaintyStatus<'q> {
             !store.is_recording_reads(),
             "certainty status refreshed inside a read-recording region"
         );
-        let len = store.len();
         let certain = match self.certain {
-            Some(true) => true,
-            Some(false) if len == self.seen && self.delta.is_empty() => return false,
-            Some(false) if len == self.seen + self.delta.len() => {
-                // Every new match maps some atom onto an observed row; the
-                // rest of its disjunct is joined in query order, exactly as
-                // a full evaluation would.
-                let certain = self.delta.iter().any(|(relation, row)| {
-                    self.query.ucq().iter().any(|d| {
-                        d.atoms().iter().any(|atom| {
-                            atom.relation() == *relation
-                                && Valuation::new().unify_atom(atom, row).is_some_and(|v| {
-                                    eval::find_homomorphism(d.atoms(), store, &v).is_some()
-                                })
+            Some(true) => return true,
+            None => {
+                self.cursor = GrowthCursor::at(store);
+                is_certain(self.query, conf)
+            }
+            Some(false) => {
+                let growth = self.cursor.advance(store);
+                if growth.is_empty() {
+                    return false;
+                }
+                // Every new match maps some atom onto a new row; the rest of
+                // its disjunct is joined in query order, exactly as a full
+                // evaluation would.
+                let certain = self.query.ucq().iter().any(|d| {
+                    d.atoms().iter().any(|atom| {
+                        growth.rows(atom.relation()).iter().any(|row| {
+                            Valuation::new().unify_atom(atom, row).is_some_and(|v| {
+                                eval::find_homomorphism(d.atoms(), store, &v).is_some()
+                            })
                         })
                     })
                 });
@@ -148,11 +128,8 @@ impl<'q> CertaintyStatus<'q> {
                 );
                 certain
             }
-            _ => is_certain(self.query, conf),
         };
         self.certain = Some(certain);
-        self.seen = len.saturating_sub(store.pending_events());
-        self.delta.clear();
         certain
     }
 }
@@ -241,7 +218,7 @@ mod tests {
     }
 
     #[test]
-    fn status_follows_observed_rows_and_falls_back_on_unobserved_ones() {
+    fn status_follows_the_rows_committed_between_refreshes() {
         let s = schema();
         let mut qb = ConjunctiveQuery::builder(s.clone());
         let x = qb.var("x");
@@ -250,26 +227,15 @@ mod tests {
         qb.atom("S", vec![Term::Var(x)]).unwrap();
         let q: Query = qb.build().into();
         let mut conf = Configuration::empty(s);
-        conf.set_event_capture(true);
         let mut status = CertaintyStatus::new(&q);
         assert!(!status.refresh(&conf));
-        fn grow(
-            conf: &mut Configuration,
-            status: &mut CertaintyStatus,
-            rel: &str,
-            row: &[&str],
-        ) -> bool {
-            conf.insert_named(rel, row.iter().copied()).unwrap();
-            for event in conf.take_events() {
-                status.observe(&event, conf.store().interner());
-            }
-            status.refresh(conf)
-        }
-        assert!(!grow(&mut conf, &mut status, "R", &["3", "5"]));
-        assert!(!grow(&mut conf, &mut status, "S", &["4"]));
-        // A row inserted behind the status's back forces a full evaluation.
+        conf.insert_named("R", ["3", "5"]).unwrap();
+        assert!(!status.refresh(&conf));
+        conf.insert_named("S", ["4"]).unwrap();
+        assert!(!status.refresh(&conf));
+        // Two rows between refreshes: the match uses the later one.
+        conf.insert_named("R", ["4", "6"]).unwrap();
         conf.insert_named("S", ["3"]).unwrap();
-        let _ = conf.take_events();
         assert!(status.refresh(&conf));
         assert!(status.is_known_certain());
     }

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use crate::domain::DomainId;
 use crate::relation::RelationId;
 use crate::schema::Schema;
-use crate::store::{AdomPrecision, Fact, FactStore, InsertEvent, ReadSet};
+use crate::store::{AdomPrecision, Fact, FactStore, ReadSet};
 use crate::tuple::Tuple;
 use crate::value::Value;
 use crate::Result;
@@ -111,21 +111,11 @@ impl Configuration {
         self.store.take_read_set()
     }
 
-    /// Enables or disables [`InsertEvent`] capture on the insert paths (see
-    /// [`FactStore::set_event_capture`]).
-    pub fn set_event_capture(&mut self, enabled: bool) {
-        self.store.set_event_capture(enabled)
-    }
-
-    /// Drains the insert events captured since the last call.
-    pub fn take_events(&mut self) -> Vec<InsertEvent> {
-        self.store.take_events()
-    }
-
-    /// How many insert events are queued.
-    pub fn pending_events(&self) -> usize {
-        self.store.pending_events()
-    }
+    /// Does nothing. Growth is read from the store's append-only logs
+    /// through a [`crate::GrowthCursor`], so there is no event capture to
+    /// switch on. Kept only because the benchmark package's traced replay
+    /// calls it (ROADMAP direction 4.2).
+    pub fn set_event_capture(&mut self, _enabled: bool) {}
 
     /// Inserts a fact, checking arity.
     pub fn insert(&mut self, relation: RelationId, t: Tuple) -> Result<bool> {

@@ -26,8 +26,9 @@
 //! [`ValueId`]s by a [`ValueInterner`], tuples are kept columnar per
 //! relation, every (relation, attribute) pair maintains a value → rows
 //! index, and the active domain is a set maintained on insert rather than
-//! recomputed by scanning. The store is append-only: no row ever leaves it.
-//! See the module documentation in `store.rs` for the invariants.
+//! recomputed by scanning. The store is append-only: no row ever leaves it,
+//! so what it gained since a [`GrowthCursor`] last looked is a suffix of its
+//! logs. See the module documentation in `store.rs` for the invariants.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -50,7 +51,7 @@ pub use instance::Instance;
 pub use intern::{ValueId, ValueInterner};
 pub use relation::{Attribute, Relation, RelationId};
 pub use schema::{Schema, SchemaBuilder};
-pub use store::{AdomPrecision, Fact, FactStore, InsertEvent, Read, ReadSet};
+pub use store::{AdomPrecision, Fact, FactStore, Growth, GrowthCursor, Read, ReadSet};
 pub use tuple::{tuple, Tuple};
 pub use value::{FreshSupply, Value};
 

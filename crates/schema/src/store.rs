@@ -12,8 +12,9 @@
 //!   ([`FactStore::candidates`] and [`FactStore::matching`] read through
 //!   it);
 //! * the active domain (`Adom(Conf)` in the paper) is maintained
-//!   incrementally as a `(ValueId, DomainId)` set — its own `Arc`-backed
-//!   shard — so [`FactStore::active_domain`] never rescans the facts and
+//!   incrementally as a `(ValueId, DomainId)` set, with the same pairs
+//!   logged in entry order beside it — its own `Arc`-backed shard — so
+//!   [`FactStore::active_domain`] never rescans the facts and
 //!   [`FactStore::adom_contains`] is a hash probe;
 //! * the interner is a third `Arc`-backed shard.
 //!
@@ -25,12 +26,15 @@
 //! for the lifetime of the store. Hence [`FactStore::rows_since`] returns
 //! exactly the rows inserted after a given row count, posting lists ascend
 //! by row, and [`FactStore::candidates`] returns rows in insertion order
-//! without sorting. The layers above rely on this: the access frontier's
-//! row watermarks, the semi-naive certainty refresh, the verdict cache's
-//! fact-count version stamps, [`InsertEvent`] capture and recorded
-//! [`ReadSet`]s. Hypothetical facts (a truncated path's responses, a
-//! witness's later facts) never enter a store: the decision procedures
-//! evaluate them as an overlay on top of it.
+//! without sorting. So what a store gained since some point is a suffix of
+//! each relation's rows and of the active domain's entry log: a
+//! [`GrowthCursor`] marks where, and its advance returns that [`Growth`].
+//! The access frontier, the semi-naive certainty refresh and verdict
+//! invalidation ([`ReadSet::touched_by`]) each hold their own cursor, and
+//! the verdict cache's fact-count version stamps rely on the same
+//! property. Hypothetical facts (a truncated path's responses, a witness's
+//! later facts) never enter a store: the decision procedures evaluate them
+//! as an overlay on top of it.
 //!
 //! # Copy-on-write semantics
 //!
@@ -60,6 +64,9 @@
 //! * `active_domain` equals the set of `(value, domain)` pairs occurring in
 //!   any fact;
 //! * `rows_since` returns exactly the rows inserted after a row count;
+//! * a cursor's advance returns exactly the rows inserted since its last
+//!   position and the pairs that entered the active domain meanwhile, in
+//!   entry order;
 //! * interning values that are already known never copies the interner
 //!   shard; inserting a fact that is already present never copies any
 //!   shard;
@@ -128,8 +135,21 @@ impl RelationShard {
 }
 
 /// The active domain: every `(value, domain)` pair some stored row holds
-/// at a position of that domain. Rows never leave, so pairs never do.
-type AdomCache = HashSet<(ValueId, DomainId)>;
+/// at a position of that domain, as a set and, beside it, in entry order.
+/// Rows never leave, so pairs never do.
+#[derive(Clone, Debug, Default)]
+struct AdomCache {
+    members: HashSet<(ValueId, DomainId)>,
+    entered: Vec<(ValueId, DomainId)>,
+}
+
+impl AdomCache {
+    fn insert(&mut self, pair: (ValueId, DomainId)) {
+        if self.members.insert(pair) {
+            self.entered.push(pair);
+        }
+    }
+}
 
 /// How the read recorder classifies whole-active-domain walks (the
 /// `active_domain` / valuation-enumeration reads of the decision
@@ -158,11 +178,11 @@ pub enum AdomPrecision {
 /// rows of one relation carrying one value id, a full scan depends on the
 /// whole relation, an active-domain probe depends on one `(value, domain)`
 /// pair *entering* the domain, and so on. Each read decides for itself
-/// whether an [`InsertEvent`] touches it.
+/// whether a [`Growth`] touches it.
 ///
 /// Probes for values the interner did not know at read time are kept
-/// symbolically and resolved against the (append-only) interner at
-/// event-drain time.
+/// symbolically and resolved against the (append-only) interner when the
+/// growth is checked.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Read {
     /// A read whose answer can change under *any* growth (`len`,
@@ -202,27 +222,23 @@ pub enum Read {
 }
 
 impl Read {
-    /// Could `event` change the answer of this read?
+    /// Could `growth` change the answer of this read?
     ///
-    /// Active-domain reads trigger only on values *newly* entering the
-    /// domain (growth is monotone, so a positive membership probe can never
-    /// flip). Unknown-value probes are resolved against `interner` now: the
-    /// interner is append-only, so a value that was unknown at read time
-    /// and is known now was interned by a later insert.
-    fn touched_by(&self, event: &InsertEvent, interner: &ValueInterner) -> bool {
-        let carries = |id: ValueId| event.values.iter().any(|&(i, _, _)| i == id);
-        let mut entered = event
-            .values
-            .iter()
-            .filter(|&&(_, _, newly)| newly)
-            .map(|&(i, d, _)| (i, d));
+    /// Row reads trigger on an appended row of their relation (carrying
+    /// their value, for a constrained probe). Active-domain reads trigger
+    /// only on pairs *entering* the domain (growth is monotone, so a
+    /// positive membership probe can never flip). Unknown-value probes are
+    /// resolved against the interner now: it is append-only, so a value
+    /// that was unknown at read time and is known now was interned by a
+    /// later insert.
+    fn touched_by(&self, growth: &Growth<'_>) -> bool {
+        let interner = growth.interner();
+        let mut entered = growth.entered().iter().copied();
         match self {
-            Read::All => true,
-            Read::Relation(r) => *r == event.relation,
-            Read::Pair(r, id) => *r == event.relation && carries(*id),
-            Read::UnknownValue(r, v) => {
-                *r == event.relation && interner.lookup(v).is_some_and(carries)
-            }
+            Read::All => !growth.is_empty(),
+            Read::Relation(r) => !growth.rows(*r).is_empty(),
+            Read::Pair(r, id) => growth.carries(*r, *id),
+            Read::UnknownValue(r, v) => interner.lookup(v).is_some_and(|id| growth.carries(*r, id)),
             Read::Adom => entered.next().is_some(),
             Read::AdomDomain(d) => entered.any(|(_, dd)| dd == *d),
             Read::AdomPair(id, d) => entered.any(|p| p == (*id, *d)),
@@ -241,8 +257,8 @@ impl Read {
 /// of [`Read`]s.
 ///
 /// A decision procedure is a deterministic function of its reads, so a
-/// cached verdict stays valid as long as no [`InsertEvent`] touches any
-/// recorded read — [`ReadSet::touched_by`] is that test.
+/// cached verdict stays valid as long as no [`Growth`] touches any recorded
+/// read — [`ReadSet::touched_by`] is that test.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ReadSet {
     reads: Vec<Read>,
@@ -264,9 +280,9 @@ impl ReadSet {
         self.reads.iter()
     }
 
-    /// Could `event` change the answer of any recorded read?
-    pub fn touched_by(&self, event: &InsertEvent, interner: &ValueInterner) -> bool {
-        self.reads.iter().any(|r| r.touched_by(event, interner))
+    /// Could `growth` change the answer of any recorded read?
+    pub fn touched_by(&self, growth: &Growth<'_>) -> bool {
+        self.reads.iter().any(|r| r.touched_by(growth))
     }
 
     /// Records `read` unless it is already present.
@@ -339,23 +355,93 @@ impl FromIterator<Read> for ReadSet {
     }
 }
 
-/// One row insertion, captured on the store's insert paths while event
-/// capture is enabled ([`FactStore::set_event_capture`]). Events are the
-/// propagation currency of exact invalidation: the engine drains them after
-/// each growing response and evicts exactly the cached verdicts whose
-/// [`ReadSet`] is [touched](ReadSet::touched_by).
-///
-/// The store only grows, so a row is never taken back: the events are the
-/// whole history of growth since capture began. Duplicate inserts return
-/// before any mutation and therefore emit none.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InsertEvent {
-    /// The relation the row was inserted into.
-    pub relation: RelationId,
-    /// One entry per attribute position of the inserted row: the value id,
-    /// the position's abstract domain, and whether that `(value, domain)`
-    /// pair was newly added to the active domain by this row.
-    pub values: Vec<(ValueId, DomainId, bool)>,
+/// A position in one store's growth: a row count per relation (missing
+/// entries are zero) and a length of the active domain's entry log. It
+/// follows one store and the clones taken of it at or after the position.
+#[derive(Debug, Clone, Default)]
+pub struct GrowthCursor {
+    rows: Vec<usize>,
+    adom: usize,
+}
+
+impl GrowthCursor {
+    /// A cursor at the end of `store`; the default one stands before its
+    /// first row.
+    pub fn at(store: &FactStore) -> Self {
+        Self {
+            rows: store.relations.iter().map(|s| s.len()).collect(),
+            adom: store.adom.entered.len(),
+        }
+    }
+
+    /// Moves the cursor to the end of `store` and returns what lies
+    /// between: the rows appended since the cursor's position and the pairs
+    /// that entered the active domain. Never records a read, even under an
+    /// installed read recorder.
+    pub fn advance<'s>(&mut self, store: &'s FactStore) -> Growth<'s> {
+        self.rows.resize(store.relations.len(), 0);
+        let mut from = Vec::new();
+        for (i, (mark, shard)) in self.rows.iter_mut().zip(&store.relations).enumerate() {
+            if shard.len() > *mark {
+                from.push((RelationId(i as u32), *mark));
+                *mark = shard.len();
+            }
+        }
+        let adom = std::mem::replace(&mut self.adom, store.adom.entered.len());
+        Growth { store, from, adom }
+    }
+}
+
+/// What a store gained between two positions of a [`GrowthCursor`]: the
+/// appended rows, in row order per relation, and the `(value, domain)`
+/// pairs that entered the active domain, in entry order.
+pub struct Growth<'s> {
+    store: &'s FactStore,
+    /// Each relation with appended rows, in id order, and its first one.
+    from: Vec<(RelationId, usize)>,
+    /// Where the entered pairs start in the active domain's entry log.
+    adom: usize,
+}
+
+impl<'s> Growth<'s> {
+    /// Whether no row was appended (then no pair entered either).
+    pub fn is_empty(&self) -> bool {
+        self.from.is_empty()
+    }
+
+    /// The relations with appended rows, in id order, with those rows.
+    pub fn relations(&self) -> impl Iterator<Item = (RelationId, &'s [Tuple])> + '_ {
+        let store = self.store;
+        self.from
+            .iter()
+            .map(move |&(r, from)| (r, &store.relations[r.index()].tuples[from..]))
+    }
+
+    /// The rows appended to `relation`, in row order.
+    pub fn rows(&self, relation: RelationId) -> &'s [Tuple] {
+        self.relations()
+            .find(|&(r, _)| r == relation)
+            .map_or(&[], |(_, rows)| rows)
+    }
+
+    /// The `(value, domain)` pairs that entered the active domain, in entry
+    /// order; the ids resolve against [`Growth::interner`].
+    pub fn entered(&self) -> &'s [(ValueId, DomainId)] {
+        self.store.adom.entered.get(self.adom..).unwrap_or(&[])
+    }
+
+    /// The store's interner.
+    pub fn interner(&self) -> &'s ValueInterner {
+        self.store.interner.as_ref()
+    }
+
+    /// Whether a row appended to `relation` carries `id` at any position.
+    fn carries(&self, relation: RelationId, id: ValueId) -> bool {
+        self.from.iter().any(|&(r, from)| {
+            let columns = &self.store.relations[r.index()].columns;
+            r == relation && columns.iter().any(|c| c[from..].contains(&id))
+        })
+    }
 }
 
 /// A set of ground facts over a schema, organised per relation.
@@ -384,16 +470,12 @@ pub struct FactStore {
     /// [`FactStore::begin_read_tracking_with`]; meaningless while no
     /// recorder is installed).
     adom_precision: AdomPrecision,
-    /// Whether inserts are captured as [`InsertEvent`]s.
-    events_enabled: bool,
-    /// Captured growth events awaiting [`FactStore::take_events`].
-    events: Vec<InsertEvent>,
 }
 
 impl Clone for FactStore {
     /// O(relations): bumps one `Arc` per shard. The clone inherits the
-    /// `shard_copies` counter but **not** the read recorder or event queue —
-    /// those are single-owner and stay with the original handle.
+    /// `shard_copies` counter but **not** the read recorder, which is
+    /// single-owner and stays with the original handle.
     fn clone(&self) -> Self {
         Self {
             schema: self.schema.clone(),
@@ -404,8 +486,6 @@ impl Clone for FactStore {
             shard_copies: self.shard_copies,
             recording: None,
             adom_precision: AdomPrecision::Coarse,
-            events_enabled: false,
-            events: Vec::new(),
         }
     }
 }
@@ -422,13 +502,11 @@ impl FactStore {
             schema,
             interner: Arc::new(ValueInterner::new()),
             relations,
-            adom: Arc::new(AdomCache::new()),
+            adom: Arc::new(AdomCache::default()),
             len: 0,
             shard_copies: 0,
             recording: None,
             adom_precision: AdomPrecision::Coarse,
-            events_enabled: false,
-            events: Vec::new(),
         }
     }
 
@@ -534,26 +612,6 @@ impl FactStore {
         self.rec(|rs| rs.insert(Read::Adom));
     }
 
-    /// Enables or disables [`InsertEvent`] capture on the insert paths.
-    /// Disabling clears any queued events. Capture is not inherited by
-    /// clones.
-    pub fn set_event_capture(&mut self, enabled: bool) {
-        self.events_enabled = enabled;
-        if !enabled {
-            self.events.clear();
-        }
-    }
-
-    /// Drains the queued insert events.
-    pub fn take_events(&mut self) -> Vec<InsertEvent> {
-        std::mem::take(&mut self.events)
-    }
-
-    /// How many insert events are queued.
-    pub fn pending_events(&self) -> usize {
-        self.events.len()
-    }
-
     /// Detaches every shard this handle still shares with other clones —
     /// relation shards, the adom cache and the interner — so the handle
     /// exclusively owns its storage. Cost is one deep copy of whatever was
@@ -649,23 +707,12 @@ impl FactStore {
             .enumerate()
             .map(|(c, &id)| (id, rel.domain_at(c)))
             .collect();
-        // Newly-in-adom flags must be read before the pairs are added.
-        let event = self.events_enabled.then(|| InsertEvent {
-            relation,
-            values: adom_incs
-                .iter()
-                .map(|&(id, d)| (id, d, !self.adom.contains(&(id, d))))
-                .collect(),
-        });
         self.shard_mut(relation.index()).push_row(key, t);
         let adom = self.adom_mut();
         for pair in adom_incs {
             adom.insert(pair);
         }
         self.len += 1;
-        if let Some(event) = event {
-            self.events.push(event);
-        }
         Ok(true)
     }
 
@@ -933,9 +980,9 @@ impl FactStore {
             {
                 continue;
             }
-            let relation = RelationId(i as u32);
-            let rel = schema.relation(relation).expect("relation validated above");
-            let arity = rel.arity();
+            let rel = schema
+                .relation(RelationId(i as u32))
+                .expect("relation validated above");
             let mut adom_incs: Vec<(ValueId, DomainId)> = Vec::new();
             let mut added = 0usize;
             {
@@ -958,22 +1005,10 @@ impl FactStore {
                 }
             }
             inserted += added;
-            // Events read the newly-in-adom flags before the pairs are added
-            // below (pairs introduced by earlier rows of the same batch are
-            // conservatively flagged newly as well).
-            if self.events_enabled {
-                for row in 0..added {
-                    let values = adom_incs[row * arity..(row + 1) * arity]
-                        .iter()
-                        .map(|&(id, d)| (id, d, !self.adom.contains(&(id, d))))
-                        .collect();
-                    self.events.push(InsertEvent { relation, values });
-                }
-            }
             if !adom_incs.is_empty() {
-                // One insert per pair: `extend` would reserve room for every
-                // duplicate pair of the batch, and the set's capacity is
-                // what `active_domain` walks.
+                // One insert per pair: each new pair is logged in entry
+                // order, and `extend` would reserve room for every duplicate
+                // pair of the batch.
                 let adom = self.adom_mut();
                 for pair in adom_incs {
                     adom.insert(pair);
@@ -1002,6 +1037,7 @@ impl FactStore {
     /// precise invalidation.
     pub fn active_domain_untracked(&self) -> HashSet<(Value, DomainId)> {
         self.adom
+            .entered
             .iter()
             .map(|&(id, d)| (self.interner.resolve(id).clone(), d))
             .collect()
@@ -1014,7 +1050,7 @@ impl FactStore {
     /// pool records those as prefix / whole-domain walks at use time.
     pub fn adom_domain_mins_untracked(&self) -> HashMap<DomainId, Value> {
         let mut mins: HashMap<DomainId, Value> = HashMap::new();
-        for &(id, d) in self.adom.iter() {
+        for &(id, d) in &self.adom.entered {
             let v = self.interner.resolve(id);
             match mins.entry(d) {
                 std::collections::hash_map::Entry::Occupied(mut e) => {
@@ -1033,7 +1069,7 @@ impl FactStore {
     /// Number of distinct `(value, domain)` pairs in the active domain.
     pub fn active_domain_len(&self) -> usize {
         self.rec(|rs| rs.insert(Read::Adom));
-        self.adom.len()
+        self.adom.entered.len()
     }
 
     /// Is `(value, domain)` in the active domain? A pair of hash probes.
@@ -1041,7 +1077,7 @@ impl FactStore {
         match self.interner.lookup(value) {
             Some(id) => {
                 self.rec(|rs| rs.insert(Read::AdomPair(id, domain)));
-                self.adom.contains(&(id, domain))
+                self.adom.members.contains(&(id, domain))
             }
             None => {
                 self.rec(|rs| rs.insert(Read::AdomUnknown(value.clone(), domain)));
@@ -1058,6 +1094,7 @@ impl FactStore {
         self.rec(|rs| rs.insert(Read::AdomDomain(domain)));
         let mut vals: Vec<Value> = self
             .adom
+            .entered
             .iter()
             .filter(|(_, d)| *d == domain)
             .map(|&(id, _)| self.interner.resolve(id).clone())
@@ -1080,7 +1117,7 @@ impl FactStore {
     /// have to participate in invalidation (recording it would make every
     /// verdict depend on the whole active domain).
     pub fn all_values_untracked(&self) -> Vec<Value> {
-        let ids: HashSet<ValueId> = self.adom.iter().map(|&(id, _)| id).collect();
+        let ids: HashSet<ValueId> = self.adom.entered.iter().map(|&(id, _)| id).collect();
         let mut vals: Vec<Value> = ids
             .into_iter()
             .map(|id| self.interner.resolve(id).clone())

@@ -202,7 +202,7 @@ fn random_workload_grid_matches_sequential_engine() {
 }
 
 #[test]
-fn eager_trail_speculation_matches_cached_only_and_sequential() {
+fn eager_speculation_matches_cached_only_and_sequential() {
     // Eager speculation runs the strategy's selection on a scratch oracle
     // to predict a batch. Prediction is an optimisation, never a semantic
     // knob: for every scenario, policy and guided strategy the Eager run

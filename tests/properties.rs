@@ -49,17 +49,15 @@ fn cases() -> impl Iterator<Item = (u64, usize, usize)> {
     })
 }
 
-/// Grows `conf` by `rows` one at a time with event capture on and checks,
-/// after each row, that the semi-naive certainty status refreshed from the
-/// drained insert events equals a full evaluation. Returns the final
-/// certainty.
+/// Grows `conf` by `rows` one at a time and checks, after each row, that
+/// the semi-naive certainty status refreshed from the rows committed since
+/// its last refresh equals a full evaluation. Returns the final certainty.
 fn assert_status_tracks_full_evaluation(
     query: &Query,
     mut conf: Configuration,
     rows: Vec<accrel::schema::Fact>,
     ctx: &str,
 ) -> bool {
-    conf.set_event_capture(true);
     let mut status = certain::CertaintyStatus::new(query);
     assert_eq!(
         status.refresh(&conf),
@@ -68,9 +66,6 @@ fn assert_status_tracks_full_evaluation(
     );
     for (relation, row) in rows {
         conf.insert(relation, row).unwrap();
-        for event in conf.take_events() {
-            status.observe(&event, conf.store().interner());
-        }
         assert_eq!(
             status.refresh(&conf),
             certain::is_certain(query, &conf),
@@ -326,7 +321,7 @@ fn indexed_matching_agrees_with_scan_oracle_on_random_configurations() {
 }
 
 #[test]
-fn cached_active_domain_agrees_with_scan_oracle_after_inserts_and_undo() {
+fn cached_active_domain_agrees_with_scan_oracle_after_inserts() {
     for (seed, _, facts) in cases() {
         let (workload, _, conf) = workload_and_query(seed, 1, facts + 6);
         let mut store = conf.store().clone();
@@ -509,7 +504,7 @@ fn cow_unmutated_shards_stay_pointer_equal_across_clones() {
 }
 
 #[test]
-fn rows_since_a_row_count_are_the_rows_inserted_after_it_across_speculation() {
+fn rows_since_a_row_count_are_the_rows_inserted_after_it_across_snapshots() {
     // Oracle: each relation's rows in insertion order. Inserts append. A
     // speculative snapshot's rows are its own: the snapshot reads them
     // after the rows it shares, the store it was taken from never does, and
@@ -562,13 +557,14 @@ fn rows_since_a_row_count_are_the_rows_inserted_after_it_across_speculation() {
 #[test]
 fn duplicate_only_rounds_evict_nothing_and_leave_the_verdict_cache_intact() {
     // Re-applying an already-applied response inserts zero facts: the store
-    // queues no insert events, the oracle drains nothing, and every cached
-    // verdict survives — re-checking the same accesses afterwards must be
-    // pure cache hits. (Exact read-set invalidation is the default; the
+    // shows no growth, the oracle drains nothing, and every cached verdict
+    // survives — re-checking the same accesses afterwards must be pure
+    // cache hits. (Precise read-set invalidation is the default; the
     // duplicate round must be invisible to it.)
     use accrel::access::apply_access_in_place;
     use accrel::access::enumerate::{well_formed_accesses, EnumerationOptions};
     use accrel::engine::{RelevanceOracle, RunOptions};
+    use accrel::schema::GrowthCursor;
 
     for seed in 0..6u64 {
         let spec = WorkloadSpec {
@@ -583,7 +579,6 @@ fn duplicate_only_rounds_evict_nothing_and_leave_the_verdict_cache_intact() {
         let query = Query::Cq(generate_cq(&workload, 2, 3, 0.8, &mut rng));
         let instance = accrel::workloads::random::generate_instance(&workload, 12, &mut rng);
         let mut conf = generate_configuration(&workload, 4, &mut rng);
-        conf.set_event_capture(true);
 
         let options = RunOptions::default();
         let mut oracle = RelevanceOracle::new(&query, &workload.methods, &options);
@@ -597,22 +592,21 @@ fn duplicate_only_rounds_evict_nothing_and_leave_the_verdict_cache_intact() {
         }
 
         // Find an access whose exact response actually grows the
-        // configuration, apply it, and drain its events the way the engine
+        // configuration, apply it, and drain its growth the way the engine
         // does after a growing round.
         let mut applied: Option<(Access, Response)> = None;
         for access in &candidates {
             let Ok(response) = Response::exact(access, &workload.methods, &instance) else {
                 continue;
             };
-            let before = conf.len();
+            let mut cursor = GrowthCursor::at(conf.store());
             let _ = apply_access_in_place(&mut conf, access, &response, &workload.methods);
-            if conf.len() > before {
+            if !cursor.advance(conf.store()).is_empty() {
                 let relation = workload.methods.get(access.method()).unwrap().relation();
                 oracle.observe_growth(&mut conf, relation);
                 applied = Some((access.clone(), response));
                 break;
             }
-            assert_eq!(conf.pending_events(), 0, "duplicate queued events");
         }
         let Some((access, response)) = applied else {
             continue; // nothing grows at this seed; the grid covers others
@@ -628,14 +622,13 @@ fn duplicate_only_rounds_evict_nothing_and_leave_the_verdict_cache_intact() {
         let misses_before = oracle.misses();
 
         // The duplicate-only round: same access, same response, zero new
-        // facts. No events may queue, and draining must evict nothing.
-        let before = conf.len();
+        // facts. The store shows no growth, and draining must evict
+        // nothing.
+        let mut cursor = GrowthCursor::at(conf.store());
         let _ = apply_access_in_place(&mut conf, &access, &response, &workload.methods);
-        assert_eq!(conf.len(), before, "duplicate response grew at seed={seed}");
-        assert_eq!(
-            conf.pending_events(),
-            0,
-            "duplicate response queued insert events at seed={seed}"
+        assert!(
+            cursor.advance(conf.store()).is_empty(),
+            "duplicate response grew at seed={seed}"
         );
         let relation = workload.methods.get(access.method()).unwrap().relation();
         oracle.observe_growth(&mut conf, relation);
@@ -688,4 +681,345 @@ fn index_backed_candidates_agree_with_membership_semantics() {
             }
         }
     }
+}
+
+/// The per-row reference behind the growth-feed property: every committed
+/// row in commit order, with per position its value, the position's domain
+/// and whether the `(value, domain)` pair was new to the active domain, and
+/// the active domain's pairs in entry order.
+#[derive(Clone, Default)]
+struct GrowthLog {
+    facts: std::collections::HashSet<accrel::schema::Fact>,
+    adom: std::collections::HashSet<(Value, accrel::schema::DomainId)>,
+    rows: Vec<GrowthRow>,
+    entered: Vec<(Value, accrel::schema::DomainId)>,
+}
+
+type GrowthRow = (
+    accrel::schema::RelationId,
+    Vec<(Value, accrel::schema::DomainId, bool)>,
+);
+
+impl GrowthLog {
+    /// Logs `fact` if the store just committed it, that is if it is new.
+    /// The newly-in-adom flags are read before the row's pairs are added.
+    fn commit(&mut self, schema: &Schema, fact: &accrel::schema::Fact) -> bool {
+        if !self.facts.insert(fact.clone()) {
+            return false;
+        }
+        let relation = schema.relation(fact.0).unwrap();
+        let values: Vec<_> = fact
+            .1
+            .iter()
+            .enumerate()
+            .map(|(c, v)| {
+                let pair = (v.clone(), relation.domain_at(c));
+                (v.clone(), pair.1, !self.adom.contains(&pair))
+            })
+            .collect();
+        for (v, d, _) in &values {
+            if self.adom.insert((v.clone(), *d)) {
+                self.entered.push((v.clone(), *d));
+            }
+        }
+        self.rows.push((fact.0, values));
+        true
+    }
+}
+
+/// Whether one committed row could change the answer of `read`: the
+/// per-row rule that [`ReadSet::touched_by`] over a whole growth must agree
+/// with, applied to each row of the growth.
+fn touched_by_row(read: &accrel::schema::Read, row: &GrowthRow, conf: &Configuration) -> bool {
+    use accrel::schema::Read;
+    let interner = conf.store().interner();
+    let (relation, values) = row;
+    let carries = |v: &Value| values.iter().any(|(x, _, _)| x == v);
+    let mut entered = values.iter().filter(|(_, _, newly)| *newly);
+    match read {
+        Read::All => true,
+        Read::Relation(r) => r == relation,
+        Read::Pair(r, id) => r == relation && carries(interner.resolve(*id)),
+        Read::UnknownValue(r, v) => r == relation && carries(v),
+        Read::Adom => entered.next().is_some(),
+        Read::AdomDomain(d) => entered.any(|(_, dd, _)| dd == d),
+        Read::AdomPair(id, d) => entered.any(|(v, dd, _)| v == interner.resolve(*id) && dd == d),
+        Read::AdomUnknown(v, d) => entered.any(|(x, dd, _)| x == v && dd == d),
+        Read::AdomPrefix(d, bound) => entered.any(|(x, dd, _)| dd == d && x < bound),
+    }
+}
+
+/// A cursor with the log positions it stands at and the read sets recorded
+/// there.
+#[derive(Clone)]
+struct GrowthMark {
+    cursor: accrel::schema::GrowthCursor,
+    rows: usize,
+    entered: usize,
+    reads: Vec<accrel::schema::ReadSet>,
+}
+
+/// Touched and untouched read comparisons made so far.
+#[derive(Default)]
+struct TouchCounts {
+    touched: usize,
+    untouched: usize,
+}
+
+/// Advances `mark` over `conf` and checks the growth against `log`: the
+/// rows per relation, the entered pairs in entry order, and every recorded
+/// read (alone and as its set) against the per-row rule.
+fn check_growth(
+    conf: &Configuration,
+    log: &GrowthLog,
+    mark: &mut GrowthMark,
+    counts: &mut TouchCounts,
+    ctx: &str,
+) {
+    use accrel::schema::ReadSet;
+    let growth = mark.cursor.advance(conf.store());
+    let window = &log.rows[mark.rows..];
+    let row_count: usize = growth.relations().map(|(_, rows)| rows.len()).sum();
+    assert_eq!(row_count, window.len(), "row count at {ctx}");
+    for (relation, _) in conf.schema().relations_with_ids() {
+        let want: Vec<Tuple> = window
+            .iter()
+            .filter(|(r, _)| *r == relation)
+            .map(|(_, values)| Tuple::new(values.iter().map(|(v, _, _)| v.clone()).collect()))
+            .collect();
+        assert_eq!(growth.rows(relation), want.as_slice(), "rows at {ctx}");
+    }
+    let entered: Vec<_> = growth
+        .entered()
+        .iter()
+        .map(|&(id, d)| (growth.interner().resolve(id).clone(), d))
+        .collect();
+    assert_eq!(entered, log.entered[mark.entered..], "entered at {ctx}");
+    for reads in &mark.reads {
+        for read in reads.iter() {
+            let want = window.iter().any(|row| touched_by_row(read, row, conf));
+            let alone: ReadSet = std::iter::once(read.clone()).collect();
+            assert_eq!(alone.touched_by(&growth), want, "{read:?} at {ctx}");
+            if want {
+                counts.touched += 1;
+            } else {
+                counts.untouched += 1;
+            }
+        }
+        let want = window
+            .iter()
+            .any(|row| reads.iter().any(|read| touched_by_row(read, row, conf)));
+        assert_eq!(reads.touched_by(&growth), want, "read set at {ctx}");
+    }
+    mark.rows = log.rows.len();
+    mark.entered = log.entered.len();
+}
+
+/// Reads recorded at `conf`: the relevance procedures' reads for a few
+/// well-formed accesses at both adom precisions, plus point and walk reads
+/// of the store, some against values it does not hold yet.
+fn record_reads(
+    workload: &Workload,
+    query: &Query,
+    conf: &mut Configuration,
+    pool: &[accrel::schema::Fact],
+    rng: &mut StdRng,
+) -> Vec<accrel::schema::ReadSet> {
+    use accrel::access::enumerate::{well_formed_accesses, EnumerationOptions};
+    use accrel::core::{
+        is_immediately_relevant_given_uncertain, is_long_term_relevant_given_uncertain,
+    };
+    use accrel::schema::AdomPrecision;
+    use rand::Rng;
+
+    let methods = &workload.methods;
+    let accesses = well_formed_accesses(conf, methods, &EnumerationOptions::default());
+    let budget = SearchBudget::shallow();
+    let mut sets = Vec::new();
+    for precision in [AdomPrecision::Coarse, AdomPrecision::Precise] {
+        for _ in 0..2 {
+            if accesses.is_empty() {
+                break;
+            }
+            let access = &accesses[rng.gen_range(0..accesses.len())];
+            conf.begin_read_tracking_with(precision);
+            let _ = is_immediately_relevant_given_uncertain(query, conf, access, methods);
+            sets.push(conf.take_read_set());
+            conf.begin_read_tracking_with(precision);
+            let _ = is_long_term_relevant_given_uncertain(query, conf, access, methods, &budget);
+            sets.push(conf.take_read_set());
+        }
+    }
+    conf.begin_read_tracking_with(AdomPrecision::Precise);
+    for _ in 0..3 {
+        let (relation, t) = &pool[rng.gen_range(0..pool.len())];
+        let first = &t.values()[0];
+        let _ = conf.contains(*relation, t);
+        let domain = conf.schema().domain_of(*relation, 0).unwrap();
+        let _ = conf.adom_contains(first, domain);
+        conf.rec_adom_walk(domain, Some(first));
+        let _ = conf.matching(*relation, &[0], std::slice::from_ref(first));
+    }
+    sets.push(conf.take_read_set());
+    sets
+}
+
+#[test]
+fn growth_cursors_agree_with_a_per_row_reference() {
+    use rand::Rng;
+
+    // One growth step: a single insert (a duplicate now and then), an
+    // `extend_facts` batch across relations, a new mark with read sets
+    // recorded where it stands, or an advance of a random mark.
+    #[allow(clippy::too_many_arguments)]
+    fn step(
+        workload: &Workload,
+        query: &Query,
+        conf: &mut Configuration,
+        log: &mut GrowthLog,
+        marks: &mut Vec<GrowthMark>,
+        pool: &[accrel::schema::Fact],
+        rng: &mut StdRng,
+        counts: &mut TouchCounts,
+        ctx: &str,
+    ) {
+        let schema = workload.schema.clone();
+        match rng.gen_range(0..4u32) {
+            0 => {
+                let fact = pool[rng.gen_range(0..pool.len())].clone();
+                assert_eq!(conf.active_domain_untracked(), log.adom, "adom at {ctx}");
+                let new = conf.insert(fact.0, fact.1.clone()).unwrap();
+                assert_eq!(new, log.commit(&schema, &fact), "insert at {ctx}");
+            }
+            1 => {
+                let batch: Vec<_> = (0..rng.gen_range(1..5usize))
+                    .map(|_| pool[rng.gen_range(0..pool.len())].clone())
+                    .collect();
+                let inserted = conf.extend_facts(batch.clone()).unwrap();
+                // A batch commits its rows relation by relation, in batch
+                // order within each.
+                let mut committed = 0;
+                for (relation, _) in schema.relations_with_ids() {
+                    for fact in batch.iter().filter(|(r, _)| *r == relation) {
+                        committed += usize::from(log.commit(&schema, fact));
+                    }
+                }
+                assert_eq!(inserted, committed, "batch at {ctx}");
+                assert_eq!(conf.active_domain_untracked(), log.adom, "adom at {ctx}");
+            }
+            2 => {
+                let reads = record_reads(workload, query, conf, pool, rng);
+                marks.push(GrowthMark {
+                    cursor: accrel::schema::GrowthCursor::at(conf.store()),
+                    rows: log.rows.len(),
+                    entered: log.entered.len(),
+                    reads,
+                });
+            }
+            _ => {
+                let i = rng.gen_range(0..marks.len());
+                check_growth(conf, log, &mut marks[i], counts, ctx);
+            }
+        }
+    }
+
+    let spec = WorkloadSpec {
+        relations: 3,
+        arity: 2,
+        domains: 2,
+        constants: 6,
+        dependent_fraction: 0.5,
+    };
+    let mut counts = TouchCounts::default();
+    for seed in 0..12u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let workload = generate_workload(&spec, &mut rng);
+        let query = Query::Cq(generate_cq(&workload, 2, 3, 0.6, &mut rng));
+        let pool: Vec<_> = generate_configuration(&workload, 24, &mut rng)
+            .facts()
+            .collect();
+        let mut conf = Configuration::empty(workload.schema.clone());
+        let mut log = GrowthLog::default();
+        // The default cursor stands before the first row.
+        let mut marks = vec![GrowthMark {
+            cursor: Default::default(),
+            rows: 0,
+            entered: 0,
+            reads: Vec::new(),
+        }];
+        for i in 0..60 {
+            let ctx = format!("seed={seed} step={i}");
+            step(
+                &workload,
+                &query,
+                &mut conf,
+                &mut log,
+                &mut marks,
+                &pool,
+                &mut rng,
+                &mut counts,
+                &ctx,
+            );
+            if i == 30 {
+                // A snapshot taken part-way grows on its own; the marks
+                // taken before it follow it too.
+                let mut snapshot = conf.snapshot();
+                let mut snapshot_log = log.clone();
+                let mut snapshot_marks = marks.clone();
+                for j in 0..20 {
+                    let ctx = format!("seed={seed} snapshot step={j}");
+                    step(
+                        &workload,
+                        &query,
+                        &mut snapshot,
+                        &mut snapshot_log,
+                        &mut snapshot_marks,
+                        &pool,
+                        &mut rng,
+                        &mut counts,
+                        &ctx,
+                    );
+                }
+                for mark in &mut snapshot_marks {
+                    let ctx = format!("seed={seed} snapshot end");
+                    check_growth(&snapshot, &snapshot_log, mark, &mut counts, &ctx);
+                }
+            }
+        }
+        for mark in &mut marks {
+            let ctx = format!("seed={seed} end");
+            check_growth(&conf, &log, mark, &mut counts, &ctx);
+        }
+    }
+    assert!(
+        counts.touched >= 2000 && counts.untouched >= 10000,
+        "too few comparisons: {} touched, {} untouched",
+        counts.touched,
+        counts.untouched
+    );
+}
+
+#[test]
+fn events_drained_counts_the_rows_committed_after_the_first_cached_verdict() {
+    // A guided run caches a verdict before its first access, so it drains
+    // every row its responses commit. An exhaustive run caches none, so it
+    // drains nothing.
+    let scenario = bank_scenario();
+    let source = DeepWebSource::new(
+        scenario.instance.clone(),
+        scenario.methods.clone(),
+        ResponsePolicy::Exact,
+    );
+    let initial = &scenario.initial_configuration;
+    let run = |strategy| {
+        let request = RunRequest::new(scenario.query.clone()).with_strategy(strategy);
+        Sequential::new(&source).execute(&request, initial)
+    };
+    let hybrid = run(Strategy::Hybrid);
+    let committed = hybrid.final_configuration.len() - initial.len();
+    assert!(committed > 0);
+    assert_eq!(hybrid.events_drained, committed);
+    let exhaustive = run(Strategy::Exhaustive);
+    assert!(exhaustive.final_configuration.len() > initial.len());
+    assert_eq!(exhaustive.events_drained, 0);
 }

@@ -286,3 +286,66 @@ fn dedup_strictly_reduces_aggregate_backend_traffic() {
         report.wire_calls
     );
 }
+
+#[test]
+fn a_configuration_rebuilt_in_another_order_does_not_reuse_verdicts() {
+    // The same facts inserted in another order get other value ids. Shared
+    // verdicts carry read sets of value ids, so a registry that served the
+    // first configuration must not hand its verdicts to the second: there a
+    // recorded read would name another value, and growth of the value the
+    // verdict actually read would not evict it.
+    let spec = WorkloadSpec {
+        relations: 3,
+        arity: 2,
+        domains: 2,
+        constants: 6,
+        dependent_fraction: 0.7,
+    };
+    let options = RunOptions {
+        stop_when_certain: false,
+        budget: SearchBudget::shallow(),
+        ..RunOptions::default()
+    };
+    // Seed 77 under `IrGuided` made 2 accesses where `Sequential` makes 4
+    // while the class ignored the id assignment.
+    let guided = [Strategy::IrGuided, Strategy::LtrGuided, Strategy::Hybrid];
+    for (seed, strategy) in (0..100).flat_map(|seed| guided.map(|strategy| (seed, strategy))) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let workload = generate_workload(&spec, &mut rng);
+        let query: Query =
+            accrel::workloads::random::generate_cq(&workload, 2, 3, 0.5, &mut rng).into();
+        let instance = generate_instance(&workload, 14, &mut rng);
+        let initial = generate_configuration(&workload, 5, &mut rng);
+        let mut reversed = Configuration::empty(workload.schema.clone());
+        for (relation, t) in initial.sorted_facts().into_iter().rev() {
+            reversed.insert(relation, t).unwrap();
+        }
+        assert_eq!(initial.fingerprint(), reversed.fingerprint());
+
+        let federation = AsyncFederation::single_simulated(SimulatedSource::exact(
+            "rebuilt",
+            instance.clone(),
+            workload.methods.clone(),
+        ));
+        let registry = QuerySessionRegistry::new(&federation);
+        let request = RunRequest::new(query)
+            .with_strategy(strategy)
+            .with_options(options.clone());
+        registry.serve(std::slice::from_ref(&request), &initial);
+        let served = registry.serve(std::slice::from_ref(&request), &reversed);
+        let source = DeepWebSource::new(instance, workload.methods.clone(), ResponsePolicy::Exact);
+        let sequential = Sequential::new(&source).execute(&request, &reversed);
+        let report = &served.sessions[0].report;
+        let cell = format!("seed={seed} strategy={}", strategy.name());
+        assert_eq!(
+            report.access_sequence, sequential.access_sequence,
+            "access sequence: {cell}"
+        );
+        assert_eq!(
+            report.relevance_verdicts, sequential.relevance_verdicts,
+            "verdict log: {cell}"
+        );
+        assert_eq!(report.certain, sequential.certain, "certainty: {cell}");
+        assert_eq!(report.answers, sequential.answers, "answers: {cell}");
+    }
+}

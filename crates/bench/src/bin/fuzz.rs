@@ -50,9 +50,18 @@ fn main() -> ExitCode {
 
     println!("# accrel differential fuzzer: {seeds} seeds from base {base_seed}\n");
     let summary = differential::fuzz(base_seed, seeds);
+    let (v, t) = (&summary.virtual_traffic, &summary.threaded_traffic);
+    println!("cases run      : {}", summary.cases);
+    println!("                 async+serving  threaded");
+    println!("churn events   : {:<14} {}", v.churn_events, t.churn_events);
+    println!("failovers      : {:<14} {}", v.failovers, t.failovers);
     println!(
-        "cases run      : {}\nchurn events   : {}\nfailovers      : {}\nbreaker trips  : {}",
-        summary.cases, summary.churn_events, summary.failovers, summary.breaker_trips
+        "breaker trips  : {:<14} {}",
+        v.breaker_trips, t.breaker_trips
+    );
+    println!(
+        "(the async and serving totals are fixed by the seeds; the threaded ones \
+         depend on the order its two workers reach the chaos clock)"
     );
 
     let mut failed = false;

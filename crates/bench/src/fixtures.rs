@@ -6,7 +6,7 @@ use accrel_federation::{
     AsyncFederation, ChaosOptions, ChurnScript, Federation, LatencyModel, SimulatedSource,
 };
 use accrel_query::{ConjunctiveQuery, Query, Term};
-use accrel_schema::{Configuration, Instance, Schema, Value};
+use accrel_schema::{Configuration, Instance, Schema, Tuple, Value};
 use accrel_workloads::random::{
     generate_configuration, generate_instance, generate_query, generate_workload, Workload,
     WorkloadSpec,
@@ -241,6 +241,62 @@ pub fn data_complexity_fixture(facts: usize, dependent: bool) -> RelevanceFixtur
         configuration,
         access: Access::new(method_id, binding([bound_value])),
         methods: workload.methods,
+        budget: SearchBudget::default(),
+    }
+}
+
+/// E5: the shape of the `dense-probe` benchmark workload at `facts` facts.
+/// The chain `R0(x,y) ∧ R1(y,z) ∧ R2(z,w)` runs over a large `R0` (a tenth
+/// of the facts), a small `R1` (a fiftieth, at least two rows) and an `R2`
+/// holding the rest, which no `R1` row joins. So the query stays uncertain
+/// at every size. The access is `R1`'s dependent method at the dead key
+/// `j0`, which occurs in `R1` only: no response to it can complete the
+/// query. A join that starts from the first atom walks all of `R0` to
+/// learn either fact; one that starts from the most constrained atom never
+/// scans `R0`.
+pub fn uncertain_chain_fixture(facts: usize) -> RelevanceFixture {
+    let mut b = Schema::builder();
+    let d = b.domain("D").expect("fresh domain");
+    let k = b.domain("K").expect("fresh domain");
+    b.relation("R0", &[("a", d), ("b", k)])
+        .expect("fresh relation");
+    b.relation("R1", &[("a", k), ("b", d)])
+        .expect("fresh relation");
+    b.relation("R2", &[("a", d), ("b", d)])
+        .expect("fresh relation");
+    let schema = b.build();
+    let mut mb = AccessMethods::builder(schema.clone());
+    let probe = mb
+        .add("probe", "R1", &["a"], AccessMode::Dependent)
+        .expect("fresh method");
+    let methods = mb.build();
+    let rel = |name: &str| schema.relation_by_name(name).expect("relation exists");
+    let (r0, r1, r2) = (rel("R0"), rel("R1"), rel("R2"));
+    let key = |i: usize| Value::sym(format!("k{}", i % 16));
+    let dv = |i: usize| Value::sym(format!("d{i}"));
+    let r1_rows = (facts / 50).max(2);
+    let r0_rows = (facts / 10).max(1);
+    let r2_rows = facts.saturating_sub(r0_rows + r1_rows).max(1);
+    let mut rows = Vec::with_capacity(r0_rows + r1_rows + r2_rows);
+    rows.extend((0..r0_rows).map(|i| (r0, Tuple::new(vec![dv(i), key(i)]))));
+    rows.extend((1..r1_rows).map(|i| (r1, Tuple::new(vec![key(i), Value::sym(format!("m{i}"))]))));
+    rows.push((r1, Tuple::new(vec![Value::sym("j0"), Value::sym("m0")])));
+    rows.extend((0..r2_rows).map(|i| (r2, Tuple::new(vec![dv(i), dv(i * 7 + 1)]))));
+    let mut configuration = Configuration::empty(schema.clone());
+    configuration.extend_facts(rows).expect("typed facts");
+    let mut qb = ConjunctiveQuery::builder(schema);
+    let [x, y, z, w] = ["x", "y", "z", "w"].map(|n| qb.var(n));
+    qb.atom("R0", vec![Term::Var(x), Term::Var(y)])
+        .expect("R0 exists");
+    qb.atom("R1", vec![Term::Var(y), Term::Var(z)])
+        .expect("R1 exists");
+    qb.atom("R2", vec![Term::Var(z), Term::Var(w)])
+        .expect("R2 exists");
+    RelevanceFixture {
+        query: qb.build().into(),
+        configuration,
+        access: Access::new(probe, binding(["j0"])),
+        methods,
         budget: SearchBudget::default(),
     }
 }
@@ -717,6 +773,24 @@ mod tests {
         let large = data_complexity_fixture(100, true);
         assert_eq!(small.query.size(), large.query.size());
         assert!(large.configuration.len() > small.configuration.len());
+    }
+
+    #[test]
+    fn uncertain_chain_fixture_stays_uncertain_with_a_dead_key() {
+        for facts in [10, 50, 1_000] {
+            let f = uncertain_chain_fixture(facts);
+            assert_eq!(f.configuration.len(), facts);
+            assert!(!accrel_query::certain::is_certain(
+                &f.query,
+                &f.configuration
+            ));
+            assert!(!accrel_core::is_immediately_relevant(
+                &f.query,
+                &f.configuration,
+                &f.access,
+                &f.methods
+            ));
+        }
     }
 
     #[test]

@@ -5,7 +5,8 @@ use std::time::Instant;
 
 use accrel_access::enumerate::{well_formed_accesses, EnumerationOptions};
 use accrel_core::{
-    is_contained, is_immediately_relevant, is_long_term_relevant, ltr_independent, reductions,
+    is_contained, is_immediately_relevant, is_immediately_relevant_given_uncertain,
+    is_long_term_relevant, ltr_independent, reductions,
 };
 use accrel_engine::{
     compare_strategies, DeepWebSource, Executor, InvalidationMode, RelevanceKind, ResponsePolicy,
@@ -276,6 +277,33 @@ pub fn e5_data_complexity(sizes: &[usize], repeats: usize) -> Table {
             size,
             "count",
             f.configuration.len() as f64,
+        ));
+        // A configuration that stays uncertain at every size: the full
+        // certainty check and the NP half of a dead key's IR check, each of
+        // which must refute the chain.
+        let u = fixtures::uncertain_chain_fixture(size);
+        let t = median_micros(repeats, || {
+            let _ = certain::is_certain(&u.query, &u.configuration);
+        });
+        rows.push(Row::new(
+            "query certain (uncertain chain)",
+            size,
+            "median µs",
+            t,
+        ));
+        let t = median_micros(repeats, || {
+            let _ = is_immediately_relevant_given_uncertain(
+                &u.query,
+                &u.configuration,
+                &u.access,
+                &u.methods,
+            );
+        });
+        rows.push(Row::new(
+            "IR dead key (uncertain chain)",
+            size,
+            "median µs",
+            t,
         ));
     }
     Table {
@@ -1256,11 +1284,11 @@ mod tests {
             )
         };
         let bank = modes.map(|m| counters(bank_invalidation_run(m)));
-        assert_eq!(bank, [(44, 184, 40, 11), (44, 162, 40, 11), (63, 0, 59, 0)]);
+        assert_eq!(bank, [(36, 140, 32, 11), (36, 118, 32, 11), (63, 0, 59, 0)]);
         let chain = modes.map(|m| counters(flood_invalidation_run(m)));
         assert_eq!(
             chain,
-            [(137, 454, 0, 16), (137, 411, 43, 16), (272, 0, 195, 0)]
+            [(137, 437, 0, 16), (137, 394, 43, 16), (272, 0, 195, 0)]
         );
     }
 
@@ -1319,7 +1347,7 @@ mod tests {
         let t2 = e2_ltr_independent(&[1, 2], 1);
         assert_eq!(t2.rows.len(), 4);
         let t5 = e5_data_complexity(&[5, 10], 1);
-        assert_eq!(t5.rows.len(), 12);
+        assert_eq!(t5.rows.len(), 16);
         assert!(t5.rows.iter().any(|r| r.metric == "count" && r.value > 0.0));
         let t8 = e8_reductions(1);
         assert!(t8.rows.iter().any(|r| r.metric == "bool" && r.value == 1.0));

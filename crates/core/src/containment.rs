@@ -18,7 +18,7 @@
 
 use accrel_access::{AccessMethods, AccessPath};
 use accrel_query::{eval, ConjunctiveQuery, Query, Valuation};
-use accrel_schema::{Configuration, FreshSupply, RelationId, Tuple, Value};
+use accrel_schema::{Configuration, RelationId, Tuple, Value};
 
 use crate::budget::SearchBudget;
 use crate::search;
@@ -118,11 +118,7 @@ fn disjunct_non_containment(
     methods: &AccessMethods,
     budget: &SearchBudget,
 ) -> Option<NonContainmentWitness> {
-    let mut fresh = FreshSupply::above(
-        conf.all_values_untracked()
-            .iter()
-            .chain(disjunct.constants().iter().collect::<Vec<_>>()),
-    );
+    let mut fresh = conf.fresh_supply().skipping(&disjunct.constants());
     // The accessible pool over Adom(Conf); records only the membership,
     // minimum and emptiness reads the planner actually performs.
     let base = search::AdomPool::of(conf);

@@ -23,8 +23,9 @@
 use std::collections::HashMap;
 
 use accrel_access::{Access, AccessMethods};
-use accrel_query::{certain, eval, ConjunctiveQuery, Query, Valuation, VarId};
-use accrel_schema::{Configuration, FreshSupply, Tuple, Value};
+use accrel_query::eval::{self, AtomSet};
+use accrel_query::{certain, Atom, ConjunctiveQuery, Query, Valuation, VarId};
+use accrel_schema::{Configuration, RelationId, Tuple, Value};
 
 use crate::reductions;
 use crate::search;
@@ -119,106 +120,98 @@ fn witness_given_uncertain(
 }
 
 /// Searches for a satisfying valuation of one disjunct in which every atom
-/// is either matched by the configuration or charged to the access.
+/// is either matched by the configuration or charged to the access. Like
+/// the joins of `accrel_query::eval`, it branches on the most constrained
+/// open atom, counting a possible charge as one more candidate, and tries
+/// the charge before the configuration's candidates: it reads nothing, and
+/// it binds the atom's input places to the binding, which usually leaves
+/// the neighbouring atoms the fewest candidates.
 fn disjunct_witness(
     disjunct: &ConjunctiveQuery,
     conf: &Configuration,
     access: &Access,
-    access_relation: accrel_schema::RelationId,
+    access_relation: RelationId,
     input_positions: &[usize],
 ) -> Option<IrWitness> {
-    #[derive(Clone, Copy, PartialEq)]
-    enum Choice {
-        Conf,
-        Access,
+    struct Search<'a> {
+        atoms: &'a [Atom],
+        conf: &'a Configuration,
+        access: &'a Access,
+        access_relation: RelationId,
+        input_positions: &'a [usize],
+        /// The atoms not matched yet.
+        open: AtomSet,
+        /// The atoms the valuation found so far charges to the access
+        /// (rather than matching them in the configuration).
+        charged: AtomSet,
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn go(
-        atoms: &[accrel_query::Atom],
-        idx: usize,
-        conf: &Configuration,
-        access: &Access,
-        access_relation: accrel_schema::RelationId,
-        input_positions: &[usize],
-        valuation: &Valuation,
-        choices: &mut Vec<Choice>,
-    ) -> Option<(Valuation, Vec<Choice>)> {
-        let Some(atom) = atoms.get(idx) else {
-            return Some((valuation.clone(), choices.clone()));
-        };
-        // Option A: the subgoal is already witnessed by the configuration
-        // (candidates narrowed through the per-attribute indexes).
-        for tuple in eval::atom_candidates(atom, conf.store(), valuation) {
-            if let Some(extended) = valuation.unify_atom(atom, tuple) {
-                choices.push(Choice::Conf);
-                if let Some(done) = go(
-                    atoms,
-                    idx + 1,
-                    conf,
-                    access,
-                    access_relation,
-                    input_positions,
-                    &extended,
-                    choices,
-                ) {
-                    return Some(done);
+    impl Search<'_> {
+        fn go(&mut self, valuation: &Valuation) -> Option<Valuation> {
+            let (atoms, store) = (self.atoms, self.conf.store());
+            let chargeable = |i: usize| usize::from(atoms[i].relation() == self.access_relation);
+            let Some(i) = eval::most_constrained(atoms, &self.open, store, valuation, chargeable)
+            else {
+                return Some(valuation.clone());
+            };
+            let atom = &atoms[i];
+            self.open.remove(i);
+            // Option A: the subgoal is charged to the access: same relation
+            // and input places mapped onto the binding (output places are
+            // free).
+            if atom.relation() == self.access_relation {
+                if let Some(extended) =
+                    search::charge_to_access(atom, valuation, self.access, self.input_positions)
+                {
+                    self.charged.insert(i);
+                    if let Some(done) = self.go(&extended) {
+                        return Some(done);
+                    }
+                    self.charged.remove(i);
                 }
-                choices.pop();
             }
-        }
-        // Option B: the subgoal is charged to the access: same relation and
-        // input places mapped onto the binding (output places are free).
-        if atom.relation() == access_relation {
-            if let Some(extended) =
-                search::charge_to_access(atom, valuation, access, input_positions)
-            {
-                choices.push(Choice::Access);
-                if let Some(done) = go(
-                    atoms,
-                    idx + 1,
-                    conf,
-                    access,
-                    access_relation,
-                    input_positions,
-                    &extended,
-                    choices,
-                ) {
-                    return Some(done);
+            // Option B: the subgoal is already witnessed by the
+            // configuration (candidates narrowed through the per-attribute
+            // indexes).
+            for tuple in eval::atom_candidates(atom, store, valuation) {
+                if let Some(extended) = valuation.unify_atom(atom, tuple) {
+                    if let Some(done) = self.go(&extended) {
+                        return Some(done);
+                    }
                 }
-                choices.pop();
             }
+            self.open.insert(i);
+            None
         }
-        None
     }
 
-    let mut choices = Vec::new();
-    let (valuation, choices) = go(
-        disjunct.atoms(),
-        0,
+    let atoms = disjunct.atoms();
+    let mut search = Search {
+        atoms,
         conf,
         access,
         access_relation,
         input_positions,
-        &Valuation::new(),
-        &mut choices,
-    )?;
+        open: AtomSet::below(atoms.len()),
+        charged: AtomSet::default(),
+    };
+    let valuation = search.go(&Valuation::new())?;
 
     // Ground the witness: unbound variables get distinct fresh values, and
     // the atoms charged to the access become the increasing response.
-    let mut fresh = FreshSupply::above(conf.all_values_untracked().iter());
-    let mut full: HashMap<VarId, Value> = valuation.as_map().clone();
+    let mut fresh = conf.fresh_supply();
+    let mut full: HashMap<VarId, Value> = valuation.into_map();
     for v in disjunct.variables() {
         full.entry(v).or_insert_with(|| fresh.next_value());
     }
     let mut response = Vec::new();
-    for (atom, choice) in disjunct.atoms().iter().zip(choices.iter()) {
-        if *choice == Choice::Access {
-            let grounded = atom.substitute(&full);
-            if let Some(t) = grounded.to_tuple() {
-                if !response.contains(&t) {
-                    response.push(t);
-                }
+    for (i, atom) in atoms.iter().enumerate() {
+        if !search.charged.contains(i) {
+            continue;
+        }
+        if let Some(t) = atom.substitute(&full).to_tuple() {
+            if !response.contains(&t) {
+                response.push(t);
             }
         }
     }

@@ -190,11 +190,7 @@ fn witness_search(
     // The "generic" tuple the initial access may always return: the binding
     // on the input positions and fresh values on the output positions. Its
     // values are offered to the valuation enumeration and to producibility.
-    let mut fresh = FreshSupply::above(
-        conf.all_values_untracked()
-            .iter()
-            .chain(query.constants().iter().collect::<Vec<_>>()),
-    );
+    let mut fresh = conf.fresh_supply().skipping(&query.constants());
     let generic_tuple = if output_positions.is_empty() {
         None
     } else {

@@ -181,7 +181,9 @@ fn disjunct_has_witness(
 
     /// Atom-directed search: cover atom `idx` by the configuration (indexed
     /// candidates), by the initial access (binding unification), or by later
-    /// accesses (deferred).
+    /// accesses (deferred). Atoms are covered in query order, unlike the
+    /// unbudgeted joins: the leaf budget cuts this walk, so which leaves it
+    /// reaches, and with them a budget-cut verdict, depend on the order.
     fn go(
         ctx: &Ctx,
         leaves_left: &mut usize,
@@ -232,7 +234,7 @@ fn disjunct_has_witness(
         access_relation,
         input_positions,
         methods,
-        fresh: FreshSupply::above(conf.all_values_untracked().iter()),
+        fresh: conf.fresh_supply(),
     };
     // Leaf budget: the search is complete relative to it (same contract as
     // the valuation cap of the dependent procedures).

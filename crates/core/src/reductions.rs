@@ -30,7 +30,7 @@ use accrel_access::{binding, Access, AccessMethods, AccessMode};
 use accrel_query::{
     Atom, ConjunctiveQuery, PositiveQuery, PqFormula, Query, Term, Valuation, VarId,
 };
-use accrel_schema::{Configuration, DomainId, FreshSupply, Schema, Tuple, Value};
+use accrel_schema::{Configuration, DomainId, Schema, Tuple, Value};
 
 use crate::budget::SearchBudget;
 use crate::containment;
@@ -81,7 +81,7 @@ fn head_substitutions(
     if free.is_empty() {
         return vec![HashMap::new()];
     }
-    let mut fresh = FreshSupply::above(conf.all_values_untracked().iter());
+    let mut fresh = conf.fresh_supply();
     // Candidate values per head position: configuration constants of the
     // position's domain plus one fresh constant specific to that position.
     // When the head domains are known, each position reads only its own

@@ -68,7 +68,7 @@ use std::collections::{BTreeSet, HashMap};
 
 use accrel_access::enumerate::EnumerationOptions;
 use accrel_access::frontier::AccessFrontier;
-use accrel_access::{apply_access_in_place, Access, AccessMethods, Response};
+use accrel_access::{apply_access_in_place, Access, AccessMethods, AccessMode, Response};
 use accrel_query::{certain, Query};
 use accrel_schema::{Configuration, Tuple, Value};
 
@@ -134,7 +134,7 @@ impl<'q> MergeLoop<'q> {
         let frontier = AccessFrontier::new(
             methods,
             EnumerationOptions {
-                guessable_values: guessable_pool(query, &options, initial),
+                guessable_values: guessable_pool(query, &options, methods, initial),
                 max_accesses: usize::MAX,
             },
         );
@@ -414,8 +414,20 @@ impl<'q> MergeLoop<'q> {
 
 /// The pool of guessable values for independent accesses: caller-provided
 /// values plus the query constants (which the paper assumes are known) plus
-/// the initial configuration's values, sorted and deduplicated.
-fn guessable_pool(query: &Query, options: &RunOptions, initial: &Configuration) -> Vec<Value> {
+/// the initial configuration's values, sorted and deduplicated. Empty when
+/// no method is independent, since only independent inputs draw from it.
+fn guessable_pool(
+    query: &Query,
+    options: &RunOptions,
+    methods: &AccessMethods,
+    initial: &Configuration,
+) -> Vec<Value> {
+    if methods
+        .iter()
+        .all(|(_, m)| m.mode() != AccessMode::Independent)
+    {
+        return Vec::new();
+    }
     let mut pool = options.guessable_values.clone();
     pool.extend(query.constants());
     pool.extend(initial.all_values());
@@ -458,5 +470,26 @@ mod tests {
         assert_eq!(stats.batched_calls, stats.batches);
         assert_eq!((stats.max_batch, stats.workers), (1, 1));
         assert_eq!(stats.speculative_wasted, 0);
+    }
+
+    /// Only independent inputs draw from the guessable pool, so a registry
+    /// of dependent methods (the bank's) gets none built.
+    #[test]
+    fn the_guessable_pool_is_built_only_for_independent_methods() {
+        let scenario = bank_scenario();
+        let options = RunOptions {
+            guessable_values: vec![Value::sym("guess")],
+            ..RunOptions::default()
+        };
+        let initial = &scenario.initial_configuration;
+        let pool = |methods| guessable_pool(&scenario.query, &options, methods, initial);
+        assert!(pool(&scenario.methods).is_empty());
+        let mut mb = AccessMethods::builder(scenario.schema.clone());
+        mb.add("FreeEmp", "Employee", &["EmpId"], AccessMode::Independent)
+            .unwrap();
+        let built = pool(&mb.build());
+        assert!(built.contains(&Value::sym("guess")));
+        assert!(initial.all_values().iter().all(|v| built.contains(v)));
+        assert!(built.is_sorted());
     }
 }

@@ -109,9 +109,10 @@ impl<'q> CertaintyStatus<'q> {
                 if growth.is_empty() {
                     return false;
                 }
-                // Every new match maps some atom onto a new row; the rest of
-                // its disjunct is joined in query order, exactly as a full
-                // evaluation would.
+                // Every new match maps some atom onto a new row. The rest
+                // of its disjunct is joined as a full evaluation joins it,
+                // most constrained atom first: the pinned atom's bound
+                // variables make its neighbours the cheap place to start.
                 let certain = self.query.ucq().iter().any(|d| {
                     d.atoms().iter().any(|atom| {
                         growth.rows(atom.relation()).iter().any(|row| {

@@ -1,17 +1,24 @@
 //! Query evaluation by homomorphism search.
 //!
 //! Evaluation of a conjunctive query over a fact store is a backtracking
-//! join: atoms are processed in order, and for each atom the candidate
-//! tuples consistent with the current partial valuation are tried. This is
-//! the textbook NP procedure; data complexity is polynomial (AC0) for a
-//! fixed query, which experiment E5 of the benchmark harness demonstrates
-//! empirically.
+//! join. At each node it branches on the most constrained atom still
+//! unmatched: the one with the fewest candidate tuples under the current
+//! partial valuation, ties broken in query order (the minimum-remaining-
+//! values rule of constraint search). A join that starts from a small
+//! relation, or that meets an atom no tuple can match, then stops early
+//! instead of walking a large relation first. This is the textbook NP
+//! procedure; data complexity is polynomial (AC0) for a fixed query, which
+//! experiment E5 of the benchmark harness demonstrates empirically.
 //!
 //! Candidates are drawn through the fact store's per-(relation, attribute)
 //! indexes ([`FactStore::candidates`]): the positions of an atom already
 //! determined by the partial valuation (constants and bound variables)
 //! become index constraints, so joins probe posting lists instead of
-//! scanning whole relations.
+//! scanning whole relations. The counts that order the branches come from
+//! the same posting lists through [`FactStore::candidate_bound`], which
+//! records no read. That is sound for read-set invalidation: a refutation
+//! depends only on the candidate lists of the atoms it branched on, and
+//! drawing them records them (see [`accrel_schema::ReadSet`]).
 //!
 //! The `_with_extra` variants evaluate over a store *plus* a small slice of
 //! pending facts without materialising the union — the relevance witness
@@ -137,9 +144,12 @@ impl FromIterator<(VarId, Value)> for Valuation {
 }
 
 /// The positions of `atom` whose value is already determined by `current`
-/// (constants and bound variables) — the index constraints for the
+/// (constants and bound variables): the index constraints for its
 /// candidate scan.
-fn bound_constraints<'a>(atom: &'a Atom, current: &'a Valuation) -> Vec<(usize, &'a Value)> {
+fn determined<'a>(
+    atom: &'a Atom,
+    current: &'a Valuation,
+) -> impl Iterator<Item = (usize, &'a Value)> + 'a {
     atom.terms()
         .iter()
         .enumerate()
@@ -147,7 +157,6 @@ fn bound_constraints<'a>(atom: &'a Atom, current: &'a Valuation) -> Vec<(usize, 
             Term::Const(c) => Some((pos, c)),
             Term::Var(v) => current.get(*v).map(|val| (pos, val)),
         })
-        .collect()
 }
 
 /// The candidate tuples for `atom` under `current`: index-backed candidates
@@ -159,7 +168,7 @@ fn candidates_with_extra<'a>(
     extra: &'a [(RelationId, Tuple)],
     current: &'a Valuation,
 ) -> Vec<&'a Tuple> {
-    let constraints = bound_constraints(atom, current);
+    let constraints: Vec<(usize, &Value)> = determined(atom, current).collect();
     let mut out = store.candidates(atom.relation(), &constraints);
     for (rel, t) in extra {
         if *rel == atom.relation() && constraints.iter().all(|&(pos, v)| t.get(pos) == Some(v)) {
@@ -182,6 +191,162 @@ pub fn atom_candidates<'a>(
     candidates_with_extra(atom, store, &[], current)
 }
 
+/// A set of atom indexes, one bit per atom, held inline for the first 64:
+/// a join over a query of up to 64 atoms tracks its atoms without
+/// allocating.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct AtomSet {
+    low: u64,
+    high: Vec<u64>,
+}
+
+impl AtomSet {
+    /// The set of every index below `n`.
+    pub fn below(n: usize) -> Self {
+        let ones = |bits: usize| {
+            if bits >= 64 {
+                u64::MAX
+            } else {
+                (1 << bits) - 1
+            }
+        };
+        let rest = n.saturating_sub(64);
+        Self {
+            low: ones(n),
+            high: (0..rest.div_ceil(64))
+                .map(|w| ones(rest - 64 * w))
+                .collect(),
+        }
+    }
+
+    /// Whether `i` is in the set.
+    pub fn contains(&self, i: usize) -> bool {
+        match i.checked_sub(64) {
+            None => self.low >> i & 1 == 1,
+            Some(j) => self
+                .high
+                .get(j / 64)
+                .is_some_and(|w| w >> (j % 64) & 1 == 1),
+        }
+    }
+
+    /// Adds `i`.
+    pub fn insert(&mut self, i: usize) {
+        match i.checked_sub(64) {
+            None => self.low |= 1 << i,
+            Some(j) => {
+                if self.high.len() <= j / 64 {
+                    self.high.resize(j / 64 + 1, 0);
+                }
+                self.high[j / 64] |= 1 << (j % 64);
+            }
+        }
+    }
+
+    /// Removes `i`.
+    pub fn remove(&mut self, i: usize) {
+        match i.checked_sub(64) {
+            None => self.low &= !(1 << i),
+            Some(j) => {
+                if let Some(w) = self.high.get_mut(j / 64) {
+                    *w &= !(1 << (j % 64));
+                }
+            }
+        }
+    }
+}
+
+/// The atom of `open` to branch on under `current`: the one whose
+/// candidate bound from `store` ([`FactStore::candidate_bound`]) plus
+/// `more(i)` is smallest, ties broken in query order. `None` when no atom
+/// is open. Records no read and allocates nothing; a bound of 0 ends the
+/// scan, since no atom can have fewer candidates.
+pub fn most_constrained(
+    atoms: &[Atom],
+    open: &AtomSet,
+    store: &FactStore,
+    current: &Valuation,
+    more: impl Fn(usize) -> usize,
+) -> Option<usize> {
+    let mut open_atoms = (0..atoms.len()).filter(|&i| open.contains(i)).peekable();
+    let first = open_atoms.next()?;
+    if open_atoms.peek().is_none() {
+        return Some(first);
+    }
+    let bound = |i: usize| {
+        let atom = &atoms[i];
+        store.candidate_bound(atom.relation(), determined(atom, current)) + more(i)
+    };
+    let mut best = (bound(first), first);
+    for i in open_atoms {
+        if best.0 == 0 {
+            break;
+        }
+        let count = bound(i);
+        if count < best.0 {
+            best = (count, i);
+        }
+    }
+    Some(best.1)
+}
+
+/// One backtracking join of `atoms` into `store` plus the `extra` overlay,
+/// branching on the most constrained open atom at each node.
+struct Join<'a> {
+    atoms: &'a [Atom],
+    store: &'a FactStore,
+    extra: &'a [(RelationId, Tuple)],
+    /// Per atom, the overlay facts on its relation: the upper bound the
+    /// overlay adds to the atom's count, taken once per join.
+    extra_on: Vec<usize>,
+    /// The atoms not matched yet.
+    open: AtomSet,
+}
+
+impl<'a> Join<'a> {
+    fn new(atoms: &'a [Atom], store: &'a FactStore, extra: &'a [(RelationId, Tuple)]) -> Self {
+        let extra_on = if extra.is_empty() {
+            Vec::new()
+        } else {
+            atoms
+                .iter()
+                .map(|a| extra.iter().filter(|(r, _)| *r == a.relation()).count())
+                .collect()
+        };
+        Self {
+            atoms,
+            store,
+            extra,
+            extra_on,
+            open: AtomSet::below(atoms.len()),
+        }
+    }
+
+    /// Hands every homomorphism extending `current` to `visit` until it
+    /// returns `true`; returns whether it did.
+    fn walk(&mut self, current: &Valuation, visit: &mut impl FnMut(&Valuation) -> bool) -> bool {
+        let (atoms, store, extra) = (self.atoms, self.store, self.extra);
+        let extra_on = &self.extra_on;
+        let more = |i: usize| extra_on.get(i).copied().unwrap_or(0);
+        let Some(i) = most_constrained(atoms, &self.open, store, current, more) else {
+            return visit(current);
+        };
+        let atom = &atoms[i];
+        self.open.remove(i);
+        let mut stopped = false;
+        for tuple in candidates_with_extra(atom, store, extra, current) {
+            if let Some(extended) = current.unify_atom(atom, tuple) {
+                if self.walk(&extended, visit) {
+                    stopped = true;
+                    break;
+                }
+            }
+        }
+        self.open.insert(i);
+        stopped
+    }
+}
+
 /// Finds one homomorphism extending `partial` that maps every atom of
 /// `atoms` into `store`. Returns `None` when no such homomorphism exists.
 pub fn find_homomorphism(
@@ -200,26 +365,12 @@ pub fn find_homomorphism_with_extra(
     extra: &[(RelationId, Tuple)],
     partial: &Valuation,
 ) -> Option<Valuation> {
-    fn go(
-        atoms: &[Atom],
-        idx: usize,
-        store: &FactStore,
-        extra: &[(RelationId, Tuple)],
-        current: &Valuation,
-    ) -> Option<Valuation> {
-        let Some(atom) = atoms.get(idx) else {
-            return Some(current.clone());
-        };
-        for tuple in candidates_with_extra(atom, store, extra, current) {
-            if let Some(extended) = current.unify_atom(atom, tuple) {
-                if let Some(done) = go(atoms, idx + 1, store, extra, &extended) {
-                    return Some(done);
-                }
-            }
-        }
-        None
-    }
-    go(atoms, 0, store, extra, partial)
+    let mut found = None;
+    Join::new(atoms, store, extra).walk(partial, &mut |h| {
+        found = Some(h.clone());
+        true
+    });
+    found
 }
 
 /// Enumerates homomorphisms of `atoms` into `store` extending `partial`,
@@ -231,31 +382,12 @@ pub fn all_homomorphisms(
     limit: usize,
 ) -> Vec<Valuation> {
     let mut out = Vec::new();
-    fn go(
-        atoms: &[Atom],
-        idx: usize,
-        store: &FactStore,
-        current: &Valuation,
-        out: &mut Vec<Valuation>,
-        limit: usize,
-    ) {
-        if out.len() >= limit {
-            return;
-        }
-        let Some(atom) = atoms.get(idx) else {
-            out.push(current.clone());
-            return;
-        };
-        for tuple in candidates_with_extra(atom, store, &[], current) {
-            if out.len() >= limit {
-                return;
-            }
-            if let Some(extended) = current.unify_atom(atom, tuple) {
-                go(atoms, idx + 1, store, &extended, out, limit);
-            }
-        }
+    if limit > 0 {
+        Join::new(atoms, store, &[]).walk(partial, &mut |h| {
+            out.push(h.clone());
+            out.len() >= limit
+        });
     }
-    go(atoms, 0, store, partial, &mut out, limit);
     out
 }
 
@@ -320,7 +452,7 @@ pub fn answers_pq(query: &PositiveQuery, store: &FactStore) -> Vec<Tuple> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use accrel_schema::{tuple, Schema};
+    use accrel_schema::{tuple, Read, Schema};
     use std::sync::Arc;
 
     fn setup() -> (Arc<Schema>, FactStore) {
@@ -497,6 +629,63 @@ mod tests {
         merged.insert(s, tuple(["1"])).unwrap();
         assert!(holds_cq(&q, &merged));
         assert!(!holds_cq_with_extra(&q, &store, &[]));
+    }
+
+    #[test]
+    fn atom_sets_hold_indexes_past_the_inline_word() {
+        for n in [0, 1, 63, 64, 65, 128, 130] {
+            let mut set = AtomSet::below(n);
+            assert!((0..n).all(|i| set.contains(i)), "n={n}");
+            assert!(!set.contains(n), "n={n}");
+            if n > 0 {
+                set.remove(n - 1);
+                assert!(!set.contains(n - 1));
+                set.insert(n - 1);
+                assert_eq!(set, AtomSet::below(n));
+            }
+        }
+        let mut set = AtomSet::default();
+        set.insert(200);
+        assert!(set.contains(200) && !set.contains(199) && !set.contains(8));
+    }
+
+    #[test]
+    fn joins_branch_on_the_atom_with_the_fewest_candidates() {
+        let (schema, mut store) = setup();
+        let r = schema.relation_by_name("R").unwrap();
+        let s = schema.relation_by_name("S").unwrap();
+        let mut qb = ConjunctiveQuery::builder(schema.clone());
+        let x = qb.var("x");
+        let y = qb.var("y");
+        qb.atom("R", vec![Term::Var(x), Term::Var(y)]).unwrap();
+        qb.atom("S", vec![Term::Var(y)]).unwrap();
+        let q = qb.build();
+        // S has one row and R three, so the join starts from S and probes
+        // R through y: it never scans R, and the count behind that choice
+        // records nothing.
+        store.begin_read_tracking_with(accrel_schema::AdomPrecision::Precise);
+        assert_eq!(store.candidate_bound(r, []), 3);
+        assert!(store.take_read_set().is_empty());
+        store.begin_read_tracking_with(accrel_schema::AdomPrecision::Precise);
+        assert!(holds_cq(&q, &store));
+        let reads = store.take_read_set();
+        assert!(reads.iter().any(|read| *read == Read::Relation(s)));
+        assert!(!reads.iter().any(|read| *read == Read::Relation(r)));
+        // Ties go to the earlier atom (here the chain's first, matched to
+        // R's first row), and a query of more than 64 atoms joins like any
+        // other.
+        let mut qb = ConjunctiveQuery::builder(schema);
+        let vars: Vec<VarId> = (0..=70).map(|i| qb.var(format!("x{i}"))).collect();
+        for pair in vars.windows(2) {
+            qb.atom("R", vec![Term::Var(pair[0]), Term::Var(pair[1])])
+                .unwrap();
+        }
+        let long_chain = qb.build();
+        assert!(holds_cq(&long_chain, &store));
+        assert!(
+            find_homomorphism(long_chain.atoms(), &store, &Valuation::new())
+                .is_some_and(|h| h.get(vars[0]) == Some(&Value::sym("1")))
+        );
     }
 
     #[test]

@@ -9,7 +9,7 @@ use crate::relation::RelationId;
 use crate::schema::Schema;
 use crate::store::{AdomPrecision, Fact, FactStore, ReadSet};
 use crate::tuple::Tuple;
-use crate::value::Value;
+use crate::value::{FreshSupply, Value};
 use crate::Result;
 
 /// A *configuration*: the set of facts the query engine has learnt so far
@@ -210,11 +210,14 @@ impl Configuration {
         self.store.all_values()
     }
 
-    /// Like [`Configuration::all_values`] but never recorded under a read
-    /// recorder — for fresh-value seeding only (see
-    /// [`FactStore::all_values_untracked`]).
-    pub fn all_values_untracked(&self) -> Vec<Value> {
-        self.store.all_values_untracked()
+    /// A supply of fresh values none of which occurs in the configuration,
+    /// in O(1): it starts above every fresh value the store has interned.
+    /// Never recorded under a read recorder: verdicts are invariant under
+    /// renaming of fresh values, so where the supply starts is not a read
+    /// (recording the active domain here would make every verdict depend
+    /// on all of it).
+    pub fn fresh_supply(&self) -> FreshSupply {
+        FreshSupply::starting_at(self.store.interner().fresh_floor())
     }
 
     /// Tuples of `relation` matching `binding` on `positions`.

@@ -43,6 +43,8 @@ impl fmt::Display for ValueId {
 pub struct ValueInterner {
     values: Vec<Value>,
     ids: HashMap<Value, ValueId>,
+    /// One past the highest [`Value::Fresh`] index interned (0 when none).
+    fresh_floor: u64,
 }
 
 impl ValueInterner {
@@ -57,6 +59,9 @@ impl ValueInterner {
             return id;
         }
         let id = ValueId(self.values.len() as u32);
+        if let Some(n) = v.as_fresh() {
+            self.fresh_floor = self.fresh_floor.max(n.saturating_add(1));
+        }
         self.values.push(v.clone());
         self.ids.insert(v.clone(), id);
         id
@@ -83,6 +88,13 @@ impl ValueInterner {
     /// `true` when nothing has been interned yet.
     pub fn is_empty(&self) -> bool {
         self.values.is_empty()
+    }
+
+    /// The least fresh-value index above every [`Value::Fresh`] interned so
+    /// far (0 when none was): where a supply of values new to this
+    /// interner may start. Kept as values are interned, so it costs O(1).
+    pub(crate) fn fresh_floor(&self) -> u64 {
+        self.fresh_floor
     }
 
     /// Iterates over `(ValueId, &Value)` pairs in allocation order.
@@ -140,6 +152,16 @@ mod tests {
         i.intern(&Value::sym("real"));
         assert_eq!(i.lookup(&Value::sym("ghost")), None);
         assert_eq!(i.len(), 1);
+    }
+
+    #[test]
+    fn fresh_floor_tracks_the_highest_fresh_index() {
+        let mut i = ValueInterner::new();
+        assert_eq!(i.fresh_floor(), 0);
+        i.intern(&Value::fresh(4));
+        i.intern(&Value::sym("a"));
+        i.intern(&Value::fresh(2));
+        assert_eq!(i.fresh_floor(), 5);
     }
 
     #[test]

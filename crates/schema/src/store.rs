@@ -77,6 +77,7 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Arc, Mutex};
 
 use crate::domain::DomainId;
@@ -90,6 +91,37 @@ use crate::Result;
 
 /// A ground fact: a relation together with a tuple of values.
 pub type Fact = (RelationId, Tuple);
+
+/// The posting lists' hash: the multiply-rotate step of rustc's
+/// `FxHasher`. Every join probe and every candidate count looks a value id
+/// up in a posting list, and `SipHash` cost more than the rest of such a
+/// lookup. The keys are ids the interner assigns densely, never input from
+/// outside the program, so nothing can craft them to collide.
+#[derive(Clone, Copy, Debug, Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.write_u64(u64::from(i));
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.0 = (self.0.rotate_left(5) ^ i).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+/// One attribute's posting lists: value id → the rows carrying it there.
+type PostingLists = HashMap<ValueId, Vec<usize>, BuildHasherDefault<IdHasher>>;
 
 /// Columnar storage for one relation — the unit of copy-on-write sharing:
 /// interned columns, materialised tuples, row membership and per-attribute
@@ -105,7 +137,7 @@ struct RelationShard {
     keys: HashSet<Box<[ValueId]>>,
     /// Per attribute: value id → indices of rows carrying it there, in
     /// ascending order (rows are only appended).
-    indexes: Vec<HashMap<ValueId, Vec<usize>>>,
+    indexes: Vec<PostingLists>,
 }
 
 impl RelationShard {
@@ -114,7 +146,7 @@ impl RelationShard {
             columns: vec![Vec::new(); arity],
             tuples: Vec::new(),
             keys: HashSet::new(),
-            indexes: vec![HashMap::new(); arity],
+            indexes: vec![PostingLists::default(); arity],
         }
     }
 
@@ -259,6 +291,15 @@ impl Read {
 /// A decision procedure is a deterministic function of its reads, so a
 /// cached verdict stays valid as long as no [`Growth`] touches any recorded
 /// read — [`ReadSet::touched_by`] is that test.
+///
+/// The joins choose which atom to branch on from
+/// [`FactStore::candidate_bound`], which records nothing. That choice
+/// shapes the search but not its verdict: a refutation is a tree whose
+/// every node exhausts the candidate list of the atom it branched on, and
+/// those lists are recorded. While no growth touches them the same tree
+/// still refutes, whatever order a re-run would pick; a match found stays
+/// a match, since rows never leave. So a read set names only the atoms a
+/// search branched on, not every atom it could have started from.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ReadSet {
     reads: Vec<Read>,
@@ -891,6 +932,36 @@ impl FactStore {
             .collect()
     }
 
+    /// An upper bound on the number of rows [`FactStore::candidates`]
+    /// returns for the same relation and constraints: the length of the
+    /// shortest posting list among the constraints (the relation's length
+    /// when there are none, 0 when one can never match). Never recorded,
+    /// even under an installed read recorder: the joins call it only to
+    /// choose which atom to branch on, and what a join concludes depends
+    /// only on the candidate lists it then draws, which `candidates`
+    /// records (see [`ReadSet`]). Allocation-free.
+    pub fn candidate_bound<'v>(
+        &self,
+        relation: RelationId,
+        constraints: impl IntoIterator<Item = (usize, &'v Value)>,
+    ) -> usize {
+        let Some(shard) = self.relations.get(relation.index()) else {
+            return 0;
+        };
+        let mut bound = shard.len();
+        for (pos, v) in constraints {
+            let postings = match (shard.indexes.get(pos), self.interner.lookup(v)) {
+                (Some(index), Some(id)) => index.get(&id).map_or(0, Vec::len),
+                _ => 0,
+            };
+            bound = bound.min(postings);
+            if bound == 0 {
+                break;
+            }
+        }
+        bound
+    }
+
     /// Returns `true` if every fact of `self` is also in `other`.
     pub fn is_subset_of(&self, other: &FactStore) -> bool {
         self.rec(|rs| rs.insert(Read::All));
@@ -1107,16 +1178,6 @@ impl FactStore {
     /// sorted and deduplicated.
     pub fn all_values(&self) -> Vec<Value> {
         self.rec(|rs| rs.insert(Read::Adom));
-        self.all_values_untracked()
-    }
-
-    /// Like [`FactStore::all_values`] but never recorded, even under an
-    /// installed read recorder. For *fresh-value seeding only*: the decision
-    /// procedures seed a `FreshSupply` above every known value, and verdicts
-    /// are invariant under renaming of fresh values, so this read does not
-    /// have to participate in invalidation (recording it would make every
-    /// verdict depend on the whole active domain).
-    pub fn all_values_untracked(&self) -> Vec<Value> {
         let ids: HashSet<ValueId> = self.adom.entered.iter().map(|&(id, _)| id).collect();
         let mut vals: Vec<Value> = ids
             .into_iter()
@@ -1250,6 +1311,18 @@ mod tests {
         let ghost = Value::sym("ghost");
         assert!(store.candidates(r, &[(0, &ghost)]).is_empty());
         assert!(store.candidates(r, &[(9, &a)]).is_empty());
+
+        // Candidate bounds: the shortest posting list, never below the
+        // candidates, and never recorded.
+        store.begin_read_tracking_with(AdomPrecision::Precise);
+        assert_eq!(store.candidate_bound(r, []), 3);
+        assert_eq!(store.candidate_bound(r, [(0, &a)]), 2);
+        assert_eq!(store.candidate_bound(r, [(0, &a), (1, &one)]), 2);
+        assert_eq!(store.candidate_bound(r, [(1, &one), (0, &a)]), 2);
+        assert_eq!(store.candidate_bound(r, [(0, &ghost)]), 0);
+        assert_eq!(store.candidate_bound(r, [(9, &a)]), 0);
+        assert_eq!(store.candidate_bound(RelationId(7), []), 0);
+        assert!(store.take_read_set().is_empty());
     }
 
     #[test]

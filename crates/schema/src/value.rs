@@ -150,6 +150,19 @@ impl FreshSupply {
         Self { next }
     }
 
+    /// Creates a supply whose first value has index `next`.
+    pub(crate) fn starting_at(next: u64) -> Self {
+        Self { next }
+    }
+
+    /// Raises the supply, if needed, so that its next value also has an
+    /// index strictly larger than every fresh value occurring in `values`.
+    pub fn skipping<'a>(self, values: impl IntoIterator<Item = &'a Value>) -> Self {
+        Self {
+            next: self.next.max(Self::above(values).next),
+        }
+    }
+
     /// Produces the next fresh value.
     pub fn next_value(&mut self) -> Value {
         let v = Value::Fresh(self.next);
@@ -236,6 +249,15 @@ mod tests {
         let existing = [Value::fresh(3), Value::sym("a"), Value::fresh(7)];
         let mut s = FreshSupply::above(existing.iter());
         assert_eq!(s.next_value(), Value::fresh(8));
+    }
+
+    #[test]
+    fn fresh_supply_skipping_only_raises() {
+        let existing = [Value::fresh(3), Value::sym("a")];
+        let mut s = FreshSupply::starting_at(2).skipping(existing.iter());
+        assert_eq!(s.next_value(), Value::fresh(4));
+        let mut s = FreshSupply::starting_at(9).skipping(existing.iter());
+        assert_eq!(s.next_value(), Value::fresh(9));
     }
 
     #[test]

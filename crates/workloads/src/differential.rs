@@ -246,9 +246,16 @@ pub struct Divergence {
 pub struct CaseOutcome {
     /// The first divergence found, if any.
     pub divergence: Option<Divergence>,
-    /// Source traffic, chaos counters included, summed across the three
-    /// concurrent layers.
-    pub traffic: BackendStats,
+    /// Source traffic, chaos counters included, of the two virtual-clock
+    /// layers (async and serving), summed. Their scripts fire on the
+    /// executor's virtual clock, so these totals are a function of the case.
+    pub virtual_traffic: BackendStats,
+    /// Source traffic of the threaded layer. Its chaos clock advances per
+    /// wire call, and its two workers race to make those calls, so which
+    /// call meets a scripted event, and with it the churn, failover and
+    /// breaker counts, can differ between two runs of the same case. The
+    /// answers cannot: failover hides every event.
+    pub threaded_traffic: BackendStats,
     /// The sequential oracle's report (the ground truth the layers were
     /// compared against).
     pub oracle: RunReport,
@@ -410,10 +417,16 @@ pub fn run_case(case: &FuzzCase) -> CaseOutcome {
     let serving = Serving::new(&serving_federation);
     let executors: [&dyn Executor; 3] = [&threaded, &asynced, &serving];
 
-    let mut traffic = BackendStats::default();
+    let mut virtual_traffic = BackendStats::default();
+    let mut threaded_traffic = BackendStats::default();
     for executor in executors {
         let report = executor.execute(&request, &initial);
-        traffic = traffic.merged(&report.source_stats);
+        let traffic = if executor.name() == threaded.name() {
+            &mut threaded_traffic
+        } else {
+            &mut virtual_traffic
+        };
+        *traffic = traffic.merged(&report.source_stats);
         if divergence.is_none() {
             divergence = first_differing_field(&report, &oracle).map(|field| Divergence {
                 executor: executor.name(),
@@ -424,7 +437,8 @@ pub fn run_case(case: &FuzzCase) -> CaseOutcome {
 
     CaseOutcome {
         divergence,
-        traffic,
+        virtual_traffic,
+        threaded_traffic,
         oracle,
     }
 }
@@ -689,12 +703,13 @@ pub struct FuzzFailure {
 pub struct FuzzSummary {
     /// Seeds run.
     pub cases: usize,
-    /// Total churn events fired across every layer of every case.
-    pub churn_events: usize,
-    /// Total failovers across every layer of every case.
-    pub failovers: usize,
-    /// Total breaker trips across every layer of every case.
-    pub breaker_trips: usize,
+    /// The virtual-clock layers' traffic summed over every case (see
+    /// [`CaseOutcome::virtual_traffic`]): reproducible for a seed window.
+    pub virtual_traffic: BackendStats,
+    /// The threaded layer's traffic summed over every case (see
+    /// [`CaseOutcome::threaded_traffic`]): its chaos counts may vary
+    /// between runs.
+    pub threaded_traffic: BackendStats,
     /// Shrunk divergences (empty on a green sweep).
     pub failures: Vec<FuzzFailure>,
 }
@@ -708,9 +723,8 @@ pub fn fuzz(base_seed: u64, count: usize) -> FuzzSummary {
         let case = FuzzCase::from_seed(seed);
         let outcome = run_case(&case);
         summary.cases += 1;
-        summary.churn_events += outcome.traffic.churn_events;
-        summary.failovers += outcome.traffic.failovers;
-        summary.breaker_trips += outcome.traffic.breaker_trips;
+        summary.virtual_traffic = summary.virtual_traffic.merged(&outcome.virtual_traffic);
+        summary.threaded_traffic = summary.threaded_traffic.merged(&outcome.threaded_traffic);
         if let Some(divergence) = outcome.divergence {
             let minimal = shrink(&case);
             summary.failures.push(FuzzFailure {
@@ -737,6 +751,10 @@ mod tests {
             let ra = run_case(&a);
             let rb = run_case(&b);
             assert_eq!(ra.divergence, rb.divergence);
+            assert_eq!(
+                ra.virtual_traffic, rb.virtual_traffic,
+                "seed {seed} must reproduce the virtual-clock layers' traffic"
+            );
             assert_eq!(
                 ra.oracle.relevance_verdicts, rb.oracle.relevance_verdicts,
                 "seed {seed} must reproduce the verdict log"

@@ -31,8 +31,9 @@ fn killed_primary_runs_match_the_sequential_oracle_byte_for_byte() {
             outcome.divergence, None,
             "killed-primary run diverged under {strategy:?}"
         );
-        churn_events += outcome.traffic.churn_events;
-        failovers += outcome.traffic.failovers;
+        let traffic = outcome.virtual_traffic.merged(&outcome.threaded_traffic);
+        churn_events += traffic.churn_events;
+        failovers += traffic.failovers;
     }
     // Strategies that stop after a couple of accesses may finish before the
     // chaos clock reaches the kill; across the whole grid it must fire.
@@ -69,13 +70,14 @@ fn flaky_primary_churn_is_absorbed_and_trips_breakers() {
     };
     let outcome = differential::run_case(&case);
     assert_eq!(outcome.divergence, None, "flaky churn changed answers");
-    assert!(outcome.traffic.failovers > 0, "failures must fail over");
+    let traffic = outcome.virtual_traffic.merged(&outcome.threaded_traffic);
+    assert!(traffic.failovers > 0, "failures must fail over");
     assert!(
-        outcome.traffic.breaker_trips > 0,
+        traffic.breaker_trips > 0,
         "consecutive retry exhaustion must trip a breaker"
     );
     assert!(
-        outcome.traffic.short_circuited > 0,
+        traffic.short_circuited > 0,
         "an open breaker must short-circuit later calls"
     );
 }

@@ -18,6 +18,8 @@
 //! property-testing framework is available offline; the grid plays the role
 //! of proptest's case sampling).
 
+use std::collections::HashMap;
+
 use accrel::prelude::*;
 use accrel::workloads::random::{
     generate_configuration, generate_cq, generate_workload, Workload, WorkloadSpec,
@@ -1022,4 +1024,501 @@ fn events_drained_counts_the_rows_committed_after_the_first_cached_verdict() {
     let exhaustive = run(Strategy::Exhaustive);
     assert!(exhaustive.final_configuration.len() > initial.len());
     assert_eq!(exhaustive.events_drained, 0);
+}
+
+// ---------------------------------------------------------------------------
+// An independent reference for the join kernel
+// ---------------------------------------------------------------------------
+
+/// The values a brute-force search assigns to variables: the
+/// configuration's active domain, the query's constants and the values of
+/// `extra`, sorted and deduplicated.
+fn reference_values(
+    query: &ConjunctiveQuery,
+    conf: &Configuration,
+    extra: &[accrel::schema::Fact],
+) -> Vec<Value> {
+    let mut values = conf.all_values();
+    values.extend(query.constants());
+    values.extend(extra.iter().flat_map(|(_, t)| t.iter().cloned()));
+    values.sort();
+    values.dedup();
+    values
+}
+
+/// `query`'s variables in order of first occurrence.
+fn variables_in_order(query: &ConjunctiveQuery) -> Vec<VarId> {
+    let mut vars: Vec<VarId> = Vec::new();
+    for atom in query.atoms() {
+        for term in atom.terms() {
+            if let Term::Var(v) = term {
+                if !vars.contains(v) {
+                    vars.push(*v);
+                }
+            }
+        }
+    }
+    vars
+}
+
+/// Hands every assignment of `query`'s variables over
+/// [`reference_values`] under which each atom's image is a fact of `conf`
+/// (checked with `contains`) or of `extra` to `visit`, until `visit`
+/// returns `true`; returns whether it did. Independent of the join kernel:
+/// it assigns variables in a fixed order and never probes an index or
+/// counts a candidate. An atom is checked as soon as its last variable is
+/// assigned, which prunes the search without changing its answer.
+fn brute_force(
+    query: &ConjunctiveQuery,
+    conf: &Configuration,
+    extra: &[accrel::schema::Fact],
+    visit: &mut dyn FnMut(&HashMap<VarId, Value>) -> bool,
+) -> bool {
+    let values = reference_values(query, conf, extra);
+    let vars = variables_in_order(query);
+    // `due[k]`: the atoms whose variables are all among the first k.
+    let mut due: Vec<Vec<&accrel::query::Atom>> = vec![Vec::new(); vars.len() + 1];
+    for atom in query.atoms() {
+        let last = atom
+            .terms()
+            .iter()
+            .filter_map(|t| match t {
+                Term::Var(v) => vars.iter().position(|x| x == v),
+                Term::Const(_) => None,
+            })
+            .max()
+            .map_or(0, |i| i + 1);
+        due[last].push(atom);
+    }
+    let holds = |atom: &accrel::query::Atom, h: &HashMap<VarId, Value>| {
+        let t = atom
+            .substitute(h)
+            .to_tuple()
+            .expect("every variable assigned");
+        conf.contains(atom.relation(), &t) || extra.contains(&(atom.relation(), t))
+    };
+    fn go(
+        k: usize,
+        vars: &[VarId],
+        values: &[Value],
+        due: &[Vec<&accrel::query::Atom>],
+        holds: &dyn Fn(&accrel::query::Atom, &HashMap<VarId, Value>) -> bool,
+        h: &mut HashMap<VarId, Value>,
+        visit: &mut dyn FnMut(&HashMap<VarId, Value>) -> bool,
+    ) -> bool {
+        if !due[k].iter().all(|atom| holds(atom, h)) {
+            return false;
+        }
+        let Some(&v) = vars.get(k) else {
+            return visit(h);
+        };
+        for value in values {
+            h.insert(v, value.clone());
+            if go(k + 1, vars, values, due, holds, h, visit) {
+                return true;
+            }
+        }
+        h.remove(&v);
+        false
+    }
+    go(0, &vars, &values, &due, &holds, &mut HashMap::new(), visit)
+}
+
+/// Whether the Boolean closure of `query` holds on `conf` plus `extra`, by
+/// brute force.
+fn brute_holds(
+    query: &ConjunctiveQuery,
+    conf: &Configuration,
+    extra: &[accrel::schema::Fact],
+) -> bool {
+    brute_force(query, conf, extra, &mut |_| true)
+}
+
+/// The answers of `query` on `conf`, by brute force, sorted.
+fn brute_answers(query: &ConjunctiveQuery, conf: &Configuration) -> Vec<Tuple> {
+    let mut out = Vec::new();
+    brute_force(query, conf, &[], &mut |h| {
+        out.push(Tuple::new(
+            query.free_vars().iter().map(|v| h[v].clone()).collect(),
+        ));
+        false
+    });
+    out.sort();
+    out.dedup();
+    out
+}
+
+/// `query` with every variable in its head, in first-occurrence order.
+fn with_full_head(query: &ConjunctiveQuery) -> ConjunctiveQuery {
+    let names = (0..query.var_count()).map(|i| format!("v{i}")).collect();
+    let head = variables_in_order(query);
+    ConjunctiveQuery::new(query.schema().clone(), query.atoms().to_vec(), head, names)
+}
+
+/// Checks `holds_cq`, `answers_cq` (Boolean and with every variable in the
+/// head) and a `CertaintyStatus` grown by `rows` against the brute-force
+/// reference.
+fn assert_kernel_agrees(
+    query: &ConjunctiveQuery,
+    mut conf: Configuration,
+    rows: Vec<accrel::schema::Fact>,
+    ctx: &str,
+) {
+    use accrel::query::eval::{answers_cq, holds_cq};
+    let open = with_full_head(query);
+    let boolean: Query = query.clone().into();
+    let mut status = certain::CertaintyStatus::new(&boolean);
+    for row in std::iter::once(None).chain(rows.into_iter().map(Some)) {
+        if let Some((relation, t)) = row {
+            conf.insert(relation, t).unwrap();
+        }
+        let holds = brute_holds(query, &conf, &[]);
+        assert_eq!(holds_cq(query, conf.store()), holds, "holds_cq at {ctx}");
+        assert_eq!(status.refresh(&conf), holds, "certainty status at {ctx}");
+        let expected = if holds {
+            vec![Tuple::empty()]
+        } else {
+            Vec::new()
+        };
+        assert_eq!(
+            answers_cq(query, conf.store()),
+            expected,
+            "Boolean answers at {ctx}"
+        );
+        assert_eq!(
+            answers_cq(&open, conf.store()),
+            brute_answers(&open, &conf),
+            "answers at {ctx}"
+        );
+    }
+}
+
+/// A binary relation `R` over one domain, for the hand-written shapes.
+fn binary_schema() -> std::sync::Arc<Schema> {
+    let mut b = Schema::builder();
+    let d = b.domain("D").unwrap();
+    b.relation("R", &[("a", d), ("b", d)]).unwrap();
+    b.relation("S", &[("a", d)]).unwrap();
+    b.build()
+}
+
+/// `R(x, x)` and the self-join `R(x, y) ∧ R(y, x) ∧ S(y)`.
+fn repeated_variable_and_self_join(schema: &std::sync::Arc<Schema>) -> [ConjunctiveQuery; 2] {
+    let mut qb = ConjunctiveQuery::builder(schema.clone());
+    let x = qb.var("x");
+    qb.atom("R", vec![Term::Var(x), Term::Var(x)]).unwrap();
+    let repeated = qb.build();
+    let mut qb = ConjunctiveQuery::builder(schema.clone());
+    let (x, y) = (qb.var("x"), qb.var("y"));
+    qb.atom("R", vec![Term::Var(x), Term::Var(y)]).unwrap();
+    qb.atom("R", vec![Term::Var(y), Term::Var(x)]).unwrap();
+    qb.atom("S", vec![Term::Var(y)]).unwrap();
+    [repeated, qb.build()]
+}
+
+#[test]
+fn join_kernel_agrees_with_a_brute_force_reference() {
+    for (seed, atoms, facts) in cases() {
+        let (workload, query, conf) = workload_and_query(seed, atoms, facts);
+        let Query::Cq(cq) = &query else {
+            unreachable!("the grid draws conjunctive queries")
+        };
+        let mut rng = StdRng::seed_from_u64(seed + 1);
+        let extra = generate_configuration(&workload, 4, &mut rng);
+        let ctx = format!("seed={seed} atoms={atoms} facts={facts}");
+        assert_kernel_agrees(cq, conf, extra.sorted_facts(), &ctx);
+    }
+
+    let schema = binary_schema();
+    let r = schema.relation_by_name("R").unwrap();
+    let s = schema.relation_by_name("S").unwrap();
+    for query in repeated_variable_and_self_join(&schema) {
+        let mut conf = Configuration::empty(schema.clone());
+        conf.insert_named("R", ["1", "2"]).unwrap();
+        conf.insert_named("S", ["1"]).unwrap();
+        let rows = vec![
+            (r, tuple(["3", "4"])),
+            (r, tuple(["2", "1"])),
+            (s, tuple(["2"])),
+            (r, tuple(["5", "5"])),
+        ];
+        assert_kernel_agrees(&query, conf, rows, &format!("{query:?}"));
+    }
+}
+
+/// Immediate relevance by its definition: the query is not certain at
+/// `conf`, and some response to `access` makes it certain. Tries every
+/// response of at most `k` tuples on the accessed relation, where `k` is
+/// the number of query atoms on it (a witness maps each onto at most one
+/// tuple). A response tuple holds the binding at the input positions and,
+/// at each output position, a value of the active domain, a query
+/// constant, a binding value or one of `k` fresh values.
+fn ir_by_trying_every_response(
+    query: &ConjunctiveQuery,
+    conf: &Configuration,
+    access: &Access,
+    methods: &AccessMethods,
+) -> bool {
+    let method = methods.get(access.method()).unwrap();
+    let relation = method.relation();
+    let k = query
+        .atoms()
+        .iter()
+        .filter(|a| a.relation() == relation)
+        .count();
+    let mut values = reference_values(query, conf, &[]);
+    values.extend(access.binding().values().iter().cloned());
+    let mut fresh = accrel::schema::FreshSupply::above(values.iter());
+    values.extend((0..k).map(|_| fresh.next_value()));
+    values.sort();
+    values.dedup();
+    let arity = conf.schema().arity(relation).unwrap();
+    let mut tuples: Vec<Vec<Value>> = vec![vec![Value::int(0); arity]];
+    for pos in 0..arity {
+        let choices: Vec<Value> = match method.input_positions().iter().position(|&p| p == pos) {
+            Some(k) => vec![access.binding().get(k).unwrap().clone()],
+            None => values.clone(),
+        };
+        tuples = tuples
+            .into_iter()
+            .flat_map(|t| {
+                choices.iter().map(move |v| {
+                    let mut t = t.clone();
+                    t[pos] = v.clone();
+                    t
+                })
+            })
+            .collect();
+    }
+    let tuples: Vec<accrel::schema::Fact> = tuples
+        .into_iter()
+        .map(|t| (relation, Tuple::new(t)))
+        .collect();
+    // Every subset of at most `k` tuples, as strictly increasing indexes.
+    fn responses_make_certain(
+        query: &ConjunctiveQuery,
+        conf: &Configuration,
+        tuples: &[accrel::schema::Fact],
+        from: usize,
+        room: usize,
+        chosen: &mut Vec<accrel::schema::Fact>,
+    ) -> bool {
+        if !chosen.is_empty() && brute_holds(query, conf, chosen) {
+            return true;
+        }
+        if room == 0 {
+            return false;
+        }
+        (from..tuples.len()).any(|i| {
+            chosen.push(tuples[i].clone());
+            let found = responses_make_certain(query, conf, tuples, i + 1, room - 1, chosen);
+            chosen.pop();
+            found
+        })
+    }
+    !brute_holds(query, conf, &[])
+        && responses_make_certain(query, conf, &tuples, 0, k, &mut Vec::new())
+}
+
+#[test]
+fn immediate_relevance_agrees_with_trying_every_response() {
+    use accrel::core::is_immediately_relevant_given_uncertain;
+    let check = |query: &ConjunctiveQuery,
+                 conf: &Configuration,
+                 access: &Access,
+                 methods: &AccessMethods,
+                 ctx: &str|
+     -> bool {
+        let expected = ir_by_trying_every_response(query, conf, access, methods);
+        let q: Query = query.clone().into();
+        assert_eq!(
+            is_immediately_relevant(&q, conf, access, methods),
+            expected,
+            "IR at {ctx}"
+        );
+        if !brute_holds(query, conf, &[]) {
+            assert_eq!(
+                is_immediately_relevant_given_uncertain(&q, conf, access, methods),
+                expected,
+                "IR given uncertain at {ctx}"
+            );
+        }
+        expected
+    };
+    let mut relevant = 0;
+    for (seed, atoms, facts) in cases() {
+        let (workload, query, conf) = workload_and_query(seed, atoms, facts);
+        let Query::Cq(cq) = &query else {
+            unreachable!("the grid draws conjunctive queries")
+        };
+        for (id, method) in workload.methods.iter() {
+            for shift in [0, 2] {
+                let value = &workload.constants[(seed as usize + shift) % workload.constants.len()];
+                let values = method.input_positions().iter().map(|_| value.clone());
+                let access = Access::new(id, values.collect());
+                let ctx = format!("seed={seed} atoms={atoms} facts={facts} {access:?}");
+                relevant += usize::from(check(cq, &conf, &access, &workload.methods, &ctx));
+            }
+        }
+    }
+    assert!(relevant > 0, "the grid never exercises a relevant access");
+
+    // R(x, x) is completed only by a response repeating the binding, a
+    // value the configuration does not hold; the self-join needs its
+    // second R row.
+    let schema = binary_schema();
+    let mut mb = AccessMethods::builder(schema.clone());
+    let probe = mb
+        .add("probe", "R", &["a"], AccessMode::Independent)
+        .unwrap();
+    let methods = mb.build();
+    let [repeated, self_join] = repeated_variable_and_self_join(&schema);
+    let mut conf = Configuration::empty(schema.clone());
+    conf.insert_named("R", ["1", "2"]).unwrap();
+    conf.insert_named("S", ["2"]).unwrap();
+    let access = |v: &str| Access::new(probe, binding([v]));
+    assert!(check(
+        &repeated,
+        &conf,
+        &access("9"),
+        &methods,
+        "R(x, x) on 9"
+    ));
+    assert!(check(
+        &self_join,
+        &conf,
+        &access("2"),
+        &methods,
+        "self-join on 2"
+    ));
+    assert!(!check(
+        &self_join,
+        &conf,
+        &access("1"),
+        &methods,
+        "self-join on 1"
+    ));
+
+    // S(x) ∧ U(x) ∧ S(y) ∧ T(y) with U(0), S(7) and three T rows, accessed
+    // at S(0): the search charges S(x), then tries S(y) (fewer candidates
+    // than T(y)) by the charge first. That binds y = 0, which no T row
+    // has, so only S(y)'s configuration row S(7) completes the witness.
+    let mut b = Schema::builder();
+    let d = b.domain("D").unwrap();
+    for name in ["S", "T", "U"] {
+        b.relation(name, &[("a", d)]).unwrap();
+    }
+    let schema = b.build();
+    let mut mb = AccessMethods::builder(schema.clone());
+    let s_check = mb
+        .add_boolean("SCheck", "S", AccessMode::Independent)
+        .unwrap();
+    let methods = mb.build();
+    let mut qb = ConjunctiveQuery::builder(schema.clone());
+    let (x, y) = (qb.var("x"), qb.var("y"));
+    for (relation, v) in [("S", x), ("U", x), ("S", y), ("T", y)] {
+        qb.atom(relation, vec![Term::Var(v)]).unwrap();
+    }
+    let query = qb.build();
+    let mut conf = Configuration::empty(schema);
+    for (relation, v) in [("U", "0"), ("S", "7"), ("T", "7"), ("T", "8"), ("T", "9")] {
+        conf.insert_named(relation, [v]).unwrap();
+    }
+    let access = Access::new(s_check, binding(["0"]));
+    assert!(check(
+        &query,
+        &conf,
+        &access,
+        &methods,
+        "charge, then fall back"
+    ));
+}
+
+#[test]
+fn a_refutation_reads_only_the_atoms_it_branched_on() {
+    // Shaped like the dense-probe benchmark: R0(x, y) ∧ R1(y, z) ∧ R2(z, w)
+    // over a large R0, a small R1 keyed by a method on its first place, and
+    // an R2 that no R1 row joins. The dead key j0 occurs in R1 only, so no
+    // response to R1(j0)? can complete the query. A join that starts from
+    // the small middle atom refutes that without scanning R0.
+    use accrel::core::is_immediately_relevant_given_uncertain;
+    use accrel::engine::{RelevanceOracle, RunOptions};
+    use accrel::schema::{AdomPrecision, GrowthCursor, Read};
+
+    let mut b = Schema::builder();
+    let d = b.domain("D").unwrap();
+    let k = b.domain("K").unwrap();
+    b.relation("R0", &[("a", d), ("b", k)]).unwrap();
+    b.relation("R1", &[("a", k), ("b", d)]).unwrap();
+    b.relation("R2", &[("a", d), ("b", d)]).unwrap();
+    let schema = b.build();
+    let rel = |name: &str| schema.relation_by_name(name).unwrap();
+    let (r0, r1, r2) = (rel("R0"), rel("R1"), rel("R2"));
+    let mut mb = AccessMethods::builder(schema.clone());
+    let probe = mb
+        .add("probe", "R1", &["a"], AccessMode::Dependent)
+        .unwrap();
+    let methods = mb.build();
+    let query: Query = {
+        let mut qb = ConjunctiveQuery::builder(schema.clone());
+        let [x, y, z, w] = ["x", "y", "z", "w"].map(|n| qb.var(n));
+        qb.atom("R0", vec![Term::Var(x), Term::Var(y)]).unwrap();
+        qb.atom("R1", vec![Term::Var(y), Term::Var(z)]).unwrap();
+        qb.atom("R2", vec![Term::Var(z), Term::Var(w)]).unwrap();
+        qb.build().into()
+    };
+    let sym = |s: String| Value::sym(s);
+    let mut conf = Configuration::empty(schema.clone());
+    for i in 0..400 {
+        let row = tuple([sym(format!("d{i:03}")), sym(format!("k{}", i % 8))]);
+        conf.insert(r0, row).unwrap();
+    }
+    for i in 0..12 {
+        let key = if i < 10 {
+            format!("k{}", i % 8)
+        } else {
+            "j0".into()
+        };
+        conf.insert(r1, tuple([sym(key), sym(format!("m{i:02}"))]))
+            .unwrap();
+    }
+    for i in 0..400 {
+        let row = tuple([
+            sym(format!("d{i:03}")),
+            sym(format!("d{:03}", (i * 7) % 400)),
+        ]);
+        conf.insert(r2, row).unwrap();
+    }
+    assert!(!certain::is_certain(&query, &conf));
+    let dead = Access::new(probe, binding(["j0"]));
+
+    // The count behind the choice records nothing.
+    conf.begin_read_tracking_with(AdomPrecision::Precise);
+    assert_eq!(conf.store().candidate_bound(r0, []), 400);
+    let k3 = Value::sym("k3");
+    assert_eq!(conf.store().candidate_bound(r0, [(1, &k3)]), 50);
+    assert!(conf.take_read_set().is_empty());
+
+    // The refutation's reads name R1 (scanned) and the probed pairs of R0
+    // and R2, never R0 as a whole.
+    conf.begin_read_tracking_with(AdomPrecision::Precise);
+    assert!(!is_immediately_relevant_given_uncertain(
+        &query, &conf, &dead, &methods
+    ));
+    let reads = conf.take_read_set();
+    assert!(!reads.iter().any(|r| *r == Read::Relation(r0)), "{reads:?}");
+    assert!(reads.iter().any(|r| *r == Read::Relation(r1)), "{reads:?}");
+
+    // So an R0 row that carries no probed value leaves the verdict cached.
+    let options = RunOptions::default();
+    let mut oracle = RelevanceOracle::new(&query, &methods, &options);
+    assert!(!oracle.check_ir(&dead, &mut conf));
+    let misses = oracle.misses();
+    let mut cursor = GrowthCursor::at(conf.store());
+    conf.insert(r0, tuple(["d999", "k7"])).unwrap();
+    assert!(!reads.touched_by(&cursor.advance(conf.store())));
+    oracle.observe_growth(&mut conf, r0);
+    assert!(!oracle.check_ir(&dead, &mut conf));
+    assert_eq!(oracle.misses(), misses, "the R0 insert evicted the verdict");
+    assert_eq!(oracle.evictions(), 0);
 }

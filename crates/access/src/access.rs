@@ -150,17 +150,14 @@ impl Access {
     /// stable across releases).
     pub fn stable_hash(&self) -> u64 {
         // FNV-1a over the method id and the rendered binding values, with a
-        // rotation between values so permuted bindings hash apart.
-        let mut h = 0xcbf2_9ce4_8422_2325u64 ^ u64::from(self.method.0);
+        // rotation between values so permuted bindings hash apart. The
+        // values render straight into the hash, with no string built.
+        let mut h = Fnv1a(0xcbf2_9ce4_8422_2325u64 ^ u64::from(self.method.0));
         for v in self.binding.values() {
-            let bytes = v.to_string();
-            for b in bytes.as_bytes() {
-                h ^= u64::from(*b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            h = h.rotate_left(7);
+            fmt::write(&mut h, format_args!("{v}")).expect("hashing cannot fail");
+            h.0 = h.0.rotate_left(7);
         }
-        h
+        h.0
     }
 
     /// [`Access::stable_hash`] mixed with `salt` and finalized with
@@ -197,6 +194,19 @@ impl Access {
 impl fmt::Display for Access {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}{}", self.method, self.binding)
+    }
+}
+
+/// An FNV-1a state that hashes the bytes written to it.
+struct Fnv1a(u64);
+
+impl fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        for b in s.bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        Ok(())
     }
 }
 
@@ -313,6 +323,51 @@ mod tests {
             Access::new(emp_off, binding(["x", "y"])).stable_hash(),
             Access::new(emp_off, binding(["y", "x"])).stable_hash()
         );
+    }
+
+    /// The hash seeds latency jitter, flakiness windows and sampled
+    /// responses, so its values are pinned: these are the outputs of the
+    /// recipe that rendered each value into a `String` first.
+    #[test]
+    fn stable_hash_values_are_pinned() {
+        let cases = [
+            (
+                Access::new(AccessMethodId(0), binding(["e1"])),
+                0x473d_83da_9cdc_4184,
+                0x19f0_72af_a090_3d32,
+            ),
+            (
+                Access::new(AccessMethodId(3), Binding::new(vec![Value::int(-42)])),
+                0xc06d_0bf5_fff9_2bfb,
+                0xe927_297e_78e9_b2c9,
+            ),
+            (
+                Access::new(AccessMethodId(1), Binding::new(vec![Value::fresh(7)])),
+                0xeca8_6034_1653_9039,
+                0x8cc9_51f3_4b97_026a,
+            ),
+            (
+                Access::new(
+                    AccessMethodId(2),
+                    Binding::new(vec![
+                        Value::sym("Illinois"),
+                        Value::int(30),
+                        Value::fresh(12),
+                    ]),
+                ),
+                0xc788_f305_12c9_f723,
+                0xed85_3fdc_d2f4_9974,
+            ),
+            (
+                Access::new(AccessMethodId(5), Binding::empty()),
+                0xcbf2_9ce4_8422_2320,
+                0x6081_762e_b5b7_1358,
+            ),
+        ];
+        for (access, hash, seeded) in cases {
+            assert_eq!(access.stable_hash(), hash, "{access}");
+            assert_eq!(access.stable_hash_seeded(7), seeded, "{access}");
+        }
     }
 
     #[test]

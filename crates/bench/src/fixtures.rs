@@ -333,6 +333,27 @@ impl FederationWorld {
     pub fn facts(&self) -> usize {
         self.facts
     }
+
+    /// The E5 chain at `rotation`: `R_r(x, y) ∧ R_{r+1}(y, z) ∧ R_{r+2}(z,
+    /// w)`, relation indices taken modulo the world's four relations.
+    /// Rotation 0 is the world's fixed query.
+    pub fn chain_query(&self, rotation: usize) -> Query {
+        chain_query(&self.workload.schema, rotation)
+    }
+}
+
+fn chain_query(schema: &std::sync::Arc<Schema>, rotation: usize) -> Query {
+    let mut qb = ConjunctiveQuery::builder(schema.clone());
+    let vars = [qb.var("x"), qb.var("y"), qb.var("z"), qb.var("w")];
+    for hop in 0..3 {
+        let relation = format!("R{}", (rotation + hop) % 4);
+        qb.atom(
+            &relation,
+            vec![Term::Var(vars[hop]), Term::Var(vars[hop + 1])],
+        )
+        .expect("chain relations exist and are binary");
+    }
+    qb.build().into()
 }
 
 /// Builds the E5 federation world at `facts` hidden facts.
@@ -350,15 +371,7 @@ pub fn federation_world(facts: usize) -> FederationWorld {
     // `extend_facts` path.
     let instance = generate_instance(&workload, facts, &mut rng);
     // Fixed query: R0(x, y) ∧ R1(y, z) ∧ R2(z, w) — the E5 shape.
-    let mut qb = ConjunctiveQuery::builder(workload.schema.clone());
-    let x = qb.var("x");
-    let y = qb.var("y");
-    let z = qb.var("z");
-    let w = qb.var("w");
-    qb.atom("R0", vec![Term::Var(x), Term::Var(y)]).unwrap();
-    qb.atom("R1", vec![Term::Var(y), Term::Var(z)]).unwrap();
-    qb.atom("R2", vec![Term::Var(z), Term::Var(w)]).unwrap();
-    let query: Query = qb.build().into();
+    let query = chain_query(&workload.schema, 0);
     // Seed configuration: a deterministic sample of the hidden facts, so
     // dependent accesses are unlockable from the start.
     let initial = Configuration::from_facts(

@@ -9,8 +9,8 @@ use accrel_core::{
     is_long_term_relevant, ltr_independent, reductions,
 };
 use accrel_engine::{
-    compare_strategies, DeepWebSource, Executor, InvalidationMode, RelevanceKind, ResponsePolicy,
-    RunOptions, RunReport, RunRequest, Sequential, SpeculationMode, Strategy,
+    compare_strategies, BatchStats, DeepWebSource, Executor, InvalidationMode, RelevanceKind,
+    ResponsePolicy, RunOptions, RunReport, RunRequest, Sequential, SpeculationMode, Strategy,
 };
 use accrel_federation::{
     parallel_relevance_sweep_report, Async, ChurnScript, FlakyModel, QuerySessionRegistry,
@@ -840,7 +840,9 @@ pub fn f2_async_sweep(
 /// sessions — which must fall as sessions share wire calls; `wire calls`
 /// vs `session calls` shows the deduplication directly (wire calls grow
 /// sublinearly in the session count), and the p50/p95 rows report the
-/// per-session virtual-latency distribution under contention.
+/// per-session virtual-latency distribution under contention. Two mixed
+/// serves follow (see [`f3_mixed_serves`]), whose count rows pin the order
+/// in which the serving layer fetches.
 pub fn f3_serving_sweep(
     world: &fixtures::FederationWorld,
     max_accesses: usize,
@@ -907,6 +909,7 @@ pub fn f3_serving_sweep(
         ));
         rows.push(Row::new(series, sessions, "wall µs", wall));
     }
+    f3_mixed_serves(world, max_accesses, &mut rows);
     Table {
         id: "F3".to_string(),
         title: format!(
@@ -914,6 +917,72 @@ pub fn f3_serving_sweep(
              latency vs session count (dedup + shared verdicts)"
         ),
         rows,
+    }
+}
+
+/// Sessions in F3's mixed serves (as in the benchmark's `serve-exhaustive`).
+const MIXED_SESSIONS: usize = 16;
+
+/// F3's mixed serves, shaped like the benchmark's `serve-exhaustive`
+/// workload: [`MIXED_SESSIONS`] exhaustive sessions, session `i` running the
+/// E5 chain at rotation `i mod 4` under an access cap of its own (one per
+/// equal-width stratum of `max_accesses / 4 .. max_accesses`, in a fixed
+/// scrambled order), served under the default in-flight limit of 32 and
+/// under a contended limit of 4. Identical sessions share every call, so
+/// their traffic cannot show in which order the batch joins and the dedup
+/// table serve calls; these sessions overlap only in part, and at 4 calls in
+/// flight the order in which calls reach the admission semaphore decides
+/// which session leads a call and which joins it, so the count rows pin it.
+fn f3_mixed_serves(world: &fixtures::FederationWorld, max_accesses: usize, rows: &mut Vec<Row>) {
+    let low = max_accesses / 4;
+    let requests: Vec<RunRequest> = (0..MIXED_SESSIONS)
+        .map(|i| {
+            // 7 is coprime with 16: a permutation of the strata.
+            let stratum = (i * 7) % MIXED_SESSIONS;
+            let cap = low + stratum * (max_accesses - low) / MIXED_SESSIONS;
+            RunRequest::new(world.chain_query(i % 4))
+                .with_strategy(Strategy::Exhaustive)
+                .with_options(RunOptions {
+                    max_accesses: cap,
+                    stop_when_certain: false,
+                    batch_size: 16,
+                    workers: 8,
+                    speculation: SpeculationMode::CachedOnly,
+                    ..RunOptions::default()
+                })
+        })
+        .collect();
+    let series = "E5 serving (16 mixed exhaustive sessions)";
+    for in_flight in [32, 4] {
+        let fixture = fixtures::async_federation_fixture_from(world, 100);
+        let registry = QuerySessionRegistry::with_options(
+            &fixture.federation,
+            ServingOptions {
+                max_sessions: MIXED_SESSIONS,
+                max_in_flight_accesses: in_flight,
+            },
+        );
+        let start = Instant::now();
+        let report = registry.serve(&requests, &fixture.initial);
+        let wall = start.elapsed().as_secs_f64() * 1e6;
+        let batch_total = |stat: fn(&BatchStats) -> usize| -> f64 {
+            report
+                .sessions
+                .iter()
+                .map(|s| stat(&s.report.batch_stats))
+                .sum::<usize>() as f64
+        };
+        let mut push = |metric: &str, value: f64| {
+            rows.push(Row::new(series, in_flight, metric, value));
+        };
+        push("accesses", report.total_accesses() as f64);
+        push("wire calls", report.wire_calls as f64);
+        push("joined calls", report.joined_calls as f64);
+        push("session calls", report.session_calls() as f64);
+        push("batches", batch_total(|b| b.batches));
+        push("wasted prefetches", batch_total(|b| b.speculative_wasted));
+        push("p50 session µs", report.latency_percentile(0.5) as f64);
+        push("wall µs", wall);
     }
 }
 

@@ -51,7 +51,11 @@
 //! never in arrival order. Mispredicted prefetches are not discarded: a
 //! deterministic response fetched early stays valid, so it is kept until the
 //! loop selects its access (or the run ends, which is the only way a prefetch
-//! is wasted — reported in [`BatchStats::speculative_wasted`]).
+//! is wasted — reported in [`BatchStats::speculative_wasted`]). The loop
+//! keeps those responses in its one pending map, beside the accesses they
+//! answer: each pending access is unfetched, fetched with its response, or
+//! failed, so selection and prediction walk one ordered structure and tell a
+//! prefetched candidate apart without a lookup.
 //!
 //! Consequently, for sources whose response to an access is a deterministic
 //! function of the access alone — every bundled source under every
@@ -64,7 +68,7 @@
 //! `tests/federation_equivalence.rs` and `tests/serving_equivalence.rs` pin
 //! it.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeMap;
 
 use accrel_access::enumerate::EnumerationOptions;
 use accrel_access::frontier::AccessFrontier;
@@ -104,16 +108,28 @@ pub struct MergeLoop<'q> {
     access_sequence: Vec<Access>,
     oracle: RelevanceOracle<'q>,
     frontier: AccessFrontier,
-    /// Emitted-but-not-executed accesses. Sorted `(method, binding)` order
-    /// equals the odometer order of full re-enumeration, so the loop selects
-    /// exactly as a re-enumerating loop would.
-    pending: BTreeSet<Access>,
-    /// Fetched responses not yet consumed; `None` marks a failed call.
-    prefetched: HashMap<Access, Option<Response>>,
+    /// Emitted-but-not-executed accesses, each with its fetch state.
+    /// Sorted `(method, binding)` order equals the odometer order of full
+    /// re-enumeration, so the loop selects exactly as a re-enumerating loop
+    /// would.
+    pending: BTreeMap<Access, Fetch>,
     batch_stats: BatchStats,
-    /// The access selected when the last `Fetch` was returned; consumed at
-    /// the top of the next `step` once its response has been supplied.
+    /// The access selected when the last `Fetch` was returned. `supply`
+    /// puts it back into `pending` with its response, and the next `step`
+    /// consumes it first.
     awaiting: Option<Access>,
+}
+
+/// Where a pending access's response stands.
+#[derive(Debug)]
+enum Fetch {
+    /// Not fetched: selecting the access asks the driver for a batch.
+    Unfetched,
+    /// Fetched by an earlier batch, and consumed when selected.
+    Fetched(Response),
+    /// Fetched, but the call failed: selecting the access consumes it
+    /// without a response.
+    Failed,
 }
 
 impl<'q> MergeLoop<'q> {
@@ -156,8 +172,7 @@ impl<'q> MergeLoop<'q> {
             access_sequence: Vec::new(),
             oracle,
             frontier,
-            pending: BTreeSet::new(),
-            prefetched: HashMap::new(),
+            pending: BTreeMap::new(),
             batch_stats,
             awaiting: None,
         }
@@ -191,7 +206,11 @@ impl<'q> MergeLoop<'q> {
     /// the loop is driven.
     pub fn step(&mut self) -> MergeStep {
         if let Some(access) = self.awaiting.take() {
-            self.consume(access);
+            let fetch = self
+                .pending
+                .remove(&access)
+                .expect("the awaited access was supplied");
+            self.consume(access, fetch);
         }
         loop {
             self.rounds += 1;
@@ -205,25 +224,26 @@ impl<'q> MergeLoop<'q> {
                 return MergeStep::Done;
             }
             let fresh = self.frontier.refresh(&self.conf, self.methods);
-            self.pending.extend(fresh);
+            for access in fresh {
+                self.pending.entry(access).or_insert(Fetch::Unfetched);
+            }
             if self.pending.is_empty() {
                 return MergeStep::Done;
             }
-            let selected = {
-                let candidates: Vec<&Access> = self.pending.iter().collect();
-                self.oracle.select_trailed(
-                    self.strategy,
-                    &candidates,
-                    &mut self.conf,
-                    &mut self.accesses_skipped,
-                )
-            };
+            let selected = self.oracle.select(
+                self.strategy,
+                self.pending.keys(),
+                &mut self.conf,
+                &mut self.accesses_skipped,
+            );
             let Some(access) = selected else {
                 return MergeStep::Done;
             };
-            self.pending.remove(&access);
-
-            if !self.prefetched.contains_key(&access) {
+            let fetch = self
+                .pending
+                .remove(&access)
+                .expect("selected from the pending map");
+            if let Fetch::Unfetched = fetch {
                 let allowance = self
                     .options
                     .max_accesses
@@ -236,7 +256,7 @@ impl<'q> MergeLoop<'q> {
                 self.awaiting = Some(access);
                 return MergeStep::Fetch(batch);
             }
-            self.consume(access);
+            self.consume(access, fetch);
         }
     }
 
@@ -250,20 +270,22 @@ impl<'q> MergeLoop<'q> {
     pub fn supply<E>(&mut self, batch: Vec<Access>, responses: Vec<Result<Response, E>>) {
         assert_eq!(responses.len(), batch.len(), "fetch must align with batch");
         for (access, response) in batch.into_iter().zip(responses) {
-            self.prefetched.insert(access, response.ok());
+            let fetch = match response {
+                Ok(response) => Fetch::Fetched(response),
+                Err(_) => Fetch::Failed,
+            };
+            self.pending.insert(access, fetch);
         }
     }
 
     /// Applies the response of the selected access: a failed call consumes
     /// the candidate without a response; a successful one grows the
     /// configuration and invalidates the verdicts the growth touches.
-    fn consume(&mut self, access: Access) {
-        let response = self
-            .prefetched
-            .remove(&access)
-            .expect("selected access was fetched by the driver");
-        let Some(response) = response else {
-            return;
+    fn consume(&mut self, access: Access, fetch: Fetch) {
+        let response = match fetch {
+            Fetch::Fetched(response) => response,
+            Fetch::Failed => return,
+            Fetch::Unfetched => unreachable!("selected access was fetched by the driver"),
         };
         self.tuples_retrieved += response.len();
         self.accesses_made += 1;
@@ -285,7 +307,11 @@ impl<'q> MergeLoop<'q> {
     /// its default: the driver attributes source traffic, since only it
     /// knows which sources served the calls.
     pub fn into_report(mut self) -> RunReport {
-        self.batch_stats.speculative_wasted = self.prefetched.len();
+        self.batch_stats.speculative_wasted = self
+            .pending
+            .values()
+            .filter(|fetch| !matches!(fetch, Fetch::Unfetched))
+            .count();
         // Read before the counters: the refresh that finds the query certain
         // evicts the cached `true` verdicts.
         let certain = self.oracle.is_certain(&self.conf);
@@ -321,7 +347,8 @@ impl<'q> MergeLoop<'q> {
     /// The batch the strategy would execute next if every response were
     /// empty: the selected access plus up to `batch_size - 1` follow-ups.
     /// Accesses whose responses are already fetched are skipped — their
-    /// round trip is already paid for.
+    /// round trip is already paid for. The selected access has left the
+    /// pending map, so it is never predicted twice.
     fn predict_batch(&mut self, first: &Access, allowance: usize) -> Vec<Access> {
         let limit = self.options.batch_size.min(allowance).max(1);
         let mut batch = vec![first.clone()];
@@ -341,18 +368,19 @@ impl<'q> MergeLoop<'q> {
     /// prediction never writes it.
     fn predict_eager(&mut self, batch: &mut Vec<Access>, limit: usize) {
         let mut scratch = self.oracle.scratch();
-        let mut rest = self.pending.clone();
+        let mut rest: BTreeMap<&Access, &Fetch> = self.pending.iter().collect();
         let mut skipped = 0usize;
         while batch.len() < limit {
-            let next = {
-                let candidates: Vec<&Access> = rest.iter().collect();
-                scratch.select_trailed(self.strategy, &candidates, &mut self.conf, &mut skipped)
-            };
+            let next = scratch.select(
+                self.strategy,
+                rest.keys().copied(),
+                &mut self.conf,
+                &mut skipped,
+            );
             let Some(next) = next else {
                 break;
             };
-            rest.remove(&next);
-            if !self.prefetched.contains_key(&next) {
+            if let Some(Fetch::Unfetched) = rest.remove(&next) {
                 batch.push(next);
             }
         }
@@ -363,20 +391,20 @@ impl<'q> MergeLoop<'q> {
     /// needed verdict is unknown (the strategy's next pick cannot be
     /// anticipated past it without running a decision procedure).
     fn predict_cached(&self, batch: &mut Vec<Access>, limit: usize) {
-        let push = |batch: &mut Vec<Access>, a: &Access| {
-            if !self.prefetched.contains_key(a) && !batch.contains(a) {
+        let push = |batch: &mut Vec<Access>, a: &Access, fetch: &Fetch| {
+            if let Fetch::Unfetched = fetch {
                 batch.push(a.clone());
             }
         };
         // Pushes the successive pending candidates whose `kind` verdict is
         // cached true, up to the limit or the first unknown verdict.
         let walk = |batch: &mut Vec<Access>, kind: RelevanceKind| {
-            for a in &self.pending {
+            for (a, fetch) in &self.pending {
                 if batch.len() >= limit {
                     break;
                 }
                 match self.oracle.peek(kind, a) {
-                    Some(true) => push(batch, a),
+                    Some(true) => push(batch, a, fetch),
                     Some(false) => {}
                     None => break,
                 }
@@ -384,11 +412,11 @@ impl<'q> MergeLoop<'q> {
         };
         match self.strategy {
             Strategy::Exhaustive => {
-                for a in &self.pending {
+                for (a, fetch) in &self.pending {
                     if batch.len() >= limit {
                         break;
                     }
-                    push(batch, a);
+                    push(batch, a, fetch);
                 }
             }
             Strategy::IrGuided => walk(batch, RelevanceKind::Immediate),
@@ -399,7 +427,7 @@ impl<'q> MergeLoop<'q> {
                 // cached false.
                 let all_ir_false = self
                     .pending
-                    .iter()
+                    .keys()
                     .all(|a| self.oracle.peek(RelevanceKind::Immediate, a) == Some(false));
                 let kind = if all_ir_false {
                     RelevanceKind::LongTerm

@@ -718,24 +718,30 @@ impl<'a> RelevanceOracle<'a> {
 
     /// Picks the next access to execute from `candidates` (in candidate
     /// order) according to `strategy`, counting rejected candidates into
-    /// `skipped`. The relevance checks only read `conf`, which is borrowed
+    /// `skipped`. The candidates are walked lazily: `Exhaustive` reads only
+    /// the first, and `Hybrid` walks a clone of the iterator for its LTR
+    /// fallback. The relevance checks only read `conf`, which is borrowed
     /// mutably to record their reads; the selection leaves it byte-for-byte
-    /// unchanged. The name is historical: the benchmark package calls it
-    /// (ROADMAP direction 4.2).
-    pub fn select_trailed(
+    /// unchanged.
+    pub fn select<'c, I>(
         &mut self,
         strategy: Strategy,
-        candidates: &[&Access],
+        candidates: I,
         conf: &mut Configuration,
         skipped: &mut usize,
-    ) -> Option<Access> {
+    ) -> Option<Access>
+    where
+        I: IntoIterator<Item = &'c Access>,
+        I::IntoIter: Clone,
+    {
+        let mut candidates = candidates.into_iter();
         let mut check = |kind, a: &Access| self.check_at(kind, a, conf);
         match strategy {
-            Strategy::Exhaustive => candidates.first().map(|a| (*a).clone()),
+            Strategy::Exhaustive => candidates.next().cloned(),
             Strategy::IrGuided => {
                 for a in candidates {
                     if check(RelevanceKind::Immediate, a) {
-                        return Some((*a).clone());
+                        return Some(a.clone());
                     }
                     *skipped += 1;
                 }
@@ -744,27 +750,39 @@ impl<'a> RelevanceOracle<'a> {
             Strategy::LtrGuided => {
                 for a in candidates {
                     if check(RelevanceKind::LongTerm, a) {
-                        return Some((*a).clone());
+                        return Some(a.clone());
                     }
                     *skipped += 1;
                 }
                 None
             }
             Strategy::Hybrid => {
-                for a in candidates {
+                for a in candidates.clone() {
                     if check(RelevanceKind::Immediate, a) {
-                        return Some((*a).clone());
+                        return Some(a.clone());
                     }
                 }
                 for a in candidates {
                     if check(RelevanceKind::LongTerm, a) {
-                        return Some((*a).clone());
+                        return Some(a.clone());
                     }
                     *skipped += 1;
                 }
                 None
             }
         }
+    }
+
+    /// [`Self::select`] over a slice of candidates. The name is historical:
+    /// the benchmark package calls it (ROADMAP direction 4.2).
+    pub fn select_trailed(
+        &mut self,
+        strategy: Strategy,
+        candidates: &[&Access],
+        conf: &mut Configuration,
+        skipped: &mut usize,
+    ) -> Option<Access> {
+        self.select(strategy, candidates.iter().copied(), conf, skipped)
     }
 }
 
@@ -954,10 +972,9 @@ mod tests {
             (Strategy::Hybrid, expected_ir || expected_ltr),
         ] {
             let mut skipped = 0usize;
-            let picked =
-                oracle
-                    .scratch()
-                    .select_trailed(strategy, &[&access], &mut conf, &mut skipped);
+            let picked = oracle
+                .scratch()
+                .select(strategy, [&access], &mut conf, &mut skipped);
             assert_eq!(picked.is_some(), relevant, "strategy {strategy:?}");
             assert_eq!(skipped, usize::from(!relevant), "strategy {strategy:?}");
         }

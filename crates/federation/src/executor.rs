@@ -16,15 +16,21 @@
 //!
 //! * [`VirtualClock`] — shared virtual time plus the timer wheel;
 //!   [`VirtualClock::sleep`] is the awaitable primitive the async sources
-//!   build their latency/retry/paging state machines from. Dropping a
-//!   `Sleep` future deregisters its timer, so cancelled tasks leak nothing.
+//!   build their latency/retry/paging state machines from. A `Sleep`
+//!   registers its timer once: a later poll by a waker that
+//!   [`Waker::will_wake`] the registered one leaves the entry alone.
+//!   Dropping a `Sleep` future deregisters its timer, so cancelled tasks
+//!   leak nothing.
 //! * [`Executor`] — a single-threaded task queue. Tasks are plain boxed
-//!   futures (not required to be `Send`; they never leave the thread);
-//!   wakers are `Arc`-based via the std [`std::task::Wake`] trait, and are
-//!   safe to invoke after the executor itself is gone (the wake becomes a
-//!   no-op on a queue nobody drains). The ready queue is strict FIFO and a
-//!   task re-waking itself goes to the back, so many ready tasks make
-//!   round-robin progress (fairness is pinned by a unit test).
+//!   futures (not required to be `Send`; they never leave the thread).
+//!   Each task gets one waker, built by [`Executor::spawn`] on the std
+//!   [`std::task::Wake`] trait and handed to every poll of the task, so
+//!   futures that keep a waker can tell by `will_wake` that they already
+//!   hold it. Wakers are safe to invoke after the executor itself is gone
+//!   (the wake becomes a no-op on a queue nobody drains). The ready queue
+//!   is strict FIFO and a task re-waking itself goes to the back, so many
+//!   ready tasks make round-robin progress (fairness is pinned by a unit
+//!   test).
 //! * [`Semaphore`] — a FIFO async semaphore; the `Async` executor uses
 //!   it to cap the number of in-flight source calls per batch, which is the
 //!   knob the F2 throughput sweep turns.
@@ -35,7 +41,7 @@
 //! runtime live inside one synchronous `run` call.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{btree_map, BTreeMap, VecDeque};
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
@@ -165,11 +171,19 @@ impl Future for Sleep {
         let mut inner = self.clock.lock();
         if inner.now_micros >= self.key.0 {
             inner.timers.remove(&self.key);
-            Poll::Ready(())
-        } else {
-            inner.timers.insert(self.key, cx.waker().clone());
-            Poll::Pending
+            return Poll::Ready(());
         }
+        match inner.timers.entry(self.key) {
+            btree_map::Entry::Occupied(mut timer) => {
+                if !timer.get().will_wake(cx.waker()) {
+                    timer.insert(cx.waker().clone());
+                }
+            }
+            btree_map::Entry::Vacant(slot) => {
+                slot.insert(cx.waker().clone());
+            }
+        }
+        Poll::Pending
     }
 }
 
@@ -242,6 +256,13 @@ impl Wake for TaskWaker {
     }
 }
 
+/// A spawned, unfinished task: its future and the one waker every poll of
+/// it is handed.
+struct Task<'env> {
+    future: TaskFuture<'env>,
+    waker: Waker,
+}
+
 /// A single-threaded mini-executor over a [`VirtualClock`].
 ///
 /// `'env` is the lifetime tasks may borrow from: the `Async` executor
@@ -251,7 +272,7 @@ impl Wake for TaskWaker {
 pub struct Executor<'env> {
     clock: VirtualClock,
     shared: Arc<ExecShared>,
-    tasks: RefCell<Vec<Option<TaskFuture<'env>>>>,
+    tasks: RefCell<Vec<Option<Task<'env>>>>,
 }
 
 impl std::fmt::Debug for Executor<'_> {
@@ -290,12 +311,19 @@ impl<'env> Executor<'env> {
         let cell: Rc<RefCell<Option<T>>> = Rc::new(RefCell::new(None));
         let out = Rc::clone(&cell);
         let index = self.shared.register();
+        let waker = Waker::from(Arc::new(TaskWaker {
+            index,
+            shared: Arc::clone(&self.shared),
+        }));
         {
             let mut tasks = self.tasks.borrow_mut();
             debug_assert_eq!(tasks.len(), index, "task and queue slots in step");
-            tasks.push(Some(Box::pin(async move {
-                *out.borrow_mut() = Some(future.await);
-            })));
+            tasks.push(Some(Task {
+                future: Box::pin(async move {
+                    *out.borrow_mut() = Some(future.await);
+                }),
+                waker,
+            }));
         }
         self.shared.push(index);
         JoinHandle { cell }
@@ -309,18 +337,15 @@ impl<'env> Executor<'env> {
                 return false;
             };
             // A stale wake may point at a completed task; skip it.
-            let Some(mut future) = self.tasks.borrow_mut()[index].take() else {
+            let Some(mut task) = self.tasks.borrow_mut()[index].take() else {
                 continue;
             };
-            let waker = Waker::from(Arc::new(TaskWaker {
-                index,
-                shared: Arc::clone(&self.shared),
-            }));
-            let mut cx = Context::from_waker(&waker);
-            // The slot stays `None` during the poll, so a task spawning new
-            // tasks (or waking itself) re-borrows `tasks` safely.
-            if future.as_mut().poll(&mut cx).is_pending() {
-                self.tasks.borrow_mut()[index] = Some(future);
+            // The task leaves its slot, waker included, for the poll: no
+            // borrow of `tasks` is held, so a task spawning new tasks (or
+            // waking itself) re-borrows it safely.
+            let mut cx = Context::from_waker(&task.waker);
+            if task.future.as_mut().poll(&mut cx).is_pending() {
+                self.tasks.borrow_mut()[index] = Some(task);
             }
             return true;
         }
@@ -547,7 +572,7 @@ impl Future for YieldNow {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::cell::Cell;
 
@@ -739,6 +764,92 @@ mod tests {
 
     impl Wake for NoopWake {
         fn wake(self: Arc<Self>) {}
+    }
+
+    /// Counts the wakes it receives.
+    #[derive(Default)]
+    pub(crate) struct CountWake(std::sync::atomic::AtomicUsize);
+
+    impl CountWake {
+        pub(crate) fn wakes(&self) -> usize {
+            self.0.load(std::sync::atomic::Ordering::SeqCst)
+        }
+    }
+
+    impl Wake for CountWake {
+        fn wake(self: Arc<Self>) {
+            self.wake_by_ref();
+        }
+
+        fn wake_by_ref(self: &Arc<Self>) {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        }
+    }
+
+    /// Records the waker of every poll, re-waking itself until it has been
+    /// polled `polls` times.
+    struct RecordWakers {
+        seen: Rc<RefCell<Vec<Waker>>>,
+        polls: usize,
+    }
+
+    impl Future for RecordWakers {
+        type Output = ();
+        fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+            let mut seen = self.seen.borrow_mut();
+            seen.push(cx.waker().clone());
+            if seen.len() >= self.polls {
+                return Poll::Ready(());
+            }
+            cx.waker().wake_by_ref();
+            Poll::Pending
+        }
+    }
+
+    #[test]
+    fn a_task_sees_the_same_waker_on_every_poll() {
+        let exec = Executor::new(VirtualClock::new());
+        let logs: Vec<Rc<RefCell<Vec<Waker>>>> = (0..2).map(|_| Rc::default()).collect();
+        for log in &logs {
+            exec.spawn(RecordWakers {
+                seen: Rc::clone(log),
+                polls: 4,
+            });
+        }
+        assert_eq!(exec.run(), 0);
+        for log in &logs {
+            let seen = log.borrow();
+            assert_eq!(seen.len(), 4);
+            assert!(seen.iter().all(|w| w.will_wake(&seen[0])));
+        }
+        // Each task has a waker of its own.
+        assert!(!logs[0].borrow()[0].will_wake(&logs[1].borrow()[0]));
+    }
+
+    #[test]
+    fn a_sleep_polled_before_its_deadline_keeps_one_timer() {
+        let clock = VirtualClock::new();
+        let mut sleep = Box::pin(clock.sleep(100));
+        let first = Arc::new(CountWake::default());
+        let first_waker = Waker::from(Arc::clone(&first));
+        let mut cx = Context::from_waker(&first_waker);
+        for _ in 0..5 {
+            assert!(sleep.as_mut().poll(&mut cx).is_pending());
+        }
+        assert_eq!(clock.timer_count(), 1);
+        // A poll from another waker replaces the registered one, so only
+        // the newest waker hears the timer fire.
+        let second = Arc::new(CountWake::default());
+        let second_waker = Waker::from(Arc::clone(&second));
+        assert!(sleep
+            .as_mut()
+            .poll(&mut Context::from_waker(&second_waker))
+            .is_pending());
+        assert_eq!(clock.timer_count(), 1);
+        assert!(clock.advance_to_next_timer());
+        assert_eq!((first.wakes(), second.wakes()), (0, 1));
+        assert!(sleep.as_mut().poll(&mut cx).is_ready());
+        assert_eq!(clock.timer_count(), 0);
     }
 
     #[test]

@@ -13,12 +13,13 @@
 //!   between batches ([`crate::yield_now`]), so they interleave round-robin
 //!   instead of running to completion one after another.
 //! * **Cross-session access deduplication** — an in-flight table keyed by
-//!   [`Access::stable_hash`]: when a session wants an access that another
+//!   the [`Access`] itself: when a session wants an access that another
 //!   session's wire call is already fetching, it *joins* that call and
-//!   shares its response instead of dialing the source again. A session's
-//!   report counts every call it asked for in its `source_stats` (calls,
-//!   failures, tuples), and its [`SessionStats`] split them into led and
-//!   joined calls and attribute shared calls fractionally
+//!   shares its response instead of dialing the source again. A joiner
+//!   keeps one waker on the shared call, however often it is polled. A
+//!   session's report counts every call it asked for in its `source_stats`
+//!   (calls, failures, tuples), and its [`SessionStats`] split them into
+//!   led and joined calls and attribute shared calls fractionally
 //!   (`fractional_calls` sums `1/participants` per call). The serve's
 //!   [`BackendStats`] — in total and per source, chaos counters included —
 //!   count each wire call exactly once, and the two views balance.
@@ -30,6 +31,13 @@
 //!   is version-keyed by the verdict's dependency relations, so entries
 //!   retire automatically when a relevant relation grows.
 //!
+//! A session fetches a batch as one join of its calls that gives each call
+//! a waker of its own and re-polls only the calls woken since its last poll,
+//! in batch order. So a serve costs work per wake, per response and per
+//! access, not per poll of every unfinished call; the order in which calls
+//! reach the admission semaphore and register their timers, and with it
+//! virtual time, is that of a join re-polling every call.
+//!
 //! Because joined sessions receive the leader's response and the sources
 //! are deterministic functions of the access, every session still reports
 //! exactly what an independent sequential run would: the
@@ -40,13 +48,14 @@
 //! against session count.
 
 use std::cell::RefCell;
-use std::collections::hash_map::{DefaultHasher, Entry};
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::future::Future;
 use std::hash::{Hash, Hasher};
 use std::pin::Pin;
 use std::rc::Rc;
-use std::task::{Context, Poll, Waker};
+use std::sync::{Arc, Mutex};
+use std::task::{Context, Poll, Wake, Waker};
 
 use accrel_access::{Access, Response};
 use accrel_engine::relevance::SharedVerdictCache;
@@ -233,11 +242,12 @@ impl<'a> QuerySessionRegistry<'a> {
         let session_gate = Semaphore::new(self.options.max_sessions);
         let access_gate = Semaphore::new(self.options.max_in_flight_accesses);
         let dedup = Rc::new(RefCell::new(DedupTable::default()));
+        let class_base = class_base(initial);
 
         let exec = Executor::new(clock.clone());
         let mut handles = Vec::with_capacity(requests.len());
         for (session, request) in requests.iter().enumerate() {
-            let class = verdict_class(request, initial);
+            let class = verdict_class(&class_base, request);
             let verdicts = self.verdicts.clone();
             let session_gate = session_gate.clone();
             let access_gate = access_gate.clone();
@@ -355,15 +365,26 @@ impl accrel_engine::Executor for Serving<'_> {
     }
 }
 
-/// The verdict class of a request: sessions share verdicts only when their
-/// initial configuration, query, strategy and options all agree (a coarser
-/// key would let a deep-budget verdict leak into a shallow-budget run).
-///
-/// The initial configuration counts twice: its facts (the fingerprint,
-/// which is order-independent) and its interner's values in id order. The
-/// shared verdicts carry read sets of value ids, so two configurations with
-/// the same facts interned in another order must not share them: a read of
-/// one value's id would name another value there.
+/// The initial configuration's share of every verdict class of a serve
+/// (see [`verdict_class`]), hashed once per serve: its facts (the
+/// fingerprint, which is order-independent) and its interner's values in id
+/// order. The shared verdicts carry read sets of value ids, so two
+/// configurations with the same facts interned in another order must not
+/// share them: a read of one value's id would name another value there.
+fn class_base(initial: &Configuration) -> DefaultHasher {
+    let mut h = DefaultHasher::new();
+    initial.fingerprint().hash(&mut h);
+    for (_, value) in initial.store().interner().iter() {
+        value.hash(&mut h);
+    }
+    h
+}
+
+/// The verdict class of a request, continuing `base` (the
+/// [`class_base`] of the serve's initial configuration): sessions share
+/// verdicts only when their initial configuration, query, strategy and
+/// options all agree (a coarser key would let a deep-budget verdict leak
+/// into a shallow-budget run).
 ///
 /// Every ingredient must render deterministically **across processes** — a
 /// journal replay (see the `journal` module) rebuilds the cache in a fresh
@@ -371,12 +392,8 @@ impl accrel_engine::Executor for Serving<'_> {
 /// therefore hashed through its `Display` form plus an id-ordered walk of
 /// its schema, never through `Debug` (whose embedded `HashMap`s iterate in
 /// a per-process random order).
-fn verdict_class(request: &RunRequest, initial: &Configuration) -> u64 {
-    let mut h = DefaultHasher::new();
-    initial.fingerprint().hash(&mut h);
-    for (_, value) in initial.store().interner().iter() {
-        value.hash(&mut h);
-    }
+fn verdict_class(base: &DefaultHasher, request: &RunRequest) -> u64 {
+    let mut h = base.clone();
     request.query.to_string().hash(&mut h);
     for (rel, relation) in request.query.schema().relations_with_ids() {
         rel.0.hash(&mut h);
@@ -396,17 +413,16 @@ fn verdict_class(request: &RunRequest, initial: &Configuration) -> u64 {
 /// participant's fractional attribution divides by).
 #[derive(Debug)]
 struct InFlightCall {
-    access: Access,
     result: Option<Result<Response, SourceError>>,
     participants: usize,
     final_share: usize,
+    /// One waker per joiner, in join order.
     wakers: Vec<Waker>,
 }
 
 impl InFlightCall {
-    fn new(access: Access) -> Self {
+    fn new() -> Self {
         Self {
-            access,
             result: None,
             participants: 1,
             final_share: 1,
@@ -415,11 +431,11 @@ impl InFlightCall {
     }
 }
 
-/// The in-flight table: `Access::stable_hash` → shared call. Single-threaded
-/// (the mini-executor never crosses threads), hence `Rc<RefCell<..>>`.
+/// The in-flight table: access → shared call. Single-threaded (the
+/// mini-executor never crosses threads), hence `Rc<RefCell<..>>`.
 #[derive(Debug, Default)]
 struct DedupTable {
-    in_flight: HashMap<u64, Rc<RefCell<InFlightCall>>>,
+    in_flight: HashMap<Access, Rc<RefCell<InFlightCall>>>,
     wire_calls: usize,
     joined_calls: usize,
 }
@@ -427,18 +443,30 @@ struct DedupTable {
 /// Awaits the leader's result on a shared in-flight call.
 struct WaitShared {
     entry: Rc<RefCell<InFlightCall>>,
+    /// This joiner's slot in the call's `wakers`, once registered.
+    slot: Option<usize>,
 }
 
 impl Future for WaitShared {
     type Output = Result<Response, SourceError>;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let mut call = self.entry.borrow_mut();
+        let this = self.get_mut();
+        let mut call = this.entry.borrow_mut();
         if let Some(result) = &call.result {
             return Poll::Ready(result.clone());
         }
-        if !call.wakers.iter().any(|w| w.will_wake(cx.waker())) {
-            call.wakers.push(cx.waker().clone());
+        match this.slot {
+            Some(slot) => {
+                let waker = &mut call.wakers[slot];
+                if !waker.will_wake(cx.waker()) {
+                    *waker = cx.waker().clone();
+                }
+            }
+            None => {
+                this.slot = Some(call.wakers.len());
+                call.wakers.push(cx.waker().clone());
+            }
         }
         Poll::Pending
     }
@@ -458,100 +486,63 @@ async fn shared_call(
     federation: &AsyncFederation,
     gate: &Semaphore,
     table: &RefCell<DedupTable>,
-    access: Access,
+    access: &Access,
 ) -> (Result<Response, SourceError>, CallAttribution) {
-    enum Plan {
-        Join(Rc<RefCell<InFlightCall>>),
-        Lead {
-            registered: bool,
-            entry: Rc<RefCell<InFlightCall>>,
-        },
-    }
-
-    let key = access.stable_hash();
     // Decide the role synchronously (no await points), so the table state
     // observed here cannot change under us.
-    let plan = {
+    let (entry, led) = {
         let mut t = table.borrow_mut();
-        match t.in_flight.entry(key) {
-            Entry::Occupied(slot) => {
-                let entry = Rc::clone(slot.get());
-                if entry.borrow().access == access {
-                    entry.borrow_mut().participants += 1;
-                    t.joined_calls += 1;
-                    Plan::Join(entry)
-                } else {
-                    // A stable-hash collision between *different* accesses:
-                    // lead an unregistered call rather than share a wrong
-                    // response.
-                    t.wire_calls += 1;
-                    Plan::Lead {
-                        registered: false,
-                        entry: Rc::new(RefCell::new(InFlightCall::new(access.clone()))),
-                    }
-                }
-            }
-            Entry::Vacant(slot) => {
-                let entry = Rc::new(RefCell::new(InFlightCall::new(access.clone())));
-                slot.insert(Rc::clone(&entry));
-                t.wire_calls += 1;
-                Plan::Lead {
-                    registered: true,
-                    entry,
-                }
-            }
+        if let Some(entry) = t.in_flight.get(access).cloned() {
+            entry.borrow_mut().participants += 1;
+            t.joined_calls += 1;
+            (entry, false)
+        } else {
+            let entry = Rc::new(RefCell::new(InFlightCall::new()));
+            t.in_flight.insert(access.clone(), Rc::clone(&entry));
+            t.wire_calls += 1;
+            (entry, true)
         }
     };
 
-    match plan {
-        Plan::Join(entry) => {
-            let result = WaitShared {
-                entry: Rc::clone(&entry),
-            }
-            .await;
-            let participants = entry.borrow().final_share;
-            (
-                result,
-                CallAttribution {
-                    led: false,
-                    participants,
-                },
-            )
+    if !led {
+        let result = WaitShared {
+            entry: Rc::clone(&entry),
+            slot: None,
         }
-        Plan::Lead { registered, entry } => {
-            let result = {
-                let _permit = gate.acquire().await;
-                federation.call(access).await
-            };
-            let participants = {
-                let mut call = entry.borrow_mut();
-                call.final_share = call.participants;
-                call.result = Some(result.clone());
-                for waker in call.wakers.drain(..) {
-                    waker.wake();
-                }
-                call.final_share
-            };
-            if registered {
-                // Remove our entry — but only ours: a collision bypass may
-                // have replaced nothing, and a future identical access must
-                // lead a fresh call now that this response is consumed.
-                let mut t = table.borrow_mut();
-                if let Entry::Occupied(slot) = t.in_flight.entry(key) {
-                    if Rc::ptr_eq(slot.get(), &entry) {
-                        slot.remove();
-                    }
-                }
-            }
-            (
-                result,
-                CallAttribution {
-                    led: true,
-                    participants,
-                },
-            )
-        }
+        .await;
+        let participants = entry.borrow().final_share;
+        return (
+            result,
+            CallAttribution {
+                led: false,
+                participants,
+            },
+        );
     }
+    let result = {
+        let _permit = gate.acquire().await;
+        federation.call(access.clone()).await
+    };
+    let participants = {
+        let mut call = entry.borrow_mut();
+        call.final_share = call.participants;
+        call.result = Some(result.clone());
+        for waker in call.wakers.drain(..) {
+            waker.wake();
+        }
+        call.final_share
+    };
+    // The response is published: a later identical access leads a fresh
+    // call.
+    let removed = table.borrow_mut().in_flight.remove(access);
+    debug_assert!(removed.is_some_and(|e| Rc::ptr_eq(&e, &entry)));
+    (
+        result,
+        CallAttribution {
+            led: true,
+            participants,
+        },
+    )
 }
 
 /// Fetches a session's predicted batch through the dedup table, all calls
@@ -570,9 +561,7 @@ async fn fetch_deduped(
         Pin<Box<dyn Future<Output = (Result<Response, SourceError>, CallAttribution)> + 'f>>;
     let calls: Vec<CallFuture<'_>> = batch
         .iter()
-        .map(|access| {
-            Box::pin(shared_call(federation, gate, dedup, access.clone())) as CallFuture<'_>
-        })
+        .map(|access| Box::pin(shared_call(federation, gate, dedup, access)) as CallFuture<'_>)
         .collect();
     let outcomes = JoinAll::new(calls).await;
     let mut responses = Vec::with_capacity(outcomes.len());
@@ -598,9 +587,20 @@ async fn fetch_deduped(
 /// Drives a vector of futures to completion concurrently, preserving input
 /// order in the output (a dependency-free `join_all`; the futures are boxed
 /// by the caller, which makes them `Unpin`).
+///
+/// Each future has a waker of its own, built once, that marks it woken and
+/// wakes the task polling the join. The first poll polls every future in
+/// index order. A later poll polls the futures woken since, in index order,
+/// and within that pass also any future of a higher index that an earlier
+/// one woke, just as a pass over every future would reach it. A future not
+/// woken would only return `Pending` again, so this polls the futures that
+/// can progress in the order a join re-polling all of them does.
 struct JoinAll<F: Future + Unpin> {
     slots: Vec<Option<F>>,
     outputs: Vec<Option<F::Output>>,
+    wakers: Vec<Waker>,
+    woken: Arc<JoinWoken>,
+    remaining: usize,
 }
 
 // No self-references: the struct is a plain vector of `Unpin` futures and
@@ -610,10 +610,28 @@ impl<F: Future + Unpin> Unpin for JoinAll<F> {}
 
 impl<F: Future + Unpin> JoinAll<F> {
     fn new(futures: Vec<F>) -> Self {
-        let outputs = futures.iter().map(|_| None).collect();
+        let n = futures.len();
+        // Every future starts woken, so the first poll polls them all.
+        let woken = Arc::new(JoinWoken {
+            state: Mutex::new(WokenState {
+                woken: vec![true; n],
+                parent: None,
+            }),
+        });
+        let wakers = (0..n)
+            .map(|index| {
+                Waker::from(Arc::new(ChildWaker {
+                    index,
+                    join: Arc::clone(&woken),
+                }))
+            })
+            .collect();
         Self {
             slots: futures.into_iter().map(Some).collect(),
-            outputs,
+            outputs: (0..n).map(|_| None).collect(),
+            wakers,
+            woken,
+            remaining: n,
         }
     }
 }
@@ -623,27 +641,85 @@ impl<F: Future + Unpin> Future for JoinAll<F> {
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = self.get_mut();
-        let mut done = true;
-        for (slot, out) in this.slots.iter_mut().zip(this.outputs.iter_mut()) {
-            if let Some(future) = slot {
-                match Pin::new(future).poll(cx) {
-                    Poll::Ready(value) => {
-                        *out = Some(value);
-                        *slot = None;
-                    }
-                    Poll::Pending => done = false,
-                }
+        this.woken.set_parent(cx.waker());
+        let mut from = 0;
+        while let Some(index) = this.woken.take_next(from) {
+            from = index + 1;
+            let Some(future) = &mut this.slots[index] else {
+                continue;
+            };
+            let mut child = Context::from_waker(&this.wakers[index]);
+            if let Poll::Ready(value) = Pin::new(future).poll(&mut child) {
+                this.outputs[index] = Some(value);
+                this.slots[index] = None;
+                this.remaining -= 1;
             }
         }
-        if done {
-            Poll::Ready(
-                this.outputs
-                    .iter_mut()
-                    .map(|o| o.take().expect("all futures completed"))
-                    .collect(),
-            )
-        } else {
-            Poll::Pending
+        if this.remaining > 0 {
+            return Poll::Pending;
+        }
+        Poll::Ready(
+            this.outputs
+                .iter_mut()
+                .map(|o| o.take().expect("all futures completed"))
+                .collect(),
+        )
+    }
+}
+
+/// The wake state a [`JoinAll`] shares with its futures' wakers.
+struct JoinWoken {
+    state: Mutex<WokenState>,
+}
+
+struct WokenState {
+    /// `woken[i]`: future `i` was woken since it was last polled.
+    woken: Vec<bool>,
+    /// The waker of the task polling the join.
+    parent: Option<Waker>,
+}
+
+impl JoinWoken {
+    fn lock(&self) -> std::sync::MutexGuard<'_, WokenState> {
+        self.state.lock().expect("join state poisoned")
+    }
+
+    fn set_parent(&self, waker: &Waker) {
+        let mut state = self.lock();
+        if !state.parent.as_ref().is_some_and(|p| p.will_wake(waker)) {
+            state.parent = Some(waker.clone());
+        }
+    }
+
+    /// The lowest woken index at or above `from`, cleared.
+    fn take_next(&self, from: usize) -> Option<usize> {
+        let mut state = self.lock();
+        let index = from + state.woken[from..].iter().position(|&w| w)?;
+        state.woken[index] = false;
+        Some(index)
+    }
+}
+
+/// The waker of one future of a [`JoinAll`].
+struct ChildWaker {
+    index: usize,
+    join: Arc<JoinWoken>,
+}
+
+impl Wake for ChildWaker {
+    fn wake(self: Arc<Self>) {
+        self.wake_by_ref();
+    }
+
+    fn wake_by_ref(self: &Arc<Self>) {
+        let parent = {
+            let mut state = self.join.lock();
+            state.woken[self.index] = true;
+            state.parent.clone()
+        };
+        // Outside the lock: the parent may be another join's future.
+        if let Some(parent) = parent {
+            parent.wake();
         }
     }
 }
@@ -651,6 +727,7 @@ impl<F: Future + Unpin> Future for JoinAll<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::tests::CountWake;
     use crate::source::{LatencyModel, SimulatedSource};
     use crate::Threaded;
     use accrel_engine::scenarios::{bank_scenario, Scenario};
@@ -788,6 +865,206 @@ mod tests {
         // Later arrivals waited for a session slot, so their latency spread
         // shows the queueing.
         assert!(report.makespan_micros >= report.latency_percentile(1.0));
+    }
+
+    /// The class recipe as it hashed everything once per session.
+    fn per_session_class(request: &RunRequest, initial: &Configuration) -> u64 {
+        let mut h = DefaultHasher::new();
+        initial.fingerprint().hash(&mut h);
+        for (_, value) in initial.store().interner().iter() {
+            value.hash(&mut h);
+        }
+        request.query.to_string().hash(&mut h);
+        for (rel, relation) in request.query.schema().relations_with_ids() {
+            rel.0.hash(&mut h);
+            format!("{relation:?}").hash(&mut h);
+        }
+        format!("{:?}", request.strategy).hash(&mut h);
+        format!("{:?}", request.options).hash(&mut h);
+        h.finish()
+    }
+
+    /// Journals written before the serve hashed its configuration once
+    /// must keep warm-starting: every class is the per-session recipe's.
+    #[test]
+    fn verdict_classes_match_the_per_session_recipe() {
+        let scenario = bank_scenario();
+        let mut grown = scenario.initial_configuration.clone();
+        grown.insert_named("Approval", ["Texas", "30yr"]).unwrap();
+        let shallow = RunOptions {
+            budget: accrel_core::SearchBudget::shallow(),
+            ..RunOptions::default()
+        };
+        let requests: Vec<RunRequest> = [Strategy::Exhaustive, Strategy::Hybrid]
+            .into_iter()
+            .flat_map(|strategy| {
+                let request = RunRequest::new(scenario.query.clone()).with_strategy(strategy);
+                [request.clone(), request.with_options(shallow.clone())]
+            })
+            .collect();
+        let mut classes = Vec::new();
+        for initial in [&scenario.initial_configuration, &grown] {
+            let base = class_base(initial);
+            for request in &requests {
+                let class = verdict_class(&base, request);
+                assert_eq!(class, per_session_class(request, initial));
+                classes.push(class);
+            }
+        }
+        classes.sort_unstable();
+        classes.dedup();
+        assert_eq!(classes.len(), 2 * requests.len(), "classes stay distinct");
+    }
+
+    #[test]
+    fn a_joiner_polled_many_times_holds_one_waker() {
+        let entry = Rc::new(RefCell::new(InFlightCall::new()));
+        let mut joiner = Box::pin(WaitShared {
+            entry: Rc::clone(&entry),
+            slot: None,
+        });
+        let mut other = Box::pin(WaitShared {
+            entry: Rc::clone(&entry),
+            slot: None,
+        });
+        let first = Arc::new(CountWake::default());
+        let first_waker = Waker::from(Arc::clone(&first));
+        let mut cx = Context::from_waker(&first_waker);
+        for _ in 0..5 {
+            assert!(joiner.as_mut().poll(&mut cx).is_pending());
+        }
+        assert_eq!(entry.borrow().wakers.len(), 1);
+        // A second joiner gets a slot of its own; a joiner polled from
+        // another task replaces its own waker rather than adding one.
+        let second = Arc::new(CountWake::default());
+        let second_waker = Waker::from(Arc::clone(&second));
+        assert!(other.as_mut().poll(&mut cx).is_pending());
+        assert!(joiner
+            .as_mut()
+            .poll(&mut Context::from_waker(&second_waker))
+            .is_pending());
+        assert_eq!(entry.borrow().wakers.len(), 2);
+        let response = Response::new(Vec::new());
+        entry.borrow_mut().result = Some(Ok(response.clone()));
+        for waker in entry.borrow_mut().wakers.drain(..) {
+            waker.wake();
+        }
+        assert_eq!((first.wakes(), second.wakes()), (1, 1));
+        assert_eq!(joiner.as_mut().poll(&mut cx), Poll::Ready(Ok(response)));
+    }
+
+    type Shared<T> = Rc<RefCell<T>>;
+
+    /// A future that stays pending until released. It logs its index on
+    /// every poll, keeps its latest waker, and may wake another gate when
+    /// polled.
+    #[derive(Default)]
+    struct GateState {
+        release: Option<Result<u32, &'static str>>,
+        waker: Option<Waker>,
+        wake_on_poll: Option<Shared<GateState>>,
+    }
+
+    struct Gate {
+        index: usize,
+        state: Shared<GateState>,
+        log: Shared<Vec<usize>>,
+    }
+
+    impl Future for Gate {
+        type Output = Result<u32, &'static str>;
+
+        fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
+            self.log.borrow_mut().push(self.index);
+            let mut state = self.state.borrow_mut();
+            if let Some(sibling) = state.wake_on_poll.take() {
+                let waker = sibling.borrow().waker.clone();
+                waker.expect("sibling was polled").wake();
+            }
+            if let Some(result) = state.release.take() {
+                return Poll::Ready(result);
+            }
+            state.waker = Some(cx.waker().clone());
+            Poll::Pending
+        }
+    }
+
+    type GateJoin = JoinAll<Pin<Box<dyn Future<Output = Result<u32, &'static str>>>>>;
+
+    fn gates(n: usize) -> (GateJoin, Vec<Shared<GateState>>, Shared<Vec<usize>>) {
+        let log: Shared<Vec<usize>> = Rc::default();
+        let states: Vec<Shared<GateState>> = (0..n).map(|_| Rc::default()).collect();
+        let futures = states
+            .iter()
+            .enumerate()
+            .map(|(index, state)| {
+                Box::pin(Gate {
+                    index,
+                    state: Rc::clone(state),
+                    log: Rc::clone(&log),
+                }) as Pin<Box<dyn Future<Output = _>>>
+            })
+            .collect();
+        (JoinAll::new(futures), states, log)
+    }
+
+    fn release(gate: &RefCell<GateState>, result: Result<u32, &'static str>) {
+        gate.borrow_mut().release = Some(result);
+        let waker = gate.borrow().waker.clone();
+        waker.expect("gate was polled").wake();
+    }
+
+    #[test]
+    fn join_all_polls_only_woken_futures_and_keeps_input_order() {
+        let (mut join, states, log) = gates(4);
+        let parent = Arc::new(CountWake::default());
+        let parent_waker = Waker::from(Arc::clone(&parent));
+        let mut cx = Context::from_waker(&parent_waker);
+        let mut poll = |join: &mut GateJoin| {
+            log.borrow_mut().clear();
+            let outcome = Pin::new(join).poll(&mut cx);
+            (outcome, log.borrow().clone())
+        };
+        // The first poll polls every future, in index order.
+        assert_eq!(poll(&mut join), (Poll::Pending, vec![0, 1, 2, 3]));
+        // Unwoken futures are not polled again.
+        assert_eq!(poll(&mut join), (Poll::Pending, vec![]));
+        release(&states[2], Ok(20));
+        assert_eq!(parent.wakes(), 1, "a future's wake wakes the join's task");
+        assert_eq!(poll(&mut join), (Poll::Pending, vec![2]));
+        // Wakes are served in index order, not in wake order; a failed call
+        // keeps its slot.
+        release(&states[3], Ok(30));
+        release(&states[0], Err("down"));
+        assert_eq!(poll(&mut join), (Poll::Pending, vec![0, 3]));
+        release(&states[1], Ok(10));
+        assert_eq!(
+            poll(&mut join),
+            (
+                Poll::Ready(vec![Err("down"), Ok(10), Ok(20), Ok(30)]),
+                vec![1]
+            )
+        );
+    }
+
+    #[test]
+    fn join_all_reaches_a_later_sibling_woken_in_the_same_pass() {
+        let (mut join, states, log) = gates(3);
+        let parent = Arc::new(CountWake::default());
+        let parent_waker = Waker::from(Arc::clone(&parent));
+        let mut cx = Context::from_waker(&parent_waker);
+        assert!(Pin::new(&mut join).poll(&mut cx).is_pending());
+        // Gate 1 wakes gate 2 (later: same pass) and gate 2 wakes gate 0
+        // (earlier: next pass, like a pass over every future).
+        states[1].borrow_mut().wake_on_poll = Some(Rc::clone(&states[2]));
+        states[2].borrow_mut().wake_on_poll = Some(Rc::clone(&states[0]));
+        release(&states[1], Ok(1));
+        log.borrow_mut().clear();
+        assert!(Pin::new(&mut join).poll(&mut cx).is_pending());
+        assert_eq!(*log.borrow(), vec![1, 2]);
+        log.borrow_mut().clear();
+        assert!(Pin::new(&mut join).poll(&mut cx).is_pending());
+        assert_eq!(*log.borrow(), vec![0]);
     }
 
     #[test]

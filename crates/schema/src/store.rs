@@ -92,11 +92,13 @@ use crate::Result;
 /// A ground fact: a relation together with a tuple of values.
 pub type Fact = (RelationId, Tuple);
 
-/// The posting lists' hash: the multiply-rotate step of rustc's
+/// The store's hash for keys made of interned ids (posting lists, row
+/// keys, active-domain pairs): the multiply-rotate step of rustc's
 /// `FxHasher`. Every join probe and every candidate count looks a value id
-/// up in a posting list, and `SipHash` cost more than the rest of such a
-/// lookup. The keys are ids the interner assigns densely, never input from
-/// outside the program, so nothing can craft them to collide.
+/// up in a posting list, and every insert probes the row keys and the
+/// active domain; `SipHash` cost more than the rest of such a lookup. The
+/// keys are ids the interner and the schema assign densely, never input
+/// from outside the program, so nothing can craft them to collide.
 #[derive(Clone, Copy, Debug, Default)]
 struct IdHasher(u64);
 
@@ -118,10 +120,26 @@ impl Hasher for IdHasher {
     fn write_u64(&mut self, i: u64) {
         self.0 = (self.0.rotate_left(5) ^ i).wrapping_mul(0x517c_c1b7_2722_0a95);
     }
+
+    /// A slice key's length prefix.
+    fn write_usize(&mut self, i: usize) {
+        self.write_u64(i as u64);
+    }
 }
 
+type IdBuildHasher = BuildHasherDefault<IdHasher>;
+
 /// One attribute's posting lists: value id → the rows carrying it there.
-type PostingLists = HashMap<ValueId, Vec<usize>, BuildHasherDefault<IdHasher>>;
+type PostingLists = HashMap<ValueId, Vec<usize>, IdBuildHasher>;
+
+/// Mutable access to a shard, copying it first if it is shared with another
+/// handle (copy-on-write), and counting the copy into `copies`.
+fn copy_on_write<'a, T: Clone>(shard: &'a mut Arc<T>, copies: &mut u64) -> &'a mut T {
+    if Arc::strong_count(shard) > 1 {
+        *copies += 1;
+    }
+    Arc::make_mut(shard)
+}
 
 /// Columnar storage for one relation — the unit of copy-on-write sharing:
 /// interned columns, materialised tuples, row membership and per-attribute
@@ -134,7 +152,7 @@ struct RelationShard {
     /// Materialised tuples, in row order (for cheap iteration/cloning).
     tuples: Vec<Tuple>,
     /// The interned rows (membership + duplicate detection).
-    keys: HashSet<Box<[ValueId]>>,
+    keys: HashSet<Box<[ValueId]>, IdBuildHasher>,
     /// Per attribute: value id → indices of rows carrying it there, in
     /// ascending order (rows are only appended).
     indexes: Vec<PostingLists>,
@@ -145,7 +163,7 @@ impl RelationShard {
         Self {
             columns: vec![Vec::new(); arity],
             tuples: Vec::new(),
-            keys: HashSet::new(),
+            keys: HashSet::default(),
             indexes: vec![PostingLists::default(); arity],
         }
     }
@@ -171,7 +189,7 @@ impl RelationShard {
 /// Rows never leave, so pairs never do.
 #[derive(Clone, Debug, Default)]
 struct AdomCache {
-    members: HashSet<(ValueId, DomainId)>,
+    members: HashSet<(ValueId, DomainId), IdBuildHasher>,
     entered: Vec<(ValueId, DomainId)>,
 }
 
@@ -692,24 +710,6 @@ impl FactStore {
         Arc::ptr_eq(&self.interner, &other.interner)
     }
 
-    /// Mutable access to one relation shard, copying it first if it is
-    /// shared with another handle (copy-on-write).
-    fn shard_mut(&mut self, index: usize) -> &mut RelationShard {
-        let arc = &mut self.relations[index];
-        if Arc::strong_count(arc) > 1 {
-            self.shard_copies += 1;
-        }
-        Arc::make_mut(arc)
-    }
-
-    /// Mutable access to the adom shard, copying it first if shared.
-    fn adom_mut(&mut self) -> &mut AdomCache {
-        if Arc::strong_count(&self.adom) > 1 {
-            self.shard_copies += 1;
-        }
-        Arc::make_mut(&mut self.adom)
-    }
-
     /// Interns `v`, copying the interner shard only when the value is
     /// genuinely new *and* the shard is shared.
     fn intern_value(&mut self, v: &Value) -> ValueId {
@@ -727,12 +727,11 @@ impl FactStore {
     /// Returns `Ok(true)` if the fact was new, `Ok(false)` if it was already
     /// present. A duplicate insertion is read-only: no shard is copied.
     pub fn insert(&mut self, relation: RelationId, t: Tuple) -> Result<bool> {
-        let schema = self.schema.clone();
-        let rel = schema.relation(relation)?;
-        if t.arity() != rel.arity() {
+        let arity = self.schema.arity(relation)?;
+        if t.arity() != arity {
             return Err(SchemaError::ArityMismatch {
                 relation,
-                expected: rel.arity(),
+                expected: arity,
                 actual: t.arity(),
             });
         }
@@ -743,16 +742,16 @@ impl FactStore {
         if self.relations[relation.index()].keys.contains(&key) {
             return Ok(false);
         }
-        let adom_incs: Vec<(ValueId, DomainId)> = key
-            .iter()
-            .enumerate()
-            .map(|(c, &id)| (id, rel.domain_at(c)))
-            .collect();
-        self.shard_mut(relation.index()).push_row(key, t);
-        let adom = self.adom_mut();
-        for pair in adom_incs {
-            adom.insert(pair);
+        let rel = self.schema.relation(relation)?;
+        let adom = copy_on_write(&mut self.adom, &mut self.shard_copies);
+        for (c, &id) in key.iter().enumerate() {
+            adom.insert((id, rel.domain_at(c)));
         }
+        copy_on_write(
+            &mut self.relations[relation.index()],
+            &mut self.shard_copies,
+        )
+        .push_row(key, t);
         self.len += 1;
         Ok(true)
     }
@@ -1054,36 +1053,30 @@ impl FactStore {
             let rel = schema
                 .relation(RelationId(i as u32))
                 .expect("relation validated above");
-            let mut adom_incs: Vec<(ValueId, DomainId)> = Vec::new();
-            let mut added = 0usize;
-            {
-                let shard = self.shard_mut(i);
-                shard.keys.reserve(rows.len());
-                shard.tuples.reserve(rows.len());
-                for column in &mut shard.columns {
-                    column.reserve(rows.len());
+            // Some row is new, and each new row offers its pairs to the adom
+            // shard, copied first if shared. A nullary relation's rows carry
+            // no value, so they leave that shard shared.
+            let mut adom =
+                (rel.arity() > 0).then(|| copy_on_write(&mut self.adom, &mut self.shard_copies));
+            let shard = copy_on_write(&mut self.relations[i], &mut self.shard_copies);
+            shard.keys.reserve(rows.len());
+            shard.tuples.reserve(rows.len());
+            for column in &mut shard.columns {
+                column.reserve(rows.len());
+            }
+            for (key, t) in rows.drain(..) {
+                if shard.keys.contains(&key) {
+                    continue;
                 }
-                for (key, t) in rows.drain(..) {
-                    if !shard.keys.contains(&key) {
-                        adom_incs.extend(
-                            key.iter()
-                                .enumerate()
-                                .map(|(c, &id)| (id, rel.domain_at(c))),
-                        );
-                        shard.push_row(key, t);
-                        added += 1;
+                // One insert per pair: each new pair is logged in entry
+                // order.
+                if let Some(adom) = adom.as_deref_mut() {
+                    for (c, &id) in key.iter().enumerate() {
+                        adom.insert((id, rel.domain_at(c)));
                     }
                 }
-            }
-            inserted += added;
-            if !adom_incs.is_empty() {
-                // One insert per pair: each new pair is logged in entry
-                // order, and `extend` would reserve room for every duplicate
-                // pair of the batch.
-                let adom = self.adom_mut();
-                for pair in adom_incs {
-                    adom.insert(pair);
-                }
+                shard.push_row(key, t);
+                inserted += 1;
             }
         }
         self.len += inserted;

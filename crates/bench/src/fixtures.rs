@@ -686,9 +686,36 @@ pub fn small_arity_fixture(depth: usize) -> RelevanceFixture {
 pub fn engine_scenarios() -> Vec<accrel_engine::scenarios::Scenario> {
     vec![
         accrel_engine::scenarios::bank_scenario(),
+        bank_head_scenario(),
         chain_scenario(3),
         star_scenario(4),
     ]
+}
+
+/// E7: the bank scenario asking *which* loan officer: the same three atoms
+/// with head `e`, the officer's employee id (the hidden answer is
+/// `e-carol`). A non-Boolean query runs every verdict through the
+/// Proposition 2.2 reduction, one Boolean instance per head value, so an
+/// access no query atom can match (`StateApprAcc(Texas)`: the `Approval`
+/// atom asks for Illinois) must be settled before that reduction.
+pub fn bank_head_scenario() -> accrel_engine::scenarios::Scenario {
+    let mut scenario = accrel_engine::scenarios::bank_scenario();
+    let Query::Cq(cq) = &scenario.query else {
+        unreachable!("the bank query is a conjunctive query")
+    };
+    let Term::Var(e) = cq.atoms()[0].terms()[0] else {
+        unreachable!("the Employee atom starts with the variable e")
+    };
+    scenario.query = ConjunctiveQuery::new(
+        cq.schema().clone(),
+        cq.atoms().to_vec(),
+        vec![e],
+        cq.var_names().to_vec(),
+    )
+    .into();
+    scenario.name = "bank (head e)".to_string();
+    scenario.description = "Bank scenario with head e: which loan officer".to_string();
+    scenario
 }
 
 /// E8: a pair (direct LTR fixture, the Prop. 3.4 reduction inputs) on the
@@ -857,7 +884,12 @@ mod tests {
 
     #[test]
     fn scenario_fixtures_exist() {
-        assert_eq!(engine_scenarios().len(), 3);
+        assert_eq!(engine_scenarios().len(), 4);
+        let Query::Cq(head) = bank_head_scenario().query else {
+            unreachable!()
+        };
+        let free: Vec<String> = head.free_vars().iter().map(|&v| head.var_name(v)).collect();
+        assert_eq!(free, ["e"]);
         let (fixture, pq) = reduction_fixture();
         assert_eq!(pq.size(), 1);
         assert!(fixture.query.is_boolean());

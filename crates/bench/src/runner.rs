@@ -1353,11 +1353,11 @@ mod tests {
             )
         };
         let bank = modes.map(|m| counters(bank_invalidation_run(m)));
-        assert_eq!(bank, [(36, 140, 32, 11), (36, 118, 32, 11), (63, 0, 59, 0)]);
+        assert_eq!(bank, [(32, 132, 24, 11), (32, 110, 24, 11), (63, 0, 59, 0)]);
         let chain = modes.map(|m| counters(flood_invalidation_run(m)));
         assert_eq!(
             chain,
-            [(137, 437, 0, 16), (137, 394, 43, 16), (272, 0, 195, 0)]
+            [(137, 403, 0, 16), (137, 360, 43, 16), (272, 0, 195, 0)]
         );
     }
 

@@ -19,10 +19,39 @@
 //! runs only the NP half: [`is_immediately_relevant_given_uncertain`].
 //! [`is_immediately_relevant`] is that same body behind the certainty
 //! pre-check.
+//!
+//! **The charge lemma.** A valuation that charges no subgoal to the access
+//! matches every subgoal in `Conf`: it makes the query certain. So when the
+//! query is not certain, every witness charges at least one subgoal, and a
+//! subgoal can only be charged when it is *chargeable*: on the accessed
+//! relation, with each constant at an input place equal to the binding
+//! value there and no variable at two input places whose binding values
+//! differ (a response tuple holds the binding at the input places). Two
+//! cuts follow:
+//!
+//! * *static:* when no disjunct has a chargeable subgoal, no access
+//!   response can make the query certain. [`immediate_relevance_witness`]
+//!   answers `None` from the query, the method and the binding alone,
+//!   before the Proposition 2.2 reduction (whose instances only substitute
+//!   constants, so they have no chargeable subgoal either) and before the
+//!   certainty check: the verdict is exact and reads nothing. This is
+//!   Section 4's observation on accesses to relations the query does not
+//!   mention, extended to bindings no subgoal accepts;
+//! * *dynamic:* the witness search abandons a branch that has charged
+//!   nothing and has no open chargeable subgoal left. Such a branch could
+//!   only end in a homomorphism of the disjunct into `Conf`.
+//!
+//! The dynamic cut makes a refutation's read set smaller than the search
+//! tree it would have walked: a pruned branch records nothing. That is
+//! sound for the engine's verdict cache. While no growth touches the
+//! recorded reads, the pruned branches could still only succeed on a
+//! configuration where the query is certain, and once the query is certain
+//! the engine answers `false` from its certainty status before it consults
+//! the cache.
 
 use std::collections::HashMap;
 
-use accrel_access::{Access, AccessMethods};
+use accrel_access::{Access, AccessMethod, AccessMethods};
 use accrel_query::eval::{self, AtomSet};
 use accrel_query::{certain, Atom, ConjunctiveQuery, Query, Valuation, VarId};
 use accrel_schema::{Configuration, RelationId, Tuple, Value};
@@ -62,6 +91,11 @@ pub fn immediate_relevance_witness(
     access: &Access,
     methods: &AccessMethods,
 ) -> Option<IrWitness> {
+    // The static cut of the charge lemma (module doc): reads nothing.
+    let method = methods.get(access.method()).ok()?;
+    if !search::charges_some_atom(query, access, method) {
+        return None;
+    }
     if !query.is_boolean() {
         // Proposition 2.2: reduce arity-k relevance to Boolean relevance.
         for instance in reductions::boolean_instances(query, conf) {
@@ -105,18 +139,10 @@ fn witness_given_uncertain(
         return None;
     }
     let method = methods.get(access.method()).ok()?;
-    for disjunct in query.ucq() {
-        if let Some(witness) = disjunct_witness(
-            disjunct,
-            conf,
-            access,
-            method.relation(),
-            method.input_positions(),
-        ) {
-            return Some(witness);
-        }
-    }
-    None
+    query
+        .ucq()
+        .iter()
+        .find_map(|disjunct| disjunct_witness(disjunct, conf, access, method))
 }
 
 /// Searches for a satisfying valuation of one disjunct in which every atom
@@ -126,12 +152,18 @@ fn witness_given_uncertain(
 /// the charge before the configuration's candidates: it reads nothing, and
 /// it binds the atom's input places to the binding, which usually leaves
 /// the neighbouring atoms the fewest candidates.
+///
+/// The disjunct is assumed not to hold in `conf`, so by the charge lemma
+/// (module doc) a valuation that charges nothing cannot succeed: a branch
+/// that has charged nothing and has no open chargeable atom left is cut
+/// before it reads a candidate, and so is the configuration half of a
+/// branching step that leaves it in that state. Every valuation the search
+/// returns therefore charges an atom, and its response is non-empty.
 fn disjunct_witness(
     disjunct: &ConjunctiveQuery,
     conf: &Configuration,
     access: &Access,
-    access_relation: RelationId,
-    input_positions: &[usize],
+    method: &AccessMethod,
 ) -> Option<IrWitness> {
     struct Search<'a> {
         atoms: &'a [Atom],
@@ -139,27 +171,50 @@ fn disjunct_witness(
         access: &'a Access,
         access_relation: RelationId,
         input_positions: &'a [usize],
+        /// The atoms that can be charged to the access under some
+        /// valuation ([`search::is_chargeable`]), decided once.
+        chargeable: AtomSet,
         /// The atoms not matched yet.
         open: AtomSet,
+        /// How many atoms are both open and chargeable.
+        open_chargeable: usize,
         /// The atoms the valuation found so far charges to the access
         /// (rather than matching them in the configuration).
         charged: AtomSet,
     }
 
     impl Search<'_> {
+        /// Whether no extension of the current branch can charge an atom:
+        /// nothing charged yet and no open chargeable atom left.
+        fn charges_nothing(&self) -> bool {
+            self.open_chargeable == 0 && self.charged.is_empty()
+        }
+
+        fn close(&mut self, i: usize) {
+            self.open.remove(i);
+            self.open_chargeable -= usize::from(self.chargeable.contains(i));
+        }
+
+        fn reopen(&mut self, i: usize) {
+            self.open.insert(i);
+            self.open_chargeable += usize::from(self.chargeable.contains(i));
+        }
+
         fn go(&mut self, valuation: &Valuation) -> Option<Valuation> {
+            if self.charges_nothing() {
+                return None;
+            }
             let (atoms, store) = (self.atoms, self.conf.store());
-            let chargeable = |i: usize| usize::from(atoms[i].relation() == self.access_relation);
-            let Some(i) = eval::most_constrained(atoms, &self.open, store, valuation, chargeable)
+            let on_access = |i: usize| usize::from(atoms[i].relation() == self.access_relation);
+            let Some(i) = eval::most_constrained(atoms, &self.open, store, valuation, on_access)
             else {
                 return Some(valuation.clone());
             };
             let atom = &atoms[i];
-            self.open.remove(i);
-            // Option A: the subgoal is charged to the access: same relation
-            // and input places mapped onto the binding (output places are
-            // free).
-            if atom.relation() == self.access_relation {
+            self.close(i);
+            // Option A: the subgoal is charged to the access: input places
+            // mapped onto the binding (output places are free).
+            if self.chargeable.contains(i) {
                 if let Some(extended) =
                     search::charge_to_access(atom, valuation, self.access, self.input_positions)
                 {
@@ -172,27 +227,38 @@ fn disjunct_witness(
             }
             // Option B: the subgoal is already witnessed by the
             // configuration (candidates narrowed through the per-attribute
-            // indexes).
-            for tuple in eval::atom_candidates(atom, store, valuation) {
-                if let Some(extended) = valuation.unify_atom(atom, tuple) {
-                    if let Some(done) = self.go(&extended) {
-                        return Some(done);
+            // indexes, drawn lazily) — unless that leaves nothing to charge.
+            if !self.charges_nothing() {
+                for tuple in eval::atom_candidates(atom, store, valuation) {
+                    if let Some(extended) = valuation.unify_atom(atom, tuple) {
+                        if let Some(done) = self.go(&extended) {
+                            return Some(done);
+                        }
                     }
                 }
             }
-            self.open.insert(i);
+            self.reopen(i);
             None
         }
     }
 
     let atoms = disjunct.atoms();
+    let (mut chargeable, mut open_chargeable) = (AtomSet::default(), 0);
+    for (i, atom) in atoms.iter().enumerate() {
+        if search::is_chargeable(atom, access, method) {
+            chargeable.insert(i);
+            open_chargeable += 1;
+        }
+    }
     let mut search = Search {
         atoms,
         conf,
         access,
-        access_relation,
-        input_positions,
+        access_relation: method.relation(),
+        input_positions: method.input_positions(),
+        chargeable,
         open: AtomSet::below(atoms.len()),
+        open_chargeable,
         charged: AtomSet::default(),
     };
     let valuation = search.go(&Valuation::new())?;
@@ -215,12 +281,10 @@ fn disjunct_witness(
             }
         }
     }
-    // At least one subgoal must actually be charged to the access, otherwise
-    // the query would already be certain (contradicting the caller's check);
-    // guard anyway.
-    if response.is_empty() {
-        return None;
-    }
+    debug_assert!(
+        !response.is_empty(),
+        "the search returns only valuations that charge an atom"
+    );
     Some(IrWitness {
         response,
         valuation: full,

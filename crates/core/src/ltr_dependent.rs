@@ -8,11 +8,12 @@
 //!
 //! Two pre-checks come before any search:
 //!
-//! * **Dead ends.** An access to a relation no disjunct of `Q` mentions,
-//!   none of whose new values any dependent method can take as an input, is
-//!   never long-term relevant: every later step of a path survives the
-//!   truncation, and the two configurations differ only in facts `Q` never
-//!   reads ([`is_dead_end`] holds the proof). The check reads only the
+//! * **Dead ends.** An access whose response no atom of `Q` can map onto
+//!   (no atom is on the accessed relation with input places compatible
+//!   with the binding), none of whose new values any dependent method can
+//!   take as an input, is never long-term relevant: every later step of a
+//!   path survives the truncation, and the two configurations differ only
+//!   in facts `Q` never matches ([`is_dead_end`] holds the proof). The check reads only the
 //!   schema, the query and the methods, so it runs first — before the
 //!   Proposition 2.2 reduction, the certainty pre-check and the
 //!   well-formedness probe — and its `false` has an empty read set and is
@@ -102,10 +103,13 @@ pub(crate) fn is_ltr_dependent_given_uncertain(
 }
 
 /// Is `access` a *dead end* for `query`: an access that is never long-term
-/// relevant, decided from the schema, the query and the access methods
-/// alone? It is one when both hold:
+/// relevant, decided from the schema, the query, the access methods and the
+/// binding alone? It is one when both hold:
 ///
-/// 1. the accessed relation occurs in no disjunct of `query`;
+/// 1. no atom of any disjunct of `query` is *chargeable* to the access: on
+///    the accessed relation, with each constant at an input place equal to
+///    the binding value there, and no variable at two input places whose
+///    binding values differ (`search::is_chargeable`);
 /// 2. no dependent method has an input position whose domain the access can
 ///    supply a value of: an output domain of the accessed method, or — for
 ///    an independent method, whose binding need not come from the
@@ -125,12 +129,15 @@ pub(crate) fn is_ltr_dependent_given_uncertain(
 /// `a₀`'s binding value there, already in `Adom(Conf)` at `d` for `a₀` to
 /// be well-formed — a contradiction. So the truncation is `(a₁, r₁), …,
 /// (aₙ, rₙ)` in full, and the two paths reach `Conf_{n+1}` and
-/// `Conf'_{n+1}`, which differ only in facts of `r₀`'s relation. By
-/// condition 1 the query never reads that relation, so its certain answers
-/// coincide on the two: no path starting with `a₀` witnesses long-term
-/// relevance. This is the long-term counterpart of Section 4's observation
-/// that an access to a relation the query does not mention is never
-/// immediately relevant.
+/// `Conf'_{n+1}`, which differ only in facts of `r₀`. Every tuple of `r₀`
+/// holds `a₀`'s binding at its method's input places, so an atom that a
+/// homomorphism maps onto a fact of `r₀` agrees with the binding there: it
+/// is chargeable. By condition 1 no atom is, so every homomorphism of a
+/// disjunct into `Conf_{n+1}` maps into `Conf'_{n+1}` as well, the certain
+/// answers coincide on the two, and no path starting with `a₀` witnesses
+/// long-term relevance. This is the long-term counterpart of Section 4's
+/// observation that an access to a relation the query does not mention is
+/// never immediately relevant.
 ///
 /// The check reads nothing from the configuration, so a dead-end verdict
 /// has an empty read set, and it is exact whatever the [`SearchBudget`].
@@ -138,14 +145,10 @@ pub fn is_dead_end(query: &Query, access: &Access, methods: &AccessMethods) -> b
     let Ok(method) = methods.get(access.method()) else {
         return false;
     };
-    let relation = method.relation();
-    if query
-        .ucq()
-        .iter()
-        .any(|d| d.atoms().iter().any(|a| a.relation() == relation))
-    {
+    if search::charges_some_atom(query, access, method) {
         return false;
     }
+    let relation = method.relation();
     let schema = methods.schema();
     let positions: Vec<usize> = if method.mode() == AccessMode::Independent {
         (0..schema.arity(relation).unwrap_or(0)).collect()
@@ -886,8 +889,11 @@ mod tests {
     /// one method per relation (70% dependent, each position an input with
     /// probability ½), 0–5 facts, and a 1–2-atom CQ and a two-atom PQ, each
     /// kept only when uncertain. Variables are named per domain, so every
-    /// variable has one domain.
-    fn random_world(seed: u64) -> (AccessMethods, Configuration, Vec<Query>) {
+    /// variable has one domain. A query term is a constant with probability
+    /// 15%; with `pin_inputs`, a term at an input place of its relation's
+    /// method that is not one yet becomes one with probability 40% (the
+    /// draws are unchanged without it).
+    fn random_world(seed: u64, pin_inputs: bool) -> (AccessMethods, Configuration, Vec<Query>) {
         let mut rng = SplitMix(seed);
         let mut b = Schema::builder();
         let domains: Vec<DomainId> = (0..2 + rng.below(4))
@@ -911,15 +917,17 @@ mod tests {
         }
         let schema = b.build();
         let mut mb = AccessMethods::builder(schema.clone());
+        let mut inputs_of = Vec::new();
         for (r, doms) in relations.iter().enumerate() {
-            let inputs = (0..doms.len()).filter(|_| rng.percent(50)).collect();
+            let inputs: Vec<usize> = (0..doms.len()).filter(|_| rng.percent(50)).collect();
             let mode = if rng.percent(70) {
                 AccessMode::Dependent
             } else {
                 AccessMode::Independent
             };
-            mb.add_positions(format!("m{r}"), RelationId(r as u32), inputs, mode)
+            mb.add_positions(format!("m{r}"), RelationId(r as u32), inputs.clone(), mode)
                 .unwrap();
+            inputs_of.push(inputs);
         }
         let methods = mb.build();
         let mut conf = Configuration::empty(schema.clone());
@@ -936,8 +944,12 @@ mod tests {
             let r = rng.below(relations.len());
             let terms = relations[r]
                 .iter()
-                .map(|d| {
-                    if rng.percent(15) {
+                .enumerate()
+                .map(|(p, d)| {
+                    let pinned = |rng: &mut SplitMix| {
+                        pin_inputs && inputs_of[r].contains(&p) && rng.percent(40)
+                    };
+                    if rng.percent(15) || pinned(rng) {
                         Term::Const(Value::int(rng.below(3) as i64))
                     } else {
                         Term::Var(var(format!("x{}_{}", d.0, rng.below(2))))
@@ -965,21 +977,26 @@ mod tests {
     #[test]
     fn dead_ends_are_never_relevant_under_the_full_search() {
         // The lemma behind `is_dead_end`, checked against the search itself
-        // (no pre-check) at a generous budget on random mixed worlds.
+        // (no pre-check) at a generous budget on random mixed worlds whose
+        // queries often hold constants at input places.
         let budget = SearchBudget::default().with_max_valuations(20_000);
         let options = EnumerationOptions {
             guessable_values: vec![Value::int(7)],
             max_accesses: usize::MAX,
         };
-        let (mut accesses, mut dead_ends) = (0, 0);
+        let (mut accesses, mut dead_ends, mut by_binding) = (0, 0, 0);
         for seed in 0..400 {
-            let (methods, conf, queries) = random_world(seed);
+            let (methods, conf, queries) = random_world(seed, true);
             let candidates = well_formed_accesses(&conf, &methods, &options);
             for q in &queries {
                 for access in &candidates {
                     accesses += 1;
                     if is_dead_end(q, access, &methods) {
                         dead_ends += 1;
+                        // Condition 1 held only through the binding: the
+                        // query mentions the accessed relation.
+                        let relation = methods.get(access.method()).unwrap().relation();
+                        by_binding += usize::from(q.relations().contains(&relation));
                         assert!(
                             !witness_search(q, &conf, access, &methods, &budget),
                             "seed {seed}: dead end {access:?} is relevant for {q:?}"
@@ -989,9 +1006,48 @@ mod tests {
             }
         }
         assert!(
-            dead_ends >= 1_000,
-            "only {dead_ends} dead ends in {accesses} accesses"
+            dead_ends >= 1_000 && by_binding >= 300,
+            "only {dead_ends} dead ends ({by_binding} by the binding) in {accesses} accesses"
         );
+    }
+
+    #[test]
+    fn a_constant_at_an_input_place_prunes_only_other_bindings() {
+        // Q = Approval(il, 30): an Approval(tx)? response can never match
+        // the atom, and its output domain O feeds no method, so it is a dead
+        // end; Approval(il)? can return Approval(il, 30) and is relevant.
+        let mut b = Schema::builder();
+        let state = b.domain("S").unwrap();
+        let offering = b.domain("O").unwrap();
+        b.relation("Approval", &[("s", state), ("o", offering)])
+            .unwrap();
+        b.relation("Known", &[("s", state)]).unwrap();
+        let schema = b.build();
+        let mut mb = AccessMethods::builder(schema.clone());
+        let by_state = mb
+            .add("ApprByState", "Approval", &["s"], AccessMode::Dependent)
+            .unwrap();
+        let methods = mb.build();
+        let mut qb = ConjunctiveQuery::builder(schema.clone());
+        qb.atom("Approval", vec![Term::constant("il"), Term::constant("30")])
+            .unwrap();
+        let q: Query = qb.build().into();
+        let mut conf = Configuration::empty(schema);
+        conf.insert_named("Known", ["il"]).unwrap();
+        conf.insert_named("Known", ["tx"]).unwrap();
+        let budget = SearchBudget::default();
+        let (tx, il) = (
+            Access::new(by_state, binding(["tx"])),
+            Access::new(by_state, binding(["il"])),
+        );
+        assert!(is_dead_end(&q, &tx, &methods));
+        assert!(!witness_search(&q, &conf, &tx, &methods, &budget));
+        assert!(!is_dead_end(&q, &il, &methods));
+        assert!(is_ltr_dependent(&q, &conf, &il, &methods, &budget));
+        // The dead-end verdict reads nothing from the configuration.
+        conf.begin_read_tracking_with(accrel_schema::AdomPrecision::Precise);
+        assert!(!is_ltr_dependent(&q, &conf, &tx, &methods, &budget));
+        assert!(conf.take_read_set().is_empty());
     }
 
     #[test]
@@ -1008,7 +1064,7 @@ mod tests {
         let (mut replays, mut witness_cuts) = (0, 0);
         let (mut compared, mut cut, mut uncertain) = (0, 0, 0);
         for seed in 0..400 {
-            let (methods, conf, queries) = random_world(seed);
+            let (methods, conf, queries) = random_world(seed, false);
             let pool = search::AdomPool::of(&conf);
             for q in &queries {
                 for access in &well_formed_accesses(&conf, &methods, &options) {

@@ -27,9 +27,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use accrel_access::{binding, Access, AccessMethods, AccessMode};
-use accrel_query::{
-    Atom, ConjunctiveQuery, PositiveQuery, PqFormula, Query, Term, Valuation, VarId,
-};
+use accrel_query::{Atom, ConjunctiveQuery, PositiveQuery, PqFormula, Query, Term, VarId};
 use accrel_schema::{Configuration, DomainId, Schema, Tuple, Value};
 
 use crate::budget::SearchBudget;
@@ -326,15 +324,11 @@ pub fn ltr_via_containment_oracle(
     let Ok(method) = methods.get(access.method()) else {
         return false;
     };
-    let relation = method.relation();
-    let input_positions = method.input_positions();
     // Indices of subgoals compatible with the access.
     let mut compatible = Vec::new();
     let mut rest = Vec::new();
     for (i, atom) in query.atoms().iter().enumerate() {
-        let is_compatible = atom.relation() == relation
-            && search::charge_to_access(atom, &Valuation::new(), access, input_positions).is_some();
-        if is_compatible {
+        if search::is_chargeable(atom, access, method) {
             compatible.push(i);
         } else {
             rest.push(i);

@@ -23,9 +23,9 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 
 use accrel_access::{
-    Access, AccessMethodId, AccessMethods, AccessMode, AccessPath, Binding, Response,
+    Access, AccessMethod, AccessMethodId, AccessMethods, AccessMode, AccessPath, Binding, Response,
 };
-use accrel_query::{Atom, ConjunctiveQuery, Term, Valuation, VarId};
+use accrel_query::{Atom, ConjunctiveQuery, Query, Term, Valuation, VarId};
 use accrel_schema::{Configuration, DomainId, FreshSupply, RelationId, Tuple, Value};
 
 use crate::budget::SearchBudget;
@@ -63,6 +63,44 @@ pub(crate) fn charge_to_access(
         }
     }
     Some(extended)
+}
+
+/// Whether `atom` can be charged to `access`, a call to `method`, under
+/// some valuation: it is on the accessed relation and [`charge_to_access`]
+/// succeeds on the empty valuation. So each constant at an input place
+/// equals the binding value there, and no variable sits at two input places
+/// whose binding values differ. A valuation only adds constraints, so an
+/// atom that fails here fails under every valuation; and since every tuple
+/// of a response holds the binding at the input places, no other atom ever
+/// maps onto one. Decided without building that valuation: it runs before
+/// every IR check, certain queries included.
+pub(crate) fn is_chargeable(atom: &Atom, access: &Access, method: &AccessMethod) -> bool {
+    let (inputs, binding) = (method.input_positions(), access.binding());
+    let bound_at = |pos: usize, k: usize| Some((atom.term_at(pos)?, binding.get(k)?));
+    atom.relation() == method.relation()
+        && inputs
+            .iter()
+            .enumerate()
+            .all(|(k, &pos)| match bound_at(pos, k) {
+                None => false,
+                Some((Term::Const(c), bound)) => c == bound,
+                // The variable's first input place binds it.
+                Some((var, bound)) => inputs
+                    .iter()
+                    .enumerate()
+                    .find(|&(_, &p)| atom.term_at(p) == Some(var))
+                    .is_some_and(|(j, _)| binding.get(j) == Some(bound)),
+            })
+}
+
+/// Whether some atom of some disjunct of `query` is chargeable to `access`
+/// ([`is_chargeable`]): when none is, no response to `access` can be the
+/// image of a query atom. Reads only the query, the method and the binding.
+pub(crate) fn charges_some_atom(query: &Query, access: &Access, method: &AccessMethod) -> bool {
+    query
+        .ucq()
+        .iter()
+        .any(|d| d.atoms().iter().any(|a| is_chargeable(a, access, method)))
 }
 
 /// The accessible `(value, domain)` pool of a witness search: the
@@ -853,7 +891,7 @@ pub(crate) fn extend_configuration(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use accrel_access::AccessMode;
+    use accrel_access::{binding, AccessMode};
     use accrel_query::Term;
     use accrel_schema::{tuple, AdomPrecision, GrowthCursor, Read, Schema};
     use std::sync::Arc;
@@ -873,6 +911,76 @@ mod tests {
         mb.add_free("SAcc", "S", AccessMode::Independent).unwrap();
         mb.add("TAcc", "T", &["a"], AccessMode::Dependent).unwrap();
         (schema, mb.build())
+    }
+
+    #[test]
+    fn chargeable_atoms_are_those_charge_to_access_accepts_unbound() {
+        // Every atom of R(a, b, c) over the terms x, y, 1 and 2, every
+        // binding over 1 and 2 (and one too short), for methods with one,
+        // two and three input places, plus an atom of another relation.
+        let mut b = Schema::builder();
+        let d = b.domain("D").unwrap();
+        b.relation("R", &[("a", d), ("b", d), ("c", d)]).unwrap();
+        b.relation("S", &[("a", d)]).unwrap();
+        let schema = b.build();
+        let mut mb = AccessMethods::builder(schema.clone());
+        let r = schema.relation_by_name("R").unwrap();
+        let methods: Vec<AccessMethodId> = [vec![1], vec![0, 2], vec![0, 1, 2]]
+            .into_iter()
+            .enumerate()
+            .map(|(i, inputs)| {
+                mb.add_positions(format!("m{i}"), r, inputs, AccessMode::Independent)
+                    .unwrap()
+            })
+            .collect();
+        let methods_set = mb.build();
+        let terms = [
+            Term::Var(VarId(0)),
+            Term::Var(VarId(1)),
+            Term::constant("1"),
+            Term::constant("2"),
+        ];
+        let mut atoms = vec![Atom::new(
+            schema.relation_by_name("S").unwrap(),
+            vec![Term::Var(VarId(0))],
+        )];
+        for i in 0..64 {
+            let pick = |shift: usize| terms[(i >> shift) & 3].clone();
+            atoms.push(Atom::new(r, vec![pick(0), pick(2), pick(4)]));
+        }
+        let (mut chargeable, mut checked) = (0, 0);
+        for &id in &methods {
+            let method = methods_set.get(id).unwrap();
+            let inputs = method.input_positions().len();
+            let mut bindings: Vec<Binding> = (0..1 << inputs)
+                .map(|bits: usize| {
+                    let value = |k: usize| if bits >> k & 1 == 1 { "2" } else { "1" };
+                    binding((0..inputs).map(value).collect::<Vec<_>>())
+                })
+                .collect();
+            bindings.push(binding(vec!["1"; inputs - 1]));
+            for bound in &bindings {
+                let access = Access::new(id, bound.clone());
+                for atom in &atoms {
+                    let expected = atom.relation() == r
+                        && charge_to_access(
+                            atom,
+                            &Valuation::new(),
+                            &access,
+                            method.input_positions(),
+                        )
+                        .is_some();
+                    assert_eq!(
+                        is_chargeable(atom, &access, method),
+                        expected,
+                        "{atom:?} under {access:?}"
+                    );
+                    chargeable += usize::from(expected);
+                    checked += 1;
+                }
+            }
+        }
+        assert!(chargeable > 100 && checked - chargeable > 100);
     }
 
     #[test]

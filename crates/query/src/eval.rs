@@ -18,7 +18,9 @@
 //! the same posting lists through [`FactStore::candidate_bound`], which
 //! records no read. That is sound for read-set invalidation: a refutation
 //! depends only on the candidate lists of the atoms it branched on, and
-//! drawing them records them (see [`accrel_schema::ReadSet`]).
+//! drawing them records them (see [`accrel_schema::ReadSet`]). The lists
+//! are lazy cursors that record their read when they are made, so a node
+//! that finds its match stops walking the list without recording less.
 //!
 //! The `_with_extra` variants evaluate over a store *plus* a small slice of
 //! pending facts without materialising the union — the relevance witness
@@ -159,35 +161,36 @@ fn determined<'a>(
         })
 }
 
-/// The candidate tuples for `atom` under `current`: index-backed candidates
-/// from `store` plus any `extra` facts of the atom's relation that agree
-/// with the determined positions.
+/// The candidate tuples for `atom` under `current`, lazily: the
+/// index-backed candidates from `store` (whose read is recorded here), then
+/// any `extra` facts of the atom's relation that agree with the determined
+/// positions.
 fn candidates_with_extra<'a>(
     atom: &'a Atom,
     store: &'a FactStore,
     extra: &'a [(RelationId, Tuple)],
     current: &'a Valuation,
-) -> Vec<&'a Tuple> {
-    let constraints: Vec<(usize, &Value)> = determined(atom, current).collect();
-    let mut out = store.candidates(atom.relation(), &constraints);
-    for (rel, t) in extra {
-        if *rel == atom.relation() && constraints.iter().all(|&(pos, v)| t.get(pos) == Some(v)) {
-            out.push(t);
-        }
-    }
-    out
+) -> impl Iterator<Item = &'a Tuple> + 'a {
+    let stored = store.candidates(atom.relation(), determined(atom, current));
+    let overlay = extra.iter().filter_map(move |(rel, t)| {
+        let agrees = *rel == atom.relation()
+            && determined(atom, current).all(|(pos, v)| t.get(pos) == Some(v));
+        agrees.then_some(t)
+    });
+    stored.chain(overlay)
 }
 
 /// Index-backed candidate tuples for `atom` under the partial valuation
-/// `current`: the atom's determined positions (constants and bound
-/// variables) become index constraints, so only binding-compatible tuples
-/// are enumerated. Repeated-variable consistency within the atom must still
-/// be checked by [`Valuation::unify_atom`].
+/// `current`, as a lazy cursor ([`FactStore::candidates`]): the atom's
+/// determined positions (constants and bound variables) become index
+/// constraints, so only binding-compatible tuples are enumerated.
+/// Repeated-variable consistency within the atom must still be checked by
+/// [`Valuation::unify_atom`].
 pub fn atom_candidates<'a>(
     atom: &'a Atom,
     store: &'a FactStore,
     current: &'a Valuation,
-) -> Vec<&'a Tuple> {
+) -> impl Iterator<Item = &'a Tuple> + 'a {
     candidates_with_extra(atom, store, &[], current)
 }
 
@@ -217,6 +220,11 @@ impl AtomSet {
                 .map(|w| ones(rest - 64 * w))
                 .collect(),
         }
+    }
+
+    /// Whether the set holds no index.
+    pub fn is_empty(&self) -> bool {
+        self.low == 0 && self.high.iter().all(|&w| w == 0)
     }
 
     /// Whether `i` is in the set.
@@ -635,6 +643,7 @@ mod tests {
     fn atom_sets_hold_indexes_past_the_inline_word() {
         for n in [0, 1, 63, 64, 65, 128, 130] {
             let mut set = AtomSet::below(n);
+            assert_eq!(set.is_empty(), n == 0);
             assert!((0..n).all(|i| set.contains(i)), "n={n}");
             assert!(!set.contains(n), "n={n}");
             if n > 0 {
@@ -647,6 +656,9 @@ mod tests {
         let mut set = AtomSet::default();
         set.insert(200);
         assert!(set.contains(200) && !set.contains(199) && !set.contains(8));
+        assert!(!set.is_empty());
+        set.remove(200);
+        assert!(set.is_empty());
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub use instance::Instance;
 pub use intern::{ValueId, ValueInterner};
 pub use relation::{Attribute, Relation, RelationId};
 pub use schema::{Schema, SchemaBuilder};
-pub use store::{AdomPrecision, Fact, FactStore, Growth, GrowthCursor, Read, ReadSet};
+pub use store::{AdomPrecision, Candidates, Fact, FactStore, Growth, GrowthCursor, Read, ReadSet};
 pub use tuple::{tuple, Tuple};
 pub use value::{FreshSupply, Value};
 

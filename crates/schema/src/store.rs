@@ -184,6 +184,67 @@ impl RelationShard {
     }
 }
 
+/// The rows [`FactStore::candidates`] selects, walked lazily in row order:
+/// a join that finds its match stops paying for the rest of the list. The
+/// constraint ids are resolved, and the read recorded, when the cursor is
+/// made, so a walk that stops early records what a drained one does.
+#[derive(Clone, Debug)]
+pub struct Candidates<'s> {
+    tuples: &'s [Tuple],
+    columns: &'s [Vec<ValueId>],
+    rows: CandidateRows<'s>,
+    /// The `(position, id)` constraints a row of `rows` must still meet.
+    filter: Vec<(usize, ValueId)>,
+}
+
+#[derive(Clone, Debug)]
+enum CandidateRows<'s> {
+    /// Every row of the relation, in order (no constraint).
+    Scan(std::slice::Iter<'s, Tuple>),
+    /// The shortest posting list among the constraints.
+    Posting(std::slice::Iter<'s, usize>),
+}
+
+impl<'s> Candidates<'s> {
+    /// The cursor that yields nothing.
+    fn none() -> Self {
+        Self::scan(&[])
+    }
+
+    fn scan(tuples: &'s [Tuple]) -> Self {
+        Self {
+            tuples,
+            columns: &[],
+            rows: CandidateRows::Scan(tuples.iter()),
+            filter: Vec::new(),
+        }
+    }
+}
+
+impl<'s> Iterator for Candidates<'s> {
+    type Item = &'s Tuple;
+
+    fn next(&mut self) -> Option<&'s Tuple> {
+        match &mut self.rows {
+            CandidateRows::Scan(tuples) => tuples.next(),
+            CandidateRows::Posting(rows) => {
+                let (columns, filter) = (self.columns, &self.filter);
+                let row =
+                    rows.find(|&&row| filter.iter().all(|&(pos, id)| columns[pos][row] == id))?;
+                Some(&self.tuples[*row])
+            }
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match &self.rows {
+            CandidateRows::Scan(tuples) => tuples.size_hint(),
+            CandidateRows::Posting(rows) if self.filter.is_empty() => rows.size_hint(),
+            CandidateRows::Posting(rows) => (0, Some(rows.len())),
+        }
+    }
+}
+
 /// The active domain: every `(value, domain)` pair some stored row holds
 /// at a position of that domain, as a set and, beside it, in entry order.
 /// Rows never leave, so pairs never do.
@@ -317,7 +378,10 @@ impl Read {
 /// those lists are recorded. While no growth touches them the same tree
 /// still refutes, whatever order a re-run would pick; a match found stays
 /// a match, since rows never leave. So a read set names only the atoms a
-/// search branched on, not every atom it could have started from.
+/// search branched on, not every atom it could have started from. (The
+/// immediate-relevance search also cuts branches that could only succeed
+/// on a configuration where its query is certain, and records nothing for
+/// them; its caller settles that case from the query's certainty status.)
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ReadSet {
     reads: Vec<Read>,
@@ -863,72 +927,75 @@ impl FactStore {
         if positions.len() != binding.len() {
             return Vec::new();
         }
-        let constraints: Vec<(usize, &Value)> =
-            positions.iter().copied().zip(binding.iter()).collect();
-        self.candidates(relation, &constraints)
-            .into_iter()
+        self.candidates(relation, positions.iter().copied().zip(binding))
             .cloned()
             .collect()
     }
 
-    /// References to the tuples of `relation` agreeing with every
-    /// `(position, value)` constraint, in row order. With no constraints this
-    /// is a full scan. This is the entry point the homomorphism searches use
-    /// to avoid linear scans: the most selective per-attribute posting list
-    /// is enumerated and the remaining constraints are checked columnar.
-    pub fn candidates(&self, relation: RelationId, constraints: &[(usize, &Value)]) -> Vec<&Tuple> {
+    /// A cursor over the tuples of `relation` agreeing with every
+    /// `(position, value)` constraint, in row order. With no constraints
+    /// this is a full scan. This is the entry point the homomorphism
+    /// searches use to avoid linear scans: the most selective per-attribute
+    /// posting list is walked and the remaining constraints are checked
+    /// columnar. The cursor resolves the constraint values and records its
+    /// read (the relation, one constraint pair, or an unknown value) when it
+    /// is made, so a walk that stops after its first row records exactly
+    /// what a drained one does.
+    pub fn candidates<'v>(
+        &self,
+        relation: RelationId,
+        constraints: impl IntoIterator<Item = (usize, &'v Value)>,
+    ) -> Candidates<'_> {
         let Some(shard) = self.relations.get(relation.index()) else {
-            return Vec::new();
+            return Candidates::none();
         };
         let shard = shard.as_ref();
         let arity = shard.columns.len();
-        if constraints.is_empty() {
-            self.rec(|rs| rs.insert(Read::Relation(relation)));
-            return shard.tuples.iter().collect();
-        }
         // Resolve constraint values; an un-interned value or an out-of-range
         // position can never match.
-        let mut resolved: Vec<(usize, ValueId)> = Vec::with_capacity(constraints.len());
-        for &(pos, v) in constraints {
+        let constraints = constraints.into_iter();
+        let mut filter: Vec<(usize, ValueId)> = Vec::with_capacity(constraints.size_hint().0);
+        for (pos, v) in constraints {
             if pos >= arity {
-                return Vec::new();
+                return Candidates::none();
             }
             match self.interner.lookup(v) {
-                Some(id) => resolved.push((pos, id)),
+                Some(id) => filter.push((pos, id)),
                 None => {
                     // The value may be interned by a later insert; keep the
                     // probe symbolic so such an insert re-triggers it.
                     self.rec(|rs| rs.insert(Read::UnknownValue(relation, v.clone())));
-                    return Vec::new();
+                    return Candidates::none();
                 }
             }
         }
+        let Some(&(_, first)) = filter.first() else {
+            self.rec(|rs| rs.insert(Read::Relation(relation)));
+            return Candidates::scan(&shard.tuples);
+        };
         // A row changing this probe's answer must carry every constraint
         // value, so recording one of them is a sound trigger.
-        self.rec(|rs| rs.insert(Read::Pair(relation, resolved[0].1)));
-        // Most selective posting list first.
-        let mut best: Option<&Vec<usize>> = None;
-        for &(pos, id) in &resolved {
-            match shard.indexes[pos].get(&id) {
-                Some(list) => {
-                    if best.map(|b| list.len() < b.len()).unwrap_or(true) {
-                        best = Some(list);
-                    }
-                }
-                None => return Vec::new(),
+        self.rec(|rs| rs.insert(Read::Pair(relation, first)));
+        // Most selective posting list first; its own constraint holds on
+        // every row of it.
+        let mut best: Option<(usize, &Vec<usize>)> = None;
+        for (k, &(pos, id)) in filter.iter().enumerate() {
+            let Some(list) = shard.indexes[pos].get(&id) else {
+                return Candidates::none();
+            };
+            if best.is_none_or(|(_, b)| list.len() < b.len()) {
+                best = Some((k, list));
             }
         }
-        let rows = best.expect("at least one constraint");
+        let (k, rows) = best.expect("at least one constraint");
         debug_assert!(rows.is_sorted(), "posting lists ascend by row");
-        rows.iter()
-            .copied()
-            .filter(|&row| {
-                resolved
-                    .iter()
-                    .all(|&(pos, id)| shard.columns[pos][row] == id)
-            })
-            .map(|row| &shard.tuples[row])
-            .collect()
+        filter.swap_remove(k);
+        Candidates {
+            tuples: &shard.tuples,
+            columns: &shard.columns,
+            rows: CandidateRows::Posting(rows.iter()),
+            filter,
+        }
     }
 
     /// An upper bound on the number of rows [`FactStore::candidates`]
@@ -1296,14 +1363,35 @@ mod tests {
         store.insert(r, tuple(["a", "1"])).unwrap();
         store.insert(r, tuple(["a", "2"])).unwrap();
         store.insert(r, tuple(["b", "1"])).unwrap();
-        assert_eq!(store.candidates(r, &[]).len(), 3);
+        assert_eq!(store.candidates(r, []).count(), 3);
         let a = Value::sym("a");
         let one = Value::sym("1");
-        assert_eq!(store.candidates(r, &[(0, &a)]).len(), 2);
-        assert_eq!(store.candidates(r, &[(0, &a), (1, &one)]).len(), 1);
+        assert_eq!(store.candidates(r, [(0, &a)]).count(), 2);
+        let hits: Vec<&Tuple> = store.candidates(r, [(1, &one), (0, &a)]).collect();
+        assert_eq!(hits, [&tuple(["a", "1"])]);
         let ghost = Value::sym("ghost");
-        assert!(store.candidates(r, &[(0, &ghost)]).is_empty());
-        assert!(store.candidates(r, &[(9, &a)]).is_empty());
+        assert_eq!(store.candidates(r, [(0, &ghost)]).count(), 0);
+        assert_eq!(store.candidates(r, [(9, &a)]).count(), 0);
+        assert_eq!(store.candidates(RelationId(7), []).count(), 0);
+
+        // The cursor records its read when it is made: one dropped after its
+        // first row, or never advanced, records what a drained one does.
+        let mut reads = |walk: &dyn Fn(Candidates)| {
+            store.begin_read_tracking_with(AdomPrecision::Precise);
+            walk(store.candidates(r, [(1, &one)]));
+            walk(store.candidates(r, []));
+            walk(store.candidates(r, [(0, &ghost)]));
+            store.take_read_set()
+        };
+        let drained = reads(&|c| assert!(c.count() <= 3));
+        assert_eq!(drained.len(), 3);
+        assert_eq!(
+            reads(&|mut c| {
+                c.next();
+            }),
+            drained
+        );
+        assert_eq!(reads(&|c| drop(c)), drained);
 
         // Candidate bounds: the shortest posting list, never below the
         // candidates, and never recorded.

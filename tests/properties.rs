@@ -281,8 +281,16 @@ fn adom_oracle(
 #[test]
 fn indexed_matching_agrees_with_scan_oracle_on_random_configurations() {
     // In row order: downstream determinism relies on `matching` returning
-    // rows in insertion order, also after later inserts.
-    fn assert_matching_agrees(store: &accrel::schema::FactStore, workload: &Workload, ctx: &str) {
+    // rows in insertion order, also after later inserts. `matching` drains
+    // the lazy `candidates` cursor; the cursor is also checked directly,
+    // drained and stopped after its first row, which must record the same
+    // reads.
+    fn assert_matching_agrees(
+        store: &mut accrel::schema::FactStore,
+        workload: &Workload,
+        ctx: &str,
+    ) {
+        use accrel::schema::AdomPrecision;
         for (rel, relation) in workload.schema.relations_with_ids() {
             let arity = relation.arity();
             // Probe every single position and the full-tuple binding, with
@@ -290,11 +298,21 @@ fn indexed_matching_agrees_with_scan_oracle_on_random_configurations() {
             for value in workload.constants.iter().take(4) {
                 for pos in 0..arity {
                     let binding = std::slice::from_ref(value);
+                    let oracle = matching_oracle(store, rel, &[pos], binding);
                     assert_eq!(
                         store.matching(rel, &[pos], binding),
-                        matching_oracle(store, rel, &[pos], binding),
+                        oracle,
                         "matching mismatch: {ctx}"
                     );
+                    store.begin_read_tracking_with(AdomPrecision::Precise);
+                    let drained: Vec<Tuple> =
+                        store.candidates(rel, [(pos, value)]).cloned().collect();
+                    let drained_reads = store.take_read_set();
+                    store.begin_read_tracking_with(AdomPrecision::Precise);
+                    let first = store.candidates(rel, [(pos, value)]).next().cloned();
+                    assert_eq!(store.take_read_set(), drained_reads, "cursor reads: {ctx}");
+                    assert_eq!(drained, oracle, "drained cursor mismatch: {ctx}");
+                    assert_eq!(first.as_ref(), oracle.first(), "first row: {ctx}");
                 }
             }
             for t in store.tuples(rel).take(3).cloned().collect::<Vec<_>>() {
@@ -312,13 +330,13 @@ fn indexed_matching_agrees_with_scan_oracle_on_random_configurations() {
         let (workload, _, conf) = workload_and_query(seed, 1, facts + 4);
         let mut store = conf.store().clone();
         let ctx = format!("seed={seed} facts={facts}");
-        assert_matching_agrees(&store, &workload, &ctx);
+        assert_matching_agrees(&mut store, &workload, &ctx);
         let mut rng = StdRng::seed_from_u64(seed + 707);
         let extra = generate_configuration(&workload, 6, &mut rng);
         for (rel, t) in extra.facts() {
             let _ = store.insert(rel, t);
         }
-        assert_matching_agrees(&store, &workload, &format!("after inserts {ctx}"));
+        assert_matching_agrees(&mut store, &workload, &format!("after inserts {ctx}"));
     }
 }
 
@@ -666,15 +684,14 @@ fn index_backed_candidates_agree_with_membership_semantics() {
         for (rel, _) in workload.schema.relations_with_ids() {
             // Unconstrained candidates enumerate exactly the relation.
             assert_eq!(
-                store.candidates(rel, &[]).len(),
+                store.candidates(rel, []).count(),
                 store.relation_len(rel),
                 "full scan mismatch at seed={seed}"
             );
             // Every stored tuple is found by its own full constraint set and
             // by contains().
             for t in store.tuples(rel) {
-                let constraints: Vec<(usize, &Value)> = t.iter().enumerate().collect();
-                let hits = store.candidates(rel, &constraints);
+                let hits: Vec<&Tuple> = store.candidates(rel, t.iter().enumerate()).collect();
                 assert!(
                     hits.contains(&t),
                     "tuple lost by its own constraints at seed={seed}"
@@ -1320,6 +1337,58 @@ fn ir_by_trying_every_response(
         && responses_make_certain(query, conf, &tuples, 0, k, &mut Vec::new())
 }
 
+/// Variants of the Boolean `query` around the charge rule of an access to
+/// `relation` with its one input place at `input` and `bound` there: every
+/// atom on `relation` pinned at `input` to `bound` (so each can be
+/// charged) and to `other` (so none can); and `query` with one more atom on
+/// `relation`, fresh outside `input`, holding at `input` the query's first
+/// variable or `other`.
+fn charge_variants(
+    query: &ConjunctiveQuery,
+    relation: accrel::schema::RelationId,
+    input: usize,
+    bound: &Value,
+    other: &Value,
+) -> Vec<ConjunctiveQuery> {
+    use accrel::query::Atom;
+    let vars = query.var_count();
+    let arity = query.schema().arity(relation).unwrap();
+    let rebuilt = |atoms: Vec<Atom>| {
+        let names = (0..vars + arity).map(|i| format!("v{i}")).collect();
+        ConjunctiveQuery::new(query.schema().clone(), atoms, Vec::new(), names)
+    };
+    let pinned = |c: &Value| {
+        let atoms = query.atoms().iter().map(|a| {
+            let mut terms = a.terms().to_vec();
+            if a.relation() == relation {
+                terms[input] = Term::Const(c.clone());
+            }
+            Atom::new(a.relation(), terms)
+        });
+        rebuilt(atoms.collect())
+    };
+    let with_one_more = |at_input: Term| {
+        let terms = (0..arity).map(|p| {
+            if p == input {
+                at_input.clone()
+            } else {
+                Term::Var(VarId((vars + p) as u32))
+            }
+        });
+        let mut atoms = query.atoms().to_vec();
+        atoms.push(Atom::new(relation, terms.collect()));
+        rebuilt(atoms)
+    };
+    let first = variables_in_order(query).first().copied();
+    let joined = Term::Var(first.unwrap_or(VarId(vars as u32)));
+    vec![
+        pinned(bound),
+        pinned(other),
+        with_one_more(joined),
+        with_one_more(Term::Const(other.clone())),
+    ]
+}
+
 #[test]
 fn immediate_relevance_agrees_with_trying_every_response() {
     use accrel::core::is_immediately_relevant_given_uncertain;
@@ -1345,7 +1414,7 @@ fn immediate_relevance_agrees_with_trying_every_response() {
         }
         expected
     };
-    let mut relevant = 0;
+    let (mut relevant, mut variants_relevant) = (0, [0; 4]);
     for (seed, atoms, facts) in cases() {
         let (workload, query, conf) = workload_and_query(seed, atoms, facts);
         let Query::Cq(cq) = &query else {
@@ -1353,15 +1422,33 @@ fn immediate_relevance_agrees_with_trying_every_response() {
         };
         for (id, method) in workload.methods.iter() {
             for shift in [0, 2] {
-                let value = &workload.constants[(seed as usize + shift) % workload.constants.len()];
+                let pick = |k: usize| &workload.constants[k % workload.constants.len()];
+                let value = pick(seed as usize + shift);
                 let values = method.input_positions().iter().map(|_| value.clone());
                 let access = Access::new(id, values.collect());
                 let ctx = format!("seed={seed} atoms={atoms} facts={facts} {access:?}");
                 relevant += usize::from(check(cq, &conf, &access, &workload.methods, &ctx));
+                // The grid's methods have one input place each.
+                let input = method.input_positions()[0];
+                let other = pick(seed as usize + shift + 1);
+                let variants = charge_variants(cq, method.relation(), input, value, other);
+                for (k, variant) in variants.iter().enumerate() {
+                    let ctx = format!("{ctx} variant {k}: {variant:?}");
+                    let ir = check(variant, &conf, &access, &workload.methods, &ctx);
+                    variants_relevant[k] += usize::from(ir);
+                }
             }
         }
     }
     assert!(relevant > 0, "the grid never exercises a relevant access");
+    // Pinning every atom on the accessed relation to a value other than the
+    // binding leaves nothing to charge; the other variants stay relevant in
+    // some cases.
+    assert_eq!(variants_relevant[1], 0, "{variants_relevant:?}");
+    assert!(
+        [0, 2, 3].iter().all(|&k| variants_relevant[k] > 0),
+        "{variants_relevant:?}"
+    );
 
     // R(x, x) is completed only by a response repeating the binding, a
     // value the configuration does not hold; the self-join needs its
@@ -1432,6 +1519,81 @@ fn immediate_relevance_agrees_with_trying_every_response() {
         &methods,
         "charge, then fall back"
     ));
+
+    // R(1, y) ∧ R(y, z) ∧ S(z) accessed at R(5): only the second R atom
+    // can be charged. The search branches on R(1, y) first (the fewest
+    // candidates) and matches it in the configuration with nothing charged
+    // yet, which must not cut the branch: R(y, z) is still open.
+    let schema = binary_schema();
+    let mut mb = AccessMethods::builder(schema.clone());
+    let probe = mb
+        .add("probe", "R", &["a"], AccessMode::Independent)
+        .unwrap();
+    let methods = mb.build();
+    let mut qb = ConjunctiveQuery::builder(schema.clone());
+    let (y, z) = (qb.var("y"), qb.var("z"));
+    qb.atom("R", vec![Term::constant("1"), Term::Var(y)])
+        .unwrap();
+    qb.atom("R", vec![Term::Var(y), Term::Var(z)]).unwrap();
+    qb.atom("S", vec![Term::Var(z)]).unwrap();
+    let query = qb.build();
+    let mut conf = Configuration::empty(schema.clone());
+    for (a, b) in [("1", "5"), ("2", "3"), ("3", "4")] {
+        conf.insert_named("R", [a, b]).unwrap();
+    }
+    for v in ["9", "8", "7"] {
+        conf.insert_named("S", [v]).unwrap();
+    }
+    let at = |v: &str| Access::new(probe, binding([v]));
+    assert!(check(
+        &query,
+        &conf,
+        &at("5"),
+        &methods,
+        "second atom charged"
+    ));
+    let q: Query = query.into();
+    let w = accrel::core::ir::immediate_relevance_witness(&q, &conf, &at("5"), &methods).unwrap();
+    assert_eq!(w.response.len(), 1);
+    assert_eq!(w.response[0].get(0), Some(&Value::sym("5")));
+
+    // R(1, y) ∧ S(y) accessed at R(5): the one R atom holds 1 where the
+    // binding holds 5, so no response can match it. IR is false, decided
+    // without reading the configuration, also by the search alone, which
+    // would otherwise start from S (three rows against R(1, y)'s three
+    // and a possible charge).
+    conf.insert_named("R", ["1", "6"]).unwrap();
+    conf.insert_named("R", ["1", "4"]).unwrap();
+    let mut qb = ConjunctiveQuery::builder(schema);
+    let y = qb.var("y");
+    qb.atom("R", vec![Term::constant("1"), Term::Var(y)])
+        .unwrap();
+    qb.atom("S", vec![Term::Var(y)]).unwrap();
+    let query = qb.build();
+    assert!(!check(
+        &query,
+        &conf,
+        &at("5"),
+        &methods,
+        "constant off the binding"
+    ));
+    let q: Query = query.clone().into();
+    conf.begin_read_tracking_with(accrel::schema::AdomPrecision::Precise);
+    assert!(!is_immediately_relevant(&q, &conf, &at("5"), &methods));
+    assert!(!is_immediately_relevant_given_uncertain(
+        &q,
+        &conf,
+        &at("5"),
+        &methods
+    ));
+    assert!(conf.take_read_set().is_empty());
+    assert!(check(
+        &query,
+        &conf,
+        &at("1"),
+        &methods,
+        "constant on the binding"
+    ));
 }
 
 #[test]
@@ -1440,7 +1602,8 @@ fn a_refutation_reads_only_the_atoms_it_branched_on() {
     // over a large R0, a small R1 keyed by a method on its first place, and
     // an R2 that no R1 row joins. The dead key j0 occurs in R1 only, so no
     // response to R1(j0)? can complete the query. A join that starts from
-    // the small middle atom refutes that without scanning R0.
+    // the small middle atom refutes that without scanning R0, and a search
+    // that must charge the access refutes it without scanning R1 either.
     use accrel::core::is_immediately_relevant_given_uncertain;
     use accrel::engine::{RelevanceOracle, RunOptions};
     use accrel::schema::{AdomPrecision, GrowthCursor, Read};
@@ -1499,15 +1662,19 @@ fn a_refutation_reads_only_the_atoms_it_branched_on() {
     assert_eq!(conf.store().candidate_bound(r0, [(1, &k3)]), 50);
     assert!(conf.take_read_set().is_empty());
 
-    // The refutation's reads name R1 (scanned) and the probed pairs of R0
-    // and R2, never R0 as a whole.
+    // The refutation charges R1(j0, z) and probes R0 at j0, which no R0
+    // row holds. Matching R1(y, z) in the configuration instead would leave
+    // nothing to charge (R1 is the only atom on the accessed relation), so
+    // that branch is cut before it scans R1: the probe of R0 is the whole
+    // read set, and R0 is never read as a whole.
     conf.begin_read_tracking_with(AdomPrecision::Precise);
     assert!(!is_immediately_relevant_given_uncertain(
         &query, &conf, &dead, &methods
     ));
     let reads = conf.take_read_set();
+    let j0 = conf.store().interner().lookup(&Value::sym("j0")).unwrap();
+    assert_eq!(reads.iter().collect::<Vec<_>>(), [&Read::Pair(r0, j0)]);
     assert!(!reads.iter().any(|r| *r == Read::Relation(r0)), "{reads:?}");
-    assert!(reads.iter().any(|r| *r == Read::Relation(r1)), "{reads:?}");
 
     // So an R0 row that carries no probed value leaves the verdict cached.
     let options = RunOptions::default();

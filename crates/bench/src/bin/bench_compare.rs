@@ -5,24 +5,24 @@
 //! cargo run -p accrel-bench --bin bench_compare -- BENCH_baseline.json BENCH_smoke.json
 //! ```
 //!
-//! Rows are matched by `(table id, series, parameter, metric)`; rows present
-//! on only one side are ignored (experiments grow over time, so baselines
-//! predating new tables such as the `F1` federation sweep still compare).
+//! Rows are matched by `(table id, series, parameter, metric)`.
 //!
 //! * Timing rows (`µs` metrics) whose fresh value exceeds `threshold ×` the
 //!   baseline are printed as GitHub `::warning::` annotations. They fail the
 //!   run only under `--fail-on-regression`: a single-sample smoke pass is
-//!   too noisy to gate merges on.
+//!   too noisy to gate merges on. A timing row present on one side only is
+//!   a warning too.
 //! * Every other row is a deterministic count. Each one whose value
-//!   changed is printed as an `::error::` annotation, and any change makes
-//!   the exit code 1: a changed count is a behaviour change, and a
-//!   deliberate one updates the baseline row with it.
+//!   changed, or that only one side carries, is printed as an `::error::`
+//!   annotation, and any of them makes the exit code 1: a changed, new or
+//!   vanished count is a behaviour change, and a deliberate one updates the
+//!   baseline with it.
 //!
 //! The comparison rules live in `accrel_bench::compare`.
 
 use std::process::ExitCode;
 
-use accrel_bench::compare::compare_rows;
+use accrel_bench::compare::{compare_rows, RowKey, Side};
 use accrel_bench::smoke::{parse_smoke_rows, SmokeRow};
 
 fn load(path: &str) -> Result<Vec<SmokeRow>, String> {
@@ -68,6 +68,22 @@ fn main() -> ExitCode {
     };
 
     let report = compare_rows(&baseline, &fresh, threshold);
+    let only = |(key, side): &(RowKey, Side)| {
+        let side = match side {
+            Side::Baseline => "baseline",
+            Side::Fresh => "fresh run",
+        };
+        format!(
+            "{} / {} / {} / {}: only in the {side}",
+            key.0, key.1, key.2, key.3
+        )
+    };
+    for row in &report.one_sided_counts {
+        println!("::error title=one-sided count row::{}", only(row));
+    }
+    for row in &report.one_sided_timings {
+        println!("::warning title=one-sided timing row::{}", only(row));
+    }
     for c in &report.changed_counts {
         println!(
             "::error title=count row changed::{} / {} / {} / {}: {} -> {}",
@@ -87,14 +103,19 @@ fn main() -> ExitCode {
         );
     }
     println!(
-        "bench_compare: {} count rows compared, {} changed; \
-         {} timing rows compared, {} regression(s) over {threshold:.1}x",
+        "bench_compare: {} count rows compared, {} changed, {} one-sided; \
+         {} timing rows compared, {} regression(s) over {threshold:.1}x, {} one-sided",
         report.counts_compared,
         report.changed_counts.len(),
+        report.one_sided_counts.len(),
         report.compared,
-        report.regressions.len()
+        report.regressions.len(),
+        report.one_sided_timings.len()
     );
-    if !report.changed_counts.is_empty() || (fail_on_regression && !report.regressions.is_empty()) {
+    if !report.changed_counts.is_empty()
+        || !report.one_sided_counts.is_empty()
+        || (fail_on_regression && !report.regressions.is_empty())
+    {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS

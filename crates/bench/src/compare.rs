@@ -2,15 +2,19 @@
 //! `bench_compare` binary, kept in the library so the tolerance rules are
 //! unit-tested).
 //!
-//! Rows are matched by `(table id, series, parameter, metric)`. Rows present
-//! on only one side are ignored — experiments grow over time, so a fresh
-//! document with new tables (e.g. the `F1` federation sweep, the `F2` async
-//! sweep, or the `F3` multi-tenant serving sweep) still compares cleanly
-//! against a baseline that predates those keys. Timing metrics (`µs` in the
-//! metric name) are regression-checked against a threshold. Every other row
-//! is a deterministic count (accesses, evictions, shard copies, wire
-//! calls, ...): any change of one present on both sides is a semantic diff,
-//! reported on its own, never as a perf regression.
+//! Rows are matched by `(table id, series, parameter, metric)`. Timing
+//! metrics (`µs` in the metric name) are regression-checked against a
+//! threshold. Every other row is a deterministic count (accesses,
+//! evictions, shard copies, wire calls, ...): any change of one is a
+//! semantic diff, reported on its own, never as a perf regression.
+//!
+//! A row present on one side only is reported with the side that carries
+//! it. For a count row that is a failure like a changed value: the harness
+//! emits its count rows deterministically, so a count row the baseline
+//! lacks (a new series) or the fresh run lacks (a deleted one) means the
+//! baseline no longer describes the harness, and a change that adds or
+//! removes rows updates the baseline with them. A one-sided timing row is
+//! only a warning.
 
 use std::collections::BTreeMap;
 
@@ -38,6 +42,15 @@ impl RowChange {
     }
 }
 
+/// Which document of a comparison carries a row the other lacks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Side {
+    /// Only the baseline carries the row: the fresh run no longer emits it.
+    Baseline,
+    /// Only the fresh run carries the row: the baseline predates it.
+    Fresh,
+}
+
 /// Outcome of a comparison.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct CompareReport {
@@ -45,10 +58,19 @@ pub struct CompareReport {
     pub compared: usize,
     /// Timing rows whose fresh value exceeded `threshold ×` the baseline.
     pub regressions: Vec<RowChange>,
+    /// Timing rows present on one side only.
+    pub one_sided_timings: Vec<(RowKey, Side)>,
     /// Count (non-timing) rows present on both sides.
     pub counts_compared: usize,
     /// Count rows whose fresh value differs from the baseline's.
     pub changed_counts: Vec<RowChange>,
+    /// Count rows present on one side only.
+    pub one_sided_counts: Vec<(RowKey, Side)>,
+}
+
+/// Whether `key` names a timing row.
+fn is_timing(key: &RowKey) -> bool {
+    key.3.contains("µs")
 }
 
 fn index(rows: &[SmokeRow]) -> BTreeMap<RowKey, f64> {
@@ -70,14 +92,27 @@ fn index(rows: &[SmokeRow]) -> BTreeMap<RowKey, f64> {
 }
 
 /// Compares `fresh` against `baseline`, flagging timing rows that regressed
-/// by more than `threshold ×` and count rows that changed. Sub-microsecond
-/// timing baselines are noise floors and never flagged.
+/// by more than `threshold ×`, count rows that changed, and rows present on
+/// one side only. Sub-microsecond timing baselines are noise floors and
+/// never flagged.
 pub fn compare_rows(baseline: &[SmokeRow], fresh: &[SmokeRow], threshold: f64) -> CompareReport {
     let baseline = index(baseline);
     let fresh = index(fresh);
     let mut report = CompareReport::default();
+    let mut one_sided = |key: &RowKey, side| {
+        let list = if is_timing(key) {
+            &mut report.one_sided_timings
+        } else {
+            &mut report.one_sided_counts
+        };
+        list.push((key.clone(), side));
+    };
+    for key in fresh.keys().filter(|key| !baseline.contains_key(*key)) {
+        one_sided(key, Side::Fresh);
+    }
     for (key, base_value) in &baseline {
         let Some(new_value) = fresh.get(key) else {
+            one_sided(key, Side::Baseline);
             continue;
         };
         let change = RowChange {
@@ -85,7 +120,7 @@ pub fn compare_rows(baseline: &[SmokeRow], fresh: &[SmokeRow], threshold: f64) -
             baseline: *base_value,
             fresh: *new_value,
         };
-        if !key.3.contains("µs") {
+        if !is_timing(key) {
             report.counts_compared += 1;
             if new_value != base_value {
                 report.changed_counts.push(change);
@@ -134,60 +169,66 @@ mod tests {
     }
 
     #[test]
-    fn tolerates_baselines_predating_new_keys() {
-        // The baseline predates the F1 federation sweep and the F2 async
-        // sweep; their rows must be ignored rather than failing the
-        // comparison.
-        let baseline = vec![row("E1", "CQ", "1", "median µs", 10.0)];
+    fn one_sided_rows_fail_on_counts_and_warn_on_timings() {
+        // The fresh run carries a series the baseline predates, and the
+        // baseline a series the fresh run no longer emits. Their count rows
+        // are one-sided counts (a failure) and their timing rows one-sided
+        // timings (a warning), each with the side that carries it; neither
+        // is a change or a regression.
+        let exhaustive = "E5 federation (exhaustive)";
+        let eager = "E5 federation (ltr-guided, eager)";
+        let key = |series: &str, metric: &str| {
+            (
+                "F1".to_string(),
+                series.to_string(),
+                "4".to_string(),
+                metric.to_string(),
+            )
+        };
+        let baseline = vec![
+            row("E1", "CQ", "1", "median µs", 10.0),
+            row("F1", eager, "4", "wall µs/access", 2500.0),
+            row("F1", eager, "4", "accesses", 24.0),
+        ];
         let fresh = vec![
             row("E1", "CQ", "1", "median µs", 11.0),
-            row("F1", "E5 federation (exhaustive)", "4", "µs/access", 120.0),
-            row("F1", "E5 federation (exhaustive)", "4", "mean batch", 3.5),
-            row("F1", "IR sweep", "2", "sweep µs", 900.0),
-            row(
-                "F2",
-                "E5 async federation (exhaustive)",
-                "4",
-                "virtual µs/access",
-                60.0,
-            ),
-            row(
-                "F2",
-                "E5 async federation (exhaustive)",
-                "4",
-                "wall µs/access",
-                9.0,
-            ),
+            row("F1", exhaustive, "4", "wall µs/access", 120.0),
+            row("F1", exhaustive, "4", "mean batch", 3.5),
         ];
         let report = compare_rows(&baseline, &fresh, 2.0);
-        assert_eq!(report.compared, 1);
+        assert_eq!((report.compared, report.counts_compared), (1, 0));
         assert!(report.regressions.is_empty());
-        // And symmetrically: a baseline row the fresh run dropped is skipped.
+        assert!(report.changed_counts.is_empty());
+        assert_eq!(
+            report.one_sided_counts,
+            vec![
+                (key(exhaustive, "mean batch"), Side::Fresh),
+                (key(eager, "accesses"), Side::Baseline),
+            ]
+        );
+        assert_eq!(
+            report.one_sided_timings,
+            vec![
+                (key(exhaustive, "wall µs/access"), Side::Fresh),
+                (key(eager, "wall µs/access"), Side::Baseline),
+            ]
+        );
+        // Swapping the documents swaps the sides.
         let report = compare_rows(&fresh, &baseline, 2.0);
-        assert_eq!(report.compared, 1);
+        assert_eq!(
+            report.one_sided_counts,
+            vec![
+                (key(eager, "accesses"), Side::Fresh),
+                (key(exhaustive, "mean batch"), Side::Baseline),
+            ]
+        );
     }
 
     #[test]
-    fn tolerates_baselines_predating_the_serving_sweep() {
-        // A baseline recorded before the F3 multi-tenant serving table
-        // existed: every F3 row is one-sided and must be skipped, while the
-        // shared E-rows still compare.
+    fn serving_counters_are_not_timing_rows() {
+        // Of F3's rows only the timing rows are regression-checked; a wire
+        // call count that moves is a changed count.
         let serving = "E5 serving (exhaustive, dedup)";
-        let baseline = vec![row("E1", "CQ", "1", "median µs", 10.0)];
-        let fresh = vec![
-            row("E1", "CQ", "1", "median µs", 12.0),
-            row("F3", serving, "4", "virtual µs/access", 40.0),
-            row("F3", serving, "4", "p50 session µs", 800.0),
-            row("F3", serving, "4", "p95 session µs", 950.0),
-            row("F3", serving, "4", "wire calls", 12.0),
-            row("F3", serving, "4", "session calls", 48.0),
-        ];
-        let report = compare_rows(&baseline, &fresh, 2.0);
-        assert_eq!(report.compared, 1);
-        assert!(report.regressions.is_empty());
-
-        // Once both sides carry F3, its timing rows (and only those) are
-        // regression-checked like any other table's.
         let aged = vec![
             row("F3", serving, "4", "p95 session µs", 100.0),
             row("F3", serving, "4", "wire calls", 12.0),
@@ -206,23 +247,10 @@ mod tests {
     }
 
     #[test]
-    fn tolerates_baselines_predating_the_store_ops_table() {
-        // A baseline recorded before the S1 store table existed: every S1
-        // row is one-sided and must be skipped, while shared rows still
-        // compare.
+    fn store_counters_are_not_timing_rows() {
+        // S1's timing rows are regression-checked; shard-copy counter rows
+        // never are.
         let exhaustive = "E5 federation (exhaustive)";
-        let baseline = vec![row("E1", "CQ", "1", "median µs", 10.0)];
-        let fresh = vec![
-            row("E1", "CQ", "1", "median µs", 12.0),
-            row("S1", "snapshot clone", "100000", "median µs", 0.3),
-            row("S1", "clone then insert", "100000", "median µs", 4000.0),
-        ];
-        let report = compare_rows(&baseline, &fresh, 2.0);
-        assert_eq!(report.compared, 1);
-        assert!(report.regressions.is_empty());
-
-        // Once both sides carry S1, its timing rows are regression-checked;
-        // shard-copy counter rows never are.
         let aged = vec![
             row("S1", "clone then insert", "1000000", "median µs", 8.0),
             row("F1", exhaustive, "4", "shard copies", 0.0),
@@ -238,27 +266,10 @@ mod tests {
     }
 
     #[test]
-    fn tolerates_baselines_predating_the_chaos_sweep() {
-        // A baseline recorded before the F4 chaos sweep existed: every F4
-        // row is one-sided and must be skipped, while shared rows still
-        // compare. Within F4 only the wall-time row is ever a timing row —
-        // `answers unchanged`, the failover rate and the breaker ledger are
-        // semantic counters, never perf regressions.
-        let baseline = vec![row("E1", "CQ", "1", "median µs", 10.0)];
-        let fresh = vec![
-            row("E1", "CQ", "1", "median µs", 12.0),
-            row("F4", "killed primary", "10000", "answers unchanged", 1.0),
-            row("F4", "killed primary", "10000", "failover rate", 0.6),
-            row("F4", "killed primary", "10000", "dead skips", 14.0),
-            row("F4", "flaky primary", "10000", "breaker trips", 1.0),
-            row("F4", "flaky primary", "10000", "wall µs/access", 85.0),
-        ];
-        let report = compare_rows(&baseline, &fresh, 2.0);
-        assert_eq!(report.compared, 1);
-        assert!(report.regressions.is_empty());
-
-        // Once both sides carry F4, its wall-time row (and only that row)
-        // is regression-checked.
+    fn chaos_counters_are_not_timing_rows() {
+        // Within F4 only the wall-time row is a timing row: `answers
+        // unchanged`, the failover rate and the breaker ledger are semantic
+        // counters, never perf regressions.
         let aged = vec![
             row("F4", "flaky primary", "10000", "wall µs/access", 40.0),
             row("F4", "flaky primary", "10000", "breaker trips", 1.0),
@@ -274,30 +285,11 @@ mod tests {
     }
 
     #[test]
-    fn tolerates_baselines_predating_the_invalidation_series() {
-        // A baseline recorded before the F1 invalidation series existed:
-        // its rows are one-sided and must be skipped, while shared rows
-        // still compare. `re-checks/round` and `evictions` are semantic
-        // counters — they are never timing-regression-checked; only the
-        // series' wall-time row is.
+    fn invalidation_counters_are_not_timing_rows() {
+        // `re-checks/round` and `evictions` are semantic counters; only the
+        // invalidation series' wall-time rows are regression-checked, and a
+        // counter jump is a semantic diff, not perf.
         let exact = "E5 federation (invalidation, exact)";
-        let relation = "E5 federation (invalidation, relation-level)";
-        let baseline = vec![row("E1", "CQ", "1", "median µs", 10.0)];
-        let fresh = vec![
-            row("E1", "CQ", "1", "median µs", 11.0),
-            row("F1", exact, "4", "re-checks/round", 90.0),
-            row("F1", exact, "4", "evictions", 120.0),
-            row("F1", exact, "4", "wall µs/access", 150.0),
-            row("F1", relation, "4", "re-checks/round", 115.0),
-            row("F1", relation, "4", "evictions", 180.0),
-            row("F1", relation, "4", "wall µs/access", 140.0),
-        ];
-        let report = compare_rows(&baseline, &fresh, 2.0);
-        assert_eq!(report.compared, 1);
-        assert!(report.regressions.is_empty());
-
-        // Once both sides carry the series, only its wall-time rows are
-        // regression-checked; a counter jump is a semantic diff, not perf.
         let aged = vec![
             row("F1", exact, "4", "wall µs/access", 100.0),
             row("F1", exact, "4", "re-checks/round", 90.0),
@@ -374,45 +366,16 @@ mod tests {
         let baseline = vec![
             row("F3", "E5 serving", "4", "p50 session µs", 100.0),
             row("F2", "E5 async", "4", "virtual µs/access", 60.0),
-            row("F1", "IR sweep", "2", "sweep µs", 900.0),
+            row("E1", "CQ", "1", "median µs", 10.0),
         ];
         let fresh = vec![
             row("F3", "E5 serving", "4", "p50 session µs", 150.0),
             row("F2", "E5 async", "4", "virtual µs/access", 61.0),
-            row("F1", "IR sweep", "2", "sweep µs", 1000.0),
+            row("E1", "CQ", "1", "median µs", 15.0),
         ];
         let report = compare_rows(&baseline, &fresh, 2.0);
         assert_eq!((report.compared, report.counts_compared), (3, 0));
         assert!(report.regressions.is_empty());
-        assert!(report.changed_counts.is_empty());
-    }
-
-    #[test]
-    fn one_sided_count_rows_are_not_changes() {
-        // A count row only one side carries (a new series, or one the fresh
-        // run dropped) is skipped, like a one-sided timing row.
-        let baseline = vec![
-            row(
-                "F1",
-                "E5 federation (ltr-guided, eager)",
-                "8",
-                "accesses",
-                13.0,
-            ),
-            row("F1", "E5 federation (exhaustive)", "4", "accesses", 48.0),
-        ];
-        let fresh = vec![
-            row("F1", "E5 federation (exhaustive)", "4", "accesses", 48.0),
-            row(
-                "F1",
-                "E5 federation (invalidation, precise)",
-                "4",
-                "evictions",
-                3442.0,
-            ),
-        ];
-        let report = compare_rows(&baseline, &fresh, 2.0);
-        assert_eq!(report.counts_compared, 1);
         assert!(report.changed_counts.is_empty());
     }
 }

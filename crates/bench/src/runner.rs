@@ -3,18 +3,16 @@
 
 use std::time::Instant;
 
-use accrel_access::enumerate::{well_formed_accesses, EnumerationOptions};
 use accrel_core::{
     is_contained, is_immediately_relevant, is_immediately_relevant_given_uncertain,
     is_long_term_relevant, ltr_independent, reductions,
 };
 use accrel_engine::{
-    compare_strategies, BatchStats, DeepWebSource, Executor, InvalidationMode, RelevanceKind,
-    ResponsePolicy, RunOptions, RunReport, RunRequest, Sequential, SpeculationMode, Strategy,
+    compare_strategies, BatchStats, DeepWebSource, Executor, InvalidationMode, ResponsePolicy,
+    RunOptions, RunReport, RunRequest, Sequential, SpeculationMode, Strategy,
 };
 use accrel_federation::{
-    parallel_relevance_sweep_report, Async, ChurnScript, FlakyModel, QuerySessionRegistry,
-    ServingOptions, Threaded,
+    Async, ChurnScript, FlakyModel, QuerySessionRegistry, ServingOptions, Threaded,
 };
 use accrel_query::{certain, Query};
 use accrel_workloads::encodings::{encode_prop_6_2, encoding_stats};
@@ -574,25 +572,22 @@ pub fn e8_reductions(repeats: usize) -> Table {
     }
 }
 
-/// F1 — the parallel federation sweep: an exhaustive engine run over the
+/// F1 — the threaded federation sweep: an exhaustive engine run over the
 /// `facts`-fact E5 federation fixture at every batch size (workers scale
-/// with the batch), plus a parallel immediate-relevance sweep over the
-/// fixture's candidate accesses at every worker count. Latencies are really
-/// slept, so the per-access wall time shows the batching payoff.
+/// with the batch), then a Hybrid run under each invalidation mode.
+/// Latencies are really slept, so the per-access wall time shows the
+/// batching payoff.
 ///
 /// The hidden instance is generated **once** per harness scale — callers
 /// build a [`fixtures::FederationWorld`] and F1 and F2 both derive their
 /// fixtures from it (sources are immutable; statistics are reset between
 /// runs) — at the 10⁶-fact scale of `run_all`, rebuilding it per batch size
 /// (or per table) used to dominate the sweep. Each run's `shard copies` row
-/// reports the copy-on-write traffic of its configuration handle, and the
-/// sweep rows include the snapshot copy count, which stays zero: read-only
-/// workers share every shard of the million-fact configuration.
+/// reports the copy-on-write traffic of its configuration handle.
 pub fn f1_federation_sweep(
     world: &fixtures::FederationWorld,
     max_accesses: usize,
     batch_sizes: &[usize],
-    sweep_workers: &[usize],
 ) -> Table {
     let facts = world.facts();
     let mut rows = Vec::new();
@@ -698,51 +693,11 @@ pub fn f1_federation_sweep(
             wall / report.accesses_made.max(1) as f64,
         ));
     }
-    // Parallel relevance sweep over the candidate accesses of the seed
-    // configuration. The slept fixture is reused — the sweep runs the IR
-    // decision procedure, never a source call, so the latency models are
-    // irrelevant and a second hidden-instance build would be pure waste.
-    let methods = slept.federation.methods().clone();
-    let candidates = well_formed_accesses(
-        &slept.initial,
-        &methods,
-        &EnumerationOptions {
-            guessable_values: Vec::new(),
-            max_accesses: 256,
-        },
-    );
-    let budget = accrel_core::SearchBudget::default();
-    for &workers in sweep_workers {
-        let start = Instant::now();
-        let report = parallel_relevance_sweep_report(
-            &slept.query,
-            &slept.initial,
-            &candidates,
-            &methods,
-            RelevanceKind::Immediate,
-            &budget,
-            workers,
-        );
-        let wall = start.elapsed().as_secs_f64() * 1e6;
-        rows.push(Row::new("IR sweep", workers, "sweep µs", wall));
-        rows.push(Row::new(
-            "IR sweep",
-            workers,
-            "checks",
-            report.verdicts.len() as f64,
-        ));
-        rows.push(Row::new(
-            "IR sweep",
-            workers,
-            "snapshot shard copies",
-            report.worker_shard_copies as f64,
-        ));
-    }
     Table {
         id: "F1".to_string(),
         title: format!(
-            "Federation sweep at {facts} facts: batched exhaustive throughput and parallel \
-             relevance checks"
+            "Federation sweep at {facts} facts: batched exhaustive throughput and read-set \
+             invalidation"
         ),
         rows,
     }
@@ -756,6 +711,15 @@ pub fn f1_federation_sweep(
 /// as the in-flight limit lets more round trips overlap — measured with
 /// zero real sleeps (the `wall µs/access` row shows the executor's true
 /// CPU cost stays flat).
+///
+/// Four guided series follow at the largest in-flight limit, under the
+/// shallow budget: `ltr-guided` and `hybrid`, each under both speculation
+/// modes. Under `cached-only` a guided strategy fetches one access per
+/// batch; under `eager` it runs the decision procedures to predict a
+/// relevance-verified batch. Their `virtual µs/access` against `wall
+/// µs/access` is what that extra checking buys when source latency
+/// dominates, and `wasted prefetches` counts the predicted accesses the run
+/// never selected.
 pub fn f2_async_sweep(
     world: &fixtures::FederationWorld,
     max_accesses: usize,
@@ -765,55 +729,23 @@ pub fn f2_async_sweep(
     let facts = world.facts();
     let mut rows = Vec::new();
     let fixture = fixtures::async_federation_fixture_from(world, 100);
+    let options = |workers| RunOptions {
+        max_accesses,
+        stop_when_certain: false,
+        batch_size,
+        workers,
+        speculation: SpeculationMode::CachedOnly,
+        ..RunOptions::default()
+    };
     for &in_flight in in_flight_limits {
-        fixture.federation.reset_stats();
-        let virtual_before = fixture.federation.clock().now_micros();
-        let options = RunOptions {
-            max_accesses,
-            stop_when_certain: false,
-            batch_size,
-            workers: in_flight,
-            speculation: SpeculationMode::CachedOnly,
-            ..RunOptions::default()
-        };
-        let request = RunRequest::new(fixture.query.clone())
-            .with_strategy(Strategy::Exhaustive)
-            .with_options(options);
-        let start = Instant::now();
-        let report = Async::new(&fixture.federation).execute(&request, &fixture.initial);
-        let wall = start.elapsed().as_secs_f64() * 1e6;
-        let virtual_elapsed = fixture.federation.clock().now_micros() - virtual_before;
         let series = "E5 async federation (exhaustive)";
-        rows.push(Row::new(
+        let report = f2_run(
+            &fixture,
             series,
-            in_flight,
-            "virtual µs/access",
-            virtual_elapsed as f64 / report.accesses_made.max(1) as f64,
-        ));
-        rows.push(Row::new(
-            series,
-            in_flight,
-            "wall µs/access",
-            wall / report.accesses_made.max(1) as f64,
-        ));
-        rows.push(Row::new(
-            series,
-            in_flight,
-            "accesses",
-            report.accesses_made as f64,
-        ));
-        rows.push(Row::new(
-            series,
-            in_flight,
-            "mean batch",
-            report.batch_stats.mean_batch(),
-        ));
-        rows.push(Row::new(
-            series,
-            in_flight,
-            "source calls",
-            report.source_stats.calls as f64,
-        ));
+            Strategy::Exhaustive,
+            options(in_flight),
+            &mut rows,
+        );
         rows.push(Row::new(
             series,
             in_flight,
@@ -821,14 +753,68 @@ pub fn f2_async_sweep(
             report.shard_copies as f64,
         ));
     }
+    if let Some(&in_flight) = in_flight_limits.iter().max() {
+        for strategy in [Strategy::LtrGuided, Strategy::Hybrid] {
+            for (mode, speculation) in [
+                ("cached-only", SpeculationMode::CachedOnly),
+                ("eager", SpeculationMode::Eager),
+            ] {
+                let series = format!("E5 async federation ({}, {mode})", strategy.name());
+                let options = RunOptions {
+                    speculation,
+                    budget: accrel_core::SearchBudget::shallow(),
+                    ..options(in_flight)
+                };
+                let report = f2_run(&fixture, &series, strategy, options, &mut rows);
+                rows.push(Row::new(
+                    series,
+                    in_flight,
+                    "wasted prefetches",
+                    report.batch_stats.speculative_wasted as f64,
+                ));
+            }
+        }
+    }
     Table {
         id: "F2".to_string(),
         title: format!(
             "Async federation sweep at {facts} facts: virtual-clock throughput vs in-flight \
-             limit (batch size {batch_size}, no real sleeps)"
+             limit (batch size {batch_size}, no real sleeps), exhaustive and guided"
         ),
         rows,
     }
+}
+
+/// Runs one F2 request on `fixture` and pushes the rows every F2 series
+/// reports, keyed by the request's in-flight limit; returns the report for
+/// the series' own rows.
+fn f2_run(
+    fixture: &fixtures::AsyncFederationFixture,
+    series: &str,
+    strategy: Strategy,
+    options: RunOptions,
+    rows: &mut Vec<Row>,
+) -> RunReport {
+    fixture.federation.reset_stats();
+    let in_flight = options.workers;
+    let virtual_before = fixture.federation.clock().now_micros();
+    let request = RunRequest::new(fixture.query.clone())
+        .with_strategy(strategy)
+        .with_options(options);
+    let start = Instant::now();
+    let report = Async::new(&fixture.federation).execute(&request, &fixture.initial);
+    let wall = start.elapsed().as_secs_f64() * 1e6;
+    let virtual_elapsed = (fixture.federation.clock().now_micros() - virtual_before) as f64;
+    let accesses = report.accesses_made.max(1) as f64;
+    let mut push = |metric: &str, value: f64| {
+        rows.push(Row::new(series, in_flight, metric, value));
+    };
+    push("virtual µs/access", virtual_elapsed / accesses);
+    push("wall µs/access", wall / accesses);
+    push("accesses", report.accesses_made as f64);
+    push("mean batch", report.batch_stats.mean_batch());
+    push("source calls", report.source_stats.calls as f64);
+    report
 }
 
 /// F3 — the multi-tenant serving sweep: `n` identical exhaustive sessions
@@ -841,7 +827,7 @@ pub fn f2_async_sweep(
 /// vs `session calls` shows the deduplication directly (wire calls grow
 /// sublinearly in the session count), and the p50/p95 rows report the
 /// per-session virtual-latency distribution under contention. Two mixed
-/// serves follow (see [`f3_mixed_serves`]), whose count rows pin the order
+/// serves follow (see `f3_mixed_serves`), whose count rows pin the order
 /// in which the serving layer fetches.
 pub fn f3_serving_sweep(
     world: &fixtures::FederationWorld,
@@ -1123,7 +1109,7 @@ pub fn run_all() -> Vec<Table> {
         e7_engine_ablation(3),
         e8_reductions(3),
         s1_store_ops(&[100_000, 1_000_000], 3),
-        f1_federation_sweep(&world, 96, &[1, 2, 4, 8, 16, 32], &[1, 2, 4, 8]),
+        f1_federation_sweep(&world, 96, &[1, 2, 4, 8, 16, 32]),
         f2_async_sweep(&world, 96, 16, &[1, 2, 4, 8, 16]),
         f3_serving_sweep(&world, 96, &[1, 4, 16, 64]),
         f4_chaos_sweep(&world, 96),
@@ -1146,7 +1132,7 @@ pub fn run_smoke() -> Vec<Table> {
         e7_engine_ablation(1),
         e8_reductions(1),
         s1_store_ops(&[100_000], 1),
-        f1_federation_sweep(&world, 48, &[1, 4, 16], &[1, 2, 4]),
+        f1_federation_sweep(&world, 48, &[1, 4, 16]),
         f2_async_sweep(&world, 48, 16, &[1, 2, 4, 8]),
         f3_serving_sweep(&world, 48, &[1, 4, 16]),
         f4_chaos_sweep(&world, 48),
@@ -1259,17 +1245,18 @@ pub fn check_invalidation_savings() -> Result<InvalidationSavings, String> {
     Ok(savings)
 }
 
-/// The million-fact job: the E5 data-complexity point plus the F1
-/// (threaded), F2 (async, virtual-clock) and F3 (multi-tenant serving)
-/// sweeps at 10⁶ facts, once each — the non-blocking CI step compares the
-/// resulting JSON against `BENCH_million_baseline.json` (which may predate
-/// F2/F3; missing rows are ignored by `bench_compare`) and uploads it.
+/// The million-fact job: the E5 data-complexity point, the S1 store table
+/// and the F1 (threaded), F2 (async, virtual-clock), F3 (multi-tenant
+/// serving) and F4 (chaos) sweeps at 10⁶ facts, once each — the
+/// non-blocking CI step compares the resulting JSON against
+/// `BENCH_million_baseline.json`, whose key set matches this job's, and
+/// uploads it.
 pub fn run_million() -> Vec<Table> {
     let world = fixtures::federation_world(1_000_000);
     vec![
         e5_data_complexity(&[1_000_000], 1),
         s1_store_ops(&[1_000_000], 1),
-        f1_federation_sweep(&world, 48, &[8], &[4, 8]),
+        f1_federation_sweep(&world, 48, &[8]),
         f2_async_sweep(&world, 48, 16, &[4, 8]),
         f3_serving_sweep(&world, 48, &[1, 4, 16, 64]),
         f4_chaos_sweep(&world, 48),
@@ -1426,7 +1413,7 @@ mod tests {
     fn federation_sweep_reports_effective_batching() {
         // A scaled-down F1 (10³ facts to keep the test quick): batch size 4
         // must report a mean batch above 1 on the exhaustive run.
-        let table = f1_federation_sweep(&fixtures::federation_world(1_000), 24, &[1, 4], &[1, 2]);
+        let table = f1_federation_sweep(&fixtures::federation_world(1_000), 24, &[1, 4]);
         assert_eq!(table.id, "F1");
         let mean_batch_at = |batch: &str| {
             table
@@ -1438,28 +1425,9 @@ mod tests {
         };
         assert!((mean_batch_at("1") - 1.0).abs() < 1e-9);
         assert!(mean_batch_at("4") > 1.0, "batching must be effective");
-        // Sweep rows exist for every worker count, with identical check
-        // counts.
-        let checks: Vec<f64> = table
-            .rows
-            .iter()
-            .filter(|r| r.metric == "checks")
-            .map(|r| r.value)
-            .collect();
-        assert_eq!(checks.len(), 2);
-        assert!(checks[0] > 0.0);
-        assert_eq!(checks[0], checks[1]);
         // Copy-on-write observability: the batched runs report their shard
-        // copies; the read-only sweep snapshots report exactly zero.
+        // copies.
         assert!(table.rows.iter().any(|r| r.metric == "shard copies"));
-        let snapshot_copies: Vec<f64> = table
-            .rows
-            .iter()
-            .filter(|r| r.metric == "snapshot shard copies")
-            .map(|r| r.value)
-            .collect();
-        assert_eq!(snapshot_copies.len(), 2);
-        assert!(snapshot_copies.iter().all(|&c| c == 0.0));
     }
 
     /// Acceptance pin: at the 10⁴-fact E5 fixture, raising the in-flight
@@ -1475,7 +1443,11 @@ mod tests {
             table
                 .rows
                 .iter()
-                .find(|r| r.metric == metric && r.parameter == in_flight)
+                .find(|r| {
+                    r.series == "E5 async federation (exhaustive)"
+                        && r.metric == metric
+                        && r.parameter == in_flight
+                })
                 .map(|r| r.value)
                 .unwrap_or_else(|| panic!("row {metric}@{in_flight} present"))
         };

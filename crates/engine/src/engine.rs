@@ -161,8 +161,8 @@ pub struct RunReport {
     /// the first growth of a relation copies that relation's shard (plus
     /// the adom cache, plus the interner when the response carried new
     /// values) while the initial configuration still shares it. Zero for
-    /// runs whose responses never grew the configuration — and for
-    /// read-only snapshot consumers such as the parallel sweep workers.
+    /// runs whose responses never grew the configuration: the decision
+    /// procedures and batch prediction only read it.
     pub shard_copies: u64,
     /// Always zero: no decision procedure writes the configuration, so
     /// there is nothing to undo. Kept only because the benchmark package

@@ -44,14 +44,18 @@
 //!
 //! Concurrency enters *only* through speculative response prefetching: before
 //! the selected access is fetched, the loop predicts the accesses the
-//! strategy would pick next if every response were empty (from cached
-//! verdicts alone, or — under [`SpeculationMode::Eager`] — via a scratch copy
-//! of the oracle, so predictions never touch the authoritative verdict log)
-//! and asks for the whole batch. Responses are consumed in selection order,
-//! never in arrival order. Mispredicted prefetches are not discarded: a
-//! deterministic response fetched early stays valid, so it is kept until the
-//! loop selects its access (or the run ends, which is the only way a prefetch
-//! is wasted — reported in [`BatchStats::speculative_wasted`]). The loop
+//! strategy would pick next if every response were empty and asks for the
+//! whole batch. Prediction is one walk over the unfetched pending accesses
+//! in key order: `Exhaustive` takes them as they come, and a guided
+//! strategy takes those it finds relevant, but only under
+//! [`SpeculationMode::Eager`], whose verdicts come from the cache or from a
+//! side-effect-free oracle call ([`RelevanceOracle::predict`]), so
+//! prediction never touches the verdict log, the counters or the shared
+//! cache. Responses are consumed in selection order, never in arrival
+//! order. Mispredicted prefetches are not discarded: a deterministic
+//! response fetched early stays valid, so it is kept until the loop selects
+//! its access (or the run ends, which is the only way a prefetch is wasted
+//! — reported in [`BatchStats::speculative_wasted`]). The loop
 //! keeps those responses in its one pending map, beside the accesses they
 //! answer: each pending access is unfetched, fetched with its response, or
 //! failed, so selection and prediction walk one ordered structure and tell a
@@ -345,98 +349,67 @@ impl<'q> MergeLoop<'q> {
     }
 
     /// The batch the strategy would execute next if every response were
-    /// empty: the selected access plus up to `batch_size - 1` follow-ups.
-    /// Accesses whose responses are already fetched are skipped — their
-    /// round trip is already paid for. The selected access has left the
-    /// pending map, so it is never predicted twice.
-    fn predict_batch(&mut self, first: &Access, allowance: usize) -> Vec<Access> {
+    /// empty: the selected access plus up to `batch_size - 1` unfetched
+    /// pending accesses, in key order. Accesses whose responses are already
+    /// fetched are skipped — their round trip is already paid for. The
+    /// selected access has left the pending map, so it is never predicted
+    /// twice.
+    ///
+    /// `Exhaustive` takes the next unfetched accesses without a verdict. A
+    /// guided strategy under [`SpeculationMode::CachedOnly`] predicts
+    /// nothing: `select` stops at the first candidate it finds relevant and
+    /// takes it out of the pending map, and nothing else caches a verdict,
+    /// so every cached verdict of a pending access is `false`. Under
+    /// [`SpeculationMode::Eager`] each unfetched access is kept when
+    /// [`RelevanceOracle::predict`] finds it relevant; `Hybrid` takes the
+    /// IR-relevant ones first, then the LTR-relevant ones among the rest,
+    /// as its selection would.
+    fn predict_batch(&self, first: &Access, allowance: usize) -> Vec<Access> {
         let limit = self.options.batch_size.min(allowance).max(1);
         let mut batch = vec![first.clone()];
         if limit == 1 {
             return batch;
         }
-        match self.options.speculation {
-            SpeculationMode::Eager => self.predict_eager(&mut batch, limit),
-            SpeculationMode::CachedOnly => self.predict_cached(&mut batch, limit),
-        }
-        batch
-    }
-
-    /// Eager prediction: replay the strategy's selection on a scratch oracle
-    /// (new verdicts computed, then discarded) over the remaining pending
-    /// candidates. The decision procedures only read the configuration, so
-    /// prediction never writes it.
-    fn predict_eager(&mut self, batch: &mut Vec<Access>, limit: usize) {
-        let mut scratch = self.oracle.scratch();
-        let mut rest: BTreeMap<&Access, &Fetch> = self.pending.iter().collect();
-        let mut skipped = 0usize;
-        while batch.len() < limit {
-            let next = scratch.select(
-                self.strategy,
-                rest.keys().copied(),
-                &mut self.conf,
-                &mut skipped,
-            );
-            let Some(next) = next else {
-                break;
-            };
-            if let Some(Fetch::Unfetched) = rest.remove(&next) {
-                batch.push(next);
+        let unfetched = self
+            .pending
+            .iter()
+            .filter(|(_, fetch)| matches!(fetch, Fetch::Unfetched))
+            .map(|(access, _)| access);
+        let (kind, fallback) = match (self.strategy, self.options.speculation) {
+            (Strategy::Exhaustive, _) => {
+                batch.extend(unfetched.take(limit - 1).cloned());
+                return batch;
             }
-        }
-    }
-
-    /// Cache-only prediction: walk the pending candidates in selection order
-    /// using cached verdicts alone, stopping at the first candidate whose
-    /// needed verdict is unknown (the strategy's next pick cannot be
-    /// anticipated past it without running a decision procedure).
-    fn predict_cached(&self, batch: &mut Vec<Access>, limit: usize) {
-        let push = |batch: &mut Vec<Access>, a: &Access, fetch: &Fetch| {
-            if let Fetch::Unfetched = fetch {
-                batch.push(a.clone());
+            (_, SpeculationMode::CachedOnly) => return batch,
+            (Strategy::IrGuided, SpeculationMode::Eager) => (RelevanceKind::Immediate, None),
+            (Strategy::LtrGuided, SpeculationMode::Eager) => (RelevanceKind::LongTerm, None),
+            (Strategy::Hybrid, SpeculationMode::Eager) => {
+                (RelevanceKind::Immediate, Some(RelevanceKind::LongTerm))
             }
         };
-        // Pushes the successive pending candidates whose `kind` verdict is
-        // cached true, up to the limit or the first unknown verdict.
-        let walk = |batch: &mut Vec<Access>, kind: RelevanceKind| {
-            for (a, fetch) in &self.pending {
+        let relevant = |kind, access: &Access| self.oracle.predict(kind, access, &self.conf);
+        let mut rejected = Vec::new();
+        for access in unfetched {
+            if batch.len() >= limit {
+                return batch;
+            }
+            if relevant(kind, access) {
+                batch.push(access.clone());
+            } else if fallback.is_some() {
+                rejected.push(access);
+            }
+        }
+        if let Some(kind) = fallback {
+            for access in rejected {
                 if batch.len() >= limit {
                     break;
                 }
-                match self.oracle.peek(kind, a) {
-                    Some(true) => push(batch, a, fetch),
-                    Some(false) => {}
-                    None => break,
+                if relevant(kind, access) {
+                    batch.push(access.clone());
                 }
-            }
-        };
-        match self.strategy {
-            Strategy::Exhaustive => {
-                for (a, fetch) in &self.pending {
-                    if batch.len() >= limit {
-                        break;
-                    }
-                    push(batch, a, fetch);
-                }
-            }
-            Strategy::IrGuided => walk(batch, RelevanceKind::Immediate),
-            Strategy::LtrGuided => walk(batch, RelevanceKind::LongTerm),
-            Strategy::Hybrid => {
-                // The LTR fallback runs only when every IR verdict is false,
-                // so it is predicted only when every pending IR verdict is
-                // cached false.
-                let all_ir_false = self
-                    .pending
-                    .keys()
-                    .all(|a| self.oracle.peek(RelevanceKind::Immediate, a) == Some(false));
-                let kind = if all_ir_false {
-                    RelevanceKind::LongTerm
-                } else {
-                    RelevanceKind::Immediate
-                };
-                walk(batch, kind);
             }
         }
+        batch
     }
 }
 
@@ -468,8 +441,13 @@ fn guessable_pool(
 mod tests {
     use super::*;
     use crate::run::{Executor, RunRequest, Sequential};
-    use crate::scenarios::bank_scenario;
+    use crate::scenarios::{bank_scenario, Scenario};
     use crate::source::{DeepWebSource, ResponsePolicy};
+    use accrel_core::{is_immediately_relevant, is_long_term_relevant};
+    use accrel_query::{ConjunctiveQuery, Term};
+    use accrel_schema::{Instance, Schema};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn bank_source() -> (DeepWebSource, crate::scenarios::Scenario) {
         let scenario = bank_scenario();
@@ -519,5 +497,204 @@ mod tests {
         assert!(built.contains(&Value::sym("guess")));
         assert!(initial.all_values().iter().all(|v| built.contains(v)));
         assert!(built.is_sorted());
+    }
+
+    /// A small random scenario: three binary relations over one domain, each
+    /// behind a method on its first attribute (dependent or independent at
+    /// random), 40 hidden facts over 10 constants, a Boolean three-atom
+    /// chain query with a constant now and then, and the first 4 hidden
+    /// facts as the initial configuration.
+    fn random_scenario(seed: u64) -> Scenario {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let names = ["R0", "R1", "R2"];
+        let mut b = Schema::builder();
+        let d = b.domain("D").unwrap();
+        for name in names {
+            b.relation(name, &[("a", d), ("b", d)]).unwrap();
+        }
+        let schema = b.build();
+        let mut mb = AccessMethods::builder(schema.clone());
+        for (i, name) in names.iter().enumerate() {
+            let mode = if rng.gen_bool(0.5) {
+                AccessMode::Dependent
+            } else {
+                AccessMode::Independent
+            };
+            mb.add(format!("Acc{i}"), name, &["a"], mode).unwrap();
+        }
+        let constant = |rng: &mut StdRng| format!("c{}", rng.gen_range(0..10));
+        let mut instance = Instance::new(schema.clone());
+        let mut initial = Configuration::empty(schema.clone());
+        for i in 0..40 {
+            let name = names[rng.gen_range(0..3)];
+            let fact = [constant(&mut rng), constant(&mut rng)];
+            if i < 4 {
+                initial.insert_named(name, fact.clone()).unwrap();
+            }
+            instance.insert_named(name, fact).unwrap();
+        }
+        let mut qb = ConjunctiveQuery::builder(schema.clone());
+        let vars: Vec<_> = (0..4).map(|i| qb.var(format!("x{i}"))).collect();
+        for hop in 0..3 {
+            let mut term = |v| {
+                if rng.gen_bool(0.2) {
+                    Term::constant(constant(&mut rng))
+                } else {
+                    Term::Var(v)
+                }
+            };
+            let terms = vec![term(vars[hop]), term(vars[hop + 1])];
+            qb.atom(names[rng.gen_range(0..3)], terms).unwrap();
+        }
+        Scenario {
+            name: format!("random-{seed}"),
+            description: "random merge-loop scenario".to_string(),
+            schema,
+            methods: mb.build(),
+            instance,
+            query: qb.build().into(),
+            initial_configuration: initial,
+            expected_answer: false,
+        }
+    }
+
+    /// The options of the Eager checks: batches of 4, a shallow budget and
+    /// an access cap keep the LTR-guided runs small.
+    fn eager_options(use_relevance_cache: bool) -> RunOptions {
+        RunOptions {
+            max_accesses: 12,
+            batch_size: 4,
+            budget: accrel_core::SearchBudget::shallow(),
+            speculation: SpeculationMode::Eager,
+            use_relevance_cache,
+            ..RunOptions::default()
+        }
+    }
+
+    /// Drives `merge` to completion against `source`, handing `check` the
+    /// loop and each predicted batch before its responses are supplied.
+    fn drive(
+        mut merge: MergeLoop<'_>,
+        source: &DeepWebSource,
+        mut check: impl FnMut(&MergeLoop<'_>, &[Access]),
+    ) -> RunReport {
+        while let MergeStep::Fetch(batch) = merge.step() {
+            check(&merge, &batch);
+            let responses: Vec<_> = batch.iter().map(|a| source.call(a)).collect();
+            merge.supply(batch, responses);
+        }
+        merge.into_report()
+    }
+
+    /// The batch `merge` should have predicted after selecting `first`,
+    /// from the public decision procedures at its configuration: the
+    /// unfetched pending accesses in key order that the strategy finds
+    /// relevant (for `Hybrid`, the IR-relevant ones, then the LTR-relevant
+    /// ones among the rest), up to the batch limit.
+    fn reference_batch(merge: &MergeLoop<'_>, first: &Access) -> Vec<Access> {
+        let (query, conf, methods) = (merge.query, &merge.conf, merge.methods);
+        let ir = |a: &Access| is_immediately_relevant(query, conf, a, methods);
+        let ltr =
+            |a: &Access| is_long_term_relevant(query, conf, a, methods, &merge.options.budget);
+        let unfetched: Vec<&Access> = merge
+            .pending
+            .iter()
+            .filter(|(_, fetch)| matches!(fetch, Fetch::Unfetched))
+            .map(|(a, _)| a)
+            .collect();
+        let mut ranked: Vec<&Access> = match merge.strategy {
+            Strategy::Exhaustive => unfetched,
+            Strategy::IrGuided => unfetched.into_iter().filter(|a| ir(a)).collect(),
+            Strategy::LtrGuided => unfetched.into_iter().filter(|a| ltr(a)).collect(),
+            Strategy::Hybrid => {
+                let (mut relevant, rest): (Vec<_>, Vec<_>) =
+                    unfetched.into_iter().partition(|a| ir(a));
+                relevant.extend(rest.into_iter().filter(|a| ltr(a)));
+                relevant
+            }
+        };
+        let allowance = merge.options.max_accesses - merge.accesses_made;
+        let limit = merge.options.batch_size.min(allowance).max(1);
+        ranked.truncate(limit - 1);
+        std::iter::once(first.clone())
+            .chain(ranked.into_iter().cloned())
+            .collect()
+    }
+
+    /// Every Eager batch is the reference batch of its configuration, on
+    /// the bank scenario and a random one, with the relevance cache on and
+    /// off, for every guided strategy.
+    #[test]
+    fn eager_batches_match_the_decision_procedures() {
+        let mut multi_access_batches = 0;
+        for scenario in [bank_scenario(), random_scenario(10)] {
+            let source = DeepWebSource::new(
+                scenario.instance.clone(),
+                scenario.methods.clone(),
+                ResponsePolicy::Exact,
+            );
+            for cache in [true, false] {
+                for strategy in [Strategy::IrGuided, Strategy::LtrGuided, Strategy::Hybrid] {
+                    let merge = MergeLoop::new(
+                        &scenario.query,
+                        strategy,
+                        &eager_options(cache),
+                        &scenario.methods,
+                        &scenario.initial_configuration,
+                    );
+                    drive(merge, &source, |merge, batch| {
+                        assert_eq!(
+                            batch,
+                            reference_batch(merge, &batch[0]),
+                            "scenario={} strategy={strategy:?} cache={cache}",
+                            scenario.name
+                        );
+                        multi_access_batches += usize::from(batch.len() > 1);
+                    });
+                }
+            }
+        }
+        assert!(multi_access_batches > 0, "no batch was ever predicted");
+    }
+
+    /// Predicting a batch has no side effect on the oracle or the shared
+    /// cache: predicting it again returns the same batch and leaves the
+    /// hits, misses, verdict log, evictions and read counts as they were.
+    #[test]
+    fn predicting_a_batch_leaves_the_oracle_unchanged() {
+        let scenario = bank_scenario();
+        let source = DeepWebSource::new(
+            scenario.instance.clone(),
+            scenario.methods.clone(),
+            ResponsePolicy::Exact,
+        );
+        for strategy in [Strategy::LtrGuided, Strategy::Hybrid] {
+            let shared = SharedVerdictCache::new();
+            let merge = MergeLoop::new(
+                &scenario.query,
+                strategy,
+                &eager_options(true),
+                &scenario.methods,
+                &scenario.initial_configuration,
+            )
+            .with_shared_cache(1, shared.clone());
+            let oracle_state = |merge: &MergeLoop<'_>| {
+                let o = &merge.oracle;
+                (
+                    (o.hits(), o.misses(), o.shared_hits()),
+                    (o.evictions(), o.reads_tracked(), o.events_drained()),
+                    (shared.len(), shared.hits(), shared.misses()),
+                    (merge.conf.len(), merge.conf.shard_copies()),
+                    format!("{o:?}"),
+                )
+            };
+            let report = drive(merge, &source, |merge, batch| {
+                let before = oracle_state(merge);
+                let allowance = merge.options.max_accesses - merge.accesses_made;
+                assert_eq!(merge.predict_batch(&batch[0], allowance), batch);
+                assert_eq!(oracle_state(merge), before, "strategy={strategy:?}");
+            });
+            assert!(report.batch_stats.max_batch > 1, "strategy={strategy:?}");
+        }
     }
 }

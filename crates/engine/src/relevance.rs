@@ -74,7 +74,7 @@ pub struct VerdictRecord {
 /// Verdicts without a read set (relation-level mode, shared-cache entries
 /// published without one) fall back to the relation-level dependency under
 /// exact invalidation.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct CachedVerdict {
     verdict: bool,
     /// The verdict consulted the whole configuration (dependent-access
@@ -95,7 +95,7 @@ struct CachedVerdict {
 /// The incremental relevance-verdict cache. One map per check kind, keyed by
 /// the access alone, so cache hits are probed by reference without cloning
 /// the access.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 struct RelevanceCache {
     immediate: HashMap<Access, CachedVerdict>,
     long_term: HashMap<Access, CachedVerdict>,
@@ -340,7 +340,7 @@ impl SharedVerdictCache {
 /// relevant at this configuration" through the incremental cache, applies
 /// the [`Strategy`] selection rules, and logs every decision-procedure
 /// invocation.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct RelevanceOracle<'a> {
     query: &'a Query,
     methods: &'a AccessMethods,
@@ -354,7 +354,6 @@ pub struct RelevanceOracle<'a> {
     shared: Option<(u64, SharedVerdictCache)>,
     shared_hits: usize,
     log: Vec<VerdictRecord>,
-    record: bool,
     invalidation: InvalidationMode,
     evictions: usize,
     events_drained: usize,
@@ -380,7 +379,6 @@ impl<'a> RelevanceOracle<'a> {
             shared: None,
             shared_hits: 0,
             log: Vec::new(),
-            record: true,
             invalidation: options.invalidation,
             evictions: 0,
             events_drained: 0,
@@ -401,23 +399,6 @@ impl<'a> RelevanceOracle<'a> {
         self
     }
 
-    /// A scratch copy for speculative look-ahead: shares the cached verdicts
-    /// accumulated so far but records nothing, so predictions leave the
-    /// authoritative verdict log and counters untouched.
-    ///
-    /// The cross-session cache handle is dropped too: a scratch that kept
-    /// the parent's [`SharedVerdictCache`] leaked speculative probes into it
-    /// — every Eager prediction bumped the shared hit/miss counters and
-    /// published verdicts the authoritative run never logged, so journals
-    /// replayed a cache the run had not actually built.
-    pub fn scratch(&self) -> RelevanceOracle<'a> {
-        let mut copy = self.clone();
-        copy.record = false;
-        copy.log = Vec::new();
-        copy.shared = None;
-        copy
-    }
-
     /// Whether a `kind` verdict depends on every relation. Immediate
     /// relevance of a Boolean query only ever inspects the query's own
     /// relations; everything else is conservatively global. For long-term
@@ -426,8 +407,7 @@ impl<'a> RelevanceOracle<'a> {
     /// query is Boolean, so no head-instantiation reduction runs), the
     /// independent ΣP2 procedure reads the configuration only through the
     /// query's own atoms — responses that grow other relations leave the
-    /// verdict valid, so cached verdicts (and with them the scheduler's
-    /// `CachedOnly` batches) survive those rounds.
+    /// verdict valid, so cached verdicts survive those rounds.
     fn is_global(&self, kind: RelevanceKind) -> bool {
         let all_independent = || {
             self.methods
@@ -557,28 +537,41 @@ impl<'a> RelevanceOracle<'a> {
         if self.cursor.is_none() {
             self.cursor = Some(GrowthCursor::at(conf.store()));
         }
-        if self.record {
-            self.log.push(VerdictRecord {
-                access: access.clone(),
-                kind,
-                verdict,
-            });
-        }
+        self.log.push(VerdictRecord {
+            access: access.clone(),
+            kind,
+            verdict,
+        });
         verdict
     }
 
-    /// The cached verdict for `kind` of `access`, if one is present. Never
-    /// runs a decision procedure and never touches the hit/miss counters —
-    /// this is the speculation-safe read the merge loop predicts batches with.
-    pub fn peek(&self, kind: RelevanceKind, access: &Access) -> Option<bool> {
+    /// The `kind` verdict of `access` at `conf` as [`Self::check_at`] would
+    /// return it, read from the per-run cache or computed afresh, but with
+    /// no side effect: nothing is cached, logged, counted, read-recorded or
+    /// published, and the shared cache is never probed. This is the
+    /// speculation-safe read the merge loop predicts batches with.
+    ///
+    /// With the cache on, a Boolean query's fresh verdicts rest on the
+    /// certainty status, which the last [`Self::select`] refreshed at
+    /// `conf`: prediction follows a guided selection at the same
+    /// configuration.
+    pub(crate) fn predict(
+        &self,
+        kind: RelevanceKind,
+        access: &Access,
+        conf: &Configuration,
+    ) -> bool {
         if !self.use_cache {
-            return None;
+            return self.decide(kind, access, conf);
         }
         let map = match kind {
             RelevanceKind::Immediate => &self.cache.immediate,
             RelevanceKind::LongTerm => &self.cache.long_term,
         };
-        map.get(access).map(|c| c.verdict)
+        match map.get(access) {
+            Some(cached) => cached.verdict,
+            None => self.decide_cached(kind, access, conf),
+        }
     }
 
     /// Immediate-relevance check, via the cache when enabled. The witness
@@ -710,8 +703,8 @@ impl<'a> RelevanceOracle<'a> {
     }
 
     /// Whether an LTR verdict cached right now would depend on every
-    /// relation rather than only the query's — exposed so tests and the
-    /// scheduler's instrumentation can observe the invalidation granularity.
+    /// relation rather than only the query's — exposed so tests can observe
+    /// the invalidation granularity.
     pub fn ltr_dep_is_global(&self) -> bool {
         self.is_global(RelevanceKind::LongTerm)
     }
@@ -972,9 +965,7 @@ mod tests {
             (Strategy::Hybrid, expected_ir || expected_ltr),
         ] {
             let mut skipped = 0usize;
-            let picked = oracle
-                .scratch()
-                .select(strategy, [&access], &mut conf, &mut skipped);
+            let picked = oracle.select(strategy, [&access], &mut conf, &mut skipped);
             assert_eq!(picked.is_some(), relevant, "strategy {strategy:?}");
             assert_eq!(skipped, usize::from(!relevant), "strategy {strategy:?}");
         }

@@ -14,10 +14,6 @@
 //!   engine crate's one flat counter type, re-exported here): a source's
 //!   calls, retries, pages and latency plus the chaos counters charged to
 //!   it, the aggregate being their sum.
-//! * [`parallel_relevance_sweep_report`] — fan-out evaluation of the (pure)
-//!   relevance decision procedures across worker threads, each holding an
-//!   O(relations) copy-on-write snapshot of the configuration, reporting
-//!   that no worker copied a shard.
 //!
 //! ## The async runtime
 //!
@@ -84,7 +80,6 @@ mod routing;
 pub mod scheduler;
 pub mod serving;
 mod source;
-mod sweep;
 
 pub use accrel_engine::BackendStats;
 pub use async_federation::{AsyncFederation, AsyncFederationBuilder};
@@ -101,4 +96,3 @@ pub use journal::RunJournal;
 pub use scheduler::Threaded;
 pub use serving::{QuerySessionRegistry, Serving, ServingOptions, ServingReport, SessionReport};
 pub use source::{FlakyModel, LatencyModel, SimulatedSource, Source};
-pub use sweep::{parallel_relevance_sweep_report, SweepReport};

@@ -14,7 +14,7 @@
 //! call counts (speculative prefetches) differ; the equivalence grid in
 //! `tests/federation_equivalence.rs` pins every policy.
 
-use accrel_engine::{MergeLoop, RunReport, RunRequest};
+use accrel_engine::{MergeLoop, RunOptions, RunReport, RunRequest};
 use accrel_schema::Configuration;
 
 use crate::federation::Federation;
@@ -57,9 +57,8 @@ impl accrel_engine::Executor for Threaded<'_> {
         );
         // Responses come back aligned with the batch: thread completion
         // order never shows.
-        let mut report = merge.run(|batch| {
-            crate::sweep::parallel_map(batch, options.workers, |a| self.federation.call(a))
-        });
+        let mut report =
+            merge.run(|batch| parallel_map(batch, options.workers, |a| self.federation.call(a)));
         report.source_stats = self.federation.stats().since(&stats_before);
         report
     }
@@ -67,6 +66,38 @@ impl accrel_engine::Executor for Threaded<'_> {
     fn reset_stats(&self) {
         self.federation.reset_stats();
     }
+}
+
+/// Applies `f` to every item, partitioned into contiguous chunks across at
+/// most `workers` scoped threads. The result vector is aligned with `items`
+/// — worker completion order never shows.
+fn parallel_map<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    let workers = RunOptions::clamp_workers(workers, items.len());
+    if workers <= 1 {
+        return items.iter().map(f).collect();
+    }
+    let mut results: Vec<Option<R>> = Vec::with_capacity(items.len());
+    results.resize_with(items.len(), || None);
+    let chunk = items.len().div_ceil(workers);
+    std::thread::scope(|scope| {
+        for (chunk_items, out) in items.chunks(chunk).zip(results.chunks_mut(chunk)) {
+            let f = &f;
+            scope.spawn(move || {
+                for (item, slot) in chunk_items.iter().zip(out) {
+                    *slot = Some(f(item));
+                }
+            });
+        }
+    });
+    results
+        .into_iter()
+        .map(|r| r.expect("every slot written by its worker"))
+        .collect()
 }
 
 #[cfg(test)]
@@ -280,5 +311,21 @@ mod tests {
         assert!(report.certain);
         assert_eq!(report.batch_stats.workers, 1);
         assert_eq!(report.batch_stats.max_batch, 1);
+    }
+
+    /// The output is aligned with the input whatever the worker count: none
+    /// (promoted to one), one, two, and more workers than items.
+    #[test]
+    fn parallel_map_output_is_aligned_with_its_input() {
+        let items: Vec<u32> = (0..7).collect();
+        let squares: Vec<u32> = items.iter().map(|i| i * i).collect();
+        for workers in [0, 1, 2, 16] {
+            assert_eq!(
+                parallel_map(&items, workers, |i| i * i),
+                squares,
+                "workers={workers}"
+            );
+        }
+        assert!(parallel_map(&[] as &[u32], 4, |i| i * i).is_empty());
     }
 }

@@ -9,8 +9,8 @@
 //!
 //! * [`LatencyModel`] — a per-source latency distribution (base + seeded
 //!   deterministic jitter per round trip), optionally realised with real
-//!   `thread::sleep`s so the parallel sweep harness measures genuine
-//!   overlap;
+//!   `thread::sleep`s so the F1 harness sweep of the threaded executor
+//!   measures genuine overlap;
 //! * [`FlakyModel`] — deterministic transient failures with an internal
 //!   retry loop, the retried/failed attempts counted separately from
 //!   successful calls;

@@ -57,7 +57,7 @@ pub fn certain_answers(query: &Query, conf: &Configuration) -> Vec<Tuple> {
 /// variables) over one growing configuration, kept up to date semi-naively
 /// (see the module documentation). The status assumes a single
 /// configuration that only grows.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct CertaintyStatus<'q> {
     query: &'q Query,
     /// The verdict of the last refresh; `None` before the first.

@@ -25,11 +25,10 @@ use crate::Result;
 /// [`FactStore`] shares its relation shards, interner and active-domain
 /// cache copy-on-write (see the `store` module docs). [`Configuration::snapshot`]
 /// is the intention-revealing name for that cheap clone: a configuration
-/// that crosses a thread or outlives a call (a sweep worker's view, a run's
-/// working copy) is a snapshot, and [`Configuration::shard_copies`] exposes
-/// how many shards a handle has actually had to copy. The decision
-/// procedures never write a configuration; they evaluate hypothetical facts
-/// as an overlay on it.
+/// that crosses a thread or outlives a call (a run's working copy) is a
+/// snapshot, and [`Configuration::shard_copies`] exposes how many shards a
+/// handle has actually had to copy. The decision procedures never write a
+/// configuration; they evaluate hypothetical facts as an overlay on it.
 #[derive(Clone, Debug)]
 pub struct Configuration {
     store: FactStore,

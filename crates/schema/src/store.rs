@@ -43,8 +43,8 @@
 //! the interner and the active-domain cache. Clones share every shard until
 //! one of them mutates; the first mutation of a *shared* shard copies that
 //! shard alone (`Arc::make_mut`), leaving every other shard shared. This is
-//! what lets the engine loop, the batched executors and the parallel sweep
-//! workers snapshot million-fact configurations for free: read-only
+//! what lets the engine loop and the batched executors snapshot
+//! million-fact configurations for free: read-only
 //! snapshots never copy anything, and a growing engine round pays for the
 //! accessed relation's shard (plus the adom map, plus the interner if the
 //! response carried genuinely new values) — never for the whole store.

@@ -15,7 +15,7 @@
 //! | [`access`] | `accrel-access` | access methods, bindings, responses, access paths, truncation |
 //! | [`core`] | `accrel-core` | immediate & long-term relevance, containment under access limitations, reductions, critical tuples |
 //! | [`engine`] | `accrel-engine` | simulated deep-Web sources, the run loop every executor drives, and the `RunRequest`/`Executor` run API with its `Sequential` executor |
-//! | [`federation`] | `accrel-federation` | concurrent federation runtime: pluggable simulated sources, the `Threaded`/`Async` executors, parallel relevance sweeps, the virtual-clock mini-executor, and the multi-tenant `serving` layer |
+//! | [`federation`] | `accrel-federation` | concurrent federation runtime: pluggable simulated sources, the `Threaded`/`Async` executors, the virtual-clock mini-executor, and the multi-tenant `serving` layer |
 //! | [`workloads`] | `accrel-workloads` | tiling encodings, random generators, synthetic scenarios |
 //!
 //! The [`prelude`] pulls in the end-user surface — build a
@@ -158,8 +158,6 @@ pub mod prelude {
         pub use accrel_federation::executor::{
             yield_now, Executor, JoinHandle, Semaphore, Sleep, VirtualClock, YieldNow,
         };
-        /// Parallel relevance sweeps over copy-on-write snapshots.
-        pub use accrel_federation::{parallel_relevance_sweep_report, SweepReport};
         /// The chaos controller and breaker state machine behind the
         /// prelude-level churn scripts.
         pub use accrel_federation::{ChaosController, CircuitBreaker};

@@ -300,9 +300,9 @@ fn a_torn_journal_tail_still_warm_starts_across_processes() {
 }
 
 /// The warm-start invariant survives **eager speculation**: prediction
-/// probes run on scratch oracles whose shared-cache handle is detached, so
-/// they can neither publish speculative verdicts into the registry's
-/// `SharedVerdictCache` nor be answered from it. A regression here shows up
+/// probes never reach the shared cache, so they can neither publish
+/// speculative verdicts into the registry's `SharedVerdictCache` nor be
+/// answered from it. A regression here shows up
 /// twice: the live run's first serve would report shared hits from its own
 /// speculation (the cache must be cold), and the replayed child would
 /// break `shared_hits == cache_misses` because the journal carried probe
@@ -311,7 +311,7 @@ fn a_torn_journal_tail_still_warm_starts_across_processes() {
 fn eager_speculation_probes_never_leak_into_the_shared_cache() {
     let scenario = bank_scenario();
     // A shallow budget keeps the speculative LTR probes cheap; they still
-    // run on scratch oracles, which is all the leak needs.
+    // run, which is all the leak needs.
     let eager = RunOptions {
         speculation: SpeculationMode::Eager,
         budget: SearchBudget::shallow(),

@@ -129,6 +129,16 @@ fn assert_equivalent(scenario: &Scenario, policy: &ResponsePolicy, batch_size: u
                 "accesses made: {cell}"
             );
             assert_eq!(report.rounds, sequential.rounds, "rounds: {cell}");
+            // The grid runs under `CachedOnly`, where a guided strategy
+            // predicts nothing: selection takes the first candidate it finds
+            // relevant out of the pending map, so every cached verdict of a
+            // pending access is `false` and no follow-up is ever predicted.
+            if strategy != Strategy::Exhaustive {
+                assert!(
+                    report.batch_stats.max_batch <= 1,
+                    "a guided CachedOnly batch grew past its selected access: {cell}"
+                );
+            }
             assert!(
                 report
                     .final_configuration
@@ -203,10 +213,11 @@ fn random_workload_grid_matches_sequential_engine() {
 
 #[test]
 fn eager_speculation_matches_cached_only_and_sequential() {
-    // Eager speculation runs the strategy's selection on a scratch oracle
-    // to predict a batch. Prediction is an optimisation, never a semantic
-    // knob: for every scenario, policy and guided strategy the Eager run
-    // must be byte-for-byte the CachedOnly and sequential runs.
+    // Eager speculation runs the decision procedures, without caching or
+    // logging their verdicts, to predict a batch. Prediction is an
+    // optimisation, never a semantic knob: for every scenario, policy and
+    // guided strategy the Eager run must be byte-for-byte the CachedOnly
+    // and sequential runs.
     let scenarios = [
         bank_scenario(),
         bank_scenario_negative(),

@@ -131,11 +131,11 @@ impl FromIterator<Tuple> for Response {
 /// binding; both are checked.
 ///
 /// With the copy-on-write sharded store the successor is an O(relations)
-/// snapshot of `conf` that physically shares every *other* relation's shard
-/// with its predecessor: only the accessed relation's columns (plus the
-/// adom cache, plus the interner when the response carries new values) are
-/// copied, so the engine loop's per-round cost is proportional to the
-/// touched relation, not the configuration.
+/// snapshot of `conf` that shares every shard's base with its predecessor
+/// and appends the response to tails of its own. A write copies a tail
+/// only where `conf`'s holds entries (what `conf` grew beyond the bases it
+/// shares), never a base, so a step costs what the response adds plus at
+/// most that growth, not the size of the configuration.
 pub fn apply_access(
     conf: &Configuration,
     access: &Access,

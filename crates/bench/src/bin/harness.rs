@@ -6,10 +6,11 @@
 //! cargo run -p accrel-bench --bin harness --release
 //! ```
 //!
-//! With `--smoke` every experiment runs at its smallest sizes, each timing
-//! one sample after an untimed warm-up call, and the tables are also
-//! written as JSON to `BENCH_smoke.json` (override with `--out <path>`), so
-//! CI can record the perf trajectory cheaply:
+//! With `--smoke` every experiment runs at its smallest sizes (the E and S
+//! rows timing the median of 5 samples after an untimed warm-up call, the F
+//! rows one whole run each), and the tables are also written as JSON to
+//! `BENCH_smoke.json` (override with `--out <path>`), so CI can record the
+//! perf trajectory cheaply:
 //!
 //! ```text
 //! cargo run -p accrel-bench --bin harness --release -- --smoke

@@ -414,8 +414,9 @@ pub fn e7_engine_ablation(repeats: usize) -> Table {
 /// facts. Per-fact `insert` and one bulk `extend_facts` load into an empty
 /// store, `matching` bound on one and on both attributes, `active_domain`,
 /// an `adom_contains` probe, a snapshot clone (every shard shared, so
-/// O(relations)) and a clone followed by one insert (which copies the
-/// touched relation's shard).
+/// O(relations)) and a clone followed by one insert, with the shard copies
+/// that insert performs (none: it starts tails of its own beside the bases
+/// it shares).
 pub fn s1_store_ops(sizes: &[usize], repeats: usize) -> Table {
     use accrel_schema::{FactStore, Schema, Tuple, Value};
     use std::hint::black_box;
@@ -490,6 +491,16 @@ pub fn s1_store_ops(sizes: &[usize], repeats: usize) -> Table {
             let t = median_micros(repeats, op);
             rows.push(Row::new(series, facts, "median µs", t));
         }
+        let mut snap = store.clone();
+        snap.insert_named("R", ["fresh-a", "fresh-b"])
+            .expect("well-typed");
+        let copies = snap.shard_copies() - store.shard_copies();
+        rows.push(Row::new(
+            "clone then insert",
+            facts,
+            "shard copies",
+            copies as f64,
+        ));
     }
     Table {
         id: "S1".to_string(),
@@ -1116,22 +1127,25 @@ pub fn run_all() -> Vec<Table> {
     ]
 }
 
-/// Runs every experiment at its smallest fixture sizes, each timing one
-/// sample after [`median_micros`]' untimed warm-up call — the CI smoke pass
-/// that records the perf trajectory. E5 tops out at 10⁵ facts here (10⁶ is
-/// the `run_million` job's scale).
+/// Runs every experiment at its smallest fixture sizes — the CI smoke pass
+/// that records the perf trajectory. The E and S rows take the median of 5
+/// samples after [`median_micros`]' untimed warm-up call: a single sample
+/// of a few-µs row follows the binary's code layout more than its code
+/// path. The F tables time whole runs, once. E5 tops out at 10⁵ facts here
+/// (10⁶ is the `run_million` job's scale).
 pub fn run_smoke() -> Vec<Table> {
+    const REPEATS: usize = 5;
     let world = fixtures::federation_world(10_000);
     vec![
-        e1_immediate(&[1, 2], 1),
-        e2_ltr_independent(&[1, 2], 1),
-        e3_dependent_cq(&[1, 2], 1),
-        e4_dependent_pq(&[1, 2], 1),
-        e5_data_complexity(&[10, 50, 100_000], 1),
-        e6_tractable_cases(&[10, 100], 1),
-        e7_engine_ablation(1),
-        e8_reductions(1),
-        s1_store_ops(&[100_000], 1),
+        e1_immediate(&[1, 2], REPEATS),
+        e2_ltr_independent(&[1, 2], REPEATS),
+        e3_dependent_cq(&[1, 2], REPEATS),
+        e4_dependent_pq(&[1, 2], REPEATS),
+        e5_data_complexity(&[10, 50, 100_000], REPEATS),
+        e6_tractable_cases(&[10, 100], REPEATS),
+        e7_engine_ablation(REPEATS),
+        e8_reductions(REPEATS),
+        s1_store_ops(&[100_000], REPEATS),
         f1_federation_sweep(&world, 48, &[1, 4, 16]),
         f2_async_sweep(&world, 48, 16, &[1, 2, 4, 8]),
         f3_serving_sweep(&world, 48, &[1, 4, 16]),

@@ -156,13 +156,14 @@ pub struct RunReport {
     /// Batched-execution statistics (one batch per source call for the
     /// sequential executor).
     pub batch_stats: BatchStats,
-    /// Copy-on-write shard copies the run's configuration handle performed:
-    /// the engine snapshots the initial configuration in O(relations), and
-    /// the first growth of a relation copies that relation's shard (plus
-    /// the adom cache, plus the interner when the response carried new
-    /// values) while the initial configuration still shares it. Zero for
-    /// runs whose responses never grew the configuration: the decision
-    /// procedures and batch prediction only read it.
+    /// Copy-on-write shard copies the run's configuration handle performed.
+    /// The engine snapshots the initial configuration in O(relations), and
+    /// its responses append to shard tails of the snapshot's own beside the
+    /// bases it shares with the initial configuration, so a run copies
+    /// nothing however large that configuration is: a copy happens only
+    /// when the handle writes a tail that another handle shares. The
+    /// decision procedures and batch prediction only read the
+    /// configuration.
     pub shard_copies: u64,
     /// Always zero: no decision procedure writes the configuration, so
     /// there is nothing to undo. Kept only because the benchmark package

@@ -37,8 +37,9 @@
 //! The loop owns its working configuration, a snapshot of the initial one,
 //! and only its own responses write it: the decision procedures read it
 //! (the oracle borrows it mutably only to install its read recorder), and
-//! a response's first write to a shard still shared with the initial
-//! configuration copies that shard alone.
+//! a response appends to shard tails of the snapshot's own beside the
+//! bases it shares with the initial configuration, so no write copies a
+//! shard.
 //!
 //! # Determinism invariant
 //!

@@ -22,12 +22,13 @@ use crate::Result;
 /// successor-configuration semantics.
 ///
 /// Cloning a configuration is **O(relations)**, not O(facts): the underlying
-/// [`FactStore`] shares its relation shards, interner and active-domain
-/// cache copy-on-write (see the `store` module docs). [`Configuration::snapshot`]
+/// [`FactStore`] shares the base of its relation shards, interner and
+/// active-domain cache with every clone, and each handle appends to tails
+/// of its own (see the `store` module docs). [`Configuration::snapshot`]
 /// is the intention-revealing name for that cheap clone: a configuration
 /// that crosses a thread or outlives a call (a run's working copy) is a
-/// snapshot, and [`Configuration::shard_copies`] exposes how many shards a
-/// handle has actually had to copy. The decision procedures never write a
+/// snapshot, and [`Configuration::shard_copies`] exposes how many shard
+/// tails a handle has actually had to copy. The decision procedures never write a
 /// configuration; they evaluate hypothetical facts as an overlay on it.
 #[derive(Clone, Debug)]
 pub struct Configuration {
@@ -78,20 +79,24 @@ impl Configuration {
     /// An O(relations) copy-on-write snapshot of the configuration.
     ///
     /// Identical to `clone()`; the name documents intent at call sites that
-    /// hand a configuration to a worker: the snapshot shares every shard
-    /// with `self` until one side mutates, so read-only snapshots cost
-    /// nothing beyond the per-shard `Arc` bumps.
+    /// hand a configuration to a worker: the snapshot shares both levels of
+    /// every shard with `self`. Either side's writes append to tails of its
+    /// own and leave the shared bases as they are, so the snapshot's first
+    /// growing write copies nothing, however large `self` is; a write copies
+    /// only a tail the other side still shares (one `self` had grown before
+    /// the snapshot).
     pub fn snapshot(&self) -> Configuration {
         self.clone()
     }
 
     /// How many copy-on-write shard copies this handle has performed (see
-    /// [`FactStore::shard_copies`]). Zero for handles that only read.
+    /// [`FactStore::shard_copies`]): only a write to a shard tail another
+    /// handle shares copies it. Zero for handles that only read.
     pub fn shard_copies(&self) -> u64 {
         self.store.shard_copies()
     }
 
-    /// Detaches every shard still shared with other handles so this
+    /// Detaches every shard level still shared with other handles so this
     /// configuration exclusively owns its storage (see
     /// [`FactStore::own_all_shards`]).
     pub fn own_all_shards(&mut self) {
@@ -347,6 +352,24 @@ mod tests {
         assert!(conf.contains_fact(&(rel, tuple(["e1", "o1"]))));
         assert_eq!(conf.facts().count(), 2);
         assert_eq!(conf.sorted_facts().len(), 2);
+    }
+
+    #[test]
+    fn a_snapshot_of_a_large_configuration_grows_without_copying() {
+        let s = schema();
+        let rel = s.relation_by_name("EmpOff").unwrap();
+        let facts = (0..10_000).map(|i| (rel, tuple([format!("e{i}"), format!("o{}", i % 97)])));
+        let conf = Configuration::from_facts(s, facts).unwrap();
+        let mut snap = conf.snapshot();
+        let copies = snap.shard_copies();
+        let fresh = tuple(["e-new", "o1"]);
+        assert!(snap.insert(rel, fresh.clone()).unwrap());
+        assert_eq!(snap.shard_copies(), copies);
+        assert_eq!((conf.len(), snap.len()), (10_000, 10_001));
+        let interned = |c: &Configuration| c.store().interner().len();
+        assert_eq!(interned(&snap), interned(&conf) + 1);
+        assert!(snap.contains(rel, &fresh) && !conf.contains(rel, &fresh));
+        assert!(conf.is_subset_of(&snap) && !snap.is_subset_of(&conf));
     }
 
     #[test]

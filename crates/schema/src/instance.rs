@@ -106,8 +106,8 @@ impl Instance {
     /// The configuration containing every fact of the instance (total view).
     ///
     /// O(relations): the returned configuration shares the instance's
-    /// copy-on-write shards until either side mutates — cheap even for
-    /// million-fact instances.
+    /// copy-on-write shards, and each side appends to tails of its own —
+    /// cheap even for million-fact instances.
     pub fn full_configuration(&self) -> Configuration {
         Configuration::from_store(self.store.clone())
     }

@@ -15,10 +15,16 @@
 //! * `resolve(intern(v)) == v` for every value (round-trip identity);
 //! * ids are allocated densely from 0 in first-seen order, so they can index
 //!   plain vectors.
+//!
+//! Like every store shard, an interner is a base shared with its clones
+//! plus a tail of its own (see the `layered` module): a clone that interns a
+//! new value appends it to its tail, under the next dense id, and never
+//! copies the values it shares.
 
 use std::collections::HashMap;
 use std::fmt;
 
+use crate::layered::{Layered, Level};
 use crate::value::Value;
 
 /// A dense identifier for an interned [`Value`].
@@ -39,37 +45,75 @@ impl fmt::Display for ValueId {
 }
 
 /// A bidirectional mapping between [`Value`]s and dense [`ValueId`]s.
-#[derive(Debug, Clone, Default)]
+/// Cloning it is two `Arc` bumps.
+#[derive(Debug, Clone)]
 pub struct ValueInterner {
+    levels: Layered<InternLevel>,
+}
+
+/// One level of an interner: its values in id order, and their ids.
+#[derive(Debug, Clone, Default)]
+struct InternLevel {
     values: Vec<Value>,
     ids: HashMap<Value, ValueId>,
-    /// One past the highest [`Value::Fresh`] index interned (0 when none).
+    /// One past the highest [`Value::Fresh`] index interned here (0 when
+    /// none).
     fresh_floor: u64,
+}
+
+impl Level for InternLevel {
+    fn is_empty(&self) -> bool {
+        self.values.is_empty()
+    }
+
+    fn successor(&self) -> Self {
+        Self::default()
+    }
+}
+
+impl Default for ValueInterner {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl ValueInterner {
     /// Creates an empty interner.
     pub fn new() -> Self {
-        Self::default()
+        Self {
+            levels: Layered::new(InternLevel::default()),
+        }
     }
 
     /// Interns `v`, returning its id (allocating one on first sight).
     pub fn intern(&mut self, v: &Value) -> ValueId {
-        if let Some(&id) = self.ids.get(v) {
+        self.intern_counting(v, &mut 0)
+    }
+
+    /// [`ValueInterner::intern`], counting into `copies` the copy of a tail
+    /// another handle shares, which only a new value makes.
+    pub(crate) fn intern_counting(&mut self, v: &Value, copies: &mut u64) -> ValueId {
+        if let Some(id) = self.lookup(v) {
             return id;
         }
-        let id = ValueId(self.values.len() as u32);
+        let id = ValueId(self.len() as u32);
+        let level = self.levels.append_level(copies);
         if let Some(n) = v.as_fresh() {
-            self.fresh_floor = self.fresh_floor.max(n.saturating_add(1));
+            level.fresh_floor = level.fresh_floor.max(n.saturating_add(1));
         }
-        self.values.push(v.clone());
-        self.ids.insert(v.clone(), id);
+        level.values.push(v.clone());
+        level.ids.insert(v.clone(), id);
         id
     }
 
-    /// The id of `v`, if it has been interned.
+    /// The id of `v`, if it has been interned. A fresh value above every
+    /// fresh value interned so far never was, so it costs no hash probe.
     pub fn lookup(&self, v: &Value) -> Option<ValueId> {
-        self.ids.get(v).copied()
+        if v.as_fresh().is_some_and(|n| n >= self.fresh_floor()) {
+            return None;
+        }
+        let (base, tail) = (self.levels.base(), self.levels.tail());
+        base.ids.get(v).or_else(|| tail.ids.get(v)).copied()
     }
 
     /// The value behind `id`.
@@ -77,32 +121,51 @@ impl ValueInterner {
     /// # Panics
     /// Panics if `id` was not produced by this interner.
     pub fn resolve(&self, id: ValueId) -> &Value {
-        &self.values[id.index()]
+        let base = &self.levels.base().values;
+        match base.get(id.index()) {
+            Some(v) => v,
+            None => &self.levels.tail().values[id.index() - base.len()],
+        }
     }
 
     /// Number of distinct interned values.
     pub fn len(&self) -> usize {
-        self.values.len()
+        self.levels.base().values.len() + self.levels.tail().values.len()
     }
 
     /// `true` when nothing has been interned yet.
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        self.len() == 0
     }
 
     /// The least fresh-value index above every [`Value::Fresh`] interned so
     /// far (0 when none was): where a supply of values new to this
     /// interner may start. Kept as values are interned, so it costs O(1).
     pub(crate) fn fresh_floor(&self) -> u64 {
-        self.fresh_floor
+        self.levels
+            .base()
+            .fresh_floor
+            .max(self.levels.tail().fresh_floor)
     }
 
     /// Iterates over `(ValueId, &Value)` pairs in allocation order.
     pub fn iter(&self) -> impl Iterator<Item = (ValueId, &Value)> {
-        self.values
+        let (base, tail) = (self.levels.base(), self.levels.tail());
+        base.values
             .iter()
+            .chain(&tail.values)
             .enumerate()
             .map(|(i, v)| (ValueId(i as u32), v))
+    }
+
+    /// Whether `self` and `other` hold the same base level.
+    pub(crate) fn shares_base(&self, other: &ValueInterner) -> bool {
+        self.levels.shares_base(&other.levels)
+    }
+
+    /// Copies whichever level another handle still shares, uncounted.
+    pub(crate) fn own(&mut self) {
+        self.levels.own();
     }
 }
 
@@ -162,6 +225,41 @@ mod tests {
         i.intern(&Value::sym("a"));
         i.intern(&Value::fresh(2));
         assert_eq!(i.fresh_floor(), 5);
+    }
+
+    #[test]
+    fn a_clone_interns_into_its_own_tail_with_dense_ids() {
+        let mut a = ValueInterner::new();
+        a.intern(&Value::sym("a"));
+        let mut b = a.clone();
+        let mut copies = 0;
+        assert_eq!(b.intern_counting(&Value::sym("b"), &mut copies), ValueId(1));
+        assert_eq!(a.intern_counting(&Value::sym("c"), &mut copies), ValueId(1));
+        assert_eq!(b.intern_counting(&Value::fresh(7), &mut copies), ValueId(2));
+        assert_eq!(copies, 0);
+        assert!(a.shares_base(&b));
+        assert_eq!(b.resolve(ValueId(1)), &Value::sym("b"));
+        assert_eq!(a.resolve(ValueId(1)), &Value::sym("c"));
+        assert_eq!(
+            (a.lookup(&Value::sym("b")), b.lookup(&Value::sym("c"))),
+            (None, None)
+        );
+        assert_eq!(b.lookup(&Value::sym("a")), Some(ValueId(0)));
+        let ids: Vec<(ValueId, Value)> = b.iter().map(|(id, v)| (id, v.clone())).collect();
+        assert_eq!(ids[1], (ValueId(1), Value::sym("b")));
+        assert_eq!((b.len(), ids.len()), (3, 3));
+        assert_eq!((a.fresh_floor(), b.fresh_floor()), (0, 8));
+        // Lookups of fresh values above the floor skip the hash probes.
+        assert_eq!(b.lookup(&Value::fresh(7)), Some(ValueId(2)));
+        assert_eq!(
+            (b.lookup(&Value::fresh(3)), a.lookup(&Value::fresh(7))),
+            (None, None)
+        );
+        // A clone of a grown interner shares its tail, so the first new
+        // value either side interns copies that tail, and counts it.
+        let c = b.clone();
+        b.intern_counting(&Value::sym("d"), &mut copies);
+        assert_eq!((copies, c.len(), b.len()), (1, 3, 4));
     }
 
     #[test]

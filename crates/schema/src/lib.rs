@@ -38,6 +38,7 @@ mod domain;
 mod error;
 mod instance;
 mod intern;
+mod layered;
 mod relation;
 mod schema;
 mod store;
@@ -49,6 +50,7 @@ pub use domain::{Domain, DomainId};
 pub use error::SchemaError;
 pub use instance::Instance;
 pub use intern::{ValueId, ValueInterner};
+pub use layered::Suffix;
 pub use relation::{Attribute, Relation, RelationId};
 pub use schema::{Schema, SchemaBuilder};
 pub use store::{AdomPrecision, Candidates, Fact, FactStore, Growth, GrowthCursor, Read, ReadSet};

@@ -8,15 +8,14 @@
 //!   `Vec<ValueId>` per attribute), so scans compare `u32`s;
 //! * each relation's columnar storage — columns, materialised tuples, the
 //!   set of interned rows (membership) and per-(relation, attribute)
-//!   value → row posting lists — lives in one *shard* behind an `Arc`
-//!   ([`FactStore::candidates`] and [`FactStore::matching`] read through
-//!   it);
+//!   value → row posting lists — is one *shard* ([`FactStore::candidates`]
+//!   and [`FactStore::matching`] read through it);
 //! * the active domain (`Adom(Conf)` in the paper) is maintained
 //!   incrementally as a `(ValueId, DomainId)` set, with the same pairs
-//!   logged in entry order beside it — its own `Arc`-backed shard — so
+//!   logged in entry order beside it — a shard of its own — so
 //!   [`FactStore::active_domain`] never rescans the facts and
 //!   [`FactStore::adom_contains`] is a hash probe;
-//! * the interner is a third `Arc`-backed shard.
+//! * the interner is a third kind of shard.
 //!
 //! # Append-only growth
 //!
@@ -38,22 +37,27 @@
 //!
 //! # Copy-on-write semantics
 //!
-//! Cloning a `FactStore` (and therefore a [`crate::Configuration`]) is
-//! **O(relations)**: it bumps one `Arc` per relation shard plus two more for
-//! the interner and the active-domain cache. Clones share every shard until
-//! one of them mutates; the first mutation of a *shared* shard copies that
-//! shard alone (`Arc::make_mut`), leaving every other shard shared. This is
-//! what lets the engine loop and the batched executors snapshot
-//! million-fact configurations for free: read-only
-//! snapshots never copy anything, and a growing engine round pays for the
-//! accessed relation's shard (plus the adom map, plus the interner if the
-//! response carried genuinely new values) — never for the whole store.
+//! Every shard is kept in two levels: a *base* that every clone shares and
+//! a *tail* behind its own `Arc` (the `layered` module). Cloning a
+//! `FactStore` (and therefore a [`crate::Configuration`]) is
+//! **O(relations)**: it bumps two `Arc`s per relation shard, the active
+//! domain and the interner. An insert appends to a shard's base while no
+//! other handle holds it and its tail is empty, and to its tail otherwise;
+//! a write copies only a tail that another handle shares. Every read sees
+//! the base, then the tail, and row indices, value ids and the entry log
+//! stay global and dense, so a [`Suffix`] of a log may span both levels.
+//! So the first write into a snapshot of a million-fact configuration
+//! copies nothing: a run pays for what its responses add, never for the
+//! configuration it starts from. Read-only snapshots never copy anything
+//! either.
 //!
 //! Every actual shard copy is counted in [`FactStore::shard_copies`] (the
 //! counter is inherited by clones, so a run's copies are the difference of
-//! two readings). Structural sharing is observable through
-//! [`FactStore::shares_relation_shard`] / [`FactStore::shares_adom_shard`] /
-//! [`FactStore::shares_interner`], which the oracle-grid tests in
+//! two readings): only a handle that writes a tail another handle shares
+//! (a snapshot taken after growth, then grown on both sides) pays one.
+//! Which bases two handles share is observable through
+//! [`FactStore::shares_relation_base`] / [`FactStore::shares_adom_base`] /
+//! [`FactStore::shares_interner_base`], which the oracle-grid tests in
 //! `tests/properties.rs` pin down.
 //!
 //! # Invariants (checked by the property tests in `tests/properties.rs`
@@ -67,13 +71,13 @@
 //! * a cursor's advance returns exactly the rows inserted since its last
 //!   position and the pairs that entered the active domain meanwhile, in
 //!   entry order;
-//! * interning values that are already known never copies the interner
-//!   shard; inserting a fact that is already present never copies any
+//! * interning values that are already known never writes the interner
+//!   shard; inserting a fact that is already present never writes any
 //!   shard;
 //! * a clone diverges from its origin exactly as a naive deep copy would:
-//!   after any interleaving of inserts on either handle, each handle's
-//!   facts, indexes and active domain equal those of an independently
-//!   rebuilt store.
+//!   after any interleaving of inserts on any tree of clones, each handle's
+//!   facts, indexes, active domain and interner equal those of an
+//!   independently rebuilt store.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
@@ -83,6 +87,7 @@ use std::sync::{Arc, Mutex};
 use crate::domain::DomainId;
 use crate::error::SchemaError;
 use crate::intern::{ValueId, ValueInterner};
+use crate::layered::{Layered, Level, Suffix};
 use crate::relation::RelationId;
 use crate::schema::Schema;
 use crate::tuple::Tuple;
@@ -132,18 +137,9 @@ type IdBuildHasher = BuildHasherDefault<IdHasher>;
 /// One attribute's posting lists: value id → the rows carrying it there.
 type PostingLists = HashMap<ValueId, Vec<usize>, IdBuildHasher>;
 
-/// Mutable access to a shard, copying it first if it is shared with another
-/// handle (copy-on-write), and counting the copy into `copies`.
-fn copy_on_write<'a, T: Clone>(shard: &'a mut Arc<T>, copies: &mut u64) -> &'a mut T {
-    if Arc::strong_count(shard) > 1 {
-        *copies += 1;
-    }
-    Arc::make_mut(shard)
-}
-
-/// Columnar storage for one relation — the unit of copy-on-write sharing:
-/// interned columns, materialised tuples, row membership and per-attribute
-/// indexes.
+/// Columnar storage for one level of a relation's shard: interned columns,
+/// materialised tuples, row membership and per-attribute indexes. Row
+/// numbers are the level's own; the tail's rows follow the base's.
 #[derive(Clone, Debug, Default)]
 struct RelationShard {
     /// One column per attribute; `columns[c][r]` is the id at position `c`
@@ -182,6 +178,51 @@ impl RelationShard {
         self.tuples.push(t);
         self.keys.insert(key);
     }
+
+    /// The rows carrying `id` at position `pos`.
+    fn postings(&self, pos: usize, id: ValueId) -> &[usize] {
+        self.indexes[pos].get(&id).map_or(&[], Vec::as_slice)
+    }
+}
+
+impl Level for RelationShard {
+    fn is_empty(&self) -> bool {
+        self.tuples.is_empty()
+    }
+
+    fn successor(&self) -> Self {
+        Self::with_arity(self.columns.len())
+    }
+}
+
+/// A relation's rows across both levels of its shard.
+impl Layered<RelationShard> {
+    fn len(&self) -> usize {
+        self.base().len() + self.tail().len()
+    }
+
+    fn arity(&self) -> usize {
+        self.base().columns.len()
+    }
+
+    fn contains_key(&self, key: &[ValueId]) -> bool {
+        self.base().keys.contains(key) || self.tail().keys.contains(key)
+    }
+
+    /// The tuples of rows `from..`.
+    fn rows(&self, from: usize) -> Suffix<'_, Tuple> {
+        Suffix::of(&self.base().tuples, &self.tail().tuples, from)
+    }
+
+    /// Column `c` of rows `from..`.
+    fn column(&self, c: usize, from: usize) -> Suffix<'_, ValueId> {
+        Suffix::of(&self.base().columns[c], &self.tail().columns[c], from)
+    }
+
+    /// How many rows carry `id` at position `pos`.
+    fn posting_count(&self, pos: usize, id: ValueId) -> usize {
+        self.base().postings(pos, id).len() + self.tail().postings(pos, id).len()
+    }
 }
 
 /// The rows [`FactStore::candidates`] selects, walked lazily in row order:
@@ -190,32 +231,53 @@ impl RelationShard {
 /// made, so a walk that stops early records what a drained one does.
 #[derive(Clone, Debug)]
 pub struct Candidates<'s> {
-    tuples: &'s [Tuple],
-    columns: &'s [Vec<ValueId>],
-    rows: CandidateRows<'s>,
-    /// The `(position, id)` constraints a row of `rows` must still meet.
+    /// The base's rows, then the tail's.
+    levels: [CandidateRows<'s>; 2],
+    /// The `(position, id)` constraints a posting-list row must still meet.
     filter: Vec<(usize, ValueId)>,
 }
 
 #[derive(Clone, Debug)]
 enum CandidateRows<'s> {
-    /// Every row of the relation, in order (no constraint).
+    /// Every row of the level, in order (no constraint).
     Scan(std::slice::Iter<'s, Tuple>),
-    /// The shortest posting list among the constraints.
-    Posting(std::slice::Iter<'s, usize>),
+    /// The level's rows on the shortest posting list among the constraints.
+    Posting {
+        shard: &'s RelationShard,
+        rows: std::slice::Iter<'s, usize>,
+    },
+}
+
+impl<'s> CandidateRows<'s> {
+    fn next(&mut self, filter: &[(usize, ValueId)]) -> Option<&'s Tuple> {
+        match self {
+            CandidateRows::Scan(tuples) => tuples.next(),
+            CandidateRows::Posting { shard, rows } => {
+                let columns = &shard.columns;
+                let row =
+                    rows.find(|&&row| filter.iter().all(|&(pos, id)| columns[pos][row] == id))?;
+                Some(&shard.tuples[*row])
+            }
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            CandidateRows::Scan(tuples) => tuples.len(),
+            CandidateRows::Posting { rows, .. } => rows.len(),
+        }
+    }
 }
 
 impl<'s> Candidates<'s> {
     /// The cursor that yields nothing.
     fn none() -> Self {
-        Self::scan(&[])
-    }
-
-    fn scan(tuples: &'s [Tuple]) -> Self {
+        let empty: &[Tuple] = &[];
         Self {
-            tuples,
-            columns: &[],
-            rows: CandidateRows::Scan(tuples.iter()),
+            levels: [
+                CandidateRows::Scan(empty.iter()),
+                CandidateRows::Scan(empty.iter()),
+            ],
             filter: Vec::new(),
         }
     }
@@ -225,40 +287,58 @@ impl<'s> Iterator for Candidates<'s> {
     type Item = &'s Tuple;
 
     fn next(&mut self) -> Option<&'s Tuple> {
-        match &mut self.rows {
-            CandidateRows::Scan(tuples) => tuples.next(),
-            CandidateRows::Posting(rows) => {
-                let (columns, filter) = (self.columns, &self.filter);
-                let row =
-                    rows.find(|&&row| filter.iter().all(|&(pos, id)| columns[pos][row] == id))?;
-                Some(&self.tuples[*row])
-            }
-        }
+        let filter = &self.filter;
+        self.levels.iter_mut().find_map(|level| level.next(filter))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        match &self.rows {
-            CandidateRows::Scan(tuples) => tuples.size_hint(),
-            CandidateRows::Posting(rows) if self.filter.is_empty() => rows.size_hint(),
-            CandidateRows::Posting(rows) => (0, Some(rows.len())),
-        }
+        let upper = self.levels.iter().map(CandidateRows::len).sum();
+        (if self.filter.is_empty() { upper } else { 0 }, Some(upper))
     }
 }
 
-/// The active domain: every `(value, domain)` pair some stored row holds
-/// at a position of that domain, as a set and, beside it, in entry order.
-/// Rows never leave, so pairs never do.
+/// One level of the active domain: the `(value, domain)` pairs that entered
+/// it with the level's rows (a tail holds none of the base's), as a set
+/// and, beside it, in entry order. Rows never leave, so pairs never do.
 #[derive(Clone, Debug, Default)]
 struct AdomCache {
     members: HashSet<(ValueId, DomainId), IdBuildHasher>,
     entered: Vec<(ValueId, DomainId)>,
 }
 
-impl AdomCache {
-    fn insert(&mut self, pair: (ValueId, DomainId)) {
-        if self.members.insert(pair) {
-            self.entered.push(pair);
+impl Level for AdomCache {
+    fn is_empty(&self) -> bool {
+        self.entered.is_empty()
+    }
+
+    fn successor(&self) -> Self {
+        Self::default()
+    }
+}
+
+/// The active domain across both levels of its shard.
+impl Layered<AdomCache> {
+    fn len(&self) -> usize {
+        self.base().entered.len() + self.tail().entered.len()
+    }
+
+    fn contains(&self, pair: &(ValueId, DomainId)) -> bool {
+        self.base().members.contains(pair) || self.tail().members.contains(pair)
+    }
+
+    /// Adds `pair` unless present, so a row whose pairs are all known
+    /// leaves the shard as it was.
+    fn insert(&mut self, pair: (ValueId, DomainId), copies: &mut u64) {
+        if !self.contains(&pair) {
+            let level = self.append_level(copies);
+            level.members.insert(pair);
+            level.entered.push(pair);
         }
+    }
+
+    /// The pairs from position `from` of the entry log on.
+    fn entered(&self, from: usize) -> Suffix<'_, (ValueId, DomainId)> {
+        Suffix::of(&self.base().entered, &self.tail().entered, from)
     }
 }
 
@@ -493,7 +573,7 @@ impl GrowthCursor {
     pub fn at(store: &FactStore) -> Self {
         Self {
             rows: store.relations.iter().map(|s| s.len()).collect(),
-            adom: store.adom.entered.len(),
+            adom: store.adom.len(),
         }
     }
 
@@ -510,7 +590,7 @@ impl GrowthCursor {
                 *mark = shard.len();
             }
         }
-        let adom = std::mem::replace(&mut self.adom, store.adom.entered.len());
+        let adom = std::mem::replace(&mut self.adom, store.adom.len());
         Growth { store, from, adom }
     }
 }
@@ -533,36 +613,37 @@ impl<'s> Growth<'s> {
     }
 
     /// The relations with appended rows, in id order, with those rows.
-    pub fn relations(&self) -> impl Iterator<Item = (RelationId, &'s [Tuple])> + '_ {
+    pub fn relations(&self) -> impl Iterator<Item = (RelationId, Suffix<'s, Tuple>)> + '_ {
         let store = self.store;
         self.from
             .iter()
-            .map(move |&(r, from)| (r, &store.relations[r.index()].tuples[from..]))
+            .map(move |&(r, from)| (r, store.relations[r.index()].rows(from)))
     }
 
     /// The rows appended to `relation`, in row order.
-    pub fn rows(&self, relation: RelationId) -> &'s [Tuple] {
+    pub fn rows(&self, relation: RelationId) -> Suffix<'s, Tuple> {
         self.relations()
             .find(|&(r, _)| r == relation)
-            .map_or(&[], |(_, rows)| rows)
+            .map_or_else(Suffix::default, |(_, rows)| rows)
     }
 
     /// The `(value, domain)` pairs that entered the active domain, in entry
     /// order; the ids resolve against [`Growth::interner`].
-    pub fn entered(&self) -> &'s [(ValueId, DomainId)] {
-        self.store.adom.entered.get(self.adom..).unwrap_or(&[])
+    pub fn entered(&self) -> Suffix<'s, (ValueId, DomainId)> {
+        self.store.adom.entered(self.adom)
     }
 
     /// The store's interner.
     pub fn interner(&self) -> &'s ValueInterner {
-        self.store.interner.as_ref()
+        &self.store.interner
     }
 
     /// Whether a row appended to `relation` carries `id` at any position.
     fn carries(&self, relation: RelationId, id: ValueId) -> bool {
         self.from.iter().any(|&(r, from)| {
-            let columns = &self.store.relations[r.index()].columns;
-            r == relation && columns.iter().any(|c| c[from..].contains(&id))
+            let shard = &self.store.relations[r.index()];
+            r == relation
+                && (0..shard.arity()).any(|c| shard.column(c, from).iter().any(|&x| x == id))
         })
     }
 }
@@ -577,12 +658,13 @@ impl<'s> Growth<'s> {
 /// module docs for the copy-on-write sharding contract.
 pub struct FactStore {
     schema: Arc<Schema>,
-    interner: Arc<ValueInterner>,
-    relations: Vec<Arc<RelationShard>>,
-    adom: Arc<AdomCache>,
+    interner: ValueInterner,
+    relations: Vec<Layered<RelationShard>>,
+    adom: Layered<AdomCache>,
     len: usize,
-    /// Cumulative count of shards this handle actually copied on first
-    /// write (inherited by clones; diff two readings to scope a run).
+    /// Cumulative count of shard tails this handle copied because another
+    /// handle shared them (inherited by clones; diff two readings to scope
+    /// a run).
     shard_copies: u64,
     /// Read recorder installed by `begin_read_tracking_with` (`None` when not
     /// recording). Behind a mutex because the read APIs take `&self`; the
@@ -596,7 +678,7 @@ pub struct FactStore {
 }
 
 impl Clone for FactStore {
-    /// O(relations): bumps one `Arc` per shard. The clone inherits the
+    /// O(relations): bumps two `Arc`s per shard. The clone inherits the
     /// `shard_copies` counter but **not** the read recorder, which is
     /// single-owner and stays with the original handle.
     fn clone(&self) -> Self {
@@ -619,13 +701,13 @@ impl FactStore {
         let relations = schema
             .relations()
             .iter()
-            .map(|r| Arc::new(RelationShard::with_arity(r.arity())))
+            .map(|r| Layered::new(RelationShard::with_arity(r.arity())))
             .collect();
         Self {
             schema,
-            interner: Arc::new(ValueInterner::new()),
+            interner: ValueInterner::new(),
             relations,
-            adom: Arc::new(AdomCache::default()),
+            adom: Layered::new(AdomCache::default()),
             len: 0,
             shard_copies: 0,
             recording: None,
@@ -640,15 +722,16 @@ impl FactStore {
 
     /// The store's value interner (read-only).
     pub fn interner(&self) -> &ValueInterner {
-        self.interner.as_ref()
+        &self.interner
     }
 
     /// How many shard copies this handle has performed so far (the
     /// copy-on-write cost actually paid). Clones inherit the counter, so
     /// the copies attributable to a run are
     /// `after.shard_copies() - before.shard_copies()` on the same handle
-    /// lineage. Read-only handles — snapshots that never mutate — never
-    /// advance it.
+    /// lineage. A copy happens only when this handle writes a shard tail
+    /// that another handle shares, so the first write into a snapshot
+    /// copies nothing, and read-only handles never advance the counter.
     pub fn shard_copies(&self) -> u64 {
         self.shard_copies
     }
@@ -735,55 +818,48 @@ impl FactStore {
         self.rec(|rs| rs.insert(Read::Adom));
     }
 
-    /// Detaches every shard this handle still shares with other clones —
-    /// relation shards, the adom cache and the interner — so the handle
-    /// exclusively owns its storage. Cost is one deep copy of whatever was
-    /// still shared (bounded by the current fact count), paid now instead
-    /// of lazily at first write; an explicit detach is not a copy-on-write
+    /// Detaches every shard level this handle still shares with other
+    /// clones — relation shards, the adom cache and the interner, base and
+    /// tail — so the handle exclusively owns its storage. Cost is one deep
+    /// copy of whatever was still shared (bounded by the current fact
+    /// count), paid now; an explicit detach is not a copy-on-write
     /// divergence, so [`FactStore::shard_copies`] does not advance. The
-    /// engine does not call it: a run's copy detaches only the shards its
-    /// responses grow. It stays only because the benchmark package's
-    /// traced replay calls it (ROADMAP direction 4.2).
+    /// engine does not call it: a run's first write into a snapshot copies
+    /// nothing. It stays only because the benchmark package's traced replay
+    /// calls it (ROADMAP direction 4.2).
     pub fn own_all_shards(&mut self) {
         for shard in &mut self.relations {
-            Arc::make_mut(shard);
+            shard.own();
         }
-        Arc::make_mut(&mut self.adom);
-        Arc::make_mut(&mut self.interner);
+        self.adom.own();
+        self.interner.own();
     }
 
-    /// Whether `self` and `other` still share `relation`'s columnar shard
-    /// (no copy-on-write divergence has happened there yet).
-    pub fn shares_relation_shard(&self, other: &FactStore, relation: RelationId) -> bool {
+    /// Whether `self` and `other` still share the base of `relation`'s
+    /// shard: the rows they both read first.
+    pub fn shares_relation_base(&self, other: &FactStore, relation: RelationId) -> bool {
         match (
             self.relations.get(relation.index()),
             other.relations.get(relation.index()),
         ) {
-            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            (Some(a), Some(b)) => a.shares_base(b),
             _ => false,
         }
     }
 
-    /// Whether `self` and `other` still share the active-domain shard.
-    pub fn shares_adom_shard(&self, other: &FactStore) -> bool {
-        Arc::ptr_eq(&self.adom, &other.adom)
+    /// Whether `self` and `other` still share the active domain's base.
+    pub fn shares_adom_base(&self, other: &FactStore) -> bool {
+        self.adom.shares_base(&other.adom)
     }
 
-    /// Whether `self` and `other` still share the interner shard.
-    pub fn shares_interner(&self, other: &FactStore) -> bool {
-        Arc::ptr_eq(&self.interner, &other.interner)
+    /// Whether `self` and `other` still share the interner's base.
+    pub fn shares_interner_base(&self, other: &FactStore) -> bool {
+        self.interner.shares_base(&other.interner)
     }
 
-    /// Interns `v`, copying the interner shard only when the value is
-    /// genuinely new *and* the shard is shared.
+    /// Interns `v`; only a new value writes the interner.
     fn intern_value(&mut self, v: &Value) -> ValueId {
-        if let Some(id) = self.interner.lookup(v) {
-            return id;
-        }
-        if Arc::strong_count(&self.interner) > 1 {
-            self.shard_copies += 1;
-        }
-        Arc::make_mut(&mut self.interner).intern(v)
+        self.interner.intern_counting(v, &mut self.shard_copies)
     }
 
     /// Inserts a fact, checking relation id and arity.
@@ -803,19 +879,17 @@ impl FactStore {
         // The duplicate check below is a read: a recorded procedure branches
         // on whether the row was already present.
         self.rec_key_probe(relation, &key);
-        if self.relations[relation.index()].keys.contains(&key) {
+        if self.relations[relation.index()].contains_key(&key) {
             return Ok(false);
         }
         let rel = self.schema.relation(relation)?;
-        let adom = copy_on_write(&mut self.adom, &mut self.shard_copies);
         for (c, &id) in key.iter().enumerate() {
-            adom.insert((id, rel.domain_at(c)));
+            self.adom
+                .insert((id, rel.domain_at(c)), &mut self.shard_copies);
         }
-        copy_on_write(
-            &mut self.relations[relation.index()],
-            &mut self.shard_copies,
-        )
-        .push_row(key, t);
+        self.relations[relation.index()]
+            .append_level(&mut self.shard_copies)
+            .push_row(key, t);
         self.len += 1;
         Ok(true)
     }
@@ -839,7 +913,7 @@ impl FactStore {
         let Some(shard) = self.relations.get(relation.index()) else {
             return false;
         };
-        if t.arity() != shard.columns.len() {
+        if t.arity() != shard.arity() {
             return false;
         }
         let mut key = Vec::with_capacity(t.arity());
@@ -855,7 +929,7 @@ impl FactStore {
             }
         }
         self.rec_key_probe(relation, &key);
-        shard.keys.contains(key.as_slice())
+        shard.contains_key(&key)
     }
 
     /// Membership test for a [`Fact`].
@@ -869,18 +943,18 @@ impl FactStore {
         self.relations
             .get(relation.index())
             .into_iter()
-            .flat_map(|s| s.tuples.iter())
+            .flat_map(|s| s.rows(0))
     }
 
     /// The tuples of one relation in rows `from..`, in row order (empty when
     /// `from` is past the last row): exactly the rows inserted after the
     /// relation's first `from` rows, since rows are only ever appended.
-    pub fn rows_since(&self, relation: RelationId, from: usize) -> &[Tuple] {
+    /// They may lie in the shard's base, its tail or both.
+    pub fn rows_since(&self, relation: RelationId, from: usize) -> Suffix<'_, Tuple> {
         self.rec(|rs| rs.insert(Read::Relation(relation)));
         self.relations
             .get(relation.index())
-            .and_then(|s| s.tuples.get(from..))
-            .unwrap_or(&[])
+            .map_or_else(Suffix::default, |s| s.rows(from))
     }
 
     /// Number of tuples in one relation.
@@ -909,8 +983,8 @@ impl FactStore {
         self.rec(|rs| rs.insert(Read::All));
         self.relations.iter().enumerate().flat_map(|(i, shard)| {
             shard
-                .tuples
-                .iter()
+                .rows(0)
+                .into_iter()
                 .map(move |t| (RelationId(i as u32), t.clone()))
         })
     }
@@ -949,8 +1023,7 @@ impl FactStore {
         let Some(shard) = self.relations.get(relation.index()) else {
             return Candidates::none();
         };
-        let shard = shard.as_ref();
-        let arity = shard.columns.len();
+        let arity = shard.arity();
         // Resolve constraint values; an un-interned value or an out-of-range
         // position can never match.
         let constraints = constraints.into_iter();
@@ -969,31 +1042,50 @@ impl FactStore {
                 }
             }
         }
+        let (base, tail) = (shard.base(), shard.tail());
         let Some(&(_, first)) = filter.first() else {
             self.rec(|rs| rs.insert(Read::Relation(relation)));
-            return Candidates::scan(&shard.tuples);
+            return Candidates {
+                levels: [
+                    CandidateRows::Scan(base.tuples.iter()),
+                    CandidateRows::Scan(tail.tuples.iter()),
+                ],
+                filter,
+            };
         };
         // A row changing this probe's answer must carry every constraint
         // value, so recording one of them is a sound trigger.
         self.rec(|rs| rs.insert(Read::Pair(relation, first)));
-        // Most selective posting list first; its own constraint holds on
-        // every row of it.
-        let mut best: Option<(usize, &Vec<usize>)> = None;
+        // Most selective posting list first, its length summed over both
+        // levels; its own constraint holds on every row of it.
+        let mut best: Option<(usize, [&[usize]; 2])> = None;
         for (k, &(pos, id)) in filter.iter().enumerate() {
-            let Some(list) = shard.indexes[pos].get(&id) else {
+            let lists = [base.postings(pos, id), tail.postings(pos, id)];
+            let len = lists[0].len() + lists[1].len();
+            if len == 0 {
                 return Candidates::none();
-            };
-            if best.is_none_or(|(_, b)| list.len() < b.len()) {
-                best = Some((k, list));
+            }
+            if best.is_none_or(|(_, b)| len < b[0].len() + b[1].len()) {
+                best = Some((k, lists));
             }
         }
-        let (k, rows) = best.expect("at least one constraint");
-        debug_assert!(rows.is_sorted(), "posting lists ascend by row");
+        let (k, [base_rows, tail_rows]) = best.expect("at least one constraint");
+        debug_assert!(
+            base_rows.is_sorted() && tail_rows.is_sorted(),
+            "posting lists ascend by row"
+        );
         filter.swap_remove(k);
         Candidates {
-            tuples: &shard.tuples,
-            columns: &shard.columns,
-            rows: CandidateRows::Posting(rows.iter()),
+            levels: [
+                CandidateRows::Posting {
+                    shard: base,
+                    rows: base_rows.iter(),
+                },
+                CandidateRows::Posting {
+                    shard: tail,
+                    rows: tail_rows.iter(),
+                },
+            ],
             filter,
         }
     }
@@ -1016,8 +1108,8 @@ impl FactStore {
         };
         let mut bound = shard.len();
         for (pos, v) in constraints {
-            let postings = match (shard.indexes.get(pos), self.interner.lookup(v)) {
-                (Some(index), Some(id)) => index.get(&id).map_or(0, Vec::len),
+            let postings = match self.interner.lookup(v) {
+                Some(id) if pos < shard.arity() => shard.posting_count(pos, id),
                 _ => 0,
             };
             bound = bound.min(postings);
@@ -1033,16 +1125,12 @@ impl FactStore {
         self.rec(|rs| rs.insert(Read::All));
         other.rec(|rs| rs.insert(Read::All));
         self.relations.iter().enumerate().all(|(i, shard)| {
-            // Shared shards are trivially subsets of themselves.
-            other
-                .relations
-                .get(i)
-                .map(|o| Arc::ptr_eq(shard, o))
-                .unwrap_or(false)
-                || shard
-                    .tuples
-                    .iter()
-                    .all(|t| other.contains(RelationId(i as u32), t))
+            // A shared base holds the same rows on both sides.
+            let rows = match other.relations.get(i) {
+                Some(o) if shard.shares_base(o) => shard.rows(shard.base().len()),
+                _ => shard.rows(0),
+            };
+            rows.iter().all(|t| other.contains(RelationId(i as u32), t))
         })
     }
 
@@ -1050,19 +1138,16 @@ impl FactStore {
     pub fn extend_from(&mut self, other: &FactStore) {
         for (i, shard) in other.relations.iter().enumerate() {
             let rel = RelationId(i as u32);
-            if i >= self.relations.len() {
+            let Some(own) = self.relations.get(i) else {
                 break;
-            }
-            if self
-                .relations
-                .get(i)
-                .map(|s| Arc::ptr_eq(s, shard))
-                .unwrap_or(false)
-            {
-                // Shared shard: every fact is already present.
-                continue;
-            }
-            for t in &shard.tuples {
+            };
+            // A shared base's rows are already present.
+            let from = if own.shares_base(shard) {
+                shard.base().len()
+            } else {
+                0
+            };
+            for t in shard.rows(from) {
                 let _ = self.insert(rel, t.clone());
             }
         }
@@ -1076,9 +1161,9 @@ impl FactStore {
     /// fact leaves the stored facts unchanged), rows are grouped per
     /// relation, and each relation's columns, tuple vector and row-key set
     /// are reserved to their final size before the indexes are built. Each
-    /// touched relation's shard is copied at most once (and not at all when
-    /// every grouped row is a duplicate). This is the seeding path for the
-    /// 10⁴–10⁶-fact configurations of the E5 / federation sweeps.
+    /// touched relation's shard tail is copied at most once (and not at all
+    /// when every grouped row is a duplicate). This is the seeding path for
+    /// the 10⁴–10⁶-fact configurations of the E5 / federation sweeps.
     pub fn extend_facts<I: IntoIterator<Item = Fact>>(&mut self, facts: I) -> Result<usize> {
         let schema = self.schema.clone();
         // Validation + interning pass; nothing is stored yet.
@@ -1109,38 +1194,33 @@ impl FactStore {
                     self.rec_key_probe(relation, key);
                 }
             }
-            // Copy-on-write guard: leave a fully-duplicate batch's shard
-            // shared.
-            if rows
-                .iter()
-                .all(|(key, _)| self.relations[i].keys.contains(key))
-            {
+            // Rows already stored write nothing, so a fully-duplicate batch
+            // leaves the shard as it was.
+            let stored = &self.relations[i];
+            rows.retain(|(key, _)| !stored.contains_key(key));
+            if rows.is_empty() {
                 continue;
             }
             let rel = schema
                 .relation(RelationId(i as u32))
                 .expect("relation validated above");
-            // Some row is new, and each new row offers its pairs to the adom
-            // shard, copied first if shared. A nullary relation's rows carry
-            // no value, so they leave that shard shared.
-            let mut adom =
-                (rel.arity() > 0).then(|| copy_on_write(&mut self.adom, &mut self.shard_copies));
-            let shard = copy_on_write(&mut self.relations[i], &mut self.shard_copies);
+            let shard = self.relations[i].append_level(&mut self.shard_copies);
             shard.keys.reserve(rows.len());
             shard.tuples.reserve(rows.len());
             for column in &mut shard.columns {
                 column.reserve(rows.len());
             }
             for (key, t) in rows.drain(..) {
+                // A batch may repeat a row; this level holds every row the
+                // batch added before it.
                 if shard.keys.contains(&key) {
                     continue;
                 }
                 // One insert per pair: each new pair is logged in entry
                 // order.
-                if let Some(adom) = adom.as_deref_mut() {
-                    for (c, &id) in key.iter().enumerate() {
-                        adom.insert((id, rel.domain_at(c)));
-                    }
+                for (c, &id) in key.iter().enumerate() {
+                    self.adom
+                        .insert((id, rel.domain_at(c)), &mut self.shard_copies);
                 }
                 shard.push_row(key, t);
                 inserted += 1;
@@ -1168,7 +1248,7 @@ impl FactStore {
     /// precise invalidation.
     pub fn active_domain_untracked(&self) -> HashSet<(Value, DomainId)> {
         self.adom
-            .entered
+            .entered(0)
             .iter()
             .map(|&(id, d)| (self.interner.resolve(id).clone(), d))
             .collect()
@@ -1181,7 +1261,7 @@ impl FactStore {
     /// pool records those as prefix / whole-domain walks at use time.
     pub fn adom_domain_mins_untracked(&self) -> HashMap<DomainId, Value> {
         let mut mins: HashMap<DomainId, Value> = HashMap::new();
-        for &(id, d) in &self.adom.entered {
+        for &(id, d) in self.adom.entered(0) {
             let v = self.interner.resolve(id);
             match mins.entry(d) {
                 std::collections::hash_map::Entry::Occupied(mut e) => {
@@ -1200,7 +1280,7 @@ impl FactStore {
     /// Number of distinct `(value, domain)` pairs in the active domain.
     pub fn active_domain_len(&self) -> usize {
         self.rec(|rs| rs.insert(Read::Adom));
-        self.adom.entered.len()
+        self.adom.len()
     }
 
     /// Is `(value, domain)` in the active domain? A pair of hash probes.
@@ -1208,7 +1288,7 @@ impl FactStore {
         match self.interner.lookup(value) {
             Some(id) => {
                 self.rec(|rs| rs.insert(Read::AdomPair(id, domain)));
-                self.adom.members.contains(&(id, domain))
+                self.adom.contains(&(id, domain))
             }
             None => {
                 self.rec(|rs| rs.insert(Read::AdomUnknown(value.clone(), domain)));
@@ -1225,7 +1305,7 @@ impl FactStore {
         self.rec(|rs| rs.insert(Read::AdomDomain(domain)));
         let mut vals: Vec<Value> = self
             .adom
-            .entered
+            .entered(0)
             .iter()
             .filter(|(_, d)| *d == domain)
             .map(|&(id, _)| self.interner.resolve(id).clone())
@@ -1238,7 +1318,7 @@ impl FactStore {
     /// sorted and deduplicated.
     pub fn all_values(&self) -> Vec<Value> {
         self.rec(|rs| rs.insert(Read::Adom));
-        let ids: HashSet<ValueId> = self.adom.entered.iter().map(|&(id, _)| id).collect();
+        let ids: HashSet<ValueId> = self.adom.entered(0).iter().map(|&(id, _)| id).collect();
         let mut vals: Vec<Value> = ids
             .into_iter()
             .map(|id| self.interner.resolve(id).clone())
@@ -1531,7 +1611,7 @@ mod tests {
     }
 
     #[test]
-    fn clones_share_every_shard_until_first_write() {
+    fn a_growing_clone_shares_every_base_and_copies_only_shared_tails() {
         let schema = small_schema();
         let r = schema.relation_by_name("R").unwrap();
         let s = schema.relation_by_name("S").unwrap();
@@ -1540,25 +1620,31 @@ mod tests {
         store.insert_named("S", ["z"]).unwrap();
         let base_copies = store.shard_copies();
         let mut clone = store.clone();
-        assert!(store.shares_relation_shard(&clone, r));
-        assert!(store.shares_relation_shard(&clone, s));
-        assert!(store.shares_adom_shard(&clone));
-        assert!(store.shares_interner(&clone));
-        // The clone inherits the counter; sharing cost nothing.
-        assert_eq!(clone.shard_copies(), base_copies);
-        // Mutating R in the clone diverges R (and the adom + interner, which
-        // see a new value) but leaves S shared.
+        // The clone's first write (a new row of R with two new values)
+        // starts tails of its own: every base stays shared, nothing is
+        // copied.
         clone.insert(r, tuple(["new", "9"])).unwrap();
-        assert!(!store.shares_relation_shard(&clone, r));
-        assert!(store.shares_relation_shard(&clone, s));
-        assert!(!store.shares_adom_shard(&clone));
-        assert!(!store.shares_interner(&clone));
-        assert!(clone.shard_copies() > base_copies);
-        // The original handle never copied anything.
+        assert!(store.shares_relation_base(&clone, r));
+        assert!(store.shares_relation_base(&clone, s));
+        assert!(store.shares_adom_base(&clone));
+        assert!(store.shares_interner_base(&clone));
+        assert_eq!(clone.shard_copies(), base_copies);
         assert_eq!(store.shard_copies(), base_copies);
-        // The original is undisturbed.
         assert!(!store.contains(r, &tuple(["new", "9"])));
         assert!(clone.contains(r, &tuple(["new", "9"])));
+        assert_eq!(store.interner().len() + 2, clone.interner().len());
+        // A snapshot of the grown clone shares its tails too; the clone's
+        // next growing write copies the tails it writes (R, the adom and
+        // the interner for a new value), and S's tail stays empty.
+        let snap = clone.clone();
+        clone.insert(r, tuple(["newer", "9"])).unwrap();
+        assert_eq!(clone.shard_copies(), base_copies + 3);
+        assert!(!snap.contains(r, &tuple(["newer", "9"])));
+        assert_eq!(snap.relation_len(r), 2);
+        // Its tails are its own now: further writes copy nothing.
+        clone.insert(s, tuple(["9"])).unwrap();
+        clone.insert(r, tuple(["newest", "9"])).unwrap();
+        assert_eq!(clone.shard_copies(), base_copies + 3);
     }
 
     #[test]
@@ -1568,20 +1654,23 @@ mod tests {
         let mut store = FactStore::new(schema);
         store.insert(r, tuple(["a", "1"])).unwrap();
         let mut clone = store.clone();
+        clone.insert(r, tuple(["b", "2"])).unwrap();
+        // Every tail of the clone holds entries and is shared with `snap`.
+        let snap = clone.clone();
         let copies = clone.shard_copies();
-        // Re-inserting an existing fact is read-only: everything stays
-        // shared.
+        // Re-inserting a row of the base or of the tail writes nothing.
         assert!(!clone.insert(r, tuple(["a", "1"])).unwrap());
+        assert!(!clone.insert(r, tuple(["b", "2"])).unwrap());
         assert_eq!(clone.shard_copies(), copies);
-        assert!(store.shares_relation_shard(&clone, r));
-        assert!(store.shares_adom_shard(&clone));
-        assert!(store.shares_interner(&clone));
-        // Inserting a new fact built from already-known values copies the
-        // relation and adom shards but not the interner.
-        assert!(clone.insert(r, tuple(["1", "a"])).unwrap());
-        assert!(!store.shares_relation_shard(&clone, r));
-        assert!(!store.shares_adom_shard(&clone));
-        assert!(store.shares_interner(&clone));
+        // A new row of known values whose pairs are all in the active
+        // domain copies R's tail, but neither the adom's nor the
+        // interner's.
+        assert!(clone.insert(r, tuple(["b", "1"])).unwrap());
+        assert_eq!(clone.shard_copies(), copies + 1);
+        assert!(clone.insert(r, tuple(["a", "2"])).unwrap());
+        assert_eq!(clone.shard_copies(), copies + 1);
+        assert_eq!(snap.relation_len(r), 2);
+        assert_eq!(snap.interner().len(), clone.interner().len());
     }
 
     #[test]
@@ -1590,14 +1679,20 @@ mod tests {
         let r = schema.relation_by_name("R").unwrap();
         let mut store = FactStore::new(schema);
         store.insert(r, tuple(["a", "1"])).unwrap();
-        store.insert(r, tuple(["b", "2"])).unwrap();
         let mut clone = store.clone();
+        clone.insert(r, tuple(["b", "2"])).unwrap();
+        let snap = clone.clone();
+        let copies = clone.shard_copies();
         let inserted = clone
             .extend_facts(vec![(r, tuple(["a", "1"])), (r, tuple(["b", "2"]))])
             .unwrap();
         assert_eq!(inserted, 0);
-        assert!(store.shares_relation_shard(&clone, r));
-        assert!(store.shares_adom_shard(&clone));
+        assert_eq!(clone.shard_copies(), copies);
+        // A batch that repeats a new row adds it once, to the tail.
+        let batch = vec![(r, tuple(["c", "3"])), (r, tuple(["c", "3"]))];
+        assert_eq!(clone.extend_facts(batch).unwrap(), 1);
+        assert_eq!(clone.relation_len(r), 3);
+        assert_eq!(snap.relation_len(r), 2);
     }
 
     /// The recorder's merge rules: duplicates collapse, a domain keeps one

@@ -475,22 +475,14 @@ fn cow_clone_then_mutate_diverges_like_a_deep_copy() {
 
 #[test]
 fn cow_unmutated_shards_stay_pointer_equal_across_clones() {
+    // A clone shares every shard's base with its origin, and its first
+    // growing write starts tails of its own: every base stays shared and
+    // nothing is copied, however large the origin.
     for (seed, _, facts) in cases() {
         let (workload, _, conf) = workload_and_query(seed, 1, facts + 5);
         let base = conf.store();
         let mut clone = base.clone();
-        // A fresh clone shares every shard with its origin.
-        for (rel, _) in workload.schema.relations_with_ids() {
-            assert!(
-                base.shares_relation_shard(&clone, rel),
-                "fresh clone must share relation shards at seed={seed}"
-            );
-        }
-        assert!(base.shares_adom_shard(&clone));
-        assert!(base.shares_interner(&clone));
-        // Insert one fact into exactly one relation of the clone: only that
-        // relation's shard (plus adom, plus interner for the new value)
-        // diverges.
+        // Insert one fact of new values into exactly one relation.
         let (target, target_rel) = workload
             .schema
             .relations_with_ids()
@@ -501,25 +493,20 @@ fn cow_unmutated_shards_stay_pointer_equal_across_clones() {
                 .map(|i| Value::sym(format!("cow-fresh-{seed}-{i}")))
                 .collect(),
         );
-        assert!(clone.insert(target, fresh_tuple).unwrap());
+        assert!(clone.insert(target, fresh_tuple.clone()).unwrap());
         for (rel, _) in workload.schema.relations_with_ids() {
-            if rel == target {
-                assert!(
-                    !base.shares_relation_shard(&clone, rel),
-                    "mutated shard must diverge at seed={seed}"
-                );
-            } else {
-                assert!(
-                    base.shares_relation_shard(&clone, rel),
-                    "untouched shard {rel:?} must stay shared at seed={seed}"
-                );
-            }
+            assert!(
+                base.shares_relation_base(&clone, rel),
+                "relation {rel:?} must keep its shared base at seed={seed}"
+            );
         }
-        assert!(!base.shares_adom_shard(&clone));
-        assert!(!base.shares_interner(&clone));
-        // The origin handle performed no copy; the clone performed some.
+        assert!(base.shares_adom_base(&clone));
+        assert!(base.shares_interner_base(&clone));
+        // Neither handle copied anything, and the origin is undisturbed.
         assert_eq!(base.shard_copies(), 0, "read-only origin at seed={seed}");
-        assert!(clone.shard_copies() > 0);
+        assert_eq!(clone.shard_copies(), 0, "growing clone at seed={seed}");
+        assert!(!base.contains(target, &fresh_tuple));
+        assert!(clone.contains(target, &fresh_tuple));
     }
 }
 
@@ -536,9 +523,8 @@ fn rows_since_a_row_count_are_the_rows_inserted_after_it_across_snapshots() {
             let relation = accrel::schema::RelationId(r as u32);
             for k in 0..=rows.len() + 1 {
                 let want = rows.get(k..).unwrap_or(&[]);
-                assert_eq!(
-                    store.rows_since(relation, k),
-                    want,
+                assert!(
+                    store.rows_since(relation, k).iter().eq(want),
                     "{ctx} relation={r} k={k}"
                 );
             }
@@ -571,6 +557,241 @@ fn rows_since_a_row_count_are_the_rows_inserted_after_it_across_snapshots() {
         insert_all(&mut store, &mut oracle, &committed);
         assert_rows_since(&store, &oracle, &format!("after later commits {ctx}"));
         assert_rows_since(&snapshot, &inside, &format!("after the store grew {ctx}"));
+    }
+}
+
+/// A live handle of a lineage: the configuration, its deep-copied
+/// reference (cloned with the handle) and the cursors that follow it.
+struct LineageHandle {
+    conf: Configuration,
+    log: GrowthLog,
+    marks: Vec<GrowthMark>,
+}
+
+impl LineageHandle {
+    fn mark(&mut self) {
+        self.marks.push(GrowthMark {
+            cursor: accrel::schema::GrowthCursor::at(self.conf.store()),
+            rows: self.log.rows.len(),
+            entered: self.log.entered.len(),
+            reads: Vec::new(),
+        });
+    }
+
+    fn snapshot(&self) -> Self {
+        LineageHandle {
+            conf: self.conf.snapshot(),
+            log: self.log.clone(),
+            marks: self.marks.clone(),
+        }
+    }
+}
+
+/// Checks one handle against its reference through every read the store
+/// offers: facts in row order, `rows_since`, membership, the order of
+/// `candidates` and `matching` and `candidate_bound` on one and on two
+/// constraints (some on a value the store never saw), the active domain in
+/// entry order, and the interner's round trips with dense ids.
+fn assert_handle_agrees(handle: &LineageHandle, probes: &[Value], ctx: &str) {
+    use accrel::schema::{DomainId, GrowthCursor, ValueId};
+    fn on<'a>(rows: &'a [Tuple], pos: usize, v: &'a Value) -> impl Iterator<Item = &'a Tuple> {
+        rows.iter().filter(move |t| t.get(pos) == Some(v))
+    }
+    let (store, log) = (handle.conf.store(), &handle.log);
+    let interner = store.interner();
+    assert_eq!(interner.len(), log.values.len(), "interner {ctx}");
+    for ((id, v), (i, want)) in interner.iter().zip(log.values.iter().enumerate()) {
+        assert_eq!((id, v), (ValueId(i as u32), want), "interner order {ctx}");
+        assert_eq!(interner.lookup(want), Some(id), "lookup {ctx}");
+        assert_eq!(interner.resolve(id), want, "resolve {ctx}");
+    }
+    let everything = GrowthCursor::default().advance(store);
+    let entered: Vec<_> = (everything.entered().iter())
+        .map(|&(id, d)| (interner.resolve(id).clone(), d))
+        .collect();
+    assert_eq!(entered, log.entered, "adom entry order {ctx}");
+    assert_eq!(store.active_domain_len(), log.entered.len());
+    for d in (0..store.schema().domain_count()).map(|d| DomainId(d as u32)) {
+        for v in probes {
+            let want = log.adom.contains(&(v.clone(), d));
+            assert_eq!(store.adom_contains(v, d), want, "adom_contains {ctx}");
+        }
+    }
+    for (relation, rel) in store.schema().relations_with_ids() {
+        let rows = log.rows_of(relation);
+        assert!(store.tuples(relation).eq(&rows), "facts in row order {ctx}");
+        assert!(store.candidates(relation, []).eq(&rows), "scan {ctx}");
+        for k in 0..=rows.len() + 1 {
+            let want = rows.get(k..).unwrap_or(&[]);
+            assert!(
+                store.rows_since(relation, k).iter().eq(want),
+                "rows_since {k} {ctx}"
+            );
+        }
+        assert!(
+            rows.iter().all(|t| store.contains(relation, t)),
+            "membership {ctx}"
+        );
+        for pos in 0..rel.arity() {
+            for v in probes {
+                let want: Vec<&Tuple> = on(&rows, pos, v).collect();
+                let found: Vec<&Tuple> = store.candidates(relation, [(pos, v)]).collect();
+                assert_eq!(found, want, "candidates {ctx}");
+                let matched = store.matching(relation, &[pos], std::slice::from_ref(v));
+                assert!(matched.iter().eq(want.iter().copied()), "matching {ctx}");
+                assert_eq!(store.candidate_bound(relation, [(pos, v)]), want.len());
+            }
+        }
+        if rel.arity() < 2 {
+            continue;
+        }
+        for (a, b) in probes.iter().zip(probes.iter().rev()) {
+            let want: Vec<&Tuple> = on(&rows, 0, a).filter(|t| t.get(1) == Some(b)).collect();
+            let found: Vec<&Tuple> = store.candidates(relation, [(1, b), (0, a)]).collect();
+            assert_eq!(found, want, "two-constraint candidates {ctx}");
+            let bound = on(&rows, 0, a).count().min(on(&rows, 1, b).count());
+            assert_eq!(store.candidate_bound(relation, [(0, a), (1, b)]), bound);
+        }
+    }
+    assert_eq!(store.len(), log.rows.len(), "len {ctx}");
+}
+
+#[test]
+fn clone_lineages_agree_with_deep_copied_references() {
+    // Random trees of handles: clones of grown clones over several
+    // generations, handles dropped in between (so a base can become
+    // unshared again), single inserts and `extend_facts` batches on every
+    // live handle, and growth cursors marked and advanced at random. Each
+    // handle must read exactly like its deep-copied reference after every
+    // step, every handle must keep sharing each base with every other (all
+    // descend from one root, and a base is only ever written while no other
+    // handle holds it), and `is_subset_of` / `same_facts` between any two
+    // handles must agree with the references.
+    use rand::Rng;
+
+    let spec = WorkloadSpec {
+        relations: 3,
+        arity: 2,
+        domains: 2,
+        constants: 4,
+        dependent_fraction: 0.0,
+    };
+    let mut counts = TouchCounts::default();
+    for seed in 0..6u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let schema = generate_workload(&spec, &mut rng).schema;
+        let mut pool: Vec<Value> = (0..4).map(|i| Value::sym(format!("c{i}"))).collect();
+        let mut minted = 0usize;
+        let mut fact = |rng: &mut StdRng, pool: &mut Vec<Value>| {
+            let relation = accrel::schema::RelationId(rng.gen_range(0..3u32));
+            let arity = schema.arity(relation).unwrap();
+            let values = (0..arity)
+                .map(|_| {
+                    if rng.gen_bool(0.2) {
+                        minted += 1;
+                        pool.push(Value::sym(format!("n{minted}")));
+                        pool[pool.len() - 1].clone()
+                    } else {
+                        pool[rng.gen_range(0..pool.len())].clone()
+                    }
+                })
+                .collect();
+            (relation, Tuple::new(values))
+        };
+        let mut handles = vec![LineageHandle {
+            conf: Configuration::empty(schema.clone()),
+            log: GrowthLog::default(),
+            marks: Vec::new(),
+        }];
+        // A mark inside a base that later grows a tail: the root appends to
+        // its unshared base around the mark, is cloned, then grows again.
+        handles[0].mark();
+        for i in 0..8 {
+            if i == 5 {
+                let child = handles[0].snapshot();
+                handles.push(child);
+            }
+            let f = fact(&mut rng, &mut pool);
+            let root = &mut handles[0];
+            let new = root.conf.insert(f.0, f.1.clone()).unwrap();
+            assert_eq!(new, root.log.commit(&schema, &f));
+            if i == 2 {
+                root.mark();
+            }
+        }
+        let ctx = format!("seed={seed} spanning mark");
+        let root = &mut handles[0];
+        check_growth(&root.conf, &root.log, &mut root.marks[1], &mut counts, &ctx);
+
+        for step in 0..70 {
+            let ctx = format!("seed={seed} step={step}");
+            let h = rng.gen_range(0..handles.len());
+            match rng.gen_range(0..10u32) {
+                0..=2 => {
+                    let f = fact(&mut rng, &mut pool);
+                    let handle = &mut handles[h];
+                    let new = handle.conf.insert(f.0, f.1.clone()).unwrap();
+                    assert_eq!(new, handle.log.commit(&schema, &f), "insert {ctx}");
+                }
+                3 | 4 => {
+                    let mut batch: Vec<_> = (0..rng.gen_range(1..6usize))
+                        .map(|_| fact(&mut rng, &mut pool))
+                        .collect();
+                    if rng.gen_bool(0.3) {
+                        // Repeat a row, stored or not.
+                        batch.extend(handles[h].log.facts.iter().next().cloned());
+                        batch.push(batch[0].clone());
+                    }
+                    let handle = &mut handles[h];
+                    let added = handle.conf.extend_facts(batch.clone()).unwrap();
+                    assert_eq!(
+                        added,
+                        handle.log.commit_batch(&schema, &batch),
+                        "batch {ctx}"
+                    );
+                }
+                5 | 6 if handles.len() < 6 => {
+                    let clone = handles[h].snapshot();
+                    handles.push(clone);
+                }
+                7 if handles.len() > 1 => {
+                    handles.swap_remove(h);
+                }
+                8 => handles[h].mark(),
+                _ if !handles[h].marks.is_empty() => {
+                    let handle = &mut handles[h];
+                    let i = rng.gen_range(0..handle.marks.len());
+                    check_growth(
+                        &handle.conf,
+                        &handle.log,
+                        &mut handle.marks[i],
+                        &mut counts,
+                        &ctx,
+                    );
+                }
+                _ => handles[h].mark(),
+            }
+            let probes = [
+                pool[rng.gen_range(0..pool.len())].clone(),
+                pool[rng.gen_range(0..pool.len())].clone(),
+                pool[pool.len() - 1].clone(),
+                Value::sym("never-stored"),
+            ];
+            for (i, a) in handles.iter().enumerate() {
+                assert_handle_agrees(a, &probes, &format!("{ctx} handle={i}"));
+                for b in &handles {
+                    let (sa, sb) = (a.conf.store(), b.conf.store());
+                    for (relation, _) in schema.relations_with_ids() {
+                        assert!(sa.shares_relation_base(sb, relation), "base {ctx}");
+                    }
+                    assert!(sa.shares_adom_base(sb) && sa.shares_interner_base(sb));
+                    let want = a.log.facts.is_subset(&b.log.facts);
+                    assert_eq!(a.conf.is_subset_of(&b.conf), want, "subset {ctx}");
+                    let same = a.log.facts == b.log.facts;
+                    assert_eq!(a.conf.same_facts(&b.conf), same, "same_facts {ctx}");
+                }
+            }
+        }
     }
 }
 
@@ -702,16 +923,18 @@ fn index_backed_candidates_agree_with_membership_semantics() {
     }
 }
 
-/// The per-row reference behind the growth-feed property: every committed
-/// row in commit order, with per position its value, the position's domain
-/// and whether the `(value, domain)` pair was new to the active domain, and
-/// the active domain's pairs in entry order.
+/// The per-row reference behind the growth-feed and lineage properties:
+/// every committed row in commit order, with per position its value, the
+/// position's domain and whether the `(value, domain)` pair was new to the
+/// active domain, the active domain's pairs in entry order, and the values
+/// in the order the store interns them.
 #[derive(Clone, Default)]
 struct GrowthLog {
     facts: std::collections::HashSet<accrel::schema::Fact>,
     adom: std::collections::HashSet<(Value, accrel::schema::DomainId)>,
     rows: Vec<GrowthRow>,
     entered: Vec<(Value, accrel::schema::DomainId)>,
+    values: Vec<Value>,
 }
 
 type GrowthRow = (
@@ -720,9 +943,20 @@ type GrowthRow = (
 );
 
 impl GrowthLog {
+    /// Interns the values of `t`, as the store does before it checks for a
+    /// duplicate row.
+    fn intern(&mut self, t: &Tuple) {
+        for v in t.iter() {
+            if !self.values.contains(v) {
+                self.values.push(v.clone());
+            }
+        }
+    }
+
     /// Logs `fact` if the store just committed it, that is if it is new.
     /// The newly-in-adom flags are read before the row's pairs are added.
     fn commit(&mut self, schema: &Schema, fact: &accrel::schema::Fact) -> bool {
+        self.intern(&fact.1);
         if !self.facts.insert(fact.clone()) {
             return false;
         }
@@ -743,6 +977,27 @@ impl GrowthLog {
         }
         self.rows.push((fact.0, values));
         true
+    }
+
+    /// Logs an `extend_facts` batch as the store commits it: every value
+    /// interned in batch order, then the rows relation by relation, in
+    /// batch order within each. Returns how many rows were new.
+    fn commit_batch(&mut self, schema: &Schema, batch: &[accrel::schema::Fact]) -> usize {
+        batch.iter().for_each(|(_, t)| self.intern(t));
+        let mut committed = 0;
+        for (relation, _) in schema.relations_with_ids() {
+            for fact in batch.iter().filter(|(r, _)| *r == relation) {
+                committed += usize::from(self.commit(schema, fact));
+            }
+        }
+        committed
+    }
+
+    /// The committed rows of `relation`, in row order.
+    fn rows_of(&self, relation: accrel::schema::RelationId) -> Vec<Tuple> {
+        (self.rows.iter().filter(|(r, _)| *r == relation))
+            .map(|(_, values)| Tuple::new(values.iter().map(|(v, _, _)| v.clone()).collect()))
+            .collect()
     }
 }
 
@@ -806,7 +1061,7 @@ fn check_growth(
             .filter(|(r, _)| *r == relation)
             .map(|(_, values)| Tuple::new(values.iter().map(|(v, _, _)| v.clone()).collect()))
             .collect();
-        assert_eq!(growth.rows(relation), want.as_slice(), "rows at {ctx}");
+        assert!(growth.rows(relation).iter().eq(&want), "rows at {ctx}");
     }
     let entered: Vec<_> = growth
         .entered()
@@ -915,15 +1170,11 @@ fn growth_cursors_agree_with_a_per_row_reference() {
                     .map(|_| pool[rng.gen_range(0..pool.len())].clone())
                     .collect();
                 let inserted = conf.extend_facts(batch.clone()).unwrap();
-                // A batch commits its rows relation by relation, in batch
-                // order within each.
-                let mut committed = 0;
-                for (relation, _) in schema.relations_with_ids() {
-                    for fact in batch.iter().filter(|(r, _)| *r == relation) {
-                        committed += usize::from(log.commit(&schema, fact));
-                    }
-                }
-                assert_eq!(inserted, committed, "batch at {ctx}");
+                assert_eq!(
+                    inserted,
+                    log.commit_batch(&schema, &batch),
+                    "batch at {ctx}"
+                );
                 assert_eq!(conf.active_domain_untracked(), log.adom, "adom at {ctx}");
             }
             2 => {

@@ -52,9 +52,9 @@
 use std::collections::HashMap;
 
 use accrel_access::{Access, AccessMethod, AccessMethods};
-use accrel_query::eval::{self, AtomSet};
+use accrel_query::eval::{AtomSet, Join};
 use accrel_query::{certain, Atom, ConjunctiveQuery, Query, Valuation, VarId};
-use accrel_schema::{Configuration, RelationId, Tuple, Value};
+use accrel_schema::{Configuration, RelationId, Tuple, Value, ValueId};
 
 use crate::reductions;
 use crate::search;
@@ -146,12 +146,14 @@ fn witness_given_uncertain(
 }
 
 /// Searches for a satisfying valuation of one disjunct in which every atom
-/// is either matched by the configuration or charged to the access. Like
-/// the joins of `accrel_query::eval`, it branches on the most constrained
-/// open atom, counting a possible charge as one more candidate, and tries
-/// the charge before the configuration's candidates: it reads nothing, and
-/// it binds the atom's input places to the binding, which usually leaves
-/// the neighbouring atoms the fewest candidates.
+/// is either matched by the configuration or charged to the access. It
+/// drives the join kernel of `accrel_query::eval` ([`Join`]) step by step:
+/// like the joins there, it binds value ids and branches on the most
+/// constrained open atom, counting a possible charge as one more candidate,
+/// and it tries the charge before the configuration's candidates. The
+/// charge binds the atom's input places to the binding's ids; it reads
+/// nothing, and it usually leaves the neighbouring atoms the fewest
+/// candidates.
 ///
 /// The disjunct is assumed not to hold in `conf`, so by the charge lemma
 /// (module doc) a valuation that charges nothing cannot succeed: a branch
@@ -167,10 +169,13 @@ fn disjunct_witness(
 ) -> Option<IrWitness> {
     struct Search<'a> {
         atoms: &'a [Atom],
-        conf: &'a Configuration,
+        join: Join<'a>,
         access: &'a Access,
         access_relation: RelationId,
         input_positions: &'a [usize],
+        /// The binding's ids at the method's input places, resolved at the
+        /// first charge (a search often ends before one).
+        inputs: Option<Vec<(usize, ValueId)>>,
         /// The atoms that can be charged to the access under some
         /// valuation ([`search::is_chargeable`]), decided once.
         chargeable: AtomSet,
@@ -200,45 +205,56 @@ fn disjunct_witness(
             self.open_chargeable += usize::from(self.chargeable.contains(i));
         }
 
-        fn go(&mut self, valuation: &Valuation) -> Option<Valuation> {
+        /// Charges atom `i` to the access: binds its input places to the
+        /// binding's ids. Whether that agrees with the current bindings.
+        fn charge(&mut self, i: usize) -> bool {
+            let (join, access) = (&mut self.join, self.access);
+            let inputs = self.inputs.get_or_insert_with(|| {
+                let values = access.binding().values();
+                let inputs = self.input_positions.iter().zip(values);
+                inputs.map(|(&pos, v)| (pos, join.id(v))).collect()
+            });
+            join.unify_at(i, inputs)
+        }
+
+        /// Whether the current bindings extend to a witness; if so, they
+        /// are left in place.
+        fn go(&mut self) -> bool {
             if self.charges_nothing() {
-                return None;
+                return false;
             }
-            let (atoms, store) = (self.atoms, self.conf.store());
-            let on_access = |i: usize| usize::from(atoms[i].relation() == self.access_relation);
-            let Some(i) = eval::most_constrained(atoms, &self.open, store, valuation, on_access)
-            else {
-                return Some(valuation.clone());
+            let on_access =
+                |i: usize| usize::from(self.atoms[i].relation() == self.access_relation);
+            let Some(i) = self.join.most_constrained(&self.open, on_access) else {
+                return true;
             };
-            let atom = &atoms[i];
             self.close(i);
+            let mark = self.join.mark();
             // Option A: the subgoal is charged to the access: input places
             // mapped onto the binding (output places are free).
-            if self.chargeable.contains(i) {
-                if let Some(extended) =
-                    search::charge_to_access(atom, valuation, self.access, self.input_positions)
-                {
-                    self.charged.insert(i);
-                    if let Some(done) = self.go(&extended) {
-                        return Some(done);
-                    }
-                    self.charged.remove(i);
+            if self.chargeable.contains(i) && self.charge(i) {
+                self.charged.insert(i);
+                if self.go() {
+                    return true;
                 }
+                self.charged.remove(i);
+                self.join.undo(mark);
             }
             // Option B: the subgoal is already witnessed by the
             // configuration (candidates narrowed through the per-attribute
             // indexes, drawn lazily) — unless that leaves nothing to charge.
             if !self.charges_nothing() {
-                for tuple in eval::atom_candidates(atom, store, valuation) {
-                    if let Some(extended) = valuation.unify_atom(atom, tuple) {
-                        if let Some(done) = self.go(&extended) {
-                            return Some(done);
+                for row in self.join.rows(i) {
+                    if self.join.unify(i, &row) {
+                        if self.go() {
+                            return true;
                         }
+                        self.join.undo(mark);
                     }
                 }
             }
             self.reopen(i);
-            None
+            false
         }
     }
 
@@ -250,18 +266,23 @@ fn disjunct_witness(
             open_chargeable += 1;
         }
     }
+    let unbound = Valuation::new();
     let mut search = Search {
         atoms,
-        conf,
+        join: Join::new(atoms, conf.store(), &[], &unbound),
         access,
         access_relation: method.relation(),
         input_positions: method.input_positions(),
+        inputs: None,
         chargeable,
         open: AtomSet::below(atoms.len()),
         open_chargeable,
         charged: AtomSet::default(),
     };
-    let valuation = search.go(&Valuation::new())?;
+    if !search.go() {
+        return None;
+    }
+    let valuation = search.join.valuation();
 
     // Ground the witness: unbound variables get distinct fresh values, and
     // the atoms charged to the access become the increasing response.

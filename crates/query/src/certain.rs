@@ -27,7 +27,7 @@
 use accrel_schema::{Configuration, GrowthCursor, Tuple};
 
 use crate::cq::ConjunctiveQuery;
-use crate::eval::{self, Valuation};
+use crate::eval::{self, Join, Valuation};
 use crate::query::Query;
 
 /// Is the Boolean query certain (true in every consistent instance) at
@@ -109,17 +109,18 @@ impl<'q> CertaintyStatus<'q> {
                 if growth.is_empty() {
                     return false;
                 }
-                // Every new match maps some atom onto a new row. The rest
-                // of its disjunct is joined as a full evaluation joins it,
-                // most constrained atom first: the pinned atom's bound
-                // variables make its neighbours the cheap place to start.
+                // Every new match maps some atom onto a new row. The atom is
+                // pinned to the row by the row's ids, and the rest of its
+                // disjunct is joined as a full evaluation joins it, most
+                // constrained atom first: the pinned atom's bound variables
+                // make its neighbours the cheap place to start.
+                let unbound = Valuation::new();
                 let certain = self.query.ucq().iter().any(|d| {
-                    d.atoms().iter().any(|atom| {
-                        growth.rows(atom.relation()).iter().any(|row| {
-                            Valuation::new().unify_atom(atom, row).is_some_and(|v| {
-                                eval::find_homomorphism(d.atoms(), store, &v).is_some()
-                            })
-                        })
+                    let mut join = Join::new(d.atoms(), store, &[], &unbound);
+                    d.atoms().iter().enumerate().any(|(i, atom)| {
+                        growth
+                            .row_ids(atom.relation())
+                            .any(|row| join.matches_through(i, row))
                     })
                 });
                 debug_assert_eq!(

@@ -10,27 +10,54 @@
 //! procedure; data complexity is polynomial (AC0) for a fixed query, which
 //! experiment E5 of the benchmark harness demonstrates empirically.
 //!
-//! Candidates are drawn through the fact store's per-(relation, attribute)
-//! indexes ([`FactStore::candidates`]): the positions of an atom already
-//! determined by the partial valuation (constants and bound variables)
-//! become index constraints, so joins probe posting lists instead of
-//! scanning whole relations. The counts that order the branches come from
-//! the same posting lists through [`FactStore::candidate_bound`], which
-//! records no read. That is sound for read-set invalidation: a refutation
-//! depends only on the candidate lists of the atoms it branched on, and
-//! drawing them records them (see [`accrel_schema::ReadSet`]). The lists
-//! are lazy cursors that record their read when they are made, so a node
-//! that finds its match stops walking the list without recording less.
+//! # One kernel over value ids
+//!
+//! Every join here, the semi-naive certainty step and immediate
+//! relevance's witness search run one kernel, [`Join`], and it binds
+//! interned [`ValueId`]s, not [`Value`]s. It resolves the partial valuation
+//! and the overlay facts through the store's interner at entry, and an
+//! atom's constants when it first looks at the atom, each once; a value
+//! the store has never interned gets a *join-local* id past the interner's
+//! range, the same one wherever the join meets the value. It keeps one id slot per variable, set and cleared
+//! in place as it backtracks, reads candidate counts, posting lists and
+//! rows from the store by id ([`FactStore::posting_bound`],
+//! [`FactStore::posting_rows`]), and builds a [`Valuation`] only for a match
+//! it hands out. A node therefore hashes no value and allocates nothing.
+//!
+//! The positions of an atom already determined by the bindings (constants
+//! and bound variables) become index constraints, so joins probe posting
+//! lists instead of scanning whole relations. The counts that order the
+//! branches come from the same posting lists, and record no read. That is
+//! sound for read-set invalidation: a refutation depends only on the
+//! candidate lists of the atoms it branched on, and drawing them records
+//! them (see [`accrel_schema::ReadSet`]). The lists are lazy cursors that
+//! record their read when they are made, so a node that finds its match
+//! stops walking the list without recording less.
+//!
+//! **The read rule.** A candidate list records exactly one read, in term
+//! order over the atom's determined positions: [`Read::UnknownValue`] with
+//! the *value* of the first join-local id (the store lacks it, and the
+//! read resolves against the interner when growth is checked), else
+//! [`Read::Pair`] with the first position's id, else [`Read::Relation`]
+//! when nothing is determined. So a join-local id never enters a read set,
+//! where it would name no stored value and could later collide with a
+//! real id. The value-level probe [`FactStore::candidates`] resolves its
+//! values the same way and records the same read.
 //!
 //! The `_with_extra` variants evaluate over a store *plus* a small slice of
 //! pending facts without materialising the union — the relevance witness
 //! searches use them to test "would the query hold after these accesses"
 //! once per candidate valuation, where cloning the configuration would
 //! dominate the running time.
+//!
+//! [`Read::UnknownValue`]: accrel_schema::Read::UnknownValue
+//! [`Read::Pair`]: accrel_schema::Read::Pair
+//! [`Read::Relation`]: accrel_schema::Read::Relation
 
 use std::collections::HashMap;
+use std::ops::Range;
 
-use accrel_schema::{FactStore, RelationId, Tuple, Value};
+use accrel_schema::{FactStore, RelationId, Row, Rows, Tuple, Value, ValueId};
 
 use crate::atom::{Atom, Term, VarId};
 use crate::cq::ConjunctiveQuery;
@@ -161,37 +188,20 @@ fn determined<'a>(
         })
 }
 
-/// The candidate tuples for `atom` under `current`, lazily: the
-/// index-backed candidates from `store` (whose read is recorded here), then
-/// any `extra` facts of the atom's relation that agree with the determined
-/// positions.
-fn candidates_with_extra<'a>(
-    atom: &'a Atom,
-    store: &'a FactStore,
-    extra: &'a [(RelationId, Tuple)],
-    current: &'a Valuation,
-) -> impl Iterator<Item = &'a Tuple> + 'a {
-    let stored = store.candidates(atom.relation(), determined(atom, current));
-    let overlay = extra.iter().filter_map(move |(rel, t)| {
-        let agrees = *rel == atom.relation()
-            && determined(atom, current).all(|(pos, v)| t.get(pos) == Some(v));
-        agrees.then_some(t)
-    });
-    stored.chain(overlay)
-}
-
 /// Index-backed candidate tuples for `atom` under the partial valuation
 /// `current`, as a lazy cursor ([`FactStore::candidates`]): the atom's
 /// determined positions (constants and bound variables) become index
 /// constraints, so only binding-compatible tuples are enumerated.
 /// Repeated-variable consistency within the atom must still be checked by
-/// [`Valuation::unify_atom`].
+/// [`Valuation::unify_atom`]. The value-level probe of the searches that
+/// walk valuations rather than joins (independent long-term relevance);
+/// it records what [`Join::rows`] records for the same atom and bindings.
 pub fn atom_candidates<'a>(
     atom: &'a Atom,
     store: &'a FactStore,
     current: &'a Valuation,
 ) -> impl Iterator<Item = &'a Tuple> + 'a {
-    candidates_with_extra(atom, store, &[], current)
+    store.candidates(atom.relation(), determined(atom, current))
 }
 
 /// A set of atom indexes, one bit per atom, held inline for the first 64:
@@ -264,95 +274,449 @@ impl AtomSet {
     }
 }
 
-/// The atom of `open` to branch on under `current`: the one whose
-/// candidate bound from `store` ([`FactStore::candidate_bound`]) plus
-/// `more(i)` is smallest, ties broken in query order. `None` when no atom
-/// is open. Records no read and allocates nothing; a bound of 0 ends the
-/// scan, since no atom can have fewer candidates.
-pub fn most_constrained(
-    atoms: &[Atom],
-    open: &AtomSet,
-    store: &FactStore,
-    current: &Valuation,
-    more: impl Fn(usize) -> usize,
-) -> Option<usize> {
-    let mut open_atoms = (0..atoms.len()).filter(|&i| open.contains(i)).peekable();
-    let first = open_atoms.next()?;
-    if open_atoms.peek().is_none() {
-        return Some(first);
-    }
-    let bound = |i: usize| {
-        let atom = &atoms[i];
-        store.candidate_bound(atom.relation(), determined(atom, current)) + more(i)
-    };
-    let mut best = (bound(first), first);
-    for i in open_atoms {
-        if best.0 == 0 {
-            break;
-        }
-        let count = bound(i);
-        if count < best.0 {
-            best = (count, i);
-        }
-    }
-    Some(best.1)
+/// An overlay fact by ids: its relation, and where its ids lie in
+/// [`Join`]'s overlay id list.
+#[derive(Clone, Debug)]
+struct IdFact {
+    relation: RelationId,
+    ids: Range<usize>,
 }
 
-/// One backtracking join of `atoms` into `store` plus the `extra` overlay,
-/// branching on the most constrained open atom at each node.
-struct Join<'a> {
-    atoms: &'a [Atom],
+/// A variable's binding in a [`Join`]: its id, and how many variables were
+/// bound before it.
+type Slot = Option<(ValueId, u32)>;
+
+/// A fixed-length list of `Copy` values, held inline up to `N` of them: a
+/// join of a small query keeps its bindings and constant ids without
+/// allocating.
+#[derive(Debug)]
+enum Small<T, const N: usize> {
+    Inline([T; N], usize),
+    Heap(Vec<T>),
+}
+
+impl<T: Copy, const N: usize> Small<T, N> {
+    /// `len` copies of `value`.
+    fn filled(value: T, len: usize) -> Self {
+        if len <= N {
+            Small::Inline([value; N], len)
+        } else {
+            Small::Heap(vec![value; len])
+        }
+    }
+}
+
+impl<T, const N: usize> std::ops::Deref for Small<T, N> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        match self {
+            Small::Inline(items, len) => &items[..*len],
+            Small::Heap(items) => items,
+        }
+    }
+}
+
+impl<T, const N: usize> std::ops::DerefMut for Small<T, N> {
+    fn deref_mut(&mut self) -> &mut [T] {
+        match self {
+            Small::Inline(items, len) => &mut items[..*len],
+            Small::Heap(items) => items,
+        }
+    }
+}
+
+/// A point in a [`Join`]'s bindings, to undo back to.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Mark(u32);
+
+/// The backtracking join kernel: the atoms of one conjunctive query (or
+/// disjunct) matched into a fact store plus an overlay of pending facts,
+/// over value ids (see the module documentation).
+///
+/// The joins of this module drive it to completion. A search that adds
+/// branches of its own, as immediate relevance does when it charges an atom
+/// to an access, drives it step by step: [`Join::most_constrained`] picks
+/// the atom, [`Join::rows`] draws its candidates, [`Join::unify`] and
+/// [`Join::unify_at`] bind, and [`Join::undo`] unbinds back to a
+/// [`Join::mark`].
+#[derive(Debug)]
+pub struct Join<'a> {
     store: &'a FactStore,
-    extra: &'a [(RelationId, Tuple)],
-    /// Per atom, the overlay facts on its relation: the upper bound the
-    /// overlay adds to the atom's count, taken once per join.
-    extra_on: Vec<usize>,
-    /// The atoms not matched yet.
-    open: AtomSet,
+    atoms: &'a [Atom],
+    /// The interner's length: every id from here on is join-local.
+    known: usize,
+    /// The values the store lacks, by join-local id (`known + k`). A join
+    /// meets few, so [`Join::id`] finds them by a scan.
+    local: Vec<&'a Value>,
+    /// The id of the constant at position `p` of atom `i`, at
+    /// `i * stride + p` (empty when the atoms hold no constant), set when
+    /// the join first looks at the atom.
+    consts: Small<ValueId, 16>,
+    /// The atoms whose constants are in `consts`.
+    resolved: AtomSet,
+    /// The largest arity among the atoms.
+    stride: usize,
+    /// The overlay facts, grouped by relation and in the given order within
+    /// one.
+    extra: Vec<IdFact>,
+    extra_ids: Vec<ValueId>,
+    /// Per variable, its binding: the bindings made after a [`Mark`] are
+    /// those stamped at or past it.
+    slots: Small<Slot, 8>,
+    /// How many variables are bound.
+    bound: u32,
 }
 
 impl<'a> Join<'a> {
-    fn new(atoms: &'a [Atom], store: &'a FactStore, extra: &'a [(RelationId, Tuple)]) -> Self {
-        let extra_on = if extra.is_empty() {
-            Vec::new()
-        } else {
-            atoms
-                .iter()
-                .map(|a| extra.iter().filter(|(r, _)| *r == a.relation()).count())
-                .collect()
-        };
-        Self {
-            atoms,
+    /// A join of `atoms` into `store` plus the `extra` overlay, with the
+    /// variables of `partial` bound. Resolves the partial valuation and the
+    /// overlay through the store's interner now, and an atom's constants
+    /// the first time the join weighs or draws the atom: a join that ends
+    /// at its first node looks up no constant of an atom it never reached.
+    pub fn new(
+        atoms: &'a [Atom],
+        store: &'a FactStore,
+        extra: &'a [(RelationId, Tuple)],
+        partial: &'a Valuation,
+    ) -> Self {
+        let (mut vars, mut constants, mut stride) = (0, false, 0);
+        for atom in atoms {
+            stride = stride.max(atom.arity());
+            for term in atom.terms() {
+                match term {
+                    Term::Var(v) => vars = vars.max(v.index() + 1),
+                    Term::Const(_) => constants = true,
+                }
+            }
+        }
+        if !partial.is_empty() {
+            vars = partial.iter().fold(vars, |n, (v, _)| n.max(v.index() + 1));
+        }
+        let mut join = Join {
             store,
-            extra,
-            extra_on,
-            open: AtomSet::below(atoms.len()),
+            atoms,
+            known: store.interner().len(),
+            local: Vec::new(),
+            consts: Small::filled(ValueId(0), 0),
+            resolved: AtomSet::default(),
+            stride,
+            extra: Vec::new(),
+            extra_ids: Vec::new(),
+            slots: Small::filled(None, vars),
+            bound: 0,
+        };
+        if constants {
+            join.consts = Small::filled(ValueId(0), atoms.len() * join.stride);
+        } else {
+            join.resolved = AtomSet::below(atoms.len());
+        }
+        for (v, value) in partial.iter() {
+            let id = join.id(value);
+            join.slots[v.index()] = Some((id, join.bound));
+            join.bound += 1;
+        }
+        if extra.is_empty() {
+            return join;
+        }
+        for (relation, t) in extra {
+            let start = join.extra_ids.len();
+            for v in t.iter() {
+                let id = join.id(v);
+                join.extra_ids.push(id);
+            }
+            join.extra.push(IdFact {
+                relation: *relation,
+                ids: start..join.extra_ids.len(),
+            });
+        }
+        // Stable, so each relation's facts keep their order.
+        join.extra.sort_by_key(|f| f.relation);
+        join
+    }
+
+    /// The id of `value` in this join: the store's, or, for a value the
+    /// store has never interned, a join-local id past the interner's range.
+    pub fn id(&mut self, value: &'a Value) -> ValueId {
+        if let Some(id) = self.store.interner().lookup(value) {
+            return id;
+        }
+        let k = match self.local.iter().position(|&v| v == value) {
+            Some(k) => k,
+            None => {
+                self.local.push(value);
+                self.local.len() - 1
+            }
+        };
+        ValueId((self.known + k) as u32)
+    }
+
+    /// The value behind an id of this join.
+    fn value(&self, id: ValueId) -> &Value {
+        match id.index().checked_sub(self.known) {
+            None => self.store.interner().resolve(id),
+            Some(k) => self.local[k],
         }
     }
 
-    /// Hands every homomorphism extending `current` to `visit` until it
-    /// returns `true`; returns whether it did.
-    fn walk(&mut self, current: &Valuation, visit: &mut impl FnMut(&Valuation) -> bool) -> bool {
-        let (atoms, store, extra) = (self.atoms, self.store, self.extra);
-        let extra_on = &self.extra_on;
-        let more = |i: usize| extra_on.get(i).copied().unwrap_or(0);
-        let Some(i) = most_constrained(atoms, &self.open, store, current, more) else {
-            return visit(current);
+    /// Resolves the constants of atom `i`, unless done.
+    fn resolve(&mut self, i: usize) {
+        if self.resolved.contains(i) {
+            return;
+        }
+        self.resolved.insert(i);
+        let atoms = self.atoms;
+        for (pos, term) in atoms[i].terms().iter().enumerate() {
+            if let Term::Const(c) = term {
+                self.consts[i * self.stride + pos] = self.id(c);
+            }
+        }
+    }
+
+    /// The id at position `pos` of atom `i`, if determined: a constant's,
+    /// or a bound variable's.
+    fn term_id(&self, i: usize, pos: usize, term: &Term) -> Option<ValueId> {
+        match term {
+            Term::Const(_) => Some(self.consts[i * self.stride + pos]),
+            Term::Var(v) => self.slots[v.index()].map(|(id, _)| id),
+        }
+    }
+
+    /// The positions of atom `i` whose id is determined, in term order.
+    fn determined(&self, i: usize) -> impl Iterator<Item = (usize, ValueId)> + Clone + '_ {
+        let terms = self.atoms[i].terms().iter().enumerate();
+        terms.filter_map(move |(pos, term)| Some((pos, self.term_id(i, pos, term)?)))
+    }
+
+    /// The overlay facts on `relation`, as a range of `extra`.
+    fn extra_on(&self, relation: RelationId) -> Range<usize> {
+        let facts = &self.extra;
+        facts.partition_point(|f| f.relation < relation)
+            ..facts.partition_point(|f| f.relation <= relation)
+    }
+
+    /// The atom of `open` to branch on under the current bindings: the one
+    /// whose posting bound ([`FactStore::posting_bound`]) plus its overlay
+    /// facts plus `more(i)` is smallest, ties broken in query order. `None`
+    /// when no atom is open. Records no read and allocates nothing; a bound
+    /// of 0 ends the scan, since no atom can have fewer candidates.
+    pub fn most_constrained(
+        &mut self,
+        open: &AtomSet,
+        more: impl Fn(usize) -> usize,
+    ) -> Option<usize> {
+        let mut open_atoms = (0..self.atoms.len())
+            .filter(|&i| open.contains(i))
+            .peekable();
+        let first = open_atoms.next()?;
+        if open_atoms.peek().is_none() {
+            return Some(first);
+        }
+        let mut bound = |i: usize| {
+            self.resolve(i);
+            let relation = self.atoms[i].relation();
+            let stored = self.store.posting_bound(relation, self.determined(i));
+            stored + self.extra_on(relation).len() + more(i)
         };
-        let atom = &atoms[i];
-        self.open.remove(i);
+        let mut best = (bound(first), first);
+        for i in open_atoms {
+            if best.0 == 0 {
+                break;
+            }
+            let count = bound(i);
+            if count < best.0 {
+                best = (count, i);
+            }
+        }
+        Some(best.1)
+    }
+
+    /// The candidate rows of atom `i` under the current bindings, lazily:
+    /// the store's ([`FactStore::posting_rows`], whose read is recorded
+    /// here, so a walk that stops early records what a drained one does),
+    /// then the overlay facts on the atom's relation. A row need not agree
+    /// with the bindings; [`Join::unify`] checks it.
+    pub fn rows(&mut self, i: usize) -> JoinRows<'a> {
+        self.resolve(i);
+        let relation = self.atoms[i].relation();
+        let (known, local) = (self.known, &self.local);
+        let stored = self
+            .store
+            .posting_rows(relation, self.determined(i), |id| local[id.index() - known]);
+        JoinRows {
+            stored,
+            extra: self.extra_on(relation),
+        }
+    }
+
+    /// Where the bindings stand now.
+    pub fn mark(&self) -> Mark {
+        Mark(self.bound)
+    }
+
+    /// Unbinds every variable bound since `mark`.
+    pub fn undo(&mut self, mark: Mark) {
+        if self.bound > mark.0 {
+            for slot in self.slots.iter_mut() {
+                if slot.is_some_and(|(_, stamp)| stamp >= mark.0) {
+                    *slot = None;
+                }
+            }
+            self.bound = mark.0;
+        }
+    }
+
+    /// Binds (or checks) position `pos` of atom `i`, whose term is `term`,
+    /// to `id`; whether they agree.
+    fn bind(&mut self, i: usize, pos: usize, term: &Term, id: ValueId) -> bool {
+        match term {
+            Term::Const(_) => self.consts[i * self.stride + pos] == id,
+            Term::Var(v) => match self.slots[v.index()] {
+                Some((bound, _)) => bound == id,
+                None => {
+                    self.slots[v.index()] = Some((id, self.bound));
+                    self.bound += 1;
+                    true
+                }
+            },
+        }
+    }
+
+    /// Extends the bindings so that atom `i` maps onto `row` and returns
+    /// `true`; on a mismatch binds nothing and returns `false`.
+    pub fn unify(&mut self, i: usize, row: &JoinRow<'a>) -> bool {
+        self.resolve(i);
+        let atom = &self.atoms[i];
+        let arity = match row.0 {
+            RowSource::Stored(r) => r.arity(),
+            RowSource::Extra(k) => self.extra[k].ids.len(),
+        };
+        if arity != atom.arity() {
+            return false;
+        }
+        let mark = self.mark();
+        for (pos, term) in atom.terms().iter().enumerate() {
+            let id = match row.0 {
+                RowSource::Stored(r) => r.id(pos),
+                RowSource::Extra(k) => self.extra_ids[self.extra[k].ids.start + pos],
+            };
+            if !self.bind(i, pos, term, id) {
+                self.undo(mark);
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Extends the bindings so that atom `i` holds each `(position, id)` of
+    /// `ids` and returns `true`; on a mismatch, or a position past the
+    /// atom's arity, binds nothing and returns `false`. Reads nothing.
+    pub fn unify_at(&mut self, i: usize, ids: &[(usize, ValueId)]) -> bool {
+        self.resolve(i);
+        let atom = &self.atoms[i];
+        let mark = self.mark();
+        for &(pos, id) in ids {
+            if !atom
+                .term_at(pos)
+                .is_some_and(|term| self.bind(i, pos, term, id))
+            {
+                self.undo(mark);
+                return false;
+            }
+        }
+        true
+    }
+
+    /// The current bindings as a valuation (the partial valuation's
+    /// included).
+    pub fn valuation(&self) -> Valuation {
+        let bound = self.slots.iter().enumerate();
+        bound
+            .filter_map(|(v, slot)| Some((VarId(v as u32), self.value((*slot)?.0).clone())))
+            .collect()
+    }
+
+    /// The values bound to `vars`, if all are bound.
+    fn project(&self, vars: &[VarId]) -> Option<Tuple> {
+        let value = |v: &VarId| Some(self.value(self.slots.get(v.index()).copied()??.0).clone());
+        vars.iter()
+            .map(value)
+            .collect::<Option<_>>()
+            .map(Tuple::new)
+    }
+
+    /// Hands every match of the `open` atoms extending the current bindings
+    /// to `visit` until it returns `true`; returns whether it did. Leaves
+    /// the bindings and `open` as it found them.
+    fn walk(&mut self, open: &mut AtomSet, visit: &mut impl FnMut(&Self) -> bool) -> bool {
+        let Some(i) = self.most_constrained(open, |_| 0) else {
+            return visit(self);
+        };
+        open.remove(i);
+        let mark = self.mark();
         let mut stopped = false;
-        for tuple in candidates_with_extra(atom, store, extra, current) {
-            if let Some(extended) = current.unify_atom(atom, tuple) {
-                if self.walk(&extended, visit) {
-                    stopped = true;
+        for row in self.rows(i) {
+            if self.unify(i, &row) {
+                stopped = self.walk(open, visit);
+                self.undo(mark);
+                if stopped {
                     break;
                 }
             }
         }
-        self.open.insert(i);
+        open.insert(i);
         stopped
     }
+
+    /// Hands every match of the atoms extending the current bindings to
+    /// `visit` until it returns `true`; returns whether it did.
+    fn search(&mut self, visit: &mut impl FnMut(&Self) -> bool) -> bool {
+        self.walk(&mut AtomSet::below(self.atoms.len()), visit)
+    }
+
+    /// Whether some match extending the current bindings maps atom `i` onto
+    /// `row`, a stored row of its relation: the semi-naive step pins an
+    /// atom to a new row so.
+    pub(crate) fn matches_through(&mut self, i: usize, row: Row<'a>) -> bool {
+        let mark = self.mark();
+        let mut open = AtomSet::below(self.atoms.len());
+        open.remove(i);
+        let found =
+            self.unify(i, &JoinRow(RowSource::Stored(row))) && self.walk(&mut open, &mut |_| true);
+        self.undo(mark);
+        found
+    }
+}
+
+/// The candidate rows of one atom of a [`Join`] ([`Join::rows`]): stored
+/// rows, then overlay facts.
+#[derive(Clone, Debug)]
+pub struct JoinRows<'a> {
+    stored: Rows<'a>,
+    extra: Range<usize>,
+}
+
+impl<'a> Iterator for JoinRows<'a> {
+    type Item = JoinRow<'a>;
+
+    fn next(&mut self) -> Option<JoinRow<'a>> {
+        let source = match self.stored.next() {
+            Some(row) => RowSource::Stored(row),
+            None => RowSource::Extra(self.extra.next()?),
+        };
+        Some(JoinRow(source))
+    }
+}
+
+/// One candidate row of a [`Join`]: a stored row or an overlay fact.
+#[derive(Clone, Copy, Debug)]
+pub struct JoinRow<'a>(RowSource<'a>);
+
+#[derive(Clone, Copy, Debug)]
+enum RowSource<'a> {
+    Stored(Row<'a>),
+    /// An index into the join's overlay facts.
+    Extra(usize),
 }
 
 /// Finds one homomorphism extending `partial` that maps every atom of
@@ -374,8 +738,8 @@ pub fn find_homomorphism_with_extra(
     partial: &Valuation,
 ) -> Option<Valuation> {
     let mut found = None;
-    Join::new(atoms, store, extra).walk(partial, &mut |h| {
-        found = Some(h.clone());
+    Join::new(atoms, store, extra, partial).search(&mut |join| {
+        found = Some(join.valuation());
         true
     });
     found
@@ -391,8 +755,8 @@ pub fn all_homomorphisms(
 ) -> Vec<Valuation> {
     let mut out = Vec::new();
     if limit > 0 {
-        Join::new(atoms, store, &[]).walk(partial, &mut |h| {
-            out.push(h.clone());
+        Join::new(atoms, store, &[], partial).search(&mut |join| {
+            out.push(join.valuation());
             out.len() >= limit
         });
     }
@@ -404,7 +768,7 @@ pub fn all_homomorphisms(
 /// For non-Boolean queries this still returns "is the existential closure
 /// true"; use [`answers_cq`] for output tuples.
 pub fn holds_cq(query: &ConjunctiveQuery, store: &FactStore) -> bool {
-    find_homomorphism(query.atoms(), store, &Valuation::new()).is_some()
+    holds_cq_with_extra(query, store, &[])
 }
 
 /// Evaluates a Boolean conjunctive query over `store` extended with the
@@ -414,7 +778,7 @@ pub fn holds_cq_with_extra(
     store: &FactStore,
     extra: &[(RelationId, Tuple)],
 ) -> bool {
-    find_homomorphism_with_extra(query.atoms(), store, extra, &Valuation::new()).is_some()
+    Join::new(query.atoms(), store, extra, &Valuation::new()).search(&mut |_| true)
 }
 
 /// Evaluates a Boolean positive query over a fact store (via its cached UCQ
@@ -434,11 +798,11 @@ pub fn answers_cq(query: &ConjunctiveQuery, store: &FactStore) -> Vec<Tuple> {
             Vec::new()
         };
     }
-    let mut out: Vec<Tuple> =
-        all_homomorphisms(query.atoms(), store, &Valuation::new(), usize::MAX)
-            .into_iter()
-            .filter_map(|h| h.project(query.free_vars()))
-            .collect();
+    let mut out = Vec::new();
+    Join::new(query.atoms(), store, &[], &Valuation::new()).search(&mut |join| {
+        out.extend(join.project(query.free_vars()));
+        false
+    });
     out.sort();
     out.dedup();
     out

@@ -223,64 +223,151 @@ impl Layered<RelationShard> {
     fn posting_count(&self, pos: usize, id: ValueId) -> usize {
         self.base().postings(pos, id).len() + self.tail().postings(pos, id).len()
     }
+
+    /// Every row from global row `from` on, in row order.
+    fn rows_from(&self, from: usize) -> Rows<'_> {
+        let (base, tail) = (self.base(), self.tail());
+        Rows::of(
+            (base, LevelRows::All(from.min(base.len())..base.len())),
+            (
+                tail,
+                LevelRows::All(from.saturating_sub(base.len())..tail.len()),
+            ),
+        )
+    }
 }
 
-/// The rows [`FactStore::candidates`] selects, walked lazily in row order:
-/// a join that finds its match stops paying for the rest of the list. The
-/// constraint ids are resolved, and the read recorded, when the cursor is
-/// made, so a walk that stops early records what a drained one does.
+/// One stored row of a relation, as a [`Rows`] cursor yields it: its value
+/// ids by position, read from the columns, and its tuple.
+#[derive(Clone, Copy, Debug)]
+pub struct Row<'s> {
+    shard: &'s RelationShard,
+    row: usize,
+}
+
+impl<'s> Row<'s> {
+    /// The relation's arity.
+    pub fn arity(&self) -> usize {
+        self.shard.columns.len()
+    }
+
+    /// The id at `pos`.
+    ///
+    /// # Panics
+    /// If `pos` is not below [`Row::arity`].
+    pub fn id(&self, pos: usize) -> ValueId {
+        self.shard.columns[pos][self.row]
+    }
+
+    /// The row's tuple.
+    pub fn tuple(&self) -> &'s Tuple {
+        &self.shard.tuples[self.row]
+    }
+}
+
+/// A lazy walk over some rows of one relation, in row order: the base's,
+/// then the tail's. [`FactStore::posting_rows`] and [`Growth::row_ids`]
+/// return one.
 #[derive(Clone, Debug)]
-pub struct Candidates<'s> {
-    /// The base's rows, then the tail's.
-    levels: [CandidateRows<'s>; 2],
-    /// The `(position, id)` constraints a posting-list row must still meet.
-    filter: Vec<(usize, ValueId)>,
+pub struct Rows<'s> {
+    /// The level being walked, and its rows still to walk.
+    shard: &'s RelationShard,
+    rows: LevelRows<'s>,
+    /// The tail's, while the walk is in the base.
+    tail: Option<(&'s RelationShard, LevelRows<'s>)>,
 }
 
+/// The level a walk of no rows stands in.
+static NO_ROWS: RelationShard = RelationShard {
+    columns: Vec::new(),
+    tuples: Vec::new(),
+    keys: HashSet::with_hasher(IdBuildHasher::new()),
+    indexes: Vec::new(),
+};
+
+/// The rows of one level a [`Rows`] walks.
 #[derive(Clone, Debug)]
-enum CandidateRows<'s> {
-    /// Every row of the level, in order (no constraint).
-    Scan(std::slice::Iter<'s, Tuple>),
-    /// The level's rows on the shortest posting list among the constraints.
-    Posting {
-        shard: &'s RelationShard,
-        rows: std::slice::Iter<'s, usize>,
-    },
+enum LevelRows<'s> {
+    /// A range of the level's rows.
+    All(std::ops::Range<usize>),
+    /// The level's rows on one posting list.
+    Posting(std::slice::Iter<'s, usize>),
 }
 
-impl<'s> CandidateRows<'s> {
-    fn next(&mut self, filter: &[(usize, ValueId)]) -> Option<&'s Tuple> {
+impl LevelRows<'_> {
+    fn next(&mut self) -> Option<usize> {
         match self {
-            CandidateRows::Scan(tuples) => tuples.next(),
-            CandidateRows::Posting { shard, rows } => {
-                let columns = &shard.columns;
-                let row =
-                    rows.find(|&&row| filter.iter().all(|&(pos, id)| columns[pos][row] == id))?;
-                Some(&shard.tuples[*row])
-            }
+            LevelRows::All(range) => range.next(),
+            LevelRows::Posting(list) => list.next().copied(),
         }
     }
 
     fn len(&self) -> usize {
         match self {
-            CandidateRows::Scan(tuples) => tuples.len(),
-            CandidateRows::Posting { rows, .. } => rows.len(),
+            LevelRows::All(range) => range.len(),
+            LevelRows::Posting(list) => list.len(),
         }
     }
 }
 
-impl<'s> Candidates<'s> {
-    /// The cursor that yields nothing.
-    fn none() -> Self {
-        let empty: &[Tuple] = &[];
+impl Default for Rows<'_> {
+    /// The walk of no rows.
+    fn default() -> Self {
         Self {
-            levels: [
-                CandidateRows::Scan(empty.iter()),
-                CandidateRows::Scan(empty.iter()),
-            ],
-            filter: Vec::new(),
+            shard: &NO_ROWS,
+            rows: LevelRows::All(0..0),
+            tail: None,
         }
     }
+}
+
+impl<'s> Rows<'s> {
+    /// Walks `base`'s rows, then `tail`'s.
+    fn of(
+        base: (&'s RelationShard, LevelRows<'s>),
+        tail: (&'s RelationShard, LevelRows<'s>),
+    ) -> Self {
+        Self {
+            shard: base.0,
+            rows: base.1,
+            tail: Some(tail),
+        }
+    }
+}
+
+impl<'s> Iterator for Rows<'s> {
+    type Item = Row<'s>;
+
+    fn next(&mut self) -> Option<Row<'s>> {
+        loop {
+            if let Some(row) = self.rows.next() {
+                return Some(Row {
+                    shard: self.shard,
+                    row,
+                });
+            }
+            (self.shard, self.rows) = self.tail.take()?;
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let len = self.rows.len() + self.tail.as_ref().map_or(0, |(_, rows)| rows.len());
+        (len, Some(len))
+    }
+}
+
+impl ExactSizeIterator for Rows<'_> {}
+
+/// The tuples [`FactStore::candidates`] selects, walked lazily in row
+/// order: a walk that finds its match stops paying for the rest of the
+/// list. The read is recorded when the cursor is made, so a walk that stops
+/// early records what a drained one does.
+#[derive(Clone, Debug)]
+pub struct Candidates<'s> {
+    /// The rows of the shortest posting list among the constraints.
+    rows: Rows<'s>,
+    /// The other `(position, id)` constraints a row must meet.
+    filter: Vec<(usize, ValueId)>,
 }
 
 impl<'s> Iterator for Candidates<'s> {
@@ -288,11 +375,13 @@ impl<'s> Iterator for Candidates<'s> {
 
     fn next(&mut self) -> Option<&'s Tuple> {
         let filter = &self.filter;
-        self.levels.iter_mut().find_map(|level| level.next(filter))
+        self.rows
+            .find(|row| filter.iter().all(|&(pos, id)| row.id(pos) == id))
+            .map(|row| row.tuple())
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let upper = self.levels.iter().map(CandidateRows::len).sum();
+        let upper = self.rows.len();
         (if self.filter.is_empty() { upper } else { 0 }, Some(upper))
     }
 }
@@ -452,7 +541,7 @@ impl Read {
 /// read — [`ReadSet::touched_by`] is that test.
 ///
 /// The joins choose which atom to branch on from
-/// [`FactStore::candidate_bound`], which records nothing. That choice
+/// [`FactStore::posting_bound`], which records nothing. That choice
 /// shapes the search but not its verdict: a refutation is a tree whose
 /// every node exhausts the candidate list of the atom it branched on, and
 /// those lists are recorded. While no growth touches them the same tree
@@ -631,6 +720,17 @@ impl<'s> Growth<'s> {
     /// order; the ids resolve against [`Growth::interner`].
     pub fn entered(&self) -> Suffix<'s, (ValueId, DomainId)> {
         self.store.adom.entered(self.adom)
+    }
+
+    /// The rows appended to `relation`, with their ids, in row order.
+    pub fn row_ids(&self, relation: RelationId) -> Rows<'s> {
+        let store = self.store;
+        self.from
+            .iter()
+            .find(|&&(r, _)| r == relation)
+            .map_or_else(Rows::default, |&(r, from)| {
+                store.relations[r.index()].rows_from(from)
+            })
     }
 
     /// The store's interner.
@@ -1008,62 +1108,112 @@ impl FactStore {
 
     /// A cursor over the tuples of `relation` agreeing with every
     /// `(position, value)` constraint, in row order. With no constraints
-    /// this is a full scan. This is the entry point the homomorphism
-    /// searches use to avoid linear scans: the most selective per-attribute
-    /// posting list is walked and the remaining constraints are checked
-    /// columnar. The cursor resolves the constraint values and records its
-    /// read (the relation, one constraint pair, or an unknown value) when it
-    /// is made, so a walk that stops after its first row records exactly
-    /// what a drained one does.
+    /// this is a full scan. A thin wrapper over [`FactStore::posting_rows`]:
+    /// it resolves the values through the interner (a value the interner
+    /// lacks gets an id past its range, as in a join), walks the rows that
+    /// probe selects and checks the other constraints columnar. The read (the
+    /// relation, one constraint pair, or an unknown value) is recorded when
+    /// the cursor is made, so a walk that stops after its first row records
+    /// exactly what a drained one does.
     pub fn candidates<'v>(
         &self,
         relation: RelationId,
         constraints: impl IntoIterator<Item = (usize, &'v Value)>,
     ) -> Candidates<'_> {
-        let Some(shard) = self.relations.get(relation.index()) else {
-            return Candidates::none();
-        };
-        let arity = shard.arity();
-        // Resolve constraint values; an un-interned value or an out-of-range
-        // position can never match.
-        let constraints = constraints.into_iter();
-        let mut filter: Vec<(usize, ValueId)> = Vec::with_capacity(constraints.size_hint().0);
-        for (pos, v) in constraints {
-            if pos >= arity {
-                return Candidates::none();
-            }
-            match self.interner.lookup(v) {
-                Some(id) => filter.push((pos, id)),
-                None => {
-                    // The value may be interned by a later insert; keep the
-                    // probe symbolic so such an insert re-triggers it.
-                    self.rec(|rs| rs.insert(Read::UnknownValue(relation, v.clone())));
-                    return Candidates::none();
-                }
-            }
+        let known = self.interner.len();
+        let mut unknown: Vec<&Value> = Vec::new();
+        let mut filter: Vec<(usize, ValueId)> = constraints
+            .into_iter()
+            .map(|(pos, v)| {
+                let id = self.interner.lookup(v).unwrap_or_else(|| {
+                    unknown.push(v);
+                    ValueId((known + unknown.len() - 1) as u32)
+                });
+                (pos, id)
+            })
+            .collect();
+        let (rows, list) = self.probe(relation, filter.iter().copied(), |id| {
+            unknown[id.index() - known]
+        });
+        if let Some(k) = list {
+            filter.swap_remove(k);
         }
-        let (base, tail) = (shard.base(), shard.tail());
-        let Some(&(_, first)) = filter.first() else {
-            self.rec(|rs| rs.insert(Read::Relation(relation)));
-            return Candidates {
-                levels: [
-                    CandidateRows::Scan(base.tuples.iter()),
-                    CandidateRows::Scan(tail.tuples.iter()),
-                ],
-                filter,
-            };
+        Candidates { rows, filter }
+    }
+
+    /// The rows of `relation` a join walks for an atom whose determined
+    /// positions hold the `(position, id)` constraints, in row order: every
+    /// row when there is no constraint, else the rows on the shortest
+    /// posting list among them, its length summed over the shard's two
+    /// levels. Those rows meet that list's constraint; the caller checks
+    /// the others, as a join's unification does anyway.
+    ///
+    /// An id at or past the interner's length stands for a value the store
+    /// has never interned (a join gives such a value an id of its own, see
+    /// `accrel_query::eval`), and `unknown` names it. No row carries it, so
+    /// the walk is empty. The probe records its read when it is made, in
+    /// term order: [`Read::UnknownValue`] for the first constraint the store
+    /// lacks (resolved by a later insert that interns the value, so a
+    /// join-local id never enters a read set), else [`Read::Pair`] with the
+    /// first constraint's id (a row changing this probe's answer must carry
+    /// every constraint value, so any one is a sound trigger), else
+    /// [`Read::Relation`]. An unknown relation, or a constraint at or past
+    /// the arity, selects nothing and records nothing. Allocation-free.
+    pub fn posting_rows<'v, I>(
+        &self,
+        relation: RelationId,
+        constraints: I,
+        unknown: impl Fn(ValueId) -> &'v Value,
+    ) -> Rows<'_>
+    where
+        I: IntoIterator<Item = (usize, ValueId)>,
+        I::IntoIter: Clone,
+    {
+        self.probe(relation, constraints, unknown).0
+    }
+
+    /// [`FactStore::posting_rows`], with the index among the constraints of
+    /// the one whose posting list the rows are (every row meets it).
+    fn probe<'v, I>(
+        &self,
+        relation: RelationId,
+        constraints: I,
+        unknown: impl Fn(ValueId) -> &'v Value,
+    ) -> (Rows<'_>, Option<usize>)
+    where
+        I: IntoIterator<Item = (usize, ValueId)>,
+        I::IntoIter: Clone,
+    {
+        let none = (Rows::default(), None);
+        let Some(shard) = self.relations.get(relation.index()) else {
+            return none;
         };
-        // A row changing this probe's answer must carry every constraint
-        // value, so recording one of them is a sound trigger.
+        let constraints = constraints.into_iter();
+        let mut first = None;
+        for (pos, id) in constraints.clone() {
+            if pos >= shard.arity() {
+                return none;
+            }
+            if id.index() >= self.interner.len() {
+                // The value may be interned by a later insert; keep the
+                // probe symbolic so such an insert re-triggers it.
+                self.rec(|rs| rs.insert(Read::UnknownValue(relation, unknown(id).clone())));
+                return none;
+            }
+            first.get_or_insert(id);
+        }
+        let Some(first) = first else {
+            self.rec(|rs| rs.insert(Read::Relation(relation)));
+            return (shard.rows_from(0), None);
+        };
         self.rec(|rs| rs.insert(Read::Pair(relation, first)));
-        // Most selective posting list first, its length summed over both
-        // levels; its own constraint holds on every row of it.
+        let (base, tail) = (shard.base(), shard.tail());
         let mut best: Option<(usize, [&[usize]; 2])> = None;
-        for (k, &(pos, id)) in filter.iter().enumerate() {
+        for (k, (pos, id)) in constraints.enumerate() {
             let lists = [base.postings(pos, id), tail.postings(pos, id)];
             let len = lists[0].len() + lists[1].len();
             if len == 0 {
-                return Candidates::none();
+                return none;
             }
             if best.is_none_or(|(_, b)| len < b[0].len() + b[1].len()) {
                 best = Some((k, lists));
@@ -1074,43 +1224,50 @@ impl FactStore {
             base_rows.is_sorted() && tail_rows.is_sorted(),
             "posting lists ascend by row"
         );
-        filter.swap_remove(k);
-        Candidates {
-            levels: [
-                CandidateRows::Posting {
-                    shard: base,
-                    rows: base_rows.iter(),
-                },
-                CandidateRows::Posting {
-                    shard: tail,
-                    rows: tail_rows.iter(),
-                },
-            ],
-            filter,
-        }
+        let rows = Rows::of(
+            (base, LevelRows::Posting(base_rows.iter())),
+            (tail, LevelRows::Posting(tail_rows.iter())),
+        );
+        (rows, Some(k))
     }
 
     /// An upper bound on the number of rows [`FactStore::candidates`]
-    /// returns for the same relation and constraints: the length of the
-    /// shortest posting list among the constraints (the relation's length
-    /// when there are none, 0 when one can never match). Never recorded,
-    /// even under an installed read recorder: the joins call it only to
-    /// choose which atom to branch on, and what a join concludes depends
-    /// only on the candidate lists it then draws, which `candidates`
-    /// records (see [`ReadSet`]). Allocation-free.
+    /// returns for the same relation and constraints: a thin wrapper that
+    /// resolves the values and calls [`FactStore::posting_bound`].
     pub fn candidate_bound<'v>(
         &self,
         relation: RelationId,
         constraints: impl IntoIterator<Item = (usize, &'v Value)>,
     ) -> usize {
+        let past = ValueId(self.interner.len() as u32);
+        let ids = constraints
+            .into_iter()
+            .map(|(pos, v)| (pos, self.interner.lookup(v).unwrap_or(past)));
+        self.posting_bound(relation, ids)
+    }
+
+    /// How many rows [`FactStore::posting_rows`] walks for the same
+    /// relation and constraints: the length of the shortest posting list
+    /// among the constraints (the relation's length when there are none, 0
+    /// when one can never match, as a value the store lacks cannot). Never
+    /// recorded, even under an installed read recorder: the joins call it
+    /// only to choose which atom to branch on, and what a join concludes
+    /// depends only on the candidate lists it then draws, which
+    /// `posting_rows` records (see [`ReadSet`]). Allocation-free.
+    pub fn posting_bound(
+        &self,
+        relation: RelationId,
+        constraints: impl IntoIterator<Item = (usize, ValueId)>,
+    ) -> usize {
         let Some(shard) = self.relations.get(relation.index()) else {
             return 0;
         };
         let mut bound = shard.len();
-        for (pos, v) in constraints {
-            let postings = match self.interner.lookup(v) {
-                Some(id) if pos < shard.arity() => shard.posting_count(pos, id),
-                _ => 0,
+        for (pos, id) in constraints {
+            let postings = if pos < shard.arity() {
+                shard.posting_count(pos, id)
+            } else {
+                0
             };
             bound = bound.min(postings);
             if bound == 0 {

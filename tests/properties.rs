@@ -1461,6 +1461,178 @@ fn assert_kernel_agrees(
     }
 }
 
+/// `query` with the variable `v` replaced by the constant `value`.
+fn pinned_var(query: &ConjunctiveQuery, v: VarId, value: &Value) -> ConjunctiveQuery {
+    let mapping = HashMap::from([(v, value.clone())]);
+    let atoms = query.atoms().iter().map(|a| a.substitute(&mapping));
+    let names = query.var_names().to_vec();
+    ConjunctiveQuery::new(query.schema().clone(), atoms.collect(), Vec::new(), names)
+}
+
+/// An overlay under which `query` holds: the images of its atoms under a
+/// valuation that sends its variables in turn to a stored value (when
+/// `conf` has one), a fresh null and `ghost`, a symbol `conf` lacks.
+fn completing_overlay(
+    query: &ConjunctiveQuery,
+    conf: &Configuration,
+    ghost: &Value,
+) -> Vec<accrel::schema::Fact> {
+    let stored = conf.all_values().into_iter().next();
+    let mut fresh = conf.fresh_supply();
+    let mut image = HashMap::new();
+    for (k, v) in variables_in_order(query).into_iter().enumerate() {
+        let value = match (k % 3, &stored) {
+            (0, Some(stored)) => stored.clone(),
+            (1, _) => fresh.next_value(),
+            _ => ghost.clone(),
+        };
+        image.insert(v, value);
+    }
+    let facts = query.atoms().iter().map(|a| {
+        let t = a.substitute(&image).to_tuple();
+        (a.relation(), t.expect("every variable mapped"))
+    });
+    facts.collect()
+}
+
+/// Checks that `h` extends `partial` and maps every atom of `query` onto a
+/// fact of `conf` or of `extra`.
+fn assert_maps_into(
+    query: &ConjunctiveQuery,
+    conf: &Configuration,
+    extra: &[accrel::schema::Fact],
+    partial: &accrel::query::Valuation,
+    h: &accrel::query::Valuation,
+    ctx: &str,
+) {
+    for (v, value) in partial.iter() {
+        assert_eq!(h.get(*v), Some(value), "partial binding lost at {ctx}");
+    }
+    for atom in query.atoms() {
+        let t = atom.substitute(h.as_map()).to_tuple().expect("total");
+        let fact = (atom.relation(), t);
+        assert!(
+            conf.contains_fact(&fact) || extra.contains(&fact),
+            "{fact:?} is no fact at {ctx}"
+        );
+    }
+}
+
+/// Checks the overlay and partial-valuation entry points of the join
+/// kernel against the brute-force reference, on the values a join must
+/// give ids of its own: overlay facts holding fresh nulls and a symbol the
+/// store never interned, partial valuations binding a variable to a value
+/// the store lacks, and a query constant unknown to the interner.
+fn assert_overlays_agree(query: &ConjunctiveQuery, conf: &Configuration, ctx: &str) {
+    use accrel::query::eval::{
+        find_homomorphism, find_homomorphism_with_extra, holds_cq, holds_cq_with_extra,
+    };
+    use accrel::query::Valuation;
+    let ghost = Value::sym("ghost");
+    assert!(conf.store().interner().lookup(&ghost).is_none());
+    let check = |query: &ConjunctiveQuery, extra: &[accrel::schema::Fact], ctx: &str| {
+        let holds = brute_holds(query, conf, extra);
+        let store = conf.store();
+        assert_eq!(holds_cq_with_extra(query, store, extra), holds, "{ctx}");
+        let none = Valuation::new();
+        let found = find_homomorphism_with_extra(query.atoms(), store, extra, &none);
+        assert_eq!(found.is_some(), holds, "homomorphism at {ctx}");
+        if let Some(h) = found {
+            assert_maps_into(query, conf, extra, &none, &h, ctx);
+        }
+    };
+    let variant = variables_in_order(query)
+        .first()
+        .map(|&v| (v, pinned_var(query, v, &ghost)));
+    let full = completing_overlay(query, conf, &ghost);
+    let mut overlays = vec![full.clone(), full.iter().rev().cloned().collect()];
+    overlays.extend((0..full.len()).map(|k| [&full[..k], &full[k + 1..]].concat()));
+    for (k, extra) in overlays.iter().enumerate() {
+        check(query, extra, &format!("overlay {k} at {ctx}"));
+        let Some((v, pinned)) = &variant else {
+            continue;
+        };
+        // The query constant `ghost` is unknown to the interner.
+        check(pinned, &[], &format!("unknown constant at {ctx}"));
+        let completed = completing_overlay(pinned, conf, &ghost);
+        check(
+            pinned,
+            &completed,
+            &format!("unknown constant, overlay at {ctx}"),
+        );
+        // A partial valuation binding `v` to a value the store lacks.
+        for value in [ghost.clone(), conf.fresh_supply().next_value()] {
+            let partial = Valuation::from_pairs([(*v, value.clone())]);
+            let pinned = pinned_var(query, *v, &value);
+            let ctx = format!("{v} = {value} over overlay {k} at {ctx}");
+            let found = find_homomorphism(query.atoms(), conf.store(), &partial);
+            assert_eq!(found.is_some(), brute_holds(&pinned, conf, &[]), "{ctx}");
+            let found = find_homomorphism_with_extra(query.atoms(), conf.store(), extra, &partial);
+            let holds = brute_holds(&pinned, conf, extra);
+            assert_eq!(found.is_some(), holds, "{ctx}");
+            if let Some(h) = found {
+                assert_maps_into(query, conf, extra, &partial, &h, &ctx);
+            }
+        }
+    }
+    // The unknown constant without an overlay never holds.
+    if let Some((_, pinned)) = &variant {
+        assert!(!holds_cq(pinned, conf.store()), "{ctx}");
+    }
+}
+
+/// Checks `holds_pq` and `answers_pq` of the two-disjunct positive query
+/// `left ∨ right` against the brute-force reference, with the variables
+/// both disjuncts share free.
+fn assert_union_agrees(
+    left: &ConjunctiveQuery,
+    right: &ConjunctiveQuery,
+    conf: &Configuration,
+    ctx: &str,
+) {
+    use accrel::query::eval::{answers_pq, holds_pq};
+    use accrel::query::PqFormula;
+    let shared: Vec<VarId> = variables_in_order(left)
+        .into_iter()
+        .filter(|v| variables_in_order(right).contains(v))
+        .collect();
+    let conjunction = |q: &ConjunctiveQuery| {
+        PqFormula::And(q.atoms().iter().cloned().map(PqFormula::Atom).collect())
+    };
+    let formula = PqFormula::Or(vec![conjunction(left), conjunction(right)]);
+    let vars = left.var_count().max(right.var_count());
+    let names = (0..vars).map(|i| format!("v{i}")).collect();
+    let union = PositiveQuery::new(left.schema().clone(), formula, shared.clone(), names);
+    assert_eq!(union.ucq().len(), 2, "{ctx}");
+    let holds = brute_holds(left, conf, &[]) || brute_holds(right, conf, &[]);
+    assert_eq!(holds_pq(&union, conf.store()), holds, "holds_pq at {ctx}");
+    let head = |q: &ConjunctiveQuery| {
+        let names = q.var_names().to_vec();
+        ConjunctiveQuery::new(
+            q.schema().clone(),
+            q.atoms().to_vec(),
+            shared.clone(),
+            names,
+        )
+    };
+    let mut expected = brute_answers(&head(left), conf);
+    expected.extend(brute_answers(&head(right), conf));
+    expected.sort();
+    expected.dedup();
+    if shared.is_empty() {
+        expected = if holds {
+            vec![Tuple::empty()]
+        } else {
+            Vec::new()
+        };
+    }
+    assert_eq!(
+        answers_pq(&union, conf.store()),
+        expected,
+        "answers_pq at {ctx}"
+    );
+}
+
 /// A binary relation `R` over one domain, for the hand-written shapes.
 fn binary_schema() -> std::sync::Arc<Schema> {
     let mut b = Schema::builder();
@@ -1494,24 +1666,37 @@ fn join_kernel_agrees_with_a_brute_force_reference() {
         let mut rng = StdRng::seed_from_u64(seed + 1);
         let extra = generate_configuration(&workload, 4, &mut rng);
         let ctx = format!("seed={seed} atoms={atoms} facts={facts}");
+        assert_overlays_agree(cq, &conf, &ctx);
+        let other = accrel::workloads::random::generate_cq(&workload, atoms, 3, 0.8, &mut rng);
+        assert_union_agrees(cq, &other, &conf, &ctx);
+        assert_union_agrees(cq, &other, &conf.union(&extra), &format!("grown {ctx}"));
         assert_kernel_agrees(cq, conf, extra.sorted_facts(), &ctx);
     }
 
     let schema = binary_schema();
     let r = schema.relation_by_name("R").unwrap();
     let s = schema.relation_by_name("S").unwrap();
-    for query in repeated_variable_and_self_join(&schema) {
+    let [repeated, self_join] = repeated_variable_and_self_join(&schema);
+    for query in [&repeated, &self_join] {
         let mut conf = Configuration::empty(schema.clone());
         conf.insert_named("R", ["1", "2"]).unwrap();
         conf.insert_named("S", ["1"]).unwrap();
+        assert_overlays_agree(query, &conf, &format!("{query:?}"));
         let rows = vec![
             (r, tuple(["3", "4"])),
             (r, tuple(["2", "1"])),
             (s, tuple(["2"])),
             (r, tuple(["5", "5"])),
         ];
-        assert_kernel_agrees(&query, conf, rows, &format!("{query:?}"));
+        assert_kernel_agrees(query, conf, rows, &format!("{query:?}"));
     }
+    // The self-join over a configuration whose S holds no row: its S atom
+    // matches overlay facts only, with values the store never interned.
+    let mut conf = Configuration::empty(schema.clone());
+    conf.insert_named("R", ["1", "2"]).unwrap();
+    conf.insert_named("R", ["2", "1"]).unwrap();
+    assert_overlays_agree(&self_join, &conf, "self-join, S empty");
+    assert_union_agrees(&repeated, &self_join, &conf, "R(x, x) or the self-join");
 }
 
 /// Immediate relevance by its definition: the query is not certain at
@@ -1845,6 +2030,94 @@ fn immediate_relevance_agrees_with_trying_every_response() {
         &methods,
         "constant on the binding"
     ));
+}
+
+#[test]
+fn unknown_values_stay_symbolic_in_read_sets() {
+    // A join gives a value the store never interned an id of its own, past
+    // the interner's range. A probe on it must record the value, not that
+    // id: the id names no stored value, and a later insert could give a
+    // real value the same id.
+    use accrel::core::is_immediately_relevant_given_uncertain;
+    use accrel::engine::{RelevanceOracle, RunOptions};
+    use accrel::query::eval::holds_cq;
+    use accrel::schema::{AdomPrecision, GrowthCursor, Read};
+
+    let schema = binary_schema();
+    let (r, s) = (
+        schema.relation_by_name("R").unwrap(),
+        schema.relation_by_name("S").unwrap(),
+    );
+    let mut conf = Configuration::empty(schema.clone());
+    for (a, b) in [("1", "2"), ("2", "3")] {
+        conf.insert_named("R", [a, b]).unwrap();
+    }
+    conf.insert_named("S", ["9"]).unwrap();
+    let ghost = Value::sym("ghost");
+    assert!(conf.store().interner().lookup(&ghost).is_none());
+    let symbolic = |reads: &accrel::schema::ReadSet| {
+        let reads: Vec<&Read> = reads.iter().collect();
+        assert_eq!(reads, [&Read::UnknownValue(r, ghost.clone())]);
+    };
+
+    // R(x, ghost) ∧ S(x): the R atom has no candidate, so the join branches
+    // on it first and records its probe of the unknown constant.
+    let mut qb = ConjunctiveQuery::builder(schema.clone());
+    let x = qb.var("x");
+    qb.atom("R", vec![Term::Var(x), Term::Const(ghost.clone())])
+        .unwrap();
+    qb.atom("S", vec![Term::Var(x)]).unwrap();
+    let constant = qb.build();
+    conf.begin_read_tracking_with(AdomPrecision::Precise);
+    assert!(!holds_cq(&constant, conf.store()));
+    let reads = conf.take_read_set();
+    symbolic(&reads);
+    let mut cursor = GrowthCursor::at(conf.store());
+    conf.insert(r, tuple(["4", "ghost"])).unwrap();
+    assert!(reads.touched_by(&cursor.advance(conf.store())));
+
+    // R(x, y) ∧ S(y) accessed at S(ghost): the search branches on S(y)
+    // (one row and a possible charge, against R's three rows), the charge
+    // binds y to the binding's value, which the store lacks, and the probe
+    // of R through y refutes the witness.
+    let mut conf = Configuration::empty(schema.clone());
+    for (a, b) in [("1", "2"), ("2", "3"), ("3", "4")] {
+        conf.insert_named("R", [a, b]).unwrap();
+    }
+    conf.insert_named("S", ["9"]).unwrap();
+    let mut mb = AccessMethods::builder(schema.clone());
+    let check = mb
+        .add("check", "S", &["a"], AccessMode::Independent)
+        .unwrap();
+    let methods = mb.build();
+    let query: Query = {
+        let mut qb = ConjunctiveQuery::builder(schema.clone());
+        let (x, y) = (qb.var("x"), qb.var("y"));
+        qb.atom("R", vec![Term::Var(x), Term::Var(y)]).unwrap();
+        qb.atom("S", vec![Term::Var(y)]).unwrap();
+        qb.build().into()
+    };
+    let access = Access::new(check, binding(["ghost"]));
+    assert!(!certain::is_certain(&query, &conf));
+    conf.begin_read_tracking_with(AdomPrecision::Precise);
+    assert!(!is_immediately_relevant_given_uncertain(
+        &query, &conf, &access, &methods
+    ));
+    symbolic(&conf.take_read_set());
+
+    // So the verdict stays cached until a row carries the value, and that
+    // row evicts it: the access is immediately relevant then.
+    let options = RunOptions::default();
+    let mut oracle = RelevanceOracle::new(&query, &methods, &options);
+    assert!(!oracle.check_ir(&access, &mut conf));
+    conf.insert(s, tuple(["7"])).unwrap();
+    oracle.observe_growth(&mut conf, s);
+    assert!(!oracle.check_ir(&access, &mut conf));
+    assert_eq!(oracle.evictions(), 0, "a row without the value evicted it");
+    conf.insert(r, tuple(["5", "ghost"])).unwrap();
+    oracle.observe_growth(&mut conf, r);
+    assert!(oracle.check_ir(&access, &mut conf));
+    assert_eq!(oracle.evictions(), 1);
 }
 
 #[test]

@@ -5,7 +5,7 @@ use accrel_core::SearchBudget;
 use accrel_federation::{
     AsyncFederation, ChaosOptions, ChurnScript, Federation, LatencyModel, SimulatedSource,
 };
-use accrel_query::{ConjunctiveQuery, Query, Term};
+use accrel_query::{certain, ConjunctiveQuery, Query, Term};
 use accrel_schema::{Configuration, Instance, Schema, Tuple, Value};
 use accrel_workloads::random::{
     generate_configuration, generate_instance, generate_query, generate_workload, Workload,
@@ -61,26 +61,45 @@ fn base_workload(dependent: bool, seed: u64) -> Workload {
 ///
 /// `conjunctive` selects CQ vs PQ; `dependent` selects the access-method
 /// mode (the IR procedure itself is mode-agnostic, as in the paper).
+///
+/// The fixture reaches the procedures' searches. The query and
+/// configuration are redrawn from the same stream until the query is not
+/// certain, since a certain query settles IR and LTR at their certainty
+/// check. The access calls the method on the relation of the query's first
+/// atom, bound to a value that atom accepts at the method's input place:
+/// its constant there, else the first configuration value of the input's
+/// domain. So that atom can be charged to the access, and IR's static cut
+/// (no chargeable atom) does not settle the call either.
 pub fn ir_fixture(atoms: usize, conjunctive: bool, dependent: bool) -> RelevanceFixture {
     let workload = base_workload(dependent, 11);
     let mut rng = StdRng::seed_from_u64(atoms as u64 * 31 + u64::from(conjunctive));
-    let query = generate_query(&workload, conjunctive, atoms, 3, &mut rng);
-    let configuration = generate_configuration(&workload, 6, &mut rng);
+    let (query, configuration) = loop {
+        let query = generate_query(&workload, conjunctive, atoms, 3, &mut rng);
+        let configuration = generate_configuration(&workload, 6, &mut rng);
+        if !certain::is_certain(&query, &configuration) {
+            break (query, configuration);
+        }
+    };
+    let atom = &query.ucq()[0].atoms()[0];
     let (method_id, method) = workload
         .methods
         .iter()
-        .next()
-        .expect("workload has methods");
-    let bound_value = configuration
-        .values_of_domain(
-            workload
-                .schema
-                .domain_of(method.relation(), method.input_positions()[0])
-                .expect("method input position is valid"),
-        )
-        .into_iter()
-        .next()
-        .unwrap_or_else(|| workload.constants[0].clone());
+        .find(|(_, m)| m.relation() == atom.relation())
+        .expect("every relation has a method");
+    let input = method.input_positions()[0];
+    let bound_value = match atom.term_at(input) {
+        Some(Term::Const(c)) => c.clone(),
+        _ => configuration
+            .values_of_domain(
+                workload
+                    .schema
+                    .domain_of(method.relation(), input)
+                    .expect("method input position is valid"),
+            )
+            .into_iter()
+            .next()
+            .unwrap_or_else(|| workload.constants[0].clone()),
+    };
     RelevanceFixture {
         query,
         configuration,
@@ -753,13 +772,42 @@ mod tests {
     use super::*;
     use accrel_core::{is_contained, is_immediately_relevant, is_long_term_relevant};
 
+    /// Whether some atom of `f`'s query can be charged to its access: on
+    /// the accessed relation, holding a variable or the binding at the
+    /// method's one input place.
+    fn some_atom_is_chargeable(f: &RelevanceFixture) -> bool {
+        let method = f.methods.get(f.access.method()).unwrap();
+        let [input] = method.input_positions() else {
+            panic!("the fixtures' methods have one input place")
+        };
+        let bound = f.access.binding().get(0);
+        let mut atoms = f.query.ucq().iter().flat_map(|d| d.atoms());
+        atoms.any(|a| {
+            a.relation() == method.relation()
+                && match a.term_at(*input) {
+                    Some(Term::Var(_)) => true,
+                    Some(Term::Const(c)) => Some(c) == bound,
+                    None => false,
+                }
+        })
+    }
+
     #[test]
     fn ir_fixtures_are_runnable() {
-        for &conjunctive in &[true, false] {
-            for &dependent in &[true, false] {
-                let f = ir_fixture(3, conjunctive, dependent);
-                // The call must terminate; the verdict depends on the seed.
-                let _ = is_immediately_relevant(&f.query, &f.configuration, &f.access, &f.methods);
+        // Every size `run_all` and `run_smoke` time in E1 and E2 reaches
+        // the search: neither the static charge cut nor the certainty
+        // check settles it.
+        for size in 1..=6 {
+            for conjunctive in [true, false] {
+                for dependent in [true, false] {
+                    let f = ir_fixture(size, conjunctive, dependent);
+                    let ctx =
+                        format!("size {size} conjunctive {conjunctive} dependent {dependent}");
+                    assert!(some_atom_is_chargeable(&f), "{ctx}");
+                    assert!(!certain::is_certain(&f.query, &f.configuration), "{ctx}");
+                    let _ =
+                        is_immediately_relevant(&f.query, &f.configuration, &f.access, &f.methods);
+                }
             }
         }
     }

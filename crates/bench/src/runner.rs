@@ -15,6 +15,7 @@ use accrel_federation::{
     Async, ChurnScript, FlakyModel, QuerySessionRegistry, ServingOptions, Threaded,
 };
 use accrel_query::{certain, Query};
+use accrel_schema::{AdomPrecision, Configuration};
 use accrel_workloads::encodings::{encode_prop_6_2, encoding_stats};
 use accrel_workloads::tiling::checkerboard;
 
@@ -92,6 +93,31 @@ pub fn median_micros<F: FnMut()>(repeats: usize, mut f: F) -> f64 {
     samples[samples.len() / 2]
 }
 
+/// The count rows of one E1 or E2 fixture: `relevant (1 = yes)`, the
+/// verdict `decide` reaches on `conf`, and `reads`, how many reads a
+/// `Precise` read recorder sees in that one untimed call. They pin what the
+/// timed calls decide and read.
+fn verdict_rows(
+    series: &str,
+    size: usize,
+    conf: &Configuration,
+    decide: impl FnOnce(&Configuration) -> bool,
+) -> [Row; 2] {
+    let mut conf = conf.clone();
+    conf.begin_read_tracking_with(AdomPrecision::Precise);
+    let relevant = decide(&conf);
+    let reads = conf.take_read_set().len();
+    [
+        Row::new(
+            series,
+            size,
+            "relevant (1 = yes)",
+            f64::from(u8::from(relevant)),
+        ),
+        Row::new(series, size, "reads", reads as f64),
+    ]
+}
+
 /// E1 — immediate relevance combined complexity (Table 1, IR column).
 pub fn e1_immediate(sizes: &[usize], repeats: usize) -> Table {
     let mut rows = Vec::new();
@@ -107,6 +133,9 @@ pub fn e1_immediate(sizes: &[usize], repeats: usize) -> Table {
                 let _ = is_immediately_relevant(&f.query, &f.configuration, &f.access, &f.methods);
             });
             rows.push(Row::new(series, size, "median µs", t));
+            rows.extend(verdict_rows(series, size, &f.configuration, |conf| {
+                is_immediately_relevant(&f.query, conf, &f.access, &f.methods)
+            }));
         }
     }
     Table {
@@ -131,6 +160,9 @@ pub fn e2_ltr_independent(sizes: &[usize], repeats: usize) -> Table {
                 );
             });
             rows.push(Row::new(series, size, "median µs", t));
+            rows.extend(verdict_rows(series, size, &f.configuration, |conf| {
+                ltr_independent::is_ltr_independent(&f.query, conf, &f.access, &f.methods)
+            }));
         }
     }
     Table {
@@ -1412,10 +1444,11 @@ mod tests {
 
     #[test]
     fn small_experiments_run() {
+        // Per series and size: the timing, the verdict and the reads.
         let t1 = e1_immediate(&[1, 2], 1);
-        assert_eq!(t1.rows.len(), 8);
+        assert_eq!(t1.rows.len(), 24);
         let t2 = e2_ltr_independent(&[1, 2], 1);
-        assert_eq!(t2.rows.len(), 4);
+        assert_eq!(t2.rows.len(), 12);
         let t5 = e5_data_complexity(&[5, 10], 1);
         assert_eq!(t5.rows.len(), 16);
         assert!(t5.rows.iter().any(|r| r.metric == "count" && r.value > 0.0));

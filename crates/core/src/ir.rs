@@ -54,7 +54,7 @@ use std::collections::HashMap;
 use accrel_access::{Access, AccessMethod, AccessMethods};
 use accrel_query::eval::{AtomSet, Join};
 use accrel_query::{certain, Atom, ConjunctiveQuery, Query, Valuation, VarId};
-use accrel_schema::{Configuration, RelationId, Tuple, Value, ValueId};
+use accrel_schema::{Configuration, RelationId, Tuple, Value};
 
 use crate::reductions;
 use crate::search;
@@ -170,12 +170,8 @@ fn disjunct_witness(
     struct Search<'a> {
         atoms: &'a [Atom],
         join: Join<'a>,
-        access: &'a Access,
+        charge: search::Charge<'a>,
         access_relation: RelationId,
-        input_positions: &'a [usize],
-        /// The binding's ids at the method's input places, resolved at the
-        /// first charge (a search often ends before one).
-        inputs: Option<Vec<(usize, ValueId)>>,
         /// The atoms that can be charged to the access under some
         /// valuation ([`search::is_chargeable`]), decided once.
         chargeable: AtomSet,
@@ -205,18 +201,6 @@ fn disjunct_witness(
             self.open_chargeable += usize::from(self.chargeable.contains(i));
         }
 
-        /// Charges atom `i` to the access: binds its input places to the
-        /// binding's ids. Whether that agrees with the current bindings.
-        fn charge(&mut self, i: usize) -> bool {
-            let (join, access) = (&mut self.join, self.access);
-            let inputs = self.inputs.get_or_insert_with(|| {
-                let values = access.binding().values();
-                let inputs = self.input_positions.iter().zip(values);
-                inputs.map(|(&pos, v)| (pos, join.id(v))).collect()
-            });
-            join.unify_at(i, inputs)
-        }
-
         /// Whether the current bindings extend to a witness; if so, they
         /// are left in place.
         fn go(&mut self) -> bool {
@@ -232,7 +216,7 @@ fn disjunct_witness(
             let mark = self.join.mark();
             // Option A: the subgoal is charged to the access: input places
             // mapped onto the binding (output places are free).
-            if self.chargeable.contains(i) && self.charge(i) {
+            if self.chargeable.contains(i) && self.charge.apply(&mut self.join, i) {
                 self.charged.insert(i);
                 if self.go() {
                     return true;
@@ -270,10 +254,8 @@ fn disjunct_witness(
     let mut search = Search {
         atoms,
         join: Join::new(atoms, conf.store(), &[], &unbound),
-        access,
+        charge: search::Charge::new(access, method),
         access_relation: method.relation(),
-        input_positions: method.input_positions(),
-        inputs: None,
         chargeable,
         open: AtomSet::below(atoms.len()),
         open_chargeable,
@@ -282,15 +264,9 @@ fn disjunct_witness(
     if !search.go() {
         return None;
     }
-    let valuation = search.join.valuation();
-
     // Ground the witness: unbound variables get distinct fresh values, and
     // the atoms charged to the access become the increasing response.
-    let mut fresh = conf.fresh_supply();
-    let mut full: HashMap<VarId, Value> = valuation.into_map();
-    for v in disjunct.variables() {
-        full.entry(v).or_insert_with(|| fresh.next_value());
-    }
+    let full = search::ground_with_fresh_nulls(atoms, search.join.valuation(), conf);
     let mut response = Vec::new();
     for (i, atom) in atoms.iter().enumerate() {
         if !search.charged.contains(i) {

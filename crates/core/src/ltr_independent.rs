@@ -13,12 +13,13 @@
 //! produces.
 //!
 //! Instead of blindly enumerating all `|Adom|^vars` valuations, the guess is
-//! organised as an atom-directed backtracking search: each subgoal either
-//! unifies with a configuration fact (candidates drawn through the store's
-//! per-attribute indexes), is charged to the access (input positions unify
-//! with the binding), or is deferred to later accesses; variables still
-//! unbound after these choices are grounded with *distinct fresh nulls*.
-//! This is complete w.r.t. the naive enumeration: any witness valuation `h`
+//! organised as an atom-directed backtracking search in query order, over
+//! the join kernel of `accrel_query::eval` ([`Join`]) that immediate
+//! relevance drives too: each subgoal either matches a configuration row
+//! ([`Join::rows`], drawn through the store's posting lists), is charged to
+//! the access, or is deferred to later accesses; variables still unbound
+//! after these choices are grounded with *distinct fresh nulls*. This is
+//! complete w.r.t. the naive enumeration: any witness valuation `h`
 //! induces coverage choices reproducible by the search, and replacing the
 //! values of the residually-free variables with fresh nulls preserves the
 //! witness — the null-grounded later-image maps homomorphically into the
@@ -26,6 +27,8 @@
 //! on the former (monotonicity). It is sound because an accepted leaf *is* a
 //! valuation whose later set over-approximates the uncovered subgoals, and
 //! query-falsity on the larger extension implies it on the exact one.
+//! `tests/properties.rs` checks the walk against that naive enumeration on
+//! small workloads (`ltr_independent_agrees_with_a_brute_force_reference`).
 //!
 //! A certain Boolean query has no relevant access, so
 //! [`is_ltr_independent_budgeted`] checks certainty before searching. A
@@ -39,11 +42,10 @@
 //! general procedure whenever its preconditions hold and is benchmarked
 //! against it in experiment E6.
 
-use std::collections::HashMap;
-
-use accrel_access::{Access, AccessMethods};
-use accrel_query::{certain, eval, ConjunctiveQuery, Query, Valuation, VarId};
-use accrel_schema::{Configuration, FreshSupply, RelationId, Tuple, Value};
+use accrel_access::{Access, AccessMethod, AccessMethods};
+use accrel_query::eval::{self, Join};
+use accrel_query::{certain, Atom, ConjunctiveQuery, Query, Valuation};
+use accrel_schema::{Configuration, RelationId, Tuple};
 
 use crate::budget::SearchBudget;
 use crate::reductions;
@@ -103,149 +105,132 @@ pub(crate) fn is_ltr_independent_given_uncertain(
     let Ok(method) = methods.get(access.method()) else {
         return false;
     };
-    let access_relation = method.relation();
-    let input_positions = method.input_positions().to_vec();
-
     let query_ucq = query.ucq();
-    for disjunct in query_ucq {
-        if disjunct_has_witness(
-            query_ucq,
-            disjunct,
-            conf,
-            access,
-            access_relation,
-            &input_positions,
-            methods,
-            budget,
-        ) {
-            return true;
-        }
-    }
-    false
+    query_ucq.iter().any(|disjunct| {
+        disjunct_has_witness(query_ucq, disjunct, conf, access, method, methods, budget)
+    })
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Whether some valuation of `disjunct` covers each atom by a configuration
+/// fact, by the access or by a later access, and leaves every disjunct of
+/// `query_ucq` false on the configuration plus the later-covered facts.
+///
+/// It drives a [`Join`] step by step with immediate relevance's charge step
+/// and grounding ([`search::Charge`], [`search::ground_with_fresh_nulls`]),
+/// but covers the atoms in query order: the leaf budget cuts this walk, so
+/// which leaves it reaches, and with them a budget-cut verdict, depend on
+/// the order.
 fn disjunct_has_witness(
     query_ucq: &[ConjunctiveQuery],
     disjunct: &ConjunctiveQuery,
     conf: &Configuration,
     access: &Access,
-    access_relation: RelationId,
-    input_positions: &[usize],
+    method: &AccessMethod,
     methods: &AccessMethods,
     budget: &SearchBudget,
 ) -> bool {
-    struct Ctx<'a> {
-        /// The full query in UCQ form, expanded once — the leaf check runs
-        /// per coverage assignment and must not re-expand the DNF each time.
+    struct Walk<'a> {
+        /// The full query in UCQ form, expanded once: the leaf check runs
+        /// per coverage assignment.
         query_ucq: &'a [ConjunctiveQuery],
-        disjunct: &'a ConjunctiveQuery,
+        atoms: &'a [Atom],
         conf: &'a Configuration,
-        access: &'a Access,
+        join: Join<'a>,
+        charge: search::Charge<'a>,
         access_relation: RelationId,
-        input_positions: &'a [usize],
         methods: &'a AccessMethods,
-        /// Distinct from every configuration value, so the null-grounded
-        /// leaves are genuine "values not yet seen".
-        fresh: FreshSupply,
+        /// Leaves the budget still allows: the search is complete relative
+        /// to it (the same contract as the valuation cap of the dependent
+        /// procedures).
+        leaves_left: usize,
+        /// The atoms deferred to later accesses.
+        later: Vec<usize>,
     }
 
-    /// A full coverage assignment has been chosen: ground the residually
-    /// free variables with distinct fresh nulls (optimal by monotonicity)
-    /// and test whether the query is false on the truncation's extension.
-    fn leaf(ctx: &Ctx, leaves_left: &mut usize, valuation: &Valuation, later: &[usize]) -> bool {
-        if *leaves_left == 0 {
-            return false;
-        }
-        *leaves_left -= 1;
-        let mut full: HashMap<VarId, Value> = valuation.as_map().clone();
-        let mut fresh = ctx.fresh.clone();
-        for v in ctx.disjunct.variables() {
-            full.entry(v).or_insert_with(|| fresh.next_value());
-        }
-        let mut later_facts: Vec<(RelationId, Tuple)> = Vec::with_capacity(later.len());
-        for &i in later {
-            let atom = &ctx.disjunct.atoms()[i];
-            let Some(tuple) = atom.substitute(&full).to_tuple() else {
+    impl Walk<'_> {
+        /// A full coverage assignment has been chosen: ground the variables
+        /// no choice bound with distinct fresh nulls (optimal by
+        /// monotonicity) and test whether the query is false on the
+        /// truncation's extension.
+        fn leaf(&mut self) -> bool {
+            if self.leaves_left == 0 {
                 return false;
-            };
-            later_facts.push((atom.relation(), tuple));
+            }
+            self.leaves_left -= 1;
+            let full =
+                search::ground_with_fresh_nulls(self.atoms, self.join.valuation(), self.conf);
+            let later_facts: Vec<(RelationId, Tuple)> = (self.later.iter())
+                .map(|&i| {
+                    let atom = &self.atoms[i];
+                    let tuple = atom.substitute(&full).to_tuple();
+                    (atom.relation(), tuple.expect("every variable is grounded"))
+                })
+                .collect();
+            // The truncated path yields exactly Conf plus the later-access
+            // facts; the witness is valid iff the query is still false
+            // there. Evaluated as an overlay: no per-leaf configuration
+            // clone.
+            !self
+                .query_ucq
+                .iter()
+                .any(|d| eval::holds_cq_with_extra(d, self.conf.store(), &later_facts))
         }
-        // The truncated path yields exactly Conf plus the later-access
-        // facts; the witness is valid iff the query is still false there.
-        // Evaluated as an overlay: no per-leaf configuration clone.
-        !ctx.query_ucq
-            .iter()
-            .any(|d| eval::holds_cq_with_extra(d, ctx.conf.store(), &later_facts))
-    }
 
-    /// Atom-directed search: cover atom `idx` by the configuration (indexed
-    /// candidates), by the initial access (binding unification), or by later
-    /// accesses (deferred). Atoms are covered in query order, unlike the
-    /// unbudgeted joins: the leaf budget cuts this walk, so which leaves it
-    /// reaches, and with them a budget-cut verdict, depend on the order.
-    fn go(
-        ctx: &Ctx,
-        leaves_left: &mut usize,
-        idx: usize,
-        valuation: &Valuation,
-        later: &mut Vec<usize>,
-    ) -> bool {
-        if *leaves_left == 0 {
-            return false;
-        }
-        let Some(atom) = ctx.disjunct.atoms().get(idx) else {
-            return leaf(ctx, leaves_left, valuation, later);
-        };
-        // Choice 1: the subgoal is witnessed by a configuration fact.
-        for tuple in eval::atom_candidates(atom, ctx.conf.store(), valuation) {
-            if let Some(extended) = valuation.unify_atom(atom, tuple) {
-                if go(ctx, leaves_left, idx + 1, &extended, later) {
-                    return true;
+        /// Covers atom `i` and the atoms after it: by a configuration fact
+        /// (its candidate rows), by the access, or by later accesses.
+        /// Whether that reaches an accepted leaf; if so, the bindings are
+        /// left in place.
+        fn go(&mut self, i: usize) -> bool {
+            if self.leaves_left == 0 {
+                return false;
+            }
+            let Some(atom) = self.atoms.get(i) else {
+                return self.leaf();
+            };
+            let mark = self.join.mark();
+            // Choice 1: the subgoal is witnessed by a configuration fact.
+            for row in self.join.rows(i) {
+                if self.join.unify(i, &row) {
+                    if self.go(i + 1) {
+                        return true;
+                    }
+                    self.join.undo(mark);
                 }
             }
-        }
-        // Choice 2: the subgoal is charged to the initial access — its input
-        // positions unify with the binding (output positions stay free).
-        if atom.relation() == ctx.access_relation {
-            let charged =
-                search::charge_to_access(atom, valuation, ctx.access, ctx.input_positions);
-            if charged.is_some_and(|extended| go(ctx, leaves_left, idx + 1, &extended, later)) {
-                return true;
+            // Choice 2: the subgoal is charged to the initial access.
+            if atom.relation() == self.access_relation && self.charge.apply(&mut self.join, i) {
+                if self.go(i + 1) {
+                    return true;
+                }
+                self.join.undo(mark);
             }
-        }
-        // Choice 3: the subgoal is deferred to later accesses (possible
-        // whenever its relation is accessible at all).
-        if ctx.methods.has_method(atom.relation()) {
-            later.push(idx);
-            if go(ctx, leaves_left, idx + 1, valuation, later) {
-                return true;
+            // Choice 3: the subgoal is deferred to later accesses (possible
+            // whenever its relation is accessible at all).
+            if self.methods.has_method(atom.relation()) {
+                self.later.push(i);
+                if self.go(i + 1) {
+                    return true;
+                }
+                self.later.pop();
             }
-            later.pop();
+            false
         }
-        false
     }
 
-    let ctx = Ctx {
+    let atoms = disjunct.atoms();
+    let unbound = Valuation::new();
+    Walk {
         query_ucq,
-        disjunct,
+        atoms,
         conf,
-        access,
-        access_relation,
-        input_positions,
+        join: Join::new(atoms, conf.store(), &[], &unbound),
+        charge: search::Charge::new(access, method),
+        access_relation: method.relation(),
         methods,
-        fresh: conf.fresh_supply(),
-    };
-    // Leaf budget: the search is complete relative to it (same contract as
-    // the valuation cap of the dependent procedures).
-    let mut leaves_left = budget.max_valuations;
-    go(
-        &ctx,
-        &mut leaves_left,
-        0,
-        &Valuation::new(),
-        &mut Vec::new(),
-    )
+        leaves_left: budget.max_valuations,
+        later: Vec::new(),
+    }
+    .go(0)
 }
 
 /// The Proposition 4.3 polynomial test for Boolean conjunctive queries where
@@ -280,13 +265,12 @@ pub fn ltr_single_occurrence(
         .atoms()
         .iter()
         .position(|a| a.relation() == access_relation)?;
-    let subgoal = &query.atoms()[subgoal_index];
-    let Some(h) =
-        search::charge_to_access(subgoal, &Valuation::new(), access, method.input_positions())
-    else {
+    let unbound = Valuation::new();
+    let mut join = Join::new(query.atoms(), conf.store(), &[], &unbound);
+    if !search::Charge::new(access, method).apply(&mut join, subgoal_index) {
         return Some(false);
-    };
-    let qh = query.substitute(h.as_map());
+    }
+    let qh = query.substitute(join.valuation().as_map());
     // Components of the subgoal graph of Qh; drop those already satisfied in
     // Conf; the access is LTR iff the accessed subgoal survives.
     for component in qh.connected_components() {

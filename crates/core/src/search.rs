@@ -1,5 +1,6 @@
-//! Shared witness-search machinery: valuation enumeration and
-//! producibility planning ("crayfish chase" supporting chains).
+//! Shared witness-search machinery: the charge step and grounding of the
+//! join-driven searches, valuation enumeration and producibility planning
+//! ("crayfish chase" supporting chains).
 //!
 //! Both containment under access limitations and dependent long-term
 //! relevance look for a *witness*: a homomorphic image of (a disjunct of)
@@ -8,6 +9,10 @@
 //! whose only purpose is to make an input value of the right abstract domain
 //! accessible. This module provides:
 //!
+//! * [`Charge`] and [`ground_with_fresh_nulls`] — the steps immediate
+//!   relevance and independent long-term relevance share when they drive
+//!   the join kernel (`accrel_query::eval::Join`): charging an atom to the
+//!   access, and grounding a witness's unbound variables with fresh nulls;
 //! * [`find_valuation`] — a visitor over candidate assignments of a
 //!   disjunct's variables to configuration constants, caller-supplied extra
 //!   values, or shared fresh nulls (restricted-growth enumeration so that
@@ -25,8 +30,9 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use accrel_access::{
     Access, AccessMethod, AccessMethodId, AccessMethods, AccessMode, AccessPath, Binding, Response,
 };
+use accrel_query::eval::Join;
 use accrel_query::{Atom, ConjunctiveQuery, Query, Term, Valuation, VarId};
-use accrel_schema::{Configuration, DomainId, FreshSupply, RelationId, Tuple, Value};
+use accrel_schema::{Configuration, DomainId, FreshSupply, RelationId, Tuple, Value, ValueId};
 
 use crate::budget::SearchBudget;
 
@@ -35,39 +41,9 @@ use crate::budget::SearchBudget;
 /// the dependent-LTR search), together with the abstract domain it carries.
 pub(crate) type ExtraValue = (Value, DomainId);
 
-/// Extends `valuation` so that `atom`, a subgoal charged to `access`, maps
-/// its input places (`input_positions`, those of the accessed method) onto
-/// the binding; output places stay free. `None` when a constant differs
-/// from its bound value or a variable would take two values, also within
-/// the atom: `R(x, x)` is never charged to the binding `(a, b)`.
-pub(crate) fn charge_to_access(
-    atom: &Atom,
-    valuation: &Valuation,
-    access: &Access,
-    input_positions: &[usize],
-) -> Option<Valuation> {
-    let mut extended = valuation.clone();
-    for (k, &pos) in input_positions.iter().enumerate() {
-        let bound = access.binding().get(k)?;
-        match atom.term_at(pos)? {
-            Term::Const(c) => {
-                if c != bound {
-                    return None;
-                }
-            }
-            Term::Var(v) => match extended.get(*v) {
-                Some(existing) if existing != bound => return None,
-                Some(_) => {}
-                None => extended.bind(*v, bound.clone()),
-            },
-        }
-    }
-    Some(extended)
-}
-
 /// Whether `atom` can be charged to `access`, a call to `method`, under
-/// some valuation: it is on the accessed relation and [`charge_to_access`]
-/// succeeds on the empty valuation. So each constant at an input place
+/// some valuation: it is on the accessed relation and the [`Charge`] step
+/// accepts it with nothing bound. So each constant at an input place
 /// equals the binding value there, and no variable sits at two input places
 /// whose binding values differ. A valuation only adds constraints, so an
 /// atom that fails here fails under every valuation; and since every tuple
@@ -101,6 +77,63 @@ pub(crate) fn charges_some_atom(query: &Query, access: &Access, method: &AccessM
         .ucq()
         .iter()
         .any(|d| d.atoms().iter().any(|a| is_chargeable(a, access, method)))
+}
+
+/// The one charge step, for the searches that drive a [`Join`] (immediate
+/// and independent long-term relevance, the Proposition 4.3 test): charging
+/// an atom to the access binds its input places, those of the accessed
+/// method, to the binding's ids, resolved at the first charge (a search
+/// often ends before one). Output places stay free, and nothing is read.
+/// The callers check the binding's arity first.
+pub(crate) struct Charge<'a> {
+    access: &'a Access,
+    method: &'a AccessMethod,
+    inputs: Option<Vec<(usize, ValueId)>>,
+}
+
+impl<'a> Charge<'a> {
+    /// The charge step for `access`, a call to `method`.
+    pub(crate) fn new(access: &'a Access, method: &'a AccessMethod) -> Self {
+        Self {
+            access,
+            method,
+            inputs: None,
+        }
+    }
+
+    /// Charges atom `i` of `join`: whether that agrees with the join's
+    /// bindings. On a mismatch (a constant other than the bound value, or a
+    /// variable taking two values, also within the atom: `R(x, x)` is never
+    /// charged to the binding `(a, b)`) nothing is bound.
+    pub(crate) fn apply(&mut self, join: &mut Join<'a>, i: usize) -> bool {
+        let (access, method) = (self.access, self.method);
+        let inputs = self.inputs.get_or_insert_with(|| {
+            let values = access.binding().values();
+            let inputs = method.input_positions().iter().zip(values);
+            inputs.map(|(&pos, v)| (pos, join.id(v))).collect()
+        });
+        join.unify_at(i, inputs)
+    }
+}
+
+/// `valuation` grounded on `atoms`: every variable of the atoms it leaves
+/// unbound gets a distinct fresh null of `conf`, in order of first
+/// occurrence, so which null a variable gets does not depend on hashing. A
+/// fresh null is a value `conf` does not hold; by monotonicity it is the
+/// weakest value a witness can give a variable that no choice bound.
+pub(crate) fn ground_with_fresh_nulls(
+    atoms: &[Atom],
+    valuation: Valuation,
+    conf: &Configuration,
+) -> HashMap<VarId, Value> {
+    let mut fresh = conf.fresh_supply();
+    let mut full = valuation.into_map();
+    for term in atoms.iter().flat_map(Atom::terms) {
+        if let Term::Var(v) = term {
+            full.entry(*v).or_insert_with(|| fresh.next_value());
+        }
+    }
+    full
 }
 
 /// The accessible `(value, domain)` pool of a witness search: the
@@ -893,7 +926,7 @@ mod tests {
     use super::*;
     use accrel_access::{binding, AccessMode};
     use accrel_query::Term;
-    use accrel_schema::{tuple, AdomPrecision, GrowthCursor, Read, Schema};
+    use accrel_schema::{tuple, AdomPrecision, FactStore, GrowthCursor, Read, Schema};
     use std::sync::Arc;
 
     fn two_domain_setup() -> (Arc<Schema>, AccessMethods) {
@@ -914,10 +947,11 @@ mod tests {
     }
 
     #[test]
-    fn chargeable_atoms_are_those_charge_to_access_accepts_unbound() {
+    fn chargeable_atoms_are_those_the_charge_step_accepts_unbound() {
         // Every atom of R(a, b, c) over the terms x, y, 1 and 2, every
-        // binding over 1 and 2 (and one too short), for methods with one,
-        // two and three input places, plus an atom of another relation.
+        // binding over 1 and 2 (and one too short, which the callers of the
+        // charge step reject first), for methods with one, two and three
+        // input places, plus an atom of another relation.
         let mut b = Schema::builder();
         let d = b.domain("D").unwrap();
         b.relation("R", &[("a", d), ("b", d), ("c", d)]).unwrap();
@@ -934,6 +968,8 @@ mod tests {
             })
             .collect();
         let methods_set = mb.build();
+        let store = FactStore::new(schema.clone());
+        let unbound = Valuation::new();
         let terms = [
             Term::Var(VarId(0)),
             Term::Var(VarId(1)),
@@ -962,14 +998,10 @@ mod tests {
             for bound in &bindings {
                 let access = Access::new(id, bound.clone());
                 for atom in &atoms {
+                    let mut join = Join::new(std::slice::from_ref(atom), &store, &[], &unbound);
                     let expected = atom.relation() == r
-                        && charge_to_access(
-                            atom,
-                            &Valuation::new(),
-                            &access,
-                            method.input_positions(),
-                        )
-                        .is_some();
+                        && access.check_arity(&methods_set).is_ok()
+                        && Charge::new(&access, method).apply(&mut join, 0);
                     assert_eq!(
                         is_chargeable(atom, &access, method),
                         expected,

@@ -26,10 +26,10 @@
 //! the rows committed since its last refresh and refreshes semi-naively; a
 //! non-Boolean query's answers are still computed in full once, at the end.
 //!
-//! Candidates are incremental in the same way. Each round's refresh of the
-//! loop's [`AccessFrontier`] reads only the active-domain pairs that entered
-//! since the previous one and emits the accesses whose binding uses a value
-//! new to the active domain. The loop refreshes it between relevance
+//! Candidate accesses are incremental in the same way. Each round's
+//! refresh of the loop's [`AccessFrontier`] reads only the active-domain
+//! pairs that entered since the previous one and emits the accesses whose
+//! binding uses a value new to the active domain. The loop refreshes it between relevance
 //! checks, when no read recorder is installed, so the pending set always
 //! equals what full re-enumeration of the configuration would yield, less
 //! the accesses already consumed.

@@ -67,6 +67,9 @@ pub struct RunJournal;
 
 const MAGIC: &str = "accrel-journal v1";
 
+/// Escapes the four characters a token cannot hold raw: `%`, the token
+/// separator and the line breaks. [`unescape`] accepts these escapes and
+/// no other.
 fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
@@ -81,19 +84,23 @@ fn escape(s: &str) -> String {
     out
 }
 
+/// Reverses [`escape`]. Any other `%` sequence, such as `%41` or `%+5`,
+/// is not something the writer produces, so the token is malformed.
 fn unescape(s: &str) -> Option<String> {
     let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '%' {
-            out.push(c);
-            continue;
-        }
-        let hi = chars.next()?;
-        let lo = chars.next()?;
-        let byte = u8::from_str_radix(&format!("{hi}{lo}"), 16).ok()?;
-        out.push(byte as char);
+    let mut rest = s;
+    while let Some(i) = rest.find('%') {
+        out.push_str(&rest[..i]);
+        out.push(match rest.get(i + 1..i + 3)? {
+            "25" => '%',
+            "20" => ' ',
+            "0a" => '\n',
+            "0d" => '\r',
+            _ => return None,
+        });
+        rest = &rest[i + 3..];
     }
+    out.push_str(rest);
     Some(out)
 }
 
@@ -515,6 +522,32 @@ mod tests {
         }
     }
 
+    /// The reader accepts exactly the escapes the writer writes: a sign, a
+    /// character `escape` leaves raw, an upper-case or cut escape makes
+    /// the token, and with it the line, malformed.
+    #[test]
+    fn only_the_writers_escapes_decode() {
+        assert_eq!(unescape("a%25b%20c%0ad%0d"), Some("a%b c\nd\r".into()));
+        for token in ["a%+5", "%41", "%ff", "%0A", "%2", "%", "%%25", "%-1", "%é1"] {
+            assert_eq!(unescape(token), None, "token `{token}`");
+            assert_eq!(parse_value(&format!("s:{token}")), None, "token `{token}`");
+        }
+        let dir = std::env::temp_dir().join(format!("accrel-journal-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("foreign_escapes.journal");
+        std::fs::write(
+            &path,
+            format!("{MAGIC}\nrun\naccess m0 s:a%+5\naccess m0 s:%41\naccess m0 s:a%20b\n"),
+        )
+        .unwrap();
+        let runs = RunJournal::read_runs(&path).unwrap();
+        let access = Access::new(AccessMethodId(0), binding(["a b"]));
+        assert_eq!(runs[0].access_sequence, [access]);
+        let summary = RunJournal::replay(&path, &SharedVerdictCache::new()).unwrap();
+        assert_eq!(summary.skipped_lines, 2);
+        std::fs::remove_file(&path).ok();
+    }
+
     #[test]
     fn accesses_round_trip() {
         let access = Access::new(AccessMethodId(3), binding(["k v", "w"]));
@@ -847,6 +880,74 @@ mod tests {
         let summary = RunJournal::replay(&path, &SharedVerdictCache::new()).unwrap();
         assert_eq!(summary.skipped_lines, 2);
         assert_eq!(summary.verdicts_restored, 0);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A journal written from a real serve (a run and the shared cache's
+    /// entries, read sets included), mutated at random: byte flips, cuts,
+    /// inserted spaces and inserted `%` sequences. Reading and replaying
+    /// each mutant never panics, and a mutant that is still a journal
+    /// never yields more runs or verdicts than its lines can hold.
+    #[test]
+    fn mutated_journals_never_panic_the_reader() {
+        use crate::{AsyncFederation, QuerySessionRegistry, SimulatedSource};
+        use accrel_engine::scenarios::bank_scenario;
+        use accrel_engine::RunRequest;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let scenario = bank_scenario();
+        let federation = AsyncFederation::single_simulated(SimulatedSource::exact(
+            "bank",
+            scenario.instance.clone(),
+            scenario.methods.clone(),
+        ));
+        let registry = QuerySessionRegistry::new(&federation);
+        let request = [RunRequest::new(scenario.query.clone())];
+        let live = registry.serve(&request, &scenario.initial_configuration);
+        let run = &live.sessions[0].report;
+        let dir = std::env::temp_dir().join(format!("accrel-journal-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("mutants.journal");
+        RunJournal::write_to(&path, &[run], registry.verdict_cache()).unwrap();
+        let journal = std::fs::read(&path).unwrap();
+        let text = String::from_utf8(journal.clone()).unwrap();
+        assert!(text.contains("\nshared ") && text.contains(" R"), "{text}");
+        let summary = RunJournal::replay(&path, &SharedVerdictCache::new()).unwrap();
+        assert_eq!(summary.skipped_lines, 0);
+        assert!(summary.verdicts_restored > 0);
+
+        let inserts: [&[u8]; 9] = [
+            b"%", b"%2", b"%+5", b"%41", b"%ff", b"%0A", b"%25", b"%20", b" ",
+        ];
+        let mut rng = StdRng::seed_from_u64(0x6a6f_7572);
+        for _ in 0..400 {
+            let mut bytes = journal.clone();
+            for _ in 0..rng.gen_range(1..4) {
+                let at = rng.gen_range(0..bytes.len() + 1);
+                match rng.gen_range(0..4) {
+                    0 => {
+                        if let Some(b) = bytes.get_mut(at) {
+                            *b ^= 1 << rng.gen_range(0..8);
+                        }
+                    }
+                    1 => bytes.truncate(at),
+                    2 => drop(bytes.splice(at..at, *b" ")),
+                    _ => {
+                        let insert = inserts[rng.gen_range(0..inserts.len())];
+                        drop(bytes.splice(at..at, insert.iter().copied()));
+                    }
+                }
+            }
+            std::fs::write(&path, &bytes).unwrap();
+            let lines = bytes.iter().filter(|&&b| b == b'\n').count();
+            if let Ok(runs) = RunJournal::read_runs(&path) {
+                assert!(runs.len() <= lines);
+            }
+            if let Ok(summary) = RunJournal::replay(&path, &SharedVerdictCache::new()) {
+                assert!(summary.runs + summary.verdicts_restored + summary.skipped_lines <= lines);
+            }
+        }
         std::fs::remove_file(&path).ok();
     }
 

@@ -12,8 +12,9 @@
 //!
 //! # One kernel over value ids
 //!
-//! Every join here, the semi-naive certainty step and immediate
-//! relevance's witness search run one kernel, [`Join`], and it binds
+//! Every join here, the semi-naive certainty step, immediate relevance's
+//! witness search and independent long-term relevance's walk run one
+//! kernel, [`Join`], and it binds
 //! interned [`ValueId`]s, not [`Value`]s. It resolves the partial valuation
 //! and the overlay facts through the store's interner at entry, and an
 //! atom's constants when it first looks at the atom, each once; a value
@@ -41,8 +42,9 @@
 //! [`Read::Pair`] with the first position's id, else [`Read::Relation`]
 //! when nothing is determined. So a join-local id never enters a read set,
 //! where it would name no stored value and could later collide with a
-//! real id. The value-level probe [`FactStore::candidates`] resolves its
-//! values the same way and records the same read.
+//! real id. [`FactStore::matching`], the one value-level probe (the
+//! paper's `I(Bind, S)` behind every source call), resolves its binding
+//! the same way and records the same read.
 //!
 //! The `_with_extra` variants evaluate over a store *plus* a small slice of
 //! pending facts without materialising the union — the relevance witness
@@ -170,38 +172,6 @@ impl FromIterator<(VarId, Value)> for Valuation {
     fn from_iter<T: IntoIterator<Item = (VarId, Value)>>(iter: T) -> Self {
         Valuation::from_pairs(iter)
     }
-}
-
-/// The positions of `atom` whose value is already determined by `current`
-/// (constants and bound variables): the index constraints for its
-/// candidate scan.
-fn determined<'a>(
-    atom: &'a Atom,
-    current: &'a Valuation,
-) -> impl Iterator<Item = (usize, &'a Value)> + 'a {
-    atom.terms()
-        .iter()
-        .enumerate()
-        .filter_map(|(pos, term)| match term {
-            Term::Const(c) => Some((pos, c)),
-            Term::Var(v) => current.get(*v).map(|val| (pos, val)),
-        })
-}
-
-/// Index-backed candidate tuples for `atom` under the partial valuation
-/// `current`, as a lazy cursor ([`FactStore::candidates`]): the atom's
-/// determined positions (constants and bound variables) become index
-/// constraints, so only binding-compatible tuples are enumerated.
-/// Repeated-variable consistency within the atom must still be checked by
-/// [`Valuation::unify_atom`]. The value-level probe of the searches that
-/// walk valuations rather than joins (independent long-term relevance);
-/// it records what [`Join::rows`] records for the same atom and bindings.
-pub fn atom_candidates<'a>(
-    atom: &'a Atom,
-    store: &'a FactStore,
-    current: &'a Valuation,
-) -> impl Iterator<Item = &'a Tuple> + 'a {
-    store.candidates(atom.relation(), determined(atom, current))
 }
 
 /// A set of atom indexes, one bit per atom, held inline for the first 64:
@@ -335,10 +305,11 @@ pub struct Mark(u32);
 /// over value ids (see the module documentation).
 ///
 /// The joins of this module drive it to completion. A search that adds
-/// branches of its own, as immediate relevance does when it charges an atom
-/// to an access, drives it step by step: [`Join::most_constrained`] picks
-/// the atom, [`Join::rows`] draws its candidates, [`Join::unify`] and
-/// [`Join::unify_at`] bind, and [`Join::undo`] unbinds back to a
+/// branches of its own, as immediate and independent long-term relevance
+/// do when they charge an atom to an access, drives it step by step:
+/// [`Join::most_constrained`] picks the atom (or the search takes the atoms
+/// in its own order), [`Join::rows`] draws its candidates, [`Join::unify`]
+/// and [`Join::unify_at`] bind, and [`Join::undo`] unbinds back to a
 /// [`Join::mark`].
 #[derive(Debug)]
 pub struct Join<'a> {
@@ -1040,7 +1011,7 @@ mod tests {
         // R through y: it never scans R, and the count behind that choice
         // records nothing.
         store.begin_read_tracking_with(accrel_schema::AdomPrecision::Precise);
-        assert_eq!(store.candidate_bound(r, []), 3);
+        assert_eq!(store.posting_bound(r, []), 3);
         assert!(store.take_read_set().is_empty());
         store.begin_read_tracking_with(accrel_schema::AdomPrecision::Precise);
         assert!(holds_cq(&q, &store));

@@ -53,9 +53,7 @@ pub use intern::{ValueId, ValueInterner};
 pub use layered::Suffix;
 pub use relation::{Attribute, Relation, RelationId};
 pub use schema::{Schema, SchemaBuilder};
-pub use store::{
-    AdomPrecision, Candidates, Fact, FactStore, Growth, GrowthCursor, Read, ReadSet, Row, Rows,
-};
+pub use store::{AdomPrecision, Fact, FactStore, Growth, GrowthCursor, Read, ReadSet, Row, Rows};
 pub use tuple::{tuple, Tuple};
 pub use value::{FreshSupply, Value};
 

@@ -8,8 +8,10 @@
 //!   `Vec<ValueId>` per attribute), so scans compare `u32`s;
 //! * each relation's columnar storage — columns, materialised tuples, the
 //!   set of interned rows (membership) and per-(relation, attribute)
-//!   value → row posting lists — is one *shard* ([`FactStore::candidates`]
-//!   and [`FactStore::matching`] read through it);
+//!   value → row posting lists — is one *shard*. The joins read it by id
+//!   ([`FactStore::posting_rows`], [`FactStore::posting_bound`]), and so
+//!   does [`FactStore::matching`], the paper's `I(Bind, S)` behind every
+//!   source call;
 //! * the active domain (`Adom(Conf)` in the paper) is maintained
 //!   incrementally as a `(ValueId, DomainId)` set, with the same pairs
 //!   logged in entry order beside it — a shard of its own — so
@@ -24,8 +26,8 @@
 //! its relation, and no row ever leaves: each keeps its index and contents
 //! for the lifetime of the store. Hence [`FactStore::rows_since`] returns
 //! exactly the rows inserted after a given row count, posting lists ascend
-//! by row, and [`FactStore::candidates`] returns rows in insertion order
-//! without sorting. So what a store gained since some point is a suffix of
+//! by row, and [`FactStore::posting_rows`] and [`FactStore::matching`]
+//! return rows in insertion order without sorting. So what a store gained since some point is a suffix of
 //! each relation's rows and of the active domain's entry log: a
 //! [`GrowthCursor`] marks where, and its advance returns that [`Growth`].
 //! The access frontier, the semi-naive certainty refresh and verdict
@@ -358,34 +360,6 @@ impl<'s> Iterator for Rows<'s> {
 
 impl ExactSizeIterator for Rows<'_> {}
 
-/// The tuples [`FactStore::candidates`] selects, walked lazily in row
-/// order: a walk that finds its match stops paying for the rest of the
-/// list. The read is recorded when the cursor is made, so a walk that stops
-/// early records what a drained one does.
-#[derive(Clone, Debug)]
-pub struct Candidates<'s> {
-    /// The rows of the shortest posting list among the constraints.
-    rows: Rows<'s>,
-    /// The other `(position, id)` constraints a row must meet.
-    filter: Vec<(usize, ValueId)>,
-}
-
-impl<'s> Iterator for Candidates<'s> {
-    type Item = &'s Tuple;
-
-    fn next(&mut self) -> Option<&'s Tuple> {
-        let filter = &self.filter;
-        self.rows
-            .find(|row| filter.iter().all(|&(pos, id)| row.id(pos) == id))
-            .map(|row| row.tuple())
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let upper = self.rows.len();
-        (if self.filter.is_empty() { upper } else { 0 }, Some(upper))
-    }
-}
-
 /// One level of the active domain: the `(value, domain)` pairs that entered
 /// it with the level's rows (a tail holds none of the base's), as a set
 /// and, beside it, in entry order. Rows never leave, so pairs never do.
@@ -468,8 +442,8 @@ pub enum Read {
     /// A read whose answer can change under *any* growth (`len`,
     /// `is_subset_of`, whole-store fact dumps).
     All,
-    /// A full scan of one relation (unconstrained `candidates`, `tuples`,
-    /// `relation_len`).
+    /// A full scan of one relation (unconstrained `posting_rows`,
+    /// `tuples`, `relation_len`).
     Relation(RelationId),
     /// A constrained probe: its answer changes only if an inserted row of
     /// the relation carries the value id.
@@ -1090,8 +1064,11 @@ impl FactStore {
     }
 
     /// The tuples of `relation` whose projection onto `positions` equals
-    /// `binding` — the paper's `I(Bind, S)`. Index-backed: the scan starts
-    /// from the most selective posting list among the bound positions.
+    /// `binding` — the paper's `I(Bind, S)`, in row (insertion) order.
+    /// Index-backed: it walks the rows [`FactStore::posting_rows`] selects
+    /// for the binding's ids (the shortest posting list among them) and
+    /// records the read that probe records. A binding value the interner
+    /// lacks gets an id past its range, as in a join, and matches nothing.
     pub fn matching(
         &self,
         relation: RelationId,
@@ -1101,44 +1078,19 @@ impl FactStore {
         if positions.len() != binding.len() {
             return Vec::new();
         }
-        self.candidates(relation, positions.iter().copied().zip(binding))
-            .cloned()
-            .collect()
-    }
-
-    /// A cursor over the tuples of `relation` agreeing with every
-    /// `(position, value)` constraint, in row order. With no constraints
-    /// this is a full scan. A thin wrapper over [`FactStore::posting_rows`]:
-    /// it resolves the values through the interner (a value the interner
-    /// lacks gets an id past its range, as in a join), walks the rows that
-    /// probe selects and checks the other constraints columnar. The read (the
-    /// relation, one constraint pair, or an unknown value) is recorded when
-    /// the cursor is made, so a walk that stops after its first row records
-    /// exactly what a drained one does.
-    pub fn candidates<'v>(
-        &self,
-        relation: RelationId,
-        constraints: impl IntoIterator<Item = (usize, &'v Value)>,
-    ) -> Candidates<'_> {
         let known = self.interner.len();
-        let mut unknown: Vec<&Value> = Vec::new();
-        let mut filter: Vec<(usize, ValueId)> = constraints
-            .into_iter()
-            .map(|(pos, v)| {
-                let id = self.interner.lookup(v).unwrap_or_else(|| {
-                    unknown.push(v);
-                    ValueId((known + unknown.len() - 1) as u32)
-                });
-                (pos, id)
+        let ids: Vec<(usize, ValueId)> = (positions.iter().zip(binding).enumerate())
+            .map(|(k, (&pos, v))| {
+                let id = self.interner.lookup(v);
+                (pos, id.unwrap_or(ValueId((known + k) as u32)))
             })
             .collect();
-        let (rows, list) = self.probe(relation, filter.iter().copied(), |id| {
-            unknown[id.index() - known]
+        let rows = self.posting_rows(relation, ids.iter().copied(), |id| {
+            &binding[id.index() - known]
         });
-        if let Some(k) = list {
-            filter.swap_remove(k);
-        }
-        Candidates { rows, filter }
+        rows.filter(|row| ids.iter().all(|&(pos, id)| row.id(pos) == id))
+            .map(|row| row.tuple().clone())
+            .collect()
     }
 
     /// The rows of `relation` a join walks for an atom whose determined
@@ -1169,81 +1121,49 @@ impl FactStore {
         I: IntoIterator<Item = (usize, ValueId)>,
         I::IntoIter: Clone,
     {
-        self.probe(relation, constraints, unknown).0
-    }
-
-    /// [`FactStore::posting_rows`], with the index among the constraints of
-    /// the one whose posting list the rows are (every row meets it).
-    fn probe<'v, I>(
-        &self,
-        relation: RelationId,
-        constraints: I,
-        unknown: impl Fn(ValueId) -> &'v Value,
-    ) -> (Rows<'_>, Option<usize>)
-    where
-        I: IntoIterator<Item = (usize, ValueId)>,
-        I::IntoIter: Clone,
-    {
-        let none = (Rows::default(), None);
         let Some(shard) = self.relations.get(relation.index()) else {
-            return none;
+            return Rows::default();
         };
         let constraints = constraints.into_iter();
         let mut first = None;
         for (pos, id) in constraints.clone() {
             if pos >= shard.arity() {
-                return none;
+                return Rows::default();
             }
             if id.index() >= self.interner.len() {
                 // The value may be interned by a later insert; keep the
                 // probe symbolic so such an insert re-triggers it.
                 self.rec(|rs| rs.insert(Read::UnknownValue(relation, unknown(id).clone())));
-                return none;
+                return Rows::default();
             }
             first.get_or_insert(id);
         }
         let Some(first) = first else {
             self.rec(|rs| rs.insert(Read::Relation(relation)));
-            return (shard.rows_from(0), None);
+            return shard.rows_from(0);
         };
         self.rec(|rs| rs.insert(Read::Pair(relation, first)));
         let (base, tail) = (shard.base(), shard.tail());
-        let mut best: Option<(usize, [&[usize]; 2])> = None;
-        for (k, (pos, id)) in constraints.enumerate() {
+        let mut best: Option<[&[usize]; 2]> = None;
+        for (pos, id) in constraints {
             let lists = [base.postings(pos, id), tail.postings(pos, id)];
             let len = lists[0].len() + lists[1].len();
             if len == 0 {
-                return none;
+                return Rows::default();
             }
-            if best.is_none_or(|(_, b)| len < b[0].len() + b[1].len()) {
-                best = Some((k, lists));
+            if best.is_none_or(|b| len < b[0].len() + b[1].len()) {
+                best = Some(lists);
             }
         }
-        let (k, [base_rows, tail_rows]) = best.expect("at least one constraint");
+        let [base_rows, tail_rows] = best.expect("at least one constraint");
         debug_assert!(
             base_rows.is_sorted() && tail_rows.is_sorted(),
             "posting lists ascend by row"
         );
-        let rows = Rows::of(
+        Rows::of(
             (base, LevelRows::Posting(base_rows.iter())),
             (tail, LevelRows::Posting(tail_rows.iter())),
-        );
-        (rows, Some(k))
-    }
-
-    /// An upper bound on the number of rows [`FactStore::candidates`]
-    /// returns for the same relation and constraints: a thin wrapper that
-    /// resolves the values and calls [`FactStore::posting_bound`].
-    pub fn candidate_bound<'v>(
-        &self,
-        relation: RelationId,
-        constraints: impl IntoIterator<Item = (usize, &'v Value)>,
-    ) -> usize {
-        let past = ValueId(self.interner.len() as u32);
-        let ids = constraints
-            .into_iter()
-            .map(|(pos, v)| (pos, self.interner.lookup(v).unwrap_or(past)));
-        self.posting_bound(relation, ids)
+        )
     }
 
     /// How many rows [`FactStore::posting_rows`] walks for the same
@@ -1593,53 +1513,72 @@ mod tests {
     }
 
     #[test]
-    fn candidates_power_partial_scans() {
+    fn posting_rows_power_partial_scans() {
         let schema = small_schema();
         let r = schema.relation_by_name("R").unwrap();
         let mut store = FactStore::new(schema);
         store.insert(r, tuple(["a", "1"])).unwrap();
         store.insert(r, tuple(["a", "2"])).unwrap();
         store.insert(r, tuple(["b", "1"])).unwrap();
-        assert_eq!(store.candidates(r, []).count(), 3);
-        let a = Value::sym("a");
-        let one = Value::sym("1");
-        assert_eq!(store.candidates(r, [(0, &a)]).count(), 2);
-        let hits: Vec<&Tuple> = store.candidates(r, [(1, &one), (0, &a)]).collect();
-        assert_eq!(hits, [&tuple(["a", "1"])]);
+        let id = |v: &str| store.interner().lookup(&Value::sym(v)).unwrap();
+        let (a, one) = (id("a"), id("1"));
+        // The id a join gives a value the store lacks, and that value.
+        let past = ValueId(store.interner().len() as u32);
         let ghost = Value::sym("ghost");
-        assert_eq!(store.candidates(r, [(0, &ghost)]).count(), 0);
-        assert_eq!(store.candidates(r, [(9, &a)]).count(), 0);
-        assert_eq!(store.candidates(RelationId(7), []).count(), 0);
+        let unknown = |_: ValueId| &ghost;
+        fn tuples<'s>(rows: impl Iterator<Item = Row<'s>>) -> Vec<Tuple> {
+            rows.map(|row| row.tuple().clone()).collect()
+        }
+        assert_eq!(store.posting_rows(r, [], unknown).len(), 3);
+        let on_a = tuples(store.posting_rows(r, [(0, a)], unknown));
+        assert_eq!(on_a, [tuple(["a", "1"]), tuple(["a", "2"])]);
+        // Two constraints walk the shortest list, the first one's on a tie;
+        // the caller checks the other.
+        let both = store.posting_rows(r, [(1, one), (0, a)], unknown);
+        assert_eq!(tuples(both.clone()), [tuple(["a", "1"]), tuple(["b", "1"])]);
+        let hits = both.filter(|row| row.id(0) == a && row.id(1) == one);
+        assert_eq!(tuples(hits), [tuple(["a", "1"])]);
+        assert_eq!(store.posting_rows(r, [(0, past)], unknown).len(), 0);
+        assert_eq!(store.posting_rows(r, [(9, a)], unknown).len(), 0);
+        assert_eq!(store.posting_rows(RelationId(7), [], unknown).len(), 0);
 
         // The cursor records its read when it is made: one dropped after its
         // first row, or never advanced, records what a drained one does.
-        let mut reads = |walk: &dyn Fn(Candidates)| {
+        let mut reads = |walk: &dyn Fn(Rows)| {
             store.begin_read_tracking_with(AdomPrecision::Precise);
-            walk(store.candidates(r, [(1, &one)]));
-            walk(store.candidates(r, []));
-            walk(store.candidates(r, [(0, &ghost)]));
+            walk(store.posting_rows(r, [(1, one)], unknown));
+            walk(store.posting_rows(r, [], unknown));
+            walk(store.posting_rows(r, [(0, past)], unknown));
             store.take_read_set()
         };
         let drained = reads(&|c| assert!(c.count() <= 3));
-        assert_eq!(drained.len(), 3);
+        let want = [
+            Read::Relation(r),
+            Read::Pair(r, one),
+            Read::UnknownValue(r, ghost.clone()),
+        ];
+        assert_eq!(
+            drained.iter().collect::<Vec<_>>(),
+            want.iter().collect::<Vec<_>>()
+        );
         assert_eq!(
             reads(&|mut c| {
                 c.next();
             }),
             drained
         );
-        assert_eq!(reads(&|c| drop(c)), drained);
+        assert_eq!(reads(&|_| {}), drained);
 
-        // Candidate bounds: the shortest posting list, never below the
-        // candidates, and never recorded.
+        // Posting bounds: the shortest posting list, never below the rows
+        // walked, and never recorded.
         store.begin_read_tracking_with(AdomPrecision::Precise);
-        assert_eq!(store.candidate_bound(r, []), 3);
-        assert_eq!(store.candidate_bound(r, [(0, &a)]), 2);
-        assert_eq!(store.candidate_bound(r, [(0, &a), (1, &one)]), 2);
-        assert_eq!(store.candidate_bound(r, [(1, &one), (0, &a)]), 2);
-        assert_eq!(store.candidate_bound(r, [(0, &ghost)]), 0);
-        assert_eq!(store.candidate_bound(r, [(9, &a)]), 0);
-        assert_eq!(store.candidate_bound(RelationId(7), []), 0);
+        assert_eq!(store.posting_bound(r, []), 3);
+        assert_eq!(store.posting_bound(r, [(0, a)]), 2);
+        assert_eq!(store.posting_bound(r, [(0, a), (1, one)]), 2);
+        assert_eq!(store.posting_bound(r, [(1, one), (0, a)]), 2);
+        assert_eq!(store.posting_bound(r, [(0, past)]), 0);
+        assert_eq!(store.posting_bound(r, [(9, a)]), 0);
+        assert_eq!(store.posting_bound(RelationId(7), []), 0);
         assert!(store.take_read_set().is_empty());
     }
 

@@ -789,6 +789,36 @@ mod tests {
         assert!(summary.exact_misses <= summary.relation_misses);
     }
 
+    /// The cases below seed 200 whose methods are all independent and
+    /// whose strategy runs long-term relevance: those where the executors
+    /// and the invalidation tiers diff the ΣP2 procedure's verdicts and
+    /// read sets (the blocking corpus, seeds 0..25, holds only seed 16).
+    /// Each must agree. The seed list is pinned, so a generator change that
+    /// moves it is noticed.
+    #[test]
+    fn independent_ltr_cases_agree_across_executors_and_invalidation_tiers() {
+        use accrel_access::AccessMode;
+        let seeds: Vec<u64> = (0..200)
+            .filter(|&seed| {
+                let case = FuzzCase::from_seed(seed);
+                let (workload, ..) = case.materialize();
+                let mut methods = workload.methods.iter();
+                matches!(case.strategy, Strategy::LtrGuided | Strategy::Hybrid)
+                    && methods.all(|(_, m)| m.mode() == AccessMode::Independent)
+            })
+            .collect();
+        assert_eq!(
+            seeds,
+            [16, 49, 55, 57, 83, 87, 93, 96, 97, 100, 102, 108, 132, 139, 164, 194]
+        );
+        for seed in seeds {
+            let case = FuzzCase::from_seed(seed);
+            assert_eq!(run_case(&case).divergence, None, "seed {seed}");
+            let outcome = run_invalidation_case(&case);
+            assert_eq!(outcome.divergence, None, "seed {seed}");
+        }
+    }
+
     #[test]
     fn generated_scripts_only_degrade_the_primary() {
         use accrel_federation::ChurnAction;

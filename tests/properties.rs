@@ -264,6 +264,40 @@ fn matching_oracle(
         .collect()
 }
 
+/// The `(position, id)` constraints `FactStore::posting_rows` and
+/// `posting_bound` take for `(position, value)` ones: each value's interned
+/// id, or for a value the store lacks an id past the interner's range, as
+/// a join gives it.
+fn constraint_ids(
+    store: &accrel::schema::FactStore,
+    constraints: &[(usize, &Value)],
+) -> Vec<(usize, accrel::schema::ValueId)> {
+    let known = store.interner().len();
+    let ids = constraints.iter().enumerate().map(|(k, &(pos, v))| {
+        let past = accrel::schema::ValueId((known + k) as u32);
+        (pos, store.interner().lookup(v).unwrap_or(past))
+    });
+    ids.collect()
+}
+
+/// The tuples meeting every `(position, value)` constraint, in row order,
+/// walked through `FactStore::posting_rows` with the constraints checked by
+/// id on each row, as a join's unification checks them.
+fn posting_tuples<'s>(
+    store: &'s accrel::schema::FactStore,
+    relation: accrel::schema::RelationId,
+    constraints: &[(usize, &Value)],
+) -> Vec<&'s Tuple> {
+    let ids = constraint_ids(store, constraints);
+    let known = store.interner().len();
+    let rows = store.posting_rows(relation, ids.iter().copied(), |id| {
+        constraints[id.index() - known].1
+    });
+    rows.filter(|row| ids.iter().all(|&(pos, id)| row.id(pos) == id))
+        .map(|row| row.tuple())
+        .collect()
+}
+
 /// Naive scan oracle for `FactStore::active_domain`: rescan every fact.
 fn adom_oracle(
     store: &accrel::schema::FactStore,
@@ -281,8 +315,8 @@ fn adom_oracle(
 #[test]
 fn indexed_matching_agrees_with_scan_oracle_on_random_configurations() {
     // In row order: downstream determinism relies on `matching` returning
-    // rows in insertion order, also after later inserts. `matching` drains
-    // the lazy `candidates` cursor; the cursor is also checked directly,
+    // rows in insertion order, also after later inserts. `matching` walks
+    // the lazy `posting_rows` cursor; the cursor is also checked directly,
     // drained and stopped after its first row, which must record the same
     // reads.
     fn assert_matching_agrees(
@@ -304,12 +338,15 @@ fn indexed_matching_agrees_with_scan_oracle_on_random_configurations() {
                         oracle,
                         "matching mismatch: {ctx}"
                     );
+                    let ids = constraint_ids(store, &[(pos, value)]);
                     store.begin_read_tracking_with(AdomPrecision::Precise);
-                    let drained: Vec<Tuple> =
-                        store.candidates(rel, [(pos, value)]).cloned().collect();
+                    let drained: Vec<Tuple> = (store.posting_rows(rel, ids.clone(), |_| value))
+                        .map(|row| row.tuple().clone())
+                        .collect();
                     let drained_reads = store.take_read_set();
                     store.begin_read_tracking_with(AdomPrecision::Precise);
-                    let first = store.candidates(rel, [(pos, value)]).next().cloned();
+                    let first = (store.posting_rows(rel, ids, |_| value).next())
+                        .map(|row| row.tuple().clone());
                     assert_eq!(store.take_read_set(), drained_reads, "cursor reads: {ctx}");
                     assert_eq!(drained, oracle, "drained cursor mismatch: {ctx}");
                     assert_eq!(first.as_ref(), oracle.first(), "first row: {ctx}");
@@ -589,7 +626,7 @@ impl LineageHandle {
 
 /// Checks one handle against its reference through every read the store
 /// offers: facts in row order, `rows_since`, membership, the order of
-/// `candidates` and `matching` and `candidate_bound` on one and on two
+/// `posting_rows` and `matching` and `posting_bound` on one and on two
 /// constraints (some on a value the store never saw), the active domain in
 /// entry order, and the interner's round trips with dense ids.
 fn assert_handle_agrees(handle: &LineageHandle, probes: &[Value], ctx: &str) {
@@ -620,7 +657,8 @@ fn assert_handle_agrees(handle: &LineageHandle, probes: &[Value], ctx: &str) {
     for (relation, rel) in store.schema().relations_with_ids() {
         let rows = log.rows_of(relation);
         assert!(store.tuples(relation).eq(&rows), "facts in row order {ctx}");
-        assert!(store.candidates(relation, []).eq(&rows), "scan {ctx}");
+        let scan = posting_tuples(store, relation, &[]);
+        assert!(scan.into_iter().eq(&rows), "scan {ctx}");
         for k in 0..=rows.len() + 1 {
             let want = rows.get(k..).unwrap_or(&[]);
             assert!(
@@ -635,11 +673,12 @@ fn assert_handle_agrees(handle: &LineageHandle, probes: &[Value], ctx: &str) {
         for pos in 0..rel.arity() {
             for v in probes {
                 let want: Vec<&Tuple> = on(&rows, pos, v).collect();
-                let found: Vec<&Tuple> = store.candidates(relation, [(pos, v)]).collect();
-                assert_eq!(found, want, "candidates {ctx}");
+                let found = posting_tuples(store, relation, &[(pos, v)]);
+                assert_eq!(found, want, "posting rows {ctx}");
                 let matched = store.matching(relation, &[pos], std::slice::from_ref(v));
                 assert!(matched.iter().eq(want.iter().copied()), "matching {ctx}");
-                assert_eq!(store.candidate_bound(relation, [(pos, v)]), want.len());
+                let ids = constraint_ids(store, &[(pos, v)]);
+                assert_eq!(store.posting_bound(relation, ids), want.len());
             }
         }
         if rel.arity() < 2 {
@@ -647,10 +686,13 @@ fn assert_handle_agrees(handle: &LineageHandle, probes: &[Value], ctx: &str) {
         }
         for (a, b) in probes.iter().zip(probes.iter().rev()) {
             let want: Vec<&Tuple> = on(&rows, 0, a).filter(|t| t.get(1) == Some(b)).collect();
-            let found: Vec<&Tuple> = store.candidates(relation, [(1, b), (0, a)]).collect();
-            assert_eq!(found, want, "two-constraint candidates {ctx}");
+            let found = posting_tuples(store, relation, &[(1, b), (0, a)]);
+            assert_eq!(found, want, "two-constraint posting rows {ctx}");
+            let matched = store.matching(relation, &[1, 0], &[b.clone(), a.clone()]);
+            assert!(matched.iter().eq(want.iter().copied()), "matching {ctx}");
             let bound = on(&rows, 0, a).count().min(on(&rows, 1, b).count());
-            assert_eq!(store.candidate_bound(relation, [(0, a), (1, b)]), bound);
+            let ids = constraint_ids(store, &[(0, a), (1, b)]);
+            assert_eq!(store.posting_bound(relation, ids), bound);
         }
     }
     assert_eq!(store.len(), log.rows.len(), "len {ctx}");
@@ -903,20 +945,25 @@ fn index_backed_candidates_agree_with_membership_semantics() {
         let (workload, _, conf) = workload_and_query(seed, 1, facts + 4);
         let store = conf.store();
         for (rel, _) in workload.schema.relations_with_ids() {
-            // Unconstrained candidates enumerate exactly the relation.
+            // Unconstrained posting rows enumerate exactly the relation.
             assert_eq!(
-                store.candidates(rel, []).count(),
+                posting_tuples(store, rel, &[]).len(),
                 store.relation_len(rel),
                 "full scan mismatch at seed={seed}"
             );
-            // Every stored tuple is found by its own full constraint set and
-            // by contains().
+            // Every stored tuple is found by its own full constraint set,
+            // through the posting rows and through `matching`, and by
+            // contains().
             for t in store.tuples(rel) {
-                let hits: Vec<&Tuple> = store.candidates(rel, t.iter().enumerate()).collect();
+                let constraints: Vec<(usize, &Value)> = t.iter().enumerate().collect();
+                let hits = posting_tuples(store, rel, &constraints);
                 assert!(
                     hits.contains(&t),
                     "tuple lost by its own constraints at seed={seed}"
                 );
+                let positions: Vec<usize> = (0..t.arity()).collect();
+                let matched = store.matching(rel, &positions, t.values());
+                assert_eq!(matched, std::slice::from_ref(t));
                 assert!(store.contains(rel, t));
             }
         }
@@ -2032,6 +2079,199 @@ fn immediate_relevance_agrees_with_trying_every_response() {
     ));
 }
 
+/// Long-term relevance under independent accesses by its ΣP2 condition,
+/// with the valuations enumerated directly: the query is not certain at
+/// `conf`, and some disjunct has a valuation under which every atom is
+/// covered and the facts left to later accesses keep every disjunct false
+/// on `conf`. Each variable takes a configuration value, a binding value
+/// or a fresh null of its own. An atom's image is covered by a stored fact
+/// or by the access (on the accessed relation, holding the binding at the
+/// input places) when it can be, and otherwise by a later access, which
+/// needs a method on its relation. Independent of the ΣP2 walk: it never
+/// draws candidates or charges an atom.
+fn ltr_by_enumerating_valuations(
+    query: &Query,
+    conf: &Configuration,
+    access: &Access,
+    methods: &AccessMethods,
+) -> bool {
+    use accrel::query::eval::holds_cq_with_extra;
+    let ucq = query.ucq();
+    if ucq.iter().any(|d| brute_holds(d, conf, &[])) {
+        return false;
+    }
+    let method = methods.get(access.method()).unwrap();
+    let binding = access.binding().values();
+    let by_access = |relation, t: &Tuple| {
+        let mut inputs = method.input_positions().iter().zip(binding);
+        relation == method.relation() && inputs.all(|(&p, b)| t.get(p) == Some(b))
+    };
+    let mut values = conf.all_values();
+    values.extend(binding.iter().cloned());
+    values.sort();
+    values.dedup();
+    let mut fresh = accrel::schema::FreshSupply::above(values.iter());
+    // The facts left to later accesses, or `None` when some atom cannot be
+    // covered at all.
+    let later_facts = |disjunct: &ConjunctiveQuery, h: &HashMap<VarId, Value>| {
+        let mut later = Vec::new();
+        for atom in disjunct.atoms() {
+            let t = atom
+                .substitute(h)
+                .to_tuple()
+                .expect("every variable assigned");
+            if conf.contains(atom.relation(), &t) || by_access(atom.relation(), &t) {
+                continue;
+            }
+            if !methods.has_method(atom.relation()) {
+                return None;
+            }
+            later.push((atom.relation(), t));
+        }
+        Some(later)
+    };
+    ucq.iter().any(|disjunct| {
+        let vars = variables_in_order(disjunct);
+        let choices: Vec<Vec<Value>> = vars
+            .iter()
+            .map(|_| {
+                let mut own = values.clone();
+                own.push(fresh.next_value());
+                own
+            })
+            .collect();
+        let mut h = HashMap::new();
+        let mut odometer = vec![0; vars.len()];
+        loop {
+            for (k, v) in vars.iter().enumerate() {
+                h.insert(*v, choices[k][odometer[k]].clone());
+            }
+            let witness = later_facts(disjunct, &h).is_some_and(|later| {
+                !ucq.iter()
+                    .any(|d| holds_cq_with_extra(d, conf.store(), &later))
+            });
+            if witness {
+                return true;
+            }
+            // The next valuation, or the end of them.
+            let Some(k) = (0..vars.len()).find(|&k| odometer[k] + 1 < choices[k].len()) else {
+                return false;
+            };
+            odometer[k] += 1;
+            odometer[..k].fill(0);
+        }
+    })
+}
+
+#[test]
+fn ltr_independent_agrees_with_a_brute_force_reference() {
+    use accrel::core::ltr_independent::is_ltr_independent;
+    use accrel::core::{is_long_term_relevant_given_uncertain, SearchBudget};
+    use accrel::query::PqFormula;
+    // Checks the ΣP2 walk, with and without its certainty check, against
+    // the reference; returns the reference's verdict.
+    let check = |q: &Query,
+                 conf: &Configuration,
+                 access: &Access,
+                 methods: &AccessMethods,
+                 ctx: &str|
+     -> bool {
+        let expected = ltr_by_enumerating_valuations(q, conf, access, methods);
+        let ltr = is_ltr_independent(q, conf, access, methods);
+        assert_eq!(ltr, expected, "LTR at {ctx}");
+        if !q.ucq().iter().any(|d| brute_holds(d, conf, &[])) {
+            let budget = SearchBudget::default();
+            let given_uncertain =
+                is_long_term_relevant_given_uncertain(q, conf, access, methods, &budget);
+            assert_eq!(given_uncertain, expected, "LTR given uncertain at {ctx}");
+        }
+        expected
+    };
+    // Relevant accesses: of the grid's queries, of their unions with a
+    // second query, and with the accessed method the only one.
+    let mut accesses = 0;
+    let (mut relevant, mut union_relevant, mut alone_relevant) = (0, 0, 0);
+    for (seed, atoms, facts) in cases() {
+        let (workload, query, conf) = workload_and_query(seed, atoms, facts);
+        let Query::Cq(cq) = &query else {
+            unreachable!("the grid draws conjunctive queries")
+        };
+        // The grid's query or'ed with another of the same size.
+        let mut rng = StdRng::seed_from_u64(seed + 3);
+        let other = accrel::workloads::random::generate_cq(&workload, atoms, 3, 0.8, &mut rng);
+        let conjunction = |q: &ConjunctiveQuery| {
+            PqFormula::And(q.atoms().iter().cloned().map(PqFormula::Atom).collect())
+        };
+        let names = (0..cq.var_count().max(other.var_count()))
+            .map(|i| format!("v{i}"))
+            .collect();
+        let formula = PqFormula::Or(vec![conjunction(cq), conjunction(&other)]);
+        let union: Query = PositiveQuery::new(cq.schema().clone(), formula, vec![], names).into();
+        for (id, method) in workload.methods.iter() {
+            // The grid's methods have one input place each. With the
+            // accessed method the only one, no other relation can take a
+            // later access.
+            let input = method.input_positions()[0];
+            let mut alone = AccessMethods::builder(workload.schema.clone());
+            let alone_id = alone
+                .add_positions(
+                    "alone",
+                    method.relation(),
+                    vec![input],
+                    AccessMode::Independent,
+                )
+                .unwrap();
+            let alone = alone.build();
+            let domain = workload.schema.domain_of(method.relation(), input).unwrap();
+            let mut bound = conf.values_of_domain(domain);
+            bound.push(Value::sym("unseen"));
+            for value in bound {
+                let ctx = format!("seed={seed} atoms={atoms} facts={facts} {method:?} {value:?}");
+                let access = Access::new(id, binding([value.clone()]));
+                accesses += 1;
+                relevant += usize::from(check(&query, &conf, &access, &workload.methods, &ctx));
+                let union_ltr = check(&union, &conf, &access, &workload.methods, &ctx);
+                union_relevant += usize::from(union_ltr);
+                let access = Access::new(alone_id, binding([value]));
+                for q in [&query, &union] {
+                    let ctx = format!("{ctx} alone {q:?}");
+                    alone_relevant += usize::from(check(q, &conf, &access, &alone, &ctx));
+                }
+            }
+        }
+    }
+    assert_eq!((accesses, relevant), (222, 95));
+    assert!(union_relevant > relevant, "{union_relevant}");
+    assert!((1..relevant).contains(&alone_relevant), "{alone_relevant}");
+
+    // (A(u) ∧ R(x, y)) ∨ R(z, z) over an empty configuration, accessed at
+    // A(a): the access covers A(u), and R(x, y) is left to a later access,
+    // which may return two distinct values. One null for both x and y would
+    // make that later fact R(n, n), which satisfies R(z, z) and hides the
+    // witness.
+    let mut b = Schema::builder();
+    let d = b.domain("D").unwrap();
+    b.relation("A", &[("a", d)]).unwrap();
+    b.relation("R", &[("a", d), ("b", d)]).unwrap();
+    let schema = b.build();
+    let mut mb = AccessMethods::builder(schema.clone());
+    let a_check = mb
+        .add_boolean("ACheck", "A", AccessMode::Independent)
+        .unwrap();
+    mb.add("RAcc", "R", &["a"], AccessMode::Independent)
+        .unwrap();
+    let methods = mb.build();
+    let mut pb = PositiveQuery::builder(schema.clone());
+    let [u, x, y, z] = ["u", "x", "y", "z"].map(|n| pb.var(n));
+    let au = pb.atom("A", vec![Term::Var(u)]).unwrap();
+    let rxy = pb.atom("R", vec![Term::Var(x), Term::Var(y)]).unwrap();
+    let rzz = pb.atom("R", vec![Term::Var(z), Term::Var(z)]).unwrap();
+    let query: Query = pb.build(au.and(rxy).or(rzz)).into();
+    let conf = Configuration::empty(schema);
+    let access = Access::new(a_check, binding(["a"]));
+    assert!(check(&query, &conf, &access, &methods, "distinct nulls"));
+}
+
 #[test]
 fn unknown_values_stay_symbolic_in_read_sets() {
     // A join gives a value the store never interned an id of its own, past
@@ -2181,9 +2421,9 @@ fn a_refutation_reads_only_the_atoms_it_branched_on() {
 
     // The count behind the choice records nothing.
     conf.begin_read_tracking_with(AdomPrecision::Precise);
-    assert_eq!(conf.store().candidate_bound(r0, []), 400);
-    let k3 = Value::sym("k3");
-    assert_eq!(conf.store().candidate_bound(r0, [(1, &k3)]), 50);
+    assert_eq!(conf.store().posting_bound(r0, []), 400);
+    let k3 = conf.store().interner().lookup(&Value::sym("k3")).unwrap();
+    assert_eq!(conf.store().posting_bound(r0, [(1, k3)]), 50);
     assert!(conf.take_read_set().is_empty());
 
     // The refutation charges R1(j0, z) and probes R0 at j0, which no R0

@@ -14,8 +14,8 @@
 //!
 //! Every join here, the semi-naive certainty step, immediate relevance's
 //! witness search and independent long-term relevance's walk run one
-//! kernel, [`Join`], and it binds
-//! interned [`ValueId`]s, not [`Value`]s. It resolves the partial valuation
+//! kernel, [`Join`], and it binds interned [`ValueId`]s, not [`Value`]s.
+//! It resolves the partial valuation
 //! and the overlay facts through the store's interner at entry, and an
 //! atom's constants when it first looks at the atom, each once; a value
 //! the store has never interned gets a *join-local* id past the interner's

@@ -27,9 +27,10 @@
 //! for the lifetime of the store. Hence [`FactStore::rows_since`] returns
 //! exactly the rows inserted after a given row count, posting lists ascend
 //! by row, and [`FactStore::posting_rows`] and [`FactStore::matching`]
-//! return rows in insertion order without sorting. So what a store gained since some point is a suffix of
-//! each relation's rows and of the active domain's entry log: a
-//! [`GrowthCursor`] marks where, and its advance returns that [`Growth`].
+//! return rows in insertion order without sorting. So what a store gained
+//! since some point is a suffix of each relation's rows and of the active
+//! domain's entry log: a [`GrowthCursor`] marks where, and its advance
+//! returns that [`Growth`].
 //! The access frontier, the semi-naive certainty refresh and verdict
 //! invalidation ([`ReadSet::touched_by`]) each hold their own cursor, and
 //! the verdict cache's fact-count version stamps rely on the same

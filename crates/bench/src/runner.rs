@@ -93,30 +93,33 @@ pub fn median_micros<F: FnMut()>(repeats: usize, mut f: F) -> f64 {
     samples[samples.len() / 2]
 }
 
-/// The count rows of one E1 or E2 fixture: `relevant (1 = yes)`, the
-/// verdict `decide` reaches on `conf`, and `reads`, how many reads a
-/// `Precise` read recorder sees in that one untimed call. They pin what the
-/// timed calls decide and read.
+/// The count rows of one fixture: `verdict` (`relevant (1 = yes)` or
+/// `contained (1 = yes)`), the answer `decide` reaches on `conf`, and
+/// `reads`, how many reads a `Precise` read recorder sees in that one
+/// untimed call. They pin what the timed calls decide and read.
 fn verdict_rows(
     series: &str,
-    size: usize,
+    parameter: impl ToString,
+    verdict: &str,
     conf: &Configuration,
     decide: impl FnOnce(&Configuration) -> bool,
 ) -> [Row; 2] {
     let mut conf = conf.clone();
     conf.begin_read_tracking_with(AdomPrecision::Precise);
-    let relevant = decide(&conf);
+    let yes = decide(&conf);
     let reads = conf.take_read_set().len();
+    let parameter = parameter.to_string();
     [
-        Row::new(
-            series,
-            size,
-            "relevant (1 = yes)",
-            f64::from(u8::from(relevant)),
-        ),
-        Row::new(series, size, "reads", reads as f64),
+        Row::new(series, &parameter, verdict, f64::from(u8::from(yes))),
+        Row::new(series, parameter, "reads", reads as f64),
     ]
 }
+
+/// The verdict metric of the relevance procedures' count rows.
+const RELEVANT: &str = "relevant (1 = yes)";
+
+/// The verdict metric of containment's count rows.
+const CONTAINED: &str = "contained (1 = yes)";
 
 /// E1 — immediate relevance combined complexity (Table 1, IR column).
 pub fn e1_immediate(sizes: &[usize], repeats: usize) -> Table {
@@ -133,9 +136,13 @@ pub fn e1_immediate(sizes: &[usize], repeats: usize) -> Table {
                 let _ = is_immediately_relevant(&f.query, &f.configuration, &f.access, &f.methods);
             });
             rows.push(Row::new(series, size, "median µs", t));
-            rows.extend(verdict_rows(series, size, &f.configuration, |conf| {
-                is_immediately_relevant(&f.query, conf, &f.access, &f.methods)
-            }));
+            rows.extend(verdict_rows(
+                series,
+                size,
+                RELEVANT,
+                &f.configuration,
+                |conf| is_immediately_relevant(&f.query, conf, &f.access, &f.methods),
+            ));
         }
     }
     Table {
@@ -160,9 +167,13 @@ pub fn e2_ltr_independent(sizes: &[usize], repeats: usize) -> Table {
                 );
             });
             rows.push(Row::new(series, size, "median µs", t));
-            rows.extend(verdict_rows(series, size, &f.configuration, |conf| {
-                ltr_independent::is_ltr_independent(&f.query, conf, &f.access, &f.methods)
-            }));
+            rows.extend(verdict_rows(
+                series,
+                size,
+                RELEVANT,
+                &f.configuration,
+                |conf| ltr_independent::is_ltr_independent(&f.query, conf, &f.access, &f.methods),
+            ));
         }
     }
     Table {
@@ -182,6 +193,13 @@ pub fn e3_dependent_cq(depths: &[usize], repeats: usize) -> Table {
             let _ = is_contained(&f.q1, &f.q2, &f.configuration, &f.methods, &f.budget);
         });
         rows.push(Row::new("chain containment", depth, "median µs", t));
+        rows.extend(verdict_rows(
+            "chain containment",
+            depth,
+            CONTAINED,
+            &f.configuration,
+            |conf| is_contained(&f.q1, &f.q2, conf, &f.methods, &f.budget).contained,
+        ));
         let lf = fixtures::chain_ltr_fixture(depth);
         let t = median_micros(repeats, || {
             let _ = is_long_term_relevant(
@@ -192,7 +210,15 @@ pub fn e3_dependent_cq(depths: &[usize], repeats: usize) -> Table {
                 &lf.budget,
             );
         });
-        rows.push(Row::new("chain LTR (dependent)", depth, "median µs", t));
+        let series = "chain LTR (dependent)";
+        rows.push(Row::new(series, depth, "median µs", t));
+        rows.extend(verdict_rows(
+            series,
+            depth,
+            RELEVANT,
+            &lf.configuration,
+            |conf| is_long_term_relevant(&lf.query, conf, &lf.access, &lf.methods, &lf.budget),
+        ));
     }
     // The encoding is swept by tiling width, at least 2; depths that share
     // a width share its rows.
@@ -234,11 +260,14 @@ pub fn e4_dependent_pq(widths: &[usize], repeats: usize) -> Table {
         let t = median_micros(repeats, || {
             let _ = is_contained(&f.q1, &f.q2, &f.configuration, &f.methods, &f.budget);
         });
-        rows.push(Row::new(
-            "PQ containment (union width)",
+        let series = "PQ containment (union width)";
+        rows.push(Row::new(series, width, "median µs", t));
+        rows.extend(verdict_rows(
+            series,
             width,
-            "median µs",
-            t,
+            CONTAINED,
+            &f.configuration,
+            |conf| is_contained(&f.q1, &f.q2, conf, &f.methods, &f.budget).contained,
         ));
     }
     Table {
@@ -548,7 +577,15 @@ pub fn e8_reductions(repeats: usize) -> Table {
     let direct = median_micros(repeats, || {
         let _ = is_long_term_relevant(&f.query, &f.configuration, &f.access, &f.methods, &f.budget);
     });
-    rows.push(Row::new("direct dependent LTR", "-", "median µs", direct));
+    let series = "direct dependent LTR";
+    rows.push(Row::new(series, "-", "median µs", direct));
+    rows.extend(verdict_rows(
+        series,
+        "-",
+        RELEVANT,
+        &f.configuration,
+        |conf| is_long_term_relevant(&f.query, conf, &f.access, &f.methods, &f.budget),
+    ));
     let via_34 = median_micros(repeats, || {
         let red = reductions::ltr_to_non_containment(&pq, &f.configuration, &f.access, &f.methods);
         let _ = is_contained(
@@ -1449,10 +1486,16 @@ mod tests {
         assert_eq!(t1.rows.len(), 24);
         let t2 = e2_ltr_independent(&[1, 2], 1);
         assert_eq!(t2.rows.len(), 12);
+        // Both E3 series at depth 1, then the width-2 encoding's rows.
+        let t3 = e3_dependent_cq(&[1], 1);
+        assert_eq!(t3.rows.len(), 9);
+        let t4 = e4_dependent_pq(&[1], 1);
+        assert_eq!(t4.rows.len(), 3);
         let t5 = e5_data_complexity(&[5, 10], 1);
         assert_eq!(t5.rows.len(), 16);
         assert!(t5.rows.iter().any(|r| r.metric == "count" && r.value > 0.0));
         let t8 = e8_reductions(1);
+        assert_eq!(t8.rows.len(), 6);
         assert!(t8.rows.iter().any(|r| r.metric == "bool" && r.value == 1.0));
     }
 

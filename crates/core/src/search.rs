@@ -140,18 +140,17 @@ pub(crate) fn ground_with_fresh_nulls(
 /// configuration's active domain overlaid with the values an initial
 /// response or an already-planned fact has made accessible.
 ///
-/// The pre-precise implementation materialised `conf.active_domain()` into a
-/// `HashSet` — a read of the *whole* active domain recorded as such, even
-/// though the producibility planner only ever asks three questions of it:
-/// "is this concrete pair accessible", "what is the least accessible value
-/// of domain `d`", and "is domain `d` populated at all". The pool answers
-/// exactly those questions and records exactly those reads: cold membership
-/// probes route through the recorded [`Configuration::adom_contains`],
-/// min/emptiness walks are recorded lazily at use time via
-/// [`Configuration::rec_adom_walk`] (a prefix read bounded by the returned
-/// minimum, or a whole-domain read when the domain was observed empty), and
-/// overlay hits touch the store not at all — every answer is stable under
-/// monotone growth of reads the pool did not record.
+/// The producibility planner asks three questions of it: "is this concrete
+/// pair accessible", "what is the least accessible value of domain `d`", and
+/// "is domain `d` populated at all". The pool answers exactly those and
+/// records exactly those reads: membership probes that miss the overlay
+/// route through the recorded [`Configuration::adom_contains`]; a domain's
+/// least value and its emptiness come from the store's value order of the
+/// domain ([`Configuration::domain_values_untracked`]) and are recorded at
+/// use time via [`Configuration::rec_adom_walk`] (a prefix read bounded by
+/// the returned minimum, or a whole-domain read when the domain was
+/// observed empty); overlay hits touch the store not at all. Every answer is
+/// stable under monotone growth of reads the pool did not record.
 ///
 /// The pool borrows its configuration, so the configuration cannot grow
 /// while a pool built from it is alive.
@@ -160,9 +159,6 @@ pub(crate) struct AdomPool<'c> {
     /// The configuration whose active domain the pool extends; probes that
     /// miss the overlay are recorded on it.
     conf: &'c Configuration,
-    /// Minimum active-domain value per populated domain, snapshotted
-    /// untracked at construction (valid while the borrow of `conf` is).
-    base_mins: HashMap<DomainId, Value>,
     /// Values made accessible on top of `Adom(Conf)` (response tuples,
     /// generator-chain outputs). Membership here never touches the store.
     overlay: HashSet<(Value, DomainId)>,
@@ -171,20 +167,13 @@ pub(crate) struct AdomPool<'c> {
 impl<'c> AdomPool<'c> {
     /// The pool over `conf`'s active domain with an empty overlay.
     pub(crate) fn of(conf: &'c Configuration) -> Self {
-        Self {
-            conf,
-            base_mins: conf.adom_domain_mins_untracked(),
-            overlay: HashSet::new(),
-        }
+        Self::from_pairs(conf, HashSet::new())
     }
 
-    /// A pool holding exactly `pairs` on top of `conf`, whose minimum
-    /// values it does not consult.
-    #[cfg(test)]
+    /// The pool over `conf`'s active domain with `pairs` as its overlay.
     pub(crate) fn from_pairs(conf: &'c Configuration, pairs: HashSet<(Value, DomainId)>) -> Self {
         Self {
             conf,
-            base_mins: HashMap::new(),
             overlay: pairs,
         }
     }
@@ -208,23 +197,21 @@ impl<'c> AdomPool<'c> {
         self.conf.adom_contains(value, domain)
     }
 
+    /// Whether `Adom(Conf)` holds a value of `domain`, unrecorded.
+    fn conf_has(&self, domain: DomainId) -> bool {
+        self.conf.domain_values_untracked(domain).next().is_some()
+    }
+
     /// The least accessible value of `domain`, recording the walk: a prefix
     /// read bounded by the returned minimum (only a value sorting strictly
     /// below it changes the answer), or a whole-domain read when the domain
     /// was observed empty.
     pub(crate) fn min_value(&self, domain: DomainId) -> Option<Value> {
-        let overlay_min = self
-            .overlay
-            .iter()
-            .filter(|(_, d)| *d == domain)
+        let overlay = self.overlay.iter().filter(|(_, d)| *d == domain);
+        let min = overlay
             .map(|(v, _)| v)
+            .chain(self.conf.domain_values_untracked(domain).next())
             .min();
-        let min = match (overlay_min, self.base_mins.get(&domain)) {
-            (Some(o), Some(b)) => Some(o.min(b)),
-            (Some(o), None) => Some(o),
-            (None, Some(b)) => Some(b),
-            (None, None) => None,
-        };
         self.conf.rec_adom_walk(domain, min);
         min.cloned()
     }
@@ -233,8 +220,7 @@ impl<'c> AdomPool<'c> {
     /// under growth and records nothing; a negative one flips as soon as a
     /// value enters the domain and records a whole-domain read.
     pub(crate) fn has_domain(&self, domain: DomainId) -> bool {
-        let populated =
-            self.base_mins.contains_key(&domain) || self.overlay.iter().any(|(_, d)| *d == domain);
+        let populated = self.conf_has(domain) || self.overlay.iter().any(|(_, d)| *d == domain);
         if !populated {
             self.conf.rec_adom_walk(domain, None);
         }
@@ -245,17 +231,22 @@ impl<'c> AdomPool<'c> {
     /// absence is recorded as a whole-domain read for every schema domain
     /// the pool observed empty.
     pub(crate) fn domains(&self) -> HashSet<DomainId> {
-        let mut populated: HashSet<DomainId> = self.base_mins.keys().copied().collect();
-        populated.extend(self.overlay.iter().map(|(_, d)| *d));
+        let mut populated: HashSet<DomainId> = self.overlay.iter().map(|(_, d)| *d).collect();
         for i in 0..self.conf.schema().domains().len() {
             let d = DomainId(i as u32);
-            if !populated.contains(&d) {
+            if self.conf_has(d) {
+                populated.insert(d);
+            } else if !populated.contains(&d) {
                 self.conf.rec_adom_walk(d, None);
             }
         }
         populated
     }
 }
+
+/// The sorted, duplicate-free candidate constants of the variables of one
+/// domain (`None`: the untyped variables), which they all share.
+type CandidateList<'v> = (Option<DomainId>, Vec<&'v Value>);
 
 /// Visits candidate valuations of `cq`'s variables in enumeration order and
 /// returns the first `Some` that `visit` produces, without visiting the
@@ -269,6 +260,12 @@ impl<'c> AdomPool<'c> {
 ///   (sharing patterns are enumerated canonically: the i-th variable of a
 ///   domain may reuse any null already introduced for that domain or open a
 ///   new one).
+///
+/// A variable with no inferred domain takes any value of the active domain
+/// or of `extra`. Constants are tried in value order: per domain, the
+/// store's value order of the domain ([`Configuration::domain_values_untracked`])
+/// merged with the extra values of that domain, one list that every
+/// variable of the domain borrows.
 ///
 /// At most `limit` valuations are visited. Fresh nulls are drawn from
 /// `fresh` in depth-first order, the first time a null slot is used, so they
@@ -288,48 +285,96 @@ pub(crate) fn find_valuation<T>(
     extra: &[ExtraValue],
     fresh: &mut FreshSupply,
     limit: usize,
-    mut visit: impl FnMut(&HashMap<VarId, Value>, &FreshSupply) -> Option<T>,
+    visit: impl FnMut(&HashMap<VarId, Value>, &FreshSupply) -> Option<T>,
 ) -> Option<T> {
+    let (vars, domains) = typed_variables(cq);
+    // Untyped variables draw from every domain at once, deduplicated
+    // across domains.
+    let mut untyped: Vec<Value> = Vec::new();
+    if domains.contains(&None) {
+        untyped.extend(conf.active_domain_untracked().into_iter().map(|(v, _)| v));
+        untyped.extend(extra.iter().map(|(v, _)| v.clone()));
+        untyped.sort();
+        untyped.dedup();
+    }
+    let mut lists: Vec<CandidateList<'_>> = Vec::new();
+    for &d in &domains {
+        if lists.iter().any(|(e, _)| *e == d) {
+            continue;
+        }
+        let list = match d {
+            Some(d) => {
+                let mut own: Vec<&Value> = extra
+                    .iter()
+                    .filter(|(_, e)| *e == d)
+                    .map(|(v, _)| v)
+                    .collect();
+                own.sort();
+                own.dedup();
+                merge_candidates(conf.domain_values_untracked(d), &own)
+            }
+            None => untyped.iter().collect(),
+        };
+        lists.push((d, list));
+    }
+    walk_valuations(&vars, &domains, &lists, conf, fresh, limit, visit)
+}
+
+/// `cq`'s variables in id order, with the abstract domain inferred for each
+/// (`None`: untyped).
+fn typed_variables(cq: &ConjunctiveQuery) -> (Vec<VarId>, Vec<Option<DomainId>>) {
     let mut vars: Vec<VarId> = cq.variables().into_iter().collect();
     vars.sort();
+    let var_domains = cq.infer_var_domains().unwrap_or_default();
+    let domains = vars.iter().map(|v| var_domains.get(v).copied()).collect();
+    (vars, domains)
+}
+
+/// The values of `adom` (sorted, distinct) and `extra` (sorted, distinct)
+/// as one sorted list, each value once.
+fn merge_candidates<'v>(
+    adom: impl ExactSizeIterator<Item = &'v Value>,
+    extra: &[&'v Value],
+) -> Vec<&'v Value> {
+    let mut out = Vec::with_capacity(adom.len() + extra.len());
+    let mut extra = extra.iter().copied().peekable();
+    for v in adom {
+        while let Some(e) = extra.next_if(|e| *e < v) {
+            out.push(e);
+        }
+        // An extra value the active domain already holds.
+        extra.next_if_eq(&v);
+        out.push(v);
+    }
+    out.extend(extra);
+    out
+}
+
+/// [`find_valuation`]'s walk over the candidate `lists` of `vars`, whose
+/// domains are `domains`, and the recording of what it consulted.
+fn walk_valuations<T>(
+    vars: &[VarId],
+    domains: &[Option<DomainId>],
+    lists: &[CandidateList<'_>],
+    conf: &Configuration,
+    fresh: &mut FreshSupply,
+    limit: usize,
+    mut visit: impl FnMut(&HashMap<VarId, Value>, &FreshSupply) -> Option<T>,
+) -> Option<T> {
     if vars.is_empty() {
         return visit(&HashMap::new(), fresh);
     }
-    let var_domains = cq.infer_var_domains().unwrap_or_default();
-
-    // Candidate constants, grouped per domain once (the active domain is
-    // served from the store's maintained cache); variables of the same
-    // domain share the list instead of re-filtering and re-deduplicating it.
-    // The walk is untracked here: what the walk actually consulted is
-    // recorded per domain once it ends.
-    let mut by_domain: HashMap<DomainId, Vec<Value>> = HashMap::new();
-    let mut untyped: Vec<Value> = Vec::new();
-    for (val, d) in conf.active_domain_untracked() {
-        by_domain.entry(d).or_default().push(val.clone());
-        untyped.push(val);
-    }
-    for (val, d) in extra {
-        by_domain.entry(*d).or_default().push(val.clone());
-        untyped.push(val.clone());
-    }
-    for list in by_domain.values_mut() {
-        list.sort();
-        list.dedup();
-    }
-    untyped.sort();
-    untyped.dedup();
-    let domains: Vec<Option<DomainId>> = vars.iter().map(|v| var_domains.get(v).copied()).collect();
-    let candidates: Vec<Vec<Value>> = domains
-        .iter()
-        .map(|d| match d {
-            Some(d) => by_domain.get(d).cloned().unwrap_or_default(),
-            None => untyped.clone(),
-        })
-        .collect();
-
+    let list_of = |d: &Option<DomainId>| {
+        let (_, list) = lists
+            .iter()
+            .find(|(e, _)| e == d)
+            .expect("a list per domain");
+        list.as_slice()
+    };
+    let candidates: Vec<&[&Value]> = domains.iter().map(list_of).collect();
     let mut walk = ValuationWalk {
-        vars: &vars,
-        domains: &domains,
+        vars,
+        domains,
         candidates: &candidates,
         used_slots: HashMap::new(),
         slot_values: HashMap::new(),
@@ -348,29 +393,22 @@ pub(crate) fn find_valuation<T>(
     // the walk) or the whole domain (some traversal observed the natural end
     // of the list). Untyped variables draw from every domain at once —
     // global fallback.
-    let mut domain_reads: HashMap<DomainId, (Option<usize>, bool)> = HashMap::new();
-    let mut untyped_read = false;
-    for (dom, stats) in domains.iter().zip(&walk.stats) {
+    for (dom, list) in lists {
+        let (max_pos, completed) = domains
+            .iter()
+            .zip(&walk.stats)
+            .filter(|&(d, _)| d == dom)
+            .fold((None, false), |(max_pos, completed), (_, stats)| {
+                (max_pos.max(stats.max_pos), completed || stats.completed)
+            });
         match dom {
+            None if max_pos.is_some() || completed => conf.rec_adom_global(),
+            None => {}
+            Some(d) if completed => conf.rec_adom_walk(*d, None),
             Some(d) => {
-                let entry = domain_reads.entry(*d).or_insert((None, false));
-                if let Some(p) = stats.max_pos {
-                    entry.0 = Some(entry.0.map_or(p, |m: usize| m.max(p)));
+                if let Some(p) = max_pos {
+                    conf.rec_adom_walk(*d, Some(list[p]));
                 }
-                entry.1 |= stats.completed;
-            }
-            None => untyped_read |= stats.max_pos.is_some() || stats.completed,
-        }
-    }
-    if untyped_read {
-        conf.rec_adom_global();
-    }
-    for (d, (max_pos, completed)) in domain_reads {
-        if completed {
-            conf.rec_adom_walk(d, None);
-        } else if let Some(p) = max_pos {
-            if let Some(list) = by_domain.get(&d) {
-                conf.rec_adom_walk(d, Some(&list[p]));
             }
         }
     }
@@ -396,7 +434,7 @@ struct ValuationWalk<'a, T> {
     /// The inferred domain of each variable (`None`: untyped).
     domains: &'a [Option<DomainId>],
     /// The constant candidates of each variable, sorted.
-    candidates: &'a [Vec<Value>],
+    candidates: &'a [&'a [&'a Value]],
     /// Fresh-null slots open per domain on the current path.
     used_slots: HashMap<Option<DomainId>, usize>,
     /// The null of each (domain, slot), drawn on first use.
@@ -439,7 +477,7 @@ impl<T> ValuationWalk<'_, T> {
             }
             let stats = &mut self.stats[idx];
             stats.max_pos = Some(stats.max_pos.map_or(pos, |m| m.max(pos)));
-            self.current.insert(v, c.clone());
+            self.current.insert(v, Value::clone(c));
             self.go(idx + 1, fresh, visit);
         }
         if self.halted() {
@@ -1159,6 +1197,250 @@ mod tests {
         conf.insert_named("S", [15]).unwrap();
         let below = cursor.advance(conf.store());
         assert!(stopped.touched_by(&below));
+    }
+
+    /// A seeded SplitMix64 stream for the randomized cases below.
+    struct Draws(u64);
+
+    impl Draws {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+
+        /// One of a few symbols and integers, so the order crosses kinds.
+        fn value(&mut self) -> Value {
+            match self.below(7) {
+                k @ 0..=3 => Value::int(k as i64 - 1),
+                k => Value::sym(["b", "a", "c"][k - 4]),
+            }
+        }
+    }
+
+    /// A configuration of `two_domain_setup`'s schema whose store holds a
+    /// base of up to 5 facts, shared with a clone that is kept alive, and 1–3
+    /// facts in a tail of its own.
+    fn base_and_tail(schema: &Arc<Schema>, draws: &mut Draws) -> (Configuration, Configuration) {
+        let fill = |conf: &mut Configuration, n: usize, draws: &mut Draws| {
+            for _ in 0..n {
+                let r = RelationId(draws.below(3) as u32);
+                let arity = schema.arity(r).unwrap();
+                let t = Tuple::new((0..arity).map(|_| draws.value()).collect());
+                conf.insert(r, t).unwrap();
+            }
+        };
+        let mut base = Configuration::empty(schema.clone());
+        fill(&mut base, draws.below(6), draws);
+        let mut conf = base.clone();
+        fill(&mut conf, 1 + draws.below(3), draws);
+        (base, conf)
+    }
+
+    /// [`find_valuation`] on the candidate lists it built before the store
+    /// kept each domain in value order: the whole active domain cloned into
+    /// a set, grouped per domain with the extra values, each list sorted and
+    /// deduplicated, and every value once for untyped variables; then the
+    /// same walk, and its reads recorded from those lists.
+    fn find_valuation_on_rebuilt_lists<T>(
+        cq: &ConjunctiveQuery,
+        conf: &Configuration,
+        extra: &[ExtraValue],
+        fresh: &mut FreshSupply,
+        limit: usize,
+        mut visit: impl FnMut(&HashMap<VarId, Value>, &FreshSupply) -> Option<T>,
+    ) -> Option<T> {
+        let (vars, domains) = typed_variables(cq);
+        if vars.is_empty() {
+            return visit(&HashMap::new(), fresh);
+        }
+        let mut by_domain: HashMap<DomainId, Vec<Value>> = HashMap::new();
+        let mut untyped: Vec<Value> = Vec::new();
+        for (val, d) in conf.active_domain_untracked() {
+            by_domain.entry(d).or_default().push(val.clone());
+            untyped.push(val);
+        }
+        for (val, d) in extra {
+            by_domain.entry(*d).or_default().push(val.clone());
+            untyped.push(val.clone());
+        }
+        for list in by_domain.values_mut() {
+            list.sort();
+            list.dedup();
+        }
+        untyped.sort();
+        untyped.dedup();
+        let lists: Vec<Vec<&Value>> = domains
+            .iter()
+            .map(|d| match d {
+                Some(d) => by_domain.get(d).map_or(Vec::new(), |l| l.iter().collect()),
+                None => untyped.iter().collect(),
+            })
+            .collect();
+        let candidates: Vec<&[&Value]> = lists.iter().map(Vec::as_slice).collect();
+        let mut walk = ValuationWalk {
+            vars: &vars,
+            domains: &domains,
+            candidates: &candidates,
+            used_slots: HashMap::new(),
+            slot_values: HashMap::new(),
+            current: HashMap::new(),
+            visited: 0,
+            limit,
+            found: None,
+            stats: vec![VisitStats::default(); vars.len()],
+        };
+        walk.go(0, fresh, &mut visit);
+        let mut domain_reads: HashMap<DomainId, (Option<usize>, bool)> = HashMap::new();
+        let mut untyped_read = false;
+        for (dom, stats) in domains.iter().zip(&walk.stats) {
+            match dom {
+                Some(d) => {
+                    let entry = domain_reads.entry(*d).or_insert((None, false));
+                    if let Some(p) = stats.max_pos {
+                        entry.0 = Some(entry.0.map_or(p, |m: usize| m.max(p)));
+                    }
+                    entry.1 |= stats.completed;
+                }
+                None => untyped_read |= stats.max_pos.is_some() || stats.completed,
+            }
+        }
+        if untyped_read {
+            conf.rec_adom_global();
+        }
+        for (d, (max_pos, completed)) in domain_reads {
+            if completed {
+                conf.rec_adom_walk(d, None);
+            } else if let Some(p) = max_pos {
+                if let Some(list) = by_domain.get(&d) {
+                    conf.rec_adom_walk(d, Some(&list[p]));
+                }
+            }
+        }
+        walk.found
+    }
+
+    #[test]
+    fn the_walk_on_the_store_order_matches_the_rebuilt_lists() {
+        let (schema, _) = two_domain_setup();
+        let (d, e) = (DomainId(0), DomainId(1));
+        let mut draws = Draws(7);
+        let (mut walks, mut cut, mut untyped) = (0, 0, 0);
+        for case in 0..96 {
+            let (_base, mut conf) = base_and_tail(&schema, &mut draws);
+            // One to three atoms over variables named per domain, so each
+            // variable has one domain, except that every fourth case puts a
+            // variable at both domains, which leaves every variable untyped.
+            let mut qb = ConjunctiveQuery::builder(schema.clone());
+            for _ in 0..1 + draws.below(3) {
+                let (rel, doms) = [
+                    ("R", ["d", "e"].as_slice()),
+                    ("S", &["e"]),
+                    ("T", &["e", "d"]),
+                ][draws.below(3)];
+                let terms = doms
+                    .iter()
+                    .map(|dom| Term::Var(qb.var(format!("{dom}{}", draws.below(2)))))
+                    .collect();
+                qb.atom(rel, terms).unwrap();
+            }
+            if case % 4 == 3 {
+                let clash = Term::Var(qb.var("e0"));
+                qb.atom("R", vec![clash.clone(), clash]).unwrap();
+            }
+            let q = qb.build();
+            // Extra values, some of them already in the active domain.
+            let extra: Vec<ExtraValue> = (0..draws.below(4))
+                .map(|_| (draws.value(), [d, e][draws.below(2)]))
+                .collect();
+            let stop = 1 + draws.below(6);
+            for limit in [1 + draws.below(4), 100_000] {
+                let run = |conf: &mut Configuration, oracle: bool| {
+                    conf.begin_read_tracking_with(AdomPrecision::Precise);
+                    let mut seen = Vec::new();
+                    let mut visit = |h: &HashMap<VarId, Value>, _: &FreshSupply| {
+                        seen.push(h.clone());
+                        (seen.len() == stop).then_some(seen.len())
+                    };
+                    let mut fresh = conf.fresh_supply();
+                    let found = if oracle {
+                        find_valuation_on_rebuilt_lists(
+                            &q, conf, &extra, &mut fresh, limit, &mut visit,
+                        )
+                    } else {
+                        find_valuation(&q, conf, &extra, &mut fresh, limit, &mut visit)
+                    };
+                    (found, seen, conf.take_read_set())
+                };
+                let got = run(&mut conf, false);
+                assert_eq!(got, run(&mut conf, true), "case {case}, limit {limit}");
+                walks += 1;
+                cut += usize::from(got.0.is_none() && got.1.len() == limit);
+                untyped += usize::from(got.2.iter().any(|r| *r == Read::Adom));
+            }
+        }
+        // The grid reaches every kind of walk it is meant to.
+        assert!(
+            walks == 192 && cut > 20 && untyped > 10,
+            "{cut} cut, {untyped} untyped"
+        );
+    }
+
+    #[test]
+    fn the_pool_answers_and_records_as_its_minimum_snapshot_did() {
+        let (schema, _) = two_domain_setup();
+        let domains = [DomainId(0), DomainId(1)];
+        let mut draws = Draws(11);
+        for case in 0..64 {
+            let (_base, mut conf) = base_and_tail(&schema, &mut draws);
+            let overlay: HashSet<(Value, DomainId)> = (0..draws.below(3))
+                .map(|_| (draws.value(), domains[draws.below(2)]))
+                .collect();
+            let asked = domains[draws.below(2)];
+            conf.begin_read_tracking_with(AdomPrecision::Precise);
+            let got = {
+                let pool = AdomPool::from_pairs(&conf, overlay.clone());
+                (
+                    pool.min_value(asked),
+                    pool.has_domain(asked),
+                    pool.domains(),
+                )
+            };
+            let got_reads = conf.take_read_set();
+            // The snapshot the pool kept before: each populated domain's
+            // least value, from a scan of the active domain.
+            let mut mins: HashMap<DomainId, Value> = HashMap::new();
+            for (v, dom) in conf.active_domain_untracked() {
+                let min = mins.entry(dom).or_insert_with(|| v.clone());
+                if v < *min {
+                    *min = v;
+                }
+            }
+            conf.begin_read_tracking_with(AdomPrecision::Precise);
+            let overlay_of = |dom| overlay.iter().filter(move |(_, od)| *od == dom);
+            let min = overlay_of(asked)
+                .map(|(v, _)| v)
+                .chain(mins.get(&asked))
+                .min()
+                .cloned();
+            conf.rec_adom_walk(asked, min.as_ref());
+            let populated = mins.contains_key(&asked) || overlay_of(asked).next().is_some();
+            if !populated {
+                conf.rec_adom_walk(asked, None);
+            }
+            let mut all: HashSet<DomainId> = mins.keys().copied().collect();
+            all.extend(overlay.iter().map(|(_, od)| *od));
+            for dom in domains {
+                if !all.contains(&dom) {
+                    conf.rec_adom_walk(dom, None);
+                }
+            }
+            let want_reads = conf.take_read_set();
+            assert_eq!(got, (min, populated, all), "case {case}");
+            assert_eq!(got_reads, want_reads, "case {case}");
+        }
     }
 
     #[test]

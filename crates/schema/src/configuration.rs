@@ -7,7 +7,7 @@ use std::sync::Arc;
 use crate::domain::DomainId;
 use crate::relation::RelationId;
 use crate::schema::Schema;
-use crate::store::{AdomPrecision, Fact, FactStore, ReadSet};
+use crate::store::{AdomPrecision, DomainValues, Fact, FactStore, ReadSet};
 use crate::tuple::Tuple;
 use crate::value::{FreshSupply, Value};
 use crate::Result;
@@ -180,10 +180,10 @@ impl Configuration {
         self.store.active_domain_untracked()
     }
 
-    /// The minimum active-domain value per populated abstract domain, never
-    /// recorded (see [`FactStore::adom_domain_mins_untracked`]).
-    pub fn adom_domain_mins_untracked(&self) -> std::collections::HashMap<DomainId, Value> {
-        self.store.adom_domain_mins_untracked()
+    /// The active-domain values of `domain` in value order, never recorded
+    /// (see [`FactStore::domain_values_untracked`]).
+    pub fn domain_values_untracked(&self, domain: DomainId) -> DomainValues<'_> {
+        self.store.domain_values_untracked(domain)
     }
 
     /// Records a per-domain active-domain walk at the installed recorder's

@@ -16,7 +16,11 @@
 //!   incrementally as a `(ValueId, DomainId)` set, with the same pairs
 //!   logged in entry order beside it — a shard of its own — so
 //!   [`FactStore::active_domain`] never rescans the facts and
-//!   [`FactStore::adom_contains`] is a hash probe;
+//!   [`FactStore::adom_contains`] is a hash probe. Each level of that shard
+//!   also keeps every domain's ids in value order, sorted on first demand
+//!   and dropped when the level grows, so the witness searches read a
+//!   domain's values in order ([`FactStore::domain_values_untracked`])
+//!   without sorting the active domain on every call;
 //! * the interner is a third kind of shard.
 //!
 //! # Append-only growth
@@ -85,7 +89,7 @@
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::domain::DomainId;
 use crate::error::SchemaError;
@@ -364,10 +368,36 @@ impl ExactSizeIterator for Rows<'_> {}
 /// One level of the active domain: the `(value, domain)` pairs that entered
 /// it with the level's rows (a tail holds none of the base's), as a set
 /// and, beside it, in entry order. Rows never leave, so pairs never do.
+/// Each domain's ids are also kept in value order, built on first demand
+/// and dropped when the level grows: a base that clones share is sorted
+/// once for all of them, and a tail re-sorts only its own entries.
 #[derive(Clone, Debug, Default)]
 struct AdomCache {
     members: HashSet<(ValueId, DomainId), IdBuildHasher>,
     entered: Vec<(ValueId, DomainId)>,
+    /// Per domain index: the level's ids of that domain, in value order.
+    order: OnceLock<Vec<Vec<ValueId>>>,
+}
+
+impl AdomCache {
+    /// The level's ids of `domain` in value order, resolved through
+    /// `interner`; the first call since the level last grew sorts them.
+    fn ordered(&self, domain: DomainId, interner: &ValueInterner) -> &[ValueId] {
+        let order = self.order.get_or_init(|| {
+            let mut order: Vec<Vec<ValueId>> = Vec::new();
+            for &(id, d) in &self.entered {
+                if order.len() <= d.index() {
+                    order.resize_with(d.index() + 1, Vec::new);
+                }
+                order[d.index()].push(id);
+            }
+            for ids in &mut order {
+                ids.sort_unstable_by(|&a, &b| interner.resolve(a).cmp(interner.resolve(b)));
+            }
+            order
+        });
+        order.get(domain.index()).map_or(&[], Vec::as_slice)
+    }
 }
 
 impl Level for AdomCache {
@@ -397,6 +427,7 @@ impl Layered<AdomCache> {
             let level = self.append_level(copies);
             level.members.insert(pair);
             level.entered.push(pair);
+            level.order.take();
         }
     }
 
@@ -404,7 +435,52 @@ impl Layered<AdomCache> {
     fn entered(&self, from: usize) -> Suffix<'_, (ValueId, DomainId)> {
         Suffix::of(&self.base().entered, &self.tail().entered, from)
     }
+
+    /// `domain`'s values in value order: the base's run merged with the
+    /// tail's.
+    fn ordered<'s>(&'s self, domain: DomainId, interner: &'s ValueInterner) -> DomainValues<'s> {
+        DomainValues {
+            interner,
+            base: self.base().ordered(domain, interner),
+            tail: self.tail().ordered(domain, interner),
+        }
+    }
 }
+
+/// The active-domain values of one abstract domain in value order, as
+/// [`FactStore::domain_values_untracked`] returns them: a merge of two sorted
+/// runs of ids, the shard base's and the tail's, which hold no value in
+/// common.
+#[derive(Clone, Debug)]
+pub struct DomainValues<'s> {
+    interner: &'s ValueInterner,
+    base: &'s [ValueId],
+    tail: &'s [ValueId],
+}
+
+impl<'s> Iterator for DomainValues<'s> {
+    type Item = &'s Value;
+
+    fn next(&mut self) -> Option<&'s Value> {
+        let interner = self.interner;
+        let resolve = |run: &[ValueId]| run.first().map(|&id| interner.resolve(id));
+        let run = match (resolve(self.base), resolve(self.tail)) {
+            (Some(b), Some(t)) if t < b => &mut self.tail,
+            (Some(_), _) => &mut self.base,
+            (None, _) => &mut self.tail,
+        };
+        let (&id, rest) = run.split_first()?;
+        *run = rest;
+        Some(interner.resolve(id))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let len = self.base.len() + self.tail.len();
+        (len, Some(len))
+    }
+}
+
+impl ExactSizeIterator for DomainValues<'_> {}
 
 /// How the read recorder classifies whole-active-domain walks (the
 /// `active_domain` / valuation-enumeration reads of the decision
@@ -1332,27 +1408,16 @@ impl FactStore {
             .collect()
     }
 
-    /// The minimum active-domain value of every populated abstract domain,
-    /// never recorded. This is the summary the producibility planner's
-    /// accessible-value pool keeps: its only store-derived choices are "the
-    /// least value of domain `d`" and "is domain `d` populated", and the
-    /// pool records those as prefix / whole-domain walks at use time.
-    pub fn adom_domain_mins_untracked(&self) -> HashMap<DomainId, Value> {
-        let mut mins: HashMap<DomainId, Value> = HashMap::new();
-        for &(id, d) in self.adom.entered(0) {
-            let v = self.interner.resolve(id);
-            match mins.entry(d) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    if v < e.get() {
-                        e.insert(v.clone());
-                    }
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(v.clone());
-                }
-            }
-        }
-        mins
+    /// The active-domain values of `domain` in value order, never recorded:
+    /// the walk sites that record what they consulted themselves (the
+    /// valuation walk of the witness searches, the accessible-value pool of
+    /// the producibility planner) read the domain's least values, or its
+    /// emptiness, from here. Each shard level keeps its ids of every domain
+    /// sorted, from the first call after the level last grew on, so a base
+    /// that clones share is sorted once for all of them; this merges the
+    /// base's run with the tail's as it goes.
+    pub fn domain_values_untracked(&self, domain: DomainId) -> DomainValues<'_> {
+        self.adom.ordered(domain, &self.interner)
     }
 
     /// Number of distinct `(value, domain)` pairs in the active domain.
@@ -1381,15 +1446,7 @@ impl FactStore {
         // A plain insert: unlike a precise walk, this read leaves an earlier
         // prefix of the domain in place.
         self.rec(|rs| rs.insert(Read::AdomDomain(domain)));
-        let mut vals: Vec<Value> = self
-            .adom
-            .entered(0)
-            .iter()
-            .filter(|(_, d)| *d == domain)
-            .map(|&(id, _)| self.interner.resolve(id).clone())
-            .collect();
-        vals.sort();
-        vals
+        self.domain_values_untracked(domain).cloned().collect()
     }
 
     /// All values appearing anywhere in the store (regardless of domain),

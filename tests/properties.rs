@@ -427,6 +427,95 @@ fn cached_active_domain_agrees_with_scan_oracle_after_inserts() {
     }
 }
 
+#[test]
+fn domain_order_agrees_with_sorted_oracle_projection_after_every_write() {
+    use accrel::schema::{DomainId, Fact, FactStore};
+    use rand::Rng;
+
+    // Each domain's values in the store's order, and the oracle's: the
+    // domain's projection of the scanned active domain, sorted.
+    fn order(store: &FactStore) -> Vec<Vec<Value>> {
+        let domains = store.schema().domain_count();
+        let ordered = |d| store.domain_values_untracked(DomainId(d as u32));
+        (0..domains)
+            .map(|d| ordered(d).cloned().collect())
+            .collect()
+    }
+    fn oracle(store: &FactStore) -> Vec<Vec<Value>> {
+        let adom = adom_oracle(store);
+        let project = |d: usize| {
+            let mut values: Vec<Value> = adom
+                .iter()
+                .filter(|(_, vd)| vd.index() == d)
+                .map(|(v, _)| v.clone())
+                .collect();
+            values.sort();
+            values
+        };
+        (0..store.schema().domain_count()).map(project).collect()
+    }
+    // Reading the order after each write builds it, so the next write must
+    // drop what it outdated.
+    fn check(store: &FactStore, ctx: &str) -> Vec<Vec<Value>> {
+        let got = order(store);
+        assert_eq!(got, oracle(store), "domain order at {ctx}");
+        got
+    }
+
+    for seed in 0u64..8 {
+        let (workload, _, _) = workload_and_query(seed, 1, 0);
+        let mut rng = StdRng::seed_from_u64(seed + 991);
+        // Symbols, integers and nulls, so the order crosses value kinds.
+        let mut pool = workload.constants.clone();
+        pool.extend((-3..4).map(Value::int));
+        pool.extend((0..4).map(Value::fresh));
+        let relations: Vec<_> = workload.schema.relations_with_ids().collect();
+        let fact = |rng: &mut StdRng| -> Fact {
+            let (rel, relation) = relations[rng.gen_range(0..relations.len())];
+            let values = (0..relation.arity()).map(|_| pool[rng.gen_range(0..pool.len())].clone());
+            (rel, Tuple::new(values.collect()))
+        };
+        // Inserts into a base no other handle holds.
+        let mut base = FactStore::new(workload.schema.clone());
+        for i in 0..8 {
+            let (rel, t) = fact(&mut rng);
+            base.insert(rel, t).unwrap();
+            check(&base, &format!("seed={seed} base insert {i}"));
+        }
+        // Inserts into a clone's tail leave the base's handle as it was.
+        let frozen = check(&base, "base before the clone");
+        let mut clone = base.clone();
+        for i in 0..6 {
+            let (rel, t) = fact(&mut rng);
+            clone.insert(rel, t).unwrap();
+            check(&clone, &format!("seed={seed} tail insert {i}"));
+            assert_eq!(order(&base), frozen, "base moved at seed={seed}");
+        }
+        assert!(clone.shares_adom_base(&base), "seed={seed}");
+        // Inserts into a tail another clone shares copy it first.
+        let sharer = clone.clone();
+        let shared = check(&sharer, "sharer");
+        let copies = clone.shard_copies();
+        for i in 0..6 {
+            let (rel, t) = fact(&mut rng);
+            clone.insert(rel, t).unwrap();
+            check(&clone, &format!("seed={seed} shared-tail insert {i}"));
+            assert_eq!(order(&sharer), shared, "sharer moved at seed={seed}");
+        }
+        assert!(clone.shard_copies() > copies, "seed={seed}");
+        // Batches that repeat stored rows and their own rows.
+        for i in 0..3 {
+            let mut batch: Vec<Fact> = (0..4).map(|_| fact(&mut rng)).collect();
+            batch.extend(batch.clone());
+            batch.extend(clone.facts().take(3));
+            clone.extend_facts(batch).unwrap();
+            check(&clone, &format!("seed={seed} batch {i}"));
+            assert_eq!(order(&sharer), shared, "sharer moved at seed={seed}");
+        }
+        assert_eq!(order(&base), frozen, "base moved at seed={seed}");
+    }
+}
+
 /// Naive deep-copy oracle for the copy-on-write store: rebuild an
 /// independent store holding exactly the same facts, sharing nothing.
 fn deep_copy_oracle(store: &accrel::schema::FactStore) -> accrel::schema::FactStore {

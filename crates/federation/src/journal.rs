@@ -123,10 +123,26 @@ fn parse_value(token: &str) -> Option<Value> {
     let (tag, rest) = token.split_at_checked(2)?;
     match tag {
         "s:" => Some(Value::sym(unescape(rest)?)),
-        "i:" => Some(Value::int(rest.parse().ok()?)),
-        "f:" => Some(Value::fresh(rest.parse().ok()?)),
+        "i:" => Some(Value::int(parse_number(rest)?)),
+        "f:" => Some(Value::fresh(parse_number(rest)?)),
         _ => None,
     }
+}
+
+/// The number `token` spells, if the writer spells that number `token`
+/// (`{}`): plain decimal digits with no leading zero, and a minus sign only
+/// on a negative number of a signed type. A `+`, a leading zero or a `-0`
+/// makes the token, and with it the line, malformed.
+fn parse_number<T: std::str::FromStr + std::fmt::Display>(token: &str) -> Option<T> {
+    let n: T = token.parse().ok()?;
+    (n.to_string() == token).then_some(n)
+}
+
+/// The verdict class `token` spells, if the writer spells it `token`
+/// (`{:x}`: lower-case hex digits, no leading zero, no sign).
+fn parse_class(token: &str) -> Option<u64> {
+    let class = u64::from_str_radix(token, 16).ok()?;
+    (format!("{class:x}") == token).then_some(class)
 }
 
 fn write_access(out: &mut String, access: &Access) {
@@ -138,7 +154,7 @@ fn write_access(out: &mut String, access: &Access) {
 
 /// Parses ` m<idx> <value>*` starting at `tokens` (already split).
 fn parse_access(tokens: &[&str]) -> Option<Access> {
-    let method = tokens.first()?.strip_prefix('m')?.parse::<u32>().ok()?;
+    let method = parse_number(tokens.first()?.strip_prefix('m')?)?;
     let values: Option<Vec<Value>> = tokens[1..].iter().map(|t| parse_value(t)).collect();
     Some(Access::new(AccessMethodId(method), Binding::new(values?)))
 }
@@ -197,11 +213,11 @@ fn parse_reads(tokens: &[&str]) -> Option<(Option<ReadSet>, usize)> {
     if *first == "R-" {
         return Some((None, 1));
     }
-    let n: usize = first.strip_prefix('R')?.parse().ok()?;
+    let n: usize = parse_number(first.strip_prefix('R')?)?;
     let (body, _) = rest.split_at_checked(n)?;
-    let rel = |s: &str| Some(RelationId(s.parse().ok()?));
-    let vid = |s: &str| Some(ValueId(s.parse().ok()?));
-    let dom = |s: &str| Some(DomainId(s.parse().ok()?));
+    let rel = |s: &str| Some(RelationId(parse_number(s)?));
+    let vid = |s: &str| Some(ValueId(parse_number(s)?));
+    let dom = |s: &str| Some(DomainId(parse_number(s)?));
     let reads = body.iter().map(|t| {
         let (tag, rest) = t.split_at_checked(1)?;
         Some(match (tag, rest.split_once(',')) {
@@ -458,16 +474,16 @@ impl Record {
                 }))
             }
             "shared" => {
-                let class = u64::from_str_radix(tokens.get(1)?, 16).ok()?;
+                let class = parse_class(tokens.get(1)?)?;
                 let kind = parse_kind(tokens.get(2)?)?;
                 let verdict = parse_bool(tokens.get(3)?)?;
-                let ndeps: usize = tokens.get(4)?.parse().ok()?;
+                let ndeps: usize = parse_number(tokens.get(4)?)?;
                 let (dep_tokens, rest) = tokens.get(5..)?.split_at_checked(ndeps)?;
                 let deps: Option<Vec<(RelationId, usize)>> = dep_tokens
                     .iter()
                     .map(|t| {
                         let (rel, count) = t.strip_prefix('r')?.split_once(':')?;
-                        Some((RelationId(rel.parse().ok()?), count.parse().ok()?))
+                        Some((RelationId(parse_number(rel)?), parse_number(count)?))
                     })
                     .collect();
                 // Journals written before read sets existed jump straight to
@@ -545,6 +561,86 @@ mod tests {
         assert_eq!(runs[0].access_sequence, [access]);
         let summary = RunJournal::replay(&path, &SharedVerdictCache::new()).unwrap();
         assert_eq!(summary.skipped_lines, 2);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// The reader accepts only the numbers the writer writes: a `+`, a
+    /// leading zero, a `-0` or an upper-case class makes the line
+    /// malformed, while the writer's own spelling of each number parses.
+    #[test]
+    fn only_the_writers_numbers_parse() {
+        for token in ["i:+5", "i:05", "i:-0", "i:-05", "f:+7", "f:07", "f:-1"] {
+            assert_eq!(parse_value(token), None, "token `{token}`");
+        }
+        assert_eq!(parse_value("i:-5"), Some(Value::int(-5)));
+        assert_eq!(parse_value("i:0"), Some(Value::int(0)));
+        assert_eq!(parse_value("f:7"), Some(Value::fresh(7)));
+        assert_eq!(parse_access(&["m+0"]), None);
+        assert_eq!(parse_access(&["m00"]), None);
+        assert_eq!(parse_reads(&["R+1", "a"]), None);
+        assert_eq!(parse_reads(&["R1", "p+0,+3"]), None);
+        assert_eq!(parse_reads(&["R1", "p0,03"]), None);
+        let pair: ReadSet = [Read::Pair(RelationId(0), ValueId(3))]
+            .into_iter()
+            .collect();
+        assert_eq!(parse_reads(&["R1", "p0,3"]), Some((Some(pair), 2)));
+        for class in ["+2a", "2A", "02a"] {
+            assert_eq!(parse_class(class), None, "class `{class}`");
+        }
+        assert_eq!(parse_class("2a"), Some(0x2a));
+        let dir = std::env::temp_dir().join(format!("accrel-journal-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("foreign_numbers.journal");
+        // Each foreign line, and the writer's spelling of the same record.
+        let lines = [
+            ("access m+0 s:a", "access m0 s:a"),
+            ("access m0 i:+5", "access m0 i:5"),
+            ("access m0 i:05", "access m0 i:5"),
+            ("access m0 f:+7", "access m0 f:7"),
+            ("verdict L t m+0 s:a", "verdict L t m0 s:a"),
+            (
+                "shared 2a L t 1 r+0:+5 m1 s:x",
+                "shared 2a L t 1 r0:5 m1 s:x",
+            ),
+            (
+                "shared 2a L t 1 r0:05 m1 s:x",
+                "shared 2a L t 1 r0:5 m1 s:x",
+            ),
+            (
+                "shared 2a L t +1 r0:5 m1 s:x",
+                "shared 2a L t 1 r0:5 m1 s:x",
+            ),
+            (
+                "shared 2a I f 0 R1 p+0,+3 m0 s:y",
+                "shared 2a I f 0 R1 p0,3 m0 s:y",
+            ),
+            (
+                "shared +2a L t 1 r0:5 m1 s:x",
+                "shared 2a L t 1 r0:5 m1 s:x",
+            ),
+            ("shared 2A L t 1 r0:5 m1 s:x", "shared 2a L t 1 r0:5 m1 s:x"),
+        ];
+        for (foreign, own) in lines {
+            assert!(Record::parse(foreign).is_none(), "`{foreign}`");
+            assert!(Record::parse(own).is_some(), "`{own}`");
+        }
+        let foreign: Vec<&str> = lines.iter().map(|(foreign, _)| *foreign).collect();
+        let own = "shared 2a L t 1 r0:5 R1 p0,3 m1 i:-5";
+        std::fs::write(
+            &path,
+            format!(
+                "{MAGIC}\nrun\naccess m0 i:-5\n{}\n{own}\n",
+                foreign.join("\n")
+            ),
+        )
+        .unwrap();
+        let runs = RunJournal::read_runs(&path).unwrap();
+        let access = Access::new(AccessMethodId(0), Binding::new(vec![Value::int(-5)]));
+        assert_eq!(runs[0].access_sequence, [access]);
+        assert!(runs[0].relevance_verdicts.is_empty());
+        let summary = RunJournal::replay(&path, &SharedVerdictCache::new()).unwrap();
+        assert_eq!(summary.skipped_lines, foreign.len());
+        assert_eq!(summary.verdicts_restored, 1);
         std::fs::remove_file(&path).ok();
     }
 
@@ -885,7 +981,8 @@ mod tests {
 
     /// A journal written from a real serve (a run and the shared cache's
     /// entries, read sets included), mutated at random: byte flips, cuts,
-    /// inserted spaces and inserted `%` sequences. Reading and replaying
+    /// inserted spaces, inserted `%` sequences, and a `+` or `0` inserted
+    /// before a digit. Reading and replaying
     /// each mutant never panics, and a mutant that is still a journal
     /// never yields more runs or verdicts than its lines can hold.
     #[test]
@@ -925,7 +1022,7 @@ mod tests {
             let mut bytes = journal.clone();
             for _ in 0..rng.gen_range(1..4) {
                 let at = rng.gen_range(0..bytes.len() + 1);
-                match rng.gen_range(0..4) {
+                match rng.gen_range(0..5) {
                     0 => {
                         if let Some(b) = bytes.get_mut(at) {
                             *b ^= 1 << rng.gen_range(0..8);
@@ -933,6 +1030,13 @@ mod tests {
                     }
                     1 => bytes.truncate(at),
                     2 => drop(bytes.splice(at..at, *b" ")),
+                    3 => {
+                        let digit = bytes[at..].iter().position(u8::is_ascii_digit);
+                        if let Some(i) = digit {
+                            let sign = [b'+', b'0'][rng.gen_range(0..2)];
+                            bytes.insert(at + i, sign);
+                        }
+                    }
                     _ => {
                         let insert = inserts[rng.gen_range(0..inserts.len())];
                         drop(bytes.splice(at..at, insert.iter().copied()));

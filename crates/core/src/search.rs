@@ -146,8 +146,8 @@ pub(crate) fn ground_with_fresh_nulls(
 /// records exactly those reads: membership probes that miss the overlay
 /// route through the recorded [`Configuration::adom_contains`]; a domain's
 /// least value and its emptiness come from the store's value order of the
-/// domain ([`Configuration::domain_values_untracked`]) and are recorded at
-/// use time via [`Configuration::rec_adom_walk`] (a prefix read bounded by
+/// domain (`FactStore::domain_order_untracked`) and are recorded at use
+/// time via [`Configuration::rec_adom_walk`] (a prefix read bounded by
 /// the returned minimum, or a whole-domain read when the domain was
 /// observed empty); overlay hits touch the store not at all. Every answer is
 /// stable under monotone growth of reads the pool did not record.
@@ -167,10 +167,14 @@ pub(crate) struct AdomPool<'c> {
 impl<'c> AdomPool<'c> {
     /// The pool over `conf`'s active domain with an empty overlay.
     pub(crate) fn of(conf: &'c Configuration) -> Self {
-        Self::from_pairs(conf, HashSet::new())
+        Self {
+            conf,
+            overlay: HashSet::new(),
+        }
     }
 
     /// The pool over `conf`'s active domain with `pairs` as its overlay.
+    #[cfg(test)]
     pub(crate) fn from_pairs(conf: &'c Configuration, pairs: HashSet<(Value, DomainId)>) -> Self {
         Self {
             conf,
@@ -199,7 +203,8 @@ impl<'c> AdomPool<'c> {
 
     /// Whether `Adom(Conf)` holds a value of `domain`, unrecorded.
     fn conf_has(&self, domain: DomainId) -> bool {
-        self.conf.domain_values_untracked(domain).next().is_some()
+        let runs = self.conf.store().domain_order_untracked(domain);
+        runs.iter().any(|run| !run.is_empty())
     }
 
     /// The least accessible value of `domain`, recording the walk: a prefix
@@ -207,10 +212,13 @@ impl<'c> AdomPool<'c> {
     /// below it changes the answer), or a whole-domain read when the domain
     /// was observed empty.
     pub(crate) fn min_value(&self, domain: DomainId) -> Option<Value> {
+        let store = self.conf.store();
+        let runs = store.domain_order_untracked(domain);
+        let firsts = runs.into_iter().filter_map(|run| run.first());
         let overlay = self.overlay.iter().filter(|(_, d)| *d == domain);
         let min = overlay
             .map(|(v, _)| v)
-            .chain(self.conf.domain_values_untracked(domain).next())
+            .chain(firsts.map(|&id| store.interner().resolve(id)))
             .min();
         self.conf.rec_adom_walk(domain, min);
         min.cloned()
@@ -244,10 +252,6 @@ impl<'c> AdomPool<'c> {
     }
 }
 
-/// The sorted, duplicate-free candidate constants of the variables of one
-/// domain (`None`: the untyped variables), which they all share.
-type CandidateList<'v> = (Option<DomainId>, Vec<&'v Value>);
-
 /// Visits candidate valuations of `cq`'s variables in enumeration order and
 /// returns the first `Some` that `visit` produces, without visiting the
 /// valuations after it.
@@ -263,7 +267,7 @@ type CandidateList<'v> = (Option<DomainId>, Vec<&'v Value>);
 ///
 /// A variable with no inferred domain takes any value of the active domain
 /// or of `extra`. Constants are tried in value order: per domain, the
-/// store's value order of the domain ([`Configuration::domain_values_untracked`])
+/// store's value order of the domain (`FactStore::domain_order_untracked`)
 /// merged with the extra values of that domain, one list that every
 /// variable of the domain borrows.
 ///
@@ -285,11 +289,16 @@ pub(crate) fn find_valuation<T>(
     extra: &[ExtraValue],
     fresh: &mut FreshSupply,
     limit: usize,
-    visit: impl FnMut(&HashMap<VarId, Value>, &FreshSupply) -> Option<T>,
+    mut visit: impl FnMut(&HashMap<VarId, Value>, &FreshSupply) -> Option<T>,
 ) -> Option<T> {
     let (vars, domains) = typed_variables(cq);
-    // Untyped variables draw from every domain at once, deduplicated
-    // across domains.
+    if vars.is_empty() {
+        return visit(&HashMap::new(), fresh);
+    }
+    // Candidate constants: one sorted, duplicate-free list per domain, which
+    // the domain's variables share. Untyped variables draw from every
+    // domain at once, deduplicated across domains. Nothing is recorded
+    // here: what the walk consulted is recorded once it ends.
     let mut untyped: Vec<Value> = Vec::new();
     if domains.contains(&None) {
         untyped.extend(conf.active_domain_untracked().into_iter().map(|(v, _)| v));
@@ -297,72 +306,25 @@ pub(crate) fn find_valuation<T>(
         untyped.sort();
         untyped.dedup();
     }
-    let mut lists: Vec<CandidateList<'_>> = Vec::new();
+    let mut lists: Vec<(Option<DomainId>, Vec<&Value>)> = Vec::new();
     for &d in &domains {
         if lists.iter().any(|(e, _)| *e == d) {
             continue;
         }
         let list = match d {
             Some(d) => {
-                let mut own: Vec<&Value> = extra
-                    .iter()
-                    .filter(|(_, e)| *e == d)
-                    .map(|(v, _)| v)
-                    .collect();
-                own.sort();
-                own.dedup();
-                merge_candidates(conf.domain_values_untracked(d), &own)
+                let store = conf.store();
+                let runs = store.domain_order_untracked(d).into_iter().flatten();
+                let mut list: Vec<&Value> = runs.map(|&id| store.interner().resolve(id)).collect();
+                list.extend(extra.iter().filter(|(_, e)| *e == d).map(|(v, _)| v));
+                // Two sorted runs and a few extras: the sort merges them.
+                list.sort();
+                list.dedup();
+                list
             }
             None => untyped.iter().collect(),
         };
         lists.push((d, list));
-    }
-    walk_valuations(&vars, &domains, &lists, conf, fresh, limit, visit)
-}
-
-/// `cq`'s variables in id order, with the abstract domain inferred for each
-/// (`None`: untyped).
-fn typed_variables(cq: &ConjunctiveQuery) -> (Vec<VarId>, Vec<Option<DomainId>>) {
-    let mut vars: Vec<VarId> = cq.variables().into_iter().collect();
-    vars.sort();
-    let var_domains = cq.infer_var_domains().unwrap_or_default();
-    let domains = vars.iter().map(|v| var_domains.get(v).copied()).collect();
-    (vars, domains)
-}
-
-/// The values of `adom` (sorted, distinct) and `extra` (sorted, distinct)
-/// as one sorted list, each value once.
-fn merge_candidates<'v>(
-    adom: impl ExactSizeIterator<Item = &'v Value>,
-    extra: &[&'v Value],
-) -> Vec<&'v Value> {
-    let mut out = Vec::with_capacity(adom.len() + extra.len());
-    let mut extra = extra.iter().copied().peekable();
-    for v in adom {
-        while let Some(e) = extra.next_if(|e| *e < v) {
-            out.push(e);
-        }
-        // An extra value the active domain already holds.
-        extra.next_if_eq(&v);
-        out.push(v);
-    }
-    out.extend(extra);
-    out
-}
-
-/// [`find_valuation`]'s walk over the candidate `lists` of `vars`, whose
-/// domains are `domains`, and the recording of what it consulted.
-fn walk_valuations<T>(
-    vars: &[VarId],
-    domains: &[Option<DomainId>],
-    lists: &[CandidateList<'_>],
-    conf: &Configuration,
-    fresh: &mut FreshSupply,
-    limit: usize,
-    mut visit: impl FnMut(&HashMap<VarId, Value>, &FreshSupply) -> Option<T>,
-) -> Option<T> {
-    if vars.is_empty() {
-        return visit(&HashMap::new(), fresh);
     }
     let list_of = |d: &Option<DomainId>| {
         let (_, list) = lists
@@ -373,8 +335,8 @@ fn walk_valuations<T>(
     };
     let candidates: Vec<&[&Value]> = domains.iter().map(list_of).collect();
     let mut walk = ValuationWalk {
-        vars,
-        domains,
+        vars: &vars,
+        domains: &domains,
         candidates: &candidates,
         used_slots: HashMap::new(),
         slot_values: HashMap::new(),
@@ -393,7 +355,7 @@ fn walk_valuations<T>(
     // the walk) or the whole domain (some traversal observed the natural end
     // of the list). Untyped variables draw from every domain at once —
     // global fallback.
-    for (dom, list) in lists {
+    for (dom, list) in &lists {
         let (max_pos, completed) = domains
             .iter()
             .zip(&walk.stats)
@@ -413,6 +375,16 @@ fn walk_valuations<T>(
         }
     }
     walk.found
+}
+
+/// `cq`'s variables in id order, with the abstract domain inferred for each
+/// (`None`: untyped).
+fn typed_variables(cq: &ConjunctiveQuery) -> (Vec<VarId>, Vec<Option<DomainId>>) {
+    let mut vars: Vec<VarId> = cq.variables().into_iter().collect();
+    vars.sort();
+    let var_domains = cq.infer_var_domains().unwrap_or_default();
+    let domains = vars.iter().map(|v| var_domains.get(v).copied()).collect();
+    (vars, domains)
 }
 
 /// Per-variable visit statistics for the read recorder: the highest

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use crate::domain::DomainId;
 use crate::relation::RelationId;
 use crate::schema::Schema;
-use crate::store::{AdomPrecision, DomainValues, Fact, FactStore, ReadSet};
+use crate::store::{AdomPrecision, Fact, FactStore, ReadSet};
 use crate::tuple::Tuple;
 use crate::value::{FreshSupply, Value};
 use crate::Result;
@@ -178,12 +178,6 @@ impl Configuration {
     /// [`FactStore::active_domain_untracked`]).
     pub fn active_domain_untracked(&self) -> HashSet<(Value, DomainId)> {
         self.store.active_domain_untracked()
-    }
-
-    /// The active-domain values of `domain` in value order, never recorded
-    /// (see [`FactStore::domain_values_untracked`]).
-    pub fn domain_values_untracked(&self, domain: DomainId) -> DomainValues<'_> {
-        self.store.domain_values_untracked(domain)
     }
 
     /// Records a per-domain active-domain walk at the installed recorder's

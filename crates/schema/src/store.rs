@@ -19,7 +19,7 @@
 //!   [`FactStore::adom_contains`] is a hash probe. Each level of that shard
 //!   also keeps every domain's ids in value order, sorted on first demand
 //!   and dropped when the level grows, so the witness searches read a
-//!   domain's values in order ([`FactStore::domain_values_untracked`])
+//!   domain's values in order ([`FactStore::domain_order_untracked`])
 //!   without sorting the active domain on every call;
 //! * the interner is a third kind of shard.
 //!
@@ -436,51 +436,15 @@ impl Layered<AdomCache> {
         Suffix::of(&self.base().entered, &self.tail().entered, from)
     }
 
-    /// `domain`'s values in value order: the base's run merged with the
+    /// `domain`'s ids as two runs in value order: the base's, then the
     /// tail's.
-    fn ordered<'s>(&'s self, domain: DomainId, interner: &'s ValueInterner) -> DomainValues<'s> {
-        DomainValues {
-            interner,
-            base: self.base().ordered(domain, interner),
-            tail: self.tail().ordered(domain, interner),
-        }
+    fn ordered<'s>(&'s self, domain: DomainId, interner: &ValueInterner) -> [&'s [ValueId]; 2] {
+        [
+            self.base().ordered(domain, interner),
+            self.tail().ordered(domain, interner),
+        ]
     }
 }
-
-/// The active-domain values of one abstract domain in value order, as
-/// [`FactStore::domain_values_untracked`] returns them: a merge of two sorted
-/// runs of ids, the shard base's and the tail's, which hold no value in
-/// common.
-#[derive(Clone, Debug)]
-pub struct DomainValues<'s> {
-    interner: &'s ValueInterner,
-    base: &'s [ValueId],
-    tail: &'s [ValueId],
-}
-
-impl<'s> Iterator for DomainValues<'s> {
-    type Item = &'s Value;
-
-    fn next(&mut self) -> Option<&'s Value> {
-        let interner = self.interner;
-        let resolve = |run: &[ValueId]| run.first().map(|&id| interner.resolve(id));
-        let run = match (resolve(self.base), resolve(self.tail)) {
-            (Some(b), Some(t)) if t < b => &mut self.tail,
-            (Some(_), _) => &mut self.base,
-            (None, _) => &mut self.tail,
-        };
-        let (&id, rest) = run.split_first()?;
-        *run = rest;
-        Some(interner.resolve(id))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let len = self.base.len() + self.tail.len();
-        (len, Some(len))
-    }
-}
-
-impl ExactSizeIterator for DomainValues<'_> {}
 
 /// How the read recorder classifies whole-active-domain walks (the
 /// `active_domain` / valuation-enumeration reads of the decision
@@ -1408,15 +1372,14 @@ impl FactStore {
             .collect()
     }
 
-    /// The active-domain values of `domain` in value order, never recorded:
-    /// the walk sites that record what they consulted themselves (the
-    /// valuation walk of the witness searches, the accessible-value pool of
-    /// the producibility planner) read the domain's least values, or its
-    /// emptiness, from here. Each shard level keeps its ids of every domain
-    /// sorted, from the first call after the level last grew on, so a base
-    /// that clones share is sorted once for all of them; this merges the
-    /// base's run with the tail's as it goes.
-    pub fn domain_values_untracked(&self, domain: DomainId) -> DomainValues<'_> {
+    /// The active-domain value ids of `domain` in value order, never
+    /// recorded, as two sorted runs that share no id: the shard base's and
+    /// the tail's. Each level sorts its ids of every domain on the first
+    /// call after it last grew, so a base that clones share is sorted once
+    /// for all of them. For the walk sites that record what they consulted
+    /// themselves: the valuation walk of the witness searches and the
+    /// accessible-value pool of the producibility planner.
+    pub fn domain_order_untracked(&self, domain: DomainId) -> [&[ValueId]; 2] {
         self.adom.ordered(domain, &self.interner)
     }
 
@@ -1446,7 +1409,11 @@ impl FactStore {
         // A plain insert: unlike a precise walk, this read leaves an earlier
         // prefix of the domain in place.
         self.rec(|rs| rs.insert(Read::AdomDomain(domain)));
-        self.domain_values_untracked(domain).cloned().collect()
+        let runs = self.domain_order_untracked(domain).into_iter().flatten();
+        let mut vals: Vec<Value> = runs.map(|&id| self.interner.resolve(id).clone()).collect();
+        // Two sorted runs: the sort merges them in one pass.
+        vals.sort();
+        vals
     }
 
     /// All values appearing anywhere in the store (regardless of domain),

@@ -484,25 +484,23 @@ pub fn federation_fixture_from(
 /// one fresh value, flooding the active domain while every relation the
 /// decision procedures scan stays static.
 ///
-/// The verdicts at stake are the dead-end candidates: `Dead(k, v)` maps
-/// `B` keys to a third domain `C` that **no access method consumes**, so
-/// an `accD` access is long-term irrelevant — its fresh outputs unlock
-/// no break access (condition A) and replaying any production plan
-/// without it still certifies the query (condition B). Proving that
-/// requires exhausting the witness search, and the pool of dead
-/// candidates grows with every feeder value.
+/// `Dead(k, v)` maps `B` keys to a third domain `C` that **no access
+/// method consumes**, and no query atom is on `Dead`, so an `accD` access
+/// is never long-term relevant, and the pool of such candidates grows with
+/// every feeder value. The schema-level dead-end check
+/// (`accrel_core::ltr_dependent::is_dead_end`) settles each of them before
+/// any search, with an empty read set, so no growth re-checks them.
 ///
-/// The domain split is what separates the three invalidation modes.
-/// Relation-level eviction fires on every response (dependent dep-sets
-/// are global), so each feed re-proves every dead verdict. Coarse adom
-/// recording (`Exact` mode) stamps `Read::Adom` on the failed witness
-/// searches, so each fresh value re-proves them all too — the wash this
-/// fixture exists to expose. Per-domain prefix reads survive: the
-/// backtracking search puts `x` at the top of its DFS, the `A`-typed
-/// subtree below it exhausts the valuation budget, and the visited
-/// prefix of `B`'s sorted candidate list stays short — a fresh integer
-/// sorts **above** it, so precise-mode verdicts are untouched. (`A`'s
-/// full-domain reads are real but `A` never grows.)
+/// Every other long-term-relevance call walks, and each walk stops at its
+/// first valuation: the walk puts `x` first, binds it to the least `B` key
+/// in the store's value order, and finds its witness there (condition A:
+/// a break access can consume the access's fresh output). So a verdict
+/// records a visited prefix of `B` that a fresh, larger integer sorts
+/// **above**, and precise-mode verdicts survive the feed. (`A`'s reads are
+/// real, but `A` never grows.) Relation-level eviction fires on every
+/// response (dependent dep-sets are global), so it re-checks cached
+/// verdicts at every feed: `harness --check-invalidation` counts 137
+/// re-checks under either read-set mode against 272 at relation level.
 #[derive(Debug, Clone)]
 pub struct FloodFixture {
     /// The chain query (never certain: hidden `R0` is empty).

@@ -6,12 +6,20 @@
 /// The paper shows (Theorem 5.2, via the crayfish-chase / tree-like model
 /// property) that counterexamples to containment can be bounded in size — by
 /// an exponential in the query sizes for CQs and a double exponential for
-/// PQs. The searches implemented here are therefore *complete relative to
-/// the budget*: with a budget at least as large as the theoretical bound the
-/// answer is exact; with the (much smaller) default budget the procedures are
-/// sound for "relevant"/"non-contained" verdicts and may in pathological
-/// cases report "not relevant"/"contained" for witnesses larger than the
-/// budget. Every bundled workload is decided exactly by the default budget.
+/// PQs. The searches implemented here are not complete relative to that
+/// bound, at any budget:
+///
+/// * They are sound for "relevant" and "not contained": each such answer
+///   rests on a witness path that well-formed accesses can take.
+/// * A "not relevant" or "contained" answer can be wrong even when no cap
+///   fires. The producibility planner makes one generator-chain pick per
+///   set of accessible domains, so a witness that needs an intermediate
+///   fact another pick would produce is never tried. The Proposition 6.2
+///   encoding of `cycling_rows(1)` is one: its corridor is tileable, yet
+///   containment answers "contained" under both the shallow and the default
+///   budget. A cap that fires can make such an answer wrong as well.
+/// * Direction 1 of `ROADMAP.md` is where the search becomes complete and
+///   reports a cap that cut it.
 ///
 /// The budget is a cap, not a cost: a search visits valuations one at a
 /// time and stops at its first witness, so a verdict found early pays for

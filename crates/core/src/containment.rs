@@ -11,10 +11,11 @@
 //! bounds: a witness consists of the image of one disjunct of `Q1` under a
 //! valuation into configuration constants and (possibly shared) fresh nulls,
 //! plus auxiliary *value-generator chains* that make required input values
-//! accessible. The search is complete relative to the [`SearchBudget`]; the
-//! theoretical witness bound is exponential for CQs and doubly exponential
-//! for PQs (hence the coNEXPTIME / co2NEXPTIME completeness results), and
-//! the default budget decides every workload bundled with this repository.
+//! accessible. The theoretical witness bound is exponential for CQs and
+//! doubly exponential for PQs (hence the coNEXPTIME / co2NEXPTIME
+//! completeness results). The search is sound for "not contained", whose
+//! answer carries its witness path, but a "contained" answer can be wrong
+//! even when no cap of the [`SearchBudget`] fires (see there).
 
 use accrel_access::{AccessMethods, AccessPath};
 use accrel_query::{eval, ConjunctiveQuery, Query, Valuation};

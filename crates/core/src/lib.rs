@@ -12,8 +12,9 @@
 //! * **query containment under access limitations** ([`containment`]) —
 //!   coNEXPTIME-complete for CQs, co2NEXPTIME-complete for PQs
 //!   (Theorems 5.1/5.2/5.6); the witness search follows the paper's
-//!   tree-like ("crayfish chase") counterexample structure and is complete
-//!   relative to a configurable [`SearchBudget`];
+//!   tree-like ("crayfish chase") counterexample structure within a
+//!   configurable [`SearchBudget`], and is sound for non-containment but
+//!   not complete (see [`SearchBudget`]);
 //! * **long-term relevance** with dependent accesses ([`ltr_dependent`]) —
 //!   NEXPTIME-complete for CQs, 2NEXPTIME-complete for PQs, decided here by
 //!   a direct witness-path search sharing the containment machinery, after

@@ -48,8 +48,9 @@
 //!    to it, and the search only reads `Conf`.
 //!
 //! The NEXPTIME upper bound of Theorem 5.2 (2NEXPTIME for positive queries,
-//! Theorem 5.6) bounds the witness size; as for containment the search is
-//! complete relative to the budget.
+//! Theorem 5.6) bounds the witness size. As for containment, the search is
+//! sound for "relevant", but a "not relevant" answer can be wrong even when
+//! no cap of the [`SearchBudget`] fires (see there).
 
 use std::collections::HashSet;
 

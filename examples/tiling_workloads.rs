@@ -49,11 +49,13 @@ fn main() {
         outcome.contained
     );
 
-    // On a solvable instance the ground truth is non-containment; the
-    // witness is a full correct tiling, which lies beyond the default
-    // search budget of the (budget-complete) checker — this is exactly the
-    // exponential behaviour the lower bound builds on, and the harness's E3
-    // table measures the encoding's growth.
+    // On a solvable instance the ground truth is non-containment, and the
+    // witness is a full correct tiling. The checker is sound only for
+    // "not contained": it misses witnesses that need an intermediate row
+    // even when no cap of its budget fires (see `SearchBudget`), and on
+    // `cycling_rows(1)` it answers "contained" although the corridor is
+    // tileable. So it is not run here; the harness's E3 table measures the
+    // encoding's growth.
     let problem = checkerboard(2);
     println!(
         "checkerboard 2×corridor is solvable: {} (brute-force solver)",

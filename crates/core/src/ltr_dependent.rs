@@ -1012,6 +1012,70 @@ mod tests {
         );
     }
 
+    /// A 64-bit FNV-1a hash of everything written to it.
+    struct Fnv(u64);
+
+    impl Fnv {
+        fn write(&mut self, item: impl std::fmt::Debug) {
+            for byte in format!("{item:?};").bytes() {
+                self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3);
+            }
+        }
+    }
+
+    #[test]
+    fn dependent_verdicts_witnesses_and_reads_are_pinned_on_a_seeded_grid() {
+        // Both Section 5 procedures on random mixed worlds, under a precise
+        // recorder: dependent LTR for every query and well-formed access,
+        // containment for every ordered pair of queries. Every verdict, every
+        // non-containment witness path and every read set goes into one
+        // digest, so a change to the shared witness search that moves any of
+        // them fails here.
+        let budget = SearchBudget::default().with_max_valuations(2_000);
+        let options = EnumerationOptions {
+            guessable_values: vec![Value::int(7)],
+            max_accesses: usize::MAX,
+        };
+        let mut digest = Fnv(0xCBF2_9CE4_8422_2325);
+        let (mut ltr_calls, mut relevant) = (0, 0);
+        let (mut containment_calls, mut contained) = (0, 0);
+        let mut reads = 0;
+        for seed in 0..300 {
+            let (methods, mut conf, queries) = random_world(seed, seed % 2 == 0);
+            let candidates = well_formed_accesses(&conf, &methods, &options);
+            for q in &queries {
+                for access in &candidates {
+                    conf.begin_read_tracking_with(accrel_schema::AdomPrecision::Precise);
+                    let verdict = is_ltr_dependent(q, &conf, access, &methods, &budget);
+                    let read_set = conf.take_read_set();
+                    digest.write(verdict);
+                    read_set.iter().for_each(|read| digest.write(read));
+                    ltr_calls += 1;
+                    relevant += usize::from(verdict);
+                    reads += read_set.len();
+                }
+            }
+            for q1 in &queries {
+                for q2 in &queries {
+                    conf.begin_read_tracking_with(accrel_schema::AdomPrecision::Precise);
+                    let outcome = crate::is_contained(q1, q2, &conf, &methods, &budget);
+                    let read_set = conf.take_read_set();
+                    digest.write(outcome.contained);
+                    digest.write(outcome.witness.map(|w| w.path));
+                    read_set.iter().for_each(|read| digest.write(read));
+                    containment_calls += 1;
+                    contained += usize::from(outcome.contained);
+                    reads += read_set.len();
+                }
+            }
+        }
+        assert_eq!(
+            (ltr_calls, relevant, containment_calls, contained, reads),
+            (3_248, 1_498, 644, 472, 21_623)
+        );
+        assert_eq!(digest.0, 0xFF21_DC4B_58A1_4F16);
+    }
+
     #[test]
     fn a_constant_at_an_input_place_prunes_only_other_bindings() {
         // Q = Approval(il, 30): an Approval(tx)? response can never match

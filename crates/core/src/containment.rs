@@ -6,16 +6,22 @@
 //! `Conf` leading to a configuration where some answer of `Q1` is not an
 //! answer of `Q2`.
 //!
-//! The search implemented here follows the tree-like ("crayfish chase")
-//! counterexample structure of Calì & Martinenghi used by the paper's upper
-//! bounds: a witness consists of the image of one disjunct of `Q1` under a
-//! valuation into configuration constants and (possibly shared) fresh nulls,
-//! plus auxiliary *value-generator chains* that make required input values
+//! The search follows the tree-like ("crayfish chase") counterexample
+//! structure of Calì & Martinenghi used by the paper's upper bounds: a
+//! witness consists of the image of one disjunct of `Q1` under a valuation
+//! into configuration constants and (possibly shared) fresh nulls, plus
+//! auxiliary *value-generator chains* that make required input values
 //! accessible. The theoretical witness bound is exponential for CQs and
 //! doubly exponential for PQs (hence the coNEXPTIME / co2NEXPTIME
 //! completeness results). The search is sound for "not contained", whose
 //! answer carries its witness path, but a "contained" answer can be wrong
 //! even when no cap of the [`SearchBudget`] fires (see there).
+//!
+//! The search is the one dependent long-term relevance runs
+//! (`search::find_witness`), with no initial access: every fact of a
+//! disjunct's image that `Conf` lacks is planned for later accesses. This
+//! module adds only what containment asks of a plan: `Q1`'s answer under
+//! the valuation, and whether `Q2` misses it on `Conf` and the plan's facts.
 
 use accrel_access::{AccessMethods, AccessPath};
 use accrel_query::{eval, ConjunctiveQuery, Query, Valuation};
@@ -101,17 +107,9 @@ pub fn is_contained(
     ContainmentOutcome::contained()
 }
 
-/// Convenience wrapper returning only the Boolean verdict.
-pub fn contained(
-    q1: &Query,
-    q2: &Query,
-    conf: &Configuration,
-    methods: &AccessMethods,
-    budget: &SearchBudget,
-) -> bool {
-    is_contained(q1, q2, conf, methods, budget).contained
-}
-
+/// The witness search ([`search::find_witness`]) for one disjunct of `Q1`,
+/// with no initial access: a plan is a witness when `Q2` misses the
+/// valuation's answer on `conf` and the plan's facts.
 fn disjunct_non_containment(
     disjunct: &ConjunctiveQuery,
     ucq2: &[ConjunctiveQuery],
@@ -120,81 +118,33 @@ fn disjunct_non_containment(
     budget: &SearchBudget,
 ) -> Option<NonContainmentWitness> {
     let mut fresh = conf.fresh_supply().skipping(&disjunct.constants());
-    // The accessible pool over Adom(Conf); records only the membership,
-    // minimum and emptiness reads the planner actually performs.
-    let base = search::AdomPool::of(conf);
-    // Generator chains depend only on domain sets; plan them once per shape
-    // across all valuations of this disjunct.
-    let mut chain_cache = search::ChainCache::new();
-
-    search::find_valuation(
-        disjunct,
-        conf,
-        &[],
-        &mut fresh,
-        budget.max_valuations,
-        |h, fresh| {
-            // The facts of the disjunct image that are not yet known.
-            let mut needed = Vec::new();
-            for atom in disjunct.atoms() {
-                let tuple = atom.substitute(h).to_tuple()?;
-                if !conf.contains(atom.relation(), &tuple) {
-                    needed.push((atom.relation(), tuple));
-                }
+    search::find_witness(disjunct, conf, None, &mut fresh, methods, budget, |h, _| {
+        // The answer tuple this valuation yields for Q1.
+        let answer = Tuple::new(
+            disjunct
+                .free_vars()
+                .iter()
+                .map(|v| h.get(v).cloned().unwrap_or_else(|| Value::fresh(u64::MAX)))
+                .collect(),
+        );
+        move |plan: &search::FactPlan| {
+            // Check Q2 on the overlay; the reached configuration is only
+            // materialised when a witness is actually found.
+            let facts = plan.facts();
+            if q2_has_answer(ucq2, conf, &facts, &answer) {
+                return None;
             }
-            needed.sort();
-            needed.dedup();
-
-            // The answer tuple this valuation yields for Q1.
-            let answer = Tuple::new(
-                disjunct
-                    .free_vars()
-                    .iter()
-                    .map(|v| h.get(v).cloned().unwrap_or_else(|| Value::fresh(u64::MAX)))
-                    .collect(),
-            );
-
-            for alternative in 0..budget.max_chain_alternatives.max(1) {
-                let mut plan_fresh = fresh.clone();
-                let Some(plan) = search::plan_production(
-                    &needed,
-                    &base,
-                    methods,
-                    budget,
-                    &mut plan_fresh,
-                    alternative,
-                    &mut chain_cache,
-                ) else {
-                    // Lower alternatives failing usually means higher ones
-                    // fail too, but generator-chain selection can differ;
-                    // keep trying only if there was at least one aux fact in
-                    // play.
-                    if alternative == 0 {
-                        break;
-                    }
-                    continue;
-                };
-                // Check Q2 on the overlay; the reached configuration is only
-                // materialised when a witness is actually found.
-                let plan_facts = plan.facts();
-                if !q2_has_answer(ucq2, conf, &plan_facts, &answer) {
-                    let reached = search::extend_configuration(conf, &plan_facts);
-                    let path = plan.to_path(methods);
-                    debug_assert!(path.is_well_formed_at(conf, methods));
-                    return Some(NonContainmentWitness {
-                        path,
-                        final_configuration: reached,
-                        answer,
-                    });
-                }
-                if plan.aux_count == 0 {
-                    // Without auxiliary chains all alternatives are identical.
-                    break;
-                }
-            }
-            None
-        },
-    )
+            let path = plan.to_path(methods);
+            debug_assert!(path.is_well_formed_at(conf, methods));
+            Some(NonContainmentWitness {
+                path,
+                final_configuration: conf
+                    .with_facts(facts)
+                    .expect("planned facts fit the schema"),
+                answer: answer.clone(),
+            })
+        }
+    })
 }
 
 /// Does `ucq2` yield `answer` on `conf` extended with the `extra` facts?
@@ -284,13 +234,6 @@ mod tests {
         let conf = Configuration::empty(schema);
         let outcome = is_contained(&q1, &q2, &conf, &free_methods, &SearchBudget::default());
         assert!(!outcome.contained);
-        assert!(!contained(
-            &q1,
-            &q2,
-            &conf,
-            &free_methods,
-            &SearchBudget::default()
-        ));
     }
 
     #[test]
@@ -308,20 +251,8 @@ mod tests {
         q2b.atom("S", vec![Term::Var(y)]).unwrap();
         let q_s: Query = q2b.build().into();
         let conf = Configuration::empty(schema);
-        assert!(contained(
-            &q_both,
-            &q_s,
-            &conf,
-            &methods,
-            &SearchBudget::default()
-        ));
-        assert!(!contained(
-            &q_s,
-            &q_both,
-            &conf,
-            &methods,
-            &SearchBudget::default()
-        ));
+        assert!(is_contained(&q_both, &q_s, &conf, &methods, &SearchBudget::default()).contained);
+        assert!(!is_contained(&q_s, &q_both, &conf, &methods, &SearchBudget::default()).contained);
     }
 
     #[test]
@@ -342,25 +273,13 @@ mod tests {
         q2b.atom("S", vec![Term::constant("c")]).unwrap();
         let q2: Query = q2b.build().into();
         let empty = Configuration::empty(schema.clone());
-        assert!(contained(
-            &q1,
-            &q2,
-            &empty,
-            &methods,
-            &SearchBudget::default()
-        ));
+        assert!(is_contained(&q1, &q2, &empty, &methods, &SearchBudget::default()).contained);
         // Now make c accessible without S(c): Conf = {R'(c)}?  The schema
         // has no such relation, instead start from Conf = {S(c)}: Q2 is
         // certain, containment trivially holds.
         let mut conf_s = Configuration::empty(schema.clone());
         conf_s.insert_named("S", ["c"]).unwrap();
-        assert!(contained(
-            &q1,
-            &q2,
-            &conf_s,
-            &methods,
-            &SearchBudget::default()
-        ));
+        assert!(is_contained(&q1, &q2, &conf_s, &methods, &SearchBudget::default()).contained);
         // Conversely Q2 ⊑ Q1 fails from {S(c)} (it already fails at Conf).
         let outcome = is_contained(&q2, &q1, &conf_s, &methods, &SearchBudget::default());
         assert!(!outcome.contained);
@@ -412,21 +331,9 @@ mod tests {
         let v = q3b.var("v");
         q3b.atom("B", vec![Term::Var(u), Term::Var(v)]).unwrap();
         let q3: Query = q3b.build().into();
-        assert!(contained(
-            &q1,
-            &q3,
-            &conf,
-            &methods,
-            &SearchBudget::default()
-        ));
+        assert!(is_contained(&q1, &q3, &conf, &methods, &SearchBudget::default()).contained);
         // But not vice versa.
-        assert!(!contained(
-            &q3,
-            &q1,
-            &conf,
-            &methods,
-            &SearchBudget::default()
-        ));
+        assert!(!is_contained(&q3, &q1, &conf, &methods, &SearchBudget::default()).contained);
     }
 
     #[test]
@@ -448,13 +355,7 @@ mod tests {
         let sx2 = b2.atom("S", vec![Term::Var(x2)]).unwrap();
         let q2: Query = b2.build(sx2).into();
         let conf = Configuration::empty(schema);
-        assert!(contained(
-            &q1,
-            &q2,
-            &conf,
-            &methods,
-            &SearchBudget::default()
-        ));
+        assert!(is_contained(&q1, &q2, &conf, &methods, &SearchBudget::default()).contained);
         let _ = sx;
     }
 
@@ -478,13 +379,7 @@ mod tests {
         q2b.free(&[x]);
         let q2: Query = q2b.build().into();
         let conf = Configuration::empty(schema);
-        assert!(contained(
-            &q1,
-            &q2,
-            &conf,
-            &methods,
-            &SearchBudget::default()
-        ));
+        assert!(is_contained(&q1, &q2, &conf, &methods, &SearchBudget::default()).contained);
         let outcome = is_contained(&q2, &q1, &conf, &methods, &SearchBudget::default());
         assert!(!outcome.contained);
         assert_eq!(outcome.witness.unwrap().answer.arity(), 1);

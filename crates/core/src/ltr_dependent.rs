@@ -25,8 +25,10 @@
 //!   [`crate::is_long_term_relevant_given_uncertain`]. The certainty
 //!   checks *inside* the search, on truncated configurations, stay.
 //!
-//! The search mirrors the containment witness search (same crayfish-chase
-//! structure, same [`SearchBudget`]):
+//! The search is the containment witness search (`search::find_witness`:
+//! the same crayfish-chase structure, the same [`SearchBudget`]) with the
+//! access as its initial access. Steps 1–3 are that search's; this module
+//! adds the initial access and step 4:
 //!
 //! 1. pick a disjunct of `Q` and a valuation of its variables into
 //!    configuration constants, the values returned by the initial access
@@ -55,8 +57,8 @@
 use std::collections::HashSet;
 
 use accrel_access::{Access, AccessMethods, AccessMode};
-use accrel_query::{certain, eval, ConjunctiveQuery, Query};
-use accrel_schema::{Configuration, DomainId, FreshSupply, RelationId, Tuple, Value};
+use accrel_query::{certain, eval, Query};
+use accrel_schema::{Configuration, DomainId, RelationId, Tuple, Value};
 
 use crate::budget::SearchBudget;
 use crate::reductions;
@@ -172,7 +174,8 @@ pub fn is_dead_end(query: &Query, access: &Access, methods: &AccessMethods) -> b
 
 /// The Section 5 witness search for a Boolean `query` not certain at
 /// `conf`, with no dead-end check: a well-formedness probe, then one
-/// valuation walk per disjunct.
+/// [`search::find_witness`] per disjunct, with `access` as the initial
+/// access. A plan is a witness by condition A or B below.
 fn witness_search(
     query: &Query,
     conf: &Configuration,
@@ -186,191 +189,73 @@ fn witness_search(
     let Ok(method) = methods.get(access.method()) else {
         return false;
     };
-    let schema = methods.schema().clone();
-    let access_relation = method.relation();
-    let input_positions = method.input_positions().to_vec();
-    let output_positions = method.output_positions(&schema);
+    let (relation, inputs) = (method.relation(), method.input_positions());
+    let outputs = method.output_positions(methods.schema());
 
     // The "generic" tuple the initial access may always return: the binding
-    // on the input positions and fresh values on the output positions. Its
-    // values are offered to the valuation enumeration and to producibility.
+    // on the input positions and fresh values on the output positions.
     let mut fresh = conf.fresh_supply().skipping(&query.constants());
-    let generic_tuple = if output_positions.is_empty() {
-        None
-    } else {
-        let arity = schema.arity(access_relation).unwrap_or(0);
+    let generic = (!outputs.is_empty()).then(|| {
+        let arity = methods.schema().arity(relation).unwrap_or(0);
         let mut values = vec![Value::fresh(u64::MAX); arity];
-        for (k, &pos) in input_positions.iter().enumerate() {
-            if let Some(v) = access.binding().get(k) {
-                values[pos] = v.clone();
-            }
+        for (&pos, v) in inputs.iter().zip(access.binding().values()) {
+            values[pos] = v.clone();
         }
-        for &pos in &output_positions {
+        for &pos in &outputs {
             values[pos] = fresh.next_value();
         }
-        Some(Tuple::new(values))
+        Tuple::new(values)
+    });
+    let initial = search::InitialAccess {
+        relation,
+        inputs,
+        binding: access.binding().values(),
+        generic,
     };
-    let mut generic_extra: Vec<(Value, DomainId)> = match &generic_tuple {
-        Some(t) => output_positions
-            .iter()
-            .filter_map(|&pos| {
-                let v = t.get(pos)?.clone();
-                let d = schema.domain_of(access_relation, pos).ok()?;
-                Some((v, d))
-            })
-            .collect(),
-        None => Vec::new(),
-    };
-    // The binding constants are also candidate values for the query
-    // variables (they need not occur in the configuration when the access
-    // method is independent).
-    for (k, &pos) in input_positions.iter().enumerate() {
-        if let (Some(v), Ok(d)) = (
-            access.binding().get(k),
-            schema.domain_of(access_relation, pos),
-        ) {
-            generic_extra.push((v.clone(), d));
-        }
-    }
 
-    for disjunct in query.ucq() {
-        if disjunct_witness(
-            query,
+    query.ucq().iter().any(|disjunct| {
+        search::find_witness(
             disjunct,
             conf,
-            access,
-            access_relation,
-            &input_positions,
-            generic_tuple.as_ref(),
-            &generic_extra,
+            Some(&initial),
+            &mut fresh.clone(),
             methods,
             budget,
-            &mut fresh.clone(),
-        ) {
-            return true;
-        }
-    }
-    false
-}
-
-#[allow(clippy::too_many_arguments)]
-fn disjunct_witness(
-    query: &Query,
-    disjunct: &ConjunctiveQuery,
-    conf: &Configuration,
-    access: &Access,
-    access_relation: RelationId,
-    input_positions: &[usize],
-    generic_tuple: Option<&Tuple>,
-    generic_extra: &[(Value, DomainId)],
-    methods: &AccessMethods,
-    budget: &SearchBudget,
-    fresh: &mut FreshSupply,
-) -> bool {
-    // The accessible-value pool over Adom(Conf) is constant across
-    // valuations; build it once (the pool records the membership, minimum
-    // and emptiness reads the planner actually performs, instead of a
-    // whole-active-domain read). Chain discovery is memoised by domain-set
-    // across valuations too.
-    let conf_pool = search::AdomPool::of(conf);
-    let mut chain_cache = search::ChainCache::new();
-
-    search::find_valuation(
-        disjunct,
-        conf,
-        generic_extra,
-        fresh,
-        budget.max_valuations,
-        |h, fresh| {
-            // Partition the disjunct's image.
-            let mut first_facts: Vec<(RelationId, Tuple)> = Vec::new();
-            let mut later_facts: Vec<(RelationId, Tuple)> = Vec::new();
-            for atom in disjunct.atoms() {
-                let tuple = atom.substitute(h).to_tuple()?;
-                if conf.contains(atom.relation(), &tuple) {
-                    continue;
-                }
-                let first_covered = atom.relation() == access_relation
-                    && tuple.matches_binding(input_positions, access.binding().values());
-                if first_covered {
-                    first_facts.push((atom.relation(), tuple));
-                } else {
-                    later_facts.push((atom.relation(), tuple));
-                }
-            }
-            first_facts.sort();
-            first_facts.dedup();
-            later_facts.sort();
-            later_facts.dedup();
-
-            // Values accessible once the initial access has returned:
-            // Adom(Conf) plus every value of the initial response (first
-            // facts + generic tuple).
-            let mut base = conf_pool.clone();
-            for (rel, tuple) in &first_facts {
-                search::absorb_fact(*rel, tuple, methods, &mut base);
-            }
-            if let Some(t) = generic_tuple {
-                search::absorb_fact(access_relation, t, methods, &mut base);
-            }
-            // The (value, domain) pairs only the initial response provides.
-            // Only the overlay can contain them — Adom(Conf) pairs never
-            // pass the filter — and each candidate is a recorded point probe.
-            let mut new_pairs: Vec<(Value, DomainId)> = base
-                .overlay()
-                .iter()
-                .filter(|(v, d)| !conf.adom_contains(v, *d))
-                .cloned()
-                .collect();
-            new_pairs.sort();
-
-            for alternative in 0..budget.max_chain_alternatives.max(1) {
-                let mut plan_fresh = fresh.clone();
-                let Some(plan) = search::plan_production(
-                    &later_facts,
-                    &base,
-                    methods,
-                    budget,
-                    &mut plan_fresh,
-                    alternative,
-                    &mut chain_cache,
-                ) else {
-                    if alternative == 0 {
-                        break;
+            |_, base| {
+                // The (value, domain) pairs only the initial response
+                // provides. Only the overlay can contain them — Adom(Conf)
+                // pairs never pass the filter — and each candidate is a
+                // recorded point probe.
+                let mut new_pairs: Vec<(Value, DomainId)> = base
+                    .overlay()
+                    .iter()
+                    .filter(|(v, d)| !conf.adom_contains(v, *d))
+                    .cloned()
+                    .collect();
+                new_pairs.sort();
+                move |plan: &search::FactPlan| {
+                    // Witness condition A: the truncation can be made to
+                    // collapse to Conf by inserting, right after the initial
+                    // access, an access that consumes a value only the
+                    // initial response provides. The query is not certain
+                    // at Conf (checked by the caller), so the certain
+                    // answers differ.
+                    if !new_pairs.is_empty() && break_access_exists(&new_pairs, conf, methods) {
+                        return Some(());
                     }
-                    continue;
-                };
-
-                // Witness condition A: the truncation can be made to collapse
-                // to Conf by inserting, right after the initial access, an
-                // access that consumes a value only the initial response
-                // provides.
-                if !new_pairs.is_empty() && break_access_exists(&new_pairs, &conf_pool, methods) {
-                    // The query is not certain at Conf (checked by the
-                    // caller), so the certain answers differ: witness found.
-                    return Some(());
+                    // Witness condition B: replay the planned accesses
+                    // without the initial one; the truncation keeps the
+                    // longest well-formed prefix. The query must be false on
+                    // what it reaches.
+                    let uncertain = replay_truncation_uncertain(query, conf, plan, methods);
+                    #[cfg(test)]
+                    tests::log_replay(plan, uncertain);
+                    uncertain.then_some(())
                 }
-
-                // Witness condition B: replay the planned accesses without
-                // the initial one; the truncation keeps the longest
-                // well-formed prefix. The query must be false on what it
-                // reaches.
-                let uncertain =
-                    replay_truncation_uncertain(query, conf, &conf_pool, &plan, methods);
-                #[cfg(test)]
-                tests::log_replay(&plan, uncertain);
-                if uncertain {
-                    return Some(());
-                }
-
-                if plan.aux_count == 0 {
-                    break;
-                }
-            }
-            None
-        },
-    )
-    .is_some()
+            },
+        )
+        .is_some()
+    })
 }
 
 /// Is there a dependent access method that could be called with one of the
@@ -380,11 +265,11 @@ fn disjunct_witness(
 /// collapse to the starting configuration.
 fn break_access_exists(
     new_pairs: &[(Value, DomainId)],
-    conf_pool: &search::AdomPool,
+    conf: &Configuration,
     methods: &AccessMethods,
 ) -> bool {
     let schema = methods.schema();
-    let mut pool = conf_pool.clone();
+    let mut pool = search::AdomPool::of(conf);
     for (v, d) in new_pairs {
         pool.insert(v.clone(), *d);
     }
@@ -419,48 +304,27 @@ fn break_access_exists(
 /// keeping the maximal well-formed prefix (the truncation semantics), and
 /// reports whether the query is *not* certain on the configuration reached.
 ///
-/// The replay reads `conf` and never writes it. `conf_pool` is the pool over
-/// `Adom(Conf)` alone: a step's dependent inputs must come from `Conf` or an
-/// earlier kept step, never from the initial response the truncation drops.
-/// Each step is checked in the order of [`Access::well_formed`] followed by
-/// [`accrel_access::Response::validate`] (binding arity, each dependent
-/// input, the response), so it makes the same active-domain probes; the
-/// first step that fails ends the truncation. The kept steps' facts are
-/// evaluated as an overlay on the store.
+/// The replay reads `conf` and never writes it. A step's dependent inputs
+/// must come from `Adom(Conf)` or an earlier kept step, never from the
+/// initial response the truncation drops; they are probed as the planner
+/// probes them ([`search::inputs_accessible`]), and the first step that
+/// fails ends the truncation. A planned fact holds its access's binding, so
+/// its response is always valid. The kept steps' facts are evaluated as an
+/// overlay on the store.
 fn replay_truncation_uncertain(
     query: &Query,
     conf: &Configuration,
-    conf_pool: &search::AdomPool,
     plan: &search::FactPlan,
     methods: &AccessMethods,
 ) -> bool {
-    let schema = methods.schema();
-    let mut pool = conf_pool.clone();
+    let mut pool = search::AdomPool::of(conf);
     let mut kept: Vec<(RelationId, Tuple)> = Vec::new();
-    for step in plan.to_path(methods).steps() {
-        let (access, response) = (&step.access, &step.response);
-        if access.check_arity(methods).is_err() {
+    for step in &plan.ordered {
+        if !search::inputs_accessible(step.method, &step.tuple, methods, &pool) {
             break;
         }
-        let Ok(m) = methods.get(access.method()) else {
-            break;
-        };
-        let inputs_accessible = m.mode() == AccessMode::Independent
-            || m.input_positions()
-                .iter()
-                .zip(access.binding().values())
-                .all(|(&pos, v)| {
-                    schema
-                        .domain_of(m.relation(), pos)
-                        .is_ok_and(|d| pool.contains(v, d))
-                });
-        if !inputs_accessible || response.validate(access, methods).is_err() {
-            break;
-        }
-        for tuple in response.tuples() {
-            search::absorb_fact(m.relation(), tuple, methods, &mut pool);
-            kept.push((m.relation(), tuple.clone()));
-        }
+        search::absorb_fact(step.relation, &step.tuple, methods, &mut pool);
+        kept.push((step.relation, step.tuple.clone()));
     }
     !query
         .ucq()
@@ -1130,7 +994,6 @@ mod tests {
         let (mut compared, mut cut, mut uncertain) = (0, 0, 0);
         for seed in 0..400 {
             let (methods, conf, queries) = random_world(seed, false);
-            let pool = search::AdomPool::of(&conf);
             for q in &queries {
                 for access in &well_formed_accesses(&conf, &methods, &options) {
                     let run = replays_during(|| {
@@ -1141,7 +1004,7 @@ mod tests {
                         let mut reversed = plan.clone();
                         reversed.ordered.reverse();
                         let reversed_verdict =
-                            replay_truncation_uncertain(q, &conf, &pool, &reversed, &methods);
+                            replay_truncation_uncertain(q, &conf, &reversed, &methods);
                         for (i, (plan, overlay)) in [(plan, verdict), (reversed, reversed_verdict)]
                             .into_iter()
                             .enumerate()
@@ -1229,20 +1092,15 @@ mod tests {
             methods.by_name("InitAll").unwrap(),
             binding(Vec::<&str>::new()),
         );
-        let pool = search::AdomPool::of(&conf);
         let fed = plan(&[("S", &["v"]), ("T", &["v", "w"])]);
-        assert!(!replay_truncation_uncertain(
-            &q, &conf, &pool, &fed, &methods
-        ));
+        assert!(!replay_truncation_uncertain(&q, &conf, &fed, &methods));
         assert_eq!(
             truncation_by_definition(&q, &conf, &initial, &fed, &methods),
             (false, 2)
         );
         // Without the feeding step, T(v, w)? is cut.
         let unfed = plan(&[("T", &["v", "w"])]);
-        assert!(replay_truncation_uncertain(
-            &q, &conf, &pool, &unfed, &methods
-        ));
+        assert!(replay_truncation_uncertain(&q, &conf, &unfed, &methods));
         assert_eq!(
             truncation_by_definition(&q, &conf, &initial, &unfed, &methods),
             (true, 0)
@@ -1264,7 +1122,6 @@ mod tests {
             methods.by_name("InitAll").unwrap(),
             binding(Vec::<&str>::new()),
         );
-        let pool = search::AdomPool::of(&conf);
         let blocked = plan(&[("T", &["v", "w"]), ("S", &["u"])]);
         // The whole path, initial response included, is well-formed.
         let mut path = AccessPath::new();
@@ -1276,18 +1133,14 @@ mod tests {
             path.push(step.access.clone(), step.response.clone());
         }
         assert!(path.is_well_formed_at(&conf, &methods));
-        assert!(replay_truncation_uncertain(
-            &q, &conf, &pool, &blocked, &methods
-        ));
+        assert!(replay_truncation_uncertain(&q, &conf, &blocked, &methods));
         assert_eq!(
             truncation_by_definition(&q, &conf, &initial, &blocked, &methods),
             (true, 0)
         );
         // S() → S(u) alone survives and makes Q hold.
         let open = plan(&[("S", &["u"])]);
-        assert!(!replay_truncation_uncertain(
-            &q, &conf, &pool, &open, &methods
-        ));
+        assert!(!replay_truncation_uncertain(&q, &conf, &open, &methods));
         assert_eq!(
             truncation_by_definition(&q, &conf, &initial, &open, &methods),
             (false, 1)

@@ -23,7 +23,12 @@
 //! * [`plan_production`] — given a set of needed facts and a set of already
 //!   accessible `(value, domain)` pairs, find an ordering, an access-method
 //!   assignment and auxiliary generator chains that produce all of them by
-//!   well-formed accesses, within a [`SearchBudget`].
+//!   well-formed accesses, within a [`SearchBudget`];
+//! * [`find_witness`] — Section 5's search for one disjunct, which both
+//!   containment and dependent long-term relevance run: the valuation walk,
+//!   the split of each image into the facts an initial access returns and
+//!   those later accesses must produce, and the producibility plans of the
+//!   later facts, each handed to the caller's witness check.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
@@ -559,8 +564,9 @@ impl FactPlan {
 }
 
 /// Is every input position of `method` satisfiable from `accessible` for the
-/// concrete `tuple`? Independent methods are always satisfiable.
-fn inputs_accessible(
+/// concrete `tuple`? Independent methods are always satisfiable. The
+/// dependent inputs are probed in input order, up to the first one missing.
+pub(crate) fn inputs_accessible(
     method_id: AccessMethodId,
     tuple: &Tuple,
     methods: &AccessMethods,
@@ -917,18 +923,132 @@ pub(crate) fn plan_production(
     Some(plan)
 }
 
-/// Convenience: turn a list of `(relation, tuple)` facts into a configuration
-/// extension of `conf` (ignoring facts that fail arity checks, which cannot
-/// happen for facts built from validated queries).
-pub(crate) fn extend_configuration(
-    conf: &Configuration,
-    facts: &[(RelationId, Tuple)],
-) -> Configuration {
-    let mut next = conf.clone();
-    for (rel, t) in facts {
-        let _ = next.insert(*rel, t.clone());
+/// The initial access of a dependent long-term relevance witness, as the
+/// witness search sees it: which image facts it returns itself, and which
+/// values its response makes accessible.
+pub(crate) struct InitialAccess<'a> {
+    /// The accessed relation.
+    pub relation: RelationId,
+    /// The input places of the accessed method.
+    pub inputs: &'a [usize],
+    /// The binding, one value per input place.
+    pub binding: &'a [Value],
+    /// The "generic" tuple the access may always return: the binding at the
+    /// input places and fresh values at the output places (`None` when the
+    /// method has no output place).
+    pub generic: Option<Tuple>,
+}
+
+impl InitialAccess<'_> {
+    /// Can the access return `tuple` of `relation`?
+    fn returns(&self, relation: RelationId, tuple: &Tuple) -> bool {
+        relation == self.relation && tuple.matches_binding(self.inputs, self.binding)
     }
-    next
+
+    /// The values the access offers a valuation: its binding (which an
+    /// independent method need not take from the configuration) and the
+    /// generic tuple, each with the domain of its place.
+    fn values(&self, methods: &AccessMethods) -> Vec<ExtraValue> {
+        let domain = |p: usize| methods.schema().domain_of(self.relation, p).ok();
+        let bound = self.inputs.iter().copied().zip(self.binding);
+        let generic = self.generic.iter().flat_map(|t| t.iter().enumerate());
+        bound
+            .chain(generic)
+            .filter_map(|(p, v)| Some((v.clone(), domain(p)?)))
+            .collect()
+    }
+}
+
+/// Section 5's witness search for one disjunct, shared by containment and
+/// dependent long-term relevance.
+///
+/// It walks the disjunct's valuations with [`find_valuation`] (over the
+/// active domain, the values `initial` offers and fresh nulls drawn from
+/// `fresh`). Each valuation's image, less the facts `conf` already holds,
+/// splits into the facts `initial` returns and the facts later accesses
+/// must produce; without an initial access, every fact is a later one. The
+/// base pool is `Adom(Conf)` plus every value of the returned facts and of
+/// the generic tuple. `check` sees the valuation and the base pool once,
+/// and returns the check for that valuation's plans. The plans are those of
+/// [`plan_production`] for the later facts from the base pool, one per
+/// chain alternative: the loop stops when alternative 0 has no plan, and
+/// after any plan with no auxiliary facts, since every alternative then
+/// plans alike. The first plan whose check returns a witness ends the walk.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn find_witness<P, T>(
+    disjunct: &ConjunctiveQuery,
+    conf: &Configuration,
+    initial: Option<&InitialAccess>,
+    fresh: &mut FreshSupply,
+    methods: &AccessMethods,
+    budget: &SearchBudget,
+    mut check: impl FnMut(&HashMap<VarId, Value>, &AdomPool) -> P,
+) -> Option<T>
+where
+    P: FnMut(&FactPlan) -> Option<T>,
+{
+    let extra = initial.map_or_else(Vec::new, |a| a.values(methods));
+    // Generator chains depend only on domain sets: plan them once per shape
+    // across every valuation of the disjunct.
+    let mut chain_cache = ChainCache::new();
+    find_valuation(
+        disjunct,
+        conf,
+        &extra,
+        fresh,
+        budget.max_valuations,
+        |h, fresh| {
+            let mut base = AdomPool::of(conf);
+            if let Some(InitialAccess {
+                relation,
+                generic: Some(generic),
+                ..
+            }) = initial
+            {
+                absorb_fact(*relation, generic, methods, &mut base);
+            }
+            let mut later = Vec::new();
+            for atom in disjunct.atoms() {
+                let (relation, tuple) = (atom.relation(), atom.substitute(h).to_tuple()?);
+                if conf.contains(relation, &tuple) {
+                    continue;
+                }
+                match initial {
+                    Some(a) if a.returns(relation, &tuple) => {
+                        absorb_fact(relation, &tuple, methods, &mut base)
+                    }
+                    _ => later.push((relation, tuple)),
+                }
+            }
+            later.sort();
+            later.dedup();
+            let mut check_plan = check(h, &base);
+            for alternative in 0..budget.max_chain_alternatives.max(1) {
+                let plan = plan_production(
+                    &later,
+                    &base,
+                    methods,
+                    budget,
+                    &mut fresh.clone(),
+                    alternative,
+                    &mut chain_cache,
+                );
+                match plan {
+                    None if alternative == 0 => break,
+                    None => continue,
+                    Some(plan) => {
+                        if let Some(witness) = check_plan(&plan) {
+                            return Some(witness);
+                        }
+                        if plan.aux_count == 0 {
+                            break;
+                        }
+                    }
+                }
+            }
+            None
+        },
+    )
 }
 
 #[cfg(test)]
@@ -1533,16 +1653,6 @@ mod tests {
             &mut ChainCache::new(),
         )
         .is_none());
-    }
-
-    #[test]
-    fn extend_configuration_adds_facts() {
-        let (schema, _) = two_domain_setup();
-        let s = schema.relation_by_name("S").unwrap();
-        let conf = Configuration::empty(schema);
-        let bigger = extend_configuration(&conf, &[(s, tuple(["x"]))]);
-        assert_eq!(bigger.len(), 1);
-        assert_eq!(conf.len(), 0);
     }
 
     #[test]

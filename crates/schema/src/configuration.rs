@@ -96,9 +96,7 @@ impl Configuration {
         self.store.shard_copies()
     }
 
-    /// Detaches every shard level still shared with other handles so this
-    /// configuration exclusively owns its storage (see
-    /// [`FactStore::own_all_shards`]).
+    /// Does nothing (see [`FactStore::own_all_shards`]).
     pub fn own_all_shards(&mut self) {
         self.store.own_all_shards()
     }
@@ -118,7 +116,7 @@ impl Configuration {
     /// Does nothing. Growth is read from the store's append-only logs
     /// through a [`crate::GrowthCursor`], so there is no event capture to
     /// switch on. Kept only because the benchmark package's traced replay
-    /// calls it (ROADMAP direction 4.2).
+    /// calls it (ROADMAP direction 3).
     pub fn set_event_capture(&mut self, _enabled: bool) {}
 
     /// Inserts a fact, checking arity.

@@ -162,11 +162,6 @@ impl ValueInterner {
     pub(crate) fn shares_base(&self, other: &ValueInterner) -> bool {
         self.levels.shares_base(&other.levels)
     }
-
-    /// Copies whichever level another handle still shares, uncounted.
-    pub(crate) fn own(&mut self) {
-        self.levels.own();
-    }
 }
 
 #[cfg(test)]

@@ -86,12 +86,6 @@ impl<T: Level> Layered<T> {
     pub(crate) fn shares_base(&self, other: &Self) -> bool {
         Arc::ptr_eq(&self.base, &other.base)
     }
-
-    /// Copies whichever level another handle still shares, uncounted.
-    pub(crate) fn own(&mut self) {
-        Arc::make_mut(&mut self.base);
-        Arc::make_mut(&mut self.tail);
-    }
 }
 
 /// The entries of an append-only log from some position to its end, in

@@ -933,22 +933,11 @@ impl FactStore {
         self.rec(|rs| rs.insert(Read::Adom));
     }
 
-    /// Detaches every shard level this handle still shares with other
-    /// clones — relation shards, the adom cache and the interner, base and
-    /// tail — so the handle exclusively owns its storage. Cost is one deep
-    /// copy of whatever was still shared (bounded by the current fact
-    /// count), paid now; an explicit detach is not a copy-on-write
-    /// divergence, so [`FactStore::shard_copies`] does not advance. The
-    /// engine does not call it: a run's first write into a snapshot copies
-    /// nothing. It stays only because the benchmark package's traced replay
-    /// calls it (ROADMAP direction 4.2).
-    pub fn own_all_shards(&mut self) {
-        for shard in &mut self.relations {
-            shard.own();
-        }
-        self.adom.own();
-        self.interner.own();
-    }
+    /// Does nothing. A handle never needs to own its storage up front: its
+    /// first write copies only the tail it grows, and a run's first write
+    /// into a snapshot copies nothing. Kept only because the benchmark
+    /// package's traced replay calls it (ROADMAP direction 3).
+    pub fn own_all_shards(&mut self) {}
 
     /// Whether `self` and `other` still share the base of `relation`'s
     /// shard: the rows they both read first.

@@ -999,13 +999,10 @@ where
         budget.max_valuations,
         |h, fresh| {
             let mut base = AdomPool::of(conf);
-            if let Some(InitialAccess {
-                relation,
-                generic: Some(generic),
-                ..
-            }) = initial
-            {
-                absorb_fact(*relation, generic, methods, &mut base);
+            if let Some(a) = initial {
+                if let Some(generic) = &a.generic {
+                    absorb_fact(a.relation, generic, methods, &mut base);
+                }
             }
             let mut later = Vec::new();
             for atom in disjunct.atoms() {

@@ -90,7 +90,7 @@ pub fn is_long_term_relevant(
 }
 
 /// The former name of [`is_long_term_relevant`], kept only because the
-/// benchmark package's traced replay still calls it (ROADMAP direction 4.2).
+/// benchmark package's traced replay still calls it (ROADMAP direction 3).
 pub use self::is_long_term_relevant as is_long_term_relevant_trailed;
 
 /// [`is_long_term_relevant`] for a Boolean `query` the caller knows is not

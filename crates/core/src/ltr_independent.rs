@@ -65,11 +65,13 @@ pub fn is_ltr_independent(
     is_ltr_independent_budgeted(query, conf, access, methods, &SearchBudget::default())
 }
 
-/// [`is_ltr_independent`] with an explicit budget: at most
-/// `budget.max_valuations` candidate valuations are explored per disjunct,
-/// making the procedure sound for "relevant" verdicts and complete relative
-/// to the budget (exactly like the dependent-access search) — which is what
-/// lets the data-complexity sweep run on 10⁴–10⁵-fact configurations.
+/// [`is_ltr_independent`] with an explicit budget: the ΣP2 walk checks at
+/// most `budget.max_valuations` leaves (full coverage assignments) per
+/// disjunct, which is what lets the data-complexity sweep run on
+/// 10⁴–10⁵-fact configurations. The procedure is sound for "relevant"
+/// verdicts, and complete when no leaf cap fires:
+/// `ltr_independent_agrees_with_a_brute_force_reference` in
+/// `tests/properties.rs` checks it against enumerating every valuation.
 pub fn is_ltr_independent_budgeted(
     query: &Query,
     conf: &Configuration,
@@ -139,9 +141,8 @@ fn disjunct_has_witness(
         charge: search::Charge<'a>,
         access_relation: RelationId,
         methods: &'a AccessMethods,
-        /// Leaves the budget still allows: the search is complete relative
-        /// to it (the same contract as the valuation cap of the dependent
-        /// procedures).
+        /// Leaves the budget still allows. The walk is complete unless this
+        /// cap turns a leaf away.
         leaves_left: usize,
         /// The atoms deferred to later accesses.
         later: Vec<usize>,

@@ -167,7 +167,7 @@ pub struct RunReport {
     pub shard_copies: u64,
     /// Always zero: no decision procedure writes the configuration, so
     /// there is nothing to undo. Kept only because the benchmark package
-    /// reads it (ROADMAP direction 4.2).
+    /// reads it (ROADMAP direction 3).
     pub trail_ops: TrailOps,
     /// The final configuration.
     pub final_configuration: Configuration,

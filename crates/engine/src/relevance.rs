@@ -600,7 +600,7 @@ impl<'a> RelevanceOracle<'a> {
     /// all of `relation`, the accessed method's output relation (a debug
     /// build checks it); that keeps the relation gate exact. It only reads
     /// `conf`, which is `&mut` because the benchmark package's traced
-    /// replay passes it so (ROADMAP direction 4.2).
+    /// replay passes it so (ROADMAP direction 3).
     pub fn observe_growth(&mut self, conf: &mut Configuration, relation: RelationId) {
         let Some(cursor) = &mut self.cursor else {
             return;
@@ -767,7 +767,7 @@ impl<'a> RelevanceOracle<'a> {
     }
 
     /// [`Self::select`] over a slice of candidates. The name is historical:
-    /// the benchmark package calls it (ROADMAP direction 4.2).
+    /// the benchmark package calls it (ROADMAP direction 3).
     pub fn select_trailed(
         &mut self,
         strategy: Strategy,

@@ -974,7 +974,6 @@ impl InitialAccess<'_> {
 /// chain alternative: the loop stops when alternative 0 has no plan, and
 /// after any plan with no auxiliary facts, since every alternative then
 /// plans alike. The first plan whose check returns a witness ends the walk.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn find_witness<P, T>(
     disjunct: &ConjunctiveQuery,
     conf: &Configuration,

@@ -38,13 +38,6 @@ pub enum AccessMode {
     Independent,
 }
 
-impl AccessMode {
-    /// `true` for [`AccessMode::Dependent`].
-    pub fn is_dependent(self) -> bool {
-        matches!(self, AccessMode::Dependent)
-    }
-}
-
 impl fmt::Display for AccessMode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -483,9 +476,7 @@ mod tests {
     }
 
     #[test]
-    fn mode_display_and_predicates() {
-        assert!(AccessMode::Dependent.is_dependent());
-        assert!(!AccessMode::Independent.is_dependent());
+    fn mode_and_method_id_display() {
         assert_eq!(AccessMode::Dependent.to_string(), "dependent");
         assert_eq!(AccessMode::Independent.to_string(), "independent");
         assert_eq!(AccessMethodId(2).to_string(), "acm#2");

@@ -65,13 +65,6 @@ impl AccessPath {
         self.steps.push(PathStep::new(access, response));
     }
 
-    /// Returns a copy with one more step appended.
-    pub fn with_step(&self, access: Access, response: Response) -> AccessPath {
-        let mut next = self.clone();
-        next.push(access, response);
-        next
-    }
-
     /// Applies the path starting at `conf`, checking at every step that the
     /// access is well-formed at the current configuration and that the
     /// response matches the binding. Returns the final configuration.
@@ -301,15 +294,14 @@ mod tests {
     }
 
     #[test]
-    fn with_step_and_display() {
+    fn push_and_display() {
         let (_, methods, _) = setup();
         let s_free = methods.by_name("SFree").unwrap();
-        let base = AccessPath::new();
-        let extended = base.with_step(
+        let mut extended = AccessPath::new();
+        extended.push(
             Access::new(s_free, binding(Vec::<&str>::new())),
             Response::new(vec![tuple(["v"])]),
         );
-        assert_eq!(base.len(), 0);
         assert_eq!(extended.len(), 1);
         assert!(extended.to_string().contains("acm#0"));
         assert!(extended.display_with(&methods).contains("SFree"));

@@ -135,29 +135,24 @@ impl FromIterator<Tuple> for Response {
 /// and appends the response to tails of its own. A write copies a tail
 /// only where `conf`'s holds entries (what `conf` grew beyond the bases it
 /// shares), never a base, so a step costs what the response adds plus at
-/// most that growth, not the size of the configuration.
+/// most that growth, not the size of the configuration. The checks run on
+/// that snapshot (same facts as `conf`), so a read recorder installed on
+/// `conf` records none of them.
 pub fn apply_access(
     conf: &Configuration,
     access: &Access,
     response: &Response,
     methods: &AccessMethods,
 ) -> Result<Configuration> {
-    access.well_formed(conf, methods)?;
-    response.validate(access, methods)?;
-    let m = methods.get(access.method())?;
     let mut next = conf.snapshot();
-    for t in response.tuples() {
-        next.insert(m.relation(), t.clone())
-            .map_err(AccessError::from)?;
-    }
+    apply_access_in_place(&mut next, access, response, methods)?;
     Ok(next)
 }
 
 /// The in-place variant of [`apply_access`]: grows `conf` itself instead of
-/// producing a successor snapshot, with identical well-formedness and
-/// validation semantics. The engine's run loop, which owns its working
-/// configuration, commits each response this way; callers that need the
-/// predecessor as well keep using [`apply_access`].
+/// producing a successor snapshot. The engine's run loop, which owns its
+/// working configuration, commits each response this way; callers that need
+/// the predecessor as well keep using [`apply_access`].
 pub fn apply_access_in_place(
     conf: &mut Configuration,
     access: &Access,

@@ -17,10 +17,10 @@
 //! ```
 //!
 //! With `--million` only the million-fact sweeps run (the E5
-//! data-complexity point and the F1 federation sweep at 10⁶ facts), written
-//! as JSON to `BENCH_million.json` by default — the basis of the
-//! non-blocking `million_fact` CI job, which diffs the output against the
-//! committed `BENCH_million_baseline.json`.
+//! data-complexity point, the S1 store table and the F1–F4 federation
+//! sweeps at 10⁶ facts), written as JSON to `BENCH_million.json` by
+//! default — the basis of the non-blocking `million_fact` CI job, which
+//! diffs the output against the committed `BENCH_million_baseline.json`.
 
 use std::process::ExitCode;
 
@@ -56,7 +56,7 @@ fn main() -> ExitCode {
                 );
                 println!();
                 println!("  --smoke       run every experiment at its smallest sizes, write JSON");
-                println!("  --million     run only the 10^6-fact E5/F1 sweeps and write JSON");
+                println!("  --million     run only E5, S1 and F1-F4 at 10^6 facts, write JSON");
                 println!("  --check-invalidation");
                 println!("                assert the invalidation savings hold: exact read-set");
                 println!("                invalidation re-runs strictly fewer decision procedures");

@@ -106,7 +106,7 @@ pub struct RunReport {
     /// The certain answers at the end of the run (the empty tuple for a
     /// certain Boolean query).
     pub answers: Vec<Tuple>,
-    /// Number of accesses executed.
+    /// Number of accesses executed: the length of `access_sequence`.
     pub accesses_made: usize,
     /// Number of candidate accesses that the relevance check rejected.
     pub accesses_skipped: usize,

@@ -106,7 +106,6 @@ pub struct MergeLoop<'q> {
     methods: &'q AccessMethods,
     conf: Configuration,
     copies_before: u64,
-    accesses_made: usize,
     accesses_skipped: usize,
     tuples_retrieved: usize,
     rounds: usize,
@@ -170,7 +169,6 @@ impl<'q> MergeLoop<'q> {
             methods,
             conf,
             copies_before,
-            accesses_made: 0,
             accesses_skipped: 0,
             tuples_retrieved: 0,
             rounds: 0,
@@ -225,7 +223,7 @@ impl<'q> MergeLoop<'q> {
             {
                 return MergeStep::Done;
             }
-            if self.accesses_made >= self.options.max_accesses {
+            if self.access_sequence.len() >= self.options.max_accesses {
                 return MergeStep::Done;
             }
             let fresh = self.frontier.refresh(&self.conf, self.methods);
@@ -252,7 +250,7 @@ impl<'q> MergeLoop<'q> {
                 let allowance = self
                     .options
                     .max_accesses
-                    .saturating_sub(self.accesses_made)
+                    .saturating_sub(self.access_sequence.len())
                     .max(1);
                 let batch = self.predict_batch(&access, allowance);
                 self.batch_stats.batches += 1;
@@ -293,7 +291,6 @@ impl<'q> MergeLoop<'q> {
             Fetch::Unfetched => unreachable!("selected access was fetched by the driver"),
         };
         self.tuples_retrieved += response.len();
-        self.accesses_made += 1;
         self.access_sequence.push(access.clone());
         let before = self.conf.len();
         // The loop owns its configuration, so responses grow it in place —
@@ -329,7 +326,7 @@ impl<'q> MergeLoop<'q> {
             strategy: self.strategy,
             certain,
             answers,
-            accesses_made: self.accesses_made,
+            accesses_made: self.access_sequence.len(),
             accesses_skipped: self.accesses_skipped,
             tuples_retrieved: self.tuples_retrieved,
             rounds: self.rounds,
@@ -614,7 +611,7 @@ mod tests {
                 relevant
             }
         };
-        let allowance = merge.options.max_accesses - merge.accesses_made;
+        let allowance = merge.options.max_accesses - merge.access_sequence.len();
         let limit = merge.options.batch_size.min(allowance).max(1);
         ranked.truncate(limit - 1);
         std::iter::once(first.clone())
@@ -691,7 +688,7 @@ mod tests {
             };
             let report = drive(merge, &source, |merge, batch| {
                 let before = oracle_state(merge);
-                let allowance = merge.options.max_accesses - merge.accesses_made;
+                let allowance = merge.options.max_accesses - merge.access_sequence.len();
                 assert_eq!(merge.predict_batch(&batch[0], allowance), batch);
                 assert_eq!(oracle_state(merge), before, "strategy={strategy:?}");
             });

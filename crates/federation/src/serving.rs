@@ -16,13 +16,13 @@
 //!   the [`Access`] itself: when a session wants an access that another
 //!   session's wire call is already fetching, it *joins* that call and
 //!   shares its response instead of dialing the source again. A joiner
-//!   keeps one waker on the shared call, however often it is polled. A
-//!   session's report counts every call it asked for in its `source_stats`
-//!   (calls, failures, tuples), and its [`SessionStats`] split them into
-//!   led and joined calls and attribute shared calls fractionally
-//!   (`fractional_calls` sums `1/participants` per call). The serve's
-//!   [`BackendStats`] — in total and per source, chaos counters included —
-//!   count each wire call exactly once, and the two views balance.
+//!   keeps one waker on the shared call, however often it is polled. The
+//!   table counts each wire call and each joined call once. A session's
+//!   report counts every call it asked for in its `source_stats` (calls,
+//!   failures, tuples), while the serve's [`BackendStats`] — in total and
+//!   per source, chaos counters included — count each wire call exactly
+//!   once, and the two views balance: wire plus joined calls are the calls
+//!   the sessions asked for.
 //! * **Cross-session verdict sharing** — sessions attach the registry's
 //!   [`SharedVerdictCache`] to their relevance oracles, so a verdict
 //!   computed by one session (or a *previous* `serve` call on the same
@@ -87,24 +87,15 @@ impl Default for ServingOptions {
     }
 }
 
-/// How the serving layer shared a session's calls with other sessions, and
-/// how long the session took. (What the calls returned is counted in the
-/// session report's `source_stats`.)
+/// How long a session took on the serve's virtual clock. (The calls it
+/// asked for are counted in the session report's `source_stats`.)
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SessionStats {
-    /// Calls this session dialed a source for (it was the *leader*).
-    pub led_calls: usize,
-    /// Calls this session shared with another session's wire call.
-    pub joined_calls: usize,
-    /// Fair-share attribution: each call contributes `1/participants`, so
-    /// summing over sessions reproduces the wire-call count.
-    pub fractional_calls: f64,
     /// Virtual time from admission to completion, in microseconds.
     pub latency_micros: u64,
 }
 
-/// One session's outcome: the familiar engine report plus the serving
-/// layer's traffic attribution.
+/// One session's outcome: the familiar engine report plus its latency.
 #[derive(Debug)]
 pub struct SessionReport {
     /// Index of the session's request in the `serve` slice.
@@ -114,7 +105,7 @@ pub struct SessionReport {
     /// calls, failures and tuples the session asked for: joined calls count
     /// as calls here, but only once in the serve's aggregate.
     pub report: RunReport,
-    /// The session's serving-layer traffic.
+    /// The session's serving-layer latency.
     pub stats: SessionStats,
 }
 
@@ -148,12 +139,13 @@ impl ServingReport {
         self.sessions.iter().map(|s| s.report.accesses_made).sum()
     }
 
-    /// Sum of per-session call counts (the traffic the sessions *asked*
-    /// for; compare with `wire_calls` for what actually hit the sources).
+    /// Sum of per-session call counts, successful or failed (the traffic
+    /// the sessions *asked* for; compare with `wire_calls` for what actually
+    /// hit the sources). Equals `wire_calls + joined_calls`.
     pub fn session_calls(&self) -> usize {
         self.sessions
             .iter()
-            .map(|s| s.stats.led_calls + s.stats.joined_calls)
+            .map(|s| s.report.source_stats.calls + s.report.source_stats.failures)
             .sum()
     }
 
@@ -234,7 +226,6 @@ impl<'a> QuerySessionRegistry<'a> {
     /// (FIFO) up to `max_sessions` at a time; each session's merge loop
     /// yields between batches, so admitted sessions interleave round-robin.
     pub fn serve(&self, requests: &[RunRequest], initial: &Configuration) -> ServingReport {
-        let stats_before = self.federation.stats();
         let per_source_before = self.federation.per_source_stats();
         let clock = self.federation.clock().clone();
         let start = clock.now_micros();
@@ -257,7 +248,6 @@ impl<'a> QuerySessionRegistry<'a> {
             handles.push(exec.spawn(async move {
                 let _admission = session_gate.acquire().await;
                 let admitted = clock.now_micros();
-                let mut stats = SessionStats::default();
                 let mut traffic = BackendStats::default();
                 let mut merge = MergeLoop::new(
                     &request.query,
@@ -268,21 +258,16 @@ impl<'a> QuerySessionRegistry<'a> {
                 )
                 .with_shared_cache(class, verdicts);
                 while let MergeStep::Fetch(batch) = merge.step() {
-                    let responses = fetch_deduped(
-                        federation,
-                        &access_gate,
-                        &dedup,
-                        &batch,
-                        &mut stats,
-                        &mut traffic,
-                    )
-                    .await;
+                    let responses =
+                        fetch_deduped(federation, &access_gate, &dedup, &batch, &mut traffic).await;
                     merge.supply(batch, responses);
                     // Round-robin fairness point: let every other
                     // admitted session progress one batch.
                     yield_now().await;
                 }
-                stats.latency_micros = clock.now_micros() - admitted;
+                let stats = SessionStats {
+                    latency_micros: clock.now_micros() - admitted,
+                };
                 let mut report = merge.into_report();
                 report.source_stats = traffic;
                 SessionReport {
@@ -299,13 +284,9 @@ impl<'a> QuerySessionRegistry<'a> {
             .into_iter()
             .map(|h| h.take().expect("session ran to completion"))
             .collect();
-        let wire_calls: usize = sessions.iter().map(|s| s.stats.led_calls).sum();
-        let joined_calls: usize = sessions.iter().map(|s| s.stats.joined_calls).sum();
         let table = dedup.borrow();
-        debug_assert_eq!(table.wire_calls, wire_calls);
-        debug_assert_eq!(table.joined_calls, joined_calls);
         debug_assert!(table.in_flight.is_empty(), "in-flight table drained");
-        let per_source = self
+        let per_source: Vec<(String, BackendStats)> = self
             .federation
             .per_source_stats()
             .into_iter()
@@ -314,10 +295,12 @@ impl<'a> QuerySessionRegistry<'a> {
             .collect();
         ServingReport {
             sessions,
-            aggregate: self.federation.stats().since(&stats_before),
+            aggregate: per_source
+                .iter()
+                .fold(BackendStats::default(), |acc, (_, s)| acc.merged(s)),
             per_source,
-            wire_calls,
-            joined_calls,
+            wire_calls: table.wire_calls,
+            joined_calls: table.joined_calls,
             makespan_micros: clock.now_micros() - start,
         }
     }
@@ -409,26 +392,12 @@ fn verdict_class(base: &DefaultHasher, request: &RunRequest) -> u64 {
 // ---------------------------------------------------------------------------
 
 /// One wire call being shared: the leader fills `result` and wakes the
-/// joiners; `final_share` is the participant count at completion (what each
-/// participant's fractional attribution divides by).
-#[derive(Debug)]
+/// joiners.
+#[derive(Debug, Default)]
 struct InFlightCall {
     result: Option<Result<Response, SourceError>>,
-    participants: usize,
-    final_share: usize,
     /// One waker per joiner, in join order.
     wakers: Vec<Waker>,
-}
-
-impl InFlightCall {
-    fn new() -> Self {
-        Self {
-            result: None,
-            participants: 1,
-            final_share: 1,
-            wakers: Vec::new(),
-        }
-    }
 }
 
 /// The in-flight table: access → shared call. Single-threaded (the
@@ -472,13 +441,6 @@ impl Future for WaitShared {
     }
 }
 
-/// How one call of a batch was served.
-struct CallAttribution {
-    led: bool,
-    /// Number of sessions that shared the wire call (1 when unshared).
-    participants: usize,
-}
-
 /// Serves one access: joins an identical in-flight wire call if the dedup
 /// table has one, otherwise leads a new wire call (capped by `gate`) and
 /// publishes its response to late joiners.
@@ -487,17 +449,16 @@ async fn shared_call(
     gate: &Semaphore,
     table: &RefCell<DedupTable>,
     access: &Access,
-) -> (Result<Response, SourceError>, CallAttribution) {
+) -> Result<Response, SourceError> {
     // Decide the role synchronously (no await points), so the table state
     // observed here cannot change under us.
     let (entry, led) = {
         let mut t = table.borrow_mut();
         if let Some(entry) = t.in_flight.get(access).cloned() {
-            entry.borrow_mut().participants += 1;
             t.joined_calls += 1;
             (entry, false)
         } else {
-            let entry = Rc::new(RefCell::new(InFlightCall::new()));
+            let entry = Rc::new(RefCell::new(InFlightCall::default()));
             t.in_flight.insert(access.clone(), Rc::clone(&entry));
             t.wire_calls += 1;
             (entry, true)
@@ -505,81 +466,51 @@ async fn shared_call(
     };
 
     if !led {
-        let result = WaitShared {
-            entry: Rc::clone(&entry),
-            slot: None,
-        }
-        .await;
-        let participants = entry.borrow().final_share;
-        return (
-            result,
-            CallAttribution {
-                led: false,
-                participants,
-            },
-        );
+        return WaitShared { entry, slot: None }.await;
     }
     let result = {
         let _permit = gate.acquire().await;
         federation.call(access.clone()).await
     };
-    let participants = {
+    {
         let mut call = entry.borrow_mut();
-        call.final_share = call.participants;
         call.result = Some(result.clone());
         for waker in call.wakers.drain(..) {
             waker.wake();
         }
-        call.final_share
-    };
+    }
     // The response is published: a later identical access leads a fresh
     // call.
     let removed = table.borrow_mut().in_flight.remove(access);
     debug_assert!(removed.is_some_and(|e| Rc::ptr_eq(&e, &entry)));
-    (
-        result,
-        CallAttribution {
-            led: true,
-            participants,
-        },
-    )
+    result
 }
 
 /// Fetches a session's predicted batch through the dedup table, all calls
-/// of the batch concurrently in flight, and folds the sharing into the
-/// session's `stats` and what the calls returned into its `traffic`.
-/// Responses are aligned with the batch slice.
+/// of the batch concurrently in flight, and folds what the calls returned
+/// into the session's `traffic`. Responses are aligned with the batch
+/// slice.
 async fn fetch_deduped(
     federation: &AsyncFederation,
     gate: &Semaphore,
     dedup: &RefCell<DedupTable>,
     batch: &[Access],
-    stats: &mut SessionStats,
     traffic: &mut BackendStats,
 ) -> Vec<Result<Response, SourceError>> {
-    type CallFuture<'f> =
-        Pin<Box<dyn Future<Output = (Result<Response, SourceError>, CallAttribution)> + 'f>>;
+    type CallFuture<'f> = Pin<Box<dyn Future<Output = Result<Response, SourceError>> + 'f>>;
     let calls: Vec<CallFuture<'_>> = batch
         .iter()
         .map(|access| Box::pin(shared_call(federation, gate, dedup, access)) as CallFuture<'_>)
         .collect();
-    let outcomes = JoinAll::new(calls).await;
-    let mut responses = Vec::with_capacity(outcomes.len());
-    for (result, attribution) in outcomes {
-        if attribution.led {
-            stats.led_calls += 1;
-        } else {
-            stats.joined_calls += 1;
-        }
-        stats.fractional_calls += 1.0 / attribution.participants as f64;
-        match &result {
+    let responses = JoinAll::new(calls).await;
+    for result in &responses {
+        match result {
             Ok(response) => {
                 traffic.calls += 1;
                 traffic.tuples_returned += response.len();
             }
             Err(_) => traffic.failures += 1,
         }
-        responses.push(result);
     }
     responses
 }
@@ -787,13 +718,6 @@ mod tests {
         assert!(report.joined_calls > 0);
         assert!(report.wire_calls < report.session_calls());
         assert_eq!(report.aggregate.calls, report.wire_calls);
-        // Fractional attribution sums back to the wire-call count.
-        let fractional: f64 = report
-            .sessions
-            .iter()
-            .map(|s| s.stats.fractional_calls)
-            .sum();
-        assert!((fractional - report.wire_calls as f64).abs() < 1e-6);
         // Per-session latency percentiles are ordered and within makespan.
         assert!(report.latency_percentile(0.5) <= report.latency_percentile(0.95));
         assert!(report.latency_percentile(0.95) <= report.makespan_micros);
@@ -918,7 +842,7 @@ mod tests {
 
     #[test]
     fn a_joiner_polled_many_times_holds_one_waker() {
-        let entry = Rc::new(RefCell::new(InFlightCall::new()));
+        let entry = Rc::new(RefCell::new(InFlightCall::default()));
         let mut joiner = Box::pin(WaitShared {
             entry: Rc::clone(&entry),
             slot: None,

@@ -123,15 +123,6 @@ impl Atom {
         self.terms.iter().filter_map(Term::as_var).collect()
     }
 
-    /// The variables in positional order (with repetitions).
-    pub fn variable_occurrences(&self) -> Vec<(usize, VarId)> {
-        self.terms
-            .iter()
-            .enumerate()
-            .filter_map(|(i, t)| t.as_var().map(|v| (i, v)))
-            .collect()
-    }
-
     /// The constants occurring in the atom.
     pub fn constants(&self) -> HashSet<Value> {
         self.terms
@@ -253,10 +244,6 @@ mod tests {
         assert_eq!(a.constants(), [Value::sym("c")].into_iter().collect());
         assert!(!a.is_ground());
         assert_eq!(a.to_tuple(), None);
-        assert_eq!(
-            a.variable_occurrences(),
-            vec![(0, VarId(0)), (2, VarId(1)), (3, VarId(0))]
-        );
         assert_eq!(a.term_at(1), Some(&Term::Const(Value::sym("c"))));
         assert_eq!(a.term_at(9), None);
     }

@@ -12,7 +12,6 @@ use accrel_schema::{FactStore, FreshSupply, Tuple, Value};
 
 use crate::atom::{Term, VarId};
 use crate::cq::ConjunctiveQuery;
-use crate::eval::Valuation;
 
 /// The result of freezing a conjunctive query.
 #[derive(Debug, Clone)]
@@ -24,18 +23,6 @@ pub struct CanonicalDatabase {
     /// The frozen head tuple (projection of the assignment onto the free
     /// variables).
     pub head: Tuple,
-}
-
-impl CanonicalDatabase {
-    /// The frozen-head valuation, usable to seed homomorphism searches.
-    pub fn head_valuation(&self, free_vars: &[VarId]) -> Valuation {
-        Valuation::from_pairs(
-            free_vars
-                .iter()
-                .zip(self.head.iter())
-                .map(|(v, val)| (*v, val.clone())),
-        )
-    }
 }
 
 /// Freezes `query` into its canonical database.
@@ -132,9 +119,6 @@ mod tests {
         assert_eq!(canon.head.arity(), 2);
         assert_eq!(canon.head.get(0), canon.assignment.get(&y));
         assert_eq!(canon.head.get(1), canon.assignment.get(&x));
-        let val = canon.head_valuation(q.free_vars());
-        assert_eq!(val.get(x), canon.assignment.get(&x));
-        assert_eq!(val.get(y), canon.assignment.get(&y));
     }
 
     #[test]

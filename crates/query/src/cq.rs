@@ -83,11 +83,6 @@ impl ConjunctiveQuery {
         self.free_vars.is_empty()
     }
 
-    /// The output arity of the query.
-    pub fn output_arity(&self) -> usize {
-        self.free_vars.len()
-    }
-
     /// All variables occurring in the atoms.
     pub fn variables(&self) -> HashSet<VarId> {
         self.atoms.iter().flat_map(|a| a.variables()).collect()
@@ -216,39 +211,6 @@ impl ConjunctiveQuery {
         }
     }
 
-    /// Returns a new query with one extra atom appended.
-    pub fn with_atom(&self, atom: Atom) -> ConjunctiveQuery {
-        let mut atoms = self.atoms.clone();
-        atoms.push(atom);
-        ConjunctiveQuery {
-            schema: self.schema.clone(),
-            atoms,
-            free_vars: self.free_vars.clone(),
-            var_names: self.var_names.clone(),
-        }
-    }
-
-    /// Conjoins `self` with `other` (same schema), renaming `other`'s
-    /// variables so they do not clash with `self`'s. The result is Boolean.
-    pub fn conjoin_disjoint(&self, other: &ConjunctiveQuery) -> ConjunctiveQuery {
-        let offset = self.var_names.len() as u32;
-        let mut var_names = self.var_names.clone();
-        for name in &other.var_names {
-            var_names.push(format!("{name}'"));
-        }
-        let renaming: HashMap<VarId, VarId> = (0..other.var_names.len() as u32)
-            .map(|i| (VarId(i), VarId(i + offset)))
-            .collect();
-        let mut atoms = self.atoms.clone();
-        atoms.extend(other.atoms.iter().map(|a| a.rename_vars(&renaming)));
-        ConjunctiveQuery {
-            schema: self.schema.clone(),
-            atoms,
-            free_vars: Vec::new(),
-            var_names,
-        }
-    }
-
     /// The "subgoal graph" `G(Q)` used by Proposition 4.3: vertices are atom
     /// indices, edges connect atoms sharing a variable. Returns, for each
     /// atom, the list of connected-component member indices of its component.
@@ -281,11 +243,6 @@ impl ConjunctiveQuery {
         let mut out: Vec<Vec<usize>> = comps.into_values().collect();
         out.sort();
         out
-    }
-
-    /// `true` when the query's subgoal graph is connected (or has ≤ 1 atom).
-    pub fn is_connected(&self) -> bool {
-        self.connected_components().len() <= 1
     }
 }
 
@@ -380,21 +337,6 @@ impl CqBuilder {
     pub fn atom_id(&mut self, relation: RelationId, terms: Vec<Term>) -> &mut Self {
         self.atoms.push(Atom::new(relation, terms));
         self
-    }
-
-    /// Shorthand: adds an atom whose terms are all fresh/named variables.
-    pub fn atom_vars(
-        &mut self,
-        relation: &str,
-        var_names: &[&str],
-    ) -> Result<&mut Self, SchemaError> {
-        let terms: Vec<Term> = var_names.iter().map(|n| Term::Var(self.var(*n))).collect();
-        self.atom(relation, terms)
-    }
-
-    /// The number of atoms added so far.
-    pub fn atom_count(&self) -> usize {
-        self.atoms.len()
     }
 
     /// Finalises the query.
@@ -496,7 +438,6 @@ mod tests {
         assert_eq!(q.occurrences_of(s.relation_by_name("Employee").unwrap()), 1);
         assert!(q.constants().contains(&Value::sym("Illinois")));
         assert!(q.validate().is_ok());
-        assert_eq!(q.output_arity(), 0);
     }
 
     #[test]
@@ -565,7 +506,6 @@ mod tests {
         qb.free(&[x]);
         let q = qb.build();
         assert!(!q.is_boolean());
-        assert_eq!(q.output_arity(), 1);
         let mut m = HashMap::new();
         m.insert(x, Value::sym("Illinois"));
         let subst = q.substitute(&m);
@@ -607,26 +547,16 @@ mod tests {
         // Employee–Office share `o`; Approval is ground (its own component).
         let comps = q.connected_components();
         assert_eq!(comps.len(), 2);
-        assert!(!q.is_connected());
         let sizes: Vec<usize> = comps.iter().map(Vec::len).collect();
         assert!(sizes.contains(&2));
         assert!(sizes.contains(&1));
     }
 
     #[test]
-    fn restrict_with_and_conjoin() {
-        let s = schema();
-        let q = bank_query(s.clone());
+    fn restrict_to_atoms_keeps_the_chosen_atoms() {
+        let q = bank_query(schema());
         let restricted = q.restrict_to_atoms(&[0, 2]);
         assert_eq!(restricted.atoms().len(), 2);
-        let extended = q.with_atom(q.atoms()[0].clone());
-        assert_eq!(extended.atoms().len(), 4);
-        let conjoined = q.conjoin_disjoint(&q);
-        assert_eq!(conjoined.atoms().len(), 6);
-        assert_eq!(conjoined.var_count(), 12);
-        assert!(conjoined.validate().is_ok());
-        // Renamed variables do not collide
-        assert_eq!(conjoined.variables().len(), 12);
     }
 
     #[test]
@@ -636,8 +566,9 @@ mod tests {
         let x1 = qb.var("x");
         let x2 = qb.var("x");
         assert_eq!(x1, x2);
-        qb.atom_vars("Approval", &["x", "y"]).unwrap();
-        assert_eq!(qb.atom_count(), 1);
+        let y = qb.var("y");
+        qb.atom("Approval", vec![Term::Var(x1), Term::Var(y)])
+            .unwrap();
         let q = qb.build();
         let shown = q.to_string();
         assert!(shown.contains("Approval(x, y)"));
@@ -651,7 +582,6 @@ mod tests {
         let s = schema();
         let q = ConjunctiveQuery::new(s, vec![], vec![], vec![]);
         assert_eq!(q.to_string(), "Q() :- true");
-        assert!(q.is_connected());
         assert_eq!(q.connected_components().len(), 0);
     }
 

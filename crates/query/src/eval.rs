@@ -716,24 +716,6 @@ pub fn find_homomorphism_with_extra(
     found
 }
 
-/// Enumerates homomorphisms of `atoms` into `store` extending `partial`,
-/// stopping after `limit` results (use `usize::MAX` for all).
-pub fn all_homomorphisms(
-    atoms: &[Atom],
-    store: &FactStore,
-    partial: &Valuation,
-    limit: usize,
-) -> Vec<Valuation> {
-    let mut out = Vec::new();
-    if limit > 0 {
-        Join::new(atoms, store, &[], partial).search(&mut |join| {
-            out.push(join.valuation());
-            out.len() >= limit
-        });
-    }
-    out
-}
-
 /// Evaluates a Boolean conjunctive query over a fact store.
 ///
 /// For non-Boolean queries this still returns "is the existential closure
@@ -887,22 +869,6 @@ mod tests {
         let q = qb.build();
         let answers = answers_cq(&q, &store);
         assert_eq!(answers, vec![tuple(["1"]), tuple(["2"]), tuple(["3"])]);
-    }
-
-    #[test]
-    fn all_homomorphisms_respects_limit() {
-        let (schema, store) = setup();
-        let r = schema.relation_by_name("R").unwrap();
-        let atom = Atom::new(r, vec![Term::Var(VarId(0)), Term::Var(VarId(1))]);
-        let all = all_homomorphisms(
-            std::slice::from_ref(&atom),
-            &store,
-            &Valuation::new(),
-            usize::MAX,
-        );
-        assert_eq!(all.len(), 3);
-        let limited = all_homomorphisms(&[atom], &store, &Valuation::new(), 2);
-        assert_eq!(limited.len(), 2);
     }
 
     #[test]

@@ -96,14 +96,6 @@ impl Query {
             Query::Pq(q) => q.validate(),
         }
     }
-
-    /// Views the query as a positive query (CQs are wrapped).
-    pub fn as_positive(&self) -> PositiveQuery {
-        match self {
-            Query::Cq(q) => PositiveQuery::from_cq(q),
-            Query::Pq(q) => q.clone(),
-        }
-    }
 }
 
 impl From<ConjunctiveQuery> for Query {
@@ -154,7 +146,6 @@ mod tests {
         assert_eq!(q.relations().len(), 1);
         assert!(q.validate().is_ok());
         assert!(q.to_string().contains("R(x)"));
-        assert_eq!(q.as_positive().size(), 1);
         assert!(q.constants().is_empty());
     }
 
@@ -171,6 +162,5 @@ mod tests {
         assert_eq!(q.size(), 2);
         assert!(q.constants().contains(&Value::sym("c")));
         assert_eq!(q.schema().relation_count(), 2);
-        assert_eq!(q.as_positive().to_ucq().len(), 2);
     }
 }

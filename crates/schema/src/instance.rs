@@ -98,11 +98,6 @@ impl Instance {
         self.store.matching(relation, positions, binding)
     }
 
-    /// The empty configuration over the same schema.
-    pub fn empty_configuration(&self) -> Configuration {
-        Configuration::empty(self.schema().clone())
-    }
-
     /// The configuration containing every fact of the instance (total view).
     ///
     /// O(relations): the returned configuration shares the instance's
@@ -164,19 +159,18 @@ mod tests {
     fn configurations_from_instance() {
         let mut i = Instance::new(schema());
         i.insert_named("R", ["1", "2"]).unwrap();
-        let empty = i.empty_configuration();
+        let empty = Configuration::empty(i.schema().clone());
         let full = i.full_configuration();
         assert!(i.is_consistent(&empty));
         assert!(i.is_consistent(&full));
         assert_eq!(full.len(), 1);
-        assert_eq!(empty.len(), 0);
     }
 
     #[test]
     fn inconsistent_configuration_detected() {
         let mut i = Instance::new(schema());
         i.insert_named("R", ["1", "2"]).unwrap();
-        let mut conf = i.empty_configuration();
+        let mut conf = Configuration::empty(i.schema().clone());
         conf.insert_named("R", ["9", "9"]).unwrap();
         assert!(!i.is_consistent(&conf));
     }

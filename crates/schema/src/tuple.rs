@@ -88,16 +88,6 @@ impl Tuple {
                 .zip(binding)
                 .all(|(&p, b)| self.values.get(p) == Some(b))
     }
-
-    /// Returns `true` if any component of the tuple is a fresh (null) value.
-    pub fn has_fresh(&self) -> bool {
-        self.values.iter().any(Value::is_fresh)
-    }
-
-    /// Returns a new tuple where every value is replaced through `f`.
-    pub fn map_values(&self, f: impl FnMut(&Value) -> Value) -> Tuple {
-        Tuple::new(self.values.iter().map(f).collect())
-    }
 }
 
 impl fmt::Debug for Tuple {
@@ -197,21 +187,6 @@ mod tests {
         assert!(tup.matches_binding(&[], &[]));
         // out-of-range position never matches
         assert!(!tup.matches_binding(&[7], &[Value::sym("a")]));
-    }
-
-    #[test]
-    fn fresh_detection_and_mapping() {
-        let tup = Tuple::new(vec![Value::sym("a"), Value::fresh(1)]);
-        assert!(tup.has_fresh());
-        assert!(!t(&["a"]).has_fresh());
-        let mapped = tup.map_values(|v| {
-            if v.is_fresh() {
-                Value::sym("subst")
-            } else {
-                v.clone()
-            }
-        });
-        assert_eq!(mapped, t(&["a", "subst"]));
     }
 
     #[test]

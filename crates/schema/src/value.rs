@@ -54,14 +54,6 @@ impl Value {
         !self.is_fresh()
     }
 
-    /// Returns the symbolic content when the value is a [`Value::Sym`].
-    pub fn as_sym(&self) -> Option<&str> {
-        match self {
-            Value::Sym(s) => Some(s),
-            _ => None,
-        }
-    }
-
     /// Returns the integer content when the value is a [`Value::Int`].
     pub fn as_int(&self) -> Option<i64> {
         match self {
@@ -207,7 +199,6 @@ mod tests {
 
     #[test]
     fn accessors() {
-        assert_eq!(Value::sym("a").as_sym(), Some("a"));
         assert_eq!(Value::sym("a").as_int(), None);
         assert_eq!(Value::int(4).as_int(), Some(4));
         assert_eq!(Value::fresh(9).as_fresh(), Some(9));

@@ -274,17 +274,46 @@ fn dedup_strictly_reduces_aggregate_backend_traffic() {
     );
     assert!(report.joined_calls > 0, "overlapping sessions must share");
     assert_eq!(report.aggregate.calls, report.wire_calls);
-    // The fractional attribution re-partitions the wire calls exactly.
-    let fractional: f64 = report
-        .sessions
-        .iter()
-        .map(|s| s.stats.fractional_calls)
-        .sum();
-    assert!(
-        (fractional - report.wire_calls as f64).abs() < 1e-6,
-        "fractional shares must sum to the wire calls: {fractional} vs {}",
-        report.wire_calls
+}
+
+#[test]
+fn a_serve_whose_calls_all_fail_still_balances() {
+    // Every call exhausts its retries: the sessions share failed calls as
+    // they share answered ones, and each failed call still counts once on
+    // the wire and once per session that asked for it.
+    let scenario = bank_scenario();
+    let federation = AsyncFederation::single_simulated(
+        SimulatedSource::exact(
+            "down-bank",
+            scenario.instance.clone(),
+            scenario.methods.clone(),
+        )
+        .with_flaky(FlakyModel {
+            period: 1,
+            fail_attempts: 3,
+            retries: 1,
+        })
+        .with_latency(LatencyModel::recorded(100)),
     );
+    let requests: Vec<RunRequest> = (0..4)
+        .map(|_| RunRequest::new(scenario.query.clone()).with_strategy(Strategy::Exhaustive))
+        .collect();
+    let report =
+        QuerySessionRegistry::new(&federation).serve(&requests, &scenario.initial_configuration);
+    assert!(report.joined_calls > 0, "overlapping sessions must share");
+    assert_eq!(
+        report.wire_calls + report.joined_calls,
+        report.session_calls(),
+        "wire + joined must equal what the sessions asked for"
+    );
+    assert_eq!(report.aggregate.calls, 0);
+    assert_eq!(report.aggregate.failures, report.wire_calls);
+    for s in &report.sessions {
+        let stats = &s.report.source_stats;
+        assert_eq!(stats.calls, 0, "session {}", s.session);
+        assert!(stats.failures > 0, "session {}", s.session);
+        assert_eq!(s.report.accesses_made, 0, "session {}", s.session);
+    }
 }
 
 #[test]

@@ -591,3 +591,117 @@ fn async_multi_source_federation_matches_threaded_and_advances_virtual_time() {
     assert!(per_source[0].1.pages_fetched > 0);
     assert!(per_source[1].1.retries > 0);
 }
+
+#[test]
+fn one_session_serving_matches_async_traffic_and_virtual_makespan() {
+    // A serve of one session with `workers` calls in flight is the async
+    // executor's run: the same accesses, verdicts, answers and batches, the
+    // same backend traffic (retries, failures and pages included) and the
+    // same virtual makespan. The grid covers paging, tied and jittered
+    // latencies, absorbed and exhausting flakiness, every strategy and
+    // in-flight caps below, at and above the batch size.
+    let scenario = bank_scenario();
+    let latencies = [
+        LatencyModel::recorded(100),
+        LatencyModel {
+            base_micros: 100,
+            jitter_micros: 40,
+            seed: 5,
+            sleep: false,
+        },
+    ];
+    let flakiness = [
+        None,
+        Some(FlakyModel {
+            period: 2,
+            fail_attempts: 1,
+            retries: 2,
+        }),
+        Some(FlakyModel {
+            period: 1,
+            fail_attempts: 3,
+            retries: 1,
+        }),
+    ];
+    let federation = |latency: &LatencyModel, flaky: &Option<FlakyModel>| {
+        let mut source =
+            SimulatedSource::exact("bank", scenario.instance.clone(), scenario.methods.clone())
+                .with_latency(latency.clone())
+                .with_paging(2);
+        if let Some(flaky) = flaky {
+            source = source.with_flaky(flaky.clone());
+        }
+        AsyncFederation::single_simulated(source)
+    };
+    let mut cells = 0;
+    for latency in &latencies {
+        for flaky in &flakiness {
+            for strategy in Strategy::all() {
+                for (batch_size, workers) in [(1, 1), (4, 2), (8, 3), (8, 8)] {
+                    let request = RunRequest::new(scenario.query.clone())
+                        .with_strategy(strategy)
+                        .with_options(RunOptions {
+                            batch_size,
+                            workers,
+                            budget: SearchBudget::shallow(),
+                            ..RunOptions::default()
+                        });
+                    let async_federation = federation(latency, flaky);
+                    let asynced = Async::new(&async_federation)
+                        .execute(&request, &scenario.initial_configuration);
+                    let async_makespan = async_federation.clock().now_micros();
+                    // IR-guided finds no access immediately relevant on the
+                    // bank and makes no call; every other run waits on the
+                    // clock.
+                    assert_eq!(
+                        async_makespan > 0,
+                        strategy != Strategy::IrGuided,
+                        "virtual time: {strategy:?}"
+                    );
+
+                    let serving_federation = federation(latency, flaky);
+                    let registry = QuerySessionRegistry::with_options(
+                        &serving_federation,
+                        ServingOptions {
+                            max_sessions: 1,
+                            max_in_flight_accesses: workers,
+                        },
+                    );
+                    let mut served = registry.serve(
+                        std::slice::from_ref(&request),
+                        &scenario.initial_configuration,
+                    );
+                    let serving_makespan = serving_federation.clock().now_micros();
+                    let mut session = served.sessions.remove(0).report;
+                    session.source_stats = served.aggregate;
+
+                    let cell = format!(
+                        "latency={latency:?} flaky={flaky:?} strategy={} batch={batch_size} \
+                         workers={workers}",
+                        strategy.name()
+                    );
+                    assert_eq!(
+                        session.access_sequence, asynced.access_sequence,
+                        "access sequence: {cell}"
+                    );
+                    assert_eq!(
+                        session.relevance_verdicts, asynced.relevance_verdicts,
+                        "verdict log: {cell}"
+                    );
+                    assert_eq!(session.answers, asynced.answers, "answers: {cell}");
+                    assert_eq!(
+                        session.batch_stats, asynced.batch_stats,
+                        "batch stats: {cell}"
+                    );
+                    assert_eq!(
+                        session.source_stats, asynced.source_stats,
+                        "source stats: {cell}"
+                    );
+                    assert_eq!(serving_makespan, async_makespan, "virtual makespan: {cell}");
+                    cells += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(cells, 96);
+}

@@ -6,17 +6,21 @@
 //!
 //! [`Async`] drives the *same* [`accrel_engine::MergeLoop`] as the
 //! threaded and sequential executors — not equivalent code, the same state
-//! machine. Concurrency enters only inside the `fetch` callback: a
-//! predicted batch's accesses are spawned as tasks on a fresh [`Executor`]
-//! over the federation's shared [`VirtualClock`](crate::VirtualClock),
-//! gated by a FIFO [`Semaphore`] of `workers` permits (the in-flight cap),
-//! and driven to completion before the merge loop consumes a single
-//! response. Responses are collected by *batch position*, never completion
-//! order, so for sources whose response is a deterministic function of the
-//! access — every [`crate::AsyncSimulatedSource`] — an async run reports
-//! the same `access_sequence`, relevance-verdict log, answers and final
+//! machine. A run is one task on one [`Executor`] over the federation's
+//! shared [`VirtualClock`](crate::VirtualClock). Concurrency enters only
+//! where the loop asks for a batch: the task awaits the batch's calls as
+//! one batch join, each call gated by a FIFO [`Semaphore`] of `workers`
+//! permits (the in-flight cap, one per run), and the merge loop consumes
+//! no response before the whole batch is in. Responses are collected by
+//! *batch position*, never completion order, so for sources whose
+//! response is a deterministic function of the access — every
+//! [`crate::AsyncSimulatedSource`] — an async run reports the same
+//! `access_sequence`, relevance-verdict log, answers and final
 //! configuration as the threaded and sequential executors (pinned by the
-//! executor grid in `tests/federation_equivalence.rs`).
+//! executor grid in `tests/federation_equivalence.rs`). A serving session
+//! fetches its batches through the same join, so the [`crate::Serving`]
+//! executor, one session capped at `workers` calls in flight, reports the
+//! same traffic and virtual makespan as this one.
 //!
 //! What changes is the *cost model*: simulated round trips are awaited on
 //! the virtual clock, so a batch's virtual makespan is its critical path
@@ -25,18 +29,16 @@
 //! deep-Web setting is about, with zero real sleeps and zero extra threads.
 //! The F2 harness sweep reports this throughput-vs-in-flight curve.
 
-use accrel_access::{Access, Response};
-use accrel_engine::{MergeLoop, RunReport, RunRequest};
+use accrel_engine::{MergeLoop, MergeStep, RunReport, RunRequest};
 use accrel_schema::Configuration;
 
 use crate::async_federation::AsyncFederation;
-use crate::error::SourceError;
-use crate::executor::{Executor, Semaphore};
+use crate::executor::{Executor, JoinAll, Semaphore};
 
 /// The async executor: runs a [`RunRequest`] over an [`AsyncFederation`],
-/// awaiting each relevance-verified batch as concurrent futures on the
-/// virtual clock while preserving the sequential executor's semantics (see
-/// the module documentation).
+/// awaiting each relevance-verified batch as one join of concurrent calls
+/// on the virtual clock while preserving the sequential executor's
+/// semantics (see the module documentation).
 #[derive(Debug, Clone, Copy)]
 pub struct Async<'a> {
     federation: &'a AsyncFederation,
@@ -54,23 +56,50 @@ impl accrel_engine::Executor for Async<'_> {
         "async"
     }
 
-    /// Runs the batched loop from `initial`. Everything in the report
-    /// matches the threaded executor (and therefore the sequential one)
-    /// against sources returning the same responses; only the wall clock
-    /// and the federation's *virtual* clock tell the runs apart.
+    /// Runs the batched loop from `initial` as one task on one mini-executor
+    /// over the federation's clock. Everything in the report matches the
+    /// threaded executor (and therefore the sequential one) against sources
+    /// returning the same responses; only the wall clock and the
+    /// federation's *virtual* clock tell the runs apart.
     fn execute(&self, request: &RunRequest, initial: &Configuration) -> RunReport {
-        let stats_before = self.federation.stats();
+        let federation = self.federation;
+        let stats_before = federation.stats();
         let options = request.options.normalize();
-        let merge = MergeLoop::new(
-            &request.query,
-            request.strategy,
-            &options,
-            self.federation.methods(),
-            initial,
+        let gate = Semaphore::new(options.workers);
+        let executor = Executor::new(federation.clock().clone());
+        let run = executor.spawn(async {
+            let mut merge = MergeLoop::new(
+                &request.query,
+                request.strategy,
+                &options,
+                federation.methods(),
+                initial,
+            );
+            while let MergeStep::Fetch(batch) = merge.step() {
+                let calls: Vec<_> = batch
+                    .iter()
+                    .map(|access| {
+                        Box::pin(async {
+                            let _permit = gate.acquire().await;
+                            federation.call(access.clone()).await
+                        })
+                    })
+                    .collect();
+                let responses = JoinAll::new(calls).await;
+                merge.supply(batch, responses);
+            }
+            merge.into_report()
+        });
+        // `AsyncSource`'s suspension contract: call futures only wait on the
+        // shared virtual clock, so a fully-advanced run leaves nothing pending.
+        assert_eq!(
+            executor.run(),
+            0,
+            "async source futures may only suspend on the federation's \
+             VirtualClock (see the AsyncSource suspension contract)"
         );
-        let mut report =
-            merge.run(|batch| fetch_batch_async(self.federation, batch, options.workers));
-        report.source_stats = self.federation.stats().since(&stats_before);
+        let mut report = run.take().expect("the run task completed");
+        report.source_stats = federation.stats().since(&stats_before);
         report
     }
 
@@ -79,48 +108,12 @@ impl accrel_engine::Executor for Async<'_> {
     }
 }
 
-/// Issues every access of `batch` against the federation as tasks of a
-/// fresh mini-executor over the federation's clock, at most `in_flight`
-/// awaiting a source at once (FIFO semaphore, so the admission order is the
-/// batch order). The result vector is aligned with `batch` — task
-/// completion order never shows, exactly like the threaded executor's.
-fn fetch_batch_async(
-    federation: &AsyncFederation,
-    batch: &[Access],
-    in_flight: usize,
-) -> Vec<Result<Response, SourceError>> {
-    let executor = Executor::new(federation.clock().clone());
-    let gate = Semaphore::new(in_flight);
-    let handles: Vec<_> = batch
-        .iter()
-        .map(|access| {
-            let access = access.clone();
-            let gate = gate.clone();
-            executor.spawn(async move {
-                let _permit = gate.acquire().await;
-                federation.call(access).await
-            })
-        })
-        .collect();
-    let stuck = executor.run();
-    // `AsyncSource`'s suspension contract: call futures only wait on the
-    // shared virtual clock, so a fully-advanced run leaves nothing pending.
-    assert_eq!(
-        stuck, 0,
-        "async source futures may only suspend on the federation's \
-         VirtualClock (see the AsyncSource suspension contract)"
-    );
-    handles
-        .into_iter()
-        .map(|h| h.take().expect("batch task completed"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::source::{FlakyModel, LatencyModel, SimulatedSource};
     use crate::{Federation, Threaded};
+    use accrel_access::Access;
     use accrel_core::SearchBudget;
     use accrel_engine::scenarios::{bank_scenario, Scenario};
     use accrel_engine::{DeepWebSource, ResponsePolicy, RunOptions, Sequential, Strategy};
@@ -378,23 +371,22 @@ mod tests {
         );
         assert!(batch.len() > 1);
         {
-            let executor = Executor::new(federation.clock().clone());
             let gate = Semaphore::new(2);
+            let executor = Executor::new(federation.clock().clone());
             let fed = &federation;
-            let _handles: Vec<_> = batch
+            let calls: Vec<_> = batch
                 .iter()
                 .map(|access| {
-                    let access = access.clone();
-                    let gate = gate.clone();
-                    executor.spawn(async move {
+                    Box::pin(async {
                         let _permit = gate.acquire().await;
-                        fed.call(access).await
+                        fed.call(access.clone()).await
                     })
                 })
                 .collect();
+            let _batch = executor.spawn(JoinAll::new(calls));
             // A few steps in: in-flight calls are parked on the clock.
             executor.run_until_stalled();
-            assert!(executor.pending_tasks() > 0);
+            assert_eq!(executor.pending_tasks(), 1);
             assert!(federation.clock().timer_count() > 0);
             // Abandon the batch mid-flight.
         }

@@ -31,14 +31,20 @@
 //!   is strict FIFO and a task re-waking itself goes to the back, so many
 //!   ready tasks make round-robin progress (fairness is pinned by a unit
 //!   test).
-//! * [`Semaphore`] — a FIFO async semaphore; the `Async` executor uses
-//!   it to cap the number of in-flight source calls per batch, which is the
-//!   knob the F2 throughput sweep turns.
+//! * `JoinAll` (crate-private) — the one batch join: a batch of source
+//!   calls awaited together, outputs in batch order, re-polling only the
+//!   calls woken since the last poll. The `Async` executor and every
+//!   serving session await their batches through it.
+//! * [`Semaphore`] — a FIFO async semaphore. Each batch call acquires a
+//!   permit before it dials, so one semaphore caps a request's in-flight
+//!   calls: `workers` permits for an `Async` run (the knob the F2
+//!   throughput sweep turns), `max_in_flight_accesses` shared by every
+//!   session of a serve.
 //!
 //! The executor is deliberately *not* `'static`-only: [`Executor::spawn`]
-//! accepts futures borrowing from the caller's stack (the `Async` executor
-//! spawns futures borrowing the federation), which is what lets the whole
-//! runtime live inside one synchronous `run` call.
+//! accepts futures borrowing from the caller's stack (an `Async` run is one
+//! task borrowing the request and the federation), which is what lets the
+//! whole runtime live inside one synchronous `execute` call.
 
 use std::cell::RefCell;
 use std::collections::{btree_map, BTreeMap, VecDeque};
@@ -266,9 +272,11 @@ struct Task<'env> {
 /// A single-threaded mini-executor over a [`VirtualClock`].
 ///
 /// `'env` is the lifetime tasks may borrow from: the `Async` executor
-/// spawns futures that borrow the federation living on its caller's stack.
-/// Dropping the executor drops every unfinished task (their `Sleep` timers
-/// deregister themselves), so abandoning a run mid-batch leaks nothing.
+/// spawns its whole run as one task that borrows the request, the initial
+/// configuration and the federation from its caller's stack, and awaits
+/// each batch inside it as one batch join. Dropping the executor drops
+/// every unfinished task (their `Sleep` timers deregister themselves), so
+/// abandoning a run mid-batch leaks nothing.
 pub struct Executor<'env> {
     clock: VirtualClock,
     shared: Arc<ExecShared>,
@@ -388,15 +396,156 @@ pub struct JoinHandle<T> {
 }
 
 impl<T> JoinHandle<T> {
-    /// Whether the task has run to completion (and its result is waiting).
-    pub fn is_finished(&self) -> bool {
-        self.cell.borrow().is_some()
-    }
-
     /// Takes the task's result, if it has completed (subsequent calls
     /// return `None`).
     pub fn take(&self) -> Option<T> {
         self.cell.borrow_mut().take()
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Batch join
+// ---------------------------------------------------------------------------
+
+/// Drives a vector of futures to completion concurrently, preserving input
+/// order in the output (a dependency-free `join_all`; the futures are boxed
+/// by the caller, which makes them `Unpin`). This is the runtime's one
+/// batch join: the `Async` executor awaits each batch of source calls as
+/// one `JoinAll`, and so does a serving session.
+///
+/// Each future has a waker of its own, built once, that marks it woken and
+/// wakes the task polling the join. The first poll polls every future in
+/// index order. A later poll polls the futures woken since, in index order,
+/// and within that pass also any future of a higher index that an earlier
+/// one woke, just as a pass over every future would reach it. A future not
+/// woken would only return `Pending` again, so this polls the futures that
+/// can progress in the order a join re-polling all of them does.
+pub(crate) struct JoinAll<F: Future + Unpin> {
+    slots: Vec<Option<F>>,
+    outputs: Vec<Option<F::Output>>,
+    wakers: Vec<Waker>,
+    woken: Arc<JoinWoken>,
+    remaining: usize,
+}
+
+// No self-references: the struct is a plain vector of `Unpin` futures and
+// already-produced outputs, so it is safely `Unpin` regardless of whether
+// the *output* type is.
+impl<F: Future + Unpin> Unpin for JoinAll<F> {}
+
+impl<F: Future + Unpin> JoinAll<F> {
+    pub(crate) fn new(futures: Vec<F>) -> Self {
+        let n = futures.len();
+        // Every future starts woken, so the first poll polls them all.
+        let woken = Arc::new(JoinWoken {
+            state: Mutex::new(WokenState {
+                woken: vec![true; n],
+                parent: None,
+            }),
+        });
+        let wakers = (0..n)
+            .map(|index| {
+                Waker::from(Arc::new(ChildWaker {
+                    index,
+                    join: Arc::clone(&woken),
+                }))
+            })
+            .collect();
+        Self {
+            slots: futures.into_iter().map(Some).collect(),
+            outputs: (0..n).map(|_| None).collect(),
+            wakers,
+            woken,
+            remaining: n,
+        }
+    }
+}
+
+impl<F: Future + Unpin> Future for JoinAll<F> {
+    type Output = Vec<F::Output>;
+
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
+        let this = self.get_mut();
+        this.woken.set_parent(cx.waker());
+        let mut from = 0;
+        while let Some(index) = this.woken.take_next(from) {
+            from = index + 1;
+            let Some(future) = &mut this.slots[index] else {
+                continue;
+            };
+            let mut child = Context::from_waker(&this.wakers[index]);
+            if let Poll::Ready(value) = Pin::new(future).poll(&mut child) {
+                this.outputs[index] = Some(value);
+                this.slots[index] = None;
+                this.remaining -= 1;
+            }
+        }
+        if this.remaining > 0 {
+            return Poll::Pending;
+        }
+        Poll::Ready(
+            this.outputs
+                .iter_mut()
+                .map(|o| o.take().expect("all futures completed"))
+                .collect(),
+        )
+    }
+}
+
+/// The wake state a [`JoinAll`] shares with its futures' wakers.
+struct JoinWoken {
+    state: Mutex<WokenState>,
+}
+
+struct WokenState {
+    /// `woken[i]`: future `i` was woken since it was last polled.
+    woken: Vec<bool>,
+    /// The waker of the task polling the join.
+    parent: Option<Waker>,
+}
+
+impl JoinWoken {
+    fn lock(&self) -> std::sync::MutexGuard<'_, WokenState> {
+        self.state.lock().expect("join state poisoned")
+    }
+
+    fn set_parent(&self, waker: &Waker) {
+        let mut state = self.lock();
+        if !state.parent.as_ref().is_some_and(|p| p.will_wake(waker)) {
+            state.parent = Some(waker.clone());
+        }
+    }
+
+    /// The lowest woken index at or above `from`, cleared.
+    fn take_next(&self, from: usize) -> Option<usize> {
+        let mut state = self.lock();
+        let index = from + state.woken[from..].iter().position(|&w| w)?;
+        state.woken[index] = false;
+        Some(index)
+    }
+}
+
+/// The waker of one future of a [`JoinAll`].
+struct ChildWaker {
+    index: usize,
+    join: Arc<JoinWoken>,
+}
+
+impl Wake for ChildWaker {
+    fn wake(self: Arc<Self>) {
+        self.wake_by_ref();
+    }
+
+    fn wake_by_ref(self: &Arc<Self>) {
+        let parent = {
+            let mut state = self.join.lock();
+            state.woken[self.index] = true;
+            state.parent.clone()
+        };
+        // Outside the lock: the parent may be another join's future.
+        if let Some(parent) = parent {
+            parent.wake();
+        }
     }
 }
 
@@ -717,9 +866,7 @@ pub(crate) mod tests {
     fn join_handle_returns_the_task_result_once() {
         let exec = Executor::new(VirtualClock::new());
         let handle = exec.spawn(async { 21 * 2 });
-        assert!(!handle.is_finished());
         assert_eq!(exec.run(), 0);
-        assert!(handle.is_finished());
         assert_eq!(handle.take(), Some(42));
         assert_eq!(handle.take(), None);
     }
@@ -880,5 +1027,119 @@ pub(crate) mod tests {
         drop(held);
         assert_eq!(exec.run(), 0);
         assert!(done.get());
+    }
+
+    type Shared<T> = Rc<RefCell<T>>;
+
+    /// A future that stays pending until released. It logs its index on
+    /// every poll, keeps its latest waker, and may wake another gate when
+    /// polled.
+    #[derive(Default)]
+    struct GateState {
+        release: Option<Result<u32, &'static str>>,
+        waker: Option<Waker>,
+        wake_on_poll: Option<Shared<GateState>>,
+    }
+
+    struct Gate {
+        index: usize,
+        state: Shared<GateState>,
+        log: Shared<Vec<usize>>,
+    }
+
+    impl Future for Gate {
+        type Output = Result<u32, &'static str>;
+
+        fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
+            self.log.borrow_mut().push(self.index);
+            let mut state = self.state.borrow_mut();
+            if let Some(sibling) = state.wake_on_poll.take() {
+                let waker = sibling.borrow().waker.clone();
+                waker.expect("sibling was polled").wake();
+            }
+            if let Some(result) = state.release.take() {
+                return Poll::Ready(result);
+            }
+            state.waker = Some(cx.waker().clone());
+            Poll::Pending
+        }
+    }
+
+    type GateJoin = JoinAll<Pin<Box<dyn Future<Output = Result<u32, &'static str>>>>>;
+
+    fn gates(n: usize) -> (GateJoin, Vec<Shared<GateState>>, Shared<Vec<usize>>) {
+        let log: Shared<Vec<usize>> = Rc::default();
+        let states: Vec<Shared<GateState>> = (0..n).map(|_| Rc::default()).collect();
+        let futures = states
+            .iter()
+            .enumerate()
+            .map(|(index, state)| {
+                Box::pin(Gate {
+                    index,
+                    state: Rc::clone(state),
+                    log: Rc::clone(&log),
+                }) as Pin<Box<dyn Future<Output = _>>>
+            })
+            .collect();
+        (JoinAll::new(futures), states, log)
+    }
+
+    fn release(gate: &RefCell<GateState>, result: Result<u32, &'static str>) {
+        gate.borrow_mut().release = Some(result);
+        let waker = gate.borrow().waker.clone();
+        waker.expect("gate was polled").wake();
+    }
+
+    #[test]
+    fn join_all_polls_only_woken_futures_and_keeps_input_order() {
+        let (mut join, states, log) = gates(4);
+        let parent = Arc::new(CountWake::default());
+        let parent_waker = Waker::from(Arc::clone(&parent));
+        let mut cx = Context::from_waker(&parent_waker);
+        let mut poll = |join: &mut GateJoin| {
+            log.borrow_mut().clear();
+            let outcome = Pin::new(join).poll(&mut cx);
+            (outcome, log.borrow().clone())
+        };
+        // The first poll polls every future, in index order.
+        assert_eq!(poll(&mut join), (Poll::Pending, vec![0, 1, 2, 3]));
+        // Unwoken futures are not polled again.
+        assert_eq!(poll(&mut join), (Poll::Pending, vec![]));
+        release(&states[2], Ok(20));
+        assert_eq!(parent.wakes(), 1, "a future's wake wakes the join's task");
+        assert_eq!(poll(&mut join), (Poll::Pending, vec![2]));
+        // Wakes are served in index order, not in wake order; a failed call
+        // keeps its slot.
+        release(&states[3], Ok(30));
+        release(&states[0], Err("down"));
+        assert_eq!(poll(&mut join), (Poll::Pending, vec![0, 3]));
+        release(&states[1], Ok(10));
+        assert_eq!(
+            poll(&mut join),
+            (
+                Poll::Ready(vec![Err("down"), Ok(10), Ok(20), Ok(30)]),
+                vec![1]
+            )
+        );
+    }
+
+    #[test]
+    fn join_all_reaches_a_later_sibling_woken_in_the_same_pass() {
+        let (mut join, states, log) = gates(3);
+        let parent = Arc::new(CountWake::default());
+        let parent_waker = Waker::from(Arc::clone(&parent));
+        let mut cx = Context::from_waker(&parent_waker);
+        assert!(Pin::new(&mut join).poll(&mut cx).is_pending());
+        // Gate 1 wakes gate 2 (later: same pass) and gate 2 wakes gate 0
+        // (earlier: next pass, like a pass over every future).
+        states[1].borrow_mut().wake_on_poll = Some(Rc::clone(&states[2]));
+        states[2].borrow_mut().wake_on_poll = Some(Rc::clone(&states[0]));
+        release(&states[1], Ok(1));
+        log.borrow_mut().clear();
+        assert!(Pin::new(&mut join).poll(&mut cx).is_pending());
+        assert_eq!(*log.borrow(), vec![1, 2]);
+        log.borrow_mut().clear();
+        assert!(Pin::new(&mut join).poll(&mut cx).is_pending());
+        assert_eq!(*log.borrow(), vec![0]);
     }
 }

@@ -52,11 +52,12 @@
 //! crate's [`accrel_engine::MergeLoop`]: the engine crate's
 //! [`accrel_engine::Sequential`], this crate's [`Threaded`] (relevance-
 //! verified batches fetched on scoped threads over a [`Federation`]),
-//! [`Async`] (batches as concurrently-polled futures over an
-//! [`AsyncFederation`], capped by a FIFO [`Semaphore`] of `workers` permits;
-//! `clock().now_micros()` measures a run's simulated makespan, the F2
-//! harness sweep) and [`Serving`] (one session on the multi-tenant
-//! registry). Each reports exactly the sequential executor's access
+//! [`Async`] (one task per run over an [`AsyncFederation`], each batch one
+//! join of concurrent calls under a FIFO [`Semaphore`] of `workers`
+//! permits; `clock().now_micros()` measures a run's simulated makespan, the
+//! F2 harness sweep) and [`Serving`] (one session on the multi-tenant
+//! registry, whose batches go through the same join under the same
+//! `workers` cap, so it reports `Async`'s traffic and makespan). Each reports exactly the sequential executor's access
 //! sequence, relevance verdicts, certain answers and final configuration
 //! (see the loop's determinism invariant); the equivalence grid in
 //! `tests/federation_equivalence.rs` iterates executors to pin it.

@@ -31,12 +31,17 @@
 //!   is version-keyed by the verdict's dependency relations, so entries
 //!   retire automatically when a relevant relation grows.
 //!
-//! A session fetches a batch as one join of its calls that gives each call
-//! a waker of its own and re-polls only the calls woken since its last poll,
+//! A session fetches a batch through the runtime's one batch join, the same
+//! join the `Async` executor awaits its batches with: each call has a waker
+//! of its own, and only the calls woken since the last poll are re-polled,
 //! in batch order. So a serve costs work per wake, per response and per
 //! access, not per poll of every unfinished call; the order in which calls
 //! reach the admission semaphore and register their timers, and with it
-//! virtual time, is that of a join re-polling every call.
+//! virtual time, is that of a join re-polling every call. Every wire call
+//! of a serve holds one of `max_in_flight_accesses` permits, whichever
+//! session leads it. The [`Serving`] executor serves one request as the
+//! only session with the request's `workers` as that cap, so it reports
+//! the traffic and virtual makespan of an `Async` run.
 //!
 //! Because joined sessions receive the leader's response and the sources
 //! are deterministic functions of the access, every session still reports
@@ -54,8 +59,7 @@ use std::future::Future;
 use std::hash::{Hash, Hasher};
 use std::pin::Pin;
 use std::rc::Rc;
-use std::sync::{Arc, Mutex};
-use std::task::{Context, Poll, Wake, Waker};
+use std::task::{Context, Poll, Waker};
 
 use accrel_access::{Access, Response};
 use accrel_engine::relevance::SharedVerdictCache;
@@ -64,7 +68,7 @@ use accrel_schema::Configuration;
 
 use crate::async_federation::AsyncFederation;
 use crate::error::SourceError;
-use crate::executor::{yield_now, Executor, Semaphore};
+use crate::executor::{yield_now, Executor, JoinAll, Semaphore};
 
 /// Knobs of the serving layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -306,27 +310,25 @@ impl<'a> QuerySessionRegistry<'a> {
     }
 }
 
-/// The serving executor: a [`RunRequest`] run as a single session on a
-/// [`QuerySessionRegistry`] (multi-session serving goes through
-/// [`QuerySessionRegistry::serve`] directly — the [`accrel_engine::Executor`]
-/// trait is one-request-shaped). The registry, and with it the shared
-/// verdict cache, persists across `execute` calls.
+/// The serving executor: a [`RunRequest`] served as the only session of a
+/// [`QuerySessionRegistry`] that admits one session and keeps at most the
+/// request's `workers` calls in flight, as the async executor does
+/// (multi-session serving goes through [`QuerySessionRegistry::serve`]
+/// directly — the [`accrel_engine::Executor`] trait is one-request-shaped).
+/// The registry's shared verdict cache persists across `execute` calls.
 #[derive(Debug)]
 pub struct Serving<'a> {
-    registry: QuerySessionRegistry<'a>,
+    federation: &'a AsyncFederation,
+    verdicts: SharedVerdictCache,
 }
 
 impl<'a> Serving<'a> {
-    /// A serving executor over `federation` with default options.
+    /// A serving executor over `federation` with an empty verdict cache.
     pub fn new(federation: &'a AsyncFederation) -> Self {
         Self {
-            registry: QuerySessionRegistry::new(federation),
+            federation,
+            verdicts: SharedVerdictCache::new(),
         }
-    }
-
-    /// The underlying registry.
-    pub fn registry(&self) -> &QuerySessionRegistry<'a> {
-        &self.registry
     }
 }
 
@@ -336,7 +338,13 @@ impl accrel_engine::Executor for Serving<'_> {
     }
 
     fn execute(&self, request: &RunRequest, initial: &Configuration) -> RunReport {
-        let mut serve = self.registry.serve(std::slice::from_ref(request), initial);
+        let options = ServingOptions {
+            max_sessions: 1,
+            max_in_flight_accesses: request.options.normalize().workers,
+        };
+        let registry =
+            QuerySessionRegistry::with_verdicts(self.federation, options, self.verdicts.clone());
+        let mut serve = registry.serve(std::slice::from_ref(request), initial);
         let mut report = serve.sessions.remove(0).report;
         // A single-session serve's traffic is the session's.
         report.source_stats = serve.aggregate;
@@ -344,7 +352,7 @@ impl accrel_engine::Executor for Serving<'_> {
     }
 
     fn reset_stats(&self) {
-        self.registry.federation.reset_stats();
+        self.federation.reset_stats();
     }
 }
 
@@ -497,10 +505,9 @@ async fn fetch_deduped(
     batch: &[Access],
     traffic: &mut BackendStats,
 ) -> Vec<Result<Response, SourceError>> {
-    type CallFuture<'f> = Pin<Box<dyn Future<Output = Result<Response, SourceError>> + 'f>>;
-    let calls: Vec<CallFuture<'_>> = batch
+    let calls: Vec<_> = batch
         .iter()
-        .map(|access| Box::pin(shared_call(federation, gate, dedup, access)) as CallFuture<'_>)
+        .map(|access| Box::pin(shared_call(federation, gate, dedup, access)))
         .collect();
     let responses = JoinAll::new(calls).await;
     for result in &responses {
@@ -515,146 +522,6 @@ async fn fetch_deduped(
     responses
 }
 
-/// Drives a vector of futures to completion concurrently, preserving input
-/// order in the output (a dependency-free `join_all`; the futures are boxed
-/// by the caller, which makes them `Unpin`).
-///
-/// Each future has a waker of its own, built once, that marks it woken and
-/// wakes the task polling the join. The first poll polls every future in
-/// index order. A later poll polls the futures woken since, in index order,
-/// and within that pass also any future of a higher index that an earlier
-/// one woke, just as a pass over every future would reach it. A future not
-/// woken would only return `Pending` again, so this polls the futures that
-/// can progress in the order a join re-polling all of them does.
-struct JoinAll<F: Future + Unpin> {
-    slots: Vec<Option<F>>,
-    outputs: Vec<Option<F::Output>>,
-    wakers: Vec<Waker>,
-    woken: Arc<JoinWoken>,
-    remaining: usize,
-}
-
-// No self-references: the struct is a plain vector of `Unpin` futures and
-// already-produced outputs, so it is safely `Unpin` regardless of whether
-// the *output* type is.
-impl<F: Future + Unpin> Unpin for JoinAll<F> {}
-
-impl<F: Future + Unpin> JoinAll<F> {
-    fn new(futures: Vec<F>) -> Self {
-        let n = futures.len();
-        // Every future starts woken, so the first poll polls them all.
-        let woken = Arc::new(JoinWoken {
-            state: Mutex::new(WokenState {
-                woken: vec![true; n],
-                parent: None,
-            }),
-        });
-        let wakers = (0..n)
-            .map(|index| {
-                Waker::from(Arc::new(ChildWaker {
-                    index,
-                    join: Arc::clone(&woken),
-                }))
-            })
-            .collect();
-        Self {
-            slots: futures.into_iter().map(Some).collect(),
-            outputs: (0..n).map(|_| None).collect(),
-            wakers,
-            woken,
-            remaining: n,
-        }
-    }
-}
-
-impl<F: Future + Unpin> Future for JoinAll<F> {
-    type Output = Vec<F::Output>;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let this = self.get_mut();
-        this.woken.set_parent(cx.waker());
-        let mut from = 0;
-        while let Some(index) = this.woken.take_next(from) {
-            from = index + 1;
-            let Some(future) = &mut this.slots[index] else {
-                continue;
-            };
-            let mut child = Context::from_waker(&this.wakers[index]);
-            if let Poll::Ready(value) = Pin::new(future).poll(&mut child) {
-                this.outputs[index] = Some(value);
-                this.slots[index] = None;
-                this.remaining -= 1;
-            }
-        }
-        if this.remaining > 0 {
-            return Poll::Pending;
-        }
-        Poll::Ready(
-            this.outputs
-                .iter_mut()
-                .map(|o| o.take().expect("all futures completed"))
-                .collect(),
-        )
-    }
-}
-
-/// The wake state a [`JoinAll`] shares with its futures' wakers.
-struct JoinWoken {
-    state: Mutex<WokenState>,
-}
-
-struct WokenState {
-    /// `woken[i]`: future `i` was woken since it was last polled.
-    woken: Vec<bool>,
-    /// The waker of the task polling the join.
-    parent: Option<Waker>,
-}
-
-impl JoinWoken {
-    fn lock(&self) -> std::sync::MutexGuard<'_, WokenState> {
-        self.state.lock().expect("join state poisoned")
-    }
-
-    fn set_parent(&self, waker: &Waker) {
-        let mut state = self.lock();
-        if !state.parent.as_ref().is_some_and(|p| p.will_wake(waker)) {
-            state.parent = Some(waker.clone());
-        }
-    }
-
-    /// The lowest woken index at or above `from`, cleared.
-    fn take_next(&self, from: usize) -> Option<usize> {
-        let mut state = self.lock();
-        let index = from + state.woken[from..].iter().position(|&w| w)?;
-        state.woken[index] = false;
-        Some(index)
-    }
-}
-
-/// The waker of one future of a [`JoinAll`].
-struct ChildWaker {
-    index: usize,
-    join: Arc<JoinWoken>,
-}
-
-impl Wake for ChildWaker {
-    fn wake(self: Arc<Self>) {
-        self.wake_by_ref();
-    }
-
-    fn wake_by_ref(self: &Arc<Self>) {
-        let parent = {
-            let mut state = self.join.lock();
-            state.woken[self.index] = true;
-            state.parent.clone()
-        };
-        // Outside the lock: the parent may be another join's future.
-        if let Some(parent) = parent {
-            parent.wake();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -665,6 +532,7 @@ mod tests {
     use accrel_engine::{
         DeepWebSource, Executor as _, ResponsePolicy, RunOptions, Sequential, Strategy,
     };
+    use std::sync::Arc;
 
     /// The bank scenario behind an async federation whose (deterministic)
     /// source answers after a 100µs virtual round trip — long enough for
@@ -875,120 +743,6 @@ mod tests {
         }
         assert_eq!((first.wakes(), second.wakes()), (1, 1));
         assert_eq!(joiner.as_mut().poll(&mut cx), Poll::Ready(Ok(response)));
-    }
-
-    type Shared<T> = Rc<RefCell<T>>;
-
-    /// A future that stays pending until released. It logs its index on
-    /// every poll, keeps its latest waker, and may wake another gate when
-    /// polled.
-    #[derive(Default)]
-    struct GateState {
-        release: Option<Result<u32, &'static str>>,
-        waker: Option<Waker>,
-        wake_on_poll: Option<Shared<GateState>>,
-    }
-
-    struct Gate {
-        index: usize,
-        state: Shared<GateState>,
-        log: Shared<Vec<usize>>,
-    }
-
-    impl Future for Gate {
-        type Output = Result<u32, &'static str>;
-
-        fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-            self.log.borrow_mut().push(self.index);
-            let mut state = self.state.borrow_mut();
-            if let Some(sibling) = state.wake_on_poll.take() {
-                let waker = sibling.borrow().waker.clone();
-                waker.expect("sibling was polled").wake();
-            }
-            if let Some(result) = state.release.take() {
-                return Poll::Ready(result);
-            }
-            state.waker = Some(cx.waker().clone());
-            Poll::Pending
-        }
-    }
-
-    type GateJoin = JoinAll<Pin<Box<dyn Future<Output = Result<u32, &'static str>>>>>;
-
-    fn gates(n: usize) -> (GateJoin, Vec<Shared<GateState>>, Shared<Vec<usize>>) {
-        let log: Shared<Vec<usize>> = Rc::default();
-        let states: Vec<Shared<GateState>> = (0..n).map(|_| Rc::default()).collect();
-        let futures = states
-            .iter()
-            .enumerate()
-            .map(|(index, state)| {
-                Box::pin(Gate {
-                    index,
-                    state: Rc::clone(state),
-                    log: Rc::clone(&log),
-                }) as Pin<Box<dyn Future<Output = _>>>
-            })
-            .collect();
-        (JoinAll::new(futures), states, log)
-    }
-
-    fn release(gate: &RefCell<GateState>, result: Result<u32, &'static str>) {
-        gate.borrow_mut().release = Some(result);
-        let waker = gate.borrow().waker.clone();
-        waker.expect("gate was polled").wake();
-    }
-
-    #[test]
-    fn join_all_polls_only_woken_futures_and_keeps_input_order() {
-        let (mut join, states, log) = gates(4);
-        let parent = Arc::new(CountWake::default());
-        let parent_waker = Waker::from(Arc::clone(&parent));
-        let mut cx = Context::from_waker(&parent_waker);
-        let mut poll = |join: &mut GateJoin| {
-            log.borrow_mut().clear();
-            let outcome = Pin::new(join).poll(&mut cx);
-            (outcome, log.borrow().clone())
-        };
-        // The first poll polls every future, in index order.
-        assert_eq!(poll(&mut join), (Poll::Pending, vec![0, 1, 2, 3]));
-        // Unwoken futures are not polled again.
-        assert_eq!(poll(&mut join), (Poll::Pending, vec![]));
-        release(&states[2], Ok(20));
-        assert_eq!(parent.wakes(), 1, "a future's wake wakes the join's task");
-        assert_eq!(poll(&mut join), (Poll::Pending, vec![2]));
-        // Wakes are served in index order, not in wake order; a failed call
-        // keeps its slot.
-        release(&states[3], Ok(30));
-        release(&states[0], Err("down"));
-        assert_eq!(poll(&mut join), (Poll::Pending, vec![0, 3]));
-        release(&states[1], Ok(10));
-        assert_eq!(
-            poll(&mut join),
-            (
-                Poll::Ready(vec![Err("down"), Ok(10), Ok(20), Ok(30)]),
-                vec![1]
-            )
-        );
-    }
-
-    #[test]
-    fn join_all_reaches_a_later_sibling_woken_in_the_same_pass() {
-        let (mut join, states, log) = gates(3);
-        let parent = Arc::new(CountWake::default());
-        let parent_waker = Waker::from(Arc::clone(&parent));
-        let mut cx = Context::from_waker(&parent_waker);
-        assert!(Pin::new(&mut join).poll(&mut cx).is_pending());
-        // Gate 1 wakes gate 2 (later: same pass) and gate 2 wakes gate 0
-        // (earlier: next pass, like a pass over every future).
-        states[1].borrow_mut().wake_on_poll = Some(Rc::clone(&states[2]));
-        states[2].borrow_mut().wake_on_poll = Some(Rc::clone(&states[0]));
-        release(&states[1], Ok(1));
-        log.borrow_mut().clear();
-        assert!(Pin::new(&mut join).poll(&mut cx).is_pending());
-        assert_eq!(*log.borrow(), vec![1, 2]);
-        log.borrow_mut().clear();
-        assert!(Pin::new(&mut join).poll(&mut cx).is_pending());
-        assert_eq!(*log.borrow(), vec![0]);
     }
 
     #[test]

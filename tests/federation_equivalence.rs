@@ -594,10 +594,10 @@ fn async_multi_source_federation_matches_threaded_and_advances_virtual_time() {
 
 #[test]
 fn one_session_serving_matches_async_traffic_and_virtual_makespan() {
-    // A serve of one session with `workers` calls in flight is the async
-    // executor's run: the same accesses, verdicts, answers and batches, the
-    // same backend traffic (retries, failures and pages included) and the
-    // same virtual makespan. The grid covers paging, tied and jittered
+    // The serving executor, a serve of one session with `workers` calls in
+    // flight, is the async executor's run: the same accesses, verdicts,
+    // answers and batches, the same backend traffic (retries, failures and
+    // pages included) and the same virtual makespan. The grid covers paging, tied and jittered
     // latencies, absorbed and exhausting flakiness, every strategy and
     // in-flight caps below, at and above the batch size.
     let scenario = bank_scenario();
@@ -660,20 +660,9 @@ fn one_session_serving_matches_async_traffic_and_virtual_makespan() {
                     );
 
                     let serving_federation = federation(latency, flaky);
-                    let registry = QuerySessionRegistry::with_options(
-                        &serving_federation,
-                        ServingOptions {
-                            max_sessions: 1,
-                            max_in_flight_accesses: workers,
-                        },
-                    );
-                    let mut served = registry.serve(
-                        std::slice::from_ref(&request),
-                        &scenario.initial_configuration,
-                    );
+                    let session = Serving::new(&serving_federation)
+                        .execute(&request, &scenario.initial_configuration);
                     let serving_makespan = serving_federation.clock().now_micros();
-                    let mut session = served.sessions.remove(0).report;
-                    session.source_stats = served.aggregate;
 
                     let cell = format!(
                         "latency={latency:?} flaky={flaky:?} strategy={} batch={batch_size} \

@@ -4,7 +4,8 @@
 //! oracle, whose own certainty and answers are first checked against a full
 //! evaluation on its final configuration, and whose run is regrown with an
 //! independent access frontier checked against full enumeration after every
-//! response. Any divergence is shrunk to a
+//! response. The serving executor must also report the async executor's
+//! source traffic and virtual makespan. Any divergence is shrunk to a
 //! minimal reproducing case and printed; the process exits non-zero so CI
 //! can gate on it.
 //!
@@ -52,7 +53,7 @@ fn main() -> ExitCode {
     let summary = differential::fuzz(base_seed, seeds);
     let (v, t) = (&summary.virtual_traffic, &summary.threaded_traffic);
     println!("cases run      : {}", summary.cases);
-    println!("                 async+serving  threaded");
+    println!("                 async=serving  threaded");
     println!("churn events   : {:<14} {}", v.churn_events, t.churn_events);
     println!("failovers      : {:<14} {}", v.failovers, t.failovers);
     println!(
@@ -60,8 +61,9 @@ fn main() -> ExitCode {
         v.breaker_trips, t.breaker_trips
     );
     println!(
-        "(the async and serving totals are fixed by the seeds; the threaded ones \
-         depend on the order its two workers reach the chaos clock)"
+        "(the async totals are fixed by the seeds, and the serving layer must report \
+         them too; the threaded ones depend on the order its two workers reach the \
+         chaos clock)"
     );
 
     let mut failed = false;

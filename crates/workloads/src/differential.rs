@@ -246,9 +246,10 @@ pub struct Divergence {
 pub struct CaseOutcome {
     /// The first divergence found, if any.
     pub divergence: Option<Divergence>,
-    /// Source traffic, chaos counters included, of the two virtual-clock
-    /// layers (async and serving), summed. Their scripts fire on the
-    /// executor's virtual clock, so these totals are a function of the case.
+    /// Source traffic, chaos counters included, of the async layer, which
+    /// the serving layer must equal (a difference is a divergence). Their
+    /// scripts fire on the executor's virtual clock, so these totals are a
+    /// function of the case.
     pub virtual_traffic: BackendStats,
     /// Source traffic of the threaded layer. Its chaos clock advances per
     /// wire call, and its two workers race to make those calls, so which
@@ -353,7 +354,9 @@ fn frontier_mismatch(
 /// oracle itself is first checked against a full evaluation of the query
 /// on its final configuration, and the access frontier against full
 /// enumeration along the oracle's run (both reported as executor
-/// `"sequential"`).
+/// `"sequential"`). Last, the serving layer must report the async layer's
+/// `source_stats` and virtual makespan (reported as executor `"serving"`,
+/// field `"source_stats"` or `"virtual_makespan"`).
 pub fn run_case(case: &FuzzCase) -> CaseOutcome {
     let (workload, instance, initial, query) = case.materialize();
     let methods = workload.methods.clone();
@@ -412,33 +415,46 @@ pub fn run_case(case: &FuzzCase) -> CaseOutcome {
     let async_federation = chaotic_async();
     // Serving: one session on the multi-tenant registry, same chaos.
     let serving_federation = chaotic_async();
-    let threaded = Threaded::new(&threaded_federation);
-    let asynced = Async::new(&async_federation);
-    let serving = Serving::new(&serving_federation);
-    let executors: [&dyn Executor; 3] = [&threaded, &asynced, &serving];
-
-    let mut virtual_traffic = BackendStats::default();
-    let mut threaded_traffic = BackendStats::default();
-    for executor in executors {
+    let threaded = Threaded::new(&threaded_federation).execute(&request, &initial);
+    // A virtual-clock run's report and the virtual time it took.
+    let virtual_run = |executor: &dyn Executor, federation: &AsyncFederation| {
+        let before = federation.clock().now_micros();
         let report = executor.execute(&request, &initial);
-        let traffic = if executor.name() == threaded.name() {
-            &mut threaded_traffic
-        } else {
-            &mut virtual_traffic
-        };
-        *traffic = traffic.merged(&report.source_stats);
-        if divergence.is_none() {
-            divergence = first_differing_field(&report, &oracle).map(|field| Divergence {
-                executor: executor.name(),
-                field,
-            });
-        }
+        (report, federation.clock().now_micros() - before)
+    };
+    let (asynced, async_makespan) = virtual_run(&Async::new(&async_federation), &async_federation);
+    let (served, serving_makespan) =
+        virtual_run(&Serving::new(&serving_federation), &serving_federation);
+    for (executor, report) in [
+        ("threaded", &threaded),
+        ("async", &asynced),
+        ("serving", &served),
+    ] {
+        divergence = divergence.or_else(|| {
+            first_differing_field(report, &oracle).map(|field| Divergence { executor, field })
+        });
     }
+    // The serving executor is a one-session serve capped at the async
+    // run's in-flight limit, on an identically built federation: it must
+    // make the same calls, meet the same churn and take as long.
+    let traffic_field = if served.source_stats != asynced.source_stats {
+        Some("source_stats")
+    } else if serving_makespan != async_makespan {
+        Some("virtual_makespan")
+    } else {
+        None
+    };
+    divergence = divergence.or_else(|| {
+        traffic_field.map(|field| Divergence {
+            executor: "serving",
+            field,
+        })
+    });
 
     CaseOutcome {
         divergence,
-        virtual_traffic,
-        threaded_traffic,
+        virtual_traffic: asynced.source_stats,
+        threaded_traffic: threaded.source_stats,
         oracle,
     }
 }
@@ -703,8 +719,9 @@ pub struct FuzzFailure {
 pub struct FuzzSummary {
     /// Seeds run.
     pub cases: usize,
-    /// The virtual-clock layers' traffic summed over every case (see
-    /// [`CaseOutcome::virtual_traffic`]): reproducible for a seed window.
+    /// The async layer's traffic, which the serving layer's equals, summed
+    /// over every case (see [`CaseOutcome::virtual_traffic`]): reproducible
+    /// for a seed window.
     pub virtual_traffic: BackendStats,
     /// The threaded layer's traffic summed over every case (see
     /// [`CaseOutcome::threaded_traffic`]): its chaos counts may vary

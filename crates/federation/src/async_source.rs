@@ -1,5 +1,4 @@
-//! The async twin of the [`Source`] trait, plus its adapter for the
-//! simulated backend.
+//! The async source trait, plus its adapter for the simulated backend.
 //!
 //! [`AsyncSource::call`] returns a boxed future instead of blocking the
 //! calling thread: a high-latency deep-Web round trip becomes an await
@@ -28,7 +27,7 @@ use accrel_engine::BackendStats;
 
 use crate::error::SourceError;
 use crate::executor::VirtualClock;
-use crate::source::{LatencyModel, SimulatedSource, Source};
+use crate::source::{LatencyModel, SimulatedSource};
 
 /// The boxed future of one async source call. Not `Send`: the mini-executor
 /// is single-threaded, so futures never cross threads (the *sources* are
@@ -37,10 +36,11 @@ use crate::source::{LatencyModel, SimulatedSource, Source};
 pub type SourceFuture<'a> = Pin<Box<dyn Future<Output = Result<Response, SourceError>> + 'a>>;
 
 /// An asynchronous deep-Web source: the engine learns about the hidden data
-/// only by awaiting [`AsyncSource::call`]. The contract mirrors [`Source`]
-/// member for member; implementations whose response is a deterministic
-/// function of the access alone (such as [`AsyncSimulatedSource`]) inherit
-/// the executors' sequential-equivalence guarantee.
+/// only by awaiting [`AsyncSource::call`]. The contract mirrors
+/// [`SimulatedSource`]'s methods member for member; implementations whose
+/// response is a deterministic function of the access alone (such as
+/// [`AsyncSimulatedSource`]) inherit the executors' sequential-equivalence
+/// guarantee.
 ///
 /// **Suspension contract:** the runtime driving these futures is the
 /// single-threaded mini-executor, which advances the shared
@@ -68,13 +68,14 @@ pub trait AsyncSource: Send + Sync {
     /// Resets the statistics (and any per-run simulation counters).
     fn reset_stats(&self);
     /// Swaps the source's latency model mid-run (`None` removes it).
-    /// Default no-op, mirroring [`Source::set_latency`];
+    /// Default no-op: only simulated backends have a model to swap;
     /// [`AsyncSimulatedSource`] forwards to the wrapped synchronous source.
+    /// Cost-only — a swap never changes response content.
     fn set_latency(&self, latency: Option<LatencyModel>) {
         let _ = latency;
     }
     /// Swaps the source's transient-failure model mid-run (`None` removes
-    /// it). Default no-op, mirroring [`Source::set_flaky`].
+    /// it). Default no-op, like [`AsyncSource::set_latency`].
     fn set_flaky(&self, flaky: Option<crate::source::FlakyModel>) {
         let _ = flaky;
     }
@@ -103,11 +104,11 @@ impl AsyncSimulatedSource {
 
 impl AsyncSource for AsyncSimulatedSource {
     fn name(&self) -> &str {
-        Source::name(&self.inner)
+        self.inner.name()
     }
 
     fn methods(&self) -> &AccessMethods {
-        Source::methods(&self.inner)
+        self.inner.methods()
     }
 
     fn call(&self, access: Access) -> SourceFuture<'_> {
@@ -130,19 +131,19 @@ impl AsyncSource for AsyncSimulatedSource {
     }
 
     fn stats(&self) -> BackendStats {
-        Source::stats(&self.inner)
+        self.inner.stats()
     }
 
     fn reset_stats(&self) {
-        Source::reset_stats(&self.inner)
+        self.inner.reset_stats()
     }
 
     fn set_latency(&self, latency: Option<LatencyModel>) {
-        Source::set_latency(&self.inner, latency)
+        self.inner.set_latency(latency)
     }
 
     fn set_flaky(&self, flaky: Option<crate::source::FlakyModel>) {
-        Source::set_flaky(&self.inner, flaky)
+        self.inner.set_flaky(flaky)
     }
 }
 
@@ -202,7 +203,7 @@ mod tests {
         let async_resp = drive(&clock, async_src.call(access.clone())).unwrap();
         assert_eq!(sync_resp.tuples(), async_resp.tuples());
         // Identical statistics: calls, retries, pages, simulated latency.
-        assert_eq!(Source::stats(&sync), AsyncSource::stats(&async_src));
+        assert_eq!(sync.stats(), AsyncSource::stats(&async_src));
         // The virtual clock advanced by exactly the simulated latency.
         assert_eq!(
             clock.now_micros(),
@@ -226,7 +227,7 @@ mod tests {
         let sync_err = sync.call(&access).unwrap_err();
         let async_err = drive(&clock, async_src.call(access.clone())).unwrap_err();
         assert_eq!(sync_err, async_err);
-        assert_eq!(Source::stats(&sync), AsyncSource::stats(&async_src));
+        assert_eq!(sync.stats(), AsyncSource::stats(&async_src));
         let stats = AsyncSource::stats(&async_src);
         assert_eq!((stats.calls, stats.retries, stats.failures), (0, 1, 1));
     }

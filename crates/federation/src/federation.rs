@@ -10,7 +10,7 @@ use crate::chaos::{ChaosController, ChaosOptions};
 use crate::error::{FederationError, SourceError};
 use crate::executor::VirtualClock;
 use crate::routing::{Routes, RoutesBuilder, WalkStep};
-use crate::source::Source;
+use crate::source::SimulatedSource;
 
 /// A registry of autonomous sources sharing one access-method registry,
 /// with a total routing from methods to *ordered replica sets* of sources.
@@ -21,7 +21,7 @@ use crate::source::Source;
 /// open-circuit, by the next replica in its route (see [`crate::chaos`]).
 #[derive(Debug)]
 pub struct Federation {
-    routes: Routes<dyn Source>,
+    routes: Routes<SimulatedSource>,
 }
 
 impl Federation {
@@ -33,7 +33,7 @@ impl Federation {
     }
 
     /// The common case of one source serving every method.
-    pub fn single(source: impl Source + 'static) -> Self {
+    pub fn single(source: SimulatedSource) -> Self {
         Federation {
             routes: Routes::single(Box::new(source)),
         }
@@ -56,7 +56,7 @@ impl Federation {
 
     /// The primary source serving `method` (replicas, if any, sit behind
     /// it in the route).
-    pub fn source_for(&self, method: AccessMethodId) -> Option<&dyn Source> {
+    pub fn source_for(&self, method: AccessMethodId) -> Option<&SimulatedSource> {
         self.routes.replicas(method).next()
     }
 
@@ -109,7 +109,7 @@ impl Federation {
 /// Builder for [`Federation`].
 #[derive(Debug)]
 pub struct FederationBuilder {
-    routes: RoutesBuilder<dyn Source>,
+    routes: RoutesBuilder<SimulatedSource>,
 }
 
 impl FederationBuilder {
@@ -118,7 +118,7 @@ impl FederationBuilder {
     /// schema instance as the federation.
     pub fn source(
         self,
-        source: impl Source + 'static,
+        source: SimulatedSource,
         method_names: &[&str],
     ) -> Result<Self, FederationError> {
         let routes = self.routes.register(Box::new(source), method_names, true)?;
@@ -134,7 +134,7 @@ impl FederationBuilder {
     /// instance, same `ResponsePolicy` (same seed) — see [`crate::chaos`].
     pub fn replica(
         self,
-        source: impl Source + 'static,
+        source: SimulatedSource,
         method_names: &[&str],
     ) -> Result<Self, FederationError> {
         let routes = self

@@ -4,7 +4,7 @@
 //! paper's "mediator querying many autonomous deep-Web sources" motivation
 //! into a measurable subsystem.
 //!
-//! * [`Source`] — a thread-safe deep-Web source. [`SimulatedSource`]
+//! * [`SimulatedSource`] — a thread-safe simulated deep-Web source. It
 //!   composes backend models (per-source [`LatencyModel`] distributions,
 //!   deterministic [`FlakyModel`] transient failures with retry accounting,
 //!   paged responses) over a hidden instance, answering exactly or through
@@ -24,7 +24,7 @@
 //! sleeps, so throughput experiments need no real time at all. On top of
 //! it:
 //!
-//! * [`AsyncSource`] — the async twin of [`Source`];
+//! * [`AsyncSource`] — a deep-Web source whose call is a future;
 //!   [`AsyncSimulatedSource`] replays a [`SimulatedSource`]'s
 //!   latency/flaky-retry/paging models as awaitable state machines (one
 //!   virtual round trip per await; a source without a latency model
@@ -96,4 +96,4 @@ pub use federation::{Federation, FederationBuilder};
 pub use journal::RunJournal;
 pub use scheduler::Threaded;
 pub use serving::{QuerySessionRegistry, Serving, ServingOptions, ServingReport, SessionReport};
-pub use source::{FlakyModel, LatencyModel, SimulatedSource, Source};
+pub use source::{FlakyModel, LatencyModel, SimulatedSource};

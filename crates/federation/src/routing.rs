@@ -8,7 +8,7 @@
 //! always balance, and [`Routes::reset_stats`] zeroes both.
 //!
 //! [`Routes`] owns the registered sources and is generic over how they are
-//! called: [`crate::Federation`] holds `Routes<dyn Source>`,
+//! called: [`crate::Federation`] holds `Routes<SimulatedSource>`,
 //! [`crate::AsyncFederation`] holds `Routes<dyn AsyncSource>`. Only a call
 //! differs between the two, and [`ReplicaWalk`] keeps even that to a loop:
 //! the walk decides each step (which replica to try next, and when the call
@@ -24,7 +24,7 @@ use crate::async_source::AsyncSource;
 use crate::chaos::{ChaosController, ChaosOptions, Gate, ModelSwap};
 use crate::error::{FederationError, SourceError};
 use crate::executor::VirtualClock;
-use crate::source::{FlakyModel, LatencyModel, Source};
+use crate::source::{FlakyModel, LatencyModel, SimulatedSource};
 
 /// What the routing core needs of a registered source, sync or async.
 pub(crate) trait Backend {
@@ -36,11 +36,11 @@ pub(crate) trait Backend {
     fn set_flaky(&self, flaky: Option<FlakyModel>);
 }
 
-/// Forwards [`Backend`] to a source trait's own members, for its trait
-/// objects.
+/// Forwards [`Backend`] to a source type's own members: the simulated
+/// source's inherent methods, or a source trait's for its trait objects.
 macro_rules! backend_via {
-    ($source:ident) => {
-        impl Backend for dyn $source {
+    ($backend:ty, $source:ident) => {
+        impl Backend for $backend {
             fn name(&self) -> &str {
                 $source::name(self)
             }
@@ -63,8 +63,8 @@ macro_rules! backend_via {
     };
 }
 
-backend_via!(Source);
-backend_via!(AsyncSource);
+backend_via!(SimulatedSource, SimulatedSource);
+backend_via!(dyn AsyncSource, AsyncSource);
 
 /// A registry of sources sharing one access-method registry, with a total
 /// routing from methods to ordered replica sets (primary first) and an
@@ -375,7 +375,6 @@ mod tests {
     use super::*;
     use crate::chaos::{BreakerOptions, BreakerState, ChurnScript};
     use crate::executor::Executor;
-    use crate::source::SimulatedSource;
     use crate::{AsyncFederation, Federation};
     use accrel_access::{binding, Access, AccessMode};
     use accrel_schema::{Instance, Schema};
@@ -396,14 +395,14 @@ mod tests {
         (methods, inst)
     }
 
-    fn source(name: &str, inst: &Instance, methods: &AccessMethods) -> Box<dyn Source> {
+    fn source(name: &str, inst: &Instance, methods: &AccessMethods) -> Box<SimulatedSource> {
         Box::new(SimulatedSource::exact(name, inst.clone(), methods.clone()))
     }
 
     #[test]
     fn builder_rejects_bad_registrations() {
         let (methods, inst) = setup();
-        let builder = || RoutesBuilder::<dyn Source>::new(methods.clone());
+        let builder = || RoutesBuilder::<SimulatedSource>::new(methods.clone());
         let err = builder()
             .register(source("s", &inst, &methods), &["Nope"], true)
             .unwrap_err();

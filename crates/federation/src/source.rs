@@ -1,11 +1,10 @@
-//! Pluggable simulated deep-Web backends.
+//! The simulated deep-Web backend.
 //!
-//! [`Source`] abstracts the engine-facing contract of a deep-Web source —
-//! "answer this access with a sound response" — behind thread-safe
-//! implementations that the threaded executor may call concurrently.
-//!
-//! [`SimulatedSource`] composes three backend models over a hidden
-//! [`Instance`]:
+//! [`SimulatedSource`] is a thread-safe deep-Web source — "answer this
+//! access with a sound response" — that the threaded executor may call
+//! concurrently and the async runtime wraps as an
+//! [`AsyncSimulatedSource`](crate::AsyncSimulatedSource). It composes three
+//! backend models over a hidden [`Instance`]:
 //!
 //! * [`LatencyModel`] — a per-source latency distribution (base + seeded
 //!   deterministic jitter per round trip), optionally realised with real
@@ -40,35 +39,6 @@ use accrel_engine::BackendStats;
 use accrel_schema::{Instance, Tuple};
 
 use crate::error::SourceError;
-
-/// A thread-safe deep-Web source: the engine learns about the hidden data
-/// only by calling [`Source::call`].
-pub trait Source: Send + Sync {
-    /// A human-readable source name (used in stats and error messages).
-    fn name(&self) -> &str;
-    /// The access methods this source understands. Sources of one
-    /// federation share a single registry.
-    fn methods(&self) -> &AccessMethods;
-    /// Executes an access and returns its (sound) response, or an error for
-    /// calls the source could not serve.
-    fn call(&self, access: &Access) -> Result<Response, SourceError>;
-    /// Cumulative backend statistics.
-    fn stats(&self) -> BackendStats;
-    /// Resets the statistics (and any per-run simulation counters).
-    fn reset_stats(&self);
-    /// Swaps the source's latency model mid-run (`None` removes it). The
-    /// default is a no-op: only simulated backends have a model to swap;
-    /// churn scripts degrade real sources by other means. Cost-only — a
-    /// swap never changes response content.
-    fn set_latency(&self, latency: Option<LatencyModel>) {
-        let _ = latency;
-    }
-    /// Swaps the source's transient-failure model mid-run (`None` removes
-    /// it). Default no-op, like [`Source::set_latency`].
-    fn set_flaky(&self, flaky: Option<FlakyModel>) {
-        let _ = flaky;
-    }
-}
 
 /// A per-source latency distribution: `base + jitter` microseconds per
 /// simulated round trip, with the jitter drawn deterministically from the
@@ -151,8 +121,8 @@ impl FlakyModel {
 struct BackendState {
     stats: BackendStats,
     // Cost models live behind the state lock so churn scripts can swap them
-    // mid-run (`Source::set_latency` / `Source::set_flaky`) while calls are
-    // in flight on other threads.
+    // mid-run (`SimulatedSource::set_latency` / `SimulatedSource::set_flaky`)
+    // while calls are in flight on other threads.
     latency: Option<LatencyModel>,
     flaky: Option<FlakyModel>,
 }
@@ -224,9 +194,65 @@ impl SimulatedSource {
         &self.instance
     }
 
+    /// A human-readable source name (used in stats and error messages).
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// The access methods this source understands. Sources of one
+    /// federation share a single registry.
+    pub fn methods(&self) -> &AccessMethods {
+        &self.methods
+    }
+
+    /// Executes an access and returns its (sound) response, or an error for
+    /// calls the source could not serve. The whole plan's latency is one
+    /// `thread::sleep` when the latency model asks for real sleeps.
+    pub fn call(&self, access: &Access) -> Result<Response, SourceError> {
+        let plan = self.plan_call(access)?;
+        self.commit_plan(&plan);
+        // Sleep outside the state lock so concurrent calls overlap. The
+        // threaded path realises the whole plan as one sleep; the async
+        // adapter awaits the same trips one by one on the virtual clock.
+        let latency_micros = plan.total_latency_micros();
+        if latency_micros > 0 && plan.sleep {
+            std::thread::sleep(Duration::from_micros(latency_micros));
+        }
+        if !plan.succeeds {
+            return Err(self.unavailable(&plan));
+        }
+        Ok(Response::new(plan.tuples))
+    }
+
+    /// Cumulative backend statistics.
+    pub fn stats(&self) -> BackendStats {
+        self.state
+            .lock()
+            .expect("source state poisoned")
+            .stats
+            .clone()
+    }
+
+    /// Resets the statistics.
+    pub fn reset_stats(&self) {
+        let mut state = self.state.lock().expect("source state poisoned");
+        state.stats = BackendStats::default();
+    }
+
+    /// Swaps the latency model mid-run (`None` removes it). Cost-only — a
+    /// swap never changes response content.
+    pub fn set_latency(&self, latency: Option<LatencyModel>) {
+        self.state.lock().expect("source state poisoned").latency = latency;
+    }
+
+    /// Swaps the transient-failure model mid-run (`None` removes it).
+    pub fn set_flaky(&self, flaky: Option<FlakyModel>) {
+        self.state.lock().expect("source state poisoned").flaky = flaky;
+    }
+
     /// Resolves everything about one call — response content, planned
     /// failures, page count and the per-trip latencies — *without* touching
-    /// the statistics or sleeping. The sync [`Source::call`] and the async
+    /// the statistics or sleeping. [`SimulatedSource::call`] and the async
     /// adapter (`crate::AsyncSimulatedSource`) both execute the same plan;
     /// they differ only in how the round trips are realised (one
     /// `thread::sleep` versus awaited virtual-clock sleeps per trip).
@@ -337,53 +363,6 @@ impl CallPlan {
     /// Total simulated latency across every round trip.
     pub(crate) fn total_latency_micros(&self) -> u64 {
         self.trip_micros.iter().sum()
-    }
-}
-
-impl Source for SimulatedSource {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn methods(&self) -> &AccessMethods {
-        &self.methods
-    }
-
-    fn call(&self, access: &Access) -> Result<Response, SourceError> {
-        let plan = self.plan_call(access)?;
-        self.commit_plan(&plan);
-        // Sleep outside the state lock so concurrent calls overlap. The
-        // threaded path realises the whole plan as one sleep; the async
-        // adapter awaits the same trips one by one on the virtual clock.
-        let latency_micros = plan.total_latency_micros();
-        if latency_micros > 0 && plan.sleep {
-            std::thread::sleep(Duration::from_micros(latency_micros));
-        }
-        if !plan.succeeds {
-            return Err(self.unavailable(&plan));
-        }
-        Ok(Response::new(plan.tuples))
-    }
-
-    fn stats(&self) -> BackendStats {
-        self.state
-            .lock()
-            .expect("source state poisoned")
-            .stats
-            .clone()
-    }
-
-    fn reset_stats(&self) {
-        let mut state = self.state.lock().expect("source state poisoned");
-        state.stats = BackendStats::default();
-    }
-
-    fn set_latency(&self, latency: Option<LatencyModel>) {
-        self.state.lock().expect("source state poisoned").latency = latency;
-    }
-
-    fn set_flaky(&self, flaky: Option<FlakyModel>) {
-        self.state.lock().expect("source state poisoned").flaky = flaky;
     }
 }
 

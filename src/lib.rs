@@ -104,7 +104,7 @@ pub mod prelude {
     /// they simulate.
     pub use accrel_federation::{
         Async, AsyncFederation, AsyncSimulatedSource, AsyncSource, Federation, FlakyModel,
-        LatencyModel, SimulatedSource, Source, Threaded,
+        LatencyModel, SimulatedSource, Threaded,
     };
     /// The chaos layer: deterministic churn scripts, per-source circuit
     /// breakers and replica failover over either federation runtime, plus

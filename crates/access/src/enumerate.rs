@@ -53,19 +53,6 @@ pub fn well_formed_accesses(
     out
 }
 
-/// Enumerates the well-formed accesses of a single method at `conf`.
-pub fn accesses_for_method(
-    conf: &Configuration,
-    methods: &AccessMethods,
-    method: AccessMethodId,
-    options: &EnumerationOptions,
-) -> Vec<Access> {
-    let mut out = Vec::new();
-    enumerate_for_method(conf, methods, method, options, &mut out);
-    out.truncate(options.max_accesses);
-    out
-}
-
 /// Candidate values for each input position of `m` at `conf`: the active
 /// domain restricted to the position's abstract domain, with the options'
 /// guessable values merged in for independent methods; each list is sorted
@@ -219,44 +206,6 @@ mod tests {
     }
 
     #[test]
-    fn per_method_enumeration_and_guessable_values() {
-        let (schema, methods) = setup();
-        let mut conf = Configuration::empty(schema.clone());
-        conf.insert_named("EmpOff", ["e1", "o1"]).unwrap();
-        let emp_acc = methods.by_name("EmpOffAcc").unwrap();
-        // One pool value is also in the active domain, and one repeats.
-        let opts = EnumerationOptions {
-            guessable_values: vec![
-                Value::sym("guessed"),
-                Value::sym("e1"),
-                Value::sym("guessed"),
-            ],
-            max_accesses: usize::MAX,
-        };
-        // Guessable values do not apply to dependent methods.
-        let dep = accesses_for_method(&conf, &methods, emp_acc, &opts);
-        assert_eq!(dep.len(), 1);
-        // The free method has no inputs, so it yields exactly one access.
-        let free = methods.by_name("EmpOffAll").unwrap();
-        let free_accesses = accesses_for_method(&conf, &methods, free, &opts);
-        assert_eq!(free_accesses.len(), 1);
-        // An independent method with an input sees the active domain and the
-        // pool merged: sorted, each value once.
-        let mut mb = AccessMethods::builder(schema);
-        mb.add("EmpGuess", "EmpOff", &["emp"], AccessMode::Independent)
-            .unwrap();
-        let guessing = mb.build();
-        let guess = guessing.by_name("EmpGuess").unwrap();
-        assert_eq!(
-            accesses_for_method(&conf, &guessing, guess, &opts),
-            vec![
-                Access::new(guess, binding(["e1"])),
-                Access::new(guess, binding(["guessed"])),
-            ]
-        );
-    }
-
-    #[test]
     fn max_accesses_caps_enumeration() {
         let (schema, methods) = setup();
         let mut conf = Configuration::empty(schema);
@@ -270,18 +219,5 @@ mod tests {
         };
         let accesses = well_formed_accesses(&conf, &methods, &opts);
         assert_eq!(accesses.len(), 3);
-    }
-
-    #[test]
-    fn unknown_method_id_is_skipped() {
-        let (schema, methods) = setup();
-        let conf = Configuration::empty(schema);
-        let none = accesses_for_method(
-            &conf,
-            &methods,
-            AccessMethodId(99),
-            &EnumerationOptions::default(),
-        );
-        assert!(none.is_empty());
     }
 }

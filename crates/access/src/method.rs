@@ -98,11 +98,6 @@ impl AccessMethod {
         self.mode
     }
 
-    /// `true` when the method has no input attributes (free access).
-    pub fn is_free(&self) -> bool {
-        self.input_positions.is_empty()
-    }
-
     /// `true` when the input attributes cover the whole relation (Boolean
     /// access): the access can only confirm the presence of the bound tuple.
     pub fn is_boolean(&self, schema: &Schema) -> bool {
@@ -393,7 +388,6 @@ mod tests {
         assert_eq!(m.name(), "EmpOffAcc");
         assert_eq!(m.input_positions(), &[0]);
         assert_eq!(m.mode(), AccessMode::Dependent);
-        assert!(!m.is_free());
         assert!(!m.is_boolean(&schema));
         assert_eq!(m.output_positions(&schema), vec![1, 2, 3, 4]);
         let emp_rel = schema.relation_by_name("Employee").unwrap();
@@ -426,7 +420,6 @@ mod tests {
             .add_boolean("ApprovalCheck", "Approval", AccessMode::Dependent)
             .unwrap();
         let acs = mb.build();
-        assert!(acs.get(free).unwrap().is_free());
         assert!(!acs.get(free).unwrap().is_boolean(&schema));
         assert!(acs.get(boolean).unwrap().is_boolean(&schema));
         assert_eq!(acs.get(boolean).unwrap().input_positions(), &[0, 1]);

@@ -40,11 +40,6 @@ impl AccessPath {
         Self::default()
     }
 
-    /// Builds a path from steps.
-    pub fn from_steps(steps: Vec<PathStep>) -> Self {
-        Self { steps }
-    }
-
     /// The steps of the path.
     pub fn steps(&self) -> &[PathStep] {
         &self.steps
@@ -227,16 +222,15 @@ mod tests {
         let s_free = methods.by_name("SFree").unwrap();
         let t_dep = methods.by_name("TDep").unwrap();
         let conf = Configuration::empty(schema);
-        let path = AccessPath::from_steps(vec![
-            PathStep::new(
-                Access::new(s_free, binding(Vec::<&str>::new())),
-                Response::new(vec![tuple(["v"])]),
-            ),
-            PathStep::new(
-                Access::new(t_dep, binding(["v"])),
-                Response::new(vec![tuple(["v", "w"])]),
-            ),
-        ]);
+        let mut path = AccessPath::new();
+        path.push(
+            Access::new(s_free, binding(Vec::<&str>::new())),
+            Response::new(vec![tuple(["v"])]),
+        );
+        path.push(
+            Access::new(t_dep, binding(["v"])),
+            Response::new(vec![tuple(["v", "w"])]),
+        );
         let (truncated, end) = path.truncate(&conf, &methods);
         assert!(truncated.is_empty());
         assert!(end.same_facts(&conf));
@@ -249,16 +243,15 @@ mod tests {
         let (schema, methods, _) = setup();
         let s_free = methods.by_name("SFree").unwrap();
         let conf = Configuration::empty(schema);
-        let path = AccessPath::from_steps(vec![
-            PathStep::new(
-                Access::new(s_free, binding(Vec::<&str>::new())),
-                Response::new(vec![tuple(["v"])]),
-            ),
-            PathStep::new(
-                Access::new(s_free, binding(Vec::<&str>::new())),
-                Response::new(vec![tuple(["u"])]),
-            ),
-        ]);
+        let mut path = AccessPath::new();
+        path.push(
+            Access::new(s_free, binding(Vec::<&str>::new())),
+            Response::new(vec![tuple(["v"])]),
+        );
+        path.push(
+            Access::new(s_free, binding(Vec::<&str>::new())),
+            Response::new(vec![tuple(["u"])]),
+        );
         let (truncated, end) = path.truncate(&conf, &methods);
         assert_eq!(truncated.len(), 1);
         assert_eq!(end.len(), 1);
@@ -274,20 +267,19 @@ mod tests {
         let s_free = methods.by_name("SFree").unwrap();
         let t_dep = methods.by_name("TDep").unwrap();
         let conf = Configuration::empty(schema);
-        let path = AccessPath::from_steps(vec![
-            PathStep::new(
-                Access::new(s_free, binding(Vec::<&str>::new())),
-                Response::new(vec![tuple(["v"])]),
-            ),
-            PathStep::new(
-                Access::new(t_dep, binding(["v"])),
-                Response::new(vec![tuple(["v", "w"])]),
-            ),
-            PathStep::new(
-                Access::new(s_free, binding(Vec::<&str>::new())),
-                Response::new(vec![tuple(["u"])]),
-            ),
-        ]);
+        let mut path = AccessPath::new();
+        path.push(
+            Access::new(s_free, binding(Vec::<&str>::new())),
+            Response::new(vec![tuple(["v"])]),
+        );
+        path.push(
+            Access::new(t_dep, binding(["v"])),
+            Response::new(vec![tuple(["v", "w"])]),
+        );
+        path.push(
+            Access::new(s_free, binding(Vec::<&str>::new())),
+            Response::new(vec![tuple(["u"])]),
+        );
         let (truncated, end) = path.truncate(&conf, &methods);
         assert!(truncated.is_empty());
         assert_eq!(end.len(), 0);

@@ -240,22 +240,32 @@ impl SharedVerdictCache {
         self.inner.lock().expect("verdict cache poisoned").misses
     }
 
-    /// Inserts a verdict directly under its full version-stamped key,
-    /// without touching the hit/miss counters. This is the warm-start path:
-    /// a journal replay (see `accrel-federation`'s `journal` module) seeds a
-    /// fresh process's cache with the verdicts an earlier run computed, so
-    /// the next session answers them as shared hits instead of re-running
+    /// Inserts a verdict under its full version-stamped key, without
+    /// touching the hit/miss counters. A relevance oracle publishes every
+    /// verdict it computes after a shared miss this way, and a journal
+    /// replay (see `accrel-federation`'s `journal` module) seeds a fresh
+    /// process's cache with the verdicts an earlier run computed, so the
+    /// next session answers them as shared hits instead of re-running
     /// decision procedures.
     pub fn insert(
         &self,
         class: u64,
         kind: RelevanceKind,
         access: Access,
-        dep_counts: Vec<(RelationId, usize)>,
+        mut dep_counts: Vec<(RelationId, usize)>,
         verdict: bool,
         reads: Option<ReadSet>,
     ) {
-        self.publish(class, kind, access, dep_counts, verdict, reads);
+        // Canonical key order. The oracle sorts its stamps before calling
+        // in, but journal replays hand over whatever order the serialised
+        // entry kept — a process that stamped `[(R,3),(S,1)]` would never
+        // probe an entry another process stored as `[(S,1),(R,3)]`,
+        // silently forfeiting every warm-start hit.
+        dep_counts.sort_unstable();
+        let mut state = self.inner.lock().expect("verdict cache poisoned");
+        state
+            .verdicts
+            .insert((class, kind, access, dep_counts), (verdict, reads));
     }
 
     /// A snapshot of every stored verdict with its full key — `(class, kind,
@@ -312,27 +322,6 @@ impl SharedVerdictCache {
                 None
             }
         }
-    }
-
-    fn publish(
-        &self,
-        class: u64,
-        kind: RelevanceKind,
-        access: Access,
-        mut dep_counts: Vec<(RelationId, usize)>,
-        verdict: bool,
-        reads: Option<ReadSet>,
-    ) {
-        // Canonical key order. The oracle sorts its stamps before calling
-        // in, but journal replays hand [`SharedVerdictCache::insert`]
-        // whatever order the serialised entry kept — a process that stamped
-        // `[(R,3),(S,1)]` would never probe an entry another process stored
-        // as `[(S,1),(R,3)]`, silently forfeiting every warm-start hit.
-        dep_counts.sort_unstable();
-        let mut state = self.inner.lock().expect("verdict cache poisoned");
-        state
-            .verdicts
-            .insert((class, kind, access, dep_counts), (verdict, reads));
     }
 }
 
@@ -516,7 +505,7 @@ impl<'a> RelevanceOracle<'a> {
                 (verdict, reads)
             } else {
                 let (verdict, reads) = self.decide_recorded(kind, access, conf);
-                shared.publish(class, kind, access.clone(), counts, verdict, reads.clone());
+                shared.insert(class, kind, access.clone(), counts, verdict, reads.clone());
                 (verdict, reads)
             }
         } else {

@@ -131,11 +131,6 @@ impl Atom {
             .collect()
     }
 
-    /// `true` if the atom contains no variables.
-    pub fn is_ground(&self) -> bool {
-        self.terms.iter().all(|t| !t.is_var())
-    }
-
     /// Converts a fully ground atom into a fact tuple; `None` if any term is
     /// still a variable.
     pub fn to_tuple(&self) -> Option<Tuple> {
@@ -242,7 +237,6 @@ mod tests {
         assert_eq!(a.arity(), 4);
         assert_eq!(a.variables(), [VarId(0), VarId(1)].into_iter().collect());
         assert_eq!(a.constants(), [Value::sym("c")].into_iter().collect());
-        assert!(!a.is_ground());
         assert_eq!(a.to_tuple(), None);
         assert_eq!(a.term_at(1), Some(&Term::Const(Value::sym("c"))));
         assert_eq!(a.term_at(9), None);
@@ -253,11 +247,8 @@ mod tests {
         let a = atom();
         let mut m = HashMap::new();
         m.insert(VarId(0), Value::sym("x"));
-        let partially = a.substitute(&m);
-        assert!(!partially.is_ground());
         m.insert(VarId(1), Value::int(7));
         let ground = a.substitute(&m);
-        assert!(ground.is_ground());
         assert_eq!(
             ground.to_tuple().unwrap().values(),
             &[
@@ -331,7 +322,6 @@ mod tests {
             RelationId(2),
             vec![Term::Const(Value::int(1)), Term::Const(Value::int(2))],
         );
-        assert!(a.is_ground());
         assert_eq!(a.to_tuple().unwrap().arity(), 2);
         assert_eq!(a.relation(), RelationId(2));
         assert!(a.variables().is_empty());

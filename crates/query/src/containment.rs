@@ -59,11 +59,6 @@ pub fn query_contained_in(q1: &Query, q2: &Query) -> bool {
     ucq_contained_in_ucq(&q1.to_ucq(), &q2.to_ucq())
 }
 
-/// Classical equivalence of two queries.
-pub fn query_equivalent(q1: &Query, q2: &Query) -> bool {
-    query_contained_in(q1, q2) && query_contained_in(q2, q1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,31 +182,6 @@ mod tests {
             &Query::Pq(union.clone()),
             &Query::Cq(both.clone())
         ));
-        assert!(query_equivalent(
-            &Query::Pq(union.clone()),
-            &Query::Pq(union)
-        ));
-        assert!(!query_equivalent(
-            &Query::Cq(both.clone()),
-            &Query::Cq(path_query(both.schema().clone(), 1))
-        ));
-    }
-
-    #[test]
-    fn union_reordering_preserves_equivalence() {
-        let s = schema();
-        let mut b = PositiveQuery::builder(s.clone());
-        let x = b.var("x");
-        let rx = b.atom("R", vec![Term::Var(x), Term::Var(x)]).unwrap();
-        let sx = b.atom("S", vec![Term::Var(x)]).unwrap();
-        let q_ab = b.build(rx.clone().or(sx.clone()));
-        let mut b2 = PositiveQuery::builder(s);
-        let x2 = b2.var("x");
-        let rx2 = b2.atom("R", vec![Term::Var(x2), Term::Var(x2)]).unwrap();
-        let sx2 = b2.atom("S", vec![Term::Var(x2)]).unwrap();
-        let q_ba = b2.build(sx2.or(rx2));
-        let _ = (rx, sx);
-        assert!(query_equivalent(&Query::Pq(q_ab), &Query::Pq(q_ba)));
     }
 
     #[test]

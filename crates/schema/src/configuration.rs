@@ -71,11 +71,6 @@ impl Configuration {
         &self.store
     }
 
-    /// Mutable access to the underlying fact store.
-    pub fn store_mut(&mut self) -> &mut FactStore {
-        &mut self.store
-    }
-
     /// An O(relations) copy-on-write snapshot of the configuration.
     ///
     /// Identical to `clone()`; the name documents intent at call sites that
@@ -384,7 +379,7 @@ mod tests {
         let mut conf = Configuration::empty(s);
         conf.insert_named("Mgr", ["boss", "worker"]).unwrap();
         assert!(conf.to_string().contains("Mgr(boss, worker)"));
-        conf.store_mut().insert_named("EmpOff", ["e", "o"]).unwrap();
+        conf.insert_named("EmpOff", ["e", "o"]).unwrap();
         assert_eq!(conf.store().len(), 2);
     }
 }

@@ -48,11 +48,6 @@ impl Instance {
         &self.store
     }
 
-    /// Mutable access to the underlying fact store.
-    pub fn store_mut(&mut self) -> &mut FactStore {
-        &mut self.store
-    }
-
     /// Inserts a fact, checking arity.
     pub fn insert(&mut self, relation: RelationId, t: Tuple) -> Result<bool> {
         self.store.insert(relation, t)
@@ -187,9 +182,9 @@ mod tests {
     }
 
     #[test]
-    fn store_mut_allows_in_place_edits() {
+    fn an_instance_rebuilt_from_its_store_keeps_its_facts() {
         let mut i = Instance::new(schema());
-        i.store_mut().insert_named("S", ["x"]).unwrap();
+        i.insert_named("S", ["x"]).unwrap();
         assert_eq!(i.len(), 1);
         let from_store = Instance::from_store(i.store().clone());
         assert_eq!(from_store.len(), 1);

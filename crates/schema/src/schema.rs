@@ -166,15 +166,6 @@ impl SchemaBuilder {
         Ok(id)
     }
 
-    /// Returns the id of the domain `name`, creating it if necessary.
-    pub fn domain_or_create(&mut self, name: impl Into<String>) -> DomainId {
-        let name = name.into();
-        if let Some(&id) = self.domain_names.get(&name) {
-            return id;
-        }
-        self.domain(name).expect("absence just checked")
-    }
-
     /// Adds a relation with named, typed attributes.
     pub fn relation(
         &mut self,
@@ -348,10 +339,8 @@ mod tests {
     #[test]
     fn uniform_and_typed_helpers() {
         let mut b = Schema::builder();
-        let d = b.domain_or_create("D");
-        let d2 = b.domain_or_create("D");
-        assert_eq!(d, d2);
-        let e = b.domain_or_create("E");
+        let d = b.domain("D").unwrap();
+        let e = b.domain("E").unwrap();
         let r = b.relation_uniform("R", 3, d).unwrap();
         let s = b.relation_with_domains("S", &[d, e]).unwrap();
         let schema = b.build();

@@ -55,8 +55,7 @@ impl Tuple {
 
     /// Returns the projection of the tuple onto the given positions.
     ///
-    /// Positions out of range are silently skipped; use
-    /// [`Tuple::try_project`] for a checked variant.
+    /// Positions out of range are silently skipped.
     pub fn project(&self, positions: &[usize]) -> Tuple {
         Tuple::new(
             positions
@@ -64,15 +63,6 @@ impl Tuple {
                 .filter_map(|&p| self.values.get(p).cloned())
                 .collect(),
         )
-    }
-
-    /// Checked projection: fails if any position is out of range.
-    pub fn try_project(&self, positions: &[usize]) -> Option<Tuple> {
-        let mut out = Vec::with_capacity(positions.len());
-        for &p in positions {
-            out.push(self.values.get(p)?.clone());
-        }
-        Some(Tuple::new(out))
     }
 
     /// Returns `true` if the tuple agrees with `binding` on `positions`
@@ -174,8 +164,6 @@ mod tests {
         let tup = t(&["a", "b", "c"]);
         assert_eq!(tup.project(&[2, 0]), t(&["c", "a"]));
         assert_eq!(tup.project(&[5]), Tuple::empty());
-        assert_eq!(tup.try_project(&[0, 1]), Some(t(&["a", "b"])));
-        assert_eq!(tup.try_project(&[0, 9]), None);
     }
 
     #[test]

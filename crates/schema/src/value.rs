@@ -49,11 +49,6 @@ impl Value {
         matches!(self, Value::Fresh(_))
     }
 
-    /// Returns `true` when the value is a "real" constant (not a null).
-    pub fn is_constant(&self) -> bool {
-        !self.is_fresh()
-    }
-
     /// Returns the integer content when the value is a [`Value::Int`].
     pub fn as_int(&self) -> Option<i64> {
         match self {
@@ -191,9 +186,6 @@ mod tests {
     #[test]
     fn fresh_values_are_distinct_from_constants() {
         assert!(Value::fresh(0).is_fresh());
-        assert!(!Value::fresh(0).is_constant());
-        assert!(Value::sym("a").is_constant());
-        assert!(Value::int(7).is_constant());
         assert_ne!(Value::fresh(0), Value::int(0));
     }
 

@@ -80,8 +80,12 @@ pub struct BatchStats {
     /// Prefetched responses never consumed by the merge loop (speculation
     /// waste).
     pub speculative_wasted: usize,
-    /// The per-batch concurrency limit: worker threads for the threaded
-    /// executor, the in-flight future cap for the async one.
+    /// The run's in-flight cap, [`crate::RunOptions::workers`]: every
+    /// batched executor keeps at most this many of a batch's calls in
+    /// flight (worker threads for the threaded executor, semaphore permits
+    /// for the async and serving executors). A multi-session serve caps all
+    /// its sessions together at `ServingOptions::max_in_flight_accesses`
+    /// instead; its sessions still report their own requests' `workers`.
     pub workers: usize,
 }
 

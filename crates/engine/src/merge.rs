@@ -11,9 +11,12 @@
 //! * [`crate::Sequential`] calls its [`crate::DeepWebSource`] inline, one
 //!   access per batch (batch size 1, so nothing is ever prefetched);
 //! * the `Threaded` executor of `accrel-federation` spreads a batch over
-//!   scoped worker threads, the `Async` executor polls it as futures on the
-//!   virtual clock, and the serving layer routes it through its
-//!   cross-session dedup table.
+//!   at most `workers` scoped threads;
+//! * the `Async` executor and every serving session await a batch as one
+//!   join of its calls on the virtual clock, each call holding a permit of
+//!   one in-flight cap: `workers` for a run, `max_in_flight_accesses`
+//!   shared by every session of a serve. A serving session also routes
+//!   each call through the serve's cross-session dedup table.
 //!
 //! Growth is read, not queued: each consumer below follows the
 //! configuration's append-only store through an

@@ -88,9 +88,13 @@ pub struct RunOptions {
     /// Maximum accesses prefetched per batch (1 disables speculation).
     /// Ignored by the sequential executor.
     pub batch_size: usize,
-    /// Per-batch concurrency: worker threads for the threaded executor, the
-    /// in-flight future cap for the async one and the serving layer. Ignored
-    /// by the sequential executor.
+    /// The cap on one request's calls in flight: every batched executor
+    /// keeps at most `workers` of a batch's calls in flight (worker threads
+    /// for the threaded executor, semaphore permits for the async and
+    /// serving executors). A multi-session serve
+    /// (`accrel-federation`'s `QuerySessionRegistry::serve`) caps all its
+    /// sessions together at `ServingOptions::max_in_flight_accesses`
+    /// instead. Ignored by the sequential executor.
     pub workers: usize,
     /// How follow-up accesses are predicted. Ignored by the sequential
     /// executor.

@@ -156,9 +156,8 @@ impl ServingReport {
     /// The `p`-quantile (0.0 ≤ p ≤ 1.0) of per-session virtual latency, in
     /// microseconds (0 with no sessions). True nearest-rank: the smallest
     /// latency at sorted rank `⌈p·n⌉` (1-based), so `p = 0.5` over an even
-    /// count picks the lower middle element rather than the
-    /// `round((n-1)·p)` interpolation this method used to apply, and
-    /// `p = 0.0` / `p = 1.0` are exactly the min / max.
+    /// count picks the lower middle element, and `p = 0.0` / `p = 1.0` are
+    /// exactly the min / max.
     pub fn latency_percentile(&self, p: f64) -> u64 {
         let mut lat: Vec<u64> = self
             .sessions

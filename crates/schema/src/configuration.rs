@@ -248,7 +248,8 @@ impl Configuration {
     }
 
     /// A compact deterministic fingerprint of the configuration's facts,
-    /// usable as a visited-set key in searches.
+    /// independent of insertion order. The serving layer hashes it into the
+    /// verdict class its sessions share cached verdicts under.
     pub fn fingerprint(&self) -> String {
         let mut out = String::new();
         for (rel, t) in self.sorted_facts() {

@@ -206,6 +206,39 @@ mod tests {
     }
 
     #[test]
+    fn guessable_values_reach_only_independent_methods() {
+        let (schema, methods) = setup();
+        let mut conf = Configuration::empty(schema.clone());
+        conf.insert_named("EmpOff", ["e1", "o1"]).unwrap();
+        // One pool value is also in the active domain, and one repeats.
+        let opts = EnumerationOptions {
+            guessable_values: vec![
+                Value::sym("guessed"),
+                Value::sym("e1"),
+                Value::sym("guessed"),
+            ],
+            max_accesses: usize::MAX,
+        };
+        // Guessable values do not apply to dependent methods: EmpOffAcc(e1),
+        // OfficePair(o1, e1) and the free EmpOffAll() are all there is.
+        assert_eq!(well_formed_accesses(&conf, &methods, &opts).len(), 3);
+        // An independent method with an input sees the active domain and the
+        // pool merged: sorted, each value once.
+        let mut mb = AccessMethods::builder(schema);
+        mb.add("EmpGuess", "EmpOff", &["emp"], AccessMode::Independent)
+            .unwrap();
+        let guessing = mb.build();
+        let guess = guessing.by_name("EmpGuess").unwrap();
+        assert_eq!(
+            well_formed_accesses(&conf, &guessing, &opts),
+            vec![
+                Access::new(guess, binding(["e1"])),
+                Access::new(guess, binding(["guessed"])),
+            ]
+        );
+    }
+
+    #[test]
     fn max_accesses_caps_enumeration() {
         let (schema, methods) = setup();
         let mut conf = Configuration::empty(schema);

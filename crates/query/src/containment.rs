@@ -185,6 +185,24 @@ mod tests {
     }
 
     #[test]
+    fn union_reordering_preserves_equivalence() {
+        let s = schema();
+        let mut b = PositiveQuery::builder(s.clone());
+        let x = b.var("x");
+        let rx = b.atom("R", vec![Term::Var(x), Term::Var(x)]).unwrap();
+        let sx = b.atom("S", vec![Term::Var(x)]).unwrap();
+        let q_ab = b.build(rx.clone().or(sx.clone()));
+        let mut b2 = PositiveQuery::builder(s);
+        let x2 = b2.var("x");
+        let rx2 = b2.atom("R", vec![Term::Var(x2), Term::Var(x2)]).unwrap();
+        let sx2 = b2.atom("S", vec![Term::Var(x2)]).unwrap();
+        let q_ba = b2.build(sx2.or(rx2));
+        let _ = (rx, sx);
+        let (q_ab, q_ba) = (Query::Pq(q_ab), Query::Pq(q_ba));
+        assert!(query_contained_in(&q_ab, &q_ba) && query_contained_in(&q_ba, &q_ab));
+    }
+
+    #[test]
     fn empty_union_on_the_left_is_contained_in_everything() {
         let s = schema();
         let p1 = path_query(s, 1);

@@ -597,7 +597,8 @@ fn one_session_serving_matches_async_traffic_and_virtual_makespan() {
     // The serving executor, a serve of one session with `workers` calls in
     // flight, is the async executor's run: the same accesses, verdicts,
     // answers and batches, the same backend traffic (retries, failures and
-    // pages included) and the same virtual makespan. The grid covers paging, tied and jittered
+    // pages included) and the same virtual makespan (each run's federation
+    // has a fresh clock at zero). The grid covers paging, tied and jittered
     // latencies, absorbed and exhausting flakiness, every strategy and
     // in-flight caps below, at and above the batch size.
     let scenario = bank_scenario();
